@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race race-service race-spaces race-fork race-observability fuzz-smoke bench bench-telemetry bench-smoke
+.PHONY: check vet build test race race-service race-spaces race-observability fuzz-smoke bench bench-telemetry bench-smoke
 
 # check is the tier-1 gate: everything a PR must keep green.
-check: vet build test race race-service race-spaces race-fork race-observability fuzz-smoke bench-telemetry bench-smoke
+check: vet build test race race-service race-spaces race-observability fuzz-smoke bench-telemetry bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -28,23 +28,13 @@ race-service:
 
 # The attack-style fault models (instruction skip, PC corruption,
 # multi-bit bursts) under the race detector: the objective-carrying
-# strategy matrix and skip/burst interrupt+resume in the root package,
+# executor matrix and skip/burst interrupt+resume in the root package,
 # plus the attack-space fleet/archive paths of the campaign service —
 # -count=2 shakes out ordering-dependent races, exactly like
 # race-service.
 race-spaces:
 	$(GO) test -race -count=2 -run='TestObjectiveStrategyEquivalence|TestInterruptResumeAttackSpaces|TestOracleRandomCoordinates' . ./internal/experiments
 	$(GO) test -race -count=2 -run='TestInvariant12ArchiveHitAttackSpaces' ./internal/service
-
-# The fork strategy under the race detector: the full differential
-# strategy-equivalence matrix (which includes fork across every space ×
-# accelerator combination), fork interrupt+resume over all six spaces,
-# and the fork random-coordinate oracle (invariant 14). The fork scan's
-# parent/child machine pairs and batch feeder are the newest concurrent
-# code in the executor; this gate is their data-race proof.
-race-fork:
-	$(GO) test -race -run='TestStrategyEquivalenceAllBenchmarks|TestInterruptResumeFork' .
-	$(GO) test -race -run='TestOracleRandomCoordinatesFork' ./internal/experiments
 
 # The observability layer under the race detector: the fleet trace
 # timeline (spans merging from concurrent workers into the
@@ -88,13 +78,13 @@ fuzz-smoke:
 bench-telemetry:
 	$(GO) test ./internal/telemetry -run='^$$' -bench=BenchmarkTelemetryOverhead -benchtime=100x -benchmem
 
-# One un-calibrated iteration of every BenchmarkFullScan row — each
-# strategy × accelerator combination plus the attack-space variants —
-# so a broken scan configuration fails `make check` instead of being
-# discovered at the next full bench run. BENCH_SKIP_WRITE keeps the
-# single-iteration timings out of the tracked BENCH_scan.json.
+# One un-calibrated iteration of every BenchmarkFullScan row — {rerun,
+# fork, fork+pre, fork+pre+trace} on the two Figure-2 kernels and their
+# SUM+DMR-hardened variants — so a broken executor configuration fails
+# `make check` instead of being discovered at the next bench run. The
+# benchmark writes nothing; tracked numbers live under bench/.
 bench-smoke:
-	BENCH_SKIP_WRITE=1 $(GO) test -run='^$$' -bench=BenchmarkFullScan -benchtime=1x .
+	$(GO) test -run='^$$' -bench=BenchmarkFullScan -benchtime=1x .
 
 bench:
 	$(GO) test -bench=. -benchmem

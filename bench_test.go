@@ -7,9 +7,7 @@
 package faultspace_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
@@ -228,49 +226,6 @@ func BenchmarkExtensionMechanisms(b *testing.B) {
 	b.ReportMetric(tmrRatio, "tmr-failure-ratio")
 }
 
-// scanBenchResult is one (benchmark, strategy) timing from
-// BenchmarkFullScan, emitted to BENCH_scan.json by TestMain so the scan
-// hot path's perf trajectory is tracked from PR to PR.
-type scanBenchResult struct {
-	Benchmark string `json:"benchmark"`
-	Strategy  string `json:"strategy"`
-	// Space names the fault-space kind for non-memory variants (the
-	// attack-style models have very different class counts and
-	// per-experiment costs, so they are tracked as their own rows).
-	Space   string  `json:"space,omitempty"`
-	Classes int     `json:"classes"`
-	NsPerOp float64 `json:"ns_per_op"`
-	// Counters holds the run's telemetry counters normalized per scan
-	// (experiments, strategy shortcuts, pool reuse), so the perf log also
-	// tracks *how* each strategy reached its timing.
-	Counters map[string]float64 `json:"counters_per_op,omitempty"`
-}
-
-var scanBench struct {
-	sync.Mutex
-	results []scanBenchResult
-}
-
-// TestMain emits BENCH_scan.json after a benchmark run that exercised
-// BenchmarkFullScan; plain `go test` runs write nothing, and setting
-// BENCH_SKIP_WRITE suppresses the write for smoke runs (`make
-// bench-smoke` runs one un-calibrated iteration per strategy — numbers
-// that must not clobber the tracked timings).
-func TestMain(m *testing.M) {
-	code := m.Run()
-	scanBench.Lock()
-	results := scanBench.results
-	scanBench.Unlock()
-	if code == 0 && len(results) > 0 && os.Getenv("BENCH_SKIP_WRITE") == "" {
-		if data, err := json.MarshalIndent(results, "", "  "); err == nil {
-			if err := os.WriteFile("BENCH_scan.json", append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "bench: BENCH_scan.json:", err)
-			}
-		}
-	}
-	os.Exit(code)
-}
-
 // --- Ablation benchmarks (DESIGN.md §8) ---
 
 // scanBenchSizes are larger than benchSizes on purpose: the executor
@@ -283,156 +238,87 @@ var scanBenchSizes = experiments.Figure2Config{
 	SyncBufBytes: 64,
 }
 
-// BenchmarkFullScan times the complete full-scan pipeline per execution
-// strategy on the two Figure-2 kernels. This is the headline executor
-// benchmark: the ladder strategy must beat rerun by ≥ 2× here (see
-// DESIGN.md §8), and its timings feed BENCH_scan.json.
+// BenchmarkFullScan times the complete full-scan pipeline per executor
+// configuration on the two Figure-2 kernels and their SUM+DMR-hardened
+// variants. It is an ablation for working on the executor, not a tracked
+// ruler — bench/ is (see bench/README.md) — and writes nothing. The
+// hardened rows are here because they are the inputs where no experiment
+// reconverges, so the faulty suffix (and the loop detector's probe
+// back-off) is all there is; the +trace rows rerun the accelerated
+// configuration with span tracing enabled, which must stay within noise
+// of the blind one.
 func BenchmarkFullScan(b *testing.B) {
 	benches := []struct {
-		name string
-		spec progs.Spec
+		name  string
+		build func() (*asm.Program, error)
 	}{
-		{"bin_sem2", progs.BinSem2(scanBenchSizes.BinSemRounds)},
-		{"sync2", progs.Sync2(scanBenchSizes.SyncRounds, scanBenchSizes.SyncBufBytes)},
+		{"bin_sem2", progs.BinSem2(scanBenchSizes.BinSemRounds).Baseline},
+		{"sync2", progs.Sync2(scanBenchSizes.SyncRounds, scanBenchSizes.SyncBufBytes).Baseline},
+		{"bin_sem2+sum+dmr", progs.BinSem2(benchSizes.BinSemRounds).Hardened},
+		{"sync2+sum+dmr", progs.Sync2(benchSizes.SyncRounds, benchSizes.SyncBufBytes).Hardened},
 	}
-	strategies := []struct {
+	configs := []struct {
 		name      string
 		strat     faultspace.Strategy
 		predecode bool
-		memo      bool
 		trace     bool
 	}{
-		// The plain trio tracks the historical baselines; the +pre and
-		// +pre+memo variants quantify the accelerator layers on top. Their
-		// memo.hits / memo.misses / predecode.invalidations counters land
-		// in BENCH_scan.json alongside the timings they explain. The +trace
-		// rows rerun the fully-accelerated configurations with span tracing
-		// enabled, so the perf log tracks the cost of an observed scan next
-		// to the blind one it must stay within noise of (invariant 15 pins
-		// the outputs identical; these rows pin the timing honest).
-		{"snapshot", faultspace.StrategySnapshot, false, false, false},
-		{"rerun", faultspace.StrategyRerun, false, false, false},
-		{"ladder", faultspace.StrategyLadder, false, false, false},
-		{"fork", faultspace.StrategyFork, false, false, false},
-		{"snapshot+pre", faultspace.StrategySnapshot, true, false, false},
-		{"ladder+pre", faultspace.StrategyLadder, true, false, false},
-		{"fork+pre", faultspace.StrategyFork, true, false, false},
-		{"snapshot+pre+memo", faultspace.StrategySnapshot, true, true, false},
-		{"ladder+pre+memo", faultspace.StrategyLadder, true, true, false},
-		{"snapshot+pre+memo+trace", faultspace.StrategySnapshot, true, true, true},
-		{"ladder+pre+memo+trace", faultspace.StrategyLadder, true, true, true},
+		{"rerun", faultspace.StrategyRerun, false, false},
+		{"fork", faultspace.StrategyFork, false, false},
+		{"fork+pre", faultspace.StrategyFork, true, false},
+		{"fork+pre+trace", faultspace.StrategyFork, true, true},
 	}
 	for _, bench := range benches {
-		p, err := bench.spec.Baseline()
+		p, err := bench.build()
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, st := range strategies {
-			b.Run(bench.name+"/"+st.name, func(b *testing.B) {
-				runFullScanBench(b, p, bench.name, st.name, st.trace, faultspace.ScanOptions{
-					Strategy:  st.strat,
-					Predecode: st.predecode,
-					Memo:      st.memo,
-				})
+		for _, c := range configs {
+			b.Run(bench.name+"/"+c.name, func(b *testing.B) {
+				// The scans run instrumented: telemetry is designed to be
+				// free (see BenchmarkTelemetryOverhead), and its counters
+				// say how the configuration reached its timing.
+				reg := faultspace.NewTelemetry()
+				if c.trace {
+					reg.EnableSpans(faultspace.NewTraceID(), "bench", 0)
+				}
+				opts := faultspace.ScanOptions{Strategy: c.strat, Predecode: c.predecode, Telemetry: reg}
+				classes := 0
+				for i := 0; i < b.N; i++ {
+					res, err := faultspace.Scan(p, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					classes = len(res.Outcomes)
+					if c.trace {
+						// Drain per iteration, as a fleet worker does per
+						// submission; otherwise the recorder fills and later
+						// iterations measure the cheaper drop path instead
+						// of span recording.
+						reg.SpanRecorder().Drain()
+					}
+				}
+				counters := reg.Snapshot().Counters
+				b.ReportMetric(float64(classes), "classes")
+				b.ReportMetric(float64(counters["ladder.reconverged"])/float64(b.N), "reconverged/op")
+				b.ReportMetric(float64(counters["ladder.loop_proofs"])/float64(b.N), "loop-proofs/op")
 			})
 		}
 	}
-
-	// Attack-space variants: the instruction-skip, PC-corruption and
-	// multi-bit burst models under the recommended accelerated
-	// configuration, tracked as their own BENCH_scan.json rows.
-	spaces := []struct {
-		name  string
-		space faultspace.SpaceKind
-	}{
-		{"skip", faultspace.SpaceSkip},
-		{"pc", faultspace.SpacePC},
-		{"burst2", faultspace.SpaceBurst2},
-		{"burst4", faultspace.SpaceBurst4},
-	}
-	p, err := benches[0].spec.Baseline()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, sp := range spaces {
-		b.Run(benches[0].name+"/"+sp.name+"/snapshot+pre", func(b *testing.B) {
-			runFullScanBench(b, p, benches[0].name, "snapshot+pre", false, faultspace.ScanOptions{
-				Space:     sp.space,
-				Predecode: true,
-			})
-		})
-	}
 }
 
-// runFullScanBench times one scan configuration and records the result
-// (with its per-op telemetry counters) for BENCH_scan.json.
-func runFullScanBench(b *testing.B, p *faultspace.Program, benchName, stratName string, trace bool, opts faultspace.ScanOptions) {
-	// The scans run instrumented: telemetry is designed to be free (see
-	// BenchmarkTelemetryOverhead), and its counters land in
-	// BENCH_scan.json next to the timing they explain.
-	reg := faultspace.NewTelemetry()
-	if trace {
-		reg.EnableSpans(faultspace.NewTraceID(), "bench", 0)
-	}
-	opts.Telemetry = reg
-	classes := 0
-	for i := 0; i < b.N; i++ {
-		res, err := faultspace.Scan(p, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		classes = len(res.Outcomes)
-		if trace {
-			// Drain per iteration, as a fleet worker does per submission;
-			// otherwise the recorder fills and later iterations measure the
-			// cheaper drop path instead of span recording.
-			reg.SpanRecorder().Drain()
-		}
-	}
-	counters := make(map[string]float64)
-	for name, v := range reg.Snapshot().Counters {
-		counters[name] = float64(v) / float64(b.N)
-	}
-	r := scanBenchResult{
-		Benchmark: benchName,
-		Strategy:  stratName,
-		Classes:   classes,
-		NsPerOp:   float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		Counters:  counters,
-	}
-	if opts.Space != 0 && opts.Space != faultspace.SpaceMemory {
-		r.Space = opts.Space.String()
-	}
-	// The framework re-runs each sub-benchmark while calibrating b.N;
-	// keep only the final (longest) run.
-	scanBench.Lock()
-	defer scanBench.Unlock()
-	for i := range scanBench.results {
-		if scanBench.results[i].Benchmark == r.Benchmark &&
-			scanBench.results[i].Strategy == r.Strategy &&
-			scanBench.results[i].Space == r.Space {
-			scanBench.results = append(scanBench.results[:i], scanBench.results[i+1:]...)
-			break
-		}
-	}
-	scanBench.results = append(scanBench.results, r)
-}
-
-// BenchmarkAblationSnapshotVsRerun compares the two experiment-execution
-// strategies on the same full scan: forking from snapshots at the
-// injection slot vs re-executing the golden prefix for every experiment.
-func BenchmarkAblationSnapshotVsRerun(b *testing.B) {
+// BenchmarkAblationForkVsRerun compares the two experiment-execution
+// strategies on the same full scan: forking children off a monotone
+// golden cursor vs re-executing the golden prefix for every experiment.
+func BenchmarkAblationForkVsRerun(b *testing.B) {
 	p, err := progs.BinSem2(benchSizes.BinSemRounds).Baseline()
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name  string
-		rerun bool
-	}{{"snapshot", false}, {"rerun", true}} {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, strat := range []faultspace.Strategy{faultspace.StrategyFork, faultspace.StrategyRerun} {
+		b.Run(strat.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := faultspace.Scan(p, faultspace.ScanOptions{Rerun: mode.rerun}); err != nil {
+				if _, err := faultspace.Scan(p, faultspace.ScanOptions{Strategy: strat}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -504,15 +390,9 @@ func BenchmarkClusterScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, strat := range []struct {
-		name  string
-		strat faultspace.Strategy
-	}{
-		{"snapshot", faultspace.StrategySnapshot},
-		{"ladder", faultspace.StrategyLadder},
-	} {
+	for _, strat := range []faultspace.Strategy{faultspace.StrategyFork, faultspace.StrategyRerun} {
 		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("strategy=%s/workers=%d", strat.name, workers), func(b *testing.B) {
+			b.Run(fmt.Sprintf("strategy=%s/workers=%d", strat, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					addrCh := make(chan string, 1)
 					var wg sync.WaitGroup
@@ -524,7 +404,7 @@ func BenchmarkClusterScan(b *testing.B) {
 								defer wg.Done()
 								if err := faultspace.JoinScan(addr, faultspace.JoinOptions{
 									WorkerID: fmt.Sprintf("w%d", j),
-									Strategy: strat.strat,
+									Strategy: strat,
 								}); err != nil {
 									b.Error(err)
 								}

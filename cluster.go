@@ -30,8 +30,8 @@ var ErrCoordinatorShutdown = cluster.ErrShutdown
 var ErrCoordinatorUnreachable = cluster.ErrUnreachable
 
 // ServeOptions parameterizes ServeScan. The embedded ScanOptions keep
-// their meaning; Workers and Rerun are ignored (the coordinator executes
-// no experiments itself).
+// their meaning; Workers and Strategy are ignored (the coordinator
+// executes no experiments itself).
 type ServeOptions struct {
 	ScanOptions
 	// UnitSize is the number of equivalence classes per leased work unit
@@ -191,23 +191,15 @@ type JoinOptions struct {
 	// Workers is the number of parallel experiment executors (default
 	// GOMAXPROCS).
 	Workers int
-	// Rerun selects the rerun-from-reset strategy for this worker's
-	// experiments; strategies may differ freely across the cluster.
-	// Superseded by Strategy; ignored when Strategy is set.
-	Rerun bool
-	// Strategy selects this worker's execution strategy explicitly
-	// (default snapshot, or rerun when Rerun is set).
+	// Strategy selects this worker's execution strategy (default
+	// StrategyFork); strategies may differ freely across the cluster.
 	Strategy Strategy
-	// LadderInterval is the rung spacing for StrategyLadder (0 auto-
-	// tunes from the golden-trace length).
+	// LadderInterval is StrategyFork's rung spacing (0 auto-tunes from
+	// the golden-trace length).
 	LadderInterval uint64
 	// Predecode enables the simulator's pre-decoded dispatch stream on
 	// this worker's machines. Outcome-invariant and local to this worker.
 	Predecode bool
-	// Memo enables cross-experiment outcome memoization, with one cache
-	// per campaign shared across all units this worker leases.
-	// Outcome-invariant and local to this worker.
-	Memo bool
 	// Interrupt, when closed, makes the worker die abruptly mid-unit
 	// without submitting — the crash the coordinator's lease expiry must
 	// absorb.
@@ -233,13 +225,9 @@ func JoinScan(addr string, opts JoinOptions) error {
 		Strategy:       opts.Strategy,
 		LadderInterval: opts.LadderInterval,
 		Predecode:      opts.Predecode,
-		Memo:           opts.Memo,
 		Interrupt:      opts.Interrupt,
 		Logf:           opts.Logf,
 		Telemetry:      opts.Telemetry,
-	}
-	if wopts.Strategy == 0 && opts.Rerun {
-		wopts.Strategy = campaign.StrategyRerun
 	}
 	if err := cluster.Join(normalizeURL(addr), wopts); err != nil {
 		if errors.Is(err, campaign.ErrInterrupted) {

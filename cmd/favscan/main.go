@@ -62,11 +62,9 @@ func run(args []string, w, errW io.Writer) error {
 		seed     = fs.Int64("seed", 1, "PRNG seed for sampling")
 		biased   = fs.Bool("biased", false, "sample classes uniformly (Pitfall 2) instead of raw coordinates")
 		effect   = fs.Bool("effective", false, "sample the reduced population w' (Corollary 1)")
-		rerun    = fs.Bool("rerun", false, "use the rerun-from-start strategy instead of snapshot forking")
-		strategy = fs.String("strategy", "", "experiment strategy: snapshot, rerun, ladder or fork (default snapshot)")
-		ladderIv = fs.Uint64("ladder-interval", 0, "rung spacing in cycles for -strategy ladder or fork (0 = auto-tune)")
+		strategy = fs.String("strategy", "fork", "experiment strategy: fork, or rerun (the brute-force reference)")
+		ladderIv = fs.Uint64("ladder-interval", 0, "rung spacing in cycles for -strategy fork (0 = auto-tune)")
 		predec   = fs.Bool("predecode", true, "execute via the pre-decoded dispatch stream (outcome-invariant; -predecode=false for the plain decoder)")
-		memo     = fs.Bool("memo", false, "memoize experiment remainders across the campaign (outcome-invariant, invariant 11)")
 		space    = fs.String("space", "memory", "fault space: memory, registers (§VI-B), skip, pc, burst2 or burst4")
 		objFl    = fs.String("objective", "", "attacker objective evaluated on every outcome: bypass, corrupt or dos (default none)")
 		workers  = fs.Int("workers", 0, "parallel experiment executors (0 = GOMAXPROCS)")
@@ -111,12 +109,12 @@ func run(args []string, w, errW io.Writer) error {
 	if err := validObjective(*objFl); err != nil {
 		return err
 	}
-	strat, err := parseStrategy(*strategy, *rerun)
+	strat, err := parseStrategy(*strategy)
 	if err != nil {
 		return err
 	}
-	if *ladderIv > 0 && strat != faultspace.StrategyLadder && strat != faultspace.StrategyFork {
-		return fmt.Errorf("-ladder-interval requires -strategy ladder or fork")
+	if *ladderIv > 0 && strat != faultspace.StrategyFork {
+		return fmt.Errorf("-ladder-interval requires -strategy fork")
 	}
 	if *resume && *ckpt == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
@@ -162,7 +160,6 @@ func run(args []string, w, errW io.Writer) error {
 			Strategy:       strat,
 			LadderInterval: *ladderIv,
 			Predecode:      *predec,
-			Memo:           *memo,
 		}
 		if *progress {
 			jopts.Logf = func(format string, args ...any) {
@@ -198,7 +195,6 @@ func run(args []string, w, errW io.Writer) error {
 			Strategy:       strat,
 			LadderInterval: *ladderIv,
 			Predecode:      *predec,
-			Memo:           *memo,
 		}}
 		if *progress {
 			fopts.Logf = func(format string, args ...any) {
@@ -271,7 +267,6 @@ func run(args []string, w, errW io.Writer) error {
 		Strategy:       strat,
 		LadderInterval: *ladderIv,
 		Predecode:      *predec,
-		Memo:           *memo,
 		Space:          spaceKind,
 		Objective:      *objFl,
 	}
@@ -524,34 +519,15 @@ func validObjective(name string) error {
 	return fmt.Errorf("unknown objective %q (valid: %s)", name, strings.Join(faultspace.ObjectiveNames(), ", "))
 }
 
-// parseStrategy validates the -strategy flag value and reconciles it
-// with the legacy -rerun boolean.
-func parseStrategy(s string, rerun bool) (faultspace.Strategy, error) {
+// parseStrategy validates the -strategy flag value.
+func parseStrategy(s string) (faultspace.Strategy, error) {
 	switch s {
-	case "":
-		if rerun {
-			return faultspace.StrategyRerun, nil
-		}
-		return faultspace.StrategySnapshot, nil
-	case "snapshot":
-		if rerun {
-			return 0, fmt.Errorf("-strategy snapshot contradicts -rerun")
-		}
-		return faultspace.StrategySnapshot, nil
+	case "fork":
+		return faultspace.StrategyFork, nil
 	case "rerun":
 		return faultspace.StrategyRerun, nil
-	case "ladder":
-		if rerun {
-			return 0, fmt.Errorf("-strategy ladder contradicts -rerun")
-		}
-		return faultspace.StrategyLadder, nil
-	case "fork":
-		if rerun {
-			return 0, fmt.Errorf("-strategy fork contradicts -rerun")
-		}
-		return faultspace.StrategyFork, nil
 	default:
-		return 0, fmt.Errorf("unknown strategy %q (valid: snapshot, rerun, ladder, fork)", s)
+		return 0, fmt.Errorf("unknown strategy %q (valid: fork, rerun)", s)
 	}
 }
 

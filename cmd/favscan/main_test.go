@@ -83,7 +83,7 @@ func TestSamplingModes(t *testing.T) {
 
 func TestRerunStrategyFlag(t *testing.T) {
 	a := runScan(t, "hi")
-	b := runScan(t, "-rerun", "hi")
+	b := runScan(t, "-strategy", "rerun", "hi")
 	if a != b {
 		t.Error("rerun strategy must not change scan results")
 	}
@@ -174,7 +174,7 @@ func TestCheckpointCreateThenResume(t *testing.T) {
 // mid-scan, then the campaign is resumed from its checkpoint, and the
 // resumed report must be byte-identical to an uninterrupted run's. The
 // child scans with the slow rerun strategy so the interrupt reliably
-// lands mid-run; the resume switches back to the snapshot strategy,
+// lands mid-run; the resume switches back to the default fork strategy,
 // which the campaign identity deliberately permits.
 func TestKillAndResumeByteIdentical(t *testing.T) {
 	if runtime.GOOS == "windows" {
@@ -187,7 +187,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "sort1.ckpt")
 	campaign := []string{"-workers", "1", "-sort-elements", "48", "sort1"}
 
-	child := exec.Command(exe, append([]string{"-checkpoint", ck, "-progress", "-rerun"}, campaign...)...)
+	child := exec.Command(exe, append([]string{"-checkpoint", ck, "-progress", "-strategy", "rerun"}, campaign...)...)
 	child.Env = append(os.Environ(), "FAVSCAN_CHILD=1")
 	var childErr strings.Builder
 	child.Stdout = io.Discard
@@ -244,12 +244,10 @@ func TestFlagValidationUpfront(t *testing.T) {
 		want string
 	}{
 		{[]string{"-space", "cache", "hi"}, "valid: memory, registers"},
-		{[]string{"-strategy", "quantum", "hi"}, "valid: snapshot, rerun, ladder, fork"},
-		{[]string{"-strategy", "snapshot", "-rerun", "hi"}, "contradicts"},
-		{[]string{"-strategy", "ladder", "-rerun", "hi"}, "contradicts"},
-		{[]string{"-strategy", "fork", "-rerun", "hi"}, "contradicts"},
-		{[]string{"-ladder-interval", "64", "hi"}, "requires -strategy ladder or fork"},
-		{[]string{"-ladder-interval", "64", "-strategy", "rerun", "hi"}, "requires -strategy ladder or fork"},
+		{[]string{"-strategy", "quantum", "hi"}, "valid: fork, rerun"},
+		{[]string{"-strategy", "snapshot", "hi"}, "valid: fork, rerun"},
+		{[]string{"-strategy", "ladder", "hi"}, "valid: fork, rerun"},
+		{[]string{"-ladder-interval", "64", "-strategy", "rerun", "hi"}, "requires -strategy fork"},
 		{[]string{"-serve", ":0", "-join", "x:1", "hi"}, "mutually exclusive"},
 		{[]string{"-serve", ":0", "-sample", "10", "hi"}, "full scans only"},
 		{[]string{"-join", "x:1", "hi"}, "no benchmark argument"},
@@ -269,17 +267,17 @@ func TestFlagValidationUpfront(t *testing.T) {
 		}
 	}
 	// Strategy flag accepts its valid values, and none of them (nor the
-	// ladder rung spacing) may change the scan report.
-	a := runScan(t, "-strategy", "snapshot", "hi")
+	// fork rung spacing) may change the scan report.
+	a := runScan(t, "-strategy", "fork", "hi")
 	b := runScan(t, "-strategy", "rerun", "hi")
 	if a != b {
 		t.Error("-strategy must not change scan results")
 	}
-	c := runScan(t, "-strategy", "ladder", "hi")
+	c := runScan(t, "hi")
 	if a != c {
-		t.Error("-strategy ladder must not change scan results")
+		t.Error("the default strategy must be fork, and must not change scan results")
 	}
-	d := runScan(t, "-strategy", "ladder", "-ladder-interval", "3", "hi")
+	d := runScan(t, "-ladder-interval", "3", "hi")
 	if a != d {
 		t.Error("-ladder-interval must not change scan results")
 	}
@@ -355,7 +353,7 @@ func serveWithWorkers(t *testing.T, serveArgs []string, nWorkers int) string {
 			case 1:
 				args = append(args, "-strategy", "rerun")
 			case 2:
-				args = append(args, "-strategy", "ladder")
+				args = append(args, "-ladder-interval", "5")
 			}
 			if err := run(args, io.Discard, io.Discard); err != nil {
 				t.Errorf("worker %d: %v", i, err)
@@ -417,7 +415,7 @@ func TestClusterKillCoordinatorAndResume(t *testing.T) {
 	go func() {
 		defer close(workerDone)
 		_ = faultspace.JoinScan(addr, faultspace.JoinOptions{
-			WorkerID: "phase1", Workers: 1, Rerun: true,
+			WorkerID: "phase1", Workers: 1, Strategy: faultspace.StrategyRerun,
 		})
 	}()
 
@@ -475,15 +473,15 @@ func TestScanErrors(t *testing.T) {
 	}
 }
 
-// TestTelemetryManifestLadder is the observability acceptance test: a
-// ladder scan with -telemetry must emit a valid JSON run manifest
+// TestTelemetryManifestFork is the observability acceptance test: a
+// fork scan with -telemetry must emit a valid JSON run manifest
 // carrying the campaign identity hash and non-zero strategy counters —
 // while leaving the stdout report byte-identical to an uninstrumented
 // run (invariant 10 at the CLI level).
-func TestTelemetryManifestLadder(t *testing.T) {
+func TestTelemetryManifestFork(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.json")
-	reference := runScan(t, "-strategy", "ladder", "hi")
-	instrumented := runScan(t, "-strategy", "ladder", "-telemetry", path, "hi")
+	reference := runScan(t, "hi")
+	instrumented := runScan(t, "-telemetry", path, "hi")
 	if instrumented != reference {
 		t.Errorf("-telemetry changed the stdout report:\n--- with ---\n%s--- without ---\n%s",
 			instrumented, reference)
@@ -500,7 +498,7 @@ func TestTelemetryManifestLadder(t *testing.T) {
 	if m.Tool != "favscan" || m.Benchmark != "hi/baseline" {
 		t.Errorf("manifest identification wrong: tool=%q benchmark=%q", m.Tool, m.Benchmark)
 	}
-	if m.Strategy != "ladder" || m.Space != "memory" {
+	if m.Strategy != "fork" || m.Space != "memory" {
 		t.Errorf("manifest config wrong: strategy=%q space=%q", m.Strategy, m.Space)
 	}
 	if len(m.Identity) != 64 {
@@ -519,10 +517,13 @@ func TestTelemetryManifestLadder(t *testing.T) {
 		t.Errorf("scan.experiments = %d, want 16", got)
 	}
 	if m.Telemetry.Counters["ladder.rung_restores"] == 0 {
-		t.Error("ladder.rung_restores must be non-zero on a ladder scan")
+		t.Error("ladder.rung_restores must be non-zero on a fork scan")
+	}
+	if m.Telemetry.Counters["fork.children"] != 16 {
+		t.Errorf("fork.children = %d, want 16", m.Telemetry.Counters["fork.children"])
 	}
 	if m.Telemetry.Gauges["ladder.rungs"] <= 0 {
-		t.Error("ladder.rungs gauge must be positive on a ladder scan")
+		t.Error("ladder.rungs gauge must be positive on a fork scan")
 	}
 	var timed uint64
 	for name, h := range m.Telemetry.Histograms {
@@ -534,10 +535,10 @@ func TestTelemetryManifestLadder(t *testing.T) {
 		t.Errorf("outcome histograms hold %d observations, want 16", timed)
 	}
 
-	// The identity hash is strategy-invariant: a snapshot run of the same
+	// The identity hash is strategy-invariant: a rerun of the same
 	// campaign must record the same identity.
 	path2 := filepath.Join(t.TempDir(), "run2.json")
-	runScan(t, "-telemetry", path2, "hi")
+	runScan(t, "-strategy", "rerun", "-telemetry", path2, "hi")
 	var m2 faultspace.RunManifest
 	data2, err := os.ReadFile(path2)
 	if err != nil {
@@ -549,11 +550,11 @@ func TestTelemetryManifestLadder(t *testing.T) {
 	if m2.Identity != m.Identity {
 		t.Errorf("identity differs across strategies: %s vs %s", m.Identity, m2.Identity)
 	}
-	if m2.Strategy != "snapshot" {
-		t.Errorf("default strategy name = %q, want snapshot", m2.Strategy)
+	if m2.Strategy != "rerun" {
+		t.Errorf("strategy name = %q, want rerun", m2.Strategy)
 	}
 	if m2.Telemetry.Counters["ladder.rung_restores"] != 0 || m2.Telemetry.Gauges["ladder.rungs"] != 0 {
-		t.Error("snapshot manifest must not carry ladder counters")
+		t.Error("rerun manifest must not carry fork counters")
 	}
 }
 

@@ -53,9 +53,7 @@ func run(args []string, w, errW io.Writer) error {
 		starveTTL  = fs.Duration("starve-after", 0, "starved-tenant watchdog: flag tenants whose campaigns queue longer than this (default 2m)")
 		workers    = fs.Int("workers", 0, "in-process fleet workers executing campaigns (0 = serve only; workers join with favscan -fleet)")
 		parallel   = fs.Int("parallel", 0, "experiment executors per in-process worker (0 = GOMAXPROCS)")
-		rerun      = fs.Bool("rerun", false, "in-process workers use the rerun-from-start strategy")
 		predec     = fs.Bool("predecode", true, "in-process workers execute via the pre-decoded dispatch stream")
-		memo       = fs.Bool("memo", false, "in-process workers memoize experiment remainders per campaign")
 		verbose    = fs.Bool("verbose", false, "log campaign and worker life-cycle events to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -95,9 +93,7 @@ func run(args []string, w, errW io.Writer) error {
 		LocalWorkers:    *workers,
 		WorkerOptions: faultspace.JoinOptions{
 			Workers:   *parallel,
-			Rerun:     *rerun,
 			Predecode: *predec,
-			Memo:      *memo,
 		},
 		Interrupt: intCh,
 		Telemetry: reg,

@@ -65,142 +65,126 @@ func scanBytes(t *testing.T, res *ScanResult) []byte {
 	return buf.Bytes()
 }
 
-// TestStrategyEquivalenceAllBenchmarks is the differential strategy-
-// equivalence matrix (DESIGN.md invariants 9 and 11): for every bundled
-// benchmark × every fault-space kind, the full
-// {snapshot, rerun, ladder} × {predecode on/off} × {memo on/off} grid —
-// plus telemetry-instrumented variants — must archive byte-identically
-// to the naive plain-decoder rerun reference. This is the invariant
-// that justifies excluding Strategy, LadderInterval, Predecode and Memo
-// from the campaign identity hash.
+// TestStrategyEquivalenceAllBenchmarks is the differential executor-
+// equivalence matrix (DESIGN.md invariant 6): for every bundled
+// benchmark × every fault-space kind, plus the SUM+DMR-hardened Figure-2
+// kernels, every executor configuration — {fork, rerun} × {predecode
+// on/off}, an explicit rung interval, telemetry-instrumented and
+// span-traced variants — must archive byte-identically to the naive
+// plain-decoder rerun reference. This is the invariant that justifies
+// excluding Strategy, LadderInterval and Predecode from the campaign
+// identity hash.
 func TestStrategyEquivalenceAllBenchmarks(t *testing.T) {
-	strategies := []struct {
-		name string
-		s    Strategy
-	}{
-		{"snapshot", StrategySnapshot},
-		{"rerun", StrategyRerun},
-		{"ladder/auto", StrategyLadder},
-		{"fork/auto", StrategyFork},
-	}
 	for _, name := range progs.Names() {
 		t.Run(name, func(t *testing.T) {
 			prog := equivProgram(t, name)
 			for _, space := range []SpaceKind{SpaceMemory, SpaceRegisters,
 				SpaceSkip, SpacePC, SpaceBurst2, SpaceBurst4} {
-				rerun, err := Scan(prog, ScanOptions{Space: space, Strategy: StrategyRerun})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref := scanBytes(t, rerun)
-				type tcase struct {
-					label string
-					opts  ScanOptions
-					tel   bool
-					trace bool
-				}
-				var cases []tcase
-				// The full accelerator grid: every strategy with every
-				// combination of the pre-decoded dispatch stream and the
-				// cross-experiment memo cache (invariant 11).
-				for _, strat := range strategies {
-					for _, pre := range []bool{false, true} {
-						for _, memo := range []bool{false, true} {
-							cases = append(cases, tcase{
-								label: fmt.Sprintf("%s/pre=%t/memo=%t", strat.name, pre, memo),
-								opts: ScanOptions{Space: space, Strategy: strat.s,
-									Predecode: pre, Memo: memo},
-							})
-						}
-					}
-				}
-				// An explicit ladder interval shifts both rung and memo
-				// boundaries; outcomes must not care. For fork it also
-				// reshapes the batch carving — more rungs, smaller batches.
-				cases = append(cases, tcase{
-					label: "ladder/7/pre=true/memo=true",
-					opts: ScanOptions{Space: space, Strategy: StrategyLadder,
-						LadderInterval: 7, Predecode: true, Memo: true},
-				})
-				cases = append(cases, tcase{
-					label: "fork/7/pre=true/memo=true",
-					opts: ScanOptions{Space: space, Strategy: StrategyFork,
-						LadderInterval: 7, Predecode: true, Memo: true},
-				})
-				// Invariant 10: telemetry observes a campaign, never steers
-				// it — instrumented scans of every strategy, with both
-				// accelerators on, must archive byte-identically to the
-				// uninstrumented plain rerun reference.
-				for _, strat := range strategies {
-					cases = append(cases, tcase{
-						label: strat.name + "/pre=true/memo=true+telemetry",
-						opts: ScanOptions{Space: space, Strategy: strat.s,
-							Predecode: true, Memo: true},
-						tel: true,
-					})
-				}
-				// Invariant 15: tracing is identification, never
-				// configuration — span-traced scans of every strategy must
-				// archive byte-identically to the untraced reference while
-				// actually recording a timeline.
-				for _, strat := range strategies {
-					cases = append(cases, tcase{
-						label: strat.name + "/pre=true/memo=true+trace",
-						opts: ScanOptions{Space: space, Strategy: strat.s,
-							Predecode: true, Memo: true},
-						trace: true,
-					})
-				}
-				for _, tc := range cases {
-					var reg *Telemetry
-					if tc.tel {
-						reg = NewTelemetry()
-						tc.opts.Telemetry = reg
-					}
-					if tc.trace {
-						reg = NewTelemetry()
-						reg.EnableSpans(NewTraceID(), "local", 0)
-						tc.opts.Telemetry = reg
-					}
-					label := fmt.Sprintf("%s %s vs rerun", space, tc.label)
-					got, err := Scan(prog, tc.opts)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					assertSameOutcomes(t, label, rerun, got)
-					if got.Identity != rerun.Identity {
-						t.Errorf("%s: strategies must share one campaign identity", label)
-					}
-					if !bytes.Equal(scanBytes(t, got), ref) {
-						t.Errorf("%s: archived reports are not byte-identical", label)
-					}
-					if tc.tel {
-						snap := reg.Snapshot()
-						if exp := snap.Counters["scan.experiments"]; exp != uint64(len(got.Space.Classes)) {
-							t.Errorf("%s: scan.experiments = %d, want %d", label, exp, len(got.Space.Classes))
-						}
-					}
-					if tc.trace {
-						spans := reg.SpanRecorder().Spans()
-						haveRun := false
-						for _, sp := range spans {
-							if sp.Name == "scan.run" {
-								haveRun = true
-							}
-						}
-						if !haveRun {
-							t.Errorf("%s: traced scan recorded no scan.run span (%d spans)", label, len(spans))
-						}
-					}
-				}
+				checkExecutorEquivalence(t, prog, space)
 			}
 		})
+	}
+	// Hardened programs are the paper's Figure 2 subject and the one
+	// input class where no experiment ever reconverges with the golden
+	// run: every fault is detected and corrected, so the suffix runs to
+	// the halt under the loop detector's back-off instead of composing
+	// at a rung.
+	for _, name := range []string{"bin_sem2", "sync2"} {
+		t.Run(name+"/sum+dmr", func(t *testing.T) {
+			spec, err := progs.Resolve(name, equivSizes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := spec.Hardened()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkExecutorEquivalence(t, prog, SpaceMemory)
+		})
+	}
+}
+
+// checkExecutorEquivalence runs one cell of the matrix: one program, one
+// fault space, every executor configuration against the rerun reference.
+func checkExecutorEquivalence(t *testing.T, prog *Program, space SpaceKind) {
+	t.Helper()
+	rerun, err := Scan(prog, ScanOptions{Space: space, Strategy: StrategyRerun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := scanBytes(t, rerun)
+	type tcase struct {
+		label string
+		opts  ScanOptions
+		tel   bool
+		trace bool
+	}
+	cases := []tcase{
+		{label: "fork", opts: ScanOptions{Space: space, Strategy: StrategyFork}},
+		{label: "fork+pre", opts: ScanOptions{Space: space, Strategy: StrategyFork, Predecode: true}},
+		{label: "rerun+pre", opts: ScanOptions{Space: space, Strategy: StrategyRerun, Predecode: true}},
+		// An explicit rung interval reshapes the fork carving — more
+		// rungs, smaller batches, more reconvergence checkpoints;
+		// outcomes must not care.
+		{label: "fork/7+pre", opts: ScanOptions{Space: space, Strategy: StrategyFork,
+			LadderInterval: 7, Predecode: true}},
+	}
+	for _, strat := range []Strategy{StrategyFork, StrategyRerun} {
+		opts := ScanOptions{Space: space, Strategy: strat, Predecode: true}
+		// Telemetry observes a campaign, never steers it (invariant 10),
+		// and tracing is identification, never configuration (invariant
+		// 15): instrumented and span-traced scans must archive
+		// byte-identically to the blind reference while actually
+		// counting, and actually recording a timeline.
+		cases = append(cases,
+			tcase{label: strat.String() + "+pre+telemetry", opts: opts, tel: true},
+			tcase{label: strat.String() + "+pre+trace", opts: opts, trace: true})
+	}
+	for _, tc := range cases {
+		var reg *Telemetry
+		if tc.tel || tc.trace {
+			reg = NewTelemetry()
+			tc.opts.Telemetry = reg
+		}
+		if tc.trace {
+			reg.EnableSpans(NewTraceID(), "local", 0)
+		}
+		label := fmt.Sprintf("%s %s %s vs rerun", prog.Name, space, tc.label)
+		got, err := Scan(prog, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		assertSameOutcomes(t, label, rerun, got)
+		if got.Identity != rerun.Identity {
+			t.Errorf("%s: strategies must share one campaign identity", label)
+		}
+		if !bytes.Equal(scanBytes(t, got), ref) {
+			t.Errorf("%s: archived reports are not byte-identical", label)
+		}
+		if tc.tel {
+			snap := reg.Snapshot()
+			if exp := snap.Counters["scan.experiments"]; exp != uint64(len(got.Space.Classes)) {
+				t.Errorf("%s: scan.experiments = %d, want %d", label, exp, len(got.Space.Classes))
+			}
+		}
+		if tc.trace {
+			spans := reg.SpanRecorder().Spans()
+			haveRun := false
+			for _, sp := range spans {
+				if sp.Name == "scan.run" {
+					haveRun = true
+				}
+			}
+			if !haveRun {
+				t.Errorf("%s: traced scan recorded no scan.run span (%d spans)", label, len(spans))
+			}
+		}
 	}
 }
 
 // TestObjectiveStrategyEquivalence pins the objective soundness contract
 // down differentially: under an attacker objective the attack flags are
-// part of the recorded outcome, and every strategy/accelerator must
+// part of the recorded outcome, and the accelerated fork executor must
 // still archive byte-identically to the plain rerun reference. The PC
 // space is the sharp case — its classes are only outcome-equivalent, so
 // a predicate peeking at non-invariant observables would diverge here.
@@ -213,17 +197,15 @@ func TestObjectiveStrategyEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := scanBytes(t, rerun)
-			for _, strat := range []Strategy{StrategySnapshot, StrategyLadder, StrategyFork} {
-				label := fmt.Sprintf("%s/%s/%v", space, obj, strat)
-				got, err := Scan(prog, ScanOptions{Space: space, Strategy: strat,
-					Predecode: true, Memo: true, Objective: obj})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				assertSameOutcomes(t, label, rerun, got)
-				if !bytes.Equal(scanBytes(t, got), ref) {
-					t.Errorf("%s: archived reports are not byte-identical", label)
-				}
+			label := fmt.Sprintf("%s/%s/fork", space, obj)
+			got, err := Scan(prog, ScanOptions{Space: space, Strategy: StrategyFork,
+				Predecode: true, Objective: obj})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertSameOutcomes(t, label, rerun, got)
+			if !bytes.Equal(scanBytes(t, got), ref) {
+				t.Errorf("%s: archived reports are not byte-identical", label)
 			}
 			// The objective changes recorded outcomes, so it must change
 			// the campaign identity (unlike the accelerator knobs).
@@ -239,22 +221,25 @@ func TestObjectiveStrategyEquivalence(t *testing.T) {
 }
 
 // TestInterruptResumeEquivalence interrupts a scan at ~50%, resumes it
-// from its checkpoint under a different strategy, and requires the
+// from its checkpoint under the other strategy, and requires the
 // resumed result to match an uninterrupted scan bit-for-bit — the
-// checkpoint is strategy-agnostic by design.
+// checkpoint is strategy-agnostic by design. Rerun is the interrupted
+// leg because its four-class units are interruptible even on Hi's 16
+// classes; the fork→fork and fork→rerun directions follow below.
 func TestInterruptResumeEquivalence(t *testing.T) {
 	for _, name := range progs.Names() {
 		t.Run(name, func(t *testing.T) {
-			testInterruptResume(t, equivProgram(t, name), ScanOptions{}, StrategyLadder)
+			testInterruptResume(t, equivProgram(t, name), ScanOptions{Strategy: StrategyRerun}, StrategyFork)
 		})
 	}
 }
 
-// TestInterruptResumeFork is invariant 14's interrupt+resume leg: a
-// fork-strategy scan interrupted mid-run (exercising the fork feeder's
-// and workers' interrupt paths) and resumed under fork — so the resume's
-// batch carving runs on an arbitrary leftover class subset — must be
-// byte-identical to an uninterrupted scan, across all six fault spaces.
+// TestInterruptResumeFork is the executor-equivalence invariant's
+// interrupt+resume leg: a fork-strategy scan interrupted mid-run
+// (exercising the driver's feeder and worker interrupt paths) and
+// resumed under fork — so the resume's batch carving runs on an
+// arbitrary leftover class subset — must be byte-identical to an
+// uninterrupted scan, across all six fault spaces.
 // The dos objective on the skip space checks the attack flag survives
 // the fork round trip.
 func TestInterruptResumeFork(t *testing.T) {
@@ -288,7 +273,7 @@ func TestInterruptResumeAttackSpaces(t *testing.T) {
 		{"burst2", ScanOptions{Space: SpaceBurst2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			testInterruptResume(t, equivProgram(t, "bin_sem2"), tc.opts, StrategyLadder)
+			testInterruptResume(t, equivProgram(t, "bin_sem2"), tc.opts, StrategyRerun)
 		})
 	}
 }
@@ -336,5 +321,46 @@ func testInterruptResume(t *testing.T, prog *Program, opts ScanOptions, resume S
 	}
 	if !bytes.Equal(scanBytes(t, resumed), scanBytes(t, full)) {
 		t.Error("resumed archive is not byte-identical to an uninterrupted scan's")
+	}
+}
+
+// TestSampleResultsPinned holds the sampler to the exact results it
+// produced before it ran through the scan driver (values recorded at
+// commit 60a8084, where SampleScan was a serial rerun-from-reset loop
+// with its own outcome cache): draws never depend on outcomes, so
+// drawing first, running the unique classes once through RunClasses and
+// tallying in draw order must change nothing — not the per-outcome
+// counts, not the attack count, not the number of experiments.
+func TestSampleResultsPinned(t *testing.T) {
+	prog := equivProgram(t, "bin_sem2")
+	for _, tc := range []struct {
+		mode        string
+		seed        int64
+		counts      [8]uint64
+		attacks     uint64
+		experiments int
+	}{
+		{"raw", 1, [8]uint64{367, 0, 13, 4, 7, 9, 0, 0}, 20, 84},
+		{"raw", 2, [8]uint64{367, 0, 12, 0, 14, 7, 0, 0}, 21, 88},
+		{"effective", 1, [8]uint64{253, 0, 43, 11, 50, 42, 0, 1}, 104, 331},
+		{"effective", 2, [8]uint64{248, 0, 47, 14, 50, 41, 0, 0}, 105, 328},
+		{"biased", 1, [8]uint64{207, 0, 58, 12, 93, 29, 0, 1}, 135, 345},
+		{"biased", 2, [8]uint64{208, 0, 53, 10, 103, 26, 0, 0}, 139, 337},
+	} {
+		sr, err := Sample(prog, SampleOptions{
+			ScanOptions: ScanOptions{Objective: "dos"},
+			N:           400,
+			Seed:        tc.seed,
+			Biased:      tc.mode == "biased",
+			Effective:   tc.mode == "effective",
+		})
+		if err != nil {
+			t.Fatalf("%s/%d: %v", tc.mode, tc.seed, err)
+		}
+		if sr.Counts != tc.counts || sr.Attacks != tc.attacks || sr.Experiments != tc.experiments {
+			t.Errorf("%s/%d: counts=%v attacks=%d experiments=%d, want %v / %d / %d",
+				tc.mode, tc.seed, sr.Counts, sr.Attacks, sr.Experiments,
+				tc.counts, tc.attacks, tc.experiments)
+		}
 	}
 }

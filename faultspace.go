@@ -94,28 +94,22 @@ const (
 // Strategy selects how scan experiments re-reach their injection slot.
 type Strategy = campaign.Strategy
 
-// Experiment-execution strategies. All strategies produce byte-identical
-// scan results (the strategy-equivalence invariant); they differ only in
+// Experiment-execution strategies. Both produce byte-identical scan
+// results (the executor-equivalence invariant); they differ only in
 // speed and memory.
 const (
-	// StrategySnapshot advances one pioneer machine through the golden run
-	// and forks experiment machines at each injection slot. Default.
-	StrategySnapshot = campaign.StrategySnapshot
-	// StrategyRerun re-executes every experiment from the reset state —
-	// the naive mode, kept for validation and ablation.
-	StrategyRerun = campaign.StrategyRerun
-	// StrategyLadder captures delta snapshots of the golden run every
-	// LadderInterval cycles and serves each experiment from the nearest
-	// rung at-or-below its injection slot, executing only the remaining
-	// delta.
-	StrategyLadder = campaign.StrategyLadder
-	// StrategyFork batches classes along rung boundaries in injection
-	// order and advances a per-worker cursor machine monotonically
-	// through the golden run, forking a cheap dirty-page-delta child at
-	// each injection cycle — the golden prefix is simulated once per
-	// batch instead of once per experiment. The fastest strategy on full
-	// scans; see DESIGN.md §4f.
+	// StrategyFork batches classes along golden-run snapshot boundaries in
+	// injection order and advances a per-worker cursor machine
+	// monotonically through the golden run, forking a cheap
+	// dirty-page-delta child at each injection cycle — the golden prefix
+	// is simulated once per batch instead of once per experiment, and the
+	// faulty suffix ends early on reconvergence or a loop proof. Default;
+	// see DESIGN.md §4c.
 	StrategyFork = campaign.StrategyFork
+	// StrategyRerun re-executes every experiment from the reset state and
+	// runs it out — the brute-force reference, kept for validation and
+	// ablation.
+	StrategyRerun = campaign.StrategyRerun
 )
 
 // Progress is one event of a scan's progress stream; see ScanOptions.
@@ -189,17 +183,12 @@ type ScanOptions struct {
 	// Workers is the number of parallel experiment executors (default:
 	// GOMAXPROCS).
 	Workers int
-	// Rerun forces the naive rerun-from-start execution strategy instead
-	// of snapshot forking. Superseded by Strategy; kept for backward
-	// compatibility and ignored when Strategy is set.
-	Rerun bool
-	// Strategy selects the execution strategy explicitly (default:
-	// StrategySnapshot, or StrategyRerun when Rerun is set). Strategies
-	// are outcome-invariant: they never change the scan result.
+	// Strategy selects the execution strategy (default StrategyFork).
+	// Strategies are outcome-invariant: they never change the scan result.
 	Strategy Strategy
-	// LadderInterval is the rung spacing in cycles for StrategyLadder;
-	// 0 auto-tunes from the golden-trace length. Smaller intervals trade
-	// snapshot memory for less delta re-execution per experiment.
+	// LadderInterval is StrategyFork's rung spacing in cycles — the
+	// distance between the golden-run snapshots that anchor its batches
+	// and reconvergence checks; 0 auto-tunes from the golden-trace length.
 	LadderInterval uint64
 	// Predecode enables the simulator's pre-decoded dispatch stream: the
 	// program is lowered once per worker machine into a dense instruction
@@ -207,11 +196,6 @@ type ScanOptions struct {
 	// fast path is proven Step-equivalent — so like Strategy it never
 	// changes scan results and is excluded from the campaign identity.
 	Predecode bool
-	// Memo enables cross-experiment outcome memoization: post-injection
-	// machine states are hashed at rung-interval boundaries and the
-	// remainder of each run is shared across all experiments of the
-	// campaign. Outcome-invariant (DESIGN.md invariant 11).
-	Memo bool
 	// MaxGoldenCycles bounds the golden run (default 1<<22).
 	MaxGoldenCycles uint64
 	// Space selects the fault space (default SpaceMemory).
@@ -267,7 +251,6 @@ func (o ScanOptions) campaignConfig() (campaign.Config, error) {
 		Strategy:         o.Strategy,
 		LadderInterval:   o.LadderInterval,
 		Predecode:        o.Predecode,
-		Memo:             o.Memo,
 		Objective:        obj,
 		OnProgress:       o.OnProgress,
 		ProgressInterval: o.ProgressInterval,
@@ -277,9 +260,6 @@ func (o ScanOptions) campaignConfig() (campaign.Config, error) {
 		// a bare registry (or none) leaves cfg.Spans nil and the scan pays
 		// nothing. Nil-safe through the whole chain.
 		Spans: o.Telemetry.SpanRecorder(),
-	}
-	if cfg.Strategy == 0 && o.Rerun {
-		cfg.Strategy = campaign.StrategyRerun
 	}
 	return cfg, nil
 }

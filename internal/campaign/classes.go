@@ -33,20 +33,8 @@ func RunClasses(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Conf
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.memoEnabled() {
-		if cfg.MemoCache == nil {
-			cfg.MemoCache = NewMemoCache()
-		}
-		id, err := t.CampaignIdentity(fs.Kind, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: identity: %w", err)
-		}
-		if err := cfg.MemoCache.bind(id, cfg.timeoutBudget(golden.Cycles)); err != nil {
-			return nil, err
-		}
-	}
 	todo := append([]int(nil), classes...)
-	// The snapshot feeder walks classes in (Slot, Bit) order, which is the
+	// The scan driver wants classes in (Slot, Bit) order, which is the
 	// class-index order of a pruned fault space.
 	sort.Ints(todo)
 	for i, ci := range todo {
@@ -71,30 +59,12 @@ func RunClasses(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Conf
 
 	m := newMeter(cfg, len(todo), nil)
 	defer m.finish()
-	if len(todo) == 0 {
-		return completed, nil
-	}
 	out := make([]Outcome, len(fs.Classes))
-	st := newScanTel(cfg)
-	var scanErr error
-	switch cfg.Strategy {
-	case StrategySnapshot:
-		scanErr = scanSnapshot(t, golden, fs, cfg, todo, out, m, st)
-	case StrategyRerun:
-		scanErr = scanRerun(t, golden, fs, cfg, todo, out, m, st)
-	case StrategyLadder:
-		scanErr = scanLadder(t, golden, fs, cfg, todo, out, m, st)
-	case StrategyFork:
-		scanErr = scanFork(t, golden, fs, cfg, todo, out, m, st)
-	}
-	if cfg.MemoCache != nil {
-		cfg.Telemetry.Gauge("memo.entries").Set(int64(cfg.MemoCache.Len()))
-	}
-	if scanErr != nil {
-		if errors.Is(scanErr, ErrInterrupted) {
-			return completed, scanErr
+	if err := scan(t, golden, fs, cfg, todo, out, m); err != nil {
+		if errors.Is(err, ErrInterrupted) {
+			return completed, err
 		}
-		return nil, scanErr
+		return nil, err
 	}
 	return completed, nil
 }

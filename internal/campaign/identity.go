@@ -21,8 +21,8 @@ import (
 // change how experiments are executed, never what they compute. That
 // invariance is what the differential strategy-equivalence test suite
 // enforces, and it is what makes a checkpoint written under
-// StrategySnapshot resumable under StrategyRerun, StrategyLadder or
-// StrategyFork (or with a different worker count or rung spacing).
+// StrategyRerun resumable under StrategyFork and vice versa (or with a
+// different worker count or rung spacing).
 func (t Target) CampaignIdentity(kind pruning.SpaceKind, cfg Config) ([32]byte, error) {
 	cfg = cfg.withDefaults()
 	code, err := isa.EncodeProgram(t.Code)

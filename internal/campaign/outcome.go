@@ -121,22 +121,13 @@ func (o Outcome) Benign() bool {
 }
 
 // classify maps a finished experiment machine to an outcome, evaluating
-// the campaign's attacker objective (nil = none) on the way.
+// the campaign's attacker objective (nil = none) on the way. Together
+// with classifyConverged it is the only status → outcome mapping, so
+// plain run-outs and composed reconvergences flag attack successes
+// identically.
 func classify(m *machine.Machine, golden *trace.Golden, obj *Objective) Outcome {
-	return composeOutcome(obj, m.Status(), m.Exception(), m.SerialView(), nil,
-		m.DetectCount(), m.CorrectCount(), golden)
-}
-
-// composeOutcome classifies a finished run from its terminal status and
-// observables, with the serial output split into an observed prefix and
-// a (possibly empty) composed suffix — so a memoized remainder can be
-// classified against the golden run without concatenating the two
-// parts. It is the single source of truth for the status → outcome
-// mapping; classify and the memo hit path are both thin wrappers. The
-// attacker objective (nil = none) is evaluated here so every
-// classification site — plain run-out, memo hit, reconvergence — flags
-// attack successes identically.
-func composeOutcome(obj *Objective, status machine.Status, exc machine.Exception, serial, suffix []byte, detects, corrects uint64, golden *trace.Golden) Outcome {
+	status, exc := m.Status(), m.Exception()
+	detects, corrects := m.DetectCount(), m.CorrectCount()
 	var base Outcome
 	switch status {
 	case machine.StatusRunning:
@@ -155,12 +146,12 @@ func composeOutcome(obj *Objective, status machine.Status, exc machine.Exception
 			base = OutcomeCPUException
 		}
 	case machine.StatusHalted:
-		base = classifyHaltedParts(serial, suffix, detects, corrects, golden)
+		base = classifyHaltedParts(m.SerialView(), nil, detects, corrects, golden)
 	default:
 		// Unreachable with a correct machine; classify conservatively.
 		base = OutcomeSDC
 	}
-	return obj.apply(base, status, exc, len(serial)+len(suffix), detects, corrects, golden)
+	return obj.apply(base, status, exc, m.SerialLen(), detects, corrects, golden)
 }
 
 // classifyHaltedParts classifies a run that halted normally with the
@@ -192,9 +183,8 @@ func classifyHaltedParts(prefix, suffix []byte, detects, corrects uint64, golden
 // halt, so the final serial output and event counters are the current
 // values plus the golden remainder — no further simulation needed. The
 // two serial parts are compared in place (classifyHaltedParts), never
-// concatenated, keeping the reconvergence path allocation-free — under
-// ladder and fork this is the most common way an experiment ends, so it
-// sits squarely on the scan hot path (TestClassifyConvergedAllocFree).
+// concatenated, keeping the reconvergence path allocation-free — it
+// sits on the scan hot path (TestClassifyConvergedAllocFree).
 // Serial-flood is no concern: if the composed output exceeded the
 // machine's serial cap it necessarily differs from the golden output,
 // and both the real run (ExcSerialLimit) and classifyHaltedParts call
@@ -209,50 +199,34 @@ func classifyConverged(m *machine.Machine, l *machine.Ladder, r int, golden *tra
 		m.SerialLen()+len(suffix), detects, corrects, golden)
 }
 
-// runConverge finishes an injected experiment under the ladder
-// strategy: it advances the machine rung by rung, checking for
-// reconvergence with the golden state at each rung boundary; once the
-// state matches a rung, the outcome is composed from the golden trace
-// without simulating the remainder. A run that survives past the last
-// rung — it outlived the golden run, so it can only halt abnormally or
-// time out — is driven toward the cycle budget under loop detection,
-// which proves most Timeout verdicts as soon as the spin loop closes
-// instead of simulating the full budget. Loop detection starts early:
-// from the first rung whose convergence check fails — most faults that
-// spin forever enter their loop well before the golden run's end, and
-// an exact-state recurrence is an equally sound infinity proof at any
-// cycle (the objective layer masks serial/counter observables for
-// non-halted runs, so proof timing is unobservable). Converging
-// experiments, the common case, never pay a single probe. Neither
-// shortcut changes any outcome relative to rerun: reconvergence
-// implies a golden continuation, and state recurrence implies the
-// budget is unreachable.
+// runConverge finishes an injected experiment for the fork provider: it
+// advances the machine rung by rung, checking for reconvergence with the
+// golden state at each rung boundary; once the state matches a rung, the
+// outcome is composed from the golden trace without simulating the
+// remainder. A run that survives past the last rung — it outlived the
+// golden run, so it can only halt abnormally or time out — is driven
+// toward the cycle budget under loop detection, which proves most
+// Timeout verdicts as soon as the spin loop closes instead of simulating
+// the full budget. Loop detection starts early: from the first rung
+// whose convergence check fails — most faults that spin forever enter
+// their loop well before the golden run's end, and an exact-state
+// recurrence is an equally sound infinity proof at any cycle (the
+// objective layer masks serial/counter observables for non-halted runs,
+// so proof timing is unobservable). Converging experiments never pay a
+// single probe; runs that neither converge nor loop pay a geometrically
+// thinning number of them (machine.LoopDetector's back-off). Neither
+// shortcut changes any outcome relative to rerun: reconvergence implies
+// a golden continuation, and state recurrence implies the budget is
+// unreachable.
 //
-// A non-nil mr adds the cross-experiment shortcut at the same rung
-// boundaries: states that do NOT match the golden rung are probed
-// against the memo cache — a hit composes the outcome from another
-// experiment's cached remainder — and however the run ends (golden
-// reconvergence, memo hit, or natural finish), entries are back-filled
-// for every missed probe so later experiments funneling through the
-// same states skip straight to the outcome.
-//
-// st counts which shortcut, if any, settled the outcome (nil-safe).
-func runConverge(m *machine.Machine, l *machine.Ladder, golden *trace.Golden, budget uint64, obj *Objective, det *machine.LoopDetector, mr *memoRun, st *scanTel) Outcome {
-	if mr != nil {
-		mr.reset()
-	}
+// st counts which shortcut, if any, settled the outcome.
+func runConverge(m *machine.Machine, l *machine.Ladder, golden *trace.Golden, budget uint64, obj *Objective, det *machine.LoopDetector, st *scanTel) Outcome {
 	probing := false
 	for r := l.Find(m.Cycles()) + 1; r < l.Rungs(); r++ {
 		if probing {
 			if det.RunDetectLoop(m, l.RungCycle(r)) {
-				if st != nil {
-					st.loopProofs.Inc()
-				}
-				o := classify(m, golden, obj)
-				if mr != nil {
-					mr.populate(m)
-				}
-				return o
+				st.loopProofs.Inc()
+				return classify(m, golden, obj)
 			}
 			if m.Status() != machine.StatusRunning {
 				break
@@ -261,30 +235,8 @@ func runConverge(m *machine.Machine, l *machine.Ladder, golden *trace.Golden, bu
 			break
 		}
 		if l.StateMatches(m, r) {
-			if st != nil {
-				st.reconverged.Inc()
-			}
-			o := classifyConverged(m, l, r, golden, obj)
-			if mr != nil {
-				// The continuation from here is the golden remainder:
-				// a normal halt emitting the traced serial/counter tail.
-				serialLen, gdet, gcor := l.RungAccum(r)
-				mr.populateComposed(m, machine.StatusHalted, machine.ExcNone,
-					golden.Serial[serialLen:], golden.Detects-gdet, golden.Corrects-gcor)
-			}
-			return o
-		}
-		if mr != nil && !mr.exhausted() {
-			// Admission gate: skip the probe when the remaining budget
-			// cannot repay the state-hash cost (see memoHashBytesPerCycle).
-			if budget-m.Cycles() < mr.breakEvenCycles(m) {
-				mr.gated()
-			} else if e, hit := mr.probe(m); hit {
-				o := composeOutcome(obj, e.status, e.exc, m.SerialView(), e.serial,
-					m.DetectCount()+e.detects, m.CorrectCount()+e.corrects, golden)
-				mr.populateComposed(m, e.status, e.exc, e.serial, e.detects, e.corrects)
-				return o
-			}
+			st.reconverged.Inc()
+			return classifyConverged(m, l, r, golden, obj)
 		}
 		if !probing {
 			probing = true
@@ -295,15 +247,11 @@ func runConverge(m *machine.Machine, l *machine.Ladder, golden *trace.Golden, bu
 		if !probing {
 			det.Reset()
 		}
-		if det.RunDetectLoop(m, budget) && st != nil {
+		if det.RunDetectLoop(m, budget) {
 			st.loopProofs.Inc()
 		}
 	}
 	// A machine still running here either exhausted the budget or was
 	// proven to loop forever; classify calls both Timeout.
-	o := classify(m, golden, obj)
-	if mr != nil {
-		mr.populate(m)
-	}
-	return o
+	return classify(m, golden, obj)
 }

@@ -10,7 +10,7 @@ import (
 	"faultspace/internal/telemetry"
 )
 
-// edgeTarget is built so its fault space exercises every ladder corner:
+// edgeTarget is built so its fault space exercises every rung corner:
 // the very first instruction reads preloaded RAM (classes at slot 1,
 // i.e. injection at cycle 0), and reads continue until right before the
 // halt (a class at the maximal slot).
@@ -37,11 +37,12 @@ func edgeTarget() Target {
 	}
 }
 
-// TestLadderEdgeCases pins the ladder corner cases against rerun:
-// injection at cycle 0 (slot 1, restored from rung 0), injection exactly
-// at a rung boundary (zero delta cycles), injection at the maximal slot,
-// all on a fixed program where the rung positions are known.
-func TestLadderEdgeCases(t *testing.T) {
+// TestForkEdgeCases pins the fork provider's corner cases against rerun:
+// injection at cycle 0 (slot 1, forked straight off rung 0), injection
+// exactly at a rung boundary (the cursor does not advance before the
+// fork), injection at the maximal slot, all on a fixed program where the
+// rung positions are known.
+func TestForkEdgeCases(t *testing.T) {
 	target := edgeTarget()
 	golden, fs, err := target.Prepare(1 << 12)
 	if err != nil {
@@ -82,26 +83,27 @@ func TestLadderEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ladder, err := FullScan(target, golden, fs, Config{Strategy: StrategyLadder, LadderInterval: interval})
+	fork, err := FullScan(target, golden, fs, Config{Strategy: StrategyFork, LadderInterval: interval})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range rerun.Outcomes {
-		if ladder.Outcomes[i] != rerun.Outcomes[i] {
-			t.Errorf("class %d (slot %d): ladder=%v rerun=%v",
-				i, fs.Classes[i].Slot(), ladder.Outcomes[i], rerun.Outcomes[i])
+		if fork.Outcomes[i] != rerun.Outcomes[i] {
+			t.Errorf("class %d (slot %d): fork=%v rerun=%v",
+				i, fs.Classes[i].Slot(), fork.Outcomes[i], rerun.Outcomes[i])
 		}
 	}
 }
 
-// TestLadderConvergenceComposition pins the reconvergence fast path: a
+// TestForkConvergenceComposition pins the reconvergence fast path: a
 // fault that corrupts the serial output and then vanishes from the
 // machine state (its RAM byte redefined, its register overwritten)
-// makes the state match a golden rung, so the ladder composes the
-// outcome from the golden trace instead of simulating the remainder.
-// The composed outcome must preserve the divergence that already
-// escaped (SDC) and the masking that already happened (No Effect).
-func TestLadderConvergenceComposition(t *testing.T) {
+// makes the state match a golden rung, so the fork provider composes
+// the outcome from the golden trace instead of simulating the
+// remainder. The composed outcome must preserve the divergence that
+// already escaped (SDC) and the masking that already happened (No
+// Effect), and the ladder.reconverged counter must account the shortcut.
+func TestForkConvergenceComposition(t *testing.T) {
 	serial := int32(machine.PortSerial)
 	prog := []isa.Instruction{
 		{Op: isa.OpLb, Rd: 1, Rs: 0, Imm: 0},       // cycle 1: use of byte 0 — faults here escape to serial
@@ -137,25 +139,26 @@ func TestLadderConvergenceComposition(t *testing.T) {
 	// Interval 4 puts rungs at cycles 4, 8, 12: faults at slots 1 and 3
 	// reconverge by cycle 9 and must take the composition fast path at
 	// the cycle-12 rung.
-	ladder, err := FullScan(target, golden, fs, Config{Strategy: StrategyLadder, LadderInterval: 4})
+	reg := telemetry.New()
+	fork, err := FullScan(target, golden, fs, Config{Strategy: StrategyFork, LadderInterval: 4, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sdc, masked := 0, 0
 	for i, c := range fs.Classes {
-		if ladder.Outcomes[i] != rerun.Outcomes[i] {
-			t.Errorf("class %d (slot %d): ladder=%v rerun=%v",
-				i, c.Slot(), ladder.Outcomes[i], rerun.Outcomes[i])
+		if fork.Outcomes[i] != rerun.Outcomes[i] {
+			t.Errorf("class %d (slot %d): fork=%v rerun=%v",
+				i, c.Slot(), fork.Outcomes[i], rerun.Outcomes[i])
 		}
 		switch c.Slot() {
 		case 1: // corrupted byte escaped to serial before reconvergence
-			if ladder.Outcomes[i] != OutcomeSDC {
-				t.Errorf("slot-1 class %d: %v, want SDC", i, ladder.Outcomes[i])
+			if fork.Outcomes[i] != OutcomeSDC {
+				t.Errorf("slot-1 class %d: %v, want SDC", i, fork.Outcomes[i])
 			}
 			sdc++
 		case 3: // corruption masked before reconvergence
-			if ladder.Outcomes[i] != OutcomeNoEffect {
-				t.Errorf("slot-3 class %d: %v, want No Effect", i, ladder.Outcomes[i])
+			if fork.Outcomes[i] != OutcomeNoEffect {
+				t.Errorf("slot-3 class %d: %v, want No Effect", i, fork.Outcomes[i])
 			}
 			masked++
 		}
@@ -163,12 +166,62 @@ func TestLadderConvergenceComposition(t *testing.T) {
 	if sdc == 0 || masked == 0 {
 		t.Fatalf("fault space lacks the pinned classes (sdc=%d, masked=%d)", sdc, masked)
 	}
+	if got := reg.Counter("ladder.reconverged").Value(); got < uint64(sdc+masked) {
+		t.Errorf("ladder.reconverged = %d, want >= %d (every slot-1 and slot-3 class)", got, sdc+masked)
+	}
+	if got := reg.Counter("fork.children").Value(); got != uint64(len(fs.Classes)) {
+		t.Errorf("fork.children = %d, want one per class (%d)", got, len(fs.Classes))
+	}
 }
 
-// TestLadderShortProgram covers a golden run shorter than one rung
-// interval: the ladder degenerates to the single reset rung and must
-// still classify identically to rerun.
-func TestLadderShortProgram(t *testing.T) {
+// TestForkLoopProof pins the other suffix shortcut: a fault that sends
+// the program into a spin loop is classified Timeout by a state-
+// recurrence proof, not by simulating the cycle budget — and identically
+// to rerun, which does simulate it.
+func TestForkLoopProof(t *testing.T) {
+	serial := int32(machine.PortSerial)
+	prog := []isa.Instruction{
+		{Op: isa.OpLb, Rd: 1, Rs: 0, Imm: 0},      // cycle 1: flag byte, golden value 0
+		{Op: isa.OpBne, Rs: 1, Rt: 0, Imm: 1},     // cycle 2: any flipped bit spins here forever
+		{Op: isa.OpSb, Rt: 1, Rs: 0, Imm: serial}, // cycle 3
+		{Op: isa.OpHalt},                          // cycle 4
+	}
+	target := Target{Name: "spin", Code: prog, Image: []byte{0, 0, 0, 0}, Mach: machine.Config{RAMSize: 4}}
+	golden, fs, err := target.Prepare(1 << 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rerun, err := FullScan(target, golden, fs, Config{Strategy: StrategyRerun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	fork, err := FullScan(target, golden, fs, Config{Strategy: StrategyFork, LadderInterval: 2, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	timeouts := 0
+	for i := range rerun.Outcomes {
+		if fork.Outcomes[i] != rerun.Outcomes[i] {
+			t.Errorf("class %d: fork=%v rerun=%v", i, fork.Outcomes[i], rerun.Outcomes[i])
+		}
+		if fork.Outcomes[i] == OutcomeTimeout {
+			timeouts++
+		}
+	}
+	if timeouts != 8 {
+		t.Fatalf("timeouts = %d, want 8 (one per bit of the flag byte)", timeouts)
+	}
+	if got := reg.Counter("ladder.loop_proofs").Value(); got != uint64(timeouts) {
+		t.Errorf("ladder.loop_proofs = %d, want %d (every Timeout proven, none simulated out)", got, timeouts)
+	}
+}
+
+// TestForkShortProgram covers a golden run shorter than one rung
+// interval: the ladder degenerates to the single reset rung (one unit,
+// no reconvergence checkpoint) and must still classify identically to
+// rerun.
+func TestForkShortProgram(t *testing.T) {
 	target := hiTarget(t)
 	golden, fs := prepare(t, target)
 	if golden.Cycles >= 100 {
@@ -178,21 +231,21 @@ func TestLadderShortProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ladder, err := FullScan(target, golden, fs, Config{Strategy: StrategyLadder, LadderInterval: 100})
+	fork, err := FullScan(target, golden, fs, Config{Strategy: StrategyFork, LadderInterval: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range rerun.Outcomes {
-		if ladder.Outcomes[i] != rerun.Outcomes[i] {
-			t.Errorf("class %d: ladder=%v rerun=%v", i, ladder.Outcomes[i], rerun.Outcomes[i])
+		if fork.Outcomes[i] != rerun.Outcomes[i] {
+			t.Errorf("class %d: fork=%v rerun=%v", i, fork.Outcomes[i], rerun.Outcomes[i])
 		}
 	}
 }
 
-// TestLadderMatchesRerunRandomPrograms is the randomized counterpart to
+// TestForkMatchesRerunRandomPrograms is the randomized counterpart to
 // the fixed edge cases, across rung intervals from 1 to beyond the
 // golden runtime.
-func TestLadderMatchesRerunRandomPrograms(t *testing.T) {
+func TestForkMatchesRerunRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
 		target := randomTarget(rng, 8+rng.Intn(12))
@@ -205,20 +258,20 @@ func TestLadderMatchesRerunRandomPrograms(t *testing.T) {
 			t.Fatal(err)
 		}
 		interval := uint64(1 + rng.Intn(int(golden.Cycles)+4))
-		ladder, err := FullScan(target, golden, fs, Config{Strategy: StrategyLadder, LadderInterval: interval})
+		fork, err := FullScan(target, golden, fs, Config{Strategy: StrategyFork, LadderInterval: interval})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range rerun.Outcomes {
-			if ladder.Outcomes[i] != rerun.Outcomes[i] {
-				t.Fatalf("trial %d interval %d class %d: ladder=%v rerun=%v",
-					trial, interval, i, ladder.Outcomes[i], rerun.Outcomes[i])
+			if fork.Outcomes[i] != rerun.Outcomes[i] {
+				t.Fatalf("trial %d interval %d class %d: fork=%v rerun=%v",
+					trial, interval, i, fork.Outcomes[i], rerun.Outcomes[i])
 			}
 		}
 	}
 }
 
-func TestLadderIntervalAutoTune(t *testing.T) {
+func TestForkIntervalAutoTune(t *testing.T) {
 	cases := []struct {
 		explicit uint64
 		cycles   uint64
@@ -226,27 +279,55 @@ func TestLadderIntervalAutoTune(t *testing.T) {
 	}{
 		{explicit: 7, cycles: 1 << 20, want: 7},           // explicit wins
 		{explicit: 0, cycles: 8, want: MinLadderInterval}, // short run floors
-		{explicit: 0, cycles: 256 * 64, want: 64},         // 256 rungs target
-		{explicit: 0, cycles: 256 * 1000, want: 1000},     //
+		{explicit: 0, cycles: 4 * 64, want: 64},           // DefaultForkRungs target
+		{explicit: 0, cycles: 4 * 1000, want: 1000},       //
 		{explicit: 0, cycles: 0, want: MinLadderInterval}, // degenerate
 	}
 	for _, c := range cases {
 		cfg := Config{LadderInterval: c.explicit}
-		if got := cfg.ladderInterval(c.cycles); got != c.want {
-			t.Errorf("ladderInterval(explicit=%d, cycles=%d) = %d, want %d",
+		if got := cfg.forkInterval(c.cycles); got != c.want {
+			t.Errorf("forkInterval(explicit=%d, cycles=%d) = %d, want %d",
 				c.explicit, c.cycles, got, c.want)
 		}
 	}
 }
 
-func TestLadderInterrupt(t *testing.T) {
+// TestScanInterruptedUpFront: a scan whose Interrupt is already closed
+// runs nothing and reports ErrInterrupted, under either provider.
+func TestScanInterruptedUpFront(t *testing.T) {
 	target := hiTarget(t)
 	golden, fs := prepare(t, target)
 	intCh := make(chan struct{})
 	close(intCh)
-	_, err := FullScan(target, golden, fs, Config{Strategy: StrategyLadder, Interrupt: intCh})
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
+	for _, strat := range []Strategy{StrategyFork, StrategyRerun} {
+		_, err := FullScan(target, golden, fs, Config{Strategy: strat, Interrupt: intCh})
+		if !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("%s: err = %v, want ErrInterrupted", strat, err)
+		}
+	}
+}
+
+// TestResetExperimentAllocFree: the brute-force reference experiment —
+// restore, replay, flip, run out, classify — must not allocate at all.
+func TestResetExperimentAllocFree(t *testing.T) {
+	target := hiTarget(t)
+	golden, fs := prepare(t, target)
+	m, err := target.newMachine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := Config{}.withDefaults().timeoutBudget(golden.Cycles)
+	p := newResetProvider(m, golden, budget, nil)
+	flip := flipFor(fs.Kind)
+	slot, bit := fs.Classes[0].Slot(), fs.Classes[0].Bit
+	run := func() {
+		if o, err := inject(p, flip, slot, bit); err != nil || int(o) >= NumOutcomes {
+			t.Fatalf("outcome %d, err %v", o, err)
+		}
+	}
+	run() // warm up lazily-allocated machine state
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Errorf("reset experiment allocates %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -283,7 +364,7 @@ func TestMachinePoolReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []Strategy{StrategySnapshot, StrategyRerun, StrategyLadder} {
+	for _, strat := range []Strategy{StrategyFork, StrategyRerun} {
 		// Two scans per strategy: the second definitely runs on recycled
 		// machines dirtied by the first.
 		for round := 0; round < 2; round++ {
@@ -347,10 +428,10 @@ func TestMachinePoolWrongTarget(t *testing.T) {
 	}
 }
 
-// TestRunClassesLadderWithPool mirrors the cluster-worker usage: many
-// RunClasses calls on arbitrary class subsets, one shared pool, ladder
+// TestRunClassesForkWithPool mirrors the cluster-worker usage: many
+// RunClasses calls on arbitrary class subsets, one shared pool, fork
 // strategy — together they must reproduce the full scan.
-func TestRunClassesLadderWithPool(t *testing.T) {
+func TestRunClassesForkWithPool(t *testing.T) {
 	target := hiTarget(t)
 	golden, fs := prepare(t, target)
 	full, err := FullScan(target, golden, fs, Config{})
@@ -358,7 +439,7 @@ func TestRunClassesLadderWithPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := NewMachinePool(target)
-	cfg := Config{Strategy: StrategyLadder, LadderInterval: 3, Pool: pool, Workers: 2}
+	cfg := Config{Strategy: StrategyFork, LadderInterval: 3, Pool: pool, Workers: 2}
 	got := make(map[int]Outcome)
 	// Deliberately unordered subsets of mixed size.
 	units := [][]int{{5, 1}, {0, 2, 9, 3}, {4}, {6, 7, 8, 10, 11, 12, 13, 14, 15}}

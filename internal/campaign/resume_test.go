@@ -154,26 +154,54 @@ func TestResumeScanValidation(t *testing.T) {
 	}
 }
 
+// counterTarget increments a RAM byte 40 times and prints it: 320+
+// equivalence classes spread over a 200-cycle golden run — enough for
+// the fork provider's 64-record flushes and 16-class interrupt polls to
+// matter, which Hi's 16 classes are not.
+func counterTarget(t *testing.T) Target {
+	t.Helper()
+	return assembleTarget(t, "counter", `
+        .ram    4
+        .equ    SERIAL, 0x10000
+        .text
+        li      r2, 40
+loop:   lb      r1, 0(r0)
+        addi    r1, r1, 1
+        sb      r1, 0(r0)
+        addi    r3, r3, 1
+        blt     r3, r2, loop
+        lb      r1, 0(r0)
+        sb      r1, SERIAL(r0)
+        halt
+`)
+}
+
 // TestInterruptedScanResumes kills a scan at roughly 50% via the
 // Interrupt channel, then resumes from the streamed results: the merged
 // outcome vector must be bit-identical to an uninterrupted scan, for both
 // execution strategies.
 func TestInterruptedScanResumes(t *testing.T) {
-	target := hiTarget(t)
-	golden, fs := prepare(t, target)
-	full, err := FullScan(target, golden, fs, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, strat := range []Strategy{StrategySnapshot, StrategyRerun} {
+	for _, tc := range []struct {
+		strat  Strategy
+		target Target
+	}{
+		{StrategyRerun, hiTarget(t)},
+		{StrategyFork, counterTarget(t)},
+	} {
+		strat, target := tc.strat, tc.target
+		golden, fs := prepare(t, target)
+		full, err := FullScan(target, golden, fs, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		var mu sync.Mutex
 		done := make(map[int]Outcome)
 		intCh := make(chan struct{})
 		var once sync.Once
 		half := len(fs.Classes) / 2
-		// One worker and a small results buffer bound how far the scan can
-		// run past the interrupt: the worker stops at its next per-class
-		// interrupt check, well before the last class.
+		// One worker and the synchronous result handoff bound how far the
+		// scan can run past the interrupt: the worker stops at its next
+		// interrupt poll, well before the last class.
 		cfg := Config{
 			Strategy: strat,
 			Workers:  1,
@@ -190,19 +218,19 @@ func TestInterruptedScanResumes(t *testing.T) {
 		}
 		res, err := ResumeScan(target, golden, fs, cfg, nil)
 		if !errors.Is(err, ErrInterrupted) {
-			t.Fatalf("strategy %d: err = %v, want ErrInterrupted", strat, err)
+			t.Fatalf("%s: err = %v, want ErrInterrupted", strat, err)
 		}
 		if res == nil {
-			t.Fatalf("strategy %d: interrupted scan must return the partial result", strat)
+			t.Fatalf("%s: interrupted scan must return the partial result", strat)
 		}
 		if len(done) >= len(fs.Classes) {
-			t.Fatalf("strategy %d: interrupt did not stop the scan (%d/%d classes ran)",
+			t.Fatalf("%s: interrupt did not stop the scan (%d/%d classes ran)",
 				strat, len(done), len(fs.Classes))
 		}
 		// Everything streamed so far must match the full scan already.
 		for ci, o := range done {
 			if o != full.Outcomes[ci] {
-				t.Errorf("strategy %d: class %d: interrupted=%v full=%v", strat, ci, o, full.Outcomes[ci])
+				t.Errorf("%s: class %d: interrupted=%v full=%v", strat, ci, o, full.Outcomes[ci])
 			}
 		}
 		resumed, err := ResumeScan(target, golden, fs, Config{Strategy: strat}, done)
@@ -211,7 +239,7 @@ func TestInterruptedScanResumes(t *testing.T) {
 		}
 		for i := range full.Outcomes {
 			if resumed.Outcomes[i] != full.Outcomes[i] {
-				t.Errorf("strategy %d: class %d: resumed=%v full=%v",
+				t.Errorf("%s: class %d: resumed=%v full=%v",
 					strat, i, resumed.Outcomes[i], full.Outcomes[i])
 			}
 		}
@@ -244,7 +272,7 @@ func TestWorkerErrorNoDeadlock(t *testing.T) {
 	target := hiTarget(t)
 	golden, _ := prepare(t, target)
 	fs := badFlipSpace(golden.Cycles, golden.RAMBits)
-	for _, strat := range []Strategy{StrategySnapshot, StrategyRerun} {
+	for _, strat := range []Strategy{StrategyFork, StrategyRerun} {
 		errCh := make(chan error, 1)
 		go func() {
 			_, err := FullScan(target, golden, fs, Config{Strategy: strat, Workers: 2})

@@ -17,7 +17,7 @@ const (
 	// unpruned fault space of size w = Δt·Δm — the statistically correct
 	// procedure (§III-E). Coordinates falling into known-No-Effect regions
 	// are counted as "No Effect" without running an experiment; coordinates
-	// falling into an equivalence class reuse a cached class outcome.
+	// falling into the same equivalence class share one experiment.
 	SampleRaw SampleMode = iota + 1
 
 	// SampleEffective draws uniformly from the reduced population
@@ -93,12 +93,10 @@ func (sr *SampleResult) ExtrapolatedFailures() float64 {
 }
 
 // SampleScan runs a sampling campaign of n draws with the given mode and
-// deterministic seed.
+// deterministic seed. The experiments run through RunClasses, so cfg's
+// execution knobs, progress stream, telemetry and Interrupt apply to
+// them exactly as in a scan.
 func SampleScan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, mode SampleMode, n int, seed int64) (*SampleResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	if n <= 0 {
 		return nil, fmt.Errorf("campaign: sample size %d must be positive", n)
 	}
@@ -124,75 +122,58 @@ func SampleScan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Conf
 		return nil, fmt.Errorf("campaign: unknown sample mode %d", mode)
 	}
 
+	// Draws never depend on outcomes, so draw all n coordinates first
+	// (-1 = a known-No-Effect coordinate, no experiment), run the unique
+	// classes hit once through the scan driver, then tally in draw order.
 	rng := rand.New(rand.NewSource(seed))
-	budget := cfg.timeoutBudget(golden.Cycles)
-	m, err := t.newMachine()
-	if err != nil {
-		return nil, err
-	}
-	reset := m.Snapshot()
-	cache := make(map[int]Outcome)
-
-	flip := flipFor(fs.Kind)
-	runClass := func(ci int) (Outcome, error) {
-		if o, ok := cache[ci]; ok {
-			return o, nil
-		}
-		m.Restore(reset)
-		c := fs.Classes[ci]
-		o, err := runFromReset(m, golden, c.Slot(), c.Bit, budget, 0, flip, cfg.Objective, nil)
-		if err != nil {
-			return 0, err
-		}
-		cache[ci] = o
-		return o, nil
-	}
-
-	for i := 0; i < n; i++ {
-		var (
-			o   Outcome
-			err error
-		)
-		switch mode {
-		case SampleClasses:
-			o, err = runClass(rng.Intn(len(fs.Classes)))
-		case SampleRaw:
-			slot := uint64(rng.Int63n(int64(fs.Cycles))) + 1
-			bit := uint64(rng.Int63n(int64(fs.Bits)))
-			ci, inClass, lerr := fs.Locate(slot, bit)
-			if lerr != nil {
-				return nil, lerr
-			}
-			if !inClass {
-				o = OutcomeNoEffect
-			} else {
-				o, err = runClass(ci)
-			}
-		case SampleEffective:
-			// Rejection-sample the raw space until a coordinate lands in an
-			// equivalence class; this draws uniformly from w′.
+	draws := make([]int, n)
+	hit := make(map[int]struct{})
+	for i := range draws {
+		ci := -1
+		if mode == SampleClasses {
+			ci = rng.Intn(len(fs.Classes))
+		} else {
+			// SampleEffective rejection-samples the raw space until a
+			// coordinate lands in an equivalence class; this draws
+			// uniformly from w′.
 			for {
 				slot := uint64(rng.Int63n(int64(fs.Cycles))) + 1
 				bit := uint64(rng.Int63n(int64(fs.Bits)))
-				ci, inClass, lerr := fs.Locate(slot, bit)
-				if lerr != nil {
-					return nil, lerr
+				c, inClass, err := fs.Locate(slot, bit)
+				if err != nil {
+					return nil, err
 				}
-				if !inClass {
-					continue
+				if inClass {
+					ci = c
 				}
-				o, err = runClass(ci)
-				break
+				if inClass || mode == SampleRaw {
+					break
+				}
 			}
 		}
-		if err != nil {
-			return nil, err
+		draws[i] = ci
+		if ci >= 0 {
+			hit[ci] = struct{}{}
+		}
+	}
+	classes := make([]int, 0, len(hit))
+	for ci := range hit {
+		classes = append(classes, ci)
+	}
+	outcomes, err := RunClasses(t, golden, fs, cfg, classes)
+	if err != nil {
+		return nil, err
+	}
+	for _, ci := range draws {
+		o := OutcomeNoEffect
+		if ci >= 0 {
+			o = outcomes[ci]
 		}
 		sr.Counts[o.Base()]++
 		if o.Attack() {
 			sr.Attacks++
 		}
 	}
-	sr.Experiments = len(cache)
+	sr.Experiments = len(classes)
 	return sr, nil
 }

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"faultspace/internal/machine"
 	"faultspace/internal/pruning"
+	"faultspace/internal/telemetry"
 	"faultspace/internal/trace"
 )
 
@@ -65,18 +65,6 @@ func ResumeScan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Conf
 	}
 	res.Identity = id
 
-	if cfg.memoEnabled() {
-		if cfg.MemoCache == nil {
-			// Memo without an explicit shared cache gets a private one:
-			// entries are still shared across all experiments (and
-			// workers) of this scan, just not across calls.
-			cfg.MemoCache = NewMemoCache()
-		}
-		if err := cfg.MemoCache.bind(id, cfg.timeoutBudget(golden.Cycles)); err != nil {
-			return nil, err
-		}
-	}
-
 	for ci, o := range prior {
 		if ci < 0 || ci >= len(fs.Classes) {
 			return nil, fmt.Errorf("campaign: resume class index %d outside [0, %d)", ci, len(fs.Classes))
@@ -95,45 +83,15 @@ func ResumeScan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Conf
 
 	m := newMeter(cfg, len(fs.Classes), prior)
 	defer m.finish()
-	if len(todo) == 0 {
-		return res, nil
-	}
-	st := newScanTel(cfg)
-	sp := cfg.Spans.Start("scan.run")
-	var scanErr error
-	switch cfg.Strategy {
-	case StrategySnapshot:
-		scanErr = scanSnapshot(t, golden, fs, cfg, todo, res.Outcomes, m, st)
-	case StrategyRerun:
-		scanErr = scanRerun(t, golden, fs, cfg, todo, res.Outcomes, m, st)
-	case StrategyLadder:
-		scanErr = scanLadder(t, golden, fs, cfg, todo, res.Outcomes, m, st)
-	case StrategyFork:
-		scanErr = scanFork(t, golden, fs, cfg, todo, res.Outcomes, m, st)
-	}
-	if sp.Live() {
-		sp.End(fmt.Sprintf("%s: %d classes", cfg.Strategy, len(todo)))
-	}
-	if cfg.MemoCache != nil {
-		cfg.Telemetry.Gauge("memo.entries").Set(int64(cfg.MemoCache.Len()))
-	}
-	if scanErr != nil {
-		if errors.Is(scanErr, ErrInterrupted) {
+	if err := scan(t, golden, fs, cfg, todo, res.Outcomes, m); err != nil {
+		if errors.Is(err, ErrInterrupted) {
 			// Partial result: everything completed so far has been
 			// recorded (and checkpointed via OnResult).
-			return res, scanErr
+			return res, err
 		}
-		return nil, scanErr
+		return nil, err
 	}
 	return res, nil
-}
-
-// slotGroup is the unit of work handed to scan workers: all classes whose
-// representative injection slot is the same, plus the machine state right
-// before that slot.
-type slotGroup struct {
-	snap    *machine.Snapshot
-	classes []int // indices into fs.Classes
 }
 
 // record is one completed experiment streaming from a worker to the
@@ -171,38 +129,6 @@ func flipFor(kind pruning.SpaceKind) flipFunc {
 	return (*machine.Machine).FlipBit
 }
 
-// collector drains completed experiments into the outcome slice and the
-// meter from a single goroutine, so OnResult/OnProgress callbacks and
-// checkpoint writers never need locking. It returns a channel closed
-// when the results channel has been fully drained.
-func collector(results <-chan record, out []Outcome, m *meter) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for r := range results {
-			out[r.class] = r.outcome
-			m.record(r.class, r.outcome)
-		}
-	}()
-	return done
-}
-
-// collectBatches is collector for strategies that ship completed
-// experiments a batch at a time (currently the fork scan).
-func collectBatches(results <-chan []record, out []Outcome, m *meter) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for rs := range results {
-			for _, r := range rs {
-				out[r.class] = r.outcome
-				m.record(r.class, r.outcome)
-			}
-		}
-	}()
-	return done
-}
-
 // scanFail reports a worker error at most once and raises the stop flag.
 // Workers keep draining their work channel after failing (doing nothing)
 // so the feeder can never deadlock on a send to a channel nobody reads —
@@ -215,404 +141,92 @@ func scanFail(stop *atomic.Bool, errCh chan<- error, err error) {
 	}
 }
 
-func scanSnapshot(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, todo []int, out []Outcome, m *meter, st *scanTel) error {
-	budget := cfg.timeoutBudget(golden.Cycles)
-	interval := cfg.ladderInterval(golden.Cycles)
-	flip := flipFor(fs.Kind)
+// Driver cadence. A worker accumulates completed experiments locally and
+// hands them to the collector scanFlushClasses at a time — a channel
+// handoff per record is a measurable slice of a fork experiment's
+// sub-microsecond suffix — and checks for a flush and polls the
+// interrupt every scanPollClasses classes (~a quarter millisecond of
+// fork experiments): a SIGINT never waits out a whole 512-class unit,
+// and progress never trails by more than one flush window.
+const (
+	scanFlushClasses = 64
+	scanPollClasses  = 16 // power of two
+)
 
-	var machines []*machine.Machine
-	defer func() { st.addInvalidations(machines); cfg.releaseMachines(machines) }()
-
-	pioneer, err := cfg.acquireMachine(t)
-	if err != nil {
-		return err
-	}
-	machines = append(machines, pioneer)
-
-	groups := make(chan slotGroup)
-	results := make(chan record, cfg.Workers*2)
-	errCh := make(chan error, 1)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		worker, err := cfg.acquireMachine(t)
-		if err != nil {
-			close(groups)
-			wg.Wait()
-			close(results)
-			return err
-		}
-		machines = append(machines, worker)
-		var mr *memoRun
-		if cfg.memoEnabled() {
-			mr = newMemoRun(cfg.MemoCache, st)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for g := range groups {
-				for _, ci := range g.classes {
-					// Interrupt granularity is per experiment, not per
-					// slot group: a single group can hold thousands of
-					// classes, and a SIGINT must not wait them out.
-					select {
-					case <-cfg.Interrupt:
-						scanFail(&stop, errCh, ErrInterrupted)
-					default:
-					}
-					if stop.Load() {
-						break
-					}
-					t0 := st.begin()
-					worker.Restore(g.snap)
-					if err := flip(worker, fs.Classes[ci].Bit); err != nil {
-						scanFail(&stop, errCh, err)
-						break
-					}
-					o := memoTail(worker, golden, budget, interval, cfg.Objective, mr)
-					st.experiment(o, t0)
-					results <- record{class: ci, outcome: o}
-				}
-			}
-		}()
-	}
-	collected := collector(results, out, m)
-
-	// Walk remaining classes grouped by slot, advancing the pioneer to
-	// slot-1 cycles before snapshotting. Classes (and therefore todo) are
-	// sorted by (Slot, Bit).
-	feed := func() error {
-		for i := 0; i < len(todo); {
-			slot := fs.Classes[todo[i]].Slot()
-			j := i
-			for j < len(todo) && fs.Classes[todo[j]].Slot() == slot {
-				j++
-			}
-			if pioneer.Cycles() < slot-1 {
-				if st := pioneer.Run(slot - 1); st != machine.StatusRunning {
-					return fmt.Errorf("campaign: golden replay ended early at cycle %d (status %s), slot %d",
-						pioneer.Cycles(), st, slot)
-				}
-			}
-			select {
-			case <-cfg.Interrupt:
-				return ErrInterrupted
-			case err := <-errCh:
-				return err
-			case groups <- slotGroup{snap: pioneer.Snapshot(), classes: todo[i:j]}:
-			}
-			i = j
-		}
+// scan is the one scan driver: it executes the classes listed in todo
+// (ascending class indices of fs) and delivers each outcome into
+// out[class] and the meter. Every scan entry point — ResumeScan,
+// RunClasses, and through it the sampler — runs through here, under
+// either strategy. The driver owns what is common to all of them:
+// machine acquisition and release, the worker goroutines, the work feed,
+// interrupt polling, first-error fan-in, batched delivery into a single
+// collector (so OnResult/OnProgress callbacks and checkpoint writers
+// never need locking), phase spans and telemetry. What differs between
+// strategies is only the per-worker prefix provider (provider.go) and
+// how it wants todo carved into units.
+func scan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, todo []int, out []Outcome, m *meter) error {
+	if len(todo) == 0 {
 		return nil
 	}
-	spFeed := st.spans.Start("scan.golden_prefix")
-	ferr := feed()
-	if spFeed.Live() {
-		spFeed.End(fmt.Sprintf("pioneer feed: %d classes", len(todo)))
+	st := newScanTel(cfg)
+	if sp := st.spans.Start("scan.run"); sp.Live() {
+		defer func() { sp.End(fmt.Sprintf("%s: %d classes", cfg.Strategy, len(todo))) }()
 	}
-	close(groups)
-	wg.Wait()
-	close(results)
-	<-collected
-	if ferr != nil {
-		return ferr
-	}
-	select {
-	case err := <-errCh:
-		return err
-	default:
-	}
-	return nil
-}
-
-func scanRerun(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, todo []int, out []Outcome, m *meter, st *scanTel) error {
 	budget := cfg.timeoutBudget(golden.Cycles)
-	interval := cfg.ladderInterval(golden.Cycles)
 	flip := flipFor(fs.Kind)
 
 	var machines []*machine.Machine
 	defer func() { st.addInvalidations(machines); cfg.releaseMachines(machines) }()
+	acquire := func() (*machine.Machine, error) {
+		mach, err := cfg.acquireMachine(t)
+		if err == nil {
+			machines = append(machines, mach)
+		}
+		return mach, err
+	}
 
-	work := make(chan int)
-	results := make(chan record, cfg.Workers*2)
-	errCh := make(chan error, 1)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		worker, err := cfg.acquireMachine(t)
+	// The one place a strategy is told apart: carve the work and build
+	// one provider per worker.
+	var units []unit
+	providers := make([]provider, cfg.Workers)
+	if cfg.Strategy == StrategyRerun {
+		units = carveResetUnits(todo)
+		for w := range providers {
+			mach, err := acquire()
+			if err != nil {
+				return err
+			}
+			providers[w] = newResetProvider(mach, golden, budget, cfg.Objective)
+		}
+	} else {
+		pioneer, err := acquire()
 		if err != nil {
-			close(work)
-			wg.Wait()
-			close(results)
 			return err
 		}
-		machines = append(machines, worker)
-		reset := worker.Snapshot()
-		var mr *memoRun
-		if cfg.memoEnabled() {
-			mr = newMemoRun(cfg.MemoCache, st)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range work {
-				select {
-				case <-cfg.Interrupt:
-					scanFail(&stop, errCh, ErrInterrupted)
-				default:
-				}
-				if stop.Load() {
-					continue
-				}
-				t0 := st.begin()
-				worker.Restore(reset)
-				o, err := runFromReset(worker, golden, fs.Classes[ci].Slot(), fs.Classes[ci].Bit, budget, interval, flip, cfg.Objective, mr)
-				if err != nil {
-					scanFail(&stop, errCh, err)
-					continue
-				}
-				st.experiment(o, t0)
-				results <- record{class: ci, outcome: o}
-			}
-		}()
-	}
-	collected := collector(results, out, m)
-
-	var ferr error
-feed:
-	for _, ci := range todo {
-		select {
-		case <-cfg.Interrupt:
-			ferr = ErrInterrupted
-			break feed
-		case ferr = <-errCh:
-			break feed
-		case work <- ci:
-		}
-	}
-	close(work)
-	wg.Wait()
-	close(results)
-	<-collected
-	if ferr != nil {
-		return ferr
-	}
-	select {
-	case err := <-errCh:
-		return err
-	default:
-	}
-	return nil
-}
-
-// scanLadder executes experiments from delta snapshots of the golden
-// run: one golden replay captures a rung every cfg.ladderInterval
-// cycles, then each experiment restores the nearest rung at-or-below its
-// injection slot (a targeted dirty-page copy, see machine.Cursor) and
-// executes only the remaining delta. Unlike scanSnapshot there is no
-// slot-ordered feeder — any worker can serve any class from the shared
-// immutable ladder — which makes it equally fast for the arbitrary class
-// subsets cluster workers lease.
-func scanLadder(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, todo []int, out []Outcome, m *meter, st *scanTel) error {
-	budget := cfg.timeoutBudget(golden.Cycles)
-	flip := flipFor(fs.Kind)
-
-	var machines []*machine.Machine
-	defer func() { st.addInvalidations(machines); cfg.releaseMachines(machines) }()
-
-	// Build the ladder with one golden replay. Rungs stop strictly below
-	// the final golden cycle: the latest state any experiment restores is
-	// slot-1 ≤ Δt-1, and the machine must still be running there.
-	pioneer, err := cfg.acquireMachine(t)
-	if err != nil {
-		return err
-	}
-	machines = append(machines, pioneer)
-	interval := cfg.ladderInterval(golden.Cycles)
-	spL := st.spans.Start("scan.golden_prefix")
-	ladder := machine.NewLadder(pioneer)
-	for next := interval; next < golden.Cycles; next += interval {
-		if status := pioneer.Run(next); status != machine.StatusRunning {
-			return fmt.Errorf("campaign: golden replay ended early at cycle %d (status %s)",
-				pioneer.Cycles(), status)
-		}
-		ladder.Capture(pioneer)
-	}
-	if spL.Live() {
-		spL.End(fmt.Sprintf("ladder: %d rungs", ladder.Rungs()))
-	}
-	cfg.Telemetry.Gauge("ladder.rungs").Set(int64(ladder.Rungs()))
-
-	work := make(chan int)
-	results := make(chan record, cfg.Workers*2)
-	errCh := make(chan error, 1)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		worker, err := cfg.acquireMachine(t)
+		sp := st.spans.Start("scan.golden_prefix")
+		ladder, err := buildLadder(pioneer, golden, cfg.forkInterval(golden.Cycles))
 		if err != nil {
-			close(work)
-			wg.Wait()
-			close(results)
 			return err
 		}
-		machines = append(machines, worker)
-		cur := ladder.NewCursor(worker)
-		det := machine.NewLoopDetector(0)
-		var mr *memoRun
-		if cfg.memoEnabled() {
-			mr = newMemoRun(cfg.MemoCache, st)
+		if sp.Live() {
+			sp.End(fmt.Sprintf("ladder: %d rungs", ladder.Rungs()))
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range work {
-				select {
-				case <-cfg.Interrupt:
-					scanFail(&stop, errCh, ErrInterrupted)
-				default:
-				}
-				if stop.Load() {
-					continue
-				}
-				t0 := st.begin()
-				slot, bit := fs.Classes[ci].Slot(), fs.Classes[ci].Bit
-				cur.Restore(ladder.Find(slot - 1))
-				if st != nil {
-					st.rungRestores.Inc()
-				}
-				if worker.Cycles() < slot-1 {
-					if status := worker.Run(slot - 1); status != machine.StatusRunning {
-						scanFail(&stop, errCh, fmt.Errorf(
-							"campaign: golden replay ended early at cycle %d (status %s), slot %d",
-							worker.Cycles(), status, slot))
-						continue
-					}
-				}
-				if err := flip(worker, bit); err != nil {
-					scanFail(&stop, errCh, err)
-					continue
-				}
-				o := runConverge(worker, ladder, golden, budget, cfg.Objective, det, mr, st)
-				st.experiment(o, t0)
-				results <- record{class: ci, outcome: o}
+		cfg.Telemetry.Gauge("ladder.rungs").Set(int64(ladder.Rungs()))
+		units = carveForkUnits(ladder, fs, todo)
+		for w := range providers {
+			parent, err := acquire()
+			if err != nil {
+				return err
 			}
-		}()
-	}
-	collected := collector(results, out, m)
-
-	var ferr error
-feed:
-	for _, ci := range todo {
-		select {
-		case <-cfg.Interrupt:
-			ferr = ErrInterrupted
-			break feed
-		case ferr = <-errCh:
-			break feed
-		case work <- ci:
+			child, err := acquire()
+			if err != nil {
+				return err
+			}
+			providers[w] = newForkProvider(parent, child, ladder, golden, budget, cfg.Objective, st)
 		}
 	}
-	close(work)
-	wg.Wait()
-	close(results)
-	<-collected
-	if ferr != nil {
-		return ferr
-	}
-	select {
-	case err := <-errCh:
-		return err
-	default:
-	}
-	return nil
-}
 
-// forkBatchMax caps the classes per fork-scan batch. Batches are carved
-// along rung boundaries for injection locality, but a rung whose span
-// holds thousands of classes would serialize them all onto one worker;
-// splitting costs only one extra rung restore per forkBatchMax classes.
-const forkBatchMax = 512
-
-// forkFlushClasses is how many completed experiments a fork worker
-// accumulates before handing them to the collector in one send.
-const forkFlushClasses = 64
-
-// forkBatch is the unit of work of the fork scan: a run of consecutive
-// (injection-cycle-ordered) classes whose restore point falls on one
-// ladder rung.
-type forkBatch struct {
-	rung    int
-	classes []int // subslice of todo, ascending class index
-}
-
-// carveForkBatches splits the (Slot, Bit)-sorted todo list into
-// injection-ordered batches along rung boundaries: every class in a
-// batch restores from the same rung, and slots never decrease within or
-// across batches — the precondition for the monotone cursor advance.
-func carveForkBatches(l *machine.Ladder, fs *pruning.FaultSpace, todo []int) []forkBatch {
-	batches := make([]forkBatch, 0, l.Rungs()+len(todo)/forkBatchMax)
-	for i := 0; i < len(todo); {
-		r := l.Find(fs.Classes[todo[i]].Slot() - 1)
-		j := i + 1
-		for j < len(todo) && j-i < forkBatchMax && l.Find(fs.Classes[todo[j]].Slot()-1) == r {
-			j++
-		}
-		batches = append(batches, forkBatch{rung: r, classes: todo[i:j]})
-		i = j
-	}
-	return batches
-}
-
-// scanFork executes experiments by forking children off a monotone
-// golden cursor: classes are batched along rung boundaries in injection
-// order; a worker restores the batch's rung once, then advances its
-// cursor (parent) machine forward through the golden run, forking a
-// dirty-page-delta child (machine.Forker) at each injection cycle and
-// running only the faulty suffix on the child. The golden prefix
-// between a batch's injections is thus simulated exactly once per
-// batch — the ladder strategy re-simulates rung→slot for every class —
-// which is what the fork.prefix_cycles_saved counter accounts.
-//
-// Soundness (DESIGN.md §4f): the parent executes nothing but golden
-// cycles — every fault is injected into the child AFTER the fork — so
-// no child can observe faulty state from a previous experiment, and
-// each child starts bit-identical to the ladder worker state at the
-// same slot (Forker's differential-copy invariant). The suffix then
-// runs under the same runConverge driver as the ladder strategy, so
-// fork outcomes are byte-identical to every other strategy
-// (invariant 14).
-func scanFork(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, todo []int, out []Outcome, m *meter, st *scanTel) error {
-	budget := cfg.timeoutBudget(golden.Cycles)
-	flip := flipFor(fs.Kind)
-
-	var machines []*machine.Machine
-	defer func() { st.addInvalidations(machines); cfg.releaseMachines(machines) }()
-
-	// One golden replay builds the rung ladder, exactly like scanLadder.
-	pioneer, err := cfg.acquireMachine(t)
-	if err != nil {
-		return err
-	}
-	machines = append(machines, pioneer)
-	interval := cfg.forkInterval(golden.Cycles)
-	spL := st.spans.Start("scan.golden_prefix")
-	ladder := machine.NewLadder(pioneer)
-	for next := interval; next < golden.Cycles; next += interval {
-		if status := pioneer.Run(next); status != machine.StatusRunning {
-			return fmt.Errorf("campaign: golden replay ended early at cycle %d (status %s)",
-				pioneer.Cycles(), status)
-		}
-		ladder.Capture(pioneer)
-	}
-	if spL.Live() {
-		spL.End(fmt.Sprintf("ladder: %d rungs", ladder.Rungs()))
-	}
-	cfg.Telemetry.Gauge("ladder.rungs").Set(int64(ladder.Rungs()))
-
-	batches := carveForkBatches(ladder, fs, todo)
-
-	work := make(chan forkBatch)
+	work := make(chan unit)
 	// The results channel is deliberately unbuffered: each flush is a
 	// synchronous handoff, so the collector has observed (and metered)
 	// every prior flush before a worker proceeds. Progress therefore
@@ -623,66 +237,29 @@ func scanFork(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config
 	errCh := make(chan error, 1)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		parent, err := cfg.acquireMachine(t)
-		if err != nil {
-			close(work)
-			wg.Wait()
-			close(results)
-			return err
-		}
-		machines = append(machines, parent)
-		child, err := cfg.acquireMachine(t)
-		if err != nil {
-			close(work)
-			wg.Wait()
-			close(results)
-			return err
-		}
-		machines = append(machines, child)
-		cur := ladder.NewCursor(parent)
-		forker := machine.NewForker(parent, child)
-		det := machine.NewLoopDetector(0)
-		var mr *memoRun
-		if cfg.memoEnabled() {
-			mr = newMemoRun(cfg.MemoCache, st)
-		}
+	for _, p := range providers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for b := range work {
+			for u := range work {
 				if stop.Load() {
 					continue
 				}
-				spB := st.spans.Start("scan.batch")
-				// Reposition the cursor once per batch. The forker owns the
-				// parent's dirty bits (it resets them at every Fork), so the
-				// cursor must full-copy and the forker resync afterwards.
-				cur.Invalidate()
-				cur.Restore(b.rung)
-				forker.Invalidate()
-				if st != nil {
-					st.rungRestores.Inc()
-					st.forkBatches.Observe(time.Duration(len(b.classes)))
+				// Reset units are load-balancing chunks, not phases: a span
+				// per four classes would only flood the recorder.
+				var sp telemetry.ActiveSpan
+				if u.rung >= 0 {
+					sp = st.spans.Start("scan.batch")
 				}
-				rungCycle := ladder.RungCycle(b.rung)
-				var children, saved uint64
-				// Completed experiments accumulate locally and ship
-				// forkFlushClasses at a time: the per-record channel
-				// handoff the other strategies pay on every experiment is
-				// a measurable slice of a fork experiment's
-				// sub-microsecond suffix. A flushed slice is never reused
-				// — ownership passes to the collector on send.
-				recs := make([]record, 0, forkFlushClasses+16)
-				for k, ci := range b.classes {
-					// Flush and poll the interrupt every 16 classes (~a
-					// quarter millisecond of experiments): a SIGINT never
-					// waits out a whole 512-class batch, and progress
-					// never trails by more than one flush window.
-					if k&15 == 0 {
-						if len(recs) >= forkFlushClasses {
+				p.start(u)
+				// A flushed slice is never reused — ownership passes to
+				// the collector on send.
+				recs := make([]record, 0, min(len(u.classes), scanFlushClasses+scanPollClasses))
+				for k, ci := range u.classes {
+					if k&(scanPollClasses-1) == 0 {
+						if len(recs) >= scanFlushClasses {
 							results <- recs
-							recs = make([]record, 0, forkFlushClasses+16)
+							recs = make([]record, 0, scanFlushClasses+scanPollClasses)
 						}
 						select {
 						case <-cfg.Interrupt:
@@ -694,52 +271,43 @@ func scanFork(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config
 						break
 					}
 					t0 := st.begin()
-					slot, bit := fs.Classes[ci].Slot(), fs.Classes[ci].Bit
-					// The cycles between the rung and the cursor's current
-					// position are exactly the golden prefix the ladder
-					// strategy would re-simulate for this class.
-					saved += parent.Cycles() - rungCycle
-					if parent.Cycles() < slot-1 {
-						if status := parent.Run(slot - 1); status != machine.StatusRunning {
-							scanFail(&stop, errCh, fmt.Errorf(
-								"campaign: golden replay ended early at cycle %d (status %s), slot %d",
-								parent.Cycles(), status, slot))
-							break
-						}
-					}
-					forker.Fork()
-					children++
-					if err := flip(child, bit); err != nil {
+					o, err := inject(p, flip, fs.Classes[ci].Slot(), fs.Classes[ci].Bit)
+					if err != nil {
 						scanFail(&stop, errCh, err)
 						break
 					}
-					o := runConverge(child, ladder, golden, budget, cfg.Objective, det, mr, st)
 					st.experiment(o, t0)
 					recs = append(recs, record{class: ci, outcome: o})
 				}
 				if len(recs) > 0 {
 					results <- recs
 				}
-				if st != nil {
-					st.forkChildren.Add(children)
-					st.forkSaved.Add(saved)
-				}
-				if spB.Live() {
-					spB.End(fmt.Sprintf("rung %d: %d classes", b.rung, len(b.classes)))
+				p.end(u)
+				if sp.Live() {
+					sp.End(fmt.Sprintf("rung %d: %d classes", u.rung, len(u.classes)))
 				}
 			}
 		}()
 	}
-	collected := collectBatches(results, out, m)
+	collected := make(chan struct{})
+	go func() {
+		defer close(collected)
+		for recs := range results {
+			for _, r := range recs {
+				out[r.class] = r.outcome
+				m.record(r.class, r.outcome)
+			}
+		}
+	}()
 
 	feed := func() error {
-		for _, b := range batches {
+		for _, u := range units {
 			select {
 			case <-cfg.Interrupt:
 				return ErrInterrupted
 			case err := <-errCh:
 				return err
-			case work <- b:
+			case work <- u:
 			}
 		}
 		return nil
@@ -760,27 +328,9 @@ func scanFork(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config
 	return nil
 }
 
-// runFromReset drives a reset-state machine through one experiment:
-// replay the golden prefix to just before `slot`, inject via flip at
-// `bit`, run to termination (or the cycle budget) and classify. A
-// non-nil mr memoizes the post-injection remainder at interval
-// boundaries (see memoTail); nil runs the experiment out plainly.
-func runFromReset(m *machine.Machine, golden *trace.Golden, slot, bit, budget, interval uint64, flip flipFunc, obj *Objective, mr *memoRun) (Outcome, error) {
-	if slot > 0 {
-		if st := m.Run(slot - 1); slot-1 > 0 && st != machine.StatusRunning {
-			return 0, fmt.Errorf("campaign: golden replay ended early at cycle %d (status %s), slot %d",
-				m.Cycles(), st, slot)
-		}
-	}
-	if err := flip(m, bit); err != nil {
-		return 0, err
-	}
-	return memoTail(m, golden, budget, interval, obj, mr), nil
-}
-
 // RunSingle executes exactly one memory fault-injection experiment at the
 // raw fault-space coordinate (slot, bit), starting from the reset state.
-// It is the brute-force path used by validation tests and the sampler.
+// It is the brute-force path used by validation tests.
 func RunSingle(t Target, golden *trace.Golden, cfg Config, slot, bit uint64) (Outcome, error) {
 	return RunSingleSpace(t, golden, cfg, pruning.SpaceMemory, slot, bit)
 }
@@ -798,7 +348,9 @@ func RunSingleSpace(t Target, golden *trace.Golden, cfg Config, kind pruning.Spa
 	if err != nil {
 		return 0, err
 	}
-	// Deliberately plain (no predecode, no memo): this is the brute-force
-	// oracle the validation tests compare the optimized scan paths to.
-	return runFromReset(m, golden, slot, bit, cfg.timeoutBudget(golden.Cycles), 0, flipFor(kind), cfg.Objective, nil)
+	// Deliberately plain (fresh machine, no predecode, the reset provider):
+	// this is the brute-force oracle the validation tests compare the
+	// optimized scan path to.
+	p := newResetProvider(m, golden, cfg.timeoutBudget(golden.Cycles), cfg.Objective)
+	return inject(p, flipFor(kind), slot, bit)
 }

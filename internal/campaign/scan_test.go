@@ -88,7 +88,7 @@ func TestFullScanHi(t *testing.T) {
 func TestScanStrategiesAgree(t *testing.T) {
 	target := hiTarget(t)
 	golden, fs := prepare(t, target)
-	snap, err := FullScan(target, golden, fs, Config{Strategy: StrategySnapshot})
+	fork, err := FullScan(target, golden, fs, Config{Strategy: StrategyFork})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +96,9 @@ func TestScanStrategiesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range snap.Outcomes {
-		if snap.Outcomes[i] != rerun.Outcomes[i] {
-			t.Fatalf("class %d: snapshot=%v rerun=%v", i, snap.Outcomes[i], rerun.Outcomes[i])
+	for i := range fork.Outcomes {
+		if fork.Outcomes[i] != rerun.Outcomes[i] {
+			t.Fatalf("class %d: fork=%v rerun=%v", i, fork.Outcomes[i], rerun.Outcomes[i])
 		}
 	}
 }

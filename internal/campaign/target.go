@@ -20,49 +20,35 @@ type Target struct {
 	Mach  machine.Config
 }
 
-// Strategy selects how experiments re-reach the injection slot.
+// Strategy selects how experiments re-reach the injection slot: which
+// prefix provider the scan driver runs (see provider.go).
 type Strategy uint8
 
 // Experiment-execution strategies.
 const (
-	// StrategySnapshot advances a single pioneer machine through the golden
-	// run and forks experiment machines at each injection slot. Each
-	// experiment only executes the cycles after the injection. Default.
-	StrategySnapshot Strategy = iota + 1
-	// StrategyRerun re-executes each experiment from the reset state. This
-	// is the naive mode, kept for validation and for the ablation benchmark.
+	// StrategyFork batches classes along golden-run snapshot ("rung")
+	// boundaries in injection-cycle order: each worker restores the
+	// batch's rung once, advances a cursor machine monotonically through
+	// the golden run, and at each injection cycle forks a cheap
+	// dirty-page-delta child (machine.Forker) to run only the faulty
+	// suffix, which ends early on reconvergence with the golden run or a
+	// loop proof. Default; see DESIGN.md §4c.
+	StrategyFork Strategy = iota + 1
+	// StrategyRerun re-executes each experiment from the reset state and
+	// runs it out to termination or the cycle budget. This is the
+	// brute-force reference every optimization is checked against, kept
+	// for validation and for the ablation benchmark.
 	StrategyRerun
-	// StrategyLadder captures delta snapshots ("rungs") of the golden run
-	// every LadderInterval cycles, then serves each experiment from the
-	// nearest rung at-or-below its injection slot: restore is a targeted
-	// dirty-page copy and only the remaining cycle delta is re-executed.
-	// Unlike StrategySnapshot it needs no feeder ordered by slot, so it is
-	// the strategy of choice for cluster workers running arbitrary class
-	// subsets (RunClasses).
-	StrategyLadder
-	// StrategyFork batches classes along ladder-rung boundaries in
-	// injection-cycle order: each worker restores the batch's rung ONCE,
-	// advances a cursor machine monotonically through the golden run, and
-	// at each injection cycle forks a cheap dirty-page-delta child
-	// (machine.Forker) to run only the faulty suffix — the golden prefix
-	// between injections is simulated once per batch instead of once per
-	// experiment (ladder replays rung→slot for every class). Fastest on
-	// full scans and dense class subsets; see DESIGN.md §4f.
-	StrategyFork
 )
 
 // String names the strategy as reports and run manifests spell it. The
 // zero value reads as the default it resolves to.
 func (s Strategy) String() string {
 	switch s {
+	case StrategyFork, 0:
+		return "fork"
 	case StrategyRerun:
 		return "rerun"
-	case StrategyLadder:
-		return "ladder"
-	case StrategyFork:
-		return "fork"
-	case StrategySnapshot, 0:
-		return "snapshot"
 	}
 	return "unknown"
 }
@@ -80,17 +66,16 @@ type Config struct {
 	// Workers is the number of parallel experiment executors.
 	// 0 means GOMAXPROCS.
 	Workers int
-	// Strategy selects the execution strategy. 0 means StrategySnapshot.
+	// Strategy selects the execution strategy. 0 means StrategyFork.
 	Strategy Strategy
-	// LadderInterval is the rung spacing in cycles for StrategyLadder
-	// and StrategyFork (which batches work along the same rungs):
-	// smaller intervals mean less delta re-execution per experiment but
-	// more snapshot memory. 0 auto-tunes from the golden-trace length
-	// (aiming at DefaultLadderRungs rungs, at least MinLadderInterval
-	// cycles apart). With Memo on the same spacing also sets the memo
-	// probe boundaries under every strategy; otherwise the other
-	// strategies ignore it. Like Strategy, it is outcome-invariant and
-	// deliberately not part of the campaign identity hash.
+	// LadderInterval is the rung spacing in cycles for StrategyFork:
+	// rungs are its batch anchors and reconvergence checkpoints, so
+	// smaller intervals mean smaller batches and earlier reconvergence
+	// checks but more snapshot memory. 0 auto-tunes from the golden-trace
+	// length (aiming at DefaultForkRungs rungs, at least MinLadderInterval
+	// cycles apart); StrategyRerun ignores it. Like Strategy, it is
+	// outcome-invariant and deliberately not part of the campaign
+	// identity hash.
 	LadderInterval uint64
 	// Telemetry, when non-nil, receives scan metrics: the experiment
 	// counter, per-outcome duration histograms and the strategy-specific
@@ -114,20 +99,6 @@ type Config struct {
 	// and self-modify fuzz tests pin that down — so like Strategy it is
 	// outcome-invariant and excluded from the campaign identity hash.
 	Predecode bool
-	// Memo enables cross-experiment outcome memoization: post-injection
-	// machine states are hashed at rung-interval boundaries and "suffix
-	// state → outcome remainder" entries are shared across all
-	// experiments of the campaign (see memo.go). Outcome-invariant by
-	// construction (invariant 11) and excluded from the identity hash.
-	Memo bool
-	// MemoCache, when non-nil, is the shared memoization cache to use
-	// (implies Memo). Cluster workers pass one per campaign so entries
-	// are shared across all leased work units; leaving it nil with Memo
-	// set gives the scan a private per-call cache. The cache binds to the
-	// first campaign identity and cycle budget it serves and rejects any
-	// other — entries are only transferable between experiments with
-	// identical machine semantics and budget.
-	MemoCache *MemoCache
 	// Objective, when non-nil, is the attacker-objective predicate
 	// evaluated on every classified experiment (see objective.go): the
 	// AttackFlag bit is set on outcomes that satisfy it. Unlike the
@@ -164,25 +135,26 @@ const (
 	DefaultTimeoutSlack     = 256
 	DefaultProgressInterval = time.Second
 
-	// DefaultLadderRungs is the rung count the LadderInterval auto-tuner
-	// aims for: interval = goldenCycles / DefaultLadderRungs. With
-	// 256-byte pages and delta capture, 256 rungs keep snapshot memory
-	// modest while bounding delta re-execution to ~0.4% of the golden
-	// run per experiment.
+	// DefaultLadderRungs is the rung count of a dense snapshot ladder
+	// (interval = goldenCycles / DefaultLadderRungs). The scan itself
+	// wants far fewer rungs (DefaultForkRungs); this constant is exported
+	// for bench/layers.go, whose ladder-capture and rung-restore layer
+	// rows are measured at this density.
 	DefaultLadderRungs = 256
 	// MinLadderInterval floors the auto-tuned rung spacing so very short
-	// golden runs do not snapshot after every other instruction.
+	// golden runs do not snapshot after every other instruction. Also
+	// read by bench/layers.go.
 	MinLadderInterval = 16
 
-	// DefaultForkRungs is the rung count the fork strategy's interval
-	// auto-tuner aims for. Fork rungs are never restore sources for
+	// DefaultForkRungs is the rung count the LadderInterval auto-tuner
+	// aims for. Fork rungs are never restore sources for individual
 	// experiments — the monotone cursor pays each rung restore once per
 	// batch, not once per class — so they only serve as convergence
 	// checkpoints and batch-carving anchors. Each checkpoint costs a
 	// Run-call boundary plus a StateMatches compare per in-flight child,
 	// while coarser spacing merely lets a reconverged child coast up to
-	// one interval past its convergence point; the balance lands at far
-	// fewer, far wider rungs than the ladder strategy wants.
+	// one interval past its convergence point; the balance lands at few,
+	// wide rungs.
 	DefaultForkRungs = 4
 )
 
@@ -197,7 +169,7 @@ func (c Config) withDefaults() Config {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Strategy == 0 {
-		c.Strategy = StrategySnapshot
+		c.Strategy = StrategyFork
 	}
 	if c.ProgressInterval == 0 {
 		c.ProgressInterval = DefaultProgressInterval
@@ -213,37 +185,16 @@ func (c Config) validate() error {
 		return fmt.Errorf("campaign: Workers %d must be >= 1", c.Workers)
 	}
 	switch c.Strategy {
-	case StrategySnapshot, StrategyRerun, StrategyLadder, StrategyFork:
+	case StrategyFork, StrategyRerun:
 	default:
 		return fmt.Errorf("campaign: unknown strategy %d", c.Strategy)
 	}
 	return nil
 }
 
-// memoEnabled reports whether outcome memoization is on: either the
-// flag is set or the caller supplied a shared cache.
-func (c Config) memoEnabled() bool {
-	return c.Memo || c.MemoCache != nil
-}
-
-// ladderInterval returns the effective rung spacing for StrategyLadder:
-// the explicit LadderInterval, or an interval auto-tuned from the
-// golden-trace length.
-func (c Config) ladderInterval(goldenCycles uint64) uint64 {
-	if c.LadderInterval > 0 {
-		return c.LadderInterval
-	}
-	iv := goldenCycles / DefaultLadderRungs
-	if iv < MinLadderInterval {
-		iv = MinLadderInterval
-	}
-	return iv
-}
-
 // forkInterval returns the effective rung spacing for StrategyFork: an
 // explicit LadderInterval is honored verbatim, otherwise the auto-tuner
-// aims at DefaultForkRungs rungs (see that constant for why fork wants
-// much coarser rungs than ladder).
+// aims at DefaultForkRungs rungs.
 func (c Config) forkInterval(goldenCycles uint64) uint64 {
 	if c.LadderInterval > 0 {
 		return c.LadderInterval

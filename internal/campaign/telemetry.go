@@ -18,7 +18,7 @@ type scanTel struct {
 	// spans is the campaign timeline recorder (nil = span tracing off).
 	// Deliberately independent of the instrument registry: a cluster
 	// worker can trace spans without keeping a metrics registry, and vice
-	// versa. Spans are phase-granular (strategy run, golden prefix, fork
+	// versa. Spans are phase-granular (scan run, golden prefix, fork
 	// batches), never per experiment, so the hot path stays untouched.
 	spans       *telemetry.SpanRecorder
 	experiments *telemetry.Counter
@@ -26,35 +26,23 @@ type scanTel struct {
 	// attacks counts attack-flagged outcomes (nil without an objective).
 	attacks *telemetry.Counter
 
-	// Ladder-strategy shortcut counters (nil under other strategies):
-	// rungRestores counts rung restores — one per experiment under
-	// ladder, one per batch under fork — reconverged counts runs whose
+	// Fork-provider counters (nil under StrategyRerun): rungRestores
+	// counts rung restores (one per batch), reconverged counts runs whose
 	// outcome was composed from the golden trace after their state
 	// rejoined it, loopProofs counts Timeout verdicts proven by state
-	// recurrence instead of simulating the full budget. The fork
-	// strategy shares reconverged/loopProofs: its children run the same
-	// runConverge suffix driver.
+	// recurrence instead of simulating the full budget, forkChildren
+	// counts forked child machines (one per experiment), forkSaved
+	// accumulates golden-prefix cycles NOT replayed versus restoring the
+	// rung per class (cursor position minus batch rung cycle at each
+	// fork), forkBatches records batch sizes in classes. The "ladder."
+	// prefix of the first three names is what dashboards and the tracked
+	// benchmark already read.
 	rungRestores *telemetry.Counter
 	reconverged  *telemetry.Counter
 	loopProofs   *telemetry.Counter
-
-	// Fork-strategy counters (nil under other strategies): forkChildren
-	// counts forked child machines (one per experiment), forkSaved
-	// accumulates golden-prefix cycles NOT replayed versus the ladder
-	// strategy (cursor position minus batch rung cycle at each fork),
-	// forkBatches records batch sizes in classes.
 	forkChildren *telemetry.Counter
 	forkSaved    *telemetry.Counter
 	forkBatches  *telemetry.Histogram
-
-	// Memoization counters (nil with memoization off): memoHits counts
-	// experiments whose remainder was composed from a cached entry,
-	// memoMisses counts cache probes that recorded a mark instead,
-	// memoGated counts probes skipped by the admission gate because the
-	// remaining cycle budget could not repay the hash cost.
-	memoHits   *telemetry.Counter
-	memoMisses *telemetry.Counter
-	memoGated  *telemetry.Counter
 	// predecodeInvals accumulates predecode-cache invalidations across
 	// the scan's machines (nil with predecode off). Structurally zero for
 	// Harvard-architecture campaign machines — the ROM is fault-immune,
@@ -79,20 +67,13 @@ func newScanTel(cfg Config) *scanTel {
 	if cfg.Objective != nil {
 		st.attacks = r.Counter("scan.attacks")
 	}
-	if cfg.Strategy == StrategyLadder || cfg.Strategy == StrategyFork {
+	if cfg.Strategy == StrategyFork {
 		st.rungRestores = r.Counter("ladder.rung_restores")
 		st.reconverged = r.Counter("ladder.reconverged")
 		st.loopProofs = r.Counter("ladder.loop_proofs")
-	}
-	if cfg.Strategy == StrategyFork {
 		st.forkChildren = r.Counter("fork.children")
 		st.forkSaved = r.Counter("fork.prefix_cycles_saved")
 		st.forkBatches = r.Histogram("fork.batch_sizes")
-	}
-	if cfg.memoEnabled() {
-		st.memoHits = r.Counter("memo.hits")
-		st.memoMisses = r.Counter("memo.misses")
-		st.memoGated = r.Counter("memo.gated")
 	}
 	if cfg.Predecode {
 		st.predecodeInvals = r.Counter("predecode.invalidations")

@@ -327,7 +327,7 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 	// contract of the carving rather than an accident of the pruning
 	// layer — fork-strategy workers batch each leased unit along rung
 	// boundaries and rely on ascending injection cycles for their monotone
-	// golden cursor (internal/campaign scanFork).
+	// golden cursor (internal/campaign forkProvider).
 	sort.SliceStable(todo, func(i, j int) bool {
 		return fs.Classes[todo[i]].Slot() < fs.Classes[todo[j]].Slot()
 	})

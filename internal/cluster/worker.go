@@ -39,22 +39,16 @@ type WorkerOptions struct {
 	// (default GOMAXPROCS, via campaign.Config).
 	Workers int
 	// Strategy selects the experiment execution strategy (default
-	// snapshot). Deliberately free to differ from other workers — the
-	// strategy-equivalence invariant guarantees identical outcomes.
+	// fork). Deliberately free to differ from other workers — the
+	// executor-equivalence invariant guarantees identical outcomes.
 	Strategy campaign.Strategy
-	// LadderInterval is the rung spacing for campaign.StrategyLadder
+	// LadderInterval is the rung spacing for campaign.StrategyFork
 	// (0 auto-tunes from the golden-trace length). Like Strategy, it is
 	// outcome-invariant and local to this worker.
 	LadderInterval uint64
 	// Predecode enables the simulator's pre-decoded dispatch stream on
 	// this worker's machines. Outcome-invariant and local to this worker.
 	Predecode bool
-	// Memo enables cross-experiment outcome memoization. The worker keeps
-	// one cache per campaign, shared across all the units it leases — the
-	// biggest win of the pool+memo combination, since leased units of the
-	// same campaign funnel through many common post-fault states.
-	// Outcome-invariant (invariant 11) and local to this worker.
-	Memo bool
 	// MaxRetries bounds consecutive failed attempts per request before
 	// the worker gives up (default 6).
 	MaxRetries int
@@ -199,11 +193,6 @@ func (w *worker) rebuild(spec Spec) error {
 	cfg.Telemetry = w.opts.Telemetry
 	cfg.Spans = w.spans
 	cfg.Pool = pool
-	if w.opts.Memo {
-		// One cache per campaign, like the pool: every leased unit's
-		// RunClasses call shares (and grows) the same entries.
-		cfg.MemoCache = campaign.NewMemoCache()
-	}
 	w.target, w.golden, w.space, w.cfg, w.spec = t, g, fs, cfg, spec
 	return nil
 }

@@ -12,10 +12,11 @@ import (
 // the attack-style fault models (instruction skip, PC corruption,
 // multi-bit bursts) the pruned, accelerated scan must agree with brute
 // force at every raw fault-space coordinate. One pruned scan runs with
-// every accelerator the campaign layer has (snapshot forking, predecode,
-// memoization); then each randomly drawn raw coordinate (slot, bit) is
-// re-executed on a fresh plain machine — no pruning, no predecode, no
-// memo, rerun-from-reset — and the two outcomes are compared:
+// every accelerator the campaign layer has (the fork provider with its
+// reconvergence and loop-proof shortcuts, predecode); then each randomly
+// drawn raw coordinate (slot, bit) is re-executed on a fresh plain
+// machine — no pruning, no predecode, rerun-from-reset — and the two
+// outcomes are compared:
 //
 //   - coordinates Locate maps to an equivalence class must reproduce the
 //     class outcome byte-identically (including the attack flag), and
@@ -58,13 +59,12 @@ func (r *OracleReport) Ok() bool { return len(r.Mismatches) == 0 }
 
 // RandomCoordinateOracle runs the differential oracle for one program:
 // a pruned scan with all accelerators on (opts.Space selects the fault
-// model; Predecode and Memo are forced on, the strategy is kept), then
+// model; Predecode is forced on, the strategy is kept), then
 // n seeded-random raw coordinates replayed by brute force. The returned
 // report lists every disagreement; an empty Mismatches slice is the
 // invariant-13 verdict.
 func RandomCoordinateOracle(p *faultspace.Program, opts faultspace.ScanOptions, n int, seed int64) (*OracleReport, error) {
 	opts.Predecode = true
-	opts.Memo = true
 	scan, err := faultspace.Scan(p, opts)
 	if err != nil {
 		return nil, err

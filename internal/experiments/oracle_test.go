@@ -68,7 +68,7 @@ func TestOracleRandomCoordinatesBurst(t *testing.T) {
 	}
 }
 
-// TestOracleRandomCoordinatesFork is invariant 14's oracle leg: the
+// TestOracleRandomCoordinatesFork is invariant 6's oracle leg: the
 // fully-accelerated FORK-strategy scan must agree with the plain
 // rerun-from-reset brute force at random raw coordinates, across all
 // six fault spaces. The skip space runs under the dos objective so the

@@ -20,7 +20,7 @@ package machine
 // ever changes through dirty-tracked stores and flips. The child
 // therefore cannot observe any faulty state from a previous experiment —
 // every page it mutated is rewritten from the parent — which is the
-// soundness half of DESIGN.md §4f.
+// soundness half of DESIGN.md §4c.
 //
 // To make "dirtied since the previous Fork" a direct bitset read, Fork
 // RESETS both machines' dirty sets once the copy is done. The forker

@@ -79,10 +79,10 @@ type rungMeta struct {
 // rung onto a worker machine by copying only the pages that differ from
 // the machine's last-restored state.
 //
-// The campaign ladder strategy builds one Ladder during the golden run
-// and then services each experiment from the nearest rung at-or-below
-// its injection cycle, executing only the remaining delta instead of
-// replaying from reset.
+// The campaign's fork provider builds one Ladder during the golden run;
+// each batch of experiments restores the rung at-or-below its first
+// injection cycle once, and every injected run checks for reconvergence
+// with the golden state at the rungs it passes (StateMatches).
 //
 // A Ladder is immutable after construction and safe for concurrent use
 // by any number of Cursors (each Cursor belongs to one worker machine).

@@ -44,7 +44,7 @@ func stateHash(m *Machine) [32]byte {
 
 // runWithLadder executes m from its current state, capturing a rung every
 // interval cycles while the machine is still running — the same capture
-// loop the campaign ladder strategy uses during the golden run.
+// loop the campaign's fork provider uses during the golden run.
 func runWithLadder(m *Machine, interval, maxCycles uint64) *Ladder {
 	l := NewLadder(m)
 	next := m.Cycles() + interval

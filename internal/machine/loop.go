@@ -6,15 +6,33 @@ import (
 	"faultspace/internal/isa"
 )
 
-// LoopProbeInterval is the default cycle spacing between loop-detector
-// probes. Each probe costs one ring insertion (O(RAM) bytes copied) plus
-// a hash-chain scan, so the spacing trades detection latency against
-// probe overhead; any finite loop is still detected regardless of how
-// its period relates to the spacing (see Probe). 16 is measured, not
+// LoopProbeInterval is the default initial cycle spacing between
+// loop-detector probes. Each probe costs one ring insertion (O(RAM) bytes
+// copied) plus a hash-chain scan, so the spacing trades detection latency
+// against probe overhead; any finite loop is still detected regardless of
+// how its period relates to the spacing (see Probe). 16 is measured, not
 // guessed: halving it halves ring detection latency in cycles but
 // roughly doubles the probe volume, and on the bundled kernels the
 // probe cost (a RAM copy per ring insert) wins.
 const LoopProbeInterval = 16
+
+// Probe back-off. RunDetectLoop doubles the probe spacing after every
+// loopBackoffProbes probes, up to loopBackoffDoublings times (×64). Runs
+// that spin forever mostly enter their loop within a few hundred cycles
+// of the fault, where the dense early probes prove them as fast as a
+// fixed spacing would; a run still unproven after that is usually not
+// looping at all — on SUM+DMR-hardened programs no experiment is, and
+// fixed-spacing probes (a RAM copy every 16 cycles all the way to the
+// halt) were a third of scan CPU there. The spacing is a policy constant,
+// not an outcome input: an exact-state recurrence proves an infinite loop
+// at whatever cycle it is observed, and a proof that comes later or not
+// at all still ends in the same Timeout at the cycle budget. The cap
+// keeps the spacing constant in the long run, so the ring and the Brent
+// anchor still close on any loop entered late.
+const (
+	loopBackoffProbes    = 16
+	loopBackoffDoublings = 6
+)
 
 // Ring geometry. loopRingSize probes of history bound the recurrence
 // window: a loop of period L is caught by the ring when its probe-level
@@ -54,12 +72,12 @@ type ringEntry struct {
 // Detection is two-tiered. The primary tier is a recurrence ring: the
 // last loopRingSize probe states are retained verbatim, indexed by a
 // pc-keyed hash chain, and the current state is compared against every
-// retained probe that shares its pc. A loop of period L recurs at probe
-// distance L/gcd(interval, L), so the ring proves it after at most
-// interval·L/gcd(interval, L) cycles — for the scheduler-round spin
-// loops that dominate real campaigns (L under ~100 cycles) that is a
-// few hundred cycles, several times earlier than an anchor-doubling
-// scheme settles. The fallback tier is Brent's algorithm (one anchored
+// retained probe that shares its pc. At a probe spacing s, a loop of
+// period L recurs at probe distance L/gcd(s, L), so the ring proves it
+// after at most s·L/gcd(s, L) cycles — for the scheduler-round spin
+// loops that dominate real campaigns (L under ~100 cycles) at the
+// initial spacing that is a few hundred cycles, several times earlier
+// than an anchor-doubling scheme settles. The fallback tier is Brent's algorithm (one anchored
 // reference, re-anchored when the probe count since the last anchor
 // reaches a power of two): it needs no history window, so it eventually
 // proves any recurring loop the ring's bounded history misses.
@@ -95,9 +113,9 @@ type LoopDetector struct {
 	refRAM    []byte
 }
 
-// NewLoopDetector creates a detector probing every interval cycles
-// (LoopProbeInterval if interval is 0). One detector serves one machine
-// at a time; call Reset between experiments.
+// NewLoopDetector creates a detector whose probes start interval cycles
+// apart (LoopProbeInterval if interval is 0) and back off from there. One
+// detector serves one machine at a time; call Reset between experiments.
 func NewLoopDetector(interval uint64) *LoopDetector {
 	if interval == 0 {
 		interval = LoopProbeInterval
@@ -105,12 +123,15 @@ func NewLoopDetector(interval uint64) *LoopDetector {
 	return &LoopDetector{interval: interval, window: 1}
 }
 
-// Interval returns the probe spacing in cycles.
-func (d *LoopDetector) Interval() uint64 { return d.interval }
+// spacing returns the cycle distance to the next probe: the base
+// interval, doubled once per loopBackoffProbes probes taken since Reset.
+func (d *LoopDetector) spacing() uint64 {
+	return d.interval << min(d.ringN/loopBackoffProbes, loopBackoffDoublings)
+}
 
-// Reset discards the ring history and the anchored reference so the
-// detector can track a new run. The RAM buffers are retained to avoid
-// per-experiment allocation.
+// Reset discards the ring history and the anchored reference — and with
+// the probe count the back-off — so the detector can track a new run.
+// The RAM buffers are retained to avoid per-experiment allocation.
 func (d *LoopDetector) Reset() {
 	d.ringN = 0
 	clear(d.slots[:])
@@ -205,13 +226,14 @@ func (d *LoopDetector) Probe(m *Machine) bool {
 }
 
 // RunDetectLoop advances m to the absolute cycle target (like Run) in
-// probe-interval chunks, returning early with true as soon as the
+// probe-spacing chunks, returning early with true as soon as the
 // detector proves the machine loops forever. It returns false when the
 // machine terminated or reached the target; in either case the machine
-// state is then identical to a plain Run(target).
+// state is then identical to a plain Run(target). The back-off carries
+// over successive calls until Reset.
 func (d *LoopDetector) RunDetectLoop(m *Machine, target uint64) bool {
 	for m.status == StatusRunning && m.cycles < target {
-		next := m.cycles + d.interval
+		next := m.cycles + d.spacing()
 		if next > target {
 			next = target
 		}

@@ -129,3 +129,82 @@ func TestLoopDetectorChunkedEqualsRun(t *testing.T) {
 		det.Reset()
 	}
 }
+
+// TestLoopDetectorCoprimePeriods: loops whose period shares no factor
+// with the probe spacing recur only every `period` probes — inside the
+// ring window for short periods, beyond it (Brent's territory) for long
+// ones. Either way they must be proven well before the target.
+func TestLoopDetectorCoprimePeriods(t *testing.T) {
+	for _, period := range []int{3, 17, 101} {
+		prog := make([]isa.Instruction, period)
+		for i := range prog {
+			prog[i] = isa.Instruction{Op: isa.OpNop}
+		}
+		prog[period-1] = isa.Instruction{Op: isa.OpJmp, Imm: 0}
+		m, err := New(Config{RAMSize: 16}, prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det := NewLoopDetector(0)
+		if !det.RunDetectLoop(m, 1<<20) {
+			t.Fatalf("period %d: loop not detected", period)
+		}
+		if m.Status() != StatusRunning || m.Cycles() >= 1<<20 {
+			t.Errorf("period %d: status %v at cycle %d; want a proof before the target",
+				period, m.Status(), m.Cycles())
+		}
+	}
+}
+
+// TestLoopProbeBackoff: a long run that never recurs must not be probed
+// every LoopProbeInterval cycles all the way to the target — after the
+// dense opening window the spacing doubles every loopBackoffProbes
+// probes up to its cap, so the probe count is the back-off ramp plus
+// cycles/(cap spacing), not cycles/16. The chunked run must still land
+// in exactly the state a plain Run(target) reaches, also when split
+// over several calls (the campaign drives it rung by rung).
+func TestLoopProbeBackoff(t *testing.T) {
+	// r1 counts up (far beyond the target), so no state ever recurs.
+	prog := []isa.Instruction{
+		{Op: isa.OpAddi, Rd: 1, Rs: 1, Imm: 1},
+		{Op: isa.OpSb, Rt: 1, Rs: 0, Imm: 0},
+		{Op: isa.OpLi, Rd: 2, Imm: 1 << 30},
+		{Op: isa.OpBlt, Rs: 1, Rt: 2, Imm: 0},
+		{Op: isa.OpHalt},
+	}
+	const target = 1 << 18
+	m, err := New(Config{RAMSize: 16}, prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(Config{RAMSize: 16}, prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := NewLoopDetector(0)
+	for _, stop := range []uint64{1000, 50_000, target} {
+		if det.RunDetectLoop(m, stop) {
+			t.Fatal("non-recurring run declared infinite")
+		}
+		if m.Cycles() != stop {
+			t.Fatalf("stopped at cycle %d, want %d", m.Cycles(), stop)
+		}
+	}
+	ref.Run(target)
+	if stateHash(m) != stateHash(ref) {
+		t.Fatal("chunked run diverged from plain Run")
+	}
+	capSpacing := LoopProbeInterval << loopBackoffDoublings
+	limit := loopBackoffProbes*loopBackoffDoublings + target/capSpacing + 2
+	if det.ringN > limit {
+		t.Errorf("%d probes over %d cycles; the back-off bounds it by %d (fixed spacing: %d)",
+			det.ringN, target, limit, target/LoopProbeInterval)
+	}
+	if det.spacing() != uint64(capSpacing) {
+		t.Errorf("spacing after the ramp = %d, want the cap %d", det.spacing(), capSpacing)
+	}
+	det.Reset()
+	if det.spacing() != LoopProbeInterval {
+		t.Errorf("spacing after Reset = %d, want %d", det.spacing(), LoopProbeInterval)
+	}
+}

@@ -209,9 +209,8 @@ type Machine struct {
 	// skipNext, when set, makes the next Step retire without executing
 	// its instruction: the instruction-skip fault model (FlipSkip). The
 	// flag is one-shot and always consumed before the machine reaches a
-	// rung boundary, memo probe or loop probe, so it is deliberately
-	// excluded from HashExecState, StateMatches and the loop detector's
-	// recurrence state.
+	// rung boundary or loop probe, so it is deliberately excluded from
+	// StateMatches and the loop detector's recurrence state.
 	skipNext bool
 
 	// codeLen is the program length in instructions; pc ∈ [0, codeLen)

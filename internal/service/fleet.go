@@ -150,7 +150,7 @@ type FleetOptions struct {
 	// ID names the worker (default "f<pid>").
 	ID string
 	// Worker carries the per-campaign execution options (strategy,
-	// parallelism, predecode, memo, retry budget). Identity, Interrupt
+	// parallelism, predecode, retry budget). Identity, Interrupt
 	// and Telemetry interact with the fleet loop as described below.
 	Worker cluster.WorkerOptions
 	// PollInterval is the wait between handshakes when no campaign is
@@ -162,7 +162,7 @@ type FleetOptions struct {
 	// TelemetryFor, when non-nil, selects the telemetry registry for
 	// each assigned campaign — the hook the service uses to point its
 	// in-process workers at the campaign's own registry, keeping
-	// scan/memo/predecode counters isolated per campaign. When nil, the
+	// scan/predecode counters isolated per campaign. When nil, the
 	// Worker.Telemetry registry (possibly nil) is used for every
 	// campaign.
 	TelemetryFor func(spec cluster.Spec) *telemetry.Registry

@@ -118,7 +118,7 @@ type entry struct {
 
 	// reg is the campaign's own telemetry registry: its coordinator's
 	// cluster.* counters and — for in-process fleet workers — its
-	// engine's scan.*, memo.* and predecode counters land here,
+	// engine's scan.*, fork.* and predecode counters land here,
 	// isolated from every other campaign in the process.
 	reg   *telemetry.Registry
 	coord *cluster.Coordinator // nil until running; stays set after
@@ -892,7 +892,7 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Starved = s.starvedLocked()
 	for _, e := range s.order {
-		// Per-campaign snapshots keep every campaign's scan/memo/cluster
+		// Per-campaign snapshots keep every campaign's scan/cluster
 		// counters isolated — /v1/status never mixes campaigns into one
 		// process-global number.
 		resp.Campaigns = append(resp.Campaigns, s.statusLocked(e, true))

@@ -5,7 +5,7 @@
 // result archive keyed by the campaign identity hash.
 //
 // The archive is what turns the identity hash into a cache key: all
-// execution-side choices (strategy, placement, predecode, memoization)
+// execution-side choices (strategy, placement, predecode)
 // are provably outcome-invariant (DESIGN.md invariants 8–11) and
 // excluded from the hash, and the scan-archive encoding is
 // deterministic, so one identity maps to exactly one report byte

@@ -10,8 +10,7 @@ import (
 // campaign's identity and configuration, the wall/CPU time breakdown,
 // the final counter snapshot and the retained trace events. favscan
 // writes it on exit (and on SIGINT, whose graceful-interrupt path runs
-// the same exit code) when -telemetry is set, and BenchmarkFullScan
-// folds its counters into BENCH_scan.json.
+// the same exit code) when -telemetry is set.
 type Manifest struct {
 	Tool      string    `json:"tool"`
 	StartedAt time.Time `json:"started_at"`

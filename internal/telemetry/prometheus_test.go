@@ -88,7 +88,7 @@ func TestWritePrometheusSetsValidates(t *testing.T) {
 func TestPromNameMangling(t *testing.T) {
 	cases := map[string]string{
 		"scan.experiments":     "faultspace_scan_experiments",
-		"memo.hits":            "faultspace_memo_hits",
+		"ladder.loop_proofs":   "faultspace_ladder_loop_proofs",
 		"fork.children":        "faultspace_fork_children",
 		"weird-name+x":         "faultspace_weird_name_x",
 		"cluster.worker.ready": "faultspace_cluster_worker_ready",

@@ -185,7 +185,7 @@ func TestClock1ScanWithInterrupts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan2, err := Scan(p, ScanOptions{Rerun: true})
+	scan2, err := Scan(p, ScanOptions{Strategy: StrategyRerun})
 	if err != nil {
 		t.Fatal(err)
 	}

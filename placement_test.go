@@ -27,10 +27,11 @@ func serveAndJoin(t *testing.T, prog *Program, opts ServeOptions, nWorkers int) 
 		for i := 0; i < nWorkers; i++ {
 			go func(i int) {
 				defer wg.Done()
-				workerErrs[i] = JoinScan(addr, JoinOptions{
-					WorkerID: string(rune('a' + i)),
-					Rerun:    i%2 == 1, // mixed strategies across the cluster
-				})
+				jopts := JoinOptions{WorkerID: string(rune('a' + i))}
+				if i%2 == 1 { // mixed strategies across the cluster
+					jopts.Strategy = StrategyRerun
+				}
+				workerErrs[i] = JoinScan(addr, jopts)
 			}(i)
 		}
 	}()

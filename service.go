@@ -43,7 +43,7 @@ type CampaignServiceOptions struct {
 	// campaigns without external workers joining.
 	LocalWorkers int
 	// WorkerOptions configures the local fleet workers (strategy,
-	// parallelism, predecode, memo). WorkerID and Telemetry are managed
+	// parallelism, predecode). WorkerID and Telemetry are managed
 	// by the service; Interrupt is wired to the service's Interrupt.
 	WorkerOptions JoinOptions
 	// Interrupt, when closed, drains the service gracefully: new
@@ -134,7 +134,6 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 					Strategy:       w.Strategy,
 					LadderInterval: w.LadderInterval,
 					Predecode:      w.Predecode,
-					Memo:           w.Memo,
 				},
 				Interrupt: opts.Interrupt,
 				// Point each assigned campaign's engine counters at that
@@ -298,11 +297,7 @@ func JoinServiceFleet(addr string, opts FleetOptions) error {
 		Strategy:       opts.Strategy,
 		LadderInterval: opts.LadderInterval,
 		Predecode:      opts.Predecode,
-		Memo:           opts.Memo,
 		Telemetry:      opts.Telemetry,
-	}
-	if wopts.Strategy == 0 && opts.Rerun {
-		wopts.Strategy = StrategyRerun
 	}
 	err := service.JoinFleet(normalizeURL(addr), service.FleetOptions{
 		ID:           opts.WorkerID,
