@@ -82,9 +82,16 @@ bench-telemetry:
 # fork, fork+pre, fork+pre+trace} on the two Figure-2 kernels and their
 # SUM+DMR-hardened variants — so a broken executor configuration fails
 # `make check` instead of being discovered at the next bench run. The
-# benchmark writes nothing; tracked numbers live under bench/.
+# benchmark writes nothing; tracked numbers live under bench/. Then three
+# campaigns through an idle loopback service (BenchmarkServiceSubmitToReport):
+# the hand-offs on the submit→report path are held requests, and the
+# benchmark fails when the median campaign takes as long as half a poll
+# interval — a sleep reintroduced there fails `make check` instead of
+# waiting for the next run of bench/, and one slow op on a loaded machine
+# does not.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkFullScan -benchtime=1x .
+	$(GO) test -run='^$$' -bench=BenchmarkServiceSubmitToReport -benchtime=3x .
 
 bench:
 	$(GO) test -bench=. -benchmem

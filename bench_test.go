@@ -8,12 +8,15 @@ package faultspace_test
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"faultspace"
 	"faultspace/internal/asm"
 	"faultspace/internal/campaign"
+	"faultspace/internal/cluster"
 	"faultspace/internal/experiments"
 	"faultspace/internal/machine"
 	"faultspace/internal/metrics"
@@ -422,6 +425,83 @@ func BenchmarkClusterScan(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkServiceSubmitToReport measures the hand-off path of the
+// campaign service: an idle loopback service with one local worker, one
+// small sort1 campaign per op from SubmitCampaign to the fetched report,
+// as favscan -submit does it. The worker's handshake and the client's
+// status request are held at the service, so an op is the campaign's own
+// work plus a few round trips. With three ops or more (make bench-smoke
+// runs three in make check) it fails when the median op takes half the
+// shortest timed wait the path ever had, the worker's 200 ms idle poll:
+// a sleep put back on the path costs every op at least that, whereas a
+// scheduling or GC hiccup on a loaded machine costs one op and leaves
+// the median alone. The time itself is only reported. It writes nothing:
+// the service keeps its results in memory.
+func BenchmarkServiceSubmitToReport(b *testing.B) {
+	const bound = cluster.AskSpacing / 2
+	p, err := progs.Sort1(6).Baseline()
+	if err != nil {
+		b.Fatal(err)
+	}
+	intr := make(chan struct{})
+	listening := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- faultspace.ServeCampaigns("127.0.0.1:0", faultspace.CampaignServiceOptions{
+			LocalWorkers: 1,
+			Interrupt:    intr,
+			OnListen:     func(a string) { listening <- a },
+		})
+	}()
+	var addr string
+	select {
+	case addr = <-listening:
+	case err := <-done:
+		b.Fatalf("ServeCampaigns: %v", err)
+	}
+	defer func() {
+		close(intr)
+		if err := <-done; err != nil {
+			b.Errorf("ServeCampaigns: %v", err)
+		}
+	}()
+
+	ops := make([]time.Duration, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A timeout budget of its own gives each op a campaign the service
+		// has not seen, so every op runs on the fleet.
+		opts := faultspace.ScanOptions{TimeoutFactor: 2 + float64(i)/1024}
+		start := time.Now()
+		info, err := faultspace.SubmitCampaign(addr, p, opts, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if info.Cached {
+			b.Fatalf("op %d was answered from memory; it must run on the fleet", i)
+		}
+		if !info.Terminal() {
+			if info, err = faultspace.WaitCampaign(addr, info.ID, 0, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if info.State != "done" {
+			b.Fatalf("op %d ended %s: %s", i, info.State, info.Error)
+		}
+		if _, err := faultspace.CampaignReport(addr, info.ID); err != nil {
+			b.Fatal(err)
+		}
+		ops = append(ops, time.Since(start))
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/campaign")
+	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
+	if median := ops[len(ops)/2]; len(ops) >= 3 && median > bound {
+		b.Fatalf("the median of %d campaigns took %v from submission to report, want under %v: a timed wait is back on the hand-off path",
+			len(ops), median, bound)
 	}
 }
 

@@ -149,8 +149,8 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 	go func() { serveErr <- srv.Serve(ln) }()
 
 	res, scanErr := coord.Wait()
-	// Let polling workers fetch their done/shutdown notice before tearing
-	// the server down; workers deregister via /v1/leave as they exit. On
+	// Let the workers fetch their done/shutdown notice before tearing the
+	// server down; workers deregister via /v1/leave as they exit. On
 	// the interrupt path this also lets in-flight units finish submitting,
 	// so their experiments are recorded — the cluster analogue of the
 	// local graceful-interrupt semantics.
@@ -158,10 +158,7 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 	if drain == 0 {
 		drain = 3 * time.Second
 	}
-	deadline := time.Now().Add(drain)
-	for !coord.Drained() && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	coord.WaitDrained(drain)
 	// Close the listener and connections, then seal the coordinator so no
 	// late handler can touch a closed checkpoint writer.
 	srv.Close()

@@ -165,7 +165,7 @@ func TestClusterKillWorkerMidScan(t *testing.T) {
 			}
 		},
 	}
-	survivor := WorkerOptions{ID: "survivor", PollInterval: 20 * time.Millisecond}
+	survivor := WorkerOptions{ID: "survivor"}
 
 	res, errs := runCluster(t, coord, []WorkerOptions{victim, survivor})
 	if !errors.Is(errs[0], campaign.ErrInterrupted) {

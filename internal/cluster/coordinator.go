@@ -209,6 +209,15 @@ type Coordinator struct {
 	interrupted bool
 	sealed      bool
 	finished    chan struct{}
+	// expiry caches the earliest deadline among the outstanding leases
+	// (zero: none) while expiryKnown; whatever grants, extends or ends a
+	// lease keeps it current or clears expiryKnown (nextExpiryLocked).
+	expiry      time.Time
+	expiryKnown bool
+	// wake is closed and replaced (wakeLocked) whenever an answer a parked
+	// request is waiting for may have changed: a unit went back to pending,
+	// the campaign finished, the coordinator was sealed, a worker left.
+	wake chan struct{}
 
 	// Fleet timeline: the campaign trace ID from the spec and the merged
 	// span recorder (the coordinator's own spans plus the spans workers
@@ -238,6 +247,8 @@ type Coordinator struct {
 	telGap        *telemetry.Histogram
 	telLeaseDur   *telemetry.Histogram
 	telStragglers *telemetry.Gauge
+	telLeaseHold  *telemetry.Histogram
+	telLeaseHeld  *telemetry.Gauge
 }
 
 // NewCoordinator builds a coordinator for the campaign. prior holds
@@ -267,6 +278,7 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 		flagged:  make(map[string]bool),
 		start:    time.Now(),
 		finished: make(chan struct{}),
+		wake:     make(chan struct{}),
 	}
 	reg := opts.Telemetry
 	c.telGranted = reg.Counter("cluster.leases_granted")
@@ -278,6 +290,8 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 	c.telGap = reg.Histogram("cluster.heartbeat_gap")
 	c.telLeaseDur = reg.Histogram("cluster.lease_duration")
 	c.telStragglers = reg.Gauge("fleet.stragglers")
+	c.telLeaseHold = reg.Histogram("cluster.lease_hold")
+	c.telLeaseHeld = reg.Gauge("cluster.lease_held")
 	spec, err := NewSpec(t, fs.Kind, cfg, opts.MaxGoldenCycles, uint64(len(fs.Classes)))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
@@ -381,7 +395,14 @@ func (c *Coordinator) finishLocked() {
 			Dur:    time.Since(c.start),
 		})
 		close(c.finished)
+		c.wakeLocked()
 	}
+}
+
+// wakeLocked releases every parked request to look at the state again.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // Handler returns the coordinator's HTTP handler. With
@@ -443,19 +464,41 @@ func (c *Coordinator) Wait() (*campaign.Result, error) {
 func (c *Coordinator) Seal() {
 	c.mu.Lock()
 	c.sealed = true
+	c.wakeLocked()
 	c.mu.Unlock()
 }
 
-// Drained reports whether every worker that ever joined has left again.
-func (c *Coordinator) Drained() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// drainedLocked reports whether every worker that ever joined has left
+// again.
+func (c *Coordinator) drainedLocked() bool {
 	for _, w := range c.workers {
 		if !w.left {
 			return false
 		}
 	}
 	return true
+}
+
+// WaitDrained blocks until every worker that ever joined has left again
+// or the timeout has passed, and reports which: the bounded grace period
+// a finished or interrupted campaign gives its fleet to fetch the
+// done/shutdown answer and deregister.
+func (c *Coordinator) WaitDrained(timeout time.Duration) bool {
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	for {
+		c.mu.Lock()
+		drained, wake := c.drainedLocked(), c.wake
+		c.mu.Unlock()
+		if drained {
+			return true
+		}
+		select {
+		case <-wake:
+		case <-t.C:
+			return false
+		}
+	}
 }
 
 // Snapshot returns the current progress (also served at /v1/status).
@@ -520,14 +563,30 @@ func (c *Coordinator) admit(w http.ResponseWriter, id [32]byte) bool {
 	return true
 }
 
+// handleHandshake hands out the campaign spec. A worker that names
+// itself (?worker=<id>, as Join does) has joined from here on, not from
+// its first lease: between the two it rebuilds the campaign, and a
+// campaign that ends meanwhile must still wait for it to fetch its done
+// notice (WaitDrained) rather than close the door on it.
 func (c *Coordinator) handleHandshake(w http.ResponseWriter, r *http.Request) {
 	if _, ok := readBody(w, r); !ok {
 		return
+	}
+	if id := r.URL.Query().Get("worker"); id != "" {
+		c.mu.Lock()
+		c.touchLocked(id)
+		c.mu.Unlock()
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(c.spec)
 }
 
+// handleLease grants the asking worker a unit. With ?wait= a would-be
+// UnitWait is parked until the answer changes — a unit is pending again
+// (returned by a leaving worker, or reclaimed at the earliest outstanding
+// lease deadline, for which the parked request itself wakes up), the
+// campaign finishes, or the coordinator is interrupted or sealed — or
+// the hold runs out, which is answered UnitWait as an unheld ask is.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
@@ -541,44 +600,47 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !c.admit(w, q.Identity) {
 		return
 	}
+	hold, ok := ParseHold(w, r)
+	if !ok {
+		return
+	}
+	asked := time.Now()
 
 	c.mu.Lock()
 	c.touchLocked(q.WorkerID)
-	resp := WorkUnit{Status: UnitWait}
-	switch {
-	case c.interrupted || c.sealed:
-		resp.Status = UnitShutdown
-	case c.remaining == 0:
-		resp.Status = UnitDone
-	default:
-		if len(c.pending) == 0 {
-			c.reclaimExpiredLocked()
-		}
-		if n := len(c.pending); n > 0 {
-			u := c.pending[n-1]
-			c.pending = c.pending[:n-1]
-			c.nextToken++
-			u.state = unitLeased
-			u.token = c.nextToken
-			u.owner = q.WorkerID
-			u.grantedAt = time.Now()
-			u.deadline = u.grantedAt.Add(c.opts.LeaseTTL)
-			c.leased++
-			c.workers[q.WorkerID].outstanding++
-			resp = WorkUnit{Status: UnitGranted, ID: u.id, Token: u.token, Classes: u.classes}
-			if !c.rampedUp {
-				c.rampedUp = true
-				c.spans.Add(telemetry.Span{
-					Scope:  "coordinator",
-					Name:   "campaign.rampup",
-					Detail: "campaign start to first lease grant",
-					Start:  c.start,
-					Dur:    u.grantedAt.Sub(c.start),
-				})
+	resp := c.leaseLocked(q.WorkerID)
+	if resp.Status == UnitWait && hold > 0 {
+		c.telLeaseHeld.Add(1)
+		expiry := asked.Add(hold)
+		for resp.Status == UnitWait {
+			now, until := time.Now(), expiry
+			if !now.Before(until) {
+				break
 			}
-			c.telGranted.Inc()
-			c.opts.Telemetry.Tracef("lease.granted", "unit %d (%d classes) to %s", u.id, len(u.classes), q.WorkerID)
+			if d, ok := c.nextExpiryLocked(); ok && d.Before(until) {
+				until = d
+			}
+			wake := c.wake
+			c.mu.Unlock()
+			t := time.NewTimer(until.Sub(now))
+			select {
+			case <-wake:
+			case <-t.C:
+			case <-c.opts.Interrupt:
+			case <-r.Context().Done():
+			}
+			t.Stop()
+			c.mu.Lock()
+			if r.Context().Err() != nil {
+				// The asker is gone; whatever is pending stays so.
+				break
+			}
+			// Each look is a contact, as the re-poll it replaces was.
+			c.touchLocked(q.WorkerID)
+			resp = c.leaseLocked(q.WorkerID)
 		}
+		c.telLeaseHeld.Add(-1)
+		c.telLeaseHold.Observe(time.Since(asked))
 	}
 	c.mu.Unlock()
 
@@ -586,9 +648,82 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	w.Write(EncodeWorkUnit(resp))
 }
 
+// leaseLocked answers one lease ask from the current state.
+func (c *Coordinator) leaseLocked(workerID string) WorkUnit {
+	stopped := c.interrupted || c.sealed
+	select {
+	case <-c.opts.Interrupt:
+		// Wait may not have noticed yet; a parked request woken by the
+		// same channel must not answer UnitWait.
+		stopped = true
+	default:
+	}
+	switch {
+	case stopped:
+		return WorkUnit{Status: UnitShutdown}
+	case c.remaining == 0:
+		return WorkUnit{Status: UnitDone}
+	}
+	if len(c.pending) == 0 {
+		c.reclaimExpiredLocked()
+	}
+	n := len(c.pending)
+	if n == 0 {
+		return WorkUnit{Status: UnitWait}
+	}
+	u := c.pending[n-1]
+	c.pending = c.pending[:n-1]
+	c.nextToken++
+	u.state = unitLeased
+	u.token = c.nextToken
+	u.owner = workerID
+	u.grantedAt = time.Now()
+	u.deadline = u.grantedAt.Add(c.opts.LeaseTTL)
+	if c.expiryKnown && (c.expiry.IsZero() || u.deadline.Before(c.expiry)) {
+		c.expiry = u.deadline
+	}
+	c.leased++
+	c.workers[workerID].outstanding++
+	if !c.rampedUp {
+		c.rampedUp = true
+		c.spans.Add(telemetry.Span{
+			Scope:  "coordinator",
+			Name:   "campaign.rampup",
+			Detail: "campaign start to first lease grant",
+			Start:  c.start,
+			Dur:    u.grantedAt.Sub(c.start),
+		})
+	}
+	c.telGranted.Inc()
+	c.opts.Telemetry.Tracef("lease.granted", "unit %d (%d classes) to %s", u.id, len(u.classes), workerID)
+	return WorkUnit{Status: UnitGranted, ID: u.id, Token: u.token, Classes: u.classes}
+}
+
+// nextExpiryLocked returns the earliest deadline among the outstanding
+// leases: when a parked lease request must look again so that
+// reclaimExpiredLocked runs on time even though nobody polls. The scan
+// over the units runs once per change to the leased set, not once per
+// asker: a wake-up releases every parked request at the same time.
+func (c *Coordinator) nextExpiryLocked() (time.Time, bool) {
+	if !c.expiryKnown {
+		c.expiry = time.Time{}
+		for _, u := range c.units {
+			if u.state == unitLeased && (c.expiry.IsZero() || u.deadline.Before(c.expiry)) {
+				c.expiry = u.deadline
+			}
+		}
+		c.expiryKnown = true
+	}
+	return c.expiry, !c.expiry.IsZero()
+}
+
 // reclaimExpiredLocked returns expired leases to the pending pool.
 func (c *Coordinator) reclaimExpiredLocked() {
 	now := time.Now()
+	if first, ok := c.nextExpiryLocked(); !ok || !now.After(first) {
+		return
+	}
+	c.expiryKnown = false
 	for _, u := range c.units {
 		if u.state == unitLeased && now.After(u.deadline) {
 			u.state = unitPending
@@ -680,6 +815,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if len(s.Entries) == len(u.classes) && u.state != unitDone {
 		if u.state == unitLeased {
 			c.leased--
+			c.expiryKnown = false
 			if owner := c.workers[u.owner]; owner != nil && owner.outstanding > 0 {
 				owner.outstanding--
 			}
@@ -747,6 +883,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 			u := c.units[id]
 			if u.state == unitLeased && u.owner == h.WorkerID {
 				u.deadline = now.Add(c.opts.LeaseTTL)
+				c.expiryKnown = false
 			}
 		}
 	}
@@ -781,10 +918,13 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 				u.state = unitPending
 				u.owner = ""
 				c.leased--
+				c.expiryKnown = false
 				c.pending = append(c.pending, u)
 			}
 		}
 		wi.outstanding = 0
+		// Its units are pending again, and the fleet may now be drained.
+		c.wakeLocked()
 	}
 	c.mu.Unlock()
 	w.WriteHeader(http.StatusOK)

@@ -1,0 +1,446 @@
+package cluster
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"faultspace/internal/campaign"
+	"faultspace/internal/telemetry"
+)
+
+// oneUnitCoordinator serves a campaign carved into a single unit, so a
+// second asker always draws UnitWait while the first holds the lease.
+func oneUnitCoordinator(t *testing.T, opts Options) (*Coordinator, *httptest.Server, []campaign.Outcome) {
+	t.Helper()
+	tgt, golden, fs := testCampaign(t, "hi")
+	want, err := campaign.FullScan(tgt, golden, fs, campaign.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.UnitSize = len(fs.Classes)
+	opts.MaxGoldenCycles = testMaxGolden
+	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	t.Cleanup(srv.Close)
+	return coord, srv, want.Outcomes
+}
+
+// askLease posts one lease request with the given query ("" or
+// "?wait=...") and returns the answer, the HTTP status and how long the
+// server took.
+func askLease(t *testing.T, url, query string, id [32]byte, workerID string) (WorkUnit, int, time.Duration) {
+	t.Helper()
+	start := time.Now()
+	resp, err := http.Post(url+"/v1/lease"+query, "application/octet-stream",
+		bytes.NewReader(EncodeLeaseRequest(LeaseRequest{Identity: id, WorkerID: workerID})))
+	if err != nil {
+		t.Error(err)
+		return WorkUnit{}, 0, 0
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	took := time.Since(start)
+	if err != nil {
+		t.Error(err)
+		return WorkUnit{}, 0, took
+	}
+	if resp.StatusCode != http.StatusOK {
+		return WorkUnit{}, resp.StatusCode, took
+	}
+	u, err := DecodeWorkUnit(body)
+	if err != nil {
+		t.Error(err)
+	}
+	return u, resp.StatusCode, took
+}
+
+// postAs posts one protocol frame, which must be accepted.
+func postAs(t *testing.T, url, path string, frame []byte) {
+	t.Helper()
+	resp, err := http.Post(url+path, "application/octet-stream", bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: HTTP %d", path, resp.StatusCode)
+	}
+}
+
+func leaveAs(t *testing.T, url string, id [32]byte, workerID string) {
+	t.Helper()
+	postAs(t, url, "/v1/leave", EncodeLeaseRequest(LeaseRequest{Identity: id, WorkerID: workerID}))
+}
+
+// parkLease starts a held lease ask in the background and returns once
+// the coordinator reports it parked.
+func parkLease(t *testing.T, reg *telemetry.Registry, url string, id [32]byte, workerID string) <-chan WorkUnit {
+	t.Helper()
+	held := reg.Gauge("cluster.lease_held")
+	before := held.Value()
+	got := make(chan WorkUnit, 1)
+	go func() {
+		u, _, _ := askLease(t, url, "?wait=20s", id, workerID)
+		got <- u
+	}()
+	waitFor(t, "the lease request to park", func() bool { return held.Value() == before+1 })
+	return got
+}
+
+// prompt is "at once" in these tests. The parked requests below ask for
+// a 20 s hold, so a wake-up that got lost costs seconds; a second tells
+// that apart from a slow answer on a loaded machine, which a bound of
+// milliseconds would not. The measured delays are logged.
+const prompt = time.Second
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// answeredAtOnce receives the parked request's answer, which must come
+// promptly after the event that released it.
+func answeredAtOnce(t *testing.T, got <-chan WorkUnit, since time.Time, want uint8) WorkUnit {
+	t.Helper()
+	select {
+	case u := <-got:
+		d := time.Since(since)
+		t.Logf("parked lease answered %v after the event", d)
+		if d > prompt {
+			t.Errorf("parked lease answered %v after the event, want at once", d)
+		}
+		if u.Status != want {
+			t.Errorf("parked lease answered status %d, want %d", u.Status, want)
+		}
+		return u
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked lease was not released")
+		return WorkUnit{}
+	}
+}
+
+// TestHeldLeaseWakeConditions drives the lease endpoint at protocol
+// level: without ?wait= a would-be UnitWait is answered at once, exactly
+// as before; with it the request parks and is released at once by a
+// unit going back to pending, by the campaign finishing, by an
+// interrupt and by a seal, and by nothing else before the hold runs out.
+func TestHeldLeaseWakeConditions(t *testing.T) {
+	t.Run("no wait answers at once", func(t *testing.T) {
+		coord, srv, _ := oneUnitCoordinator(t, Options{})
+		if u := leaseAs(t, srv.URL, coord.Identity(), "holder"); u.Status != UnitGranted {
+			t.Fatalf("holder: status %d", u.Status)
+		}
+		u, _, took := askLease(t, srv.URL, "", coord.Identity(), "asker")
+		if u.Status != UnitWait || took > prompt {
+			t.Errorf("unheld ask: status %d after %v, want UnitWait at once", u.Status, took)
+		}
+	})
+
+	t.Run("hold runs out", func(t *testing.T) {
+		coord, srv, _ := oneUnitCoordinator(t, Options{})
+		leaseAs(t, srv.URL, coord.Identity(), "holder")
+		u, _, took := askLease(t, srv.URL, "?wait=60ms", coord.Identity(), "asker")
+		if u.Status != UnitWait || took < 60*time.Millisecond || took > time.Second {
+			t.Errorf("expired hold: status %d after %v, want UnitWait after the 60ms hold", u.Status, took)
+		}
+	})
+
+	t.Run("malformed wait", func(t *testing.T) {
+		coord, srv, _ := oneUnitCoordinator(t, Options{})
+		for _, q := range []string{"?wait=soon", "?wait=-1s"} {
+			if _, status, _ := askLease(t, srv.URL, q, coord.Identity(), "asker"); status != http.StatusBadRequest {
+				t.Errorf("%s: HTTP %d, want 400", q, status)
+			}
+		}
+	})
+
+	t.Run("peer leaves", func(t *testing.T) {
+		reg := telemetry.New()
+		coord, srv, _ := oneUnitCoordinator(t, Options{Telemetry: reg})
+		leaseAs(t, srv.URL, coord.Identity(), "holder")
+		got := parkLease(t, reg, srv.URL, coord.Identity(), "asker")
+		drained := make(chan bool, 1)
+		go func() { drained <- coord.WaitDrained(5 * time.Second) }()
+
+		event := time.Now()
+		leaveAs(t, srv.URL, coord.Identity(), "holder")
+		answeredAtOnce(t, got, event, UnitGranted)
+		if reg.Gauge("cluster.lease_held").Value() != 0 {
+			t.Error("cluster.lease_held must fall back to 0 once the request is answered")
+		}
+		if reg.Histogram("cluster.lease_hold").Count() != 1 {
+			t.Error("cluster.lease_hold must record the one hold")
+		}
+		// The asker now holds the unit, so the fleet is not drained; its own
+		// leave must release WaitDrained without a poll.
+		select {
+		case <-drained:
+			t.Fatal("WaitDrained returned while a worker was still joined")
+		case <-time.After(20 * time.Millisecond):
+		}
+		event = time.Now()
+		leaveAs(t, srv.URL, coord.Identity(), "asker")
+		select {
+		case ok := <-drained:
+			if !ok || time.Since(event) > prompt {
+				t.Errorf("WaitDrained = %v, %v after the last leave", ok, time.Since(event))
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("WaitDrained was not released by the last leave")
+		}
+	})
+
+	t.Run("campaign finishes", func(t *testing.T) {
+		reg := telemetry.New()
+		coord, srv, outcomes := oneUnitCoordinator(t, Options{Telemetry: reg})
+		u := leaseAs(t, srv.URL, coord.Identity(), "holder")
+		got := parkLease(t, reg, srv.URL, coord.Identity(), "asker")
+		event := time.Now()
+		submitAs(t, srv.URL, coord.Identity(), "holder", u, outcomes)
+		answeredAtOnce(t, got, event, UnitDone)
+	})
+
+	t.Run("interrupt", func(t *testing.T) {
+		reg := telemetry.New()
+		intr := make(chan struct{})
+		coord, srv, _ := oneUnitCoordinator(t, Options{Telemetry: reg, Interrupt: intr})
+		leaseAs(t, srv.URL, coord.Identity(), "holder")
+		got := parkLease(t, reg, srv.URL, coord.Identity(), "asker")
+		event := time.Now()
+		close(intr)
+		answeredAtOnce(t, got, event, UnitShutdown)
+	})
+
+	t.Run("seal", func(t *testing.T) {
+		reg := telemetry.New()
+		coord, srv, _ := oneUnitCoordinator(t, Options{Telemetry: reg})
+		leaseAs(t, srv.URL, coord.Identity(), "holder")
+		got := parkLease(t, reg, srv.URL, coord.Identity(), "asker")
+		event := time.Now()
+		coord.Seal()
+		answeredAtOnce(t, got, event, UnitShutdown)
+	})
+}
+
+// TestHeldLeaseReclaimsAtLeaseExpiry is the two-worker campaign of the
+// held-lease design: a peer takes the only unit and dies (no submit, no
+// heartbeat, no leave). The surviving worker draws UnitWait, parks — and
+// must be granted the unit when the dead peer's lease expires, not when
+// its own hold does: parked requests are what runs the reclaim now that
+// nobody polls. The idle stretch must show up as one worker.wait span
+// and leave every worker.lease span a plain round trip (invariant 15).
+func TestHeldLeaseReclaimsAtLeaseExpiry(t *testing.T) {
+	// Long enough that a round trip on a loaded machine stays well under
+	// half of it, which is what tells the spans apart below.
+	const ttl = 400 * time.Millisecond
+	reg := telemetry.New()
+	coord, srv, want := oneUnitCoordinator(t, Options{LeaseTTL: ttl, Telemetry: reg})
+
+	killed := time.Now()
+	if u := leaseAs(t, srv.URL, coord.Identity(), "victim"); u.Status != UnitGranted {
+		t.Fatalf("victim: status %d", u.Status)
+	}
+	var mu sync.Mutex
+	var answers []uint8
+	err := Join(srv.URL, WorkerOptions{ID: "survivor", onUnit: func(u WorkUnit) {
+		mu.Lock()
+		answers = append(answers, u.Status)
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatalf("survivor: %v", err)
+	}
+	took := time.Since(killed)
+	if took < ttl || took > ttl+time.Second {
+		t.Errorf("campaign finished %v after the victim's lease was granted; want just after its %v expiry", took, ttl)
+	}
+	// One unheld ask (UnitWait), one held ask that comes back with the
+	// unit, and the final UnitDone. A second UnitWait would mean the
+	// worker polled instead of parking.
+	if got, wantSeq := answers, []uint8{UnitWait, UnitGranted, UnitDone}; !bytes.Equal(got, wantSeq) {
+		t.Errorf("survivor's lease answers %v, want %v", got, wantSeq)
+	}
+	res, err := coord.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if res.Outcomes[i] != want[i] {
+			t.Fatalf("class %d: %v, want %v", i, res.Outcomes[i], want[i])
+		}
+	}
+	if got := coord.Snapshot().Reassignments; got != 1 {
+		t.Errorf("reassignments = %d, want 1", got)
+	}
+	if reg.Gauge("cluster.lease_held").Value() != 0 || reg.Histogram("cluster.lease_hold").Count() != 1 {
+		t.Errorf("hold metrics: held %d, holds %d; want 0 and 1",
+			reg.Gauge("cluster.lease_held").Value(), reg.Histogram("cluster.lease_hold").Count())
+	}
+
+	var waits int
+	spans, _ := coord.Timeline()
+	for _, sp := range spans {
+		if sp.Scope != "survivor" {
+			continue
+		}
+		switch sp.Name {
+		case "worker.wait":
+			waits++
+			if sp.Dur < ttl/2 {
+				t.Errorf("worker.wait span of %v does not cover the parked stretch", sp.Dur)
+			}
+		case "worker.lease":
+			if sp.Dur > ttl/2 {
+				t.Errorf("worker.lease span of %v contains parked time; it must stay a round trip", sp.Dur)
+			}
+		}
+	}
+	if waits != 1 {
+		t.Errorf("survivor shipped %d worker.wait spans, want 1", waits)
+	}
+}
+
+// TestInterruptReleasesParkedJoin: a worker parked on a held lease stops
+// as its Interrupt closes, and leaves no goroutine behind.
+func TestInterruptReleasesParkedJoin(t *testing.T) {
+	base := runtime.NumGoroutine()
+	reg := telemetry.New()
+	coord, srv, _ := oneUnitCoordinator(t, Options{Telemetry: reg})
+	leaseAs(t, srv.URL, coord.Identity(), "holder")
+	http.DefaultClient.CloseIdleConnections()
+
+	client := &http.Client{Transport: &http.Transport{}}
+	intr := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- Join(srv.URL, WorkerOptions{ID: "parked", Interrupt: intr, Client: client}) }()
+	waitFor(t, "the worker to park", func() bool { return reg.Gauge("cluster.lease_held").Value() == 1 })
+
+	closed := time.Now()
+	close(intr)
+	select {
+	case err := <-done:
+		if !errors.Is(err, campaign.ErrInterrupted) {
+			t.Errorf("Join: %v, want ErrInterrupted", err)
+		}
+		d := time.Since(closed)
+		t.Logf("Join returned %v after the interrupt", d)
+		if d > prompt {
+			t.Errorf("Join returned %v after the interrupt, want at once", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a parked lease delayed the interrupt")
+	}
+	waitFor(t, "the coordinator to notice the asker is gone", func() bool {
+		return reg.Gauge("cluster.lease_held").Value() == 0
+	})
+	client.CloseIdleConnections()
+	srv.Close()
+	waitFor(t, "goroutines to end", func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// TestHandshakeJoinsNamedWorker: a worker that names itself in the
+// handshake has joined from there on — between handshake and first lease
+// it rebuilds the campaign, and a coordinator whose campaign ends
+// meanwhile must wait for it (WaitDrained) instead of closing the door
+// on it. An anonymous handshake joins nobody, as ever.
+func TestHandshakeJoinsNamedWorker(t *testing.T) {
+	coord, srv, outcomes := oneUnitCoordinator(t, Options{})
+	postAs(t, srv.URL, "/v1/handshake", nil)
+	if !coord.WaitDrained(0) {
+		t.Fatal("an anonymous handshake must not join a worker")
+	}
+	postAs(t, srv.URL, "/v1/handshake?worker=late", nil)
+	if ws := coord.Snapshot().Workers; len(ws) != 1 || ws[0].ID != "late" {
+		t.Fatalf("workers after the named handshake: %+v, want late", ws)
+	}
+
+	// A peer runs the whole campaign and leaves while "late" rebuilds.
+	u := leaseAs(t, srv.URL, coord.Identity(), "peer")
+	submitAs(t, srv.URL, coord.Identity(), "peer", u, outcomes)
+	leaveAs(t, srv.URL, coord.Identity(), "peer")
+	if _, err := coord.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if coord.WaitDrained(20 * time.Millisecond) {
+		t.Fatal("WaitDrained returned before the handshaken worker fetched its done notice")
+	}
+	if u := leaseAs(t, srv.URL, coord.Identity(), "late"); u.Status != UnitDone {
+		t.Fatalf("late worker's lease: status %d, want UnitDone", u.Status)
+	}
+	leaveAs(t, srv.URL, coord.Identity(), "late")
+	if !coord.WaitDrained(0) {
+		t.Error("WaitDrained must return once the handshaken worker has left")
+	}
+}
+
+// TestNextExpiryCache: the cached earliest lease deadline equals a scan
+// over the units after everything that grants, extends or ends a lease —
+// the parked requests' timers and the reclaim rely on it.
+func TestNextExpiryCache(t *testing.T) {
+	const ttl = 150 * time.Millisecond
+	tgt, golden, fs := testCampaign(t, "hi")
+	want, err := campaign.FullScan(tgt, golden, fs, campaign.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{},
+		Options{UnitSize: 4, LeaseTTL: ttl, MaxGoldenCycles: testMaxGolden}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	id := coord.Identity()
+
+	check := func(after string) {
+		t.Helper()
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		var scan time.Time
+		for _, u := range coord.units {
+			if u.state == unitLeased && (scan.IsZero() || u.deadline.Before(scan)) {
+				scan = u.deadline
+			}
+		}
+		if got, _ := coord.nextExpiryLocked(); !got.Equal(scan) {
+			t.Errorf("after %s: cached earliest deadline %v, a scan finds %v", after, got, scan)
+		}
+	}
+	check("start")
+	a := leaseAs(t, srv.URL, id, "a")
+	check("first grant")
+	b := leaseAs(t, srv.URL, id, "b")
+	leaseAs(t, srv.URL, id, "c")
+	check("three grants")
+	postAs(t, srv.URL, "/v1/heartbeat", EncodeHeartbeat(Heartbeat{Identity: id, WorkerID: "a", Units: []uint64{a.ID}}))
+	check("heartbeat of the earliest lease")
+	submitAs(t, srv.URL, id, "b", b, want.Outcomes)
+	check("submit")
+	leaveAs(t, srv.URL, id, "c")
+	check("leave")
+	for leaseAs(t, srv.URL, id, "d").Status == UnitGranted {
+	}
+	check("everything leased")
+	// The rest expire together; the next ask reclaims and is granted one.
+	time.Sleep(ttl + 20*time.Millisecond)
+	if u := leaseAs(t, srv.URL, id, "e"); u.Status != UnitGranted {
+		t.Fatalf("ask after every lease expired: status %d, want a reclaimed unit", u.Status)
+	}
+	check("reclaim")
+}

@@ -21,7 +21,8 @@
 //
 //	POST /v1/handshake  → 'S' spec: everything a worker needs to rebuild
 //	                      the campaign (program, machine config, fault
-//	                      space kind, timeout budget, identity hash)
+//	                      space kind, timeout budget, identity hash);
+//	                      ?worker=<id> joins the worker from here on
 //	POST /v1/lease      'L' request → 'W' work unit (or wait/done/shutdown)
 //	POST /v1/submit     'U' submission → 200 (idempotent, duplicate-safe)
 //	POST /v1/heartbeat  'B' heartbeat → 200 (extends lease deadlines)
@@ -109,7 +110,7 @@ const (
 	// UnitGranted carries a leased work unit.
 	UnitGranted uint8 = iota
 	// UnitWait means no unit is available right now (all leased); the
-	// worker should poll again shortly.
+	// worker should ask again, held (?wait=, hold.go).
 	UnitWait
 	// UnitDone means the campaign is complete; the worker may exit.
 	UnitDone

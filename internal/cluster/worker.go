@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"sort"
 	"strings"
@@ -56,12 +58,9 @@ type WorkerOptions struct {
 	// MaxBackoff (defaults 50ms / 2s).
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// PollInterval is the wait between lease polls when every unit is
-	// leased out (default 200ms).
-	PollInterval time.Duration
 	// Interrupt, when closed, makes the worker stop abruptly — mid-unit,
-	// without submitting or deregistering, exactly like a crash. The
-	// lease-expiry path of the coordinator must absorb it.
+	// mid-request, without submitting or deregistering, exactly like a
+	// crash. The lease-expiry path of the coordinator must absorb it.
 	Interrupt <-chan struct{}
 	// Telemetry, when non-nil, instruments the worker's campaign engine
 	// (scan counters, outcome histograms, machine-pool reuse) across all
@@ -75,7 +74,9 @@ type WorkerOptions struct {
 	onUnit func(u WorkUnit)
 }
 
-func (o WorkerOptions) withDefaults() WorkerOptions {
+// WithDefaults returns the options with every unset field at its
+// default.
+func (o WorkerOptions) WithDefaults() WorkerOptions {
 	if o.ID == "" {
 		o.ID = fmt.Sprintf("w%d", os.Getpid())
 	}
@@ -87,9 +88,6 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	}
 	if o.MaxBackoff == 0 {
 		o.MaxBackoff = 2 * time.Second
-	}
-	if o.PollInterval == 0 {
-		o.PollInterval = 200 * time.Millisecond
 	}
 	if o.Client == nil {
 		o.Client = http.DefaultClient
@@ -107,10 +105,11 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 // early, campaign.ErrInterrupted when Options.Interrupt fired, and a
 // permanent error for admission or protocol failures.
 func Join(baseURL string, opts WorkerOptions) error {
-	opts = opts.withDefaults()
-	w := &worker{base: strings.TrimSuffix(baseURL, "/"), opts: opts}
-
-	body, err := w.post("/v1/handshake", nil)
+	w, stop := newWorker(baseURL, opts)
+	defer stop()
+	// Naming itself makes the worker a member of the fleet before its
+	// first lease (Coordinator.handleHandshake).
+	body, err := w.post("/v1/handshake?worker="+url.QueryEscape(w.opts.ID), nil)
 	if err != nil {
 		return err
 	}
@@ -118,7 +117,7 @@ func Join(baseURL string, opts WorkerOptions) error {
 	if err != nil {
 		return fmt.Errorf("cluster: handshake: %w", err)
 	}
-	return JoinCampaign(baseURL, spec, opts)
+	return w.join(spec)
 }
 
 // JoinCampaign runs the worker loop for a campaign whose spec was
@@ -127,22 +126,37 @@ func Join(baseURL string, opts WorkerOptions) error {
 // the campaign from the spec, verifies the identity hash and then
 // leases, executes and submits work units exactly like Join.
 func JoinCampaign(baseURL string, spec Spec, opts WorkerOptions) error {
-	opts = opts.withDefaults()
+	w, stop := newWorker(baseURL, opts)
+	defer stop()
+	return w.join(spec)
+}
+
+// newWorker builds a worker whose requests are cancelled by
+// opts.Interrupt; stop releases the context.
+func newWorker(baseURL string, opts WorkerOptions) (w *worker, stop func()) {
+	w = &worker{base: strings.TrimSuffix(baseURL, "/"), opts: opts.WithDefaults()}
+	w.ctx, stop = InterruptContext(opts.Interrupt)
+	return w, stop
+}
+
+func (w *worker) join(spec Spec) error {
 	if spec.Proto != ProtoVersion {
 		return fmt.Errorf("%w: coordinator speaks protocol %d, this worker %d", ErrRejected, spec.Proto, ProtoVersion)
 	}
-	w := &worker{base: strings.TrimSuffix(baseURL, "/"), opts: opts}
 	if err := w.rebuild(spec); err != nil {
 		return err
 	}
-	opts.Logf("worker %s: joined %s (%s, %d classes, %s space)",
-		opts.ID, w.base, spec.Name, len(w.space.Classes), w.space.Kind)
+	w.opts.Logf("worker %s: joined %s (%s, %d classes, %s space)",
+		w.opts.ID, w.base, spec.Name, len(w.space.Classes), w.space.Kind)
 	return w.loop()
 }
 
 type worker struct {
 	base string
 	opts WorkerOptions
+	// ctx carries every request; it is cancelled by opts.Interrupt, so a
+	// lease parked at the coordinator never delays an interrupt.
+	ctx context.Context
 
 	spec   Spec
 	target campaign.Target
@@ -155,10 +169,6 @@ type worker struct {
 	// is drained into every submission, so spans ride the existing result
 	// path to the coordinator instead of needing their own endpoint.
 	spans *telemetry.SpanRecorder
-	// waitStart anchors the current worker.wait span: set when the first
-	// UnitWait answer of an idle stretch arrives, cleared on any other
-	// answer.
-	waitStart time.Time
 }
 
 // rebuild reconstructs the campaign from the handshake spec via
@@ -199,37 +209,39 @@ func (w *worker) rebuild(spec Spec) error {
 
 func (w *worker) loop() error {
 	leaseReq := EncodeLeaseRequest(LeaseRequest{Identity: w.spec.Identity, WorkerID: w.opts.ID})
+	held := "/v1/lease" + HoldQuery(w.opts.Client)
 	for {
 		if w.interrupted() {
 			return campaign.ErrInterrupted
 		}
 		// Span the lease round trip: on a fleet whose units are small, the
 		// HTTP protocol overhead is where the wall time goes, and a timeline
-		// that leaves it dark would misattribute it to the scans.
+		// that leaves it dark would misattribute it to the scans. The ask
+		// carries no hold, so the span — and cluster.lease_rtt — is a round
+		// trip and nothing else.
 		sp := w.spans.Start("worker.lease")
-		body, err := w.post("/v1/lease", leaseReq)
+		u, err := w.lease("/v1/lease", leaseReq)
 		if err != nil {
 			return err
-		}
-		u, err := DecodeWorkUnit(body)
-		if err != nil {
-			return fmt.Errorf("cluster: lease: %w", err)
 		}
 		if sp.Live() {
 			sp.End("")
 		}
-		if w.opts.onUnit != nil {
-			w.opts.onUnit(u)
-		}
 		if u.Status == UnitWait {
-			if w.spans != nil && w.waitStart.IsZero() {
-				w.waitStart = time.Now()
+			// Every unit is leased out. Ask again, held: the coordinator
+			// parks the request until a unit is pending again or the campaign
+			// ends. One worker.wait span covers the whole idle stretch.
+			waitStart := time.Now()
+			for u.Status == UnitWait {
+				asked := time.Now()
+				if u, err = w.lease(held, leaseReq); err != nil {
+					return err
+				}
+				if u.Status == UnitWait && !Pace(asked, AskSpacing, w.opts.Interrupt) {
+					return campaign.ErrInterrupted
+				}
 			}
-		} else if !w.waitStart.IsZero() {
-			// The idle stretch ended — one worker.wait span covers all the
-			// consecutive UnitWait polls.
-			w.spans.Record("worker.wait", "", w.waitStart, time.Since(w.waitStart))
-			w.waitStart = time.Time{}
+			w.spans.Record("worker.wait", "", waitStart, time.Since(waitStart))
 		}
 		switch u.Status {
 		case UnitDone:
@@ -239,13 +251,6 @@ func (w *worker) loop() error {
 		case UnitShutdown:
 			w.leave(leaseReq)
 			return ErrShutdown
-		case UnitWait:
-			select {
-			case <-w.opts.Interrupt:
-				return campaign.ErrInterrupted
-			case <-time.After(w.opts.PollInterval):
-			}
-			continue
 		}
 
 		for _, ci := range u.Classes {
@@ -267,6 +272,22 @@ func (w *worker) loop() error {
 		}
 		w.opts.Logf("worker %s: unit %d done (%d classes)", w.opts.ID, u.ID, len(u.Classes))
 	}
+}
+
+// lease asks for a unit at path (with or without a hold).
+func (w *worker) lease(path string, leaseReq []byte) (WorkUnit, error) {
+	body, err := w.post(path, leaseReq)
+	if err != nil {
+		return WorkUnit{}, err
+	}
+	u, err := DecodeWorkUnit(body)
+	if err != nil {
+		return u, fmt.Errorf("cluster: lease: %w", err)
+	}
+	if w.opts.onUnit != nil {
+		w.opts.onUnit(u)
+	}
+	return u, nil
 }
 
 // runUnit executes one leased unit through the regular campaign
@@ -363,6 +384,10 @@ func (w *worker) post(path string, body []byte) ([]byte, error) {
 		}
 		resp, status, err := w.postOnce(path, body)
 		switch {
+		case err != nil && w.interrupted():
+			// The interrupt cancels requests in flight; that is not the
+			// coordinator failing.
+			return nil, campaign.ErrInterrupted
 		case err != nil:
 			lastErr = err
 		case status == http.StatusOK:
@@ -378,7 +403,12 @@ func (w *worker) post(path string, body []byte) ([]byte, error) {
 }
 
 func (w *worker) postOnce(path string, body []byte) ([]byte, int, error) {
-	resp, err := w.opts.Client.Post(w.base+path, "application/octet-stream", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(w.ctx, http.MethodPost, w.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, 0, err
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	resp, err := w.opts.Client.Do(req)
 	if err != nil {
 		return nil, 0, err
 	}

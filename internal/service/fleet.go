@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -29,7 +30,7 @@ const (
 	// FleetGranted carries the spec of the campaign assigned to the
 	// worker.
 	FleetGranted uint8 = iota
-	// FleetWait means no campaign is running right now; poll again.
+	// FleetWait means no campaign is running right now; ask again.
 	FleetWait
 	// FleetShutdown means the service is draining; the worker should
 	// exit.
@@ -151,13 +152,13 @@ type FleetOptions struct {
 	ID string
 	// Worker carries the per-campaign execution options (strategy,
 	// parallelism, predecode, retry budget). Identity, Interrupt
-	// and Telemetry interact with the fleet loop as described below.
+	// and Telemetry interact with the fleet loop as described below;
+	// BaseBackoff and MaxBackoff (defaults 50ms / 2s) also space the
+	// handshake retries after a transport failure.
 	Worker cluster.WorkerOptions
-	// PollInterval is the wait between handshakes when no campaign is
-	// running (default 200ms).
-	PollInterval time.Duration
-	// Interrupt, when closed, stops the fleet worker after the current
-	// campaign protocol step.
+	// Interrupt, when closed, stops the fleet worker at once: a held
+	// handshake is abandoned, a campaign in progress is dropped as
+	// cluster.WorkerOptions.Interrupt describes.
 	Interrupt <-chan struct{}
 	// TelemetryFor, when non-nil, selects the telemetry registry for
 	// each assigned campaign — the hook the service uses to point its
@@ -176,15 +177,13 @@ func (o FleetOptions) withDefaults() FleetOptions {
 	if o.ID == "" {
 		o.ID = fmt.Sprintf("f%d", os.Getpid())
 	}
-	if o.PollInterval == 0 {
-		o.PollInterval = 200 * time.Millisecond
-	}
 	if o.Client == nil {
 		o.Client = http.DefaultClient
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
+	o.Worker = o.Worker.WithDefaults()
 	return o
 }
 
@@ -193,28 +192,34 @@ func (o FleetOptions) withDefaults() FleetOptions {
 // that drains between two handshakes never gets to answer
 // FleetShutdown, so connection errors are the only signal left; the
 // budget mirrors the cluster worker's bounded request retries rather
-// than polling a dead address forever.
+// than asking a dead address forever.
 const fleetFailureBudget = 25
 
 // JoinFleet attaches a worker to a campaign service for the long haul:
 // it handshakes, runs whatever campaign the service assigns via
 // cluster.JoinCampaign, and re-handshakes for the next one when that
-// campaign completes or shuts down. It returns nil when the service
-// announces shutdown, cluster.ErrUnreachable when the service stays
-// unreachable across consecutive handshake attempts, and
-// campaign.ErrInterrupted when FleetOptions.Interrupt fires.
+// campaign completes or shuts down. The handshake is a held request:
+// the service parks it until a campaign is assignable or it drains, so
+// an idle worker starts on a submission at once instead of at its next
+// poll. It returns nil when the service announces shutdown,
+// cluster.ErrUnreachable when the service stays unreachable across
+// consecutive handshake attempts, and campaign.ErrInterrupted when
+// FleetOptions.Interrupt fires.
 func JoinFleet(baseURL string, opts FleetOptions) error {
 	opts = opts.withDefaults()
 	base := strings.TrimSuffix(baseURL, "/")
 	hello := EncodeFleetHello(FleetHello{WorkerID: opts.ID})
+	ctx, stop := cluster.InterruptContext(opts.Interrupt)
+	defer stop()
+	url := base + "/v1/handshake" + cluster.HoldQuery(opts.Client)
 	failures := 0
+	backoff := opts.Worker.BaseBackoff
 	for {
-		select {
-		case <-opts.Interrupt:
+		asked := time.Now()
+		resp, status, err := postOnce(ctx, opts.Client, url, hello)
+		if ctx.Err() != nil {
 			return campaign.ErrInterrupted
-		default:
 		}
-		resp, status, err := postOnce(opts.Client, base+"/v1/handshake", hello)
 		if err != nil || status != http.StatusOK {
 			if err == nil {
 				err = fmt.Errorf("service: handshake: HTTP %d", status)
@@ -224,12 +229,17 @@ func JoinFleet(baseURL string, opts FleetOptions) error {
 					cluster.ErrUnreachable, failures, err)
 			}
 			opts.Logf("fleet %s: handshake failed: %v", opts.ID, err)
-			if !sleepOrInterrupt(opts.PollInterval, opts.Interrupt) {
+			select {
+			case <-opts.Interrupt:
 				return campaign.ErrInterrupted
+			case <-time.After(backoff):
+			}
+			if backoff *= 2; backoff > opts.Worker.MaxBackoff {
+				backoff = opts.Worker.MaxBackoff
 			}
 			continue
 		}
-		failures = 0
+		failures, backoff = 0, opts.Worker.BaseBackoff
 		h, err := DecodeServiceHello(resp)
 		if err != nil {
 			return fmt.Errorf("service: handshake: %w", err)
@@ -239,7 +249,9 @@ func JoinFleet(baseURL string, opts FleetOptions) error {
 			opts.Logf("fleet %s: service shut down", opts.ID)
 			return nil
 		case FleetWait:
-			if !sleepOrInterrupt(opts.PollInterval, opts.Interrupt) {
+			// The hold ran out with nothing to do — or came back early from
+			// a service that does not hold; then wait out the spacing.
+			if !cluster.Pace(asked, cluster.AskSpacing, opts.Interrupt) {
 				return campaign.ErrInterrupted
 			}
 			continue
@@ -257,28 +269,20 @@ func JoinFleet(baseURL string, opts FleetOptions) error {
 			wopts.Telemetry = opts.TelemetryFor(spec)
 		}
 		err = cluster.JoinCampaign(base, spec, wopts)
-		switch {
-		case err == nil, errors.Is(err, cluster.ErrShutdown):
-			// Campaign finished or was cancelled; ask for the next one.
-		case errors.Is(err, campaign.ErrInterrupted):
-			return err
-		default:
+		if err != nil && !errors.Is(err, cluster.ErrShutdown) {
 			return err
 		}
+		// Campaign finished or was cancelled; ask for the next one.
 	}
 }
 
-func sleepOrInterrupt(d time.Duration, interrupt <-chan struct{}) bool {
-	select {
-	case <-interrupt:
-		return false
-	case <-time.After(d):
-		return true
+func postOnce(ctx context.Context, client *http.Client, url string, body []byte) ([]byte, int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, 0, err
 	}
-}
-
-func postOnce(client *http.Client, url string, body []byte) ([]byte, int, error) {
-	resp, err := client.Post(url, "application/octet-stream", bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/octet-stream")
+	resp, err := client.Do(req)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -103,9 +103,9 @@ type entry struct {
 	idHex  string
 	tenant string
 	spec   cluster.Spec
-	// specBytes is the encoded handshake frame handed to fleet workers;
-	// set when the campaign starts running (it carries the service's
-	// LeaseTTL).
+	// specBytes is the encoded handshake frame handed to fleet workers:
+	// set while the campaign is assignable, from its coordinator's start
+	// to its last outcome (it carries the service's LeaseTTL).
 	specBytes []byte
 
 	state  string
@@ -182,7 +182,11 @@ type Service struct {
 	active    []*entry // running campaigns
 	fleetPos  int      // round-robin position for fleet assignment
 	draining  bool
-	wg        sync.WaitGroup
+	// wake is closed and replaced (wakeLocked) when the answer a parked
+	// fleet handshake is waiting for may have changed: a campaign became
+	// assignable, or the service started draining.
+	wake chan struct{}
+	wg   sync.WaitGroup
 
 	telQueueDepth *telemetry.Gauge
 	telActive     *telemetry.Gauge
@@ -190,6 +194,8 @@ type Service struct {
 	telHits       *telemetry.Counter
 	telMisses     *telemetry.Counter
 	telStarved    *telemetry.Gauge
+	telHold       *telemetry.Histogram
+	telHeld       *telemetry.Gauge
 }
 
 // New opens the result archive and returns a ready-to-serve Service.
@@ -199,6 +205,7 @@ func New(opts Options) (*Service, error) {
 		opts:      opts,
 		campaigns: make(map[[32]byte]*entry),
 		queues:    make(map[string][]*entry),
+		wake:      make(chan struct{}),
 	}
 	if opts.Dir != "" {
 		st, err := OpenStore(opts.Dir, opts.MaxArchiveBytes)
@@ -214,6 +221,8 @@ func New(opts Options) (*Service, error) {
 	s.telHits = reg.Counter("service.archive_hits")
 	s.telMisses = reg.Counter("service.archive_misses")
 	s.telStarved = reg.Gauge("fleet.starved_tenants")
+	s.telHold = reg.Histogram("fleet.handshake_hold")
+	s.telHeld = reg.Gauge("fleet.handshake_held")
 	return s, nil
 }
 
@@ -396,8 +405,8 @@ func (s *Service) list(w http.ResponseWriter) {
 }
 
 // handleCampaign serves the per-campaign subpaths:
-// GET /v1/campaigns/<id>, GET /v1/campaigns/<id>/report and
-// POST /v1/campaigns/<id>/cancel.
+// GET /v1/campaigns/<id>[?wait=<dur>], GET /v1/campaigns/<id>/report,
+// GET /v1/campaigns/<id>/trace and POST /v1/campaigns/<id>/cancel.
 func (s *Service) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/campaigns/")
 	idHex, verb, _ := strings.Cut(rest, "/")
@@ -420,6 +429,22 @@ func (s *Service) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	case "":
 		if !cluster.RequireMethod(w, r, http.MethodGet) {
 			return
+		}
+		// With ?wait= the status is held until the campaign reaches a
+		// terminal state (or the hold runs out, or the client goes away):
+		// what WaitCampaign asks instead of polling.
+		hold, ok := cluster.ParseHold(w, r)
+		if !ok {
+			return
+		}
+		if hold > 0 {
+			t := time.NewTimer(hold)
+			select {
+			case <-e.done:
+			case <-t.C:
+			case <-r.Context().Done():
+			}
+			t.Stop()
 		}
 		s.mu.Lock()
 		st := s.statusLocked(e, true)
@@ -598,11 +623,18 @@ func (s *Service) runCampaign(e *entry) {
 	s.mu.Lock()
 	e.coord = coord
 	e.specBytes = cluster.EncodeSpec(spec)
+	s.wakeLocked() // the campaign is assignable: release the parked fleet
 	s.mu.Unlock()
 	s.opts.Telemetry.Tracef("campaign.started", "%s (%s)", e.spec.Name, e.idHex[:12])
 	s.opts.Logf("service: campaign %s (%s) started", e.spec.Name, e.idHex[:12])
 
 	res, err := coord.Wait()
+	// Nothing is left to hand out: stop assigning the campaign, so that a
+	// worker told done or shutdown parks on its next handshake instead of
+	// being granted this campaign again and again until it is retired.
+	s.mu.Lock()
+	e.specBytes = nil
+	s.mu.Unlock()
 	if err != nil {
 		// Interrupted: cancel endpoint or service drain. Keep the partial
 		// coordinator state for late worker traffic; archive nothing.
@@ -661,11 +693,14 @@ func (s *Service) retireLocked(e *entry) {
 // drainCoordinator gives the fleet a bounded grace period to see the
 // shutdown answer and deregister before the coordinator is sealed.
 func (s *Service) drainCoordinator(c *cluster.Coordinator) {
-	deadline := time.Now().Add(2 * s.opts.LeaseTTL)
-	for !c.Drained() && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	c.WaitDrained(2 * s.opts.LeaseTTL)
 	c.Seal()
+}
+
+// wakeLocked releases every parked fleet handshake to look again.
+func (s *Service) wakeLocked() {
+	close(s.wake)
+	s.wake = make(chan struct{})
 }
 
 // --- worker protocol -----------------------------------------------------
@@ -675,7 +710,10 @@ func (s *Service) drainCoordinator(c *cluster.Coordinator) {
 // campaign (chosen round-robin), or 503 + Retry-After when none is
 // running — the worker's bounded retry loop absorbs the wait. A body
 // carrying a FleetHello frame gets a ServiceHello back, which can also
-// say "wait" or "shutdown" explicitly (JoinFleet's protocol).
+// say "wait" or "shutdown" explicitly (JoinFleet's protocol). With
+// ?wait= a FleetHello that would be answered "wait" is parked until a
+// campaign becomes assignable, the service starts draining, the worker
+// goes away or the hold runs out (then "wait", as without a hold).
 func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 	if !cluster.RequireMethod(w, r, http.MethodPost) {
 		return
@@ -685,7 +723,9 @@ func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(body) == 0 {
-		spec, _ := s.pickCampaign()
+		s.mu.Lock()
+		spec, _ := s.pickCampaignLocked()
+		s.mu.Unlock()
 		if spec == nil {
 			s.retryAfter(w)
 			http.Error(w, "service: no campaign running", http.StatusServiceUnavailable)
@@ -700,8 +740,37 @@ func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "service: handshake: "+err.Error(), http.StatusBadRequest)
 		return
 	}
+	hold, ok := cluster.ParseHold(w, r)
+	if !ok {
+		return
+	}
+	asked := time.Now()
+
+	s.mu.Lock()
+	spec, draining := s.pickCampaignLocked()
+	if spec == nil && !draining && hold > 0 {
+		s.telHeld.Add(1)
+		t := time.NewTimer(hold)
+		for expired := false; spec == nil && !draining && !expired; {
+			wake := s.wake
+			s.mu.Unlock()
+			select {
+			case <-wake:
+			case <-t.C:
+				expired = true
+			case <-r.Context().Done():
+				expired = true
+			}
+			s.mu.Lock()
+			spec, draining = s.pickCampaignLocked()
+		}
+		t.Stop()
+		s.telHeld.Add(-1)
+		s.telHold.Observe(time.Since(asked))
+	}
+	s.mu.Unlock()
+
 	resp := ServiceHello{Status: FleetWait}
-	spec, draining := s.pickCampaign()
 	switch {
 	case draining:
 		resp.Status = FleetShutdown
@@ -714,11 +783,9 @@ func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 	w.Write(EncodeServiceHello(resp))
 }
 
-// pickCampaign chooses a running campaign round-robin for a handshaking
-// worker, spreading the fleet across concurrent campaigns.
-func (s *Service) pickCampaign() (spec []byte, draining bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// pickCampaignLocked chooses a running campaign round-robin for a
+// handshaking worker, spreading the fleet across concurrent campaigns.
+func (s *Service) pickCampaignLocked() (spec []byte, draining bool) {
 	if s.draining {
 		return nil, true
 	}
@@ -956,6 +1023,7 @@ func (s *Service) Shutdown() {
 		return
 	}
 	s.draining = true
+	s.wakeLocked() // parked handshakes answer FleetShutdown at once
 	for _, tenant := range s.ring {
 		for _, e := range s.queues[tenant] {
 			s.queued--

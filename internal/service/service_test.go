@@ -98,9 +98,8 @@ func startFleet(t testing.TB, svc *Service, url string, n int) (stop func()) {
 		go func(i int) {
 			defer wg.Done()
 			JoinFleet(url, FleetOptions{
-				ID:           fmt.Sprintf("fleet%d", i),
-				PollInterval: 10 * time.Millisecond,
-				Interrupt:    intr,
+				ID:        fmt.Sprintf("fleet%d", i),
+				Interrupt: intr,
 				TelemetryFor: func(spec cluster.Spec) *telemetry.Registry {
 					return svc.CampaignTelemetry(spec.Identity)
 				},
@@ -523,12 +522,14 @@ func TestUnknownWorkerIdentity(t *testing.T) {
 }
 
 // TestFleetUnreachableGivesUp: a fleet worker whose service vanished
-// for good stops polling after the failure budget instead of spinning
-// on a dead address forever.
+// for good stops asking after the failure budget instead of spinning on
+// a dead address forever.
 func TestFleetUnreachableGivesUp(t *testing.T) {
 	srv := httptest.NewServer(http.NotFoundHandler())
 	srv.Close() // nothing listens here any more
-	err := JoinFleet(srv.URL, FleetOptions{PollInterval: time.Millisecond})
+	err := JoinFleet(srv.URL, FleetOptions{Worker: cluster.WorkerOptions{
+		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
+	}})
 	if !errors.Is(err, cluster.ErrUnreachable) {
 		t.Fatalf("JoinFleet against a dead service: %v, want ErrUnreachable", err)
 	}
@@ -596,10 +597,9 @@ func TestFleetForkStrategy(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		JoinFleet(srv.URL, FleetOptions{
-			ID:           "fork-fleet",
-			PollInterval: 10 * time.Millisecond,
-			Interrupt:    intr,
-			Worker:       cluster.WorkerOptions{Strategy: campaign.StrategyFork},
+			ID:        "fork-fleet",
+			Interrupt: intr,
+			Worker:    cluster.WorkerOptions{Strategy: campaign.StrategyFork},
 			TelemetryFor: func(s cluster.Spec) *telemetry.Registry {
 				return svc.CampaignTelemetry(s.Identity)
 			},

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,14 +14,18 @@ import (
 
 // serveAndJoin runs a distributed scan over loopback HTTP: ServeScan in
 // this goroutine, nWorkers JoinScan workers in the background. The
-// worker errors are reported through t.
+// worker errors are reported through t. No worker asks for work before
+// all have joined: ServeScan waits for every worker that has joined to
+// fetch its done notice, and for none that has not, so a worker still on
+// its way when the others finish a small campaign would find nobody.
 func serveAndJoin(t *testing.T, prog *Program, opts ServeOptions, nWorkers int) *ScanResult {
 	t.Helper()
 	addrCh := make(chan string, 1)
 	opts.OnListen = func(addr string) { addrCh <- addr }
 
-	var wg sync.WaitGroup
+	var wg, joined sync.WaitGroup
 	wg.Add(nWorkers)
+	joined.Add(nWorkers)
 	workerErrs := make([]error, nWorkers)
 	go func() {
 		addr := <-addrCh
@@ -28,6 +33,16 @@ func serveAndJoin(t *testing.T, prog *Program, opts ServeOptions, nWorkers int) 
 			go func(i int) {
 				defer wg.Done()
 				jopts := JoinOptions{WorkerID: string(rune('a' + i))}
+				// The "joined" line follows the handshake and precedes the
+				// first lease.
+				var once sync.Once
+				defer once.Do(joined.Done)
+				jopts.Logf = func(format string, _ ...any) {
+					if strings.Contains(format, "joined") {
+						once.Do(joined.Done)
+						joined.Wait()
+					}
+				}
 				if i%2 == 1 { // mixed strategies across the cluster
 					jopts.Strategy = StrategyRerun
 				}

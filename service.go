@@ -2,6 +2,7 @@ package faultspace
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -214,8 +215,19 @@ func SubmitCampaign(addr string, p *Program, opts ScanOptions, tenant string) (C
 
 // CampaignState fetches one campaign's current state from a service.
 func CampaignState(addr, id string) (CampaignInfo, error) {
+	return campaignState(context.Background(), addr, id, "")
+}
+
+// campaignState fetches a campaign's state; query is "" or a ?wait=
+// hold request.
+func campaignState(ctx context.Context, addr, id, query string) (CampaignInfo, error) {
 	var info CampaignInfo
-	resp, err := http.Get(normalizeURL(addr) + "/v1/campaigns/" + url.PathEscape(id))
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+		normalizeURL(addr)+"/v1/campaigns/"+url.PathEscape(id)+query, nil)
+	if err != nil {
+		return info, fmt.Errorf("faultspace: %w", err)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return info, fmt.Errorf("faultspace: %w", err)
 	}
@@ -233,24 +245,32 @@ func CampaignState(addr, id string) (CampaignInfo, error) {
 	return info, nil
 }
 
-// WaitCampaign polls a campaign until it reaches a terminal state or
-// interrupt is closed.
-func WaitCampaign(addr, id string, poll time.Duration, interrupt <-chan struct{}) (CampaignInfo, error) {
-	if poll <= 0 {
-		poll = 500 * time.Millisecond
+// WaitCampaign waits until a campaign reaches a terminal state or
+// interrupt is closed. It asks the service to hold the status request
+// until the campaign ends, so it returns as the campaign does; spacing
+// (default 500ms) is only the least time between two asks when an answer
+// comes back early, as from a service that does not hold requests.
+func WaitCampaign(addr, id string, spacing time.Duration, interrupt <-chan struct{}) (CampaignInfo, error) {
+	if spacing <= 0 {
+		spacing = 500 * time.Millisecond
 	}
+	ctx, stop := cluster.InterruptContext(interrupt)
+	defer stop()
+	query := cluster.HoldQuery(http.DefaultClient)
 	for {
-		info, err := CampaignState(addr, id)
+		asked := time.Now()
+		info, err := campaignState(ctx, addr, id, query)
+		if ctx.Err() != nil {
+			return info, fmt.Errorf("faultspace: %w", ErrInterrupted)
+		}
 		if err != nil {
 			return info, err
 		}
 		if info.Terminal() {
 			return info, nil
 		}
-		select {
-		case <-interrupt:
+		if !cluster.Pace(asked, spacing, interrupt) {
 			return info, fmt.Errorf("faultspace: %w", ErrInterrupted)
-		case <-time.After(poll):
 		}
 	}
 }
@@ -280,9 +300,6 @@ const maxReportBytes = 16 << 20
 // keep their JoinScan meaning per assigned campaign.
 type FleetOptions struct {
 	JoinOptions
-	// PollInterval is the wait between handshakes while no campaign is
-	// running (default 200ms).
-	PollInterval time.Duration
 }
 
 // JoinServiceFleet attaches this process to a campaign service as a
@@ -300,11 +317,10 @@ func JoinServiceFleet(addr string, opts FleetOptions) error {
 		Telemetry:      opts.Telemetry,
 	}
 	err := service.JoinFleet(normalizeURL(addr), service.FleetOptions{
-		ID:           opts.WorkerID,
-		Worker:       wopts,
-		PollInterval: opts.PollInterval,
-		Interrupt:    opts.Interrupt,
-		Logf:         opts.Logf,
+		ID:        opts.WorkerID,
+		Worker:    wopts,
+		Interrupt: opts.Interrupt,
+		Logf:      opts.Logf,
 	})
 	if err != nil {
 		return fmt.Errorf("faultspace: %w", err)
