@@ -55,7 +55,10 @@ race-observability:
 # service archive entries must error, never panic), the ladder
 # delta-restore engine (random
 # programs + random restore/flip/run sequences must reproduce full-
-# snapshot state bit-for-bit), and the predecode fast path under
+# snapshot state bit-for-bit), the any-cycle golden match (random
+# self-repairing programs, timers and faults: whenever the matcher names a
+# golden cycle, running the child out must reproduce the composed halt,
+# output, counters and final cycle), and the predecode fast path under
 # self-modifying stores and code-region bit flips (the pre-decoded
 # dispatch stream must stay lockstep-identical to the plain decoder
 # through precise invalidation). The attack-space coordinate codecs are
@@ -68,6 +71,7 @@ fuzz-smoke:
 	$(GO) test ./internal/service -run='^$$' -fuzz=FuzzArchiveEntryDecode -fuzztime=10s
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzDeltaRestore -fuzztime=10s
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzForkClone -fuzztime=10s
+	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzShiftedReconverge -fuzztime=10s
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzPredecodeSelfModify -fuzztime=10s
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzBurstMaskDecode -fuzztime=10s
 	$(GO) test ./internal/pruning -run='^$$' -fuzz=FuzzSkipCoordinateRoundTrip -fuzztime=10s
@@ -81,7 +85,9 @@ bench-telemetry:
 # One un-calibrated iteration of every BenchmarkFullScan row — {rerun,
 # fork, fork+pre, fork+pre+trace} on the two Figure-2 kernels and their
 # SUM+DMR-hardened variants — so a broken executor configuration fails
-# `make check` instead of being discovered at the next bench run. The
+# `make check` instead of being discovered at the next bench run; the
+# hardened fork rows fail on a count, shifted/op == 0, so does a silently
+# disabled any-cycle match. The
 # benchmark writes nothing; tracked numbers live under bench/. Then three
 # campaigns through an idle loopback service (BenchmarkServiceSubmitToReport):
 # the hand-offs on the submit→report path are held requests, and the

@@ -245,20 +245,23 @@ var scanBenchSizes = experiments.Figure2Config{
 // configuration on the two Figure-2 kernels and their SUM+DMR-hardened
 // variants. It is an ablation for working on the executor, not a tracked
 // ruler — bench/ is (see bench/README.md) — and writes nothing. The
-// hardened rows are here because they are the inputs where no experiment
-// reconverges, so the faulty suffix (and the loop detector's probe
-// back-off) is all there is; the +trace rows rerun the accelerated
-// configuration with span tracing enabled, which must stay within noise
-// of the blind one.
+// hardened rows are here because nearly every experiment on them is
+// detected, corrected and rejoins the golden run a correction path late:
+// they report shifted/op, the experiments composed from such a shifted
+// match, and a fork row fails when that count is zero — so a silently
+// disabled any-cycle match fails `make bench-smoke` by a count, not a
+// timing. The +trace rows rerun the accelerated configuration with span
+// tracing enabled, which must stay within noise of the blind one.
 func BenchmarkFullScan(b *testing.B) {
 	benches := []struct {
-		name  string
-		build func() (*asm.Program, error)
+		name     string
+		build    func() (*asm.Program, error)
+		hardened bool
 	}{
-		{"bin_sem2", progs.BinSem2(scanBenchSizes.BinSemRounds).Baseline},
-		{"sync2", progs.Sync2(scanBenchSizes.SyncRounds, scanBenchSizes.SyncBufBytes).Baseline},
-		{"bin_sem2+sum+dmr", progs.BinSem2(benchSizes.BinSemRounds).Hardened},
-		{"sync2+sum+dmr", progs.Sync2(benchSizes.SyncRounds, benchSizes.SyncBufBytes).Hardened},
+		{"bin_sem2", progs.BinSem2(scanBenchSizes.BinSemRounds).Baseline, false},
+		{"sync2", progs.Sync2(scanBenchSizes.SyncRounds, scanBenchSizes.SyncBufBytes).Baseline, false},
+		{"bin_sem2+sum+dmr", progs.BinSem2(benchSizes.BinSemRounds).Hardened, true},
+		{"sync2+sum+dmr", progs.Sync2(benchSizes.SyncRounds, benchSizes.SyncBufBytes).Hardened, true},
 	}
 	configs := []struct {
 		name      string
@@ -305,6 +308,13 @@ func BenchmarkFullScan(b *testing.B) {
 				b.ReportMetric(float64(classes), "classes")
 				b.ReportMetric(float64(counters["ladder.reconverged"])/float64(b.N), "reconverged/op")
 				b.ReportMetric(float64(counters["ladder.loop_proofs"])/float64(b.N), "loop-proofs/op")
+				if bench.hardened {
+					shifted := counters["ladder.reconverged_shifted"]
+					b.ReportMetric(float64(shifted)/float64(b.N), "shifted/op")
+					if shifted == 0 && c.strat == faultspace.StrategyFork {
+						b.Fatalf("no experiment of %d reconverged shifted: the any-cycle golden match is off", classes)
+					}
+				}
 			})
 		}
 	}

@@ -67,8 +67,9 @@ func scanBytes(t *testing.T, res *ScanResult) []byte {
 
 // TestStrategyEquivalenceAllBenchmarks is the differential executor-
 // equivalence matrix (DESIGN.md invariant 6): for every bundled
-// benchmark × every fault-space kind, plus the SUM+DMR-hardened Figure-2
-// kernels, every executor configuration — {fork, rerun} × {predecode
+// benchmark × every fault-space kind, plus hardened rows (SUM+DMR and
+// TMR variants, memory, register and PC spaces) whose experiments
+// reconverge shifted, every executor configuration — {fork, rerun} × {predecode
 // on/off}, an explicit rung interval, telemetry-instrumented and
 // span-traced variants — must archive byte-identically to the naive
 // plain-decoder rerun reference. This is the invariant that justifies
@@ -84,29 +85,60 @@ func TestStrategyEquivalenceAllBenchmarks(t *testing.T) {
 			}
 		})
 	}
-	// Hardened programs are the paper's Figure 2 subject and the one
-	// input class where no experiment ever reconverges with the golden
-	// run: every fault is detected and corrected, so the suffix runs to
-	// the halt under the loop detector's back-off instead of composing
-	// at a rung.
-	for _, name := range []string{"bin_sem2", "sync2"} {
-		t.Run(name+"/sum+dmr", func(t *testing.T) {
-			spec, err := progs.Resolve(name, equivSizes)
+	// Hardened programs are the paper's Figure 2 subject and the input
+	// class where nearly every experiment reconverges SHIFTED: the fault
+	// is detected and corrected, which costs cycles the golden run never
+	// spent, so the state rejoins the golden run a correction path late
+	// and the outcome is composed from there. One row per mechanism the
+	// shifted match has to get right: the two Figure 2 kernels, the
+	// timer-driven programs (relative deadline), a second hardening
+	// scheme, and the register and PC spaces (faults outside RAM).
+	for _, row := range []struct {
+		name  string
+		tmr   bool
+		space SpaceKind
+	}{
+		{"bin_sem2", false, SpaceMemory},
+		{"sync2", false, SpaceMemory},
+		{"clock1", false, SpaceMemory},
+		{"preempt1", false, SpaceMemory},
+		{"mbox1", false, SpaceMemory},
+		{"bin_sem2", true, SpaceMemory},
+		{"bin_sem2", false, SpaceRegisters},
+		{"bin_sem2", false, SpacePC},
+	} {
+		label := row.name + "/sum+dmr"
+		if row.tmr {
+			label = row.name + "/tmr"
+		}
+		if row.space != SpaceMemory {
+			label += "/" + row.space.String()
+		}
+		t.Run(label, func(t *testing.T) {
+			spec, err := progs.Resolve(row.name, equivSizes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, err := spec.Hardened()
+			build := spec.Hardened
+			if row.tmr {
+				build = spec.HardenedTMR
+			}
+			prog, err := build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkExecutorEquivalence(t, prog, SpaceMemory)
+			if shifted := checkExecutorEquivalence(t, prog, row.space); shifted == 0 {
+				t.Error("no experiment reconverged shifted: the row does not exercise the any-cycle match")
+			}
 		})
 	}
 }
 
 // checkExecutorEquivalence runs one cell of the matrix: one program, one
 // fault space, every executor configuration against the rerun reference.
-func checkExecutorEquivalence(t *testing.T, prog *Program, space SpaceKind) {
+// It returns how many experiments the instrumented fork scan composed
+// from a shifted match.
+func checkExecutorEquivalence(t *testing.T, prog *Program, space SpaceKind) (shifted uint64) {
 	t.Helper()
 	rerun, err := Scan(prog, ScanOptions{Space: space, Strategy: StrategyRerun})
 	if err != nil {
@@ -124,8 +156,8 @@ func checkExecutorEquivalence(t *testing.T, prog *Program, space SpaceKind) {
 		{label: "fork+pre", opts: ScanOptions{Space: space, Strategy: StrategyFork, Predecode: true}},
 		{label: "rerun+pre", opts: ScanOptions{Space: space, Strategy: StrategyRerun, Predecode: true}},
 		// An explicit rung interval reshapes the fork carving — more
-		// rungs, smaller batches, more reconvergence checkpoints;
-		// outcomes must not care.
+		// rungs, smaller units — and, below the default probe spacing,
+		// makes the probes denser; outcomes must not care.
 		{label: "fork/7+pre", opts: ScanOptions{Space: space, Strategy: StrategyFork,
 			LadderInterval: 7, Predecode: true}},
 	}
@@ -166,6 +198,7 @@ func checkExecutorEquivalence(t *testing.T, prog *Program, space SpaceKind) {
 			if exp := snap.Counters["scan.experiments"]; exp != uint64(len(got.Space.Classes)) {
 				t.Errorf("%s: scan.experiments = %d, want %d", label, exp, len(got.Space.Classes))
 			}
+			shifted += snap.Counters["ladder.reconverged_shifted"]
 		}
 		if tc.trace {
 			spans := reg.SpanRecorder().Spans()
@@ -180,6 +213,7 @@ func checkExecutorEquivalence(t *testing.T, prog *Program, space SpaceKind) {
 			}
 		}
 	}
+	return shifted
 }
 
 // TestObjectiveStrategyEquivalence pins the objective soundness contract

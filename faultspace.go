@@ -188,7 +188,8 @@ type ScanOptions struct {
 	Strategy Strategy
 	// LadderInterval is StrategyFork's rung spacing in cycles — the
 	// distance between the golden-run snapshots that anchor its batches
-	// and reconvergence checks; 0 auto-tunes from the golden-trace length.
+	// (and, below 64 cycles, between a faulty run's first probes); 0
+	// auto-tunes from the golden-trace length.
 	LadderInterval uint64
 	// Predecode enables the simulator's pre-decoded dispatch stream: the
 	// program is lowered once per worker machine into a dense instruction

@@ -177,78 +177,65 @@ func classifyHaltedParts(prefix, suffix []byte, detects, corrects uint64, golden
 	return OutcomeSDC
 }
 
-// classifyConverged classifies an experiment whose machine state
-// reconverged with the golden run at ladder rung r (StateMatches): the
-// continuation is a cycle-for-cycle golden replay ending in a normal
-// halt, so the final serial output and event counters are the current
-// values plus the golden remainder — no further simulation needed. The
-// two serial parts are compared in place (classifyHaltedParts), never
-// concatenated, keeping the reconvergence path allocation-free — it
-// sits on the scan hot path (TestClassifyConvergedAllocFree).
-// Serial-flood is no concern: if the composed output exceeded the
-// machine's serial cap it necessarily differs from the golden output,
-// and both the real run (ExcSerialLimit) and classifyHaltedParts call
-// that SDC.
-func classifyConverged(m *machine.Machine, l *machine.Ladder, r int, golden *trace.Golden, obj *Objective) Outcome {
-	serialLen, gdet, gcor := l.RungAccum(r)
-	suffix := golden.Serial[serialLen:]
-	detects := m.DetectCount() + (golden.Detects - gdet)
-	corrects := m.CorrectCount() + (golden.Corrects - gcor)
+// classifyConverged classifies an experiment whose machine state equals
+// the golden run's at the matched cycle `at` (machine.Matcher): the
+// continuation is the golden run's from there, cycle for cycle, ending
+// in a normal halt, so the final serial output and event counters are
+// the current values plus the golden remainder — no further simulation
+// needed. The caller has checked that the remainder fits the cycle
+// budget and the serial cap (composable); within them the composed run
+// is exactly the one a run-out would produce. The two serial parts are
+// compared in place (classifyHaltedParts), never concatenated, keeping
+// the reconvergence path allocation-free — it sits on the scan hot path
+// (TestClassifyConvergedAllocFree).
+func classifyConverged(m *machine.Machine, at machine.GoldenPoint, golden *trace.Golden, obj *Objective) Outcome {
+	suffix := golden.Serial[at.SerialLen:]
+	detects := m.DetectCount() + (golden.Detects - at.Detects)
+	corrects := m.CorrectCount() + (golden.Corrects - at.Corrects)
 	base := classifyHaltedParts(m.SerialView(), suffix, detects, corrects, golden)
 	return obj.apply(base, machine.StatusHalted, machine.ExcNone,
 		m.SerialLen()+len(suffix), detects, corrects, golden)
 }
 
-// runConverge finishes an injected experiment for the fork provider: it
-// advances the machine rung by rung, checking for reconvergence with the
-// golden state at each rung boundary; once the state matches a rung, the
-// outcome is composed from the golden trace without simulating the
-// remainder. A run that survives past the last rung — it outlived the
-// golden run, so it can only halt abnormally or time out — is driven
-// toward the cycle budget under loop detection, which proves most
-// Timeout verdicts as soon as the spin loop closes instead of simulating
-// the full budget. Loop detection starts early: from the first rung
-// whose convergence check fails — most faults that spin forever enter
-// their loop well before the golden run's end, and an exact-state
-// recurrence is an equally sound infinity proof at any cycle (the
-// objective layer masks serial/counter observables for non-halted runs,
-// so proof timing is unobservable). Converging experiments never pay a
-// single probe; runs that neither converge nor loop pay a geometrically
-// thinning number of them (machine.LoopDetector's back-off). Neither
-// shortcut changes any outcome relative to rerun: reconvergence implies
-// a golden continuation, and state recurrence implies the budget is
-// unreachable.
+// composable reports whether a run matched to golden cycle `at` really
+// ends the way the golden remainder does — in a halt. Two limits the
+// golden run never met can cut the shifted continuation short: the halt
+// would retire at cycle m.Cycles() + (Δt − at.Cycle), which must not lie
+// past the timeout budget (else the run is a Timeout), and the output
+// would grow to the current length plus the golden remainder, which must
+// not exceed the machine's serial cap (else it ends in ExcSerialLimit).
+// A match that fails either is not composed; the run simply continues.
+func composable(m *machine.Machine, at machine.GoldenPoint, golden *trace.Golden, budget uint64) bool {
+	return m.Cycles()+(golden.Cycles-at.Cycle) <= budget &&
+		m.SerialLen()+(len(golden.Serial)-at.SerialLen) <= m.MaxSerial()
+}
+
+// runConverge finishes an injected experiment for the fork provider in
+// one probe loop: the machine advances on the loop detector's backed-off
+// schedule, and at every stop two shortcuts are tried, cheapest first.
+// The matcher asks whether the state equals the golden run's at ANY
+// cycle; if it does (and the remainder is composable) the outcome is
+// composed from the golden trace without simulating it — a masked fault
+// rejoins at its own cycle, a detected-and-corrected one a correction
+// path's worth of cycles late. Otherwise the loop detector asks whether
+// the state recurred, which proves a Timeout verdict as soon as the spin
+// loop closes instead of simulating the full budget (the objective layer
+// masks serial/counter observables for non-halted runs, so proof timing
+// is unobservable). Neither shortcut changes any outcome relative to
+// rerun: a match implies a golden continuation, and state recurrence
+// implies the budget is unreachable.
 //
 // st counts which shortcut, if any, settled the outcome.
-func runConverge(m *machine.Machine, l *machine.Ladder, golden *trace.Golden, budget uint64, obj *Objective, det *machine.LoopDetector, st *scanTel) Outcome {
-	probing := false
-	for r := l.Find(m.Cycles()) + 1; r < l.Rungs(); r++ {
-		if probing {
-			if det.RunDetectLoop(m, l.RungCycle(r)) {
-				st.loopProofs.Inc()
-				return classify(m, golden, obj)
-			}
-			if m.Status() != machine.StatusRunning {
-				break
-			}
-		} else if m.Run(l.RungCycle(r)) != machine.StatusRunning {
-			break
+func runConverge(m *machine.Machine, mt *machine.Matcher, golden *trace.Golden, budget uint64, obj *Objective, det *machine.LoopDetector, st *scanTel) Outcome {
+	det.Reset()
+	for det.RunToProbe(m, budget) {
+		if at, ok := mt.Match(); ok && composable(m, at, golden, budget) {
+			st.converged(m.Cycles(), at.Cycle)
+			return classifyConverged(m, at, golden, obj)
 		}
-		if l.StateMatches(m, r) {
-			st.reconverged.Inc()
-			return classifyConverged(m, l, r, golden, obj)
-		}
-		if !probing {
-			probing = true
-			det.Reset()
-		}
-	}
-	if m.Status() == machine.StatusRunning && m.Cycles() < budget {
-		if !probing {
-			det.Reset()
-		}
-		if det.RunDetectLoop(m, budget) {
+		if det.Probe(m) {
 			st.loopProofs.Inc()
+			break
 		}
 	}
 	// A machine still running here either exhausted the budget or was

@@ -99,47 +99,46 @@ func TestClassifySerialFlood(t *testing.T) {
 	}
 }
 
-// TestClassifyConvergedAllocFree pins the reconvergence classification
-// as allocation-free: under the ladder and fork strategies most
-// experiments end through classifyConverged, so a single allocation
-// there (the old code concatenated prefix and golden-suffix serial)
-// puts garbage on the scan hot path. The faultless machine below
-// matches the golden rung state by construction.
-func TestClassifyConvergedAllocFree(t *testing.T) {
-	target := hiTarget(t)
-	golden, _ := prepare(t, target)
-	pioneer, err := target.newMachine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	interval := (golden.Cycles + 3) / 4 // a handful of rungs regardless of target size
-	ladder := machine.NewLadder(pioneer)
-	for next := interval; next < golden.Cycles; next += interval {
-		if status := pioneer.Run(next); status != machine.StatusRunning {
-			t.Fatalf("golden replay ended early at cycle %d (%s)", pioneer.Cycles(), status)
-		}
-		ladder.Capture(pioneer)
-	}
-	if ladder.Rungs() < 2 {
-		t.Fatalf("need at least 2 rungs, got %d", ladder.Rungs())
-	}
+func newTestMachine(t *testing.T, target Target) *machine.Machine {
+	t.Helper()
 	m, err := target.newMachine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := ladder.Rungs() - 1
-	m.Run(ladder.RungCycle(r))
-	if !ladder.StateMatches(m, r) {
-		t.Fatal("faultless replay must match the golden rung state")
+	return m
+}
+
+// TestClassifyConvergedAllocFree pins the reconvergence path — golden
+// match, composition guards, classification — as allocation-free: under
+// the fork strategy most experiments end through it, so a single
+// allocation there (the old code concatenated prefix and golden-suffix
+// serial) puts garbage on the scan hot path. The faultless child below
+// matches the golden state of its own cycle by construction.
+func TestClassifyConvergedAllocFree(t *testing.T) {
+	target := hiTarget(t)
+	golden, _ := prepare(t, target)
+	pioneer, parent, child := newTestMachine(t, target), newTestMachine(t, target), newTestMachine(t, target)
+	_, index, err := buildLadder(pioneer, golden, golden.Cycles)
+	if err != nil {
+		t.Fatal(err)
 	}
+	forker := machine.NewForker(parent, child)
+	matcher := index.NewMatcher(forker)
+	parent.Run(golden.Cycles / 2)
+	forker.Fork()
+	budget := Config{}.withDefaults().timeoutBudget(golden.Cycles)
 	run := func() {
-		if o := classifyConverged(m, ladder, r, golden, nil); o != OutcomeNoEffect {
+		at, ok := matcher.Match()
+		if !ok || at.Cycle != child.Cycles() || !composable(child, at, golden, budget) {
+			t.Fatalf("faultless child matched %+v (ok=%v), want its own cycle %d", at, ok, child.Cycles())
+		}
+		if o := classifyConverged(child, at, golden, nil); o != OutcomeNoEffect {
 			t.Fatalf("faultless converged run classified %v, want No Effect", o)
 		}
 	}
 	run() // warm up lazily-allocated machine state
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-		t.Errorf("classifyConverged allocates %.1f times per run, want 0", allocs)
+		t.Errorf("the reconvergence path allocates %.1f times per run, want 0", allocs)
 	}
 }
 

@@ -26,6 +26,12 @@ type MachinePool struct {
 	mu    sync.Mutex
 	free  []*machine.Machine
 	reset *machine.Snapshot
+	// The golden pass of the last fork scan (buildLadder) at rung
+	// spacing `interval`: immutable and a function of the target alone,
+	// so the hundreds of RunClasses calls of one campaign share it.
+	interval uint64
+	ladder   *machine.Ladder
+	index    *machine.GoldenIndex
 	// reuse/alloc count Get calls served from the pool vs. freshly
 	// allocated; nil (no-op) until Instrument attaches a registry.
 	reuse *telemetry.Counter
@@ -91,6 +97,30 @@ func (p *MachinePool) Put(m *machine.Machine) {
 	}
 	p.mu.Lock()
 	p.free = append(p.free, m)
+	p.mu.Unlock()
+}
+
+// goldenPass returns the cached golden pass for the rung spacing, nil if
+// the pool (nil-safe) holds none.
+func (p *MachinePool) goldenPass(interval uint64) (*machine.Ladder, *machine.GoldenIndex) {
+	if p == nil {
+		return nil, nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.interval != interval {
+		return nil, nil
+	}
+	return p.ladder, p.index
+}
+
+// keepGoldenPass caches a golden pass for later scans; a nil pool drops it.
+func (p *MachinePool) keepGoldenPass(interval uint64, l *machine.Ladder, x *machine.GoldenIndex) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.interval, p.ladder, p.index = interval, l, x
 	p.mu.Unlock()
 }
 

@@ -116,20 +116,24 @@ func (p *resetProvider) end(unit) {}
 // splitting costs only one extra rung restore per forkBatchMax classes.
 const forkBatchMax = 512
 
+// probeInterval caps the initial spacing of a child's probes (golden
+// match, then loop detector), which back off from there. Denser probes
+// end a reconverged child sooner but tax every child that never rejoins
+// with a register hash and a RAM copy per probe; 64 cycles is where the
+// baseline campaigns stop paying for the hardened ones' gain. Short
+// golden runs are probed at the rung interval instead — a quarter of
+// their length unless set explicitly — so they still see a few probes.
+const probeInterval = 64
+
 // buildLadder replays the golden run once on the pioneer machine,
-// capturing a rung every interval cycles. Rungs stop strictly below the
-// final golden cycle: the latest state any experiment is positioned at
-// is slot-1 ≤ Δt-1, and the machine must still be running there.
-func buildLadder(pioneer *machine.Machine, golden *trace.Golden, interval uint64) (*machine.Ladder, error) {
-	ladder := machine.NewLadder(pioneer)
-	for next := interval; next < golden.Cycles; next += interval {
-		if status := pioneer.Run(next); status != machine.StatusRunning {
-			return nil, fmt.Errorf("campaign: golden replay ended early at cycle %d (status %s)",
-				pioneer.Cycles(), status)
-		}
-		ladder.Capture(pioneer)
+// capturing a rung every interval cycles and indexing every golden state
+// for the matcher, both strictly below the final golden cycle.
+func buildLadder(pioneer *machine.Machine, golden *trace.Golden, interval uint64) (*machine.Ladder, *machine.GoldenIndex, error) {
+	ladder, index, err := machine.CaptureGolden(pioneer, golden.Cycles, interval)
+	if err != nil {
+		return nil, nil, fmt.Errorf("campaign: %w", err)
 	}
-	return ladder, nil
+	return ladder, index, nil
 }
 
 // carveForkUnits splits the (Slot, Bit)-sorted todo list into
@@ -154,10 +158,10 @@ func carveForkUnits(l *machine.Ladder, fs *pruning.FaultSpace, todo []int) []uni
 // golden cursor: it restores a unit's rung once, then advances its
 // cursor (parent) machine forward through the golden run, forking a
 // dirty-page-delta child (machine.Forker) at each injection cycle; only
-// the faulty suffix runs on the child, under runConverge. The golden
-// prefix between a unit's injections is thus simulated exactly once per
-// unit instead of once per class, which is what the
-// fork.prefix_cycles_saved counter accounts.
+// the faulty suffix runs on the child, under runConverge, which matches
+// it against the golden-state index. The golden prefix between a unit's
+// injections is thus simulated exactly once per unit instead of once per
+// class, which is what the fork.prefix_cycles_saved counter accounts.
 //
 // Soundness (DESIGN.md §4c): the parent executes nothing but golden
 // cycles — every fault is injected into the child AFTER the fork — so
@@ -169,6 +173,7 @@ type forkProvider struct {
 	ladder        *machine.Ladder
 	cur           *machine.Cursor
 	forker        *machine.Forker
+	matcher       *machine.Matcher
 	det           *machine.LoopDetector
 	golden        *trace.Golden
 	budget        uint64
@@ -181,13 +186,15 @@ type forkProvider struct {
 	children, saved uint64
 }
 
-func newForkProvider(parent, child *machine.Machine, ladder *machine.Ladder, golden *trace.Golden, budget uint64, obj *Objective, st *scanTel) *forkProvider {
+func newForkProvider(parent, child *machine.Machine, ladder *machine.Ladder, index *machine.GoldenIndex, interval uint64, golden *trace.Golden, budget uint64, obj *Objective, st *scanTel) *forkProvider {
+	forker := machine.NewForker(parent, child)
 	return &forkProvider{
 		parent: parent, child: child, ladder: ladder,
-		cur:    ladder.NewCursor(parent),
-		forker: machine.NewForker(parent, child),
-		det:    machine.NewLoopDetector(0),
-		golden: golden, budget: budget, obj: obj, st: st,
+		cur:     ladder.NewCursor(parent),
+		forker:  forker,
+		matcher: index.NewMatcher(forker),
+		det:     machine.NewLoopDetector(min(interval, probeInterval)),
+		golden:  golden, budget: budget, obj: obj, st: st,
 	}
 }
 
@@ -214,7 +221,7 @@ func (p *forkProvider) position(slot uint64) (*machine.Machine, error) {
 }
 
 func (p *forkProvider) finish(m *machine.Machine) Outcome {
-	return runConverge(m, p.ladder, p.golden, p.budget, p.obj, p.det, p.st)
+	return runConverge(m, p.matcher, p.golden, p.budget, p.obj, p.det, p.st)
 }
 
 func (p *forkProvider) end(u unit) {
@@ -222,4 +229,7 @@ func (p *forkProvider) end(u unit) {
 	p.st.forkBatches.Observe(time.Duration(len(u.classes)))
 	p.st.forkChildren.Add(p.children)
 	p.st.forkSaved.Add(p.saved)
+	p.st.matchProbes.Add(p.matcher.Probes)
+	p.st.matchFalseHits.Add(p.matcher.FalseHits)
+	p.matcher.Probes, p.matcher.FalseHits = 0, 0
 }

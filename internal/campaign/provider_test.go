@@ -3,10 +3,12 @@ package campaign
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"faultspace/internal/isa"
 	"faultspace/internal/machine"
+	"faultspace/internal/pruning"
 	"faultspace/internal/telemetry"
 )
 
@@ -95,14 +97,16 @@ func TestForkEdgeCases(t *testing.T) {
 	}
 }
 
-// TestForkConvergenceComposition pins the reconvergence fast path: a
-// fault that corrupts the serial output and then vanishes from the
-// machine state (its RAM byte redefined, its register overwritten)
-// makes the state match a golden rung, so the fork provider composes
-// the outcome from the golden trace instead of simulating the
-// remainder. The composed outcome must preserve the divergence that
-// already escaped (SDC) and the masking that already happened (No
-// Effect), and the ladder.reconverged counter must account the shortcut.
+// TestForkConvergenceComposition pins the reconvergence fast path at
+// Δ = 0: a fault that corrupts the serial output and then vanishes from
+// the machine state (its RAM byte redefined, its register overwritten)
+// makes the state match the golden state of its own cycle, so the fork
+// provider composes the outcome from the golden trace instead of
+// simulating the remainder. The composed outcome must preserve the
+// divergence that already escaped (SDC) and the masking that already
+// happened (No Effect), and the ladder.reconverged counter must account
+// the shortcut — with none of them counted as shifted. The default
+// configuration, whose probes are wider apart, must agree.
 func TestForkConvergenceComposition(t *testing.T) {
 	serial := int32(machine.PortSerial)
 	prog := []isa.Instruction{
@@ -136,9 +140,9 @@ func TestForkConvergenceComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Interval 4 puts rungs at cycles 4, 8, 12: faults at slots 1 and 3
-	// reconverge by cycle 9 and must take the composition fast path at
-	// the cycle-12 rung.
+	// Interval 4 spaces the probes four cycles apart at most: faults at
+	// slots 1 and 3 reconverge by cycle 9 and must take the composition
+	// fast path at a probe before the halt at cycle 15.
 	reg := telemetry.New()
 	fork, err := FullScan(target, golden, fs, Config{Strategy: StrategyFork, LadderInterval: 4, Telemetry: reg})
 	if err != nil {
@@ -169,8 +173,215 @@ func TestForkConvergenceComposition(t *testing.T) {
 	if got := reg.Counter("ladder.reconverged").Value(); got < uint64(sdc+masked) {
 		t.Errorf("ladder.reconverged = %d, want >= %d (every slot-1 and slot-3 class)", got, sdc+masked)
 	}
+	if got := reg.Counter("ladder.reconverged_shifted").Value(); got != 0 {
+		t.Errorf("ladder.reconverged_shifted = %d, want 0 (nothing in this program costs a cycle)", got)
+	}
 	if got := reg.Counter("fork.children").Value(); got != uint64(len(fs.Classes)) {
 		t.Errorf("fork.children = %d, want one per class (%d)", got, len(fs.Classes))
+	}
+
+	wide, err := FullScan(target, golden, fs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rerun.Outcomes {
+		if wide.Outcomes[i] != rerun.Outcomes[i] {
+			t.Errorf("default interval, class %d: fork=%v rerun=%v", i, wide.Outcomes[i], rerun.Outcomes[i])
+		}
+	}
+}
+
+// TestPoolSharesGoldenPass: the scans of one campaign that draw from one
+// pool — a cluster worker's RunClasses call per leased unit — share one
+// golden pass (ladder and golden-state index, both immutable): only the
+// first replays the golden run, also when several run at once, and a
+// different rung spacing replaces it.
+func TestPoolSharesGoldenPass(t *testing.T) {
+	target := edgeTarget()
+	golden, fs, err := target.Prepare(1 << 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := FullScan(target, golden, fs, Config{Strategy: StrategyRerun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewMachinePool(target)
+	spans := telemetry.NewSpanRecorder(telemetry.NewTraceID(), "test", 0)
+	passes := func() (n int) {
+		for _, sp := range spans.Spans() {
+			if sp.Name == "scan.golden_prefix" {
+				n++
+			}
+		}
+		return n
+	}
+	all := make([]int, len(fs.Classes))
+	for i := range all {
+		all[i] = i
+	}
+	check := func(cfg Config) {
+		t.Helper()
+		got, err := RunClasses(target, golden, fs, cfg, all)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for ci, o := range got {
+			if o != full.Outcomes[ci] {
+				t.Errorf("class %d: pooled=%v rerun=%v", ci, o, full.Outcomes[ci])
+			}
+		}
+	}
+	cfg := Config{LadderInterval: 3, Pool: pool, Spans: spans, Workers: 2}
+	check(cfg)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check(cfg)
+		}()
+	}
+	wg.Wait()
+	if n := passes(); n != 1 {
+		t.Errorf("%d golden passes for five scans on one pool, want 1", n)
+	}
+	cfg.LadderInterval = 5
+	check(cfg)
+	if n := passes(); n != 2 {
+		t.Errorf("%d golden passes after a scan at another rung spacing, want 2", n)
+	}
+}
+
+// detourTarget is a program whose faults reconverge LATE: a flipped bit
+// in the flag byte sends the run through a detour — `emits` bytes to the
+// serial port, the flag repaired, the register cleared — and back onto
+// the golden path `3 + 3*emits` cycles behind, in exactly the golden
+// state of cycle 2. The tail is long enough for a probe to see that and
+// ends with the golden run's own output.
+func detourTarget(maxSerial int) Target {
+	serial := int32(machine.PortSerial)
+	prog := []isa.Instruction{
+		{Op: isa.OpLb, Rd: 1, Rs: 0, Imm: 0},           // 0: the flag byte's use; golden value 0
+		{Op: isa.OpBeq, Rs: 1, Rt: 0, Imm: 8},          // 1: golden path skips the detour
+		{Op: isa.OpSbi, Rs: 0, Imm: serial, Imm2: 'x'}, // 2: detour: one byte per unit of the flipped value
+		{Op: isa.OpAddi, Rd: 1, Rs: 1, Imm: -1},        // 3
+		{Op: isa.OpBne, Rs: 1, Rt: 0, Imm: 2},          // 4
+		{Op: isa.OpSbi, Rs: 0, Imm: 0, Imm2: 0},        // 5: repair the flag; r1 is 0 again
+		{Op: isa.OpNop},                                // 6
+		{Op: isa.OpNop},                                // 7
+	}
+	for i := 0; i < 12; i++ { // 8..19: the rejoined tail
+		prog = append(prog, isa.Instruction{Op: isa.OpNop})
+	}
+	for _, c := range []byte("gold") {
+		prog = append(prog, isa.Instruction{Op: isa.OpSbi, Rs: 0, Imm: serial, Imm2: int32(c)})
+	}
+	prog = append(prog, isa.Instruction{Op: isa.OpHalt})
+	return Target{
+		Name:  "detour",
+		Code:  prog,
+		Image: []byte{0, 0, 0, 0},
+		Mach:  machine.Config{RAMSize: 4, MaxSerial: maxSerial},
+	}
+}
+
+// scanPair runs one of the target's fault spaces under rerun and under fork
+// (probes two cycles apart) and returns both outcome vectors with the
+// fork scan's registry; the vectors are the test's subject, so it does
+// not compare them.
+func scanPair(t *testing.T, target Target, kind pruning.SpaceKind, cfg Config) (fs *pruning.FaultSpace, rerun, fork []Outcome, reg *telemetry.Registry) {
+	t.Helper()
+	golden, fs, err := target.PrepareSpace(kind, 1<<12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Strategy = StrategyRerun
+	r, err := FullScan(target, golden, fs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg = telemetry.New()
+	cfg.Strategy, cfg.LadderInterval, cfg.Telemetry = StrategyFork, 2, reg
+	f, err := FullScan(target, golden, fs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs, r.Outcomes, f.Outcomes, reg
+}
+
+// TestShiftedMatchBudgetGuard: a run that rejoins the golden run Δ cycles
+// late halts Δ cycles late. Where that is past the timeout budget the run
+// is a Timeout — as rerun finds by running it — and the match must not be
+// composed into a halt; within the budget it is composed, shifted.
+func TestShiftedMatchBudgetGuard(t *testing.T) {
+	target := detourTarget(0)
+	// Budget = golden cycles + 8: the one-byte detour (6 cycles late)
+	// still halts within it, the two-byte detour (9 late) does not.
+	fs, rerun, fork, reg := scanPair(t, target, pruning.SpaceMemory, Config{TimeoutFactor: 1, TimeoutSlack: 8})
+	late, timeouts := 0, 0
+	for i, c := range fs.Classes {
+		if fork[i] != rerun[i] {
+			t.Errorf("class %d (slot %d bit %d): fork=%v rerun=%v", i, c.Slot(), c.Bit, fork[i], rerun[i])
+		}
+		if c.Slot() != 1 || c.Bit >= 8 {
+			continue
+		}
+		switch {
+		case c.Bit == 0 && fork[i] != OutcomeSDC:
+			t.Errorf("bit 0 (6 cycles late): %v, want SDC", fork[i])
+		case c.Bit > 0 && fork[i] != OutcomeTimeout:
+			t.Errorf("bit %d (>= 9 cycles late): %v, want Timeout", c.Bit, fork[i])
+		}
+		if c.Bit == 0 {
+			late++
+		} else {
+			timeouts++
+		}
+	}
+	if late != 1 || timeouts != 7 {
+		t.Fatalf("fault space lacks the flag byte's classes (late=%d, timeouts=%d)", late, timeouts)
+	}
+	if got := reg.Counter("ladder.reconverged_shifted").Value(); got != 1 {
+		t.Errorf("ladder.reconverged_shifted = %d, want 1 (bit 0 only; the later rejoins are past the budget)", got)
+	}
+	if h := reg.Snapshot().Histograms["ladder.shift_cycles"]; h.Count != 1 || h.MaxNs != 6000 {
+		t.Errorf("ladder.shift_cycles = %+v, want one observation of 6 cycles (6 µs)", h)
+	}
+}
+
+// TestShiftedMatchSerialCapGuard is the regression test for composing
+// past the serial cap: a detour that fills the port to the cap rejoins
+// the golden run, whose own output then raises ExcSerialLimit — Excepted,
+// not Halted. The base outcome is SDC either way, but the bypass
+// objective flags only halted runs, so an unguarded composition claims an
+// attack the rerun oracle does not see.
+func TestShiftedMatchSerialCapGuard(t *testing.T) {
+	bypass, err := ObjectiveByName("bypass")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cap 8, golden output 4 bytes: detours of 1, 2 and 4 bytes fit
+	// (halt, bypass flagged), the 8-byte one fills the cap before the
+	// golden tail, longer ones overflow inside the detour.
+	fs, rerun, fork, reg := scanPair(t, detourTarget(8), pruning.SpaceMemory, Config{Objective: bypass})
+	for i, c := range fs.Classes {
+		if fork[i] != rerun[i] {
+			t.Errorf("class %d (slot %d bit %d): fork=%v rerun=%v", i, c.Slot(), c.Bit, fork[i], rerun[i])
+		}
+		if c.Slot() != 1 || c.Bit >= 8 {
+			continue
+		}
+		if want := OutcomeSDC | AttackFlag; c.Bit <= 2 && fork[i] != want {
+			t.Errorf("bit %d (fits the cap): %v, want %v", c.Bit, fork[i], want)
+		}
+		if c.Bit >= 3 && fork[i] != OutcomeSDC {
+			t.Errorf("bit %d (ends in the serial limit): %v, want unflagged SDC", c.Bit, fork[i])
+		}
+	}
+	if got := reg.Counter("ladder.reconverged_shifted").Value(); got != 3 {
+		t.Errorf("ladder.reconverged_shifted = %d, want 3 (the detours that fit the cap)", got)
 	}
 }
 
@@ -218,9 +429,9 @@ func TestForkLoopProof(t *testing.T) {
 }
 
 // TestForkShortProgram covers a golden run shorter than one rung
-// interval: the ladder degenerates to the single reset rung (one unit,
-// no reconvergence checkpoint) and must still classify identically to
-// rerun.
+// interval and than the first probe spacing: the ladder degenerates to
+// the single reset rung (one unit), a run that ends by itself is never
+// probed, and every class must still classify identically to rerun.
 func TestForkShortProgram(t *testing.T) {
 	target := hiTarget(t)
 	golden, fs := prepare(t, target)
@@ -231,14 +442,23 @@ func TestForkShortProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fork, err := FullScan(target, golden, fs, Config{Strategy: StrategyFork, LadderInterval: 100})
+	reg := telemetry.New()
+	fork, err := FullScan(target, golden, fs, Config{Strategy: StrategyFork, LadderInterval: 100, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	halted := 0
 	for i := range rerun.Outcomes {
 		if fork.Outcomes[i] != rerun.Outcomes[i] {
 			t.Errorf("class %d: fork=%v rerun=%v", i, fork.Outcomes[i], rerun.Outcomes[i])
 		}
+		if fork.Outcomes[i] != OutcomeTimeout {
+			halted++
+		}
+	}
+	if got := reg.Counter("ladder.reconverged").Value(); got != 0 || halted == 0 {
+		t.Errorf("ladder.reconverged = %d over %d self-ending runs of a %d-cycle program, want 0: none reaches a probe",
+			got, halted, golden.Cycles)
 	}
 }
 
@@ -459,5 +679,55 @@ func TestRunClassesForkWithPool(t *testing.T) {
 		if o != full.Outcomes[ci] {
 			t.Errorf("class %d: units=%v full=%v", ci, o, full.Outcomes[ci])
 		}
+	}
+}
+
+// TestSerialCapGuardSameCycle is the same bug where it predates shifted
+// matching: a register fault redirects a loop's scratch store to the
+// serial port — the same cycles, six bytes of flood — and the state is
+// repaired right after, so the run rejoins the golden run at its own
+// cycle (Δ = 0). Six bytes plus the golden four exceed the cap of eight.
+func TestSerialCapGuardSameCycle(t *testing.T) {
+	serial := int32(machine.PortSerial)
+	prog := []isa.Instruction{
+		{Op: isa.OpLi, Rd: 4, Imm: 0},           // 0: scratch address; bit 16 set makes it PortSerial
+		{Op: isa.OpLi, Rd: 5, Imm: 6},           // 1
+		{Op: isa.OpSb, Rt: 5, Rs: 4, Imm: 0},    // 2: the loop's store
+		{Op: isa.OpAddi, Rd: 5, Rs: 5, Imm: -1}, // 3
+		{Op: isa.OpBne, Rs: 5, Rt: 0, Imm: 2},   // 4
+		{Op: isa.OpLi, Rd: 4, Imm: 0},           // 5: register repaired
+		{Op: isa.OpSbi, Rs: 0, Imm: 0, Imm2: 0}, // 6: scratch byte repaired
+	}
+	for i := 0; i < 12; i++ {
+		prog = append(prog, isa.Instruction{Op: isa.OpNop})
+	}
+	for _, c := range []byte("gold") {
+		prog = append(prog, isa.Instruction{Op: isa.OpSbi, Rs: 0, Imm: serial, Imm2: int32(c)})
+	}
+	prog = append(prog, isa.Instruction{Op: isa.OpHalt})
+	target := Target{Name: "redirect", Code: prog, Image: []byte{0, 0, 0, 0}, Mach: machine.Config{RAMSize: 4, MaxSerial: 8}}
+	bypass, err := ObjectiveByName("bypass")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, rerun, fork, reg := scanPair(t, target, pruning.SpaceRegisters, Config{Objective: bypass})
+	const r4bit16 = (4-1)*32 + 16
+	flagged, capped := 0, 0
+	for i, c := range fs.Classes {
+		if fork[i] != rerun[i] {
+			t.Errorf("class %d (slot %d bit %d): fork=%v rerun=%v", i, c.Slot(), c.Bit, fork[i], rerun[i])
+		}
+		if c.Bit == r4bit16 && rerun[i] == OutcomeSDC|AttackFlag {
+			flagged++ // a flood short enough to halt under the cap
+		}
+		if c.Bit == r4bit16 && rerun[i] == OutcomeSDC {
+			capped++ // a flood the golden tail pushes over the cap
+		}
+	}
+	if flagged == 0 || capped == 0 {
+		t.Fatalf("fault space lacks the redirect classes (flagged=%d, capped=%d)", flagged, capped)
+	}
+	if got := reg.Counter("ladder.reconverged").Value(); got == 0 {
+		t.Error("ladder.reconverged = 0: nothing was composed, the guard was not exercised")
 	}
 }

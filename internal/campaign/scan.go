@@ -199,19 +199,24 @@ func scan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, to
 			providers[w] = newResetProvider(mach, golden, budget, cfg.Objective)
 		}
 	} else {
-		pioneer, err := acquire()
-		if err != nil {
-			return err
-		}
-		sp := st.spans.Start("scan.golden_prefix")
-		ladder, err := buildLadder(pioneer, golden, cfg.forkInterval(golden.Cycles))
-		if err != nil {
-			return err
-		}
-		if sp.Live() {
-			sp.End(fmt.Sprintf("ladder: %d rungs", ladder.Rungs()))
+		interval := cfg.forkInterval(golden.Cycles)
+		ladder, index := cfg.Pool.goldenPass(interval)
+		if ladder == nil {
+			pioneer, err := acquire()
+			if err != nil {
+				return err
+			}
+			sp := st.spans.Start("scan.golden_prefix")
+			if ladder, index, err = buildLadder(pioneer, golden, interval); err != nil {
+				return err
+			}
+			if sp.Live() {
+				sp.End(fmt.Sprintf("ladder: %d rungs", ladder.Rungs()))
+			}
+			cfg.Pool.keepGoldenPass(interval, ladder, index)
 		}
 		cfg.Telemetry.Gauge("ladder.rungs").Set(int64(ladder.Rungs()))
+		cfg.Telemetry.Gauge("ladder.index_bytes").Set(int64(index.Bytes()))
 		units = carveForkUnits(ladder, fs, todo)
 		for w := range providers {
 			parent, err := acquire()
@@ -222,7 +227,7 @@ func scan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, to
 			if err != nil {
 				return err
 			}
-			providers[w] = newForkProvider(parent, child, ladder, golden, budget, cfg.Objective, st)
+			providers[w] = newForkProvider(parent, child, ladder, index, interval, golden, budget, cfg.Objective, st)
 		}
 	}
 

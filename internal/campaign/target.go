@@ -31,8 +31,9 @@ const (
 	// batch's rung once, advances a cursor machine monotonically through
 	// the golden run, and at each injection cycle forks a cheap
 	// dirty-page-delta child (machine.Forker) to run only the faulty
-	// suffix, which ends early on reconvergence with the golden run or a
-	// loop proof. Default; see DESIGN.md §4c.
+	// suffix, which ends early once its state equals the golden run's at
+	// any cycle (machine.GoldenIndex) or a loop is proven. Default; see
+	// DESIGN.md §4c.
 	StrategyFork Strategy = iota + 1
 	// StrategyRerun re-executes each experiment from the reset state and
 	// runs it out to termination or the cycle budget. This is the
@@ -69,11 +70,12 @@ type Config struct {
 	// Strategy selects the execution strategy. 0 means StrategyFork.
 	Strategy Strategy
 	// LadderInterval is the rung spacing in cycles for StrategyFork:
-	// rungs are its batch anchors and reconvergence checkpoints, so
-	// smaller intervals mean smaller batches and earlier reconvergence
-	// checks but more snapshot memory. 0 auto-tunes from the golden-trace
-	// length (aiming at DefaultForkRungs rungs, at least MinLadderInterval
-	// cycles apart); StrategyRerun ignores it. Like Strategy, it is
+	// rungs are its unit anchors and restore sources, so smaller
+	// intervals mean smaller units but more snapshot memory; an interval
+	// below probeInterval also sets the initial probe spacing. 0
+	// auto-tunes from the golden-trace length (aiming at DefaultForkRungs
+	// rungs, at least MinLadderInterval cycles apart); StrategyRerun
+	// ignores it. Like Strategy, it is
 	// outcome-invariant and deliberately not part of the campaign
 	// identity hash.
 	LadderInterval uint64
@@ -149,12 +151,11 @@ const (
 	// DefaultForkRungs is the rung count the LadderInterval auto-tuner
 	// aims for. Fork rungs are never restore sources for individual
 	// experiments — the monotone cursor pays each rung restore once per
-	// batch, not once per class — so they only serve as convergence
-	// checkpoints and batch-carving anchors. Each checkpoint costs a
-	// Run-call boundary plus a StateMatches compare per in-flight child,
-	// while coarser spacing merely lets a reconverged child coast up to
-	// one interval past its convergence point; the balance lands at few,
-	// wide rungs.
+	// unit, not once per class — and no longer convergence checkpoints
+	// either (children are matched against the golden index at their
+	// probes), so they only anchor units: enough of them to spread a
+	// campaign over the workers, each costing one RAM delta to keep. The
+	// balance lands at few, wide rungs.
 	DefaultForkRungs = 4
 )
 

@@ -29,20 +29,29 @@ type scanTel struct {
 	// Fork-provider counters (nil under StrategyRerun): rungRestores
 	// counts rung restores (one per batch), reconverged counts runs whose
 	// outcome was composed from the golden trace after their state
-	// rejoined it, loopProofs counts Timeout verdicts proven by state
+	// rejoined it — reconvergedShifted those that rejoined at another
+	// cycle than their own, shiftCycles by how many (|Δ|, recorded as one
+	// microsecond per cycle so the histogram's power-of-two-µs buckets
+	// are powers of two of cycles) — matchProbes counts golden-index
+	// probes and matchFalseHits hash hits the full compare rejected,
+	// loopProofs counts Timeout verdicts proven by state
 	// recurrence instead of simulating the full budget, forkChildren
 	// counts forked child machines (one per experiment), forkSaved
 	// accumulates golden-prefix cycles NOT replayed versus restoring the
 	// rung per class (cursor position minus batch rung cycle at each
 	// fork), forkBatches records batch sizes in classes. The "ladder."
-	// prefix of the first three names is what dashboards and the tracked
+	// prefix of these names is what dashboards and the tracked
 	// benchmark already read.
-	rungRestores *telemetry.Counter
-	reconverged  *telemetry.Counter
-	loopProofs   *telemetry.Counter
-	forkChildren *telemetry.Counter
-	forkSaved    *telemetry.Counter
-	forkBatches  *telemetry.Histogram
+	rungRestores       *telemetry.Counter
+	reconverged        *telemetry.Counter
+	reconvergedShifted *telemetry.Counter
+	shiftCycles        *telemetry.Histogram
+	matchProbes        *telemetry.Counter
+	matchFalseHits     *telemetry.Counter
+	loopProofs         *telemetry.Counter
+	forkChildren       *telemetry.Counter
+	forkSaved          *telemetry.Counter
+	forkBatches        *telemetry.Histogram
 	// predecodeInvals accumulates predecode-cache invalidations across
 	// the scan's machines (nil with predecode off). Structurally zero for
 	// Harvard-architecture campaign machines — the ROM is fault-immune,
@@ -70,6 +79,10 @@ func newScanTel(cfg Config) *scanTel {
 	if cfg.Strategy == StrategyFork {
 		st.rungRestores = r.Counter("ladder.rung_restores")
 		st.reconverged = r.Counter("ladder.reconverged")
+		st.reconvergedShifted = r.Counter("ladder.reconverged_shifted")
+		st.shiftCycles = r.Histogram("ladder.shift_cycles")
+		st.matchProbes = r.Counter("ladder.match_probes")
+		st.matchFalseHits = r.Counter("ladder.match_false_hits")
 		st.loopProofs = r.Counter("ladder.loop_proofs")
 		st.forkChildren = r.Counter("fork.children")
 		st.forkSaved = r.Counter("fork.prefix_cycles_saved")
@@ -94,6 +107,19 @@ func (st *scanTel) addInvalidations(ms []*machine.Machine) {
 		n += m.PredecodeInvalidations()
 	}
 	st.predecodeInvals.Add(n)
+}
+
+// converged accounts one composed reconvergence of a run at cycle c with
+// golden cycle t.
+func (st *scanTel) converged(c, t uint64) {
+	if st == nil || !st.live {
+		return
+	}
+	st.reconverged.Inc()
+	if c != t {
+		st.reconvergedShifted.Inc()
+		st.shiftCycles.Observe(time.Duration(max(c, t)-min(c, t)) * time.Microsecond)
+	}
 }
 
 // begin stamps the start of one experiment. Disabled telemetry skips

@@ -19,6 +19,11 @@ func runOracleStrategy(t *testing.T, space faultspace.SpaceKind, objective strin
 	if err != nil {
 		t.Fatal(err)
 	}
+	return runOracleProgram(t, p, space, objective, strat, n)
+}
+
+func runOracleProgram(t *testing.T, p *faultspace.Program, space faultspace.SpaceKind, objective string, strat faultspace.Strategy, n int) *OracleReport {
+	t.Helper()
 	rep, err := RandomCoordinateOracle(p, faultspace.ScanOptions{
 		Space:     space,
 		Objective: objective,
@@ -91,6 +96,41 @@ func TestOracleRandomCoordinatesFork(t *testing.T) {
 		// space must exercise both sides of the partition.
 		if rep.InClass == 0 && tc.space != faultspace.SpaceRegisters {
 			t.Errorf("%s: no coordinate hit a class", tc.space)
+		}
+	}
+	// Hardened programs put the shifted reconvergence under the oracle:
+	// nearly every in-class coordinate there is detected, corrected and
+	// composed from the golden cycle it rejoins a correction path late —
+	// SUM+DMR and TMR, with and without a timer, faults in RAM, registers
+	// and the PC, the bypass objective reading the composed counters.
+	small := progs.Sizes{BinSemRounds: 1, ClockTicks: 2, ClockPeriod: 32, PreemptWork: 8, PreemptPeriod: 24}
+	for _, tc := range []struct {
+		prog      string
+		tmr       bool
+		space     faultspace.SpaceKind
+		objective string
+	}{
+		{"bin_sem2", false, faultspace.SpaceMemory, "bypass"},
+		{"bin_sem2", true, faultspace.SpaceMemory, ""},
+		{"bin_sem2", false, faultspace.SpaceRegisters, ""},
+		{"bin_sem2", false, faultspace.SpacePC, "dos"},
+		{"clock1", false, faultspace.SpaceMemory, ""},
+		{"preempt1", false, faultspace.SpaceBurst2, ""},
+	} {
+		spec, err := progs.Resolve(tc.prog, small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build := spec.Hardened
+		if tc.tmr {
+			build = spec.HardenedTMR
+		}
+		p, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := runOracleProgram(t, p, tc.space, tc.objective, faultspace.StrategyFork, 200); rep.InClass == 0 {
+			t.Errorf("%s %s: no coordinate hit a class", p.Name, tc.space)
 		}
 	}
 }

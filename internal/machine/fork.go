@@ -30,11 +30,17 @@ package machine
 // bits behind the forker's back (Machine.Restore, Cursor.Restore) must
 // be followed by Invalidate.
 //
+// Before resetting them, Fork accumulates the parent's bits in a stale
+// set: the pages of the golden state that changed since a Matcher last
+// hashed them (index.go), which is what lets a probe hash only the pages
+// the child dirtied itself.
+//
 // A Forker is bound to its two machines and not safe for concurrent
 // use; create one per scan worker.
 type Forker struct {
 	parent, child *Machine
 	valid         bool
+	stale         []uint64
 }
 
 // NewForker creates a forker copying parent state onto child. Both
@@ -45,7 +51,7 @@ func NewForker(parent, child *Machine) *Forker {
 	if len(parent.ram) != len(child.ram) {
 		panic("machine: NewForker with mismatched RAM size")
 	}
-	return &Forker{parent: parent, child: child}
+	return &Forker{parent: parent, child: child, stale: make([]uint64, len(parent.dirty))}
 }
 
 // Invalidate forces the next Fork to copy every page. Required after any
@@ -62,7 +68,11 @@ func (f *Forker) Fork() {
 	p, c := f.parent, f.child
 	if !f.valid {
 		copy(c.ram, p.ram)
+		fillPages(f.stale)
 	} else {
+		for i, d := range p.dirty {
+			f.stale[i] |= d
+		}
 		np := numPages(len(p.ram))
 		for pg := 0; pg < np; pg++ {
 			if c.dirty[pg>>6]|p.dirty[pg>>6] == 0 {

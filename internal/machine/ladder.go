@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"bytes"
 	"fmt"
 
 	"faultspace/internal/isa"
@@ -26,12 +25,15 @@ func (m *Machine) markDirty(addr uint32) {
 	m.dirty[p>>6] |= 1 << (p & 63)
 }
 
-// markAllDirty conservatively marks every page dirty. Full-state
-// operations (Restore, Clone) use it so delta-snapshot consumers never
-// assume a baseline that was rewritten wholesale.
-func (m *Machine) markAllDirty() {
-	for i := range m.dirty {
-		m.dirty[i] = ^uint64(0)
+// markAllDirty conservatively marks every page dirty. The full-state
+// Restore uses it so delta-snapshot consumers never assume a baseline
+// that was rewritten wholesale.
+func (m *Machine) markAllDirty() { fillPages(m.dirty) }
+
+// fillPages puts every page into the page bitset.
+func fillPages(set []uint64) {
+	for i := range set {
+		set[i] = ^uint64(0)
 	}
 }
 
@@ -42,10 +44,13 @@ func (m *Machine) resetDirty() {
 	}
 }
 
-// pageDirty reports whether page p is marked dirty.
-func (m *Machine) pageDirty(p int) bool {
-	return m.dirty[p>>6]&(1<<(uint(p)&63)) != 0
+// pageBit reports whether page p is in the page bitset.
+func pageBit(set []uint64, p int) bool {
+	return set[p>>6]&(1<<(uint(p)&63)) != 0
 }
+
+// pageDirty reports whether page p is marked dirty.
+func (m *Machine) pageDirty(p int) bool { return pageBit(m.dirty, p) }
 
 // pageBounds returns the RAM byte range [lo, hi) of page p.
 func (m *Machine) pageBounds(p int) (lo, hi int) {
@@ -79,10 +84,10 @@ type rungMeta struct {
 // rung onto a worker machine by copying only the pages that differ from
 // the machine's last-restored state.
 //
-// The campaign's fork provider builds one Ladder during the golden run;
-// each batch of experiments restores the rung at-or-below its first
-// injection cycle once, and every injected run checks for reconvergence
-// with the golden state at the rungs it passes (StateMatches).
+// The campaign's fork provider builds one Ladder during the golden run
+// (CaptureGolden); each unit of experiments restores the rung at-or-below
+// its first injection cycle once. Rungs are unit anchors and restore
+// sources only — reconvergence is matched against the GoldenIndex.
 //
 // A Ladder is immutable after construction and safe for concurrent use
 // by any number of Cursors (each Cursor belongs to one worker machine).
@@ -141,6 +146,14 @@ func (m *Machine) rungMeta(serialLen int) rungMeta {
 // intervening Restore), and its cycle count must exceed the last rung's.
 // Only pages dirtied since the previous Capture are copied.
 func (l *Ladder) Capture(m *Machine) {
+	l.capture(m, m.dirty)
+	m.resetDirty()
+}
+
+// capture is Capture with the set of pages written since the previous
+// rung given explicitly, for a caller that shares the machine's dirty
+// bits with another consumer (captureGolden).
+func (l *Ladder) capture(m *Machine, dirty []uint64) {
 	if len(m.ram) != l.ramSize {
 		panic("machine: Ladder.Capture with mismatched RAM size")
 	}
@@ -153,12 +166,11 @@ func (l *Ladder) Capture(m *Machine) {
 	view := make([][]byte, len(prev))
 	copy(view, prev)
 	for p := range view {
-		if m.pageDirty(p) {
+		if pageBit(dirty, p) {
 			lo, hi := m.pageBounds(p)
 			view[p] = append([]byte(nil), m.ram[lo:hi]...)
 		}
 	}
-	m.resetDirty()
 	// The golden run only ever appends serial output, so the suffix
 	// beyond the previous rung's length is the new output.
 	l.serial = append(l.serial, m.serial[last.serialLen:]...)
@@ -191,52 +203,6 @@ func (l *Ladder) Find(cycle uint64) int {
 			cycle, l.rungs[0].cycles))
 	}
 	return lo - 1
-}
-
-// RungAccum returns the traced run's accumulated observable output at
-// rung i: serial output length, detect count and correct count. With
-// StateMatches these let a caller compose the final output of a
-// reconverged run without simulating it: final = current + (end − rung).
-func (l *Ladder) RungAccum(i int) (serialLen int, detects, corrects uint64) {
-	r := l.rungs[i]
-	return r.serialLen, r.detects, r.corrects
-}
-
-// StateMatches reports whether m's execution-relevant state — program
-// counter, registers, status, IRQ/timer state and RAM — equals rung r.
-// The machine must be at exactly the rung's cycle count for a match.
-//
-// Serial output and the detect/correct counters are deliberately
-// excluded: MMIO ports are write-only (loads from them raise
-// ExcPortLoad), so accumulated output can never influence future
-// execution. A running machine that matches a rung will therefore
-// replay the traced run's continuation cycle-for-cycle — it has
-// reconverged — and its remaining output is exactly the traced
-// remainder (see RungAccum).
-func (l *Ladder) StateMatches(m *Machine, r int) bool {
-	if len(m.ram) != l.ramSize {
-		return false
-	}
-	meta := l.rungs[r]
-	// Cheapest-first ordering: a diverged run almost always differs in
-	// pc or a register, so the RAM comparison is rarely reached.
-	if m.pc != meta.pc || m.cycles != meta.cycles || m.status != meta.status {
-		return false
-	}
-	if m.regs != meta.regs {
-		return false
-	}
-	if m.inIRQ != meta.inIRQ || m.savedPC != meta.savedPC || m.fireAt != meta.fireAt {
-		return false
-	}
-	view := l.views[r]
-	for p := range view {
-		lo, hi := m.pageBounds(p)
-		if !bytes.Equal(m.ram[lo:hi], view[p]) {
-			return false
-		}
-	}
-	return true
 }
 
 // PagesStored returns the total number of page copies the ladder holds,
@@ -289,8 +255,8 @@ func (c *Cursor) Invalidate() { c.valid = false }
 // stores and FlipBit injections during the experiment — and (b) pages
 // whose content differs between the previous rung and rung r, detected
 // by backing-array identity. Any full-state mutation of the machine
-// outside the cursor's knowledge (Machine.Restore, Clone) marks all
-// pages dirty, so reuse stays conservative-correct.
+// outside the cursor's knowledge (Machine.Restore) marks all pages
+// dirty, so reuse stays conservative-correct.
 func (c *Cursor) Restore(r int) {
 	l, m := c.l, c.m
 	meta := l.rungs[r]

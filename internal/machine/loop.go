@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"math/bits"
 
 	"faultspace/internal/isa"
 )
@@ -10,29 +11,46 @@ import (
 // loop-detector probes. Each probe costs one ring insertion (O(RAM) bytes
 // copied) plus a hash-chain scan, so the spacing trades detection latency
 // against probe overhead; any finite loop is still detected regardless of
-// how its period relates to the spacing (see Probe). 16 is measured, not
-// guessed: halving it halves ring detection latency in cycles but
-// roughly doubles the probe volume, and on the bundled kernels the
-// probe cost (a RAM copy per ring insert) wins.
+// how its period relates to the spacing (see Probe). The campaign passes
+// its own, wider interval (campaign.probeInterval): its probes also ask
+// the golden-state index, and most of its runs end at the first one.
 const LoopProbeInterval = 16
 
-// Probe back-off. RunDetectLoop doubles the probe spacing after every
+// Probe back-off. RunToProbe doubles the probe spacing after every
 // loopBackoffProbes probes, up to loopBackoffDoublings times (×64). Runs
-// that spin forever mostly enter their loop within a few hundred cycles
-// of the fault, where the dense early probes prove them as fast as a
-// fixed spacing would; a run still unproven after that is usually not
-// looping at all — on SUM+DMR-hardened programs no experiment is, and
-// fixed-spacing probes (a RAM copy every 16 cycles all the way to the
-// halt) were a third of scan CPU there. The spacing is a policy constant,
-// not an outcome input: an exact-state recurrence proves an infinite loop
-// at whatever cycle it is observed, and a proof that comes later or not
-// at all still ends in the same Timeout at the cycle budget. The cap
-// keeps the spacing constant in the long run, so the ring and the Brent
-// anchor still close on any loop entered late.
+// that rejoin the golden run or spin forever mostly do so within a few
+// hundred cycles of the fault, where the dense early probes settle them
+// as fast as a fixed spacing would; a run still unsettled after that is
+// usually a silent corruption on its way to the halt, and every probe
+// on it is wasted. The spacing is a policy constant, not an outcome
+// input: a match is confirmed and an exact-state recurrence proves an
+// infinite loop at whatever cycle it is observed, and a shortcut that
+// comes later or not at all still ends in the same outcome at the halt
+// or the cycle budget. The cap keeps the spacing constant in the long
+// run, so the ring and the Brent anchor still close on any loop entered
+// late.
 const (
-	loopBackoffProbes    = 16
+	loopBackoffProbes    = 8
 	loopBackoffDoublings = 6
 )
+
+// Probe dither. RunToProbe scales the n-th spacing by (48 + d(n))/64,
+// d(n) the bit-reversed low five bits of the probe count — 0, 16, 8, 24,
+// 4, 20, … — so successive spacings hop around between three and five
+// quarters of the nominal spacing s instead of repeating it. At a
+// constant spacing the distance between any two probes is a multiple of
+// s, and a loop of period L recurs at a probe only every L/gcd(s, L)
+// probes: 33 of them for s = 64 against the bundled kernels' 66-cycle
+// scheduler spin, at four times the cycles the same 33 probes cost at
+// s = 16. Under the dither the distances between nearby probes take as
+// many values as there are probe pairs, spread evenly by the bit
+// reversal, and a multiple of L turns up after a handful of probes (the
+// 66–72-cycle spins of bin_sem2 are proven at the sixth probe in the
+// median, a period after the spacing-16 schedule proved them with
+// seventeen). The offsets repeat every 32 probes, so probes 32 apart are
+// still a fixed distance apart and any loop is closed eventually, as
+// with a constant spacing.
+func (d *LoopDetector) dither() uint64 { return uint64(bits.Reverse8(uint8(d.ringN)) >> 3) }
 
 // Ring geometry. loopRingSize probes of history bound the recurrence
 // window: a loop of period L is caught by the ring when its probe-level
@@ -74,10 +92,9 @@ type ringEntry struct {
 // pc-keyed hash chain, and the current state is compared against every
 // retained probe that shares its pc. At a probe spacing s, a loop of
 // period L recurs at probe distance L/gcd(s, L), so the ring proves it
-// after at most s·L/gcd(s, L) cycles — for the scheduler-round spin
-// loops that dominate real campaigns (L under ~100 cycles) at the
-// initial spacing that is a few hundred cycles, several times earlier
-// than an anchor-doubling scheme settles. The fallback tier is Brent's algorithm (one anchored
+// after at most s·L/gcd(s, L) cycles — sooner under RunToProbe's dither,
+// which breaks the gcd — several times earlier than an anchor-doubling
+// scheme settles. The fallback tier is Brent's algorithm (one anchored
 // reference, re-anchored when the probe count since the last anchor
 // reaches a power of two): it needs no history window, so it eventually
 // proves any recurring loop the ring's bounded history misses.
@@ -133,8 +150,11 @@ func (d *LoopDetector) spacing() uint64 {
 // the probe count the back-off — so the detector can track a new run.
 // The RAM buffers are retained to avoid per-experiment allocation.
 func (d *LoopDetector) Reset() {
+	if d.ringN > 0 {
+		// Most campaign runs end before their first Probe.
+		clear(d.slots[:])
+	}
 	d.ringN = 0
-	clear(d.slots[:])
 	d.probes = 0
 	d.window = 1
 	d.anchored = false
@@ -225,24 +245,19 @@ func (d *LoopDetector) Probe(m *Machine) bool {
 	return false
 }
 
-// RunDetectLoop advances m to the absolute cycle target (like Run) in
-// probe-spacing chunks, returning early with true as soon as the
-// detector proves the machine loops forever. It returns false when the
-// machine terminated or reached the target; in either case the machine
-// state is then identical to a plain Run(target). The back-off carries
-// over successive calls until Reset.
-func (d *LoopDetector) RunDetectLoop(m *Machine, target uint64) bool {
-	for m.status == StatusRunning && m.cycles < target {
-		next := m.cycles + d.spacing()
-		if next > target {
-			next = target
-		}
-		if m.Run(next) != StatusRunning {
-			return false
-		}
-		if m.cycles == next && next < target && d.Probe(m) {
-			return true
-		}
+// RunToProbe advances m by the current probe spacing, at most to the
+// absolute cycle target (like Run), and reports whether a probe is due:
+// the machine is still running and strictly below the target. It is the
+// one stepping primitive of a probe loop — the caller probes (Probe, and
+// whatever else it checks at the same points) and calls again; the
+// machine's states are those of a plain Run(target) throughout. The
+// back-off carries over successive calls until Reset.
+func (d *LoopDetector) RunToProbe(m *Machine, target uint64) bool {
+	if m.status != StatusRunning || m.cycles >= target {
+		return false
 	}
-	return false
+	s := d.spacing()
+	s = max(s*(48+d.dither())/64, 1)
+	next := min(m.cycles+s, target)
+	return m.Run(next) == StatusRunning && next < target
 }

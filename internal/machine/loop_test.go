@@ -7,6 +7,18 @@ import (
 	"faultspace/internal/isa"
 )
 
+// runDetectLoop is the plain probe loop over RunToProbe and Probe: it
+// advances m to the absolute cycle target and reports whether the
+// detector proved a loop on the way.
+func runDetectLoop(d *LoopDetector, m *Machine, target uint64) bool {
+	for d.RunToProbe(m, target) {
+		if d.Probe(m) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestLoopDetectorSpin: a data-free spin loop must be proven infinite
 // far before the cycle target.
 func TestLoopDetectorSpin(t *testing.T) {
@@ -18,7 +30,7 @@ func TestLoopDetectorSpin(t *testing.T) {
 		t.Fatal(err)
 	}
 	det := NewLoopDetector(0)
-	if !det.RunDetectLoop(m, 1<<20) {
+	if !runDetectLoop(det, m, 1<<20) {
 		t.Fatal("spin loop not detected")
 	}
 	if m.Status() != StatusRunning {
@@ -50,7 +62,7 @@ func TestLoopDetectorCountingLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	det := NewLoopDetector(0)
-	if det.RunDetectLoop(m, 1<<20) {
+	if runDetectLoop(det, m, 1<<20) {
 		t.Fatal("terminating counter loop declared infinite")
 	}
 	ref.Run(1 << 20)
@@ -74,7 +86,7 @@ func TestLoopDetectorSerialLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	det := NewLoopDetector(0)
-	if det.RunDetectLoop(m, 1<<20) {
+	if runDetectLoop(det, m, 1<<20) {
 		t.Fatal("serial-emitting loop declared infinite")
 	}
 	if m.Status() != StatusExcepted || m.Exception() != ExcSerialLimit {
@@ -94,7 +106,7 @@ func TestLoopDetectorTimerLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	det := NewLoopDetector(0)
-	if !det.RunDetectLoop(m, 1<<20) {
+	if !runDetectLoop(det, m, 1<<20) {
 		t.Fatal("timer-interleaved spin loop not detected")
 	}
 	if m.Cycles() >= 1<<20 {
@@ -119,7 +131,7 @@ func TestLoopDetectorChunkedEqualsRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		det := NewLoopDetector(0)
-		if det.RunDetectLoop(m, 500) {
+		if runDetectLoop(det, m, 500) {
 			t.Fatalf("trial %d: straight-line program declared infinite", trial)
 		}
 		ref.Run(500)
@@ -146,7 +158,7 @@ func TestLoopDetectorCoprimePeriods(t *testing.T) {
 			t.Fatal(err)
 		}
 		det := NewLoopDetector(0)
-		if !det.RunDetectLoop(m, 1<<20) {
+		if !runDetectLoop(det, m, 1<<20) {
 			t.Fatalf("period %d: loop not detected", period)
 		}
 		if m.Status() != StatusRunning || m.Cycles() >= 1<<20 {
@@ -162,7 +174,7 @@ func TestLoopDetectorCoprimePeriods(t *testing.T) {
 // probes up to its cap, so the probe count is the back-off ramp plus
 // cycles/(cap spacing), not cycles/16. The chunked run must still land
 // in exactly the state a plain Run(target) reaches, also when split
-// over several calls (the campaign drives it rung by rung).
+// over several targets.
 func TestLoopProbeBackoff(t *testing.T) {
 	// r1 counts up (far beyond the target), so no state ever recurs.
 	prog := []isa.Instruction{
@@ -183,7 +195,7 @@ func TestLoopProbeBackoff(t *testing.T) {
 	}
 	det := NewLoopDetector(0)
 	for _, stop := range []uint64{1000, 50_000, target} {
-		if det.RunDetectLoop(m, stop) {
+		if runDetectLoop(det, m, stop) {
 			t.Fatal("non-recurring run declared infinite")
 		}
 		if m.Cycles() != stop {
@@ -194,8 +206,9 @@ func TestLoopProbeBackoff(t *testing.T) {
 	if stateHash(m) != stateHash(ref) {
 		t.Fatal("chunked run diverged from plain Run")
 	}
+	// The dither shortens a spacing by less than half.
 	capSpacing := LoopProbeInterval << loopBackoffDoublings
-	limit := loopBackoffProbes*loopBackoffDoublings + target/capSpacing + 2
+	limit := loopBackoffProbes*loopBackoffDoublings + 2*target/capSpacing
 	if det.ringN > limit {
 		t.Errorf("%d probes over %d cycles; the back-off bounds it by %d (fixed spacing: %d)",
 			det.ringN, target, limit, target/LoopProbeInterval)

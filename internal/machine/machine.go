@@ -197,8 +197,9 @@ type Machine struct {
 	execHook  ExecHook
 
 	// dirty tracks RAM pages written since the last resetDirty, as a
-	// bitset over PageSize-byte pages. Ladder rung capture and Cursor
-	// restore use it to touch only mutated pages (see ladder.go).
+	// bitset over PageSize-byte pages. Ladder rung capture, Cursor
+	// restore, Forker and the golden index use it to touch only mutated
+	// pages (see ladder.go).
 	dirty []uint64
 
 	// Timer-interrupt state.
@@ -209,8 +210,9 @@ type Machine struct {
 	// skipNext, when set, makes the next Step retire without executing
 	// its instruction: the instruction-skip fault model (FlipSkip). The
 	// flag is one-shot and always consumed before the machine reaches a
-	// rung boundary or loop probe, so it is deliberately excluded from
-	// StateMatches and the loop detector's recurrence state.
+	// probe (Run executes at least one cycle first), so it is deliberately
+	// excluded from the golden index's and the loop detector's state;
+	// Matcher.Match refuses a machine that still carries it.
 	skipNext bool
 
 	// codeLen is the program length in instructions; pc ∈ [0, codeLen)

@@ -135,7 +135,9 @@ func TestPredecodeEquivalenceRandomPrograms(t *testing.T) {
 }
 
 // TestPredecodeToggleAndClone checks that disabling predecode falls back
-// to the plain loop and that clones rebuild their own cache.
+// to the plain loop and that a machine restored mid-run from a snapshot
+// of a pre-decoding one continues identically with its own cache or
+// with none.
 func TestPredecodeToggleAndClone(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	prog := buildBranchyProgram(rng, 64, 50)
@@ -145,11 +147,19 @@ func TestPredecodeToggleAndClone(t *testing.T) {
 	}
 	m.SetPredecode(true)
 	m.Run(100)
-	c := m.Clone()
-	if !c.PredecodeEnabled() {
-		t.Fatal("clone lost predecode")
+	restored := func() *Machine {
+		c, err := New(Config{RAMSize: 64}, prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetPredecode(true)
+		c.Restore(m.Snapshot())
+		return c
 	}
-	ref := m.Clone()
+	c, ref := restored(), restored()
+	if !c.PredecodeEnabled() {
+		t.Fatal("restore lost predecode")
+	}
 	ref.SetPredecode(false)
 	if ref.PredecodeEnabled() {
 		t.Fatal("SetPredecode(false) did not disable")
@@ -157,7 +167,7 @@ func TestPredecodeToggleAndClone(t *testing.T) {
 	c.Run(4000)
 	ref.Run(4000)
 	if stateHash(c) != stateHash(ref) {
-		t.Fatal("clone with predecode diverged from plain clone")
+		t.Fatal("restored machine with predecode diverged from the plain one")
 	}
 }
 

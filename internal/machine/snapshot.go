@@ -71,41 +71,3 @@ func (m *Machine) Restore(s *Snapshot) {
 	m.fireAt = s.fireAt
 	m.skipNext = s.skipNext
 }
-
-// Clone creates an independent machine sharing the (immutable) ROM but with
-// a copied mutable state.
-func (m *Machine) Clone() *Machine {
-	c := &Machine{
-		cfg:       m.cfg,
-		rom:       m.rom,
-		ram:       make([]byte, len(m.ram)),
-		regs:      m.regs,
-		pc:        m.pc,
-		cycles:    m.cycles,
-		status:    m.status,
-		exc:       m.exc,
-		serial:    make([]byte, len(m.serial)),
-		maxSerial: m.maxSerial,
-		detects:   m.detects,
-		corrects:  m.corrects,
-		inIRQ:     m.inIRQ,
-		savedPC:   m.savedPC,
-		fireAt:    m.fireAt,
-		skipNext:  m.skipNext,
-		dirty:     make([]uint64, len(m.dirty)),
-		codeLen:   m.codeLen,
-		vn:        m.vn,
-		codeBase:  m.codeBase,
-	}
-	copy(c.ram, m.ram)
-	copy(c.serial, m.serial)
-	// The clone has no delta-snapshot history; mark all pages dirty so a
-	// future Cursor on it never assumes a shared baseline.
-	c.markAllDirty()
-	// The predecode cache is derived state; rebuild it from the clone's
-	// own RAM/ROM rather than aliasing the source machine's.
-	if m.pre != nil {
-		c.SetPredecode(true)
-	}
-	return c
-}

@@ -132,6 +132,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestCloneIndependence: a second machine brought to the first one's
+// state by Snapshot and Restore shares nothing mutable with it.
 func TestCloneIndependence(t *testing.T) {
 	prog := []isa.Instruction{
 		{Op: isa.OpSwi, Rs: 0, Imm: 0, Imm2: 7},
@@ -141,7 +143,11 @@ func TestCloneIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := m.Clone()
+	c, err := New(Config{RAMSize: 8}, prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Restore(m.Snapshot())
 	m.Run(10)
 	ram, _ := c.ReadRAM(0, 1)
 	if ram[0] != 0 {

@@ -4,6 +4,10 @@ package machine
 // without copying it (compare Serial).
 func (m *Machine) SerialLen() int { return len(m.serial) }
 
+// MaxSerial returns the effective serial output cap: a store to
+// PortSerial beyond it raises ExcSerialLimit.
+func (m *Machine) MaxSerial() int { return m.maxSerial }
+
 // SerialView returns the serial output as a read-only view into the
 // machine's live buffer. The slice is invalidated by any subsequent
 // Step, Run or state restore; callers must not mutate or retain it.
