@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race race-service race-spaces race-observability fuzz-smoke bench bench-telemetry bench-smoke
+.PHONY: check vet build test race race-service race-spaces race-observability fuzz-smoke bench bench-telemetry bench-smoke bench-build
 
 # check is the tier-1 gate: everything a PR must keep green.
-check: vet build test race race-service race-spaces race-observability fuzz-smoke bench-telemetry bench-smoke
+check: vet build test race race-service race-spaces race-observability fuzz-smoke bench-telemetry bench-smoke bench-build
 
 vet:
 	$(GO) vet ./...
@@ -50,9 +50,11 @@ race-observability:
 	$(GO) test -race -count=2 -run='TestServiceTraceAndMetrics|TestStarvedTenantWatchdog' ./internal/service
 
 # A short deterministic-corpus + 10s randomized smoke of the attack
-# surfaces: the binary decoders exposed to untrusted bytes
-# (corrupted checkpoint files, mutated cluster wire frames and damaged
-# service archive entries must error, never panic), the ladder
+# surfaces: the binary decoders exposed to untrusted bytes (the field
+# reader they all decode through must stay inside its payload under any
+# sequence of reads; corrupted checkpoint files, mutated cluster wire and
+# fleet handshake frames and damaged service archive entries must error,
+# never panic), the ladder
 # delta-restore engine (random
 # programs + random restore/flip/run sequences must reproduce full-
 # snapshot state bit-for-bit), the any-cycle golden match (random
@@ -66,6 +68,7 @@ race-observability:
 # to an exact adjacent mask, and skip-space class lists must survive the
 # archive/wire FromClasses round trip.
 fuzz-smoke:
+	$(GO) test ./internal/frame -run='^$$' -fuzz=FuzzReader -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=10s
 	$(GO) test ./internal/cluster -run='^$$' -fuzz=FuzzWorkUnitDecode -fuzztime=10s
 	$(GO) test ./internal/service -run='^$$' -fuzz=FuzzArchiveEntryDecode -fuzztime=10s
@@ -98,6 +101,12 @@ bench-telemetry:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkFullScan -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkServiceSubmitToReport -benchtime=3x .
+
+# bench/ is a module of its own, so `vet`, `build` and `test` above never
+# compile it: vet it and run its own tests (≈5 s, nothing written into
+# the tree), so that renaming something it imports fails the gate.
+bench-build:
+	$(GO) vet -C bench . && $(GO) test -C bench .
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -85,30 +85,8 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 	var w *checkpoint.Writer
 	var prior map[int]campaign.Outcome
 	if opts.Checkpoint != "" {
-		id, err := t.CampaignIdentity(fs.Kind, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("faultspace: %w", err)
-		}
-		hdr := checkpoint.Header{Version: checkpoint.Version, Identity: id, Classes: uint64(len(fs.Classes))}
-		if opts.Resume {
-			var raw map[int]uint8
-			w, raw, err = checkpoint.Open(opts.Checkpoint, hdr)
-			if err != nil {
-				return nil, fmt.Errorf("faultspace: %w", err)
-			}
-			prior = make(map[int]campaign.Outcome, len(raw))
-			for ci, o := range raw {
-				if !campaign.Outcome(o).Known() {
-					w.Close()
-					return nil, fmt.Errorf("faultspace: checkpoint class %d has unknown outcome %d", ci, o)
-				}
-				prior[ci] = campaign.Outcome(o)
-			}
-		} else {
-			w, err = checkpoint.Create(opts.Checkpoint, hdr)
-			if err != nil {
-				return nil, fmt.Errorf("faultspace: %w (resume to continue an existing checkpoint)", err)
-			}
+		if w, prior, err = opts.openCheckpoint(t, fs, cfg); err != nil {
+			return nil, err
 		}
 	}
 
@@ -123,7 +101,6 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 		Pprof:            opts.Pprof,
 	}
 	if w != nil {
-		w.Instrument(opts.Telemetry)
 		copts.OnResult = func(ci int, o campaign.Outcome) { w.Append(ci, uint8(o)) }
 	}
 	coord, err := cluster.NewCoordinator(t, golden, fs, cfg, copts, prior)

@@ -147,12 +147,17 @@ func run(args []string, w, errW io.Writer) error {
 		return fmt.Errorf("-metrics requires a campaign executing in this process (not -load or -submit)")
 	}
 
-	if *join != "" {
+	if *join != "" || *fleetFl != "" {
+		// The two worker modes differ only in who hands out the campaign.
+		mode, source := "-join", "the campaign comes from the coordinator's handshake"
+		if *fleetFl != "" {
+			mode, source = "-fleet", "campaigns are assigned by the service"
+		}
 		if fs.NArg() != 0 {
-			return fmt.Errorf("-join takes no benchmark argument: the campaign comes from the coordinator's handshake")
+			return fmt.Errorf("%s takes no benchmark argument: %s", mode, source)
 		}
 		if *sample > 0 || *loadFrom != "" || *saveTo != "" || *ckpt != "" || *outcomes {
-			return fmt.Errorf("-join is a pure worker: it accepts no campaign, archive or checkpoint flags")
+			return fmt.Errorf("%s is a pure worker: it accepts no campaign, archive or checkpoint flags", mode)
 		}
 		jopts := faultspace.JoinOptions{
 			WorkerID:       *workerID,
@@ -177,43 +182,13 @@ func run(args []string, w, errW io.Writer) error {
 			}
 			defer stop()
 		}
-		err := faultspace.JoinScan(*join, jopts)
+		var err error
+		if *join != "" {
+			err = faultspace.JoinScan(*join, jopts)
+		} else {
+			err = faultspace.JoinServiceFleet(*fleetFl, faultspace.FleetOptions{JoinOptions: jopts})
+		}
 		printTelemetrySummary(errW, jopts.Telemetry)
-		return err
-	}
-
-	if *fleetFl != "" {
-		if fs.NArg() != 0 {
-			return fmt.Errorf("-fleet takes no benchmark argument: campaigns are assigned by the service")
-		}
-		if *sample > 0 || *loadFrom != "" || *saveTo != "" || *ckpt != "" || *outcomes {
-			return fmt.Errorf("-fleet is a pure worker: it accepts no campaign, archive or checkpoint flags")
-		}
-		fopts := faultspace.FleetOptions{JoinOptions: faultspace.JoinOptions{
-			WorkerID:       *workerID,
-			Workers:        *workers,
-			Strategy:       strat,
-			LadderInterval: *ladderIv,
-			Predecode:      *predec,
-		}}
-		if *progress {
-			fopts.Logf = func(format string, args ...any) {
-				fmt.Fprintf(errW, format+"\n", args...)
-			}
-			fopts.Telemetry = faultspace.NewTelemetry()
-		}
-		if *metricFl != "" {
-			if fopts.Telemetry == nil {
-				fopts.Telemetry = faultspace.NewTelemetry()
-			}
-			stop, err := serveMetrics(*metricFl, fopts.Telemetry, errW)
-			if err != nil {
-				return err
-			}
-			defer stop()
-		}
-		err := faultspace.JoinServiceFleet(*fleetFl, fopts)
-		printTelemetrySummary(errW, fopts.Telemetry)
 		return err
 	}
 

@@ -343,35 +343,10 @@ func Scan(p *Program, opts ScanOptions) (*ScanResult, error) {
 // scanCheckpointed runs a full scan that streams completed experiments
 // into (and, when resuming, restores them from) a checkpoint file.
 func scanCheckpointed(t campaign.Target, golden *Golden, fs *FaultSpace, cfg campaign.Config, opts ScanOptions) (*ScanResult, error) {
-	id, err := t.CampaignIdentity(fs.Kind, cfg)
+	w, prior, err := opts.openCheckpoint(t, fs, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("faultspace: %w", err)
+		return nil, err
 	}
-	hdr := checkpoint.Header{Version: checkpoint.Version, Identity: id, Classes: uint64(len(fs.Classes))}
-
-	var w *checkpoint.Writer
-	var prior map[int]campaign.Outcome
-	if opts.Resume {
-		var raw map[int]uint8
-		w, raw, err = checkpoint.Open(opts.Checkpoint, hdr)
-		if err != nil {
-			return nil, fmt.Errorf("faultspace: %w", err)
-		}
-		prior = make(map[int]campaign.Outcome, len(raw))
-		for ci, o := range raw {
-			if !campaign.Outcome(o).Known() {
-				w.Close()
-				return nil, fmt.Errorf("faultspace: checkpoint class %d has unknown outcome %d", ci, o)
-			}
-			prior[ci] = campaign.Outcome(o)
-		}
-	} else {
-		w, err = checkpoint.Create(opts.Checkpoint, hdr)
-		if err != nil {
-			return nil, fmt.Errorf("faultspace: %w (resume to continue an existing checkpoint)", err)
-		}
-	}
-	w.Instrument(cfg.Telemetry)
 	cfg.OnResult = func(ci int, o campaign.Outcome) { w.Append(ci, uint8(o)) }
 
 	res, scanErr := campaign.ResumeScan(t, golden, fs, cfg, prior)
@@ -387,6 +362,37 @@ func scanCheckpointed(t campaign.Target, golden *Golden, fs *FaultSpace, cfg cam
 		return nil, fmt.Errorf("faultspace: %w", scanErr)
 	}
 	return res, nil
+}
+
+// openCheckpoint starts the campaign's checkpoint file, bound to its
+// identity hash: a fresh one, or with Resume the existing one, whose
+// completed outcomes are validated and returned.
+func (o ScanOptions) openCheckpoint(t campaign.Target, fs *FaultSpace, cfg campaign.Config) (*checkpoint.Writer, map[int]campaign.Outcome, error) {
+	id, err := t.CampaignIdentity(fs.Kind, cfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("faultspace: %w", err)
+	}
+	hdr := checkpoint.Header{Version: checkpoint.Version, Identity: id, Classes: uint64(len(fs.Classes))}
+	var w *checkpoint.Writer
+	var raw map[int]uint8
+	if o.Resume {
+		w, raw, err = checkpoint.Open(o.Checkpoint, hdr)
+		if err != nil {
+			return nil, nil, fmt.Errorf("faultspace: %w", err)
+		}
+	} else if w, err = checkpoint.Create(o.Checkpoint, hdr); err != nil {
+		return nil, nil, fmt.Errorf("faultspace: %w (resume to continue an existing checkpoint)", err)
+	}
+	prior := make(map[int]campaign.Outcome, len(raw))
+	for ci, out := range raw {
+		if !campaign.Outcome(out).Known() {
+			w.Close()
+			return nil, nil, fmt.Errorf("faultspace: checkpoint class %d has unknown outcome %d", ci, out)
+		}
+		prior[ci] = campaign.Outcome(out)
+	}
+	w.Instrument(o.Telemetry)
+	return w, prior, nil
 }
 
 // CampaignIdentity returns the campaign identity hash Scan would use for

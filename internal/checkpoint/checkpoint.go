@@ -13,15 +13,12 @@
 //
 // # File format
 //
-// All integers are little-endian. The file is a magic string followed by
-// self-validating frames:
+// The file is a magic string followed by CRC-guarded frames — the frame
+// grammar, its little-endian integers and its uvarints are those of
+// internal/frame, shared with the cluster wire and the result archive:
 //
 //	file   = magic frame*
 //	magic  = "FAVCKPT1" (8 bytes)
-//	frame  = kind(1) length(u32) crc(u32) payload(length)
-//
-// crc is CRC-32 (IEEE) over the payload. Frame kinds:
-//
 //	'H'  header, exactly one, first: version(u32) identity(32) classes(u64)
 //	'R'  records: repeated { class(uvarint) outcome(1 byte) }
 //
@@ -40,10 +37,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"time"
 
+	"faultspace/internal/frame"
 	"faultspace/internal/telemetry"
 )
 
@@ -52,10 +49,6 @@ const Version = 1
 
 const (
 	magic       = "FAVCKPT1"
-	frameHdrLen = 1 + 4 + 4 // kind + length + crc
-	headerLen   = 4 + 32 + 8
-	maxFrame    = 1 << 20 // sanity bound on frame payload length
-
 	kindHeader  = 'H'
 	kindRecords = 'R'
 )
@@ -73,10 +66,10 @@ var (
 	ErrVersion = errors.New("checkpoint: unsupported version")
 	// ErrTruncated marks a file cut mid-frame (crash during a write).
 	// Records before the cut are valid and returned.
-	ErrTruncated = errors.New("checkpoint: truncated tail")
+	ErrTruncated = frame.ErrTruncated
 	// ErrCorrupt marks a frame whose CRC or framing does not verify.
 	// Records before the damage are valid and returned.
-	ErrCorrupt = errors.New("checkpoint: corrupt frame")
+	ErrCorrupt = frame.ErrCorrupt
 	// ErrIdentityMismatch marks a checkpoint whose campaign identity does
 	// not match the campaign being resumed.
 	ErrIdentityMismatch = errors.New("checkpoint: campaign identity mismatch")
@@ -115,21 +108,20 @@ func decodeAll(data []byte) (h Header, entries []Entry, goodLen int64, err error
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		return h, nil, 0, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
-	kind, payload, next, ferr := frame(data, len(magic))
-	if ferr != nil || kind != kindHeader || len(payload) != headerLen {
+	kind, payload, next, ferr := frame.Read(data, len(magic))
+	r := frame.NewReader(payload, ErrFormat)
+	h = Header{Version: r.U32(), Identity: r.Identity(), Classes: r.U64()}
+	if ferr != nil || kind != kindHeader || r.Finish() != nil {
 		// Without a trustworthy header nothing else can be interpreted.
-		return h, nil, 0, fmt.Errorf("%w: bad header frame", ErrFormat)
+		return Header{}, nil, 0, fmt.Errorf("%w: bad header frame", ErrFormat)
 	}
-	h.Version = binary.LittleEndian.Uint32(payload[0:4])
-	copy(h.Identity[:], payload[4:36])
-	h.Classes = binary.LittleEndian.Uint64(payload[36:44])
 	if h.Version != Version {
 		return h, nil, 0, fmt.Errorf("%w: file version %d, this build reads %d", ErrVersion, h.Version, Version)
 	}
 	goodLen = int64(next)
 
 	for off := next; off < len(data); {
-		kind, payload, next, ferr = frame(data, off)
+		kind, payload, next, ferr = frame.Read(data, off)
 		if ferr != nil {
 			return h, entries, goodLen, ferr
 		}
@@ -150,57 +142,18 @@ func decodeAll(data []byte) (h Header, entries []Entry, goodLen int64, err error
 	return h, entries, goodLen, nil
 }
 
-// ReadFrame parses one CRC-guarded frame at off and returns the frame
-// kind, its payload (CRC-verified) and the offset of the next frame. It
-// is the decoding half of the framing shared with the cluster wire
-// protocol (internal/cluster): a frame is kind(1) length(u32) crc32(u32)
-// payload. Damage yields ErrTruncated (cut) or ErrCorrupt (CRC/framing).
-func ReadFrame(data []byte, off int) (kind byte, payload []byte, next int, err error) {
-	return frame(data, off)
-}
-
-// frame parses one frame at off. It returns the frame kind, its payload
-// (CRC-verified), and the offset of the next frame.
-func frame(data []byte, off int) (kind byte, payload []byte, next int, err error) {
-	if off+frameHdrLen > len(data) {
-		return 0, nil, 0, fmt.Errorf("%w: frame header cut at offset %d", ErrTruncated, off)
-	}
-	kind = data[off]
-	length := binary.LittleEndian.Uint32(data[off+1 : off+5])
-	sum := binary.LittleEndian.Uint32(data[off+5 : off+9])
-	if length > maxFrame {
-		return 0, nil, 0, fmt.Errorf("%w: frame length %d exceeds limit", ErrCorrupt, length)
-	}
-	end := off + frameHdrLen + int(length)
-	if end > len(data) {
-		return 0, nil, 0, fmt.Errorf("%w: frame payload cut at offset %d", ErrTruncated, off)
-	}
-	payload = data[off+frameHdrLen : end]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return 0, nil, 0, fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorrupt, off)
-	}
-	return kind, payload, end, nil
-}
-
 // decodeRecords parses the entries of one CRC-verified records payload.
 func decodeRecords(payload []byte, classes uint64) ([]Entry, error) {
 	var batch []Entry
-	for p := 0; p < len(payload); {
-		class, n := binary.Uvarint(payload[p:])
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: bad class varint in records frame", ErrFormat)
-		}
-		p += n
-		if p >= len(payload) {
-			return nil, fmt.Errorf("%w: records frame ends mid-entry", ErrFormat)
-		}
+	r := frame.NewReader(payload, ErrFormat)
+	for r.Len() > 0 && r.Err() == nil {
+		class, outcome := r.Uvarint(), r.U8()
 		if class >= classes {
-			return nil, fmt.Errorf("%w: class %d outside campaign of %d classes", ErrFormat, class, classes)
+			r.Failf("class %d outside campaign of %d classes", class, classes)
 		}
-		batch = append(batch, Entry{Class: int(class), Outcome: payload[p]})
-		p++
+		batch = append(batch, Entry{Class: int(class), Outcome: outcome})
 	}
-	return batch, nil
+	return batch, r.Err()
 }
 
 // Load reads a checkpoint file for analysis. It returns the header and
@@ -261,22 +214,18 @@ func Create(path string, h Header) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	w := &Writer{f: f, FlushEvery: DefaultFlushEvery}
-	hdr := make([]byte, 0, len(magic)+frameHdrLen+headerLen)
-	hdr = append(hdr, magic...)
-	payload := make([]byte, headerLen)
-	binary.LittleEndian.PutUint32(payload[0:4], Version)
-	copy(payload[4:36], h.Identity[:])
-	binary.LittleEndian.PutUint64(payload[36:44], h.Classes)
-	hdr = appendFrame(hdr, kindHeader, payload)
-	if _, err := f.Write(hdr); err == nil {
+	payload := binary.LittleEndian.AppendUint32(nil, Version)
+	payload = append(payload, h.Identity[:]...)
+	payload = binary.LittleEndian.AppendUint64(payload, h.Classes)
+	if _, err = f.Write(frame.Append([]byte(magic), kindHeader, payload)); err == nil {
 		err = f.Sync()
-	} else {
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return w, nil
+	return &Writer{f: f, FlushEvery: DefaultFlushEvery}, nil
 }
 
 // Open resumes a checkpoint: it validates the header against h (same
@@ -348,8 +297,8 @@ func (w *Writer) flush() error {
 	if w.pending == 0 {
 		return nil
 	}
-	frame := appendFrame(make([]byte, 0, frameHdrLen+len(w.buf)), kindRecords, w.buf)
-	if _, err := w.f.Write(frame); err != nil {
+	rec := frame.Append(make([]byte, 0, frame.HeaderLen+len(w.buf)), kindRecords, w.buf)
+	if _, err := w.f.Write(rec); err != nil {
 		w.err = fmt.Errorf("checkpoint: %w", err)
 		return w.err
 	}
@@ -365,7 +314,7 @@ func (w *Writer) flush() error {
 		w.fsync.Observe(time.Since(t0))
 	}
 	w.flushes.Inc()
-	w.bytes.Add(uint64(len(frame)))
+	w.bytes.Add(uint64(len(rec)))
 	w.buf = w.buf[:0]
 	w.pending = 0
 	return nil
@@ -387,18 +336,4 @@ func (w *Writer) Close() error {
 		return w.err
 	}
 	return nil
-}
-
-// AppendFrame appends one CRC-guarded frame (kind, length, CRC32,
-// payload) to dst — the encoding half of ReadFrame.
-func AppendFrame(dst []byte, kind byte, payload []byte) []byte {
-	return appendFrame(dst, kind, payload)
-}
-
-// appendFrame appends one frame (kind, length, CRC, payload) to dst.
-func appendFrame(dst []byte, kind byte, payload []byte) []byte {
-	dst = append(dst, kind)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
 }

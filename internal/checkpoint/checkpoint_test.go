@@ -6,8 +6,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"faultspace/internal/frame"
 	"faultspace/internal/telemetry"
 )
+
+// headerLen is the size of the 'H' payload: version, identity, classes.
+const headerLen = 4 + 32 + 8
 
 func testHeader() Header {
 	h := Header{Version: Version, Classes: 1000}
@@ -232,9 +236,9 @@ func TestVersionMismatch(t *testing.T) {
 	data, _ := os.ReadFile(path)
 	// Patch the version field (payload offset 0 of the header frame) and
 	// re-CRC the header payload so only the version is "wrong".
-	payload := data[len(magic)+frameHdrLen:]
+	payload := data[len(magic)+frame.HeaderLen:]
 	payload[0] = 99
-	fixed := appendFrame(append([]byte{}, magic...), kindHeader, payload)
+	fixed := frame.Append(append([]byte{}, magic...), kindHeader, payload)
 	if _, _, err := Decode(fixed); !errors.Is(err, ErrVersion) {
 		t.Fatalf("version 99: %v, want ErrVersion", err)
 	}
@@ -272,8 +276,8 @@ func makeFile(h Header, records []byte) []byte {
 	copy(hp[4:36], h.Identity[:])
 	hp[36] = byte(h.Classes)
 	file := append([]byte{}, magic...)
-	file = appendFrame(file, kindHeader, hp)
-	return appendFrame(file, kindRecords, records)
+	file = frame.Append(file, kindHeader, hp)
+	return frame.Append(file, kindRecords, records)
 }
 
 func TestStickyWriterError(t *testing.T) {
@@ -344,7 +348,7 @@ func TestWriterTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	headerBytes := int64(len(magic) + frameHdrLen + headerLen)
+	headerBytes := int64(len(magic) + frame.HeaderLen + headerLen)
 	if got := s.Counters["checkpoint.bytes"]; int64(got) != fi.Size()-headerBytes {
 		t.Errorf("checkpoint.bytes = %d, want %d (file size minus header)", got, fi.Size()-headerBytes)
 	}

@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"encoding/binary"
 	"testing"
+
+	"faultspace/internal/frame"
 )
 
 // fuzzSeedFile builds a small valid checkpoint image for the fuzz corpus.
@@ -16,14 +18,14 @@ func fuzzSeedFile() []byte {
 	copy(hp[4:36], h.Identity[:])
 	binary.LittleEndian.PutUint64(hp[36:44], h.Classes)
 	file := append([]byte{}, magic...)
-	file = appendFrame(file, kindHeader, hp)
+	file = frame.Append(file, kindHeader, hp)
 	var rec []byte
 	for i := 0; i < 20; i++ {
 		rec = binary.AppendUvarint(rec, uint64(i*3))
 		rec = append(rec, byte(i%8))
 	}
-	file = appendFrame(file, kindRecords, rec[:len(rec)/2*2])
-	return appendFrame(file, kindRecords, []byte{0x3f, 0x07})
+	file = frame.Append(file, kindRecords, rec[:len(rec)/2*2])
+	return frame.Append(file, kindRecords, []byte{0x3f, 0x07})
 }
 
 // FuzzCheckpointDecode hammers the decoder with mutated checkpoint
@@ -45,7 +47,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	flipped[len(flipped)-1] ^= 0x80 // CRC/payload flip in the tail frame
 	f.Add(flipped)
 	versioned := append([]byte{}, valid...)
-	versioned[len(magic)+frameHdrLen] = 2 // header version byte
+	versioned[len(magic)+frame.HeaderLen] = 2 // header version byte
 	f.Add(versioned)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -190,6 +190,7 @@ type Coordinator struct {
 	identity [32]byte
 	spec     []byte // encoded handshake frame
 	opts     Options
+	mux      *http.ServeMux
 
 	mu          sync.Mutex
 	units       []*unit
@@ -280,6 +281,7 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 		finished: make(chan struct{}),
 		wake:     make(chan struct{}),
 	}
+	c.mux = c.routes()
 	reg := opts.Telemetry
 	c.telGranted = reg.Counter("cluster.leases_granted")
 	c.telExpired = reg.Counter("cluster.leases_expired")
@@ -411,7 +413,11 @@ func (c *Coordinator) wakeLocked() {
 // with Options.Pprof the standard net/http/pprof endpoints under
 // /debug/pprof/ — both are observability side doors and never touch
 // campaign state.
-func (c *Coordinator) Handler() http.Handler {
+func (c *Coordinator) Handler() http.Handler { return c.mux }
+
+// routes builds the handler once, in NewCoordinator: the campaign service
+// asks for it on every worker request it forwards.
+func (c *Coordinator) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/handshake", c.handleHandshake)
 	mux.HandleFunc("/v1/lease", c.handleLease)
@@ -520,8 +526,8 @@ func (c *Coordinator) resultLocked() *campaign.Result {
 
 // --- HTTP handlers -------------------------------------------------------
 
-// maxBody bounds request bodies; submissions are the largest legitimate
-// message (a few bytes per class).
+// maxBody bounds request and response bodies; submissions are the
+// largest legitimate message (a few bytes per class).
 const maxBody = 16 << 20
 
 // RequireMethod enforces the single allowed method of an endpoint,
@@ -536,7 +542,11 @@ func RequireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	return true
 }
 
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// ReadBody reads the bounded body of a POST request — the one request
+// reader of the coordinator's and the campaign service's endpoints. Any
+// other method, a failed read or a body above the bound is answered here
+// and reported false.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if !RequireMethod(w, r, http.MethodPost) {
 		return nil, false
 	}
@@ -569,7 +579,7 @@ func (c *Coordinator) admit(w http.ResponseWriter, id [32]byte) bool {
 // campaign that ends meanwhile must still wait for it to fetch its done
 // notice (WaitDrained) rather than close the door on it.
 func (c *Coordinator) handleHandshake(w http.ResponseWriter, r *http.Request) {
-	if _, ok := readBody(w, r); !ok {
+	if _, ok := ReadBody(w, r); !ok {
 		return
 	}
 	if id := r.URL.Query().Get("worker"); id != "" {
@@ -588,7 +598,7 @@ func (c *Coordinator) handleHandshake(w http.ResponseWriter, r *http.Request) {
 // campaign finishes, or the coordinator is interrupted or sealed — or
 // the hold runs out, which is answered UnitWait as an unheld ask is.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := ReadBody(w, r)
 	if !ok {
 		return
 	}
@@ -741,7 +751,7 @@ func (c *Coordinator) reclaimExpiredLocked() {
 }
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := ReadBody(w, r)
 	if !ok {
 		return
 	}
@@ -858,7 +868,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := ReadBody(w, r)
 	if !ok {
 		return
 	}
@@ -892,7 +902,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := ReadBody(w, r)
 	if !ok {
 		return
 	}

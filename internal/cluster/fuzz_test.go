@@ -1,0 +1,61 @@
+package cluster_test
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"faultspace/internal/checkpoint"
+	"faultspace/internal/cluster"
+	"faultspace/internal/service"
+)
+
+// FuzzWorkUnitDecode is the cluster mirror of FuzzCheckpointDecode: the
+// wire-protocol decoder must error on mutated or truncated frames, never
+// panic, and everything it accepts must re-encode to the same bytes. It
+// lives in the external test package so that it can reach the fleet
+// handshake decoders of internal/service, which imports this one.
+func FuzzWorkUnitDecode(f *testing.F) {
+	spec := cluster.EncodeSpec(cluster.Spec{
+		Proto: cluster.ProtoVersion, Name: "hi/baseline", Code: []byte{1, 2, 3, 4, 5, 6, 7, 8}, Image: []byte{0xaa, 0x55},
+		RAMSize: 2, SpaceKind: 1, TimeoutFactor: 4, Classes: 16, LeaseTTL: 10 * time.Second, Objective: "bypass",
+	})
+	f.Add(cluster.EncodeWorkUnit(cluster.WorkUnit{Status: cluster.UnitGranted, ID: 1, Token: 2, Classes: []int{0, 1, 2, 250, 4096}}))
+	f.Add(cluster.EncodeWorkUnit(cluster.WorkUnit{Status: cluster.UnitWait}))
+	f.Add(cluster.EncodeWorkUnit(cluster.WorkUnit{Status: cluster.UnitDone}))
+	f.Add(cluster.EncodeWorkUnit(cluster.WorkUnit{Status: cluster.UnitShutdown, ID: ^uint64(0), Token: ^uint64(0)}))
+	f.Add(spec)
+	f.Add(cluster.EncodeSubmission(cluster.Submission{WorkerID: "w", Entries: []checkpoint.Entry{{Class: 1, Outcome: 3}}}))
+	f.Add([]byte{})
+	f.Add([]byte("W garbage that is not a frame"))
+	f.Add(service.EncodeFleetHello(service.FleetHello{WorkerID: "f1"}))
+	f.Add(service.EncodeServiceHello(service.ServiceHello{Status: service.FleetGranted, Spec: spec}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		u, err := cluster.DecodeWorkUnit(data)
+		if err == nil {
+			// Whatever the decoder accepts must satisfy the protocol
+			// invariants and survive a semantic round trip.
+			if u.Status > cluster.UnitShutdown {
+				t.Errorf("accepted unit with invalid status %d", u.Status)
+			}
+			for i := 1; i < len(u.Classes); i++ {
+				if u.Classes[i] <= u.Classes[i-1] {
+					t.Errorf("accepted unit with non-ascending classes: %v", u.Classes)
+				}
+			}
+			again, err := cluster.DecodeWorkUnit(cluster.EncodeWorkUnit(u))
+			if err != nil || !reflect.DeepEqual(again, u) {
+				t.Errorf("unit round trip failed: %+v vs %+v (%v)", again, u, err)
+			}
+		}
+		// The sibling decoders share the reader; they must be equally
+		// panic-free on arbitrary input.
+		cluster.DecodeSpec(data)
+		cluster.DecodeSubmission(data)
+		cluster.DecodeHeartbeat(data)
+		cluster.DecodeLeaseRequest(data)
+		service.DecodeFleetHello(data)
+		service.DecodeServiceHello(data)
+	})
+}

@@ -14,10 +14,10 @@
 //
 // # Wire protocol
 //
-// Every message body is one CRC-guarded frame in the checkpoint framing
-// (kind, u32 length, u32 CRC32-IEEE, payload; see internal/checkpoint).
-// All integers are little-endian; variable-length integers use Go's
-// uvarint encoding. Endpoints:
+// Every message body is one CRC-guarded frame; the frame grammar and the
+// field encodings (little-endian integers, uvarints, length-prefixed
+// strings, ascending index lists) are those of internal/frame.
+// Endpoints:
 //
 //	POST /v1/handshake  → 'S' spec: everything a worker needs to rebuild
 //	                      the campaign (program, machine config, fault
@@ -36,11 +36,11 @@ package cluster
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"time"
 
 	"faultspace/internal/checkpoint"
+	"faultspace/internal/frame"
 	"faultspace/internal/telemetry"
 )
 
@@ -162,40 +162,29 @@ type Heartbeat struct {
 
 // --- encoding ------------------------------------------------------------
 
-func appendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
-func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
-
-func appendBytes(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
+var le = binary.LittleEndian
 
 // EncodeSpec encodes a handshake spec as one wire frame.
 func EncodeSpec(s Spec) []byte {
 	p := make([]byte, 0, 64+len(s.Code)+len(s.Image))
-	p = appendU32(p, s.Proto)
+	p = le.AppendUint32(p, s.Proto)
 	p = append(p, s.Identity[:]...)
-	p = appendString(p, s.Name)
-	p = appendBytes(p, s.Code)
-	p = appendBytes(p, s.Image)
-	p = appendU64(p, s.RAMSize)
-	p = appendU64(p, s.MaxSerial)
-	p = appendU64(p, s.TimerPeriod)
-	p = appendU32(p, s.TimerVector)
+	p = frame.AppendString(p, s.Name)
+	p = frame.AppendBytes(p, s.Code)
+	p = frame.AppendBytes(p, s.Image)
+	p = le.AppendUint64(p, s.RAMSize)
+	p = le.AppendUint64(p, s.MaxSerial)
+	p = le.AppendUint64(p, s.TimerPeriod)
+	p = le.AppendUint32(p, s.TimerVector)
 	p = append(p, s.SpaceKind)
-	p = appendU64(p, math.Float64bits(s.TimeoutFactor))
-	p = appendU64(p, s.TimeoutSlack)
-	p = appendU64(p, s.MaxGoldenCycles)
-	p = appendU64(p, s.Classes)
-	p = appendU64(p, uint64(s.LeaseTTL))
-	p = appendString(p, s.Objective)
+	p = le.AppendUint64(p, math.Float64bits(s.TimeoutFactor))
+	p = le.AppendUint64(p, s.TimeoutSlack)
+	p = le.AppendUint64(p, s.MaxGoldenCycles)
+	p = le.AppendUint64(p, s.Classes)
+	p = le.AppendUint64(p, uint64(s.LeaseTTL))
+	p = frame.AppendString(p, s.Objective)
 	p = append(p, s.TraceID[:]...)
-	return checkpoint.AppendFrame(nil, msgSpec, p)
+	return frame.Append(nil, msgSpec, p)
 }
 
 // EncodeWorkUnit encodes a lease response as one wire frame. Classes must
@@ -203,23 +192,23 @@ func EncodeSpec(s Spec) []byte {
 func EncodeWorkUnit(u WorkUnit) []byte {
 	p := make([]byte, 0, 16+2*len(u.Classes))
 	p = append(p, u.Status)
-	p = appendU64(p, u.ID)
-	p = appendU64(p, u.Token)
+	p = le.AppendUint64(p, u.ID)
+	p = le.AppendUint64(p, u.Token)
 	p = binary.AppendUvarint(p, uint64(len(u.Classes)))
 	prev := -1
 	for _, ci := range u.Classes {
-		p = binary.AppendUvarint(p, uint64(ci-prev))
+		p = frame.AppendDelta(p, prev, ci)
 		prev = ci
 	}
-	return checkpoint.AppendFrame(nil, msgWorkUnit, p)
+	return frame.Append(nil, msgWorkUnit, p)
 }
 
 // EncodeLeaseRequest encodes a lease request (or leave notice) frame.
 func EncodeLeaseRequest(r LeaseRequest) []byte {
 	p := make([]byte, 0, 40+len(r.WorkerID))
 	p = append(p, r.Identity[:]...)
-	p = appendString(p, r.WorkerID)
-	return checkpoint.AppendFrame(nil, msgLease, p)
+	p = frame.AppendString(p, r.WorkerID)
+	return frame.Append(nil, msgLease, p)
 }
 
 // EncodeSubmission encodes a result submission frame. Entries must be
@@ -227,186 +216,82 @@ func EncodeLeaseRequest(r LeaseRequest) []byte {
 func EncodeSubmission(s Submission) []byte {
 	p := make([]byte, 0, 64+3*len(s.Entries))
 	p = append(p, s.Identity[:]...)
-	p = appendString(p, s.WorkerID)
-	p = appendU64(p, s.UnitID)
-	p = appendU64(p, s.Token)
+	p = frame.AppendString(p, s.WorkerID)
+	p = le.AppendUint64(p, s.UnitID)
+	p = le.AppendUint64(p, s.Token)
 	p = binary.AppendUvarint(p, uint64(len(s.Entries)))
 	prev := -1
 	for _, e := range s.Entries {
-		p = binary.AppendUvarint(p, uint64(e.Class-prev))
+		p = frame.AppendDelta(p, prev, e.Class)
 		p = append(p, e.Outcome)
 		prev = e.Class
 	}
 	p = binary.AppendUvarint(p, uint64(len(s.Spans)))
 	for _, sp := range s.Spans {
-		p = appendString(p, sp.Name)
-		p = appendString(p, sp.Detail)
-		p = appendU64(p, uint64(sp.Start.UnixNano()))
-		p = appendU64(p, uint64(sp.Dur.Nanoseconds()))
+		p = frame.AppendString(p, sp.Name)
+		p = frame.AppendString(p, sp.Detail)
+		p = le.AppendUint64(p, uint64(sp.Start.UnixNano()))
+		p = le.AppendUint64(p, uint64(sp.Dur.Nanoseconds()))
 	}
-	return checkpoint.AppendFrame(nil, msgSubmit, p)
+	return frame.Append(nil, msgSubmit, p)
 }
 
 // EncodeHeartbeat encodes a heartbeat frame.
 func EncodeHeartbeat(h Heartbeat) []byte {
 	p := make([]byte, 0, 48+8*len(h.Units))
 	p = append(p, h.Identity[:]...)
-	p = appendString(p, h.WorkerID)
+	p = frame.AppendString(p, h.WorkerID)
 	p = binary.AppendUvarint(p, uint64(len(h.Units)))
 	for _, id := range h.Units {
 		p = binary.AppendUvarint(p, id)
 	}
-	return checkpoint.AppendFrame(nil, msgHeartbeat, p)
+	return frame.Append(nil, msgHeartbeat, p)
 }
 
 // --- decoding ------------------------------------------------------------
 
-// reader is a bounds-checked little-endian payload reader. All methods
-// are no-ops after the first error, so decoders can parse linearly and
-// check the error once.
-type reader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *reader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s at offset %d", ErrWire, what, r.off)
-	}
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.data) {
-		r.fail("payload cut")
-		return nil
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *reader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *reader) bytes() []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.data)-r.off) {
-		r.fail("length prefix exceeds payload")
-		return nil
-	}
-	return r.take(int(n))
-}
-
-func (r *reader) str() string { return string(r.bytes()) }
-
-func (r *reader) identity() (id [32]byte) {
-	copy(id[:], r.take(32))
-	return id
-}
-
-// finish reports the first decode error, or a trailing-garbage error if
-// the payload was not fully consumed.
-func (r *reader) finish() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.data) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrWire, len(r.data)-r.off)
-	}
-	return nil
-}
-
-// unframe validates the outer CRC frame and returns the payload of the
-// single expected message frame.
-func unframe(data []byte, wantKind byte) ([]byte, error) {
-	kind, payload, next, err := checkpoint.ReadFrame(data, 0)
+// open validates the outer frame of a message — exactly one frame of the
+// expected kind — and returns a reader over its payload. A framing
+// failure is the reader's first error, so decoders check once, at Finish.
+func open(data []byte, kind byte) frame.Reader {
+	payload, err := frame.Single(data, kind)
+	r := frame.NewReader(payload, ErrWire)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrWire, err)
+		r.Failf("%v", err)
 	}
-	if kind != wantKind {
-		return nil, fmt.Errorf("%w: frame kind %q, want %q", ErrWire, kind, wantKind)
-	}
-	if next != len(data) {
-		return nil, fmt.Errorf("%w: %d bytes after frame", ErrWire, len(data)-next)
-	}
-	return payload, nil
+	return r
 }
 
 // DecodeSpec parses a handshake spec frame. It never panics.
 func DecodeSpec(data []byte) (Spec, error) {
-	payload, err := unframe(data, msgSpec)
-	if err != nil {
-		return Spec{}, err
-	}
-	r := &reader{data: payload}
+	r := open(data, msgSpec)
 	var s Spec
-	s.Proto = r.u32()
-	s.Identity = r.identity()
-	s.Name = r.str()
-	s.Code = append([]byte(nil), r.bytes()...)
-	s.Image = append([]byte(nil), r.bytes()...)
-	s.RAMSize = r.u64()
-	s.MaxSerial = r.u64()
-	s.TimerPeriod = r.u64()
-	s.TimerVector = r.u32()
-	s.SpaceKind = r.u8()
-	s.TimeoutFactor = math.Float64frombits(r.u64())
-	s.TimeoutSlack = r.u64()
-	s.MaxGoldenCycles = r.u64()
-	s.Classes = r.u64()
-	s.LeaseTTL = time.Duration(r.u64())
-	s.Objective = r.str()
+	s.Proto = r.U32()
+	s.Identity = r.Identity()
+	s.Name = r.String()
+	s.Code = append([]byte(nil), r.Bytes()...)
+	s.Image = append([]byte(nil), r.Bytes()...)
+	s.RAMSize = r.U64()
+	s.MaxSerial = r.U64()
+	s.TimerPeriod = r.U64()
+	s.TimerVector = r.U32()
+	s.SpaceKind = r.U8()
+	s.TimeoutFactor = math.Float64frombits(r.U64())
+	s.TimeoutSlack = r.U64()
+	s.MaxGoldenCycles = r.U64()
+	s.Classes = r.U64()
+	s.LeaseTTL = time.Duration(r.U64())
+	s.Objective = r.String()
 	if s.Proto >= 3 {
 		// Proto-2 frames end at the objective; decoding them cleanly lets
 		// JoinCampaign report the version mismatch instead of "payload cut".
-		copy(s.TraceID[:], r.take(16))
-	}
-	if err := r.finish(); err != nil {
-		return Spec{}, err
+		copy(s.TraceID[:], r.Take(len(s.TraceID)))
 	}
 	if s.LeaseTTL <= 0 {
-		return Spec{}, fmt.Errorf("%w: non-positive lease TTL", ErrWire)
+		r.Failf("non-positive lease TTL")
+	}
+	if err := r.Finish(); err != nil {
+		return Spec{}, err
 	}
 	return s, nil
 }
@@ -414,143 +299,76 @@ func DecodeSpec(data []byte) (Spec, error) {
 // DecodeWorkUnit parses a lease response frame. It never panics: mutated
 // or truncated frames error out (the FuzzWorkUnitDecode contract).
 func DecodeWorkUnit(data []byte) (WorkUnit, error) {
-	payload, err := unframe(data, msgWorkUnit)
-	if err != nil {
-		return WorkUnit{}, err
-	}
-	r := &reader{data: payload}
-	var u WorkUnit
-	u.Status = r.u8()
-	u.ID = r.u64()
-	u.Token = r.u64()
-	n := r.uvarint()
-	if r.err == nil && n > maxUnitClasses {
-		return WorkUnit{}, fmt.Errorf("%w: unit of %d classes exceeds limit", ErrWire, n)
-	}
+	r := open(data, msgWorkUnit)
+	u := WorkUnit{Status: r.U8(), ID: r.U64(), Token: r.U64()}
 	prev := -1
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		d := r.uvarint()
-		if r.err != nil {
-			break
-		}
-		if d == 0 || d > maxClassIndex || prev > maxClassIndex-int(d) {
-			return WorkUnit{}, fmt.Errorf("%w: class delta %d breaks ascending order", ErrWire, d)
-		}
-		prev += int(d)
+	for n := r.Count(maxUnitClasses, "unit classes"); n > 0 && r.Err() == nil; n-- {
+		prev = r.Delta(prev)
 		u.Classes = append(u.Classes, prev)
 	}
-	if err := r.finish(); err != nil {
-		return WorkUnit{}, err
-	}
 	if u.Status > UnitShutdown {
-		return WorkUnit{}, fmt.Errorf("%w: unknown unit status %d", ErrWire, u.Status)
+		r.Failf("unknown unit status %d", u.Status)
+	}
+	if err := r.Finish(); err != nil {
+		return WorkUnit{}, err
 	}
 	return u, nil
 }
 
-// maxClassIndex bounds decoded class indices so delta accumulation cannot
-// overflow int on any platform.
-const maxClassIndex = 1 << 40
-
 // DecodeLeaseRequest parses a lease request (or leave notice) frame.
 func DecodeLeaseRequest(data []byte) (LeaseRequest, error) {
-	payload, err := unframe(data, msgLease)
-	if err != nil {
+	r := open(data, msgLease)
+	q := LeaseRequest{Identity: r.Identity(), WorkerID: workerID(&r)}
+	if err := r.Finish(); err != nil {
 		return LeaseRequest{}, err
-	}
-	r := &reader{data: payload}
-	var q LeaseRequest
-	q.Identity = r.identity()
-	q.WorkerID = r.str()
-	if err := r.finish(); err != nil {
-		return LeaseRequest{}, err
-	}
-	if q.WorkerID == "" {
-		return LeaseRequest{}, fmt.Errorf("%w: empty worker id", ErrWire)
 	}
 	return q, nil
 }
 
+// workerID reads the ID a worker signs its messages with; it must not be
+// empty.
+func workerID(r *frame.Reader) string {
+	id := r.String()
+	if id == "" {
+		r.Failf("empty worker id")
+	}
+	return id
+}
+
 // DecodeSubmission parses a result submission frame.
 func DecodeSubmission(data []byte) (Submission, error) {
-	payload, err := unframe(data, msgSubmit)
-	if err != nil {
-		return Submission{}, err
-	}
-	r := &reader{data: payload}
-	var s Submission
-	s.Identity = r.identity()
-	s.WorkerID = r.str()
-	s.UnitID = r.u64()
-	s.Token = r.u64()
-	n := r.uvarint()
-	if r.err == nil && n > maxUnitClasses {
-		return Submission{}, fmt.Errorf("%w: submission of %d entries exceeds limit", ErrWire, n)
-	}
+	r := open(data, msgSubmit)
+	s := Submission{Identity: r.Identity(), WorkerID: workerID(&r), UnitID: r.U64(), Token: r.U64()}
 	prev := -1
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		d := r.uvarint()
-		o := r.u8()
-		if r.err != nil {
-			break
-		}
-		if d == 0 || d > maxClassIndex || prev > maxClassIndex-int(d) {
-			return Submission{}, fmt.Errorf("%w: class delta %d breaks ascending order", ErrWire, d)
-		}
-		prev += int(d)
-		s.Entries = append(s.Entries, checkpoint.Entry{Class: prev, Outcome: o})
+	for n := r.Count(maxUnitClasses, "submission entries"); n > 0 && r.Err() == nil; n-- {
+		prev = r.Delta(prev)
+		s.Entries = append(s.Entries, checkpoint.Entry{Class: prev, Outcome: r.U8()})
 	}
-	ns := r.uvarint()
-	if r.err == nil && ns > maxSubmitSpans {
-		return Submission{}, fmt.Errorf("%w: submission of %d spans exceeds limit", ErrWire, ns)
-	}
-	for i := uint64(0); i < ns && r.err == nil; i++ {
-		var sp telemetry.Span
-		sp.Name = r.str()
-		sp.Detail = r.str()
-		start := r.u64()
-		dur := r.u64()
-		if r.err != nil {
-			break
-		}
+	for n := r.Count(maxSubmitSpans, "submission spans"); n > 0 && r.Err() == nil; n-- {
+		sp := telemetry.Span{Name: r.String(), Detail: r.String()}
+		start, dur := r.U64(), r.U64()
 		if start > math.MaxInt64 || dur > math.MaxInt64 {
-			return Submission{}, fmt.Errorf("%w: span time out of range", ErrWire)
+			r.Failf("span time out of range")
 		}
 		sp.Start = time.Unix(0, int64(start))
 		sp.Dur = time.Duration(dur)
 		s.Spans = append(s.Spans, sp)
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return Submission{}, err
-	}
-	if s.WorkerID == "" {
-		return Submission{}, fmt.Errorf("%w: empty worker id", ErrWire)
 	}
 	return s, nil
 }
 
 // DecodeHeartbeat parses a heartbeat frame.
 func DecodeHeartbeat(data []byte) (Heartbeat, error) {
-	payload, err := unframe(data, msgHeartbeat)
-	if err != nil {
+	r := open(data, msgHeartbeat)
+	h := Heartbeat{Identity: r.Identity(), WorkerID: workerID(&r)}
+	for n := r.Count(maxUnitClasses, "heartbeat units"); n > 0 && r.Err() == nil; n-- {
+		h.Units = append(h.Units, r.Uvarint())
+	}
+	if err := r.Finish(); err != nil {
 		return Heartbeat{}, err
-	}
-	r := &reader{data: payload}
-	var h Heartbeat
-	h.Identity = r.identity()
-	h.WorkerID = r.str()
-	n := r.uvarint()
-	if r.err == nil && n > maxUnitClasses {
-		return Heartbeat{}, fmt.Errorf("%w: heartbeat of %d units exceeds limit", ErrWire, n)
-	}
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		h.Units = append(h.Units, r.uvarint())
-	}
-	if err := r.finish(); err != nil {
-		return Heartbeat{}, err
-	}
-	if h.WorkerID == "" {
-		return Heartbeat{}, fmt.Errorf("%w: empty worker id", ErrWire)
 	}
 	return h, nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"faultspace/internal/checkpoint"
+	"faultspace/internal/frame"
 	"faultspace/internal/telemetry"
 )
 
@@ -150,7 +151,7 @@ func TestDecodeRejectsWrongKindAndGarbage(t *testing.T) {
 		t.Error("empty worker id must be rejected")
 	}
 	// Descending classes violate the strict-ascending contract.
-	bad := checkpoint.AppendFrame(nil, 'W', []byte{
+	bad := frame.Append(nil, 'W', []byte{
 		UnitGranted,
 		1, 0, 0, 0, 0, 0, 0, 0, // id
 		1, 0, 0, 0, 0, 0, 0, 0, // token
@@ -166,44 +167,4 @@ func TestDecodeRejectsWrongKindAndGarbage(t *testing.T) {
 	if _, err := DecodeWorkUnit(withTail); err == nil {
 		t.Error("trailing bytes must be rejected")
 	}
-}
-
-// FuzzWorkUnitDecode is the cluster mirror of FuzzCheckpointDecode: the
-// wire-protocol decoder must error on mutated or truncated frames, never
-// panic, and everything it accepts must re-encode to the same bytes.
-func FuzzWorkUnitDecode(f *testing.F) {
-	f.Add(EncodeWorkUnit(WorkUnit{Status: UnitGranted, ID: 1, Token: 2, Classes: []int{0, 1, 2, 250, 4096}}))
-	f.Add(EncodeWorkUnit(WorkUnit{Status: UnitWait}))
-	f.Add(EncodeWorkUnit(WorkUnit{Status: UnitDone}))
-	f.Add(EncodeWorkUnit(WorkUnit{Status: UnitShutdown, ID: ^uint64(0), Token: ^uint64(0)}))
-	f.Add(EncodeSpec(testSpec()))
-	f.Add(EncodeSubmission(Submission{WorkerID: "w", Entries: []checkpoint.Entry{{Class: 1, Outcome: 3}}}))
-	f.Add([]byte{})
-	f.Add([]byte("W garbage that is not a frame"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		u, err := DecodeWorkUnit(data)
-		if err == nil {
-			// Whatever the decoder accepts must satisfy the protocol
-			// invariants and survive a semantic round trip.
-			if u.Status > UnitShutdown {
-				t.Errorf("accepted unit with invalid status %d", u.Status)
-			}
-			for i := 1; i < len(u.Classes); i++ {
-				if u.Classes[i] <= u.Classes[i-1] {
-					t.Errorf("accepted unit with non-ascending classes: %v", u.Classes)
-				}
-			}
-			again, err := DecodeWorkUnit(EncodeWorkUnit(u))
-			if err != nil || !reflect.DeepEqual(again, u) {
-				t.Errorf("unit round trip failed: %+v vs %+v (%v)", again, u, err)
-			}
-		}
-		// The sibling decoders share the reader; they must be equally
-		// panic-free on arbitrary input.
-		DecodeSpec(data)
-		DecodeSubmission(data)
-		DecodeHeartbeat(data)
-		DecodeLeaseRequest(data)
-	})
 }

@@ -316,7 +316,7 @@ func (w *worker) heartbeat(unitID uint64, stop <-chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
-			w.postOnce("/v1/heartbeat", frame)
+			PostOnce(w.ctx, w.opts.Client, w.base+"/v1/heartbeat", frame)
 		}
 	}
 }
@@ -352,7 +352,7 @@ func (w *worker) submit(u WorkUnit, outcomes map[int]campaign.Outcome) error {
 
 // leave deregisters the worker, best effort.
 func (w *worker) leave(leaseReq []byte) {
-	w.postOnce("/v1/leave", leaseReq)
+	PostOnce(w.ctx, w.opts.Client, w.base+"/v1/leave", leaseReq)
 }
 
 func (w *worker) interrupted() bool {
@@ -382,7 +382,7 @@ func (w *worker) post(path string, body []byte) ([]byte, error) {
 				backoff = w.opts.MaxBackoff
 			}
 		}
-		resp, status, err := w.postOnce(path, body)
+		resp, status, err := PostOnce(w.ctx, w.opts.Client, w.base+path, body)
 		switch {
 		case err != nil && w.interrupted():
 			// The interrupt cancels requests in flight; that is not the
@@ -402,13 +402,17 @@ func (w *worker) post(path string, body []byte) ([]byte, error) {
 	return nil, fmt.Errorf("%w: %s after %d attempts: %v", ErrUnreachable, path, w.opts.MaxRetries, lastErr)
 }
 
-func (w *worker) postOnce(path string, body []byte) ([]byte, int, error) {
-	req, err := http.NewRequestWithContext(w.ctx, http.MethodPost, w.base+path, bytes.NewReader(body))
+// PostOnce issues one POST of a wire message and returns the bounded
+// response body and the status code — the one request primitive under
+// the worker's retrying post, its best-effort heartbeat and leave, and
+// the fleet handshake of internal/service.
+func PostOnce(ctx context.Context, client *http.Client, url string, body []byte) ([]byte, int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, 0, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := w.opts.Client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -1,25 +1,21 @@
 package service
 
 import (
-	"bytes"
-	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strings"
 	"time"
 
 	"faultspace/internal/campaign"
-	"faultspace/internal/checkpoint"
 	"faultspace/internal/cluster"
+	"faultspace/internal/frame"
 	"faultspace/internal/telemetry"
 )
 
-// Fleet handshake frame kinds, in the same CRC framing namespace as the
-// cluster wire protocol ('S', 'L', 'W', 'U', 'B') and the archive
-// entries ('E', 'D').
+// Fleet handshake frame kinds, in the one kind namespace of
+// internal/frame.
 const (
 	msgFleetHello   = 'F'
 	msgServiceHello = 'V'
@@ -52,99 +48,52 @@ type ServiceHello struct {
 
 // EncodeFleetHello encodes a fleet handshake frame.
 func EncodeFleetHello(h FleetHello) []byte {
-	p := make([]byte, 0, 8+len(h.WorkerID))
-	p = appendString(p, h.WorkerID)
-	return checkpoint.AppendFrame(nil, msgFleetHello, p)
+	return frame.Append(nil, msgFleetHello, frame.AppendString(nil, h.WorkerID))
 }
 
 // DecodeFleetHello decodes a fleet handshake frame.
-func DecodeFleetHello(frame []byte) (FleetHello, error) {
-	payload, err := framePayload(frame, msgFleetHello)
+func DecodeFleetHello(data []byte) (FleetHello, error) {
+	payload, err := frame.Single(data, msgFleetHello)
 	if err != nil {
 		return FleetHello{}, err
 	}
-	id, rest, err := takeString(payload)
-	if err != nil || len(rest) != 0 {
-		return FleetHello{}, fmt.Errorf("service: malformed fleet hello")
+	r := frame.NewReader(payload, errMessage)
+	h := FleetHello{WorkerID: r.String()}
+	if err := r.Finish(); err != nil {
+		return FleetHello{}, err
 	}
-	return FleetHello{WorkerID: id}, nil
+	return h, nil
 }
 
 // EncodeServiceHello encodes a fleet handshake response frame.
 func EncodeServiceHello(h ServiceHello) []byte {
 	p := make([]byte, 0, 16+len(h.Spec))
 	p = append(p, h.Status)
-	p = appendString(p, string(h.Spec))
-	return checkpoint.AppendFrame(nil, msgServiceHello, p)
+	p = frame.AppendBytes(p, h.Spec)
+	return frame.Append(nil, msgServiceHello, p)
 }
 
-// DecodeServiceHello decodes a fleet handshake response frame.
-func DecodeServiceHello(frame []byte) (ServiceHello, error) {
-	payload, err := framePayload(frame, msgServiceHello)
+// DecodeServiceHello decodes a fleet handshake response frame; the
+// returned Spec aliases data.
+func DecodeServiceHello(data []byte) (ServiceHello, error) {
+	payload, err := frame.Single(data, msgServiceHello)
 	if err != nil {
 		return ServiceHello{}, err
 	}
-	if len(payload) < 1 {
-		return ServiceHello{}, fmt.Errorf("service: malformed service hello")
+	r := frame.NewReader(payload, errMessage)
+	h := ServiceHello{Status: r.U8()}
+	if spec := r.Bytes(); len(spec) > 0 {
+		h.Spec = spec
 	}
-	status := payload[0]
-	spec, rest, err := takeString(payload[1:])
-	if err != nil || len(rest) != 0 {
-		return ServiceHello{}, fmt.Errorf("service: malformed service hello")
-	}
-	h := ServiceHello{Status: status}
-	if spec != "" {
-		h.Spec = []byte(spec)
+	if err := r.Finish(); err != nil {
+		return ServiceHello{}, err
 	}
 	return h, nil
 }
 
-// framePayload parses one frame and checks its kind.
-func framePayload(frame []byte, kind byte) ([]byte, error) {
-	k, payload, next, err := checkpoint.ReadFrame(frame, 0)
-	if err != nil {
-		return nil, err
-	}
-	if k != kind || next != len(frame) {
-		return nil, fmt.Errorf("service: unexpected frame")
-	}
-	return payload, nil
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = appendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
-func takeString(p []byte) (string, []byte, error) {
-	var n uint64
-	var shift uint
-	i := 0
-	for {
-		if i >= len(p) || shift > 63 {
-			return "", nil, fmt.Errorf("service: bad varint")
-		}
-		b := p[i]
-		i++
-		n |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			break
-		}
-		shift += 7
-	}
-	if uint64(len(p)-i) < n {
-		return "", nil, fmt.Errorf("service: string cut")
-	}
-	return string(p[i : i+int(n)]), p[i+int(n):], nil
-}
+// errMessage marks a fleet or worker message whose payload does not
+// parse.
+var errMessage = errors.New("service: malformed worker message")
 
 // FleetOptions parameterizes JoinFleet.
 type FleetOptions struct {
@@ -216,7 +165,7 @@ func JoinFleet(baseURL string, opts FleetOptions) error {
 	backoff := opts.Worker.BaseBackoff
 	for {
 		asked := time.Now()
-		resp, status, err := postOnce(ctx, opts.Client, url, hello)
+		resp, status, err := cluster.PostOnce(ctx, opts.Client, url, hello)
 		if ctx.Err() != nil {
 			return campaign.ErrInterrupted
 		}
@@ -274,22 +223,4 @@ func JoinFleet(baseURL string, opts FleetOptions) error {
 		}
 		// Campaign finished or was cancelled; ask for the next one.
 	}
-}
-
-func postOnce(ctx context.Context, client *http.Client, url string, body []byte) ([]byte, int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody+1))
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, resp.StatusCode, nil
 }

@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"faultspace/internal/archive"
-	"faultspace/internal/checkpoint"
 	"faultspace/internal/cluster"
+	"faultspace/internal/frame"
 	"faultspace/internal/telemetry"
 )
 
@@ -142,9 +142,9 @@ type CampaignStatus struct {
 	State  string `json:"state"`
 	// Cached reports that the campaign completed without executing a
 	// single experiment: its report came from the result archive.
-	Cached bool   `json:"cached,omitempty"`
-	Done   int    `json:"done"`
-	Total  int    `json:"total"`
+	Cached bool `json:"cached,omitempty"`
+	Done   int  `json:"done"`
+	Total  int  `json:"total"`
 	// Objective is the campaign's attacker-objective name ("" = none);
 	// Attacks counts classes whose outcome satisfied it so far.
 	Objective string `json:"objective,omitempty"`
@@ -262,22 +262,6 @@ func (s *Service) Handler() http.Handler {
 
 // --- lifecycle endpoints -------------------------------------------------
 
-// maxBody mirrors the cluster protocol's request body bound.
-const maxBody = 16 << 20
-
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
-	if err != nil {
-		http.Error(w, "service: read: "+err.Error(), http.StatusBadRequest)
-		return nil, false
-	}
-	if len(body) > maxBody {
-		http.Error(w, "service: request too large", http.StatusBadRequest)
-		return nil, false
-	}
-	return body, true
-}
-
 func (s *Service) retryAfter(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(int((s.opts.RetryAfter+time.Second-1)/time.Second)))
 }
@@ -307,7 +291,7 @@ func (s *Service) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 // parameter. Identical re-submissions are idempotent; a submission whose
 // identity is archived completes instantly without touching the fleet.
 func (s *Service) submit(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := cluster.ReadBody(w, r)
 	if !ok {
 		return
 	}
@@ -715,10 +699,7 @@ func (s *Service) wakeLocked() {
 // campaign becomes assignable, the service starts draining, the worker
 // goes away or the hold runs out (then "wait", as without a hold).
 func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
-	if !cluster.RequireMethod(w, r, http.MethodPost) {
-		return
-	}
-	body, ok := readBody(w, r)
+	body, ok := cluster.ReadBody(w, r)
 	if !ok {
 		return
 	}
@@ -806,10 +787,7 @@ func (s *Service) pickCampaignLocked() (spec []byte, draining bool) {
 // coordinator. Campaigns that never ran a coordinator (archive hits,
 // early failures) synthesize the protocol answers workers expect.
 func (s *Service) routeWorker(w http.ResponseWriter, r *http.Request) {
-	if !cluster.RequireMethod(w, r, http.MethodPost) {
-		return
-	}
-	body, ok := readBody(w, r)
+	body, ok := cluster.ReadBody(w, r)
 	if !ok {
 		return
 	}
@@ -857,13 +835,10 @@ func (s *Service) routeWorker(w http.ResponseWriter, r *http.Request) {
 // peekIdentity extracts the identity prefix every post-handshake worker
 // message payload starts with.
 func peekIdentity(body []byte) ([32]byte, bool) {
-	var id [32]byte
-	_, payload, _, err := checkpoint.ReadFrame(body, 0)
-	if err != nil || len(payload) < len(id) {
-		return id, false
-	}
-	copy(id[:], payload)
-	return id, true
+	_, payload, _, err := frame.Read(body, 0)
+	r := frame.NewReader(payload, errMessage)
+	id := r.Identity()
+	return id, err == nil && r.Err() == nil
 }
 
 // --- observability -------------------------------------------------------

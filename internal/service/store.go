@@ -12,6 +12,11 @@
 // sequence. A duplicate submission is therefore answered from the
 // archive, byte-identical to a live scan, without touching the fleet
 // (invariant 12).
+//
+// The package's two binary formats — the fleet handshake messages
+// (fleet.go) and the archive entry files (store.go) — are internal/frame
+// frames read with its field Reader, like the cluster wire they ride
+// next to.
 package service
 
 import (
@@ -26,19 +31,18 @@ import (
 	"sync"
 	"time"
 
-	"faultspace/internal/checkpoint"
+	"faultspace/internal/frame"
 )
 
-// Archive entry framing, layered on the checkpoint CRC framing: a file
-// is magic, one kindEntry frame (identity + total report length), then
+// Archive entry framing, layered on internal/frame: a file is magic, one
+// kindEntry frame (identity + total report length as a uvarint), then
 // the report bytes chunked into kindData frames small enough for the
 // frame-length sanity bound.
 const (
 	storeMagic = "FAVARCH1"
 	kindEntry  = 'E'
 	kindData   = 'D'
-	// chunkSize keeps every data frame well under the checkpoint framing's
-	// payload bound (1 MiB).
+	// chunkSize keeps every data frame well under frame.MaxPayload.
 	chunkSize = 1 << 19
 	// entryExt names archive entry files: <identity-hex>.far.
 	entryExt = ".far"
@@ -46,8 +50,8 @@ const (
 
 // ErrEntry marks a structurally invalid archive entry (bad magic,
 // malformed framing, length mismatch). CRC damage and truncation keep
-// the checkpoint package's ErrCorrupt/ErrTruncated identity so torn
-// tails remain distinguishable.
+// their frame.ErrCorrupt/frame.ErrTruncated identity so torn tails
+// remain distinguishable.
 var ErrEntry = errors.New("service: malformed archive entry")
 
 // EncodeEntry encodes one archive entry file: an identity-keyed report.
@@ -55,46 +59,44 @@ func EncodeEntry(id [32]byte, report []byte) []byte {
 	p := make([]byte, 0, 48)
 	p = append(p, id[:]...)
 	p = binary.AppendUvarint(p, uint64(len(report)))
-	out := append([]byte(storeMagic), checkpoint.AppendFrame(nil, kindEntry, p)...)
+	out := frame.Append([]byte(storeMagic), kindEntry, p)
 	for off := 0; off < len(report); off += chunkSize {
 		end := off + chunkSize
 		if end > len(report) {
 			end = len(report)
 		}
-		out = checkpoint.AppendFrame(out, kindData, report[off:end])
+		out = frame.Append(out, kindData, report[off:end])
 	}
 	return out
 }
 
 // DecodeEntry decodes an archive entry file, verifying magic, CRC frames
 // and the announced report length. Truncation surfaces as
-// checkpoint.ErrTruncated (a torn tail, recoverable by re-running the
-// campaign), CRC damage as checkpoint.ErrCorrupt.
+// frame.ErrTruncated (a torn tail, recoverable by re-running the
+// campaign), CRC damage as frame.ErrCorrupt.
 func DecodeEntry(data []byte) (id [32]byte, report []byte, err error) {
 	if len(data) < len(storeMagic) {
-		return id, nil, fmt.Errorf("%w: file cut before magic", checkpoint.ErrTruncated)
+		return id, nil, fmt.Errorf("%w: file cut before magic", frame.ErrTruncated)
 	}
 	if string(data[:len(storeMagic)]) != storeMagic {
 		return id, nil, fmt.Errorf("%w: bad magic", ErrEntry)
 	}
-	kind, payload, off, err := checkpoint.ReadFrame(data, len(storeMagic))
+	kind, payload, off, err := frame.Read(data, len(storeMagic))
 	if err != nil {
 		return id, nil, err
 	}
 	if kind != kindEntry {
 		return id, nil, fmt.Errorf("%w: first frame kind %q, want %q", ErrEntry, kind, byte(kindEntry))
 	}
-	if len(payload) < len(id) {
-		return id, nil, fmt.Errorf("%w: entry header cut", ErrEntry)
-	}
-	copy(id[:], payload)
-	total, n := binary.Uvarint(payload[len(id):])
-	if n <= 0 || len(id)+n != len(payload) {
-		return id, nil, fmt.Errorf("%w: bad report length", ErrEntry)
+	r := frame.NewReader(payload, ErrEntry)
+	id = r.Identity()
+	total := r.Uvarint()
+	if err := r.Finish(); err != nil {
+		return id, nil, err
 	}
 	report = []byte{}
 	for uint64(len(report)) < total {
-		kind, payload, off, err = checkpoint.ReadFrame(data, off)
+		kind, payload, off, err = frame.Read(data, off)
 		if err != nil {
 			return id, nil, err
 		}
@@ -252,7 +254,7 @@ func (s *Store) Put(id [32]byte, report []byte) error {
 	if err != nil {
 		return fmt.Errorf("service: archive: %w", err)
 	}
-	if _, err := f.Write(data); err == nil {
+	if _, err = f.Write(data); err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {

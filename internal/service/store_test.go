@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"faultspace/internal/checkpoint"
+	"faultspace/internal/frame"
 )
 
 func testID(b byte) [32]byte {
@@ -45,12 +45,12 @@ func TestEntryDamage(t *testing.T) {
 	id := testID(7)
 	good := EncodeEntry(id, bytes.Repeat([]byte("r"), 1000))
 
-	if _, _, err := DecodeEntry(good[:len(good)-3]); !errors.Is(err, checkpoint.ErrTruncated) {
+	if _, _, err := DecodeEntry(good[:len(good)-3]); !errors.Is(err, frame.ErrTruncated) {
 		t.Errorf("torn tail: got %v, want ErrTruncated", err)
 	}
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)-1] ^= 0x40
-	if _, _, err := DecodeEntry(flipped); !errors.Is(err, checkpoint.ErrCorrupt) {
+	if _, _, err := DecodeEntry(flipped); !errors.Is(err, frame.ErrCorrupt) {
 		t.Errorf("bit flip: got %v, want ErrCorrupt", err)
 	}
 	if _, _, err := DecodeEntry([]byte("NOTMAGIC" + "rest")); !errors.Is(err, ErrEntry) {
@@ -179,6 +179,35 @@ func TestStoreRecencySurvivesReopen(t *testing.T) {
 	}
 	if e1.used <= e2.used {
 		t.Error("mtime-seeded LRU order lost across reopen")
+	}
+}
+
+// TestPutFailedWriteLeavesNothing makes the entry's temp file a symlink
+// to /dev/full, so the write fails with ENOSPC: Put must report it, and
+// neither a file nor an index entry may be left behind.
+func TestPutFailedWriteLeavesNothing(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	dir := t.TempDir()
+	st, err := OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := testID(9)
+	if err := os.Symlink("/dev/full", st.path(id)+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	// No Get below: were the torn entry indexed, reading it back would
+	// read /dev/full, which never ends.
+	if err := st.Put(id, []byte(`{"version":1}`)); err == nil {
+		t.Error("Put onto a full device returned nil")
+	}
+	if st.Len() != 0 || st.Size() != 0 {
+		t.Errorf("failed Put was indexed: %d entries, %d bytes", st.Len(), st.Size())
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Errorf("failed Put left %d files behind, first %q", len(left), left[0].Name())
 	}
 }
 

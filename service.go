@@ -195,22 +195,40 @@ func SubmitCampaign(addr string, p *Program, opts ScanOptions, tenant string) (C
 	if tenant != "" {
 		u += "?tenant=" + url.QueryEscape(tenant)
 	}
-	resp, err := http.Post(u, "application/octet-stream", bytes.NewReader(cluster.EncodeSpec(spec)))
+	body, err := serviceCall(context.Background(), "submit", http.MethodPost, u, cluster.EncodeSpec(spec))
 	if err != nil {
-		return info, fmt.Errorf("faultspace: %w", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return info, fmt.Errorf("faultspace: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return info, fmt.Errorf("faultspace: submit: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+		return info, err
 	}
 	if err := json.Unmarshal(body, &info); err != nil {
 		return info, fmt.Errorf("faultspace: submit: %w", err)
 	}
 	return info, nil
+}
+
+// serviceCall sends one lifecycle request to a campaign service and
+// returns the bounded response body; any status but 200 or 202 is an
+// error naming what was asked and carrying the service's message.
+func serviceCall(ctx context.Context, what, method, url string, body []byte) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, fmt.Errorf("faultspace: %w", err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/octet-stream")
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("faultspace: %w", err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxReportBytes))
+	if err != nil {
+		return nil, fmt.Errorf("faultspace: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+		return nil, fmt.Errorf("faultspace: %s: HTTP %d: %s", what, resp.StatusCode, strings.TrimSpace(string(data)))
+	}
+	return data, nil
 }
 
 // CampaignState fetches one campaign's current state from a service.
@@ -222,22 +240,10 @@ func CampaignState(addr, id string) (CampaignInfo, error) {
 // hold request.
 func campaignState(ctx context.Context, addr, id, query string) (CampaignInfo, error) {
 	var info CampaignInfo
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+	body, err := serviceCall(ctx, "status", http.MethodGet,
 		normalizeURL(addr)+"/v1/campaigns/"+url.PathEscape(id)+query, nil)
 	if err != nil {
-		return info, fmt.Errorf("faultspace: %w", err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return info, fmt.Errorf("faultspace: %w", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return info, fmt.Errorf("faultspace: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return info, fmt.Errorf("faultspace: status: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+		return info, err
 	}
 	if err := json.Unmarshal(body, &info); err != nil {
 		return info, fmt.Errorf("faultspace: status: %w", err)
@@ -280,20 +286,16 @@ func WaitCampaign(addr, id string, spacing time.Duration, interrupt <-chan struc
 // what SaveScan of a live scan would have produced — whether the service
 // executed the campaign or answered from its archive (invariant 12).
 func CampaignReport(addr, id string) (*ScanResult, error) {
-	resp, err := http.Get(normalizeURL(addr) + "/v1/campaigns/" + url.PathEscape(id) + "/report")
+	report, err := serviceCall(context.Background(), "report", http.MethodGet,
+		normalizeURL(addr)+"/v1/campaigns/"+url.PathEscape(id)+"/report", nil)
 	if err != nil {
-		return nil, fmt.Errorf("faultspace: %w", err)
+		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		return nil, fmt.Errorf("faultspace: report: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	return LoadScan(io.LimitReader(resp.Body, maxReportBytes))
+	return LoadScan(bytes.NewReader(report))
 }
 
-// maxReportBytes bounds a fetched report (matching the service's own
-// request bound).
+// maxReportBytes bounds what serviceCall reads of a response — a report
+// at the largest (matching the service's own request bound).
 const maxReportBytes = 16 << 20
 
 // FleetOptions parameterizes JoinServiceFleet. The embedded JoinOptions
