@@ -57,13 +57,10 @@ race-observability:
 # never panic), the ladder
 # delta-restore engine (random
 # programs + random restore/flip/run sequences must reproduce full-
-# snapshot state bit-for-bit), the any-cycle golden match (random
+# snapshot state bit-for-bit) and the any-cycle golden match (random
 # self-repairing programs, timers and faults: whenever the matcher names a
 # golden cycle, running the child out must reproduce the composed halt,
-# output, counters and final cycle), and the predecode fast path under
-# self-modifying stores and code-region bit flips (the pre-decoded
-# dispatch stream must stay lockstep-identical to the plain decoder
-# through precise invalidation). The attack-space coordinate codecs are
+# output, counters and final cycle). The attack-space coordinate codecs are
 # covered the same way: the burst (k, pos) decoder must reject or decode
 # to an exact adjacent mask, and skip-space class lists must survive the
 # archive/wire FromClasses round trip.
@@ -75,7 +72,6 @@ fuzz-smoke:
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzDeltaRestore -fuzztime=10s
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzForkClone -fuzztime=10s
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzShiftedReconverge -fuzztime=10s
-	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzPredecodeSelfModify -fuzztime=10s
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzBurstMaskDecode -fuzztime=10s
 	$(GO) test ./internal/pruning -run='^$$' -fuzz=FuzzSkipCoordinateRoundTrip -fuzztime=10s
 

@@ -165,21 +165,21 @@ func TestScanOptionsSpaceValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := ScanOptions{Space: tc.in}.space()
+			got, _, err := ScanOptions{Space: tc.in}.resolve()
 			if tc.ok {
 				if err != nil {
-					t.Fatalf("space() = %v, want %v", err, tc.want)
+					t.Fatalf("resolve() = %v, want %v", err, tc.want)
 				}
 				if got != tc.want {
-					t.Fatalf("space() = %v, want %v", got, tc.want)
+					t.Fatalf("resolve() = %v, want %v", got, tc.want)
 				}
 				return
 			}
 			if err == nil {
-				t.Fatalf("space() accepted unknown kind %d as %v", tc.in, got)
+				t.Fatalf("resolve() accepted unknown kind %d as %v", tc.in, got)
 			}
 			if !strings.Contains(err.Error(), "unknown fault-space kind") {
-				t.Fatalf("space() error %q does not name the failure", err)
+				t.Fatalf("resolve() error %q does not name the failure", err)
 			}
 		})
 	}

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"time"
 
 	"faultspace/internal/campaign"
-	"faultspace/internal/checkpoint"
 	"faultspace/internal/cluster"
 )
 
@@ -68,28 +68,10 @@ type ServeOptions struct {
 // resumes with no experiment redone. Interrupt stops granting leases and
 // returns the partial result with ErrInterrupted.
 func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) {
-	t := Target(p)
-	kind, err := opts.space()
+	c, err := prepare(p, opts.ScanOptions)
 	if err != nil {
-		return nil, fmt.Errorf("faultspace: %w", err)
+		return nil, err
 	}
-	golden, fs, err := t.PrepareSpace(kind, opts.maxGolden())
-	if err != nil {
-		return nil, fmt.Errorf("faultspace: %w", err)
-	}
-	cfg, err := opts.campaignConfig()
-	if err != nil {
-		return nil, fmt.Errorf("faultspace: %w", err)
-	}
-
-	var w *checkpoint.Writer
-	var prior map[int]campaign.Outcome
-	if opts.Checkpoint != "" {
-		if w, prior, err = opts.openCheckpoint(t, fs, cfg); err != nil {
-			return nil, err
-		}
-	}
-
 	copts := cluster.Options{
 		UnitSize:         opts.UnitSize,
 		LeaseTTL:         opts.LeaseTTL,
@@ -100,30 +82,30 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 		Telemetry:        opts.Telemetry,
 		Pprof:            opts.Pprof,
 	}
-	if w != nil {
+	var prior map[int]campaign.Outcome
+	closeCheckpoint := func() error { return nil }
+	if opts.Checkpoint != "" {
+		w, completed, err := opts.openCheckpoint(c.target, c.space, c.cfg)
+		if err != nil {
+			return nil, err
+		}
+		prior, closeCheckpoint = completed, w.Close
 		copts.OnResult = func(ci int, o campaign.Outcome) { w.Append(ci, uint8(o)) }
 	}
-	coord, err := cluster.NewCoordinator(t, golden, fs, cfg, copts, prior)
+	coord, err := cluster.NewCoordinator(c.target, c.golden, c.space, c.cfg, copts, prior)
 	if err != nil {
-		if w != nil {
-			w.Close()
-		}
+		closeCheckpoint()
 		return nil, fmt.Errorf("faultspace: %w", err)
 	}
-
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		if w != nil {
-			w.Close()
-		}
+		closeCheckpoint()
 		return nil, fmt.Errorf("faultspace: %w", err)
 	}
 	if opts.OnListen != nil {
 		opts.OnListen(ln.Addr().String())
 	}
-	srv := &http.Server{Handler: coord.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
+	stop := serve(ln, coord.Handler())
 
 	res, scanErr := coord.Wait()
 	// Let the workers fetch their done/shutdown notice before tearing the
@@ -138,53 +120,60 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 	coord.WaitDrained(drain)
 	// Close the listener and connections, then seal the coordinator so no
 	// late handler can touch a closed checkpoint writer.
-	srv.Close()
-	<-serveErr
+	stop()
 	coord.Seal()
-	if w != nil {
-		// Close flushes buffered records — including on the interrupt
-		// path, which makes a SIGINT-killed coordinator resumable.
-		if cerr := w.Close(); cerr != nil && scanErr == nil {
-			return nil, fmt.Errorf("faultspace: %w", cerr)
-		}
+	// Close flushes buffered records — including on the interrupt path,
+	// which makes a SIGINT-killed coordinator resumable.
+	if cerr := closeCheckpoint(); cerr != nil && scanErr == nil {
+		return nil, fmt.Errorf("faultspace: %w", cerr)
 	}
-	if scanErr != nil {
-		if errors.Is(scanErr, campaign.ErrInterrupted) {
-			return res, fmt.Errorf("faultspace: %w", scanErr)
-		}
-		return nil, fmt.Errorf("faultspace: %w", scanErr)
-	}
-	return res, nil
+	return wrapScanErr(res, scanErr)
 }
 
-// JoinOptions parameterizes JoinScan.
-type JoinOptions struct {
-	// WorkerID names this worker in coordinator statistics (default
-	// "w<pid>").
-	WorkerID string
-	// Workers is the number of parallel experiment executors (default
-	// GOMAXPROCS).
-	Workers int
-	// Strategy selects this worker's execution strategy (default
-	// StrategyFork); strategies may differ freely across the cluster.
-	Strategy Strategy
-	// LadderInterval is StrategyFork's rung spacing (0 auto-tunes from
-	// the golden-trace length).
-	LadderInterval uint64
-	// Predecode enables the simulator's pre-decoded dispatch stream on
-	// this worker's machines. Outcome-invariant and local to this worker.
-	Predecode bool
-	// Interrupt, when closed, makes the worker die abruptly mid-unit
-	// without submitting — the crash the coordinator's lease expiry must
-	// absorb.
-	Interrupt <-chan struct{}
-	// Logf, when non-nil, receives worker life-cycle log lines.
-	Logf func(format string, args ...any)
-	// Telemetry, when non-nil, collects this worker's campaign metrics
-	// (experiments, outcome timings, machine-pool reuse). Outcome-
-	// invariant, exactly as in ScanOptions.
-	Telemetry *Telemetry
+// readHeaderTimeout bounds how long a connection may take to send its
+// request header. A variable only so that its test need not wait it out.
+var readHeaderTimeout = 10 * time.Second
+
+// serve runs handler on ln until the returned stop is called; stop closes
+// the listener and every connection and returns once Serve has. There is
+// deliberately no write timeout: held ?wait= answers legitimately take up
+// to cluster.MaxHold.
+func serve(ln net.Listener, handler http.Handler) (stop func()) {
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Serve(ln)
+	}()
+	return func() {
+		srv.Close()
+		<-done
+	}
 }
+
+// ServeMetrics exposes the registry's snapshot in Prometheus text format
+// at /metrics on addr until the returned stop is called; bound is the
+// address listened on.
+func ServeMetrics(addr string, reg *Telemetry) (bound string, stop func(), err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", nil, fmt.Errorf("faultspace: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = WritePrometheus(w, reg.Snapshot(), nil)
+	})
+	return ln.Addr().String(), serve(ln, mux), nil
+}
+
+// JoinOptions parameterizes JoinScan and JoinServiceFleet: the worker's
+// name, its local execution choices (Workers, Strategy, LadderInterval,
+// Predecode — outcome-invariant, free to differ across a fleet), retry
+// backoff, Interrupt (when closed the worker dies abruptly mid-unit
+// without submitting — the crash the coordinator's lease expiry must
+// absorb), Telemetry, the HTTP client and Logf.
+type JoinOptions = cluster.WorkerOptions
 
 // JoinScan joins a coordinator started with ServeScan (or favscan
 // -serve) as a worker: it rebuilds the campaign from the handshake —
@@ -193,17 +182,7 @@ type JoinOptions struct {
 // completes. Requests are retried with exponential backoff; a worker
 // whose campaign identity differs from the coordinator's is rejected.
 func JoinScan(addr string, opts JoinOptions) error {
-	wopts := cluster.WorkerOptions{
-		ID:             opts.WorkerID,
-		Workers:        opts.Workers,
-		Strategy:       opts.Strategy,
-		LadderInterval: opts.LadderInterval,
-		Predecode:      opts.Predecode,
-		Interrupt:      opts.Interrupt,
-		Logf:           opts.Logf,
-		Telemetry:      opts.Telemetry,
-	}
-	if err := cluster.Join(normalizeURL(addr), wopts); err != nil {
+	if err := cluster.Join(normalizeURL(addr), opts); err != nil {
 		if errors.Is(err, campaign.ErrInterrupted) {
 			return fmt.Errorf("faultspace: %w", campaign.ErrInterrupted)
 		}
@@ -214,7 +193,7 @@ func JoinScan(addr string, opts JoinOptions) error {
 
 // normalizeURL accepts bare host:port coordinator addresses.
 func normalizeURL(addr string) string {
-	if len(addr) >= 7 && (addr[:7] == "http://" || (len(addr) >= 8 && addr[:8] == "https://")) {
+	if strings.HasPrefix(addr, "http://") || strings.HasPrefix(addr, "https://") {
 		return addr
 	}
 	return "http://" + addr

@@ -28,8 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -41,6 +39,7 @@ import (
 	"faultspace/internal/campaign"
 	"faultspace/internal/harden"
 	"faultspace/internal/progs"
+	"faultspace/internal/pruning"
 	"faultspace/internal/report"
 )
 
@@ -102,9 +101,12 @@ func run(args []string, w, errW io.Writer) error {
 	}
 	// Validate enumerated flag values up front so a typo fails fast with
 	// the valid options, not deep inside a campaign.
-	spaceKind, err := parseSpace(*space)
-	if err != nil {
-		return err
+	spaceKind := faultspace.SpaceMemory
+	if *space != "" {
+		var err error
+		if spaceKind, err = pruning.ParseKind(*space); err != nil {
+			return err
+		}
 	}
 	if err := validObjective(*objFl); err != nil {
 		return err
@@ -186,7 +188,7 @@ func run(args []string, w, errW io.Writer) error {
 		if *join != "" {
 			err = faultspace.JoinScan(*join, jopts)
 		} else {
-			err = faultspace.JoinServiceFleet(*fleetFl, faultspace.FleetOptions{JoinOptions: jopts})
+			err = faultspace.JoinServiceFleet(*fleetFl, jopts)
 		}
 		printTelemetrySummary(errW, jopts.Telemetry)
 		return err
@@ -459,27 +461,6 @@ func submitAndFetch(errW io.Writer, addr, tenant string, prog *faultspace.Progra
 	return faultspace.CampaignReport(addr, info.ID)
 }
 
-// parseSpace validates the -space flag value, failing fast with the
-// valid options on a typo.
-func parseSpace(s string) (faultspace.SpaceKind, error) {
-	switch s {
-	case "memory", "mem", "":
-		return faultspace.SpaceMemory, nil
-	case "registers", "regs":
-		return faultspace.SpaceRegisters, nil
-	case "skip":
-		return faultspace.SpaceSkip, nil
-	case "pc":
-		return faultspace.SpacePC, nil
-	case "burst2":
-		return faultspace.SpaceBurst2, nil
-	case "burst4":
-		return faultspace.SpaceBurst4, nil
-	default:
-		return 0, fmt.Errorf("unknown fault space %q (valid: memory, registers, skip, pc, burst2, burst4)", s)
-	}
-}
-
 // validObjective validates the -objective flag value, failing fast with
 // the valid names on a typo.
 func validObjective(name string) error {
@@ -528,23 +509,15 @@ func clusterProgressPrinter(errW io.Writer) func(faultspace.ClusterProgress) {
 	}
 }
 
-// serveMetrics exposes the registry's snapshot in Prometheus text format
-// at /metrics on addr for the duration of the run. The returned stop
-// function closes the listener.
-func serveMetrics(addr string, reg *faultspace.Telemetry, errW io.Writer) (func() error, error) {
-	ln, err := net.Listen("tcp", addr)
+// serveMetrics exposes the registry at /metrics on addr for the
+// duration of the run; the returned stop function closes the listener.
+func serveMetrics(addr string, reg *faultspace.Telemetry, errW io.Writer) (func(), error) {
+	bound, stop, err := faultspace.ServeMetrics(addr, reg)
 	if err != nil {
 		return nil, fmt.Errorf("-metrics: %w", err)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = faultspace.WritePrometheus(w, reg.Snapshot(), nil)
-	})
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln)
-	fmt.Fprintf(errW, "favscan: serving /metrics on %s\n", ln.Addr())
-	return ln.Close, nil
+	fmt.Fprintf(errW, "favscan: serving /metrics on %s\n", bound)
+	return stop, nil
 }
 
 // writeTraceFile exports the registry's span recorder as Chrome

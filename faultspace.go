@@ -241,12 +241,22 @@ type ScanOptions struct {
 // MaxGoldenCycles zero.
 const DefaultMaxGoldenCycles = 1 << 22
 
-func (o ScanOptions) campaignConfig() (campaign.Config, error) {
+// resolve derives the fault-space kind and the engine configuration. An
+// unknown kind is rejected instead of silently defaulted to SpaceMemory:
+// a typo'd kind must never quietly scan the wrong space.
+func (o ScanOptions) resolve() (SpaceKind, campaign.Config, error) {
+	kind := o.Space
+	if kind == 0 {
+		kind = SpaceMemory
+	}
+	if !kind.Valid() {
+		return 0, campaign.Config{}, fmt.Errorf("faultspace: unknown fault-space kind %d", o.Space)
+	}
 	obj, err := campaign.ObjectiveByName(o.Objective)
 	if err != nil {
-		return campaign.Config{}, err
+		return 0, campaign.Config{}, fmt.Errorf("faultspace: %w", err)
 	}
-	cfg := campaign.Config{
+	return kind, campaign.Config{
 		TimeoutFactor:    o.TimeoutFactor,
 		Workers:          o.Workers,
 		Strategy:         o.Strategy,
@@ -261,8 +271,7 @@ func (o ScanOptions) campaignConfig() (campaign.Config, error) {
 		// a bare registry (or none) leaves cfg.Spans nil and the scan pays
 		// nothing. Nil-safe through the whole chain.
 		Spans: o.Telemetry.SpanRecorder(),
-	}
-	return cfg, nil
+	}, nil
 }
 
 func (o ScanOptions) maxGolden() uint64 {
@@ -272,17 +281,40 @@ func (o ScanOptions) maxGolden() uint64 {
 	return o.MaxGoldenCycles
 }
 
-// space resolves the fault-space kind, rejecting unknown values instead
-// of silently defaulting them to SpaceMemory: a typo'd kind must never
-// quietly scan the wrong space.
-func (o ScanOptions) space() (SpaceKind, error) {
-	if o.Space == 0 {
-		return SpaceMemory, nil
+// prepared is a campaign ready to run: what Scan, Sample, ServeScan and
+// SubmitCampaign all derive from a program and its options.
+type prepared struct {
+	target campaign.Target
+	golden *Golden
+	space  *FaultSpace
+	cfg    campaign.Config
+}
+
+// prepare resolves the options, records the golden run and prunes the
+// fault space. Its errors carry the package prefix.
+func prepare(p *Program, opts ScanOptions) (prepared, error) {
+	kind, cfg, err := opts.resolve()
+	if err != nil {
+		return prepared{}, err
 	}
-	if !o.Space.Valid() {
-		return 0, fmt.Errorf("unknown fault-space kind %d", o.Space)
+	t := Target(p)
+	golden, fs, err := t.PrepareSpace(kind, opts.maxGolden())
+	if err != nil {
+		return prepared{}, fmt.Errorf("faultspace: %w", err)
 	}
-	return o.Space, nil
+	return prepared{target: t, golden: golden, space: fs, cfg: cfg}, nil
+}
+
+// wrapScanErr prefixes a scan error; an interrupted scan keeps its
+// partial result.
+func wrapScanErr(res *ScanResult, err error) (*ScanResult, error) {
+	if err == nil {
+		return res, nil
+	}
+	if !errors.Is(err, campaign.ErrInterrupted) {
+		res = nil
+	}
+	return res, fmt.Errorf("faultspace: %w", err)
 }
 
 // ObjectiveNames lists the builtin attacker-objective names accepted by
@@ -314,54 +346,27 @@ func Target(p *Program) campaign.Target {
 // experiments stream into a crash-safe checkpoint file; with Resume, a
 // previous campaign's checkpoint is continued instead of restarted.
 func Scan(p *Program, opts ScanOptions) (*ScanResult, error) {
-	t := Target(p)
-	kind, err := opts.space()
-	if err != nil {
-		return nil, fmt.Errorf("faultspace: %w", err)
-	}
-	golden, fs, err := t.PrepareSpace(kind, opts.maxGolden())
-	if err != nil {
-		return nil, fmt.Errorf("faultspace: %w", err)
-	}
-	cfg, err := opts.campaignConfig()
-	if err != nil {
-		return nil, fmt.Errorf("faultspace: %w", err)
-	}
-	if opts.Checkpoint == "" {
-		res, err := campaign.ResumeScan(t, golden, fs, cfg, nil)
-		if err != nil {
-			if errors.Is(err, campaign.ErrInterrupted) {
-				return res, fmt.Errorf("faultspace: %w", err)
-			}
-			return nil, fmt.Errorf("faultspace: %w", err)
-		}
-		return res, nil
-	}
-	return scanCheckpointed(t, golden, fs, cfg, opts)
-}
-
-// scanCheckpointed runs a full scan that streams completed experiments
-// into (and, when resuming, restores them from) a checkpoint file.
-func scanCheckpointed(t campaign.Target, golden *Golden, fs *FaultSpace, cfg campaign.Config, opts ScanOptions) (*ScanResult, error) {
-	w, prior, err := opts.openCheckpoint(t, fs, cfg)
+	c, err := prepare(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	cfg.OnResult = func(ci int, o campaign.Outcome) { w.Append(ci, uint8(o)) }
-
-	res, scanErr := campaign.ResumeScan(t, golden, fs, cfg, prior)
+	if opts.Checkpoint == "" {
+		return wrapScanErr(campaign.ResumeScan(c.target, c.golden, c.space, c.cfg, nil))
+	}
+	// Stream completed experiments into (and, when resuming, restore them
+	// from) the checkpoint file.
+	w, prior, err := opts.openCheckpoint(c.target, c.space, c.cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.cfg.OnResult = func(ci int, o campaign.Outcome) { w.Append(ci, uint8(o)) }
+	res, scanErr := campaign.ResumeScan(c.target, c.golden, c.space, c.cfg, prior)
 	// Close flushes buffered records — including on the interrupt path,
 	// which is what makes a SIGINT-killed campaign resumable without loss.
 	if cerr := w.Close(); cerr != nil && scanErr == nil {
 		return nil, fmt.Errorf("faultspace: %w", cerr)
 	}
-	if scanErr != nil {
-		if errors.Is(scanErr, campaign.ErrInterrupted) {
-			return res, fmt.Errorf("faultspace: %w", scanErr)
-		}
-		return nil, fmt.Errorf("faultspace: %w", scanErr)
-	}
-	return res, nil
+	return wrapScanErr(res, scanErr)
 }
 
 // openCheckpoint starts the campaign's checkpoint file, bound to its
@@ -399,13 +404,9 @@ func (o ScanOptions) openCheckpoint(t campaign.Target, fs *FaultSpace, cfg campa
 // this program and options — the key binding checkpoints and archives to
 // their campaign (see campaign.Target.CampaignIdentity).
 func CampaignIdentity(p *Program, opts ScanOptions) ([32]byte, error) {
-	kind, err := opts.space()
+	kind, cfg, err := opts.resolve()
 	if err != nil {
-		return [32]byte{}, fmt.Errorf("faultspace: %w", err)
-	}
-	cfg, err := opts.campaignConfig()
-	if err != nil {
-		return [32]byte{}, fmt.Errorf("faultspace: %w", err)
+		return [32]byte{}, err
 	}
 	return Target(p).CampaignIdentity(kind, cfg)
 }
@@ -427,15 +428,6 @@ type SampleOptions struct {
 
 // Sample runs a sampling campaign over the program's fault space.
 func Sample(p *Program, opts SampleOptions) (*campaign.SampleResult, error) {
-	t := Target(p)
-	kind, err := opts.space()
-	if err != nil {
-		return nil, fmt.Errorf("faultspace: %w", err)
-	}
-	golden, fs, err := t.PrepareSpace(kind, opts.maxGolden())
-	if err != nil {
-		return nil, fmt.Errorf("faultspace: %w", err)
-	}
 	mode := campaign.SampleRaw
 	switch {
 	case opts.Biased && opts.Effective:
@@ -445,11 +437,11 @@ func Sample(p *Program, opts SampleOptions) (*campaign.SampleResult, error) {
 	case opts.Effective:
 		mode = campaign.SampleEffective
 	}
-	cfg, err := opts.campaignConfig()
+	c, err := prepare(p, opts.ScanOptions)
 	if err != nil {
-		return nil, fmt.Errorf("faultspace: %w", err)
+		return nil, err
 	}
-	sr, err := campaign.SampleScan(t, golden, fs, cfg, mode, opts.N, opts.Seed)
+	sr, err := campaign.SampleScan(c.target, c.golden, c.space, c.cfg, mode, opts.N, opts.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("faultspace: %w", err)
 	}

@@ -108,22 +108,9 @@ func Decode(r io.Reader) (*campaign.Result, error) {
 	if a.Version != Version {
 		return nil, fmt.Errorf("archive: scan archive version %d, want %d", a.Version, Version)
 	}
-	var kind pruning.SpaceKind
-	switch a.Space {
-	case pruning.SpaceMemory.String():
-		kind = pruning.SpaceMemory
-	case pruning.SpaceRegisters.String():
-		kind = pruning.SpaceRegisters
-	case pruning.SpaceSkip.String():
-		kind = pruning.SpaceSkip
-	case pruning.SpacePC.String():
-		kind = pruning.SpacePC
-	case pruning.SpaceBurst2.String():
-		kind = pruning.SpaceBurst2
-	case pruning.SpaceBurst4.String():
-		kind = pruning.SpaceBurst4
-	default:
-		return nil, fmt.Errorf("archive: unknown fault space %q in archive", a.Space)
+	kind, err := pruning.ParseKind(a.Space)
+	if err != nil {
+		return nil, fmt.Errorf("archive: %w in archive", err)
 	}
 
 	classes := make([]pruning.Class, len(a.Classes))

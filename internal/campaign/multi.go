@@ -42,11 +42,14 @@ func RunMulti(t Target, golden *trace.Golden, cfg Config, kind pruning.SpaceKind
 		}
 	}
 
+	ops, err := opsFor(kind)
+	if err != nil {
+		return 0, err
+	}
 	m, err := t.newMachine()
 	if err != nil {
 		return 0, err
 	}
-	flip := flipFor(kind)
 	budget := cfg.timeoutBudget(golden.Cycles)
 	for _, c := range sorted {
 		if m.Cycles() < c.Slot-1 {
@@ -57,7 +60,7 @@ func RunMulti(t Target, golden *trace.Golden, cfg Config, kind pruning.SpaceKind
 				return classify(m, golden, cfg.Objective), nil
 			}
 		}
-		if err := flip(m, c.Bit); err != nil {
+		if err := ops.flip(m, c.Bit); err != nil {
 			return 0, err
 		}
 	}

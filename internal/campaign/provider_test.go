@@ -538,7 +538,7 @@ func TestResetExperimentAllocFree(t *testing.T) {
 	}
 	budget := Config{}.withDefaults().timeoutBudget(golden.Cycles)
 	p := newResetProvider(m, golden, budget, nil)
-	flip := flipFor(fs.Kind)
+	flip := spaceOps[fs.Kind].flip
 	slot, bit := fs.Classes[0].Slot(), fs.Classes[0].Bit
 	run := func() {
 		if o, err := inject(p, flip, slot, bit); err != nil || int(o) >= NumOutcomes {

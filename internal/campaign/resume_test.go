@@ -346,11 +346,8 @@ func TestCampaignIdentity(t *testing.T) {
 	if base == ([32]byte{}) {
 		t.Fatal("identity must be non-zero")
 	}
-	// Execution strategy and parallelism must NOT change the identity:
-	// they are outcome-invariant (enforced by the differential suite).
-	if id(target, pruning.SpaceMemory, Config{Strategy: StrategyRerun, Workers: 7}) != base {
-		t.Error("strategy/workers must not change the campaign identity")
-	}
+	// That no execution option changes the identity is the root package's
+	// TestOptionCensus, field by field.
 	if id(target, pruning.SpaceRegisters, Config{}) == base {
 		t.Error("fault-space kind must change the identity")
 	}

@@ -101,34 +101,6 @@ type record struct {
 	outcome Outcome
 }
 
-// flipFunc injects one fault into a machine at a raw space coordinate
-// (the bit/position dimension; the slot dimension is when it is called).
-type flipFunc func(*machine.Machine, uint64) error
-
-// flipFor selects the injection primitive for a fault-space kind.
-func flipFor(kind pruning.SpaceKind) flipFunc {
-	switch kind {
-	case pruning.SpaceRegisters:
-		return (*machine.Machine).FlipRegBit
-	case pruning.SpaceSkip:
-		return func(m *machine.Machine, _ uint64) error {
-			m.FlipSkip()
-			return nil
-		}
-	case pruning.SpacePC:
-		return (*machine.Machine).FlipPCBit
-	case pruning.SpaceBurst2:
-		return func(m *machine.Machine, pos uint64) error {
-			return m.FlipBurst(2, pos)
-		}
-	case pruning.SpaceBurst4:
-		return func(m *machine.Machine, pos uint64) error {
-			return m.FlipBurst(4, pos)
-		}
-	}
-	return (*machine.Machine).FlipBit
-}
-
 // scanFail reports a worker error at most once and raises the stop flag.
 // Workers keep draining their work channel after failing (doing nothing)
 // so the feeder can never deadlock on a send to a channel nobody reads —
@@ -173,10 +145,14 @@ func scan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, to
 		defer func() { sp.End(fmt.Sprintf("%s: %d classes", cfg.Strategy, len(todo))) }()
 	}
 	budget := cfg.timeoutBudget(golden.Cycles)
-	flip := flipFor(fs.Kind)
+	ops, err := opsFor(fs.Kind)
+	if err != nil {
+		return err
+	}
+	flip := ops.flip
 
 	var machines []*machine.Machine
-	defer func() { st.addInvalidations(machines); cfg.releaseMachines(machines) }()
+	defer func() { cfg.releaseMachines(machines) }()
 	acquire := func() (*machine.Machine, error) {
 		mach, err := cfg.acquireMachine(t)
 		if err == nil {
@@ -349,6 +325,10 @@ func RunSingleSpace(t Target, golden *trace.Golden, cfg Config, kind pruning.Spa
 	if slot == 0 || slot > golden.Cycles {
 		return 0, fmt.Errorf("campaign: slot %d outside [1, %d]", slot, golden.Cycles)
 	}
+	ops, err := opsFor(kind)
+	if err != nil {
+		return 0, err
+	}
 	m, err := t.newMachine()
 	if err != nil {
 		return 0, err
@@ -357,5 +337,5 @@ func RunSingleSpace(t Target, golden *trace.Golden, cfg Config, kind pruning.Spa
 	// this is the brute-force oracle the validation tests compare the
 	// optimized scan path to.
 	p := newResetProvider(m, golden, cfg.timeoutBudget(golden.Cycles), cfg.Objective)
-	return inject(p, flipFor(kind), slot, bit)
+	return inject(p, ops.flip, slot, bit)
 }

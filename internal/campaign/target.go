@@ -221,29 +221,72 @@ func (t Target) Prepare(maxGoldenCycles uint64) (*trace.Golden, *pruning.FaultSp
 
 // PrepareSpace is Prepare for an arbitrary fault-space kind.
 func (t Target) PrepareSpace(kind pruning.SpaceKind, maxGoldenCycles uint64) (*trace.Golden, *pruning.FaultSpace, error) {
+	ops, err := opsFor(kind)
+	if err != nil {
+		return nil, nil, err
+	}
 	golden, err := trace.Record(t.Name, t.Mach, t.Code, t.Image, maxGoldenCycles)
 	if err != nil {
 		return nil, nil, err
 	}
-	var fs *pruning.FaultSpace
-	switch kind {
-	case pruning.SpaceMemory:
-		fs, err = pruning.Build(golden)
-	case pruning.SpaceRegisters:
-		fs, err = pruning.BuildRegisters(golden)
-	case pruning.SpaceSkip:
-		fs, err = pruning.BuildSkip(golden, t.Code)
-	case pruning.SpacePC:
-		fs, err = pruning.BuildPC(golden, uint32(len(t.Code)))
-	case pruning.SpaceBurst2, pruning.SpaceBurst4:
-		fs, err = pruning.BuildBurst(golden, kind.BurstWidth())
-	default:
-		return nil, nil, fmt.Errorf("campaign: unknown fault-space kind %d", kind)
-	}
+	fs, err := ops.build(t, golden)
 	if err != nil {
 		return nil, nil, err
 	}
 	return golden, fs, nil
+}
+
+// flipFunc injects one fault into a machine at a raw space coordinate
+// (the bit/position dimension; the slot dimension is when it is called).
+type flipFunc func(*machine.Machine, uint64) error
+
+// spaceOp is what a fault-space kind means to the engine: how its pruned
+// space is built from the golden run, and how one of its faults is
+// injected.
+type spaceOp struct {
+	build func(Target, *trace.Golden) (*pruning.FaultSpace, error)
+	flip  flipFunc
+}
+
+// spaceOps is the one table of them.
+var spaceOps = map[pruning.SpaceKind]spaceOp{
+	pruning.SpaceMemory: {
+		build: func(_ Target, g *trace.Golden) (*pruning.FaultSpace, error) { return pruning.Build(g) },
+		flip:  (*machine.Machine).FlipBit,
+	},
+	pruning.SpaceRegisters: {
+		build: func(_ Target, g *trace.Golden) (*pruning.FaultSpace, error) { return pruning.BuildRegisters(g) },
+		flip:  (*machine.Machine).FlipRegBit,
+	},
+	pruning.SpaceSkip: {
+		build: func(t Target, g *trace.Golden) (*pruning.FaultSpace, error) { return pruning.BuildSkip(g, t.Code) },
+		flip:  func(m *machine.Machine, _ uint64) error { m.FlipSkip(); return nil },
+	},
+	pruning.SpacePC: {
+		build: func(t Target, g *trace.Golden) (*pruning.FaultSpace, error) {
+			return pruning.BuildPC(g, uint32(len(t.Code)))
+		},
+		flip: (*machine.Machine).FlipPCBit,
+	},
+	pruning.SpaceBurst2: burstOp(pruning.SpaceBurst2.BurstWidth()),
+	pruning.SpaceBurst4: burstOp(pruning.SpaceBurst4.BurstWidth()),
+}
+
+func burstOp(k int) spaceOp {
+	return spaceOp{
+		build: func(_ Target, g *trace.Golden) (*pruning.FaultSpace, error) { return pruning.BuildBurst(g, k) },
+		flip:  func(m *machine.Machine, pos uint64) error { return m.FlipBurst(k, pos) },
+	}
+}
+
+// opsFor looks a kind up, rejecting unknown ones instead of defaulting
+// them: a typo'd kind must never quietly inject into the wrong space.
+func opsFor(kind pruning.SpaceKind) (spaceOp, error) {
+	op, ok := spaceOps[kind]
+	if !ok {
+		return op, fmt.Errorf("campaign: unknown fault-space kind %d", kind)
+	}
+	return op, nil
 }
 
 // newMachine builds a fresh reset-state machine for the target.

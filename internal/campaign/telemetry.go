@@ -3,7 +3,6 @@ package campaign
 import (
 	"time"
 
-	"faultspace/internal/machine"
 	"faultspace/internal/telemetry"
 )
 
@@ -52,12 +51,6 @@ type scanTel struct {
 	forkChildren       *telemetry.Counter
 	forkSaved          *telemetry.Counter
 	forkBatches        *telemetry.Histogram
-	// predecodeInvals accumulates predecode-cache invalidations across
-	// the scan's machines (nil with predecode off). Structurally zero for
-	// Harvard-architecture campaign machines — the ROM is fault-immune,
-	// so nothing ever dirties the code region — but surfaced so the
-	// benchmark report and any von-Neumann embedder can observe it.
-	predecodeInvals *telemetry.Counter
 }
 
 // newScanTel resolves the scan instruments from the config's registry.
@@ -88,25 +81,7 @@ func newScanTel(cfg Config) *scanTel {
 		st.forkSaved = r.Counter("fork.prefix_cycles_saved")
 		st.forkBatches = r.Histogram("fork.batch_sizes")
 	}
-	if cfg.Predecode {
-		st.predecodeInvals = r.Counter("predecode.invalidations")
-	}
 	return st
-}
-
-// addInvalidations folds the predecode invalidation counts of the
-// scan's machines into the counter. Called once at scan teardown, before
-// pooled machines are released; fresh campaign machines start at zero,
-// so the sum is the scan's own count.
-func (st *scanTel) addInvalidations(ms []*machine.Machine) {
-	if st == nil || st.predecodeInvals == nil {
-		return
-	}
-	var n uint64
-	for _, m := range ms {
-		n += m.PredecodeInvalidations()
-	}
-	st.predecodeInvals.Add(n)
 }
 
 // converged accounts one composed reconvergence of a run at cycle c with

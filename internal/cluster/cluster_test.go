@@ -110,8 +110,8 @@ func TestClusterPlacementEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, errs := runCluster(t, coord, []WorkerOptions{
-		{ID: "snap"},
-		{ID: "rerun", Strategy: campaign.StrategyRerun},
+		{WorkerID: "snap"},
+		{WorkerID: "rerun", Strategy: campaign.StrategyRerun},
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -154,7 +154,7 @@ func TestClusterKillWorkerMidScan(t *testing.T) {
 	kill := make(chan struct{})
 	var once sync.Once
 	victim := WorkerOptions{
-		ID:        "victim",
+		WorkerID:  "victim",
 		Interrupt: kill,
 		// Slow strategy + single executor so the kill lands mid-unit.
 		Strategy: campaign.StrategyRerun,
@@ -165,7 +165,7 @@ func TestClusterKillWorkerMidScan(t *testing.T) {
 			}
 		},
 	}
-	survivor := WorkerOptions{ID: "survivor"}
+	survivor := WorkerOptions{WorkerID: "survivor"}
 
 	res, errs := runCluster(t, coord, []WorkerOptions{victim, survivor})
 	if !errors.Is(errs[0], campaign.ErrInterrupted) {
@@ -212,7 +212,7 @@ func TestClusterUnitOrderInvariance(t *testing.T) {
 			})
 		}
 		res, errs := runCluster(t, coord, []WorkerOptions{
-			{ID: "fork", Strategy: campaign.StrategyFork},
+			{WorkerID: "fork", Strategy: campaign.StrategyFork},
 		})
 		if errs[0] != nil {
 			t.Fatal(errs[0])
@@ -252,7 +252,7 @@ func TestClusterResumeFromPrior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, errs := runCluster(t, coord, []WorkerOptions{{ID: "w"}})
+	res, errs := runCluster(t, coord, []WorkerOptions{{WorkerID: "w"}})
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
@@ -331,7 +331,7 @@ func TestClusterInterruptShutdown(t *testing.T) {
 	if _, err := coord.Wait(); !errors.Is(err, campaign.ErrInterrupted) {
 		t.Fatalf("Wait: %v, want ErrInterrupted", err)
 	}
-	if err := Join(srv.URL, WorkerOptions{ID: "late"}); !errors.Is(err, ErrShutdown) {
+	if err := Join(srv.URL, WorkerOptions{WorkerID: "late"}); !errors.Is(err, ErrShutdown) {
 		t.Errorf("Join after interrupt: %v, want ErrShutdown", err)
 	}
 }

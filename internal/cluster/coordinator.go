@@ -55,33 +55,30 @@ type Options struct {
 	// The trace ID is observability identity only and never feeds the
 	// campaign identity hash (invariant 15).
 	TraceID telemetry.TraceID
-	// SpanCapacity bounds the merged campaign timeline: the
-	// coordinator's own spans plus every span workers ship back with
-	// submissions (default DefaultTimelineCapacity). Beyond capacity the
-	// newest spans are dropped and the loss is self-described via the
-	// recorder's drop counter in /debug/telemetry.
-	SpanCapacity int
-	// RateWindow is the averaging window for the per-worker
-	// experiments-per-second rates in /v1/status (default
-	// DefaultRateWindow). Rates cover the last full window, so an idle
-	// worker's rate decays to zero instead of being diluted over its
-	// whole session.
-	RateWindow time.Duration
 	// Pprof additionally mounts net/http/pprof under /debug/pprof/ on
 	// Handler() — opt-in, for live profiling of a long cluster scan.
 	Pprof bool
+	// rateWindow is a test seam: the averaging window of the per-worker
+	// rates (default defaultRateWindow).
+	rateWindow time.Duration
 }
 
-// Defaults for Options.
+// Defaults for Options, and the coordinator's fixed settings.
 const (
 	DefaultUnitSize = 256
 	DefaultLeaseTTL = 10 * time.Second
-	// DefaultRateWindow is the /v1/status per-worker rate window.
-	DefaultRateWindow = 5 * time.Second
-	// DefaultTimelineCapacity is the default span budget for the merged
-	// campaign timeline — four times a single recorder's default, since
-	// the coordinator aggregates a whole fleet.
-	DefaultTimelineCapacity = 4 * telemetry.DefaultSpanCapacity
+	// defaultRateWindow is the averaging window for the per-worker
+	// experiments-per-second rates in /v1/status. Rates cover the last
+	// full window, so an idle worker's rate decays to zero instead of being
+	// diluted over its whole session.
+	defaultRateWindow = 5 * time.Second
+	// timelineCapacity bounds the merged campaign timeline: the
+	// coordinator's own spans plus every span workers ship back with
+	// submissions — four times a single recorder's default, since the
+	// coordinator aggregates a whole fleet. Beyond capacity the newest
+	// spans are dropped and the loss is self-described via the recorder's
+	// drop counter in /debug/telemetry.
+	timelineCapacity = 4 * telemetry.DefaultSpanCapacity
 )
 
 func (o Options) withDefaults() Options {
@@ -94,11 +91,8 @@ func (o Options) withDefaults() Options {
 	if o.ProgressInterval == 0 {
 		o.ProgressInterval = time.Second
 	}
-	if o.RateWindow == 0 {
-		o.RateWindow = DefaultRateWindow
-	}
-	if o.SpanCapacity == 0 {
-		o.SpanCapacity = DefaultTimelineCapacity
+	if o.rateWindow == 0 {
+		o.rateWindow = defaultRateWindow
 	}
 	return o
 }
@@ -113,7 +107,7 @@ type WorkerStat struct {
 	// Merged counts the outcomes this worker contributed first.
 	Merged int `json:"merged"`
 	// Rate is the worker's experiments-per-second over the last full
-	// Options.RateWindow (the partial current window before the first
+	// rate window, 5 s (the partial current window before the first
 	// window completes), so it tracks what the worker is doing now — an
 	// idle worker's rate decays to zero within a window instead of being
 	// diluted over its whole session.
@@ -311,7 +305,7 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 		if !opts.TraceID.IsZero() {
 			spec.TraceID = opts.TraceID
 		}
-		c.spans = telemetry.NewSpanRecorder(spec.TraceID, "coordinator", opts.SpanCapacity)
+		c.spans = telemetry.NewSpanRecorder(spec.TraceID, "coordinator", timelineCapacity)
 	}
 	c.traceID = spec.TraceID
 	c.spec = EncodeSpec(spec)
@@ -542,6 +536,20 @@ func RequireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	return true
 }
 
+// ReadBounded reads a request or response body up to the wire bound. A
+// longer one is an error that names the bound, so an oversized message
+// never reaches a decoder cut short.
+func ReadBounded(r io.Reader) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r, maxBody+1))
+	if err != nil {
+		return nil, fmt.Errorf("read: %w", err)
+	}
+	if len(body) > maxBody {
+		return nil, fmt.Errorf("body exceeds the %d-byte bound", maxBody)
+	}
+	return body, nil
+}
+
 // ReadBody reads the bounded body of a POST request — the one request
 // reader of the coordinator's and the campaign service's endpoints. Any
 // other method, a failed read or a body above the bound is answered here
@@ -550,13 +558,9 @@ func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if !RequireMethod(w, r, http.MethodPost) {
 		return nil, false
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
+	body, err := ReadBounded(r.Body)
 	if err != nil {
-		http.Error(w, "cluster: read: "+err.Error(), http.StatusBadRequest)
-		return nil, false
-	}
-	if len(body) > maxBody {
-		http.Error(w, "cluster: request too large", http.StatusBadRequest)
+		http.Error(w, "cluster: "+err.Error(), http.StatusBadRequest)
 		return nil, false
 	}
 	return body, true
@@ -1116,14 +1120,14 @@ func (c *Coordinator) progressLocked(final bool) Progress {
 			Merged:      wi.merged,
 			Outstanding: wi.outstanding,
 		}
-		// Roll the rate window forward: each elapsed RateWindow becomes the
+		// Roll the rate window forward: each elapsed window becomes the
 		// reported rate, so the stat reflects recent throughput. Several
 		// windows may have passed since the last progress computation — the
 		// experiments since winStart then spread over all of them, and a
 		// fully idle stretch decays the rate to zero.
-		if d := now.Sub(wi.winStart); d >= c.opts.RateWindow {
-			windows := float64(d) / float64(c.opts.RateWindow)
-			wi.rate = float64(wi.experiments-wi.winExp) / (windows * c.opts.RateWindow.Seconds())
+		if d := now.Sub(wi.winStart); d >= c.opts.rateWindow {
+			windows := float64(d) / float64(c.opts.rateWindow)
+			wi.rate = float64(wi.experiments-wi.winExp) / (windows * c.opts.rateWindow.Seconds())
 			wi.hasRate = true
 			wi.winStart = now
 			wi.winExp = wi.experiments

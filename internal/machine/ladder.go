@@ -276,12 +276,6 @@ func (c *Cursor) Restore(r int) {
 		}
 	}
 	m.resetDirty()
-	if m.vn {
-		// Rung restores rewrite RAM pages outside the predecode cache's
-		// sight; drop all cached lowerings (campaigns only ladder Harvard
-		// machines, so this is defensive, not hot).
-		m.invalidateAllCode()
-	}
 	m.regs = meta.regs
 	m.pc = meta.pc
 	m.cycles = meta.cycles

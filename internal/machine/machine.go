@@ -215,16 +215,9 @@ type Machine struct {
 	// Matcher.Match refuses a machine that still carries it.
 	skipNext bool
 
-	// codeLen is the program length in instructions; pc ∈ [0, codeLen)
-	// is executable. For Harvard machines it equals len(rom).
-	codeLen uint32
-	// Von Neumann mode (NewVonNeumann): the program is fetched by
-	// decoding RAM at codeBase instead of from the fault-immune ROM.
-	vn       bool
-	codeBase uint32
 	// pre is the pre-decoded instruction stream (nil unless enabled via
 	// SetPredecode); see predecode.go.
-	pre *preProg
+	pre []preIns
 }
 
 // New creates a machine executing prog with RAM initialized from image
@@ -256,7 +249,6 @@ func New(cfg Config, prog []isa.Instruction, image []byte) (*Machine, error) {
 		maxSerial: maxSerial,
 		fireAt:    cfg.TimerPeriod,
 		dirty:     make([]uint64, (numPages(cfg.RAMSize)+63)/64),
-		codeLen:   uint32(len(prog)),
 	}
 	copy(m.ram, image)
 	return m, nil
@@ -332,9 +324,6 @@ func (m *Machine) FlipBit(bit uint64) error {
 	}
 	m.ram[bit/8] ^= 1 << (bit % 8)
 	m.markDirty(uint32(bit / 8))
-	if m.vn {
-		m.invalidateCode(uint32(bit/8), 1)
-	}
 	return nil
 }
 
@@ -398,9 +387,6 @@ func (m *Machine) FlipBurst(k int, pos uint64) error {
 	}
 	m.ram[b] ^= byte((1<<k - 1) << (pos % p))
 	m.markDirty(uint32(b))
-	if m.vn {
-		m.invalidateCode(uint32(b), 1)
-	}
 	return nil
 }
 
@@ -420,7 +406,7 @@ func (m *Machine) Step() (Status, error) {
 		m.pc = m.cfg.TimerVector
 		m.inIRQ = true
 	}
-	if m.pc >= m.codeLen {
+	if m.pc >= uint32(len(m.rom)) {
 		return m.raise(ExcBadPC), nil
 	}
 	if m.skipNext {
@@ -432,15 +418,7 @@ func (m *Machine) Step() (Status, error) {
 		m.pc++
 		return m.status, nil
 	}
-	var ins isa.Instruction
-	if m.vn {
-		var exc Exception
-		if ins, exc = m.vnDecode(m.pc); exc != ExcNone {
-			return m.raise(exc), nil
-		}
-	} else {
-		ins = m.rom[m.pc]
-	}
+	ins := m.rom[m.pc]
 	cycle := m.cycles + 1
 	nextPC := m.pc + 1
 	if m.execHook != nil {
@@ -684,9 +662,6 @@ func (m *Machine) storeWord(cycle uint64, addr uint32, v uint32) Exception {
 		// PageSize is a multiple of 4 and the access is aligned, so the
 		// word lies within one page.
 		m.markDirty(addr)
-		if m.vn {
-			m.invalidateCode(addr, 4)
-		}
 		return ExcNone
 	}
 	if addr >= MMIOBase {
@@ -702,9 +677,6 @@ func (m *Machine) storeByte(cycle uint64, addr uint32, v byte) Exception {
 		}
 		m.ram[addr] = v
 		m.markDirty(addr)
-		if m.vn {
-			m.invalidateCode(addr, 1)
-		}
 		return ExcNone
 	}
 	if addr >= MMIOBase {

@@ -51,12 +51,8 @@ func (m *Machine) Restore(s *Snapshot) {
 	}
 	copy(m.ram, s.ram)
 	// A full restore rewrites all of RAM; conservatively mark every page
-	// dirty so any Cursor attached to this machine stays correct, and
-	// drop any cached code lowerings on von Neumann machines.
+	// dirty so any Cursor attached to this machine stays correct.
 	m.markAllDirty()
-	if m.vn {
-		m.invalidateAllCode()
-	}
 	m.regs = s.regs
 	m.pc = s.pc
 	m.cycles = s.cycles

@@ -23,6 +23,7 @@ package pruning
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"faultspace/internal/machine"
 	"faultspace/internal/trace"
@@ -76,45 +77,52 @@ const (
 	SpaceBurst4
 )
 
-// String returns the kind name.
-func (k SpaceKind) String() string {
-	switch k {
-	case SpaceMemory:
-		return "memory"
-	case SpaceRegisters:
-		return "registers"
-	case SpaceSkip:
-		return "skip"
-	case SpacePC:
-		return "pc"
-	case SpaceBurst2:
-		return "burst2"
-	case SpaceBurst4:
-		return "burst4"
-	default:
-		return fmt.Sprintf("space(%d)", uint8(k))
-	}
+// kinds is the one table of fault-space kinds, indexed by kind−1: the
+// name reports and archives spell, the alias the -space flag also takes,
+// and the burst width (0 for single-coordinate kinds).
+var kinds = [...]struct {
+	name, alias string
+	burst       int
+}{
+	SpaceMemory - 1:    {name: "memory", alias: "mem"},
+	SpaceRegisters - 1: {name: "registers", alias: "regs"},
+	SpaceSkip - 1:      {name: "skip"},
+	SpacePC - 1:        {name: "pc"},
+	SpaceBurst2 - 1:    {name: "burst2", burst: 2},
+	SpaceBurst4 - 1:    {name: "burst4", burst: 4},
 }
 
 // Valid reports whether k is a known fault-space kind.
-func (k SpaceKind) Valid() bool {
-	switch k {
-	case SpaceMemory, SpaceRegisters, SpaceSkip, SpacePC, SpaceBurst2, SpaceBurst4:
-		return true
+func (k SpaceKind) Valid() bool { return k >= 1 && int(k) <= len(kinds) }
+
+// String returns the kind name.
+func (k SpaceKind) String() string {
+	if !k.Valid() {
+		return fmt.Sprintf("space(%d)", uint8(k))
 	}
-	return false
+	return kinds[k-1].name
 }
 
 // BurstWidth returns the burst width k of a burst space kind (0 for
 // non-burst kinds).
 func (k SpaceKind) BurstWidth() int {
-	switch k {
-	case SpaceBurst2:
-		return 2
-	case SpaceBurst4:
-		return 4
+	if !k.Valid() {
+		return 0
 	}
-	return 0
+	return kinds[k-1].burst
+}
+
+// ParseKind resolves a kind by its name or alias; the error of an unknown
+// one lists the valid names.
+func ParseKind(s string) (SpaceKind, error) {
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		if s != "" && (s == k.name || s == k.alias) {
+			return SpaceKind(i + 1), nil
+		}
+		names[i] = k.name
+	}
+	return 0, fmt.Errorf("unknown fault space %q (valid: %s)", s, strings.Join(names, ", "))
 }
 
 // FaultSpace is the pruned fault space of one golden run.
@@ -178,17 +186,13 @@ func BuildRegisters(g *trace.Golden) (*FaultSpace, error) {
 // partition therefore carries over with the per-byte coordinate count
 // widened from 8 bits to 9−k positions.
 func BuildBurst(g *trace.Golden, k int) (*FaultSpace, error) {
-	var kind SpaceKind
-	switch k {
-	case 2:
-		kind = SpaceBurst2
-	case 4:
-		kind = SpaceBurst4
-	default:
-		return nil, fmt.Errorf("pruning: unsupported burst width %d (want 2 or 4)", k)
+	for i, e := range kinds {
+		if e.burst == k && k != 0 {
+			perByte := uint64(9 - k)
+			return buildSpace(SpaceKind(i+1), g.Cycles, g.RAMBits/8*perByte, g.Accesses, perByte)
+		}
 	}
-	perByte := uint64(9 - k)
-	return buildSpace(kind, g.Cycles, g.RAMBits/8*perByte, g.Accesses, perByte)
+	return nil, fmt.Errorf("pruning: unsupported burst width %d (want 2 or 4)", k)
 }
 
 // FromClasses reconstructs a fault space from externally stored classes
@@ -378,7 +382,7 @@ func indexByBit(fs *FaultSpace) {
 	for bit, n := range counts {
 		lo := len(backing)
 		backing = backing[:lo+int(n)]
-		fs.byBit[bit] = backing[lo:lo:lo+int(n)]
+		fs.byBit[bit] = backing[lo : lo : lo+int(n)]
 	}
 	for i, c := range fs.Classes {
 		fs.byBit[c.Bit] = append(fs.byBit[c.Bit], int32(i))

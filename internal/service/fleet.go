@@ -95,47 +95,6 @@ func DecodeServiceHello(data []byte) (ServiceHello, error) {
 // parse.
 var errMessage = errors.New("service: malformed worker message")
 
-// FleetOptions parameterizes JoinFleet.
-type FleetOptions struct {
-	// ID names the worker (default "f<pid>").
-	ID string
-	// Worker carries the per-campaign execution options (strategy,
-	// parallelism, predecode, retry budget). Identity, Interrupt
-	// and Telemetry interact with the fleet loop as described below;
-	// BaseBackoff and MaxBackoff (defaults 50ms / 2s) also space the
-	// handshake retries after a transport failure.
-	Worker cluster.WorkerOptions
-	// Interrupt, when closed, stops the fleet worker at once: a held
-	// handshake is abandoned, a campaign in progress is dropped as
-	// cluster.WorkerOptions.Interrupt describes.
-	Interrupt <-chan struct{}
-	// TelemetryFor, when non-nil, selects the telemetry registry for
-	// each assigned campaign — the hook the service uses to point its
-	// in-process workers at the campaign's own registry, keeping
-	// scan/predecode counters isolated per campaign. When nil, the
-	// Worker.Telemetry registry (possibly nil) is used for every
-	// campaign.
-	TelemetryFor func(spec cluster.Spec) *telemetry.Registry
-	// Client is the HTTP client (default http.DefaultClient).
-	Client *http.Client
-	// Logf, when non-nil, receives fleet worker log lines.
-	Logf func(format string, args ...any)
-}
-
-func (o FleetOptions) withDefaults() FleetOptions {
-	if o.ID == "" {
-		o.ID = fmt.Sprintf("f%d", os.Getpid())
-	}
-	if o.Client == nil {
-		o.Client = http.DefaultClient
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
-	}
-	o.Worker = o.Worker.WithDefaults()
-	return o
-}
-
 // fleetFailureBudget bounds consecutive handshake transport failures
 // before JoinFleet concludes the service is gone for good. A service
 // that drains between two handshakes never gets to answer
@@ -150,19 +109,28 @@ const fleetFailureBudget = 25
 // campaign completes or shuts down. The handshake is a held request:
 // the service parks it until a campaign is assignable or it drains, so
 // an idle worker starts on a submission at once instead of at its next
-// poll. It returns nil when the service announces shutdown,
-// cluster.ErrUnreachable when the service stays unreachable across
-// consecutive handshake attempts, and campaign.ErrInterrupted when
-// FleetOptions.Interrupt fires.
-func JoinFleet(baseURL string, opts FleetOptions) error {
-	opts = opts.withDefaults()
+// poll. opts keep their cluster.Join meaning per assigned campaign
+// (WorkerID defaults to "f<pid>"); BaseBackoff and MaxBackoff also space
+// the handshake retries after a transport failure, and Interrupt also
+// abandons a held handshake. telemetryFor, when non-nil, selects the
+// registry for each assigned campaign in place of opts.Telemetry — the
+// service points its in-process workers at the campaign's own registry,
+// keeping scan counters isolated per campaign. It returns nil when the
+// service announces shutdown, cluster.ErrUnreachable when the service
+// stays unreachable across consecutive handshake attempts, and
+// campaign.ErrInterrupted when opts.Interrupt fires.
+func JoinFleet(baseURL string, opts cluster.WorkerOptions, telemetryFor func(cluster.Spec) *telemetry.Registry) error {
+	if opts.WorkerID == "" {
+		opts.WorkerID = fmt.Sprintf("f%d", os.Getpid())
+	}
+	opts = opts.WithDefaults()
 	base := strings.TrimSuffix(baseURL, "/")
-	hello := EncodeFleetHello(FleetHello{WorkerID: opts.ID})
+	hello := EncodeFleetHello(FleetHello{WorkerID: opts.WorkerID})
 	ctx, stop := cluster.InterruptContext(opts.Interrupt)
 	defer stop()
 	url := base + "/v1/handshake" + cluster.HoldQuery(opts.Client)
 	failures := 0
-	backoff := opts.Worker.BaseBackoff
+	backoff := opts.BaseBackoff
 	for {
 		asked := time.Now()
 		resp, status, err := cluster.PostOnce(ctx, opts.Client, url, hello)
@@ -177,25 +145,25 @@ func JoinFleet(baseURL string, opts FleetOptions) error {
 				return fmt.Errorf("%w: fleet handshake after %d attempts: %v",
 					cluster.ErrUnreachable, failures, err)
 			}
-			opts.Logf("fleet %s: handshake failed: %v", opts.ID, err)
+			opts.Logf("fleet %s: handshake failed: %v", opts.WorkerID, err)
 			select {
 			case <-opts.Interrupt:
 				return campaign.ErrInterrupted
 			case <-time.After(backoff):
 			}
-			if backoff *= 2; backoff > opts.Worker.MaxBackoff {
-				backoff = opts.Worker.MaxBackoff
+			if backoff *= 2; backoff > opts.MaxBackoff {
+				backoff = opts.MaxBackoff
 			}
 			continue
 		}
-		failures, backoff = 0, opts.Worker.BaseBackoff
+		failures, backoff = 0, opts.BaseBackoff
 		h, err := DecodeServiceHello(resp)
 		if err != nil {
 			return fmt.Errorf("service: handshake: %w", err)
 		}
 		switch h.Status {
 		case FleetShutdown:
-			opts.Logf("fleet %s: service shut down", opts.ID)
+			opts.Logf("fleet %s: service shut down", opts.WorkerID)
 			return nil
 		case FleetWait:
 			// The hold ran out with nothing to do — or came back early from
@@ -209,13 +177,9 @@ func JoinFleet(baseURL string, opts FleetOptions) error {
 		if err != nil {
 			return fmt.Errorf("service: handshake spec: %w", err)
 		}
-		wopts := opts.Worker
-		wopts.ID = opts.ID
-		wopts.Interrupt = opts.Interrupt
-		wopts.Client = opts.Client
-		wopts.Logf = opts.Logf
-		if opts.TelemetryFor != nil {
-			wopts.Telemetry = opts.TelemetryFor(spec)
+		wopts := opts
+		if telemetryFor != nil {
+			wopts.Telemetry = telemetryFor(spec)
 		}
 		err = cluster.JoinCampaign(base, spec, wopts)
 		if err != nil && !errors.Is(err, cluster.ErrShutdown) {

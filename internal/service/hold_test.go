@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"faultspace/internal/campaign"
+	"faultspace/internal/cluster"
 	"faultspace/internal/telemetry"
 )
 
@@ -234,7 +235,9 @@ func TestInterruptReleasesParkedJoinFleet(t *testing.T) {
 	client := &http.Client{Transport: &http.Transport{}}
 	intr := make(chan struct{})
 	done := make(chan error, 1)
-	go func() { done <- JoinFleet(srv.URL, FleetOptions{ID: "parked", Interrupt: intr, Client: client}) }()
+	go func() {
+		done <- JoinFleet(srv.URL, cluster.WorkerOptions{WorkerID: "parked", Interrupt: intr, Client: client}, nil)
+	}()
 	waitFor(t, "the worker to park", func() bool { return reg.Gauge("fleet.handshake_held").Value() == 1 })
 
 	closed := time.Now()
@@ -272,8 +275,8 @@ func TestHoldHalvesClientTimeout(t *testing.T) {
 	intr := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- JoinFleet(srv.URL, FleetOptions{ID: "timed", Interrupt: intr, Client: client,
-			Logf: func(string, ...any) { failed = true }})
+		done <- JoinFleet(srv.URL, cluster.WorkerOptions{WorkerID: "timed", Interrupt: intr, Client: client,
+			Logf: func(string, ...any) { failed = true }}, nil)
 	}()
 	// Three holds of 300 ms each run out and are re-asked.
 	waitFor(t, "three holds to run out", func() bool { return reg.Histogram("fleet.handshake_hold").Count() >= 3 })
@@ -296,12 +299,12 @@ func TestFinishedCampaignIsNotReassigned(t *testing.T) {
 	intr := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- JoinFleet(srv.URL, FleetOptions{ID: "w", Interrupt: intr,
+		done <- JoinFleet(srv.URL, cluster.WorkerOptions{WorkerID: "w", Interrupt: intr,
 			Logf: func(format string, _ ...any) {
 				if strings.Contains(format, "joined") {
 					joins.Add(1)
 				}
-			}})
+			}}, nil)
 	}()
 	const campaigns = 3
 	for i := 0; i < campaigns; i++ {

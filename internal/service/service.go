@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -39,9 +38,6 @@ type Options struct {
 	// (defaults cluster.DefaultUnitSize / cluster.DefaultLeaseTTL).
 	UnitSize int
 	LeaseTTL time.Duration
-	// RetryAfter is the client back-off hint attached to 429/503
-	// responses (default 1s).
-	RetryAfter time.Duration
 	// Telemetry, when non-nil, receives service-level metrics (queue
 	// depth, active campaigns, archive hit/miss counters) and campaign
 	// lifecycle trace events, and enables /debug/telemetry.
@@ -58,7 +54,6 @@ type Options struct {
 const (
 	DefaultMaxActive   = 2
 	DefaultMaxQueued   = 16
-	DefaultRetryAfter  = time.Second
 	DefaultStarveAfter = 2 * time.Minute
 )
 
@@ -74,9 +69,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LeaseTTL == 0 {
 		o.LeaseTTL = cluster.DefaultLeaseTTL
-	}
-	if o.RetryAfter == 0 {
-		o.RetryAfter = DefaultRetryAfter
 	}
 	if o.StarveAfter == 0 {
 		o.StarveAfter = DefaultStarveAfter
@@ -230,7 +222,7 @@ func New(opts Options) (*Service, error) {
 func (s *Service) Archive() *Store { return s.store }
 
 // CampaignTelemetry returns the campaign's own telemetry registry (nil
-// for unknown identities) — the FleetOptions.TelemetryFor hook for
+// for unknown identities) — JoinFleet's telemetryFor hook for
 // in-process fleet workers, so their engine counters land in the right
 // campaign's registry.
 func (s *Service) CampaignTelemetry(id [32]byte) *telemetry.Registry {
@@ -262,8 +254,10 @@ func (s *Service) Handler() http.Handler {
 
 // --- lifecycle endpoints -------------------------------------------------
 
-func (s *Service) retryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.opts.RetryAfter+time.Second-1)/time.Second)))
+// retryAfter attaches the client back-off hint of 429/503 responses:
+// one second.
+func retryAfter(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", "1")
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -312,7 +306,7 @@ func (s *Service) submit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		s.retryAfter(w)
+		retryAfter(w)
 		http.Error(w, "service: draining", http.StatusServiceUnavailable)
 		return
 	}
@@ -360,7 +354,7 @@ func (s *Service) submit(w http.ResponseWriter, r *http.Request) {
 		s.telMisses.Inc()
 	}
 	if s.queued >= s.opts.MaxQueued {
-		s.retryAfter(w)
+		retryAfter(w)
 		http.Error(w, "service: campaign queue full", http.StatusTooManyRequests)
 		return
 	}
@@ -442,7 +436,7 @@ func (s *Service) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		state, report := e.state, e.report
 		s.mu.Unlock()
 		if state != StateDone {
-			s.retryAfter(w)
+			retryAfter(w)
 			http.Error(w, "service: campaign not complete ("+state+")", http.StatusConflict)
 			return
 		}
@@ -708,7 +702,7 @@ func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 		spec, _ := s.pickCampaignLocked()
 		s.mu.Unlock()
 		if spec == nil {
-			s.retryAfter(w)
+			retryAfter(w)
 			http.Error(w, "service: no campaign running", http.StatusServiceUnavailable)
 			return
 		}

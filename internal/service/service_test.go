@@ -1,10 +1,10 @@
 package service
 
 import (
-	"errors"
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -97,12 +97,11 @@ func startFleet(t testing.TB, svc *Service, url string, n int) (stop func()) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			JoinFleet(url, FleetOptions{
-				ID:        fmt.Sprintf("fleet%d", i),
+			JoinFleet(url, cluster.WorkerOptions{
+				WorkerID:  fmt.Sprintf("fleet%d", i),
 				Interrupt: intr,
-				TelemetryFor: func(spec cluster.Spec) *telemetry.Registry {
-					return svc.CampaignTelemetry(spec.Identity)
-				},
+			}, func(spec cluster.Spec) *telemetry.Registry {
+				return svc.CampaignTelemetry(spec.Identity)
 			})
 		}(i)
 	}
@@ -527,9 +526,9 @@ func TestUnknownWorkerIdentity(t *testing.T) {
 func TestFleetUnreachableGivesUp(t *testing.T) {
 	srv := httptest.NewServer(http.NotFoundHandler())
 	srv.Close() // nothing listens here any more
-	err := JoinFleet(srv.URL, FleetOptions{Worker: cluster.WorkerOptions{
+	err := JoinFleet(srv.URL, cluster.WorkerOptions{
 		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
-	}})
+	}, nil)
 	if !errors.Is(err, cluster.ErrUnreachable) {
 		t.Fatalf("JoinFleet against a dead service: %v, want ErrUnreachable", err)
 	}
@@ -596,13 +595,12 @@ func TestFleetForkStrategy(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		JoinFleet(srv.URL, FleetOptions{
-			ID:        "fork-fleet",
+		JoinFleet(srv.URL, cluster.WorkerOptions{
+			WorkerID:  "fork-fleet",
 			Interrupt: intr,
-			Worker:    cluster.WorkerOptions{Strategy: campaign.StrategyFork},
-			TelemetryFor: func(s cluster.Spec) *telemetry.Registry {
-				return svc.CampaignTelemetry(s.Identity)
-			},
+			Strategy:  campaign.StrategyFork,
+		}, func(s cluster.Spec) *telemetry.Registry {
+			return svc.CampaignTelemetry(s.Identity)
 		})
 	}()
 	t.Cleanup(func() {

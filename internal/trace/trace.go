@@ -67,9 +67,6 @@ func (g *Golden) SpaceSize() uint64 { return g.Cycles * g.RAMBits }
 // registers × 32 bits.
 func (g *Golden) RegBits() uint64 { return machine.RegSpaceBits }
 
-// RegSpaceSize returns the register fault-space size Δt × 480.
-func (g *Golden) RegSpaceSize() uint64 { return g.Cycles * g.RegBits() }
-
 // Record executes the program without faults and records its memory-access
 // trace. The run must halt normally within maxCycles cycles; a golden run
 // that crashes, aborts or exceeds the budget is a benchmark bug and yields

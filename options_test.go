@@ -1,0 +1,265 @@
+package faultspace
+
+import (
+	"bytes"
+	"encoding/hex"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"testing"
+	"time"
+
+	"faultspace/internal/campaign"
+	"faultspace/internal/cluster"
+	"faultspace/internal/service"
+	"faultspace/internal/telemetry"
+)
+
+// field classifies one option: whether it feeds the campaign identity
+// hash, and a non-default value to set it to.
+type field struct {
+	identity bool
+	set      any
+}
+
+const (
+	bearing   = true
+	invariant = false
+)
+
+// TestOptionCensus lists every exported field of every struct that
+// describes a campaign, a worker, a coordinator or the service, and
+// classifies it as identity-bearing or not. A field added to one of them
+// fails the test until it is listed here — and so until someone has
+// decided whether it may change outcomes — and for each listed field the
+// campaign identity, as that struct's own entry point reports it, must
+// change exactly when the field is identity-bearing: checkpoints and
+// archive entries are keyed by that hash, so an outcome-relevant option
+// outside it would resume or serve the wrong results, and an
+// outcome-invariant one inside it would split the archive.
+func TestOptionCensus(t *testing.T) {
+	prog := hiProgram(t)
+	target := Target(prog)
+	golden, space, err := target.Prepare(DefaultMaxGoldenCycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bypass, err := campaign.ObjectiveByName("bypass")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		open      = make(chan struct{}) // an Interrupt that never fires
+		reg       = NewTelemetry()
+		logf      = func(string, ...any) {}
+		onResult  = func(int, campaign.Outcome) {}
+		trace     = NewTraceID()
+		minted    = map[TraceID]bool{}
+		specFrame []byte // a submission for the service rows
+	)
+	if spec, err := cluster.NewSpec(target, SpaceMemory, campaign.Config{}, DefaultMaxGoldenCycles, uint64(len(space.Classes))); err != nil {
+		t.Fatal(err)
+	} else {
+		specFrame = cluster.EncodeSpec(spec)
+	}
+
+	census := []struct {
+		base   any // a working configuration of the struct
+		fields map[string]field
+		// identity reports the campaign identity under the given options.
+		identity func(t *testing.T, opts reflect.Value) [32]byte
+	}{
+		{
+			base: ScanOptions{},
+			fields: map[string]field{
+				"TimeoutFactor":    {bearing, 8.0},
+				"Space":            {bearing, SpaceRegisters},
+				"Objective":        {bearing, "bypass"},
+				"Workers":          {invariant, 7},
+				"Strategy":         {invariant, StrategyRerun},
+				"LadderInterval":   {invariant, 64},
+				"Predecode":        {invariant, true},
+				"MaxGoldenCycles":  {invariant, 1 << 20},
+				"Checkpoint":       {invariant, "scan.ckpt"},
+				"Resume":           {invariant, true},
+				"OnProgress":       {invariant, func(Progress) {}},
+				"ProgressInterval": {invariant, time.Minute},
+				"Interrupt":        {invariant, open},
+				"Telemetry":        {invariant, reg},
+			},
+			identity: func(t *testing.T, opts reflect.Value) [32]byte {
+				id, err := CampaignIdentity(prog, opts.Interface().(ScanOptions))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return id
+			},
+		},
+		{
+			base: campaign.Config{},
+			fields: map[string]field{
+				"TimeoutFactor":    {bearing, 8.0},
+				"TimeoutSlack":     {bearing, 1024},
+				"Objective":        {bearing, bypass},
+				"Workers":          {invariant, 7},
+				"Strategy":         {invariant, StrategyRerun},
+				"LadderInterval":   {invariant, 64},
+				"Predecode":        {invariant, true},
+				"Telemetry":        {invariant, reg},
+				"Spans":            {invariant, telemetry.NewSpanRecorder(trace, "census", 0)},
+				"Pool":             {invariant, campaign.NewMachinePool(target)},
+				"OnResult":         {invariant, onResult},
+				"OnProgress":       {invariant, func(Progress) {}},
+				"ProgressInterval": {invariant, time.Minute},
+				"Interrupt":        {invariant, open},
+			},
+			identity: func(t *testing.T, opts reflect.Value) [32]byte {
+				id, err := target.CampaignIdentity(SpaceMemory, opts.Interface().(campaign.Config))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return id
+			},
+		},
+		{
+			// A worker's options: whatever they are, the coordinator admits
+			// it (a differing identity is answered 409) and the campaign it
+			// executes keeps its identity.
+			base: cluster.WorkerOptions{},
+			fields: map[string]field{
+				"WorkerID":       {invariant, "census"},
+				"Workers":        {invariant, 2},
+				"Strategy":       {invariant, StrategyRerun},
+				"LadderInterval": {invariant, 64},
+				"Predecode":      {invariant, true},
+				"BaseBackoff":    {invariant, time.Millisecond},
+				"MaxBackoff":     {invariant, time.Millisecond},
+				"Interrupt":      {invariant, open},
+				"Telemetry":      {invariant, reg},
+				"Client":         {invariant, &http.Client{}},
+				"Logf":           {invariant, logf},
+			},
+			identity: func(t *testing.T, opts reflect.Value) [32]byte {
+				addr := make(chan string, 1)
+				joined := make(chan error, 1)
+				go func() { joined <- JoinScan(<-addr, opts.Interface().(JoinOptions)) }()
+				res, err := ServeScan(prog, "127.0.0.1:0", ServeOptions{OnListen: func(a string) { addr <- a }})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := <-joined; err != nil {
+					t.Fatalf("JoinScan: %v", err)
+				}
+				return res.Identity
+			},
+		},
+		{
+			base: cluster.Options{MaxGoldenCycles: DefaultMaxGoldenCycles},
+			fields: map[string]field{
+				"UnitSize":         {invariant, 3},
+				"LeaseTTL":         {invariant, time.Minute},
+				"MaxGoldenCycles":  {invariant, 1 << 20},
+				"OnResult":         {invariant, onResult},
+				"OnProgress":       {invariant, func(ClusterProgress) {}},
+				"ProgressInterval": {invariant, time.Minute},
+				"Interrupt":        {invariant, open},
+				"Telemetry":        {invariant, reg},
+				"TraceID":          {invariant, trace},
+				"Pprof":            {invariant, true},
+			},
+			identity: func(t *testing.T, opts reflect.Value) [32]byte {
+				copts := opts.Interface().(cluster.Options)
+				coord, err := cluster.NewCoordinator(target, golden, space, campaign.Config{}, copts, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The identity half of invariant 15: the trace ID is
+				// observability identity only. Every coordinator of one
+				// campaign gets a trace ID of its own — minted, or the one
+				// passed through — under one campaign identity, so a rerun
+				// under a new trace still hits the archive.
+				switch got := coord.TraceID(); {
+				case got.IsZero():
+					t.Error("coordinator has no trace ID")
+				case !copts.TraceID.IsZero() && got != copts.TraceID:
+					t.Error("Options.TraceID was not passed through")
+				case copts.TraceID.IsZero() && minted[got]:
+					t.Error("two coordinators share a trace ID; timelines would collide")
+				}
+				minted[coord.TraceID()] = true
+				return coord.Identity()
+			},
+		},
+		{
+			// The service's options: a submission is admitted under the
+			// identity its spec announces, whatever the service's settings.
+			base: service.Options{},
+			fields: map[string]field{
+				"Dir":             {invariant, t.TempDir()},
+				"MaxArchiveBytes": {invariant, 1 << 20},
+				"MaxActive":       {invariant, 1},
+				"MaxQueued":       {invariant, 1},
+				"UnitSize":        {invariant, 3},
+				"LeaseTTL":        {invariant, time.Minute},
+				"Telemetry":       {invariant, reg},
+				"StarveAfter":     {invariant, time.Minute},
+				"Logf":            {invariant, logf},
+			},
+			identity: func(t *testing.T, opts reflect.Value) [32]byte {
+				svc, err := service.New(opts.Interface().(service.Options))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer svc.Shutdown()
+				rec := httptest.NewRecorder()
+				svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/campaigns", bytes.NewReader(specFrame)))
+				var info CampaignInfo
+				if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil || rec.Code != http.StatusAccepted {
+					t.Fatalf("submit: HTTP %d %q (%v)", rec.Code, rec.Body, err)
+				}
+				var id [32]byte
+				if n, err := hex.Decode(id[:], []byte(info.ID)); err != nil || n != len(id) {
+					t.Fatalf("campaign ID %q is not an identity hash", info.ID)
+				}
+				return id
+			},
+		},
+	}
+
+	for _, c := range census {
+		typ := reflect.TypeOf(c.base)
+		t.Run(typ.String(), func(t *testing.T) {
+			base := c.identity(t, reflect.ValueOf(c.base))
+			if base == ([32]byte{}) {
+				t.Fatal("identity must be non-zero")
+			}
+			listed := 0
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				if !f.IsExported() {
+					continue
+				}
+				row, ok := c.fields[f.Name]
+				if !ok {
+					t.Errorf("%s.%s is not in the census: list it, and say whether it may change outcomes", typ, f.Name)
+					continue
+				}
+				listed++
+				opts := reflect.New(typ).Elem()
+				opts.Set(reflect.ValueOf(c.base))
+				opts.Field(i).Set(reflect.ValueOf(row.set).Convert(f.Type))
+				if reflect.DeepEqual(opts.Field(i).Interface(), reflect.ValueOf(c.base).Field(i).Interface()) {
+					t.Errorf("%s.%s: the census value %v is what the base already has", typ, f.Name, row.set)
+				}
+				if changed := c.identity(t, opts) != base; changed != row.identity {
+					t.Errorf("%s.%s = %v: identity changed = %v, census says identity-bearing = %v",
+						typ, f.Name, row.set, changed, row.identity)
+				}
+			}
+			if listed != len(c.fields) {
+				t.Errorf("the census lists %d fields of %s, %d exist", len(c.fields), typ, listed)
+			}
+		})
+	}
+}

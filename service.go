@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -44,7 +43,7 @@ type CampaignServiceOptions struct {
 	// campaigns without external workers joining.
 	LocalWorkers int
 	// WorkerOptions configures the local fleet workers (strategy,
-	// parallelism, predecode). WorkerID and Telemetry are managed
+	// parallelism, predecode). WorkerID, Telemetry and Logf are managed
 	// by the service; Interrupt is wired to the service's Interrupt.
 	WorkerOptions JoinOptions
 	// Interrupt, when closed, drains the service gracefully: new
@@ -118,9 +117,7 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 	if opts.OnListen != nil {
 		opts.OnListen(bound)
 	}
-	srv := &http.Server{Handler: svc.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
+	stop := serve(ln, svc.Handler())
 
 	var fleet sync.WaitGroup
 	for i := 0; i < opts.LocalWorkers; i++ {
@@ -128,21 +125,13 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 		go func(n int) {
 			defer fleet.Done()
 			w := opts.WorkerOptions
-			err := service.JoinFleet("http://"+bound, service.FleetOptions{
-				ID: fmt.Sprintf("local%d", n),
-				Worker: cluster.WorkerOptions{
-					Workers:        w.Workers,
-					Strategy:       w.Strategy,
-					LadderInterval: w.LadderInterval,
-					Predecode:      w.Predecode,
-				},
-				Interrupt: opts.Interrupt,
-				// Point each assigned campaign's engine counters at that
-				// campaign's own registry, keeping them isolated.
-				TelemetryFor: func(spec cluster.Spec) *telemetry.Registry {
-					return svc.CampaignTelemetry(spec.Identity)
-				},
-				Logf: opts.Logf,
+			w.WorkerID = fmt.Sprintf("local%d", n)
+			w.Interrupt = opts.Interrupt
+			w.Logf = opts.Logf
+			// Point each assigned campaign's engine counters at that
+			// campaign's own registry, keeping them isolated.
+			err := service.JoinFleet("http://"+bound, w, func(spec cluster.Spec) *telemetry.Registry {
+				return svc.CampaignTelemetry(spec.Identity)
 			})
 			if err != nil && !errors.Is(err, ErrInterrupted) && opts.Logf != nil {
 				opts.Logf("faultspace: local worker %d: %v", n, err)
@@ -160,8 +149,7 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 	// coordinators answer the fleet with shutdown, flush the archive.
 	svc.Shutdown()
 	fleet.Wait()
-	srv.Close()
-	<-serveErr
+	stop()
 	return nil
 }
 
@@ -174,20 +162,11 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 // state: an archived identity comes back "done" (Cached) immediately.
 func SubmitCampaign(addr string, p *Program, opts ScanOptions, tenant string) (CampaignInfo, error) {
 	var info CampaignInfo
-	t := Target(p)
-	kind, err := opts.space()
+	c, err := prepare(p, opts)
 	if err != nil {
-		return info, fmt.Errorf("faultspace: %w", err)
+		return info, err
 	}
-	_, fs, err := t.PrepareSpace(kind, opts.maxGolden())
-	if err != nil {
-		return info, fmt.Errorf("faultspace: %w", err)
-	}
-	cfg, err := opts.campaignConfig()
-	if err != nil {
-		return info, fmt.Errorf("faultspace: %w", err)
-	}
-	spec, err := cluster.NewSpec(t, fs.Kind, cfg, opts.maxGolden(), uint64(len(fs.Classes)))
+	spec, err := cluster.NewSpec(c.target, c.space.Kind, c.cfg, opts.maxGolden(), uint64(len(c.space.Classes)))
 	if err != nil {
 		return info, fmt.Errorf("faultspace: %w", err)
 	}
@@ -206,8 +185,10 @@ func SubmitCampaign(addr string, p *Program, opts ScanOptions, tenant string) (C
 }
 
 // serviceCall sends one lifecycle request to a campaign service and
-// returns the bounded response body; any status but 200 or 202 is an
-// error naming what was asked and carrying the service's message.
+// returns the response body; any status but 200 or 202 is an error
+// naming what was asked and carrying the service's message, and so is a
+// body above the wire bound (a report at the largest) — never a report
+// cut short.
 func serviceCall(ctx context.Context, what, method, url string, body []byte) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
@@ -221,9 +202,9 @@ func serviceCall(ctx context.Context, what, method, url string, body []byte) ([]
 		return nil, fmt.Errorf("faultspace: %w", err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxReportBytes))
+	data, err := cluster.ReadBounded(resp.Body)
 	if err != nil {
-		return nil, fmt.Errorf("faultspace: %w", err)
+		return nil, fmt.Errorf("faultspace: %s: %w", what, err)
 	}
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
 		return nil, fmt.Errorf("faultspace: %s: HTTP %d: %s", what, resp.StatusCode, strings.TrimSpace(string(data)))
@@ -294,37 +275,15 @@ func CampaignReport(addr, id string) (*ScanResult, error) {
 	return LoadScan(bytes.NewReader(report))
 }
 
-// maxReportBytes bounds what serviceCall reads of a response — a report
-// at the largest (matching the service's own request bound).
-const maxReportBytes = 16 << 20
-
-// FleetOptions parameterizes JoinServiceFleet. The embedded JoinOptions
-// keep their JoinScan meaning per assigned campaign.
-type FleetOptions struct {
-	JoinOptions
-}
-
 // JoinServiceFleet attaches this process to a campaign service as a
 // long-lived fleet worker: the service assigns it a campaign, it runs
 // that campaign's work units exactly like JoinScan, and when the
-// campaign completes it asks for the next one. It returns nil when the
+// campaign completes it asks for the next one. The options keep their
+// JoinScan meaning per assigned campaign. It returns nil when the
 // service announces shutdown and ErrInterrupted when
 // JoinOptions.Interrupt fires.
-func JoinServiceFleet(addr string, opts FleetOptions) error {
-	wopts := cluster.WorkerOptions{
-		Workers:        opts.Workers,
-		Strategy:       opts.Strategy,
-		LadderInterval: opts.LadderInterval,
-		Predecode:      opts.Predecode,
-		Telemetry:      opts.Telemetry,
-	}
-	err := service.JoinFleet(normalizeURL(addr), service.FleetOptions{
-		ID:        opts.WorkerID,
-		Worker:    wopts,
-		Interrupt: opts.Interrupt,
-		Logf:      opts.Logf,
-	})
-	if err != nil {
+func JoinServiceFleet(addr string, opts JoinOptions) error {
+	if err := service.JoinFleet(normalizeURL(addr), opts, nil); err != nil {
 		return fmt.Errorf("faultspace: %w", err)
 	}
 	return nil
