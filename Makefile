@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race race-service race-spaces race-observability fuzz-smoke bench bench-telemetry bench-smoke bench-build
+.PHONY: check vet build test race race-service race-spaces race-observability fuzz-smoke bench bench-telemetry bench-smoke bench-build loc
 
 # check is the tier-1 gate: everything a PR must keep green.
 check: vet build test race race-service race-spaces race-observability fuzz-smoke bench-telemetry bench-smoke bench-build
@@ -103,6 +103,11 @@ bench-smoke:
 # the tree), so that renaming something it imports fails the gate.
 bench-build:
 	$(GO) vet -C bench . && $(GO) test -C bench .
+
+# Lines of non-test Go outside bench/: the size a simplifying change
+# quotes against its parent.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 bench:
 	$(GO) test -bench=. -benchmem

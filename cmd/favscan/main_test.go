@@ -253,6 +253,7 @@ func TestFlagValidationUpfront(t *testing.T) {
 		{[]string{"-join", "x:1", "hi"}, "no benchmark argument"},
 		{[]string{"-join", "x:1", "-checkpoint", "c.ckpt"}, "pure worker"},
 		{[]string{"-pprof", "hi"}, "requires -serve"},
+		{[]string{"-serve", "127.0.0.1:0", "-lease", "2ns", "hi"}, "lease TTL too short"},
 		{[]string{"-telemetry", "t.json", "-sample", "10", "hi"}, "full scans only"},
 		{[]string{"-telemetry", "t.json", "-load", "x.json"}, "full scans only"},
 		{[]string{"-telemetry", "t.json", "-join", "x:1"}, "full scans only"},

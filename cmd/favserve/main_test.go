@@ -37,6 +37,15 @@ func TestRejectsPositionalArgs(t *testing.T) {
 	}
 }
 
+// TestRejectsShortLease: a lease TTL whose third is no ticker period is
+// refused at start-up, not per campaign.
+func TestRejectsShortLease(t *testing.T) {
+	err := run([]string{"-addr", "127.0.0.1:0", "-lease", "2ns"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "lease TTL too short") {
+		t.Fatalf("run -lease 2ns: err = %v", err)
+	}
+}
+
 // syncBuffer collects child stderr safely across goroutines.
 type syncBuffer struct {
 	mu sync.Mutex

@@ -2,8 +2,6 @@ package campaign
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 
 	"faultspace/internal/pruning"
 	"faultspace/internal/trace"
@@ -19,52 +17,29 @@ func (c Config) EffectiveTimeout() (factor float64, slack uint64) {
 }
 
 // RunClasses executes exactly the given equivalence classes of the fault
-// space and returns their outcomes keyed by class index. It is the work
-// horse of a cluster worker: a leased work unit is a class subset, and
-// because experiments are deterministic and independent, running them
-// here is outcome-identical to running them inside a local FullScan
+// space on a one-run Session and returns their outcomes keyed by class
+// index. Because experiments are deterministic and independent, running
+// them here is outcome-identical to running them inside a local FullScan
 // (invariant 8, placement equivalence).
 //
 // Class indices may arrive in any order; duplicates and out-of-range
 // indices are rejected. On interruption via Config.Interrupt the outcomes
 // completed so far are returned alongside ErrInterrupted.
 func RunClasses(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, classes []int) (map[int]Outcome, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	s, err := OpenSession(t, golden, fs, cfg)
+	if err != nil {
 		return nil, err
 	}
-	todo := append([]int(nil), classes...)
-	// The scan driver wants classes in (Slot, Bit) order, which is the
-	// class-index order of a pruned fault space.
-	sort.Ints(todo)
-	for i, ci := range todo {
-		if ci < 0 || ci >= len(fs.Classes) {
-			return nil, fmt.Errorf("campaign: class index %d outside [0, %d)", ci, len(fs.Classes))
-		}
-		if i > 0 && todo[i-1] == ci {
-			return nil, fmt.Errorf("campaign: duplicate class index %d", ci)
-		}
-	}
-
-	completed := make(map[int]Outcome, len(todo))
-	userOnResult := cfg.OnResult
-	// The collector goroutine is the only writer of completed, and it has
-	// exited before RunClasses returns — no locking needed.
-	cfg.OnResult = func(ci int, o Outcome) {
-		completed[ci] = o
-		if userOnResult != nil {
-			userOnResult(ci, o)
-		}
-	}
-
-	m := newMeter(cfg, len(todo), nil)
+	defer s.Close()
+	completed := make(map[int]Outcome, len(classes))
+	m := newMeter(s.cfg, len(classes), nil)
 	defer m.finish()
-	out := make([]Outcome, len(fs.Classes))
-	if err := scan(t, golden, fs, cfg, todo, out, m); err != nil {
-		if errors.Is(err, ErrInterrupted) {
-			return completed, err
-		}
+	err = s.Run(classes, func(ci int, o Outcome) {
+		completed[ci] = o
+		m.record(ci, o)
+	})
+	if err != nil && !errors.Is(err, ErrInterrupted) {
 		return nil, err
 	}
-	return completed, nil
+	return completed, err
 }

@@ -118,7 +118,7 @@ func TestClassifyConvergedAllocFree(t *testing.T) {
 	target := hiTarget(t)
 	golden, _ := prepare(t, target)
 	pioneer, parent, child := newTestMachine(t, target), newTestMachine(t, target), newTestMachine(t, target)
-	_, index, err := buildLadder(pioneer, golden, golden.Cycles)
+	_, index, err := machine.CaptureGolden(pioneer, golden.Cycles, golden.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}

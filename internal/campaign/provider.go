@@ -9,7 +9,7 @@ import (
 	"faultspace/internal/trace"
 )
 
-// unit is the scan driver's work item: a run of consecutive entries of
+// unit is the scan session's work item: a run of consecutive entries of
 // the (Slot, Bit)-sorted todo list, handed to one worker as a whole.
 type unit struct {
 	// rung is the golden-run snapshot the fork provider restores before
@@ -20,8 +20,8 @@ type unit struct {
 
 // provider is one scan worker's prefix mechanism — how its machine gets
 // to an injection point without simulating more of the golden run than
-// it must, and how the injected run is finished. The driver (scan) owns
-// everything else. Calls come in the order
+// it must, and how the injected run is finished. The driver (Session.Run)
+// owns everything else. Calls come in the order
 //
 //	start(u); { position(slot); finish(m) }*; end(u)
 //
@@ -125,23 +125,12 @@ const forkBatchMax = 512
 // their length unless set explicitly — so they still see a few probes.
 const probeInterval = 64
 
-// buildLadder replays the golden run once on the pioneer machine,
-// capturing a rung every interval cycles and indexing every golden state
-// for the matcher, both strictly below the final golden cycle.
-func buildLadder(pioneer *machine.Machine, golden *trace.Golden, interval uint64) (*machine.Ladder, *machine.GoldenIndex, error) {
-	ladder, index, err := machine.CaptureGolden(pioneer, golden.Cycles, interval)
-	if err != nil {
-		return nil, nil, fmt.Errorf("campaign: %w", err)
-	}
-	return ladder, index, nil
-}
-
 // carveForkUnits splits the (Slot, Bit)-sorted todo list into
 // injection-ordered units along rung boundaries: every class in a unit
 // is positioned from the same rung, and slots never decrease within a
 // unit — the precondition for the monotone cursor advance.
 func carveForkUnits(l *machine.Ladder, fs *pruning.FaultSpace, todo []int) []unit {
-	units := make([]unit, 0, l.Rungs()+len(todo)/forkBatchMax)
+	units := make([]unit, 0, min(l.Rungs(), len(todo))+len(todo)/forkBatchMax)
 	for i := 0; i < len(todo); {
 		r := l.Find(fs.Classes[todo[i]].Slot() - 1)
 		j := i + 1

@@ -3,7 +3,6 @@ package campaign
 import (
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"faultspace/internal/isa"
@@ -188,69 +187,6 @@ func TestForkConvergenceComposition(t *testing.T) {
 		if wide.Outcomes[i] != rerun.Outcomes[i] {
 			t.Errorf("default interval, class %d: fork=%v rerun=%v", i, wide.Outcomes[i], rerun.Outcomes[i])
 		}
-	}
-}
-
-// TestPoolSharesGoldenPass: the scans of one campaign that draw from one
-// pool — a cluster worker's RunClasses call per leased unit — share one
-// golden pass (ladder and golden-state index, both immutable): only the
-// first replays the golden run, also when several run at once, and a
-// different rung spacing replaces it.
-func TestPoolSharesGoldenPass(t *testing.T) {
-	target := edgeTarget()
-	golden, fs, err := target.Prepare(1 << 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := FullScan(target, golden, fs, Config{Strategy: StrategyRerun})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := NewMachinePool(target)
-	spans := telemetry.NewSpanRecorder(telemetry.NewTraceID(), "test", 0)
-	passes := func() (n int) {
-		for _, sp := range spans.Spans() {
-			if sp.Name == "scan.golden_prefix" {
-				n++
-			}
-		}
-		return n
-	}
-	all := make([]int, len(fs.Classes))
-	for i := range all {
-		all[i] = i
-	}
-	check := func(cfg Config) {
-		t.Helper()
-		got, err := RunClasses(target, golden, fs, cfg, all)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for ci, o := range got {
-			if o != full.Outcomes[ci] {
-				t.Errorf("class %d: pooled=%v rerun=%v", ci, o, full.Outcomes[ci])
-			}
-		}
-	}
-	cfg := Config{LadderInterval: 3, Pool: pool, Spans: spans, Workers: 2}
-	check(cfg)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			check(cfg)
-		}()
-	}
-	wg.Wait()
-	if n := passes(); n != 1 {
-		t.Errorf("%d golden passes for five scans on one pool, want 1", n)
-	}
-	cfg.LadderInterval = 5
-	check(cfg)
-	if n := passes(); n != 2 {
-		t.Errorf("%d golden passes after a scan at another rung spacing, want 2", n)
 	}
 }
 
@@ -548,137 +484,6 @@ func TestResetExperimentAllocFree(t *testing.T) {
 	run() // warm up lazily-allocated machine state
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 		t.Errorf("reset experiment allocates %.1f times per run, want 0", allocs)
-	}
-}
-
-// TestMachinePoolReuse checks the pool contract: recycled machines come
-// back in the reset state, and scans drawing from a pool are outcome-
-// identical to scans allocating fresh machines.
-func TestMachinePoolReuse(t *testing.T) {
-	target := hiTarget(t)
-	golden, fs := prepare(t, target)
-	pool := NewMachinePool(target)
-
-	m1, err := pool.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1.Run(5) // dirty it
-	if m1.Cycles() == 0 {
-		t.Fatal("setup: machine did not run")
-	}
-	pool.Put(m1)
-	m2, err := pool.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2 != m1 {
-		t.Error("pool did not recycle the machine")
-	}
-	if m2.Cycles() != 0 || m2.Status() != machine.StatusRunning || len(m2.Serial()) != 0 {
-		t.Error("recycled machine is not in the reset state")
-	}
-	pool.Put(m2)
-
-	fresh, err := FullScan(target, golden, fs, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, strat := range []Strategy{StrategyFork, StrategyRerun} {
-		// Two scans per strategy: the second definitely runs on recycled
-		// machines dirtied by the first.
-		for round := 0; round < 2; round++ {
-			pooled, err := FullScan(target, golden, fs, Config{Strategy: strat, Pool: pool})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range fresh.Outcomes {
-				if pooled.Outcomes[i] != fresh.Outcomes[i] {
-					t.Fatalf("strategy %d round %d class %d: pooled=%v fresh=%v",
-						strat, round, i, pooled.Outcomes[i], fresh.Outcomes[i])
-				}
-			}
-		}
-	}
-}
-
-// TestMachinePoolCounters: an instrumented pool accounts every Get as
-// either a reuse or a fresh allocation.
-func TestMachinePoolCounters(t *testing.T) {
-	target := hiTarget(t)
-	pool := NewMachinePool(target)
-	reg := telemetry.New()
-	pool.Instrument(reg)
-	m1, err := pool.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := pool.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Put(m1)
-	pool.Put(m2)
-	if _, err := pool.Get(); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("pool.alloc").Value(); got != 2 {
-		t.Errorf("pool.alloc = %d, want 2", got)
-	}
-	if got := reg.Counter("pool.reuse").Value(); got != 1 {
-		t.Errorf("pool.reuse = %d, want 1", got)
-	}
-	// Instrument with a nil registry detaches cleanly.
-	pool.Instrument(nil)
-	if _, err := pool.Get(); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("pool.reuse").Value(); got != 1 {
-		t.Errorf("detached pool still counted: reuse = %d, want 1", got)
-	}
-}
-
-func TestMachinePoolWrongTarget(t *testing.T) {
-	target := hiTarget(t)
-	golden, fs := prepare(t, target)
-	other := edgeTarget()
-	pool := NewMachinePool(other)
-	if _, err := FullScan(target, golden, fs, Config{Pool: pool}); err == nil {
-		t.Fatal("scan with a foreign pool must be rejected")
-	}
-}
-
-// TestRunClassesForkWithPool mirrors the cluster-worker usage: many
-// RunClasses calls on arbitrary class subsets, one shared pool, fork
-// strategy — together they must reproduce the full scan.
-func TestRunClassesForkWithPool(t *testing.T) {
-	target := hiTarget(t)
-	golden, fs := prepare(t, target)
-	full, err := FullScan(target, golden, fs, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := NewMachinePool(target)
-	cfg := Config{Strategy: StrategyFork, LadderInterval: 3, Pool: pool, Workers: 2}
-	got := make(map[int]Outcome)
-	// Deliberately unordered subsets of mixed size.
-	units := [][]int{{5, 1}, {0, 2, 9, 3}, {4}, {6, 7, 8, 10, 11, 12, 13, 14, 15}}
-	for _, unit := range units {
-		res, err := RunClasses(target, golden, fs, cfg, unit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ci, o := range res {
-			got[ci] = o
-		}
-	}
-	if len(got) != len(full.Outcomes) {
-		t.Fatalf("units covered %d classes, want %d", len(got), len(full.Outcomes))
-	}
-	for ci, o := range got {
-		if o != full.Outcomes[ci] {
-			t.Errorf("class %d: units=%v full=%v", ci, o, full.Outcomes[ci])
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -154,17 +155,18 @@ func TestResumeScanValidation(t *testing.T) {
 	}
 }
 
-// counterTarget increments a RAM byte 40 times and prints it: 320+
-// equivalence classes spread over a 200-cycle golden run — enough for
-// the fork provider's 64-record flushes and 16-class interrupt polls to
-// matter, which Hi's 16 classes are not.
-func counterTarget(t *testing.T) Target {
+// loopTarget increments a RAM byte `iterations` times and prints it: 8
+// equivalence classes an iteration, spread over a golden run of five
+// cycles each. 40 iterations are enough for the fork provider's
+// 64-record flushes and 16-class interrupt polls to matter, which Hi's
+// 16 classes are not.
+func loopTarget(t *testing.T, iterations int) Target {
 	t.Helper()
-	return assembleTarget(t, "counter", `
+	return assembleTarget(t, "loop", fmt.Sprintf(`
         .ram    4
         .equ    SERIAL, 0x10000
         .text
-        li      r2, 40
+        li      r2, %d
 loop:   lb      r1, 0(r0)
         addi    r1, r1, 1
         sb      r1, 0(r0)
@@ -173,7 +175,7 @@ loop:   lb      r1, 0(r0)
         lb      r1, 0(r0)
         sb      r1, SERIAL(r0)
         halt
-`)
+`, iterations))
 }
 
 // TestInterruptedScanResumes kills a scan at roughly 50% via the
@@ -186,7 +188,7 @@ func TestInterruptedScanResumes(t *testing.T) {
 		target Target
 	}{
 		{StrategyRerun, hiTarget(t)},
-		{StrategyFork, counterTarget(t)},
+		{StrategyFork, loopTarget(t, 40)},
 	} {
 		strat, target := tc.strat, tc.target
 		golden, fs := prepare(t, target)

@@ -107,12 +107,6 @@ type Config struct {
 	// execution knobs above it CHANGES the recorded outcomes, so the
 	// objective name is part of the campaign identity hash.
 	Objective *Objective
-	// Pool, when non-nil, recycles worker machines across scans instead
-	// of allocating a fresh RAM image per worker per call. Cluster
-	// workers use one pool per campaign so that every leased work unit
-	// (one RunClasses call each) reuses the same machines. The pool must
-	// have been created by NewMachinePool for this same target.
-	Pool *MachinePool
 
 	// OnResult, when non-nil, receives every completed experiment in
 	// completion order. It is invoked from a single collector goroutine,

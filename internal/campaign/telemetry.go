@@ -6,8 +6,8 @@ import (
 	"faultspace/internal/telemetry"
 )
 
-// scanTel bundles the telemetry instruments of one scan run, resolved
-// once up front so the per-experiment hot path is a handful of atomic
+// scanTel bundles the telemetry instruments of one scan session, resolved
+// once when it opens so the per-experiment hot path is a handful of atomic
 // adds without registry lookups. With telemetry disabled
 // (Config.Telemetry == nil) every instrument is nil and every method
 // no-ops without reading the clock — the zero-overhead fast path

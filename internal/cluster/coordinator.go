@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -80,6 +81,23 @@ const (
 	// drop counter in /debug/telemetry.
 	timelineCapacity = 4 * telemetry.DefaultSpanCapacity
 )
+
+// ErrLeaseTTL rejects a lease TTL below MinLeaseTTL.
+var ErrLeaseTTL = errors.New("cluster: lease TTL too short")
+
+// MinLeaseTTL is the shortest lease a coordinator grants and a worker
+// accepts. A worker heartbeats every LeaseTTL/3: a ticker of zero
+// duration panics and one of a few nanoseconds spins, so the TTL a
+// handshake announces is checked at both ends.
+const MinLeaseTTL = time.Millisecond
+
+// CheckLeaseTTL returns an ErrLeaseTTL error for a TTL below MinLeaseTTL.
+func CheckLeaseTTL(ttl time.Duration) error {
+	if ttl < MinLeaseTTL {
+		return fmt.Errorf("%w: %v, minimum %v", ErrLeaseTTL, ttl, MinLeaseTTL)
+	}
+	return nil
+}
 
 func (o Options) withDefaults() Options {
 	if o.UnitSize == 0 {
@@ -256,6 +274,9 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 	opts = opts.withDefaults()
 	if opts.MaxGoldenCycles == 0 {
 		return nil, fmt.Errorf("cluster: MaxGoldenCycles must be set")
+	}
+	if err := CheckLeaseTTL(opts.LeaseTTL); err != nil {
+		return nil, err
 	}
 	id, err := t.CampaignIdentity(fs.Kind, cfg)
 	if err != nil {
@@ -779,12 +800,9 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	u := c.units[s.UnitID]
-	member := make(map[int]bool, len(u.classes))
-	for _, ci := range u.classes {
-		member[ci] = true
-	}
 	for _, e := range s.Entries {
-		if !member[e.Class] {
+		// A unit's class list is ascending (NewCoordinator carves it so).
+		if i := sort.SearchInts(u.classes, e.Class); i == len(u.classes) || u.classes[i] != e.Class {
 			http.Error(w, fmt.Sprintf("cluster: class %d not part of unit %d", e.Class, s.UnitID), http.StatusBadRequest)
 			return
 		}

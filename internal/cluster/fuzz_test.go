@@ -25,6 +25,8 @@ func FuzzWorkUnitDecode(f *testing.F) {
 	f.Add(cluster.EncodeWorkUnit(cluster.WorkUnit{Status: cluster.UnitDone}))
 	f.Add(cluster.EncodeWorkUnit(cluster.WorkUnit{Status: cluster.UnitShutdown, ID: ^uint64(0), Token: ^uint64(0)}))
 	f.Add(spec)
+	// A lease TTL whose third is a zero ticker period: refused, not run.
+	f.Add(cluster.EncodeSpec(cluster.Spec{Proto: cluster.ProtoVersion, Name: "hi/baseline", LeaseTTL: 2}))
 	f.Add(cluster.EncodeSubmission(cluster.Submission{WorkerID: "w", Entries: []checkpoint.Entry{{Class: 1, Outcome: 3}}}))
 	f.Add([]byte{})
 	f.Add([]byte("W garbage that is not a frame"))
@@ -51,7 +53,9 @@ func FuzzWorkUnitDecode(f *testing.F) {
 		}
 		// The sibling decoders share the reader; they must be equally
 		// panic-free on arbitrary input.
-		cluster.DecodeSpec(data)
+		if s, err := cluster.DecodeSpec(data); err == nil && s.LeaseTTL < cluster.MinLeaseTTL {
+			t.Errorf("accepted a spec with lease TTL %v", s.LeaseTTL)
+		}
 		cluster.DecodeSubmission(data)
 		cluster.DecodeHeartbeat(data)
 		cluster.DecodeLeaseRequest(data)

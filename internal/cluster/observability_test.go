@@ -170,6 +170,7 @@ func TestFleetTraceTimeline(t *testing.T) {
 			t.Errorf("timeline has no %q span (have %v)", want, names)
 		}
 	}
+	assertOneGoldenPassPerWorker(t, coord)
 
 	// Interval-union coverage: the non-root spans, clipped to the
 	// campaign window, must explain at least 95% of the wall time — the

@@ -68,7 +68,7 @@ func NewSpec(t campaign.Target, kind pruning.SpaceKind, cfg campaign.Config, max
 //
 // The returned config carries only the outcome-relevant parameters (the
 // timeout budget); callers layer their local execution choices (workers,
-// strategy, pool) on top, which never changes the identity.
+// strategy) on top, which never changes the identity.
 func BuildCampaign(spec Spec) (campaign.Target, *trace.Golden, *pruning.FaultSpace, campaign.Config, error) {
 	var cfg campaign.Config
 	code, err := isa.DecodeProgram(spec.Code)

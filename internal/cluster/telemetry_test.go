@@ -124,16 +124,40 @@ func TestStatusAndTelemetryEndpoints(t *testing.T) {
 	}
 
 	// The worker's own registry saw the campaign through the campaign
-	// engine: every class ran exactly once, on pooled machines.
+	// engine: every class ran exactly once.
 	if got := wreg.Counter("scan.experiments").Value(); got != uint64(len(fs.Classes)) {
 		t.Errorf("worker scan.experiments = %d, want %d", got, len(fs.Classes))
 	}
-	if wreg.Counter("pool.alloc").Value() == 0 {
-		t.Error("pool.alloc must be non-zero")
+	if units := assertOneGoldenPassPerWorker(t, coord); units["w1"] < 4 {
+		t.Errorf("worker ran %d units, the golden-pass check needs at least 4", units["w1"])
 	}
-	if len(fs.Classes) > 16 && wreg.Counter("pool.reuse").Value() == 0 {
-		t.Error("pool.reuse must be non-zero across multiple units")
+}
+
+// assertOneGoldenPassPerWorker checks the fleet timeline for one scan
+// session per worker and campaign: however many units a worker ran, it
+// replayed the golden run for them once. It returns the units by worker.
+func assertOneGoldenPassPerWorker(t *testing.T, coord *Coordinator) (units map[string]int) {
+	t.Helper()
+	units = map[string]int{}
+	passes := map[string]int{}
+	spans, _ := coord.Timeline()
+	for _, sp := range spans {
+		switch sp.Name {
+		case "unit.scan":
+			units[sp.Scope]++
+		case "scan.golden_prefix":
+			passes[sp.Scope]++
+		}
 	}
+	for w, n := range units {
+		if passes[w] != 1 {
+			t.Errorf("worker %s replayed the golden run %d times over %d units, want once", w, passes[w], n)
+		}
+	}
+	if len(passes) > len(units) {
+		t.Errorf("golden passes %v by workers that ran no unit (%v)", passes, units)
+	}
+	return units
 }
 
 // TestDebugEndpointsOffByDefault: without a registry and without Pprof,

@@ -287,10 +287,10 @@ func DecodeSpec(data []byte) (Spec, error) {
 		// JoinCampaign report the version mismatch instead of "payload cut".
 		copy(s.TraceID[:], r.Take(len(s.TraceID)))
 	}
-	if s.LeaseTTL <= 0 {
-		r.Failf("non-positive lease TTL")
-	}
 	if err := r.Finish(); err != nil {
+		return Spec{}, err
+	}
+	if err := CheckLeaseTTL(s.LeaseTTL); err != nil {
 		return Spec{}, err
 	}
 	return s, nil

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"faultspace/internal/campaign"
 	"faultspace/internal/checkpoint"
 	"faultspace/internal/frame"
 	"faultspace/internal/telemetry"
@@ -43,6 +44,32 @@ func testSpec() Spec {
 		LeaseTTL:        10 * time.Second,
 		Objective:       "bypass",
 		TraceID:         tr,
+	}
+}
+
+// TestLeaseTTLFloor: a worker heartbeats every LeaseTTL/3, so a handshake
+// announcing a TTL of a nanosecond or two would panic its ticker and one
+// just above would spin it. Both ends refuse a TTL under MinLeaseTTL with
+// ErrLeaseTTL: the worker decoding the spec, the coordinator configured
+// with one.
+func TestLeaseTTLFloor(t *testing.T) {
+	tgt, golden, fs := testCampaign(t, "hi")
+	for _, tc := range []struct {
+		ttl time.Duration
+		ok  bool
+	}{
+		{-time.Second, false}, {1, false}, {2, false}, {999 * time.Microsecond, false},
+		{MinLeaseTTL, true}, {DefaultLeaseTTL, true},
+	} {
+		spec := testSpec()
+		spec.LeaseTTL = tc.ttl
+		if _, err := DecodeSpec(EncodeSpec(spec)); (err == nil) != tc.ok || (!tc.ok && !errors.Is(err, ErrLeaseTTL)) {
+			t.Errorf("DecodeSpec with lease TTL %v: err = %v", tc.ttl, err)
+		}
+		_, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{LeaseTTL: tc.ttl, MaxGoldenCycles: testMaxGolden}, nil)
+		if (err == nil) != tc.ok || (!tc.ok && !errors.Is(err, ErrLeaseTTL)) {
+			t.Errorf("NewCoordinator with lease TTL %v: err = %v", tc.ttl, err)
+		}
 	}
 }
 

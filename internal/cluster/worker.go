@@ -16,7 +16,6 @@ import (
 	"faultspace/internal/checkpoint"
 	"faultspace/internal/pruning"
 	"faultspace/internal/telemetry"
-	"faultspace/internal/trace"
 )
 
 // Worker sentinel errors.
@@ -62,8 +61,8 @@ type WorkerOptions struct {
 	// crash. The lease-expiry path of the coordinator must absorb it.
 	Interrupt <-chan struct{}
 	// Telemetry, when non-nil, instruments the worker's campaign engine
-	// (scan counters, outcome histograms, machine-pool reuse) across all
-	// the units it runs. Session-scoped and local to this worker.
+	// (scan counters, outcome histograms) across all the units it runs.
+	// Session-scoped and local to this worker.
 	Telemetry *telemetry.Registry
 	// Client is the HTTP client (default http.DefaultClient).
 	Client *http.Client
@@ -146,6 +145,7 @@ func (w *worker) join(spec Spec) error {
 	if err := w.rebuild(spec); err != nil {
 		return err
 	}
+	defer w.session.Close()
 	w.opts.Logf("worker %s: joined %s (%s, %d classes, %s space)",
 		w.opts.WorkerID, w.base, spec.Name, len(w.space.Classes), w.space.Kind)
 	return w.loop()
@@ -158,11 +158,11 @@ type worker struct {
 	// lease parked at the coordinator never delays an interrupt.
 	ctx context.Context
 
-	spec   Spec
-	target campaign.Target
-	golden *trace.Golden
-	space  *pruning.FaultSpace
-	cfg    campaign.Config
+	spec  Spec
+	space *pruning.FaultSpace
+	// session executes every leased unit of the campaign on the same
+	// worker machines and the same golden pass.
+	session *campaign.Session
 
 	// spans records this worker's slice of the campaign timeline (nil
 	// when the spec carries no trace ID, i.e. tracing off). The recorder
@@ -190,11 +190,6 @@ func (w *worker) rebuild(spec Spec) error {
 	if sp.Live() {
 		sp.End(fmt.Sprintf("%s: golden replay + %d classes", spec.Name, len(fs.Classes)))
 	}
-	// One pool for the whole campaign: every leased unit is one
-	// RunClasses call, and without the pool each of them would
-	// re-allocate every worker machine's RAM image.
-	pool := campaign.NewMachinePool(t)
-	pool.Instrument(w.opts.Telemetry)
 	cfg.Workers = w.opts.Workers
 	cfg.Strategy = w.opts.Strategy
 	cfg.LadderInterval = w.opts.LadderInterval
@@ -202,8 +197,10 @@ func (w *worker) rebuild(spec Spec) error {
 	cfg.Interrupt = w.opts.Interrupt
 	cfg.Telemetry = w.opts.Telemetry
 	cfg.Spans = w.spans
-	cfg.Pool = pool
-	w.target, w.golden, w.space, w.cfg, w.spec = t, g, fs, cfg, spec
+	if w.session, err = campaign.OpenSession(t, g, fs, cfg); err != nil {
+		return err
+	}
+	w.space, w.spec = fs, spec
 	return nil
 }
 
@@ -258,7 +255,7 @@ func (w *worker) loop() error {
 				return fmt.Errorf("%w: leased class %d outside the fault space", ErrRejected, ci)
 			}
 		}
-		outcomes, err := w.runUnit(u)
+		entries, err := w.runUnit(u)
 		if err != nil {
 			if errors.Is(err, campaign.ErrInterrupted) {
 				// Die abruptly, as a crashed worker would: the unit's lease
@@ -267,7 +264,7 @@ func (w *worker) loop() error {
 			}
 			return err
 		}
-		if err := w.submit(u, outcomes); err != nil {
+		if err := w.submit(u, entries); err != nil {
 			return err
 		}
 		w.opts.Logf("worker %s: unit %d done (%d classes)", w.opts.WorkerID, u.ID, len(u.Classes))
@@ -290,18 +287,23 @@ func (w *worker) lease(path string, leaseReq []byte) (WorkUnit, error) {
 	return u, nil
 }
 
-// runUnit executes one leased unit through the regular campaign
-// machinery, heartbeating the lease while it runs.
-func (w *worker) runUnit(u WorkUnit) (map[int]campaign.Outcome, error) {
+// runUnit executes one leased unit on the campaign's scan session,
+// heartbeating the lease while it runs, and returns the unit's results
+// in class order.
+func (w *worker) runUnit(u WorkUnit) ([]checkpoint.Entry, error) {
 	stop := make(chan struct{})
 	defer close(stop)
 	go w.heartbeat(u.ID, stop)
 	sp := w.spans.Start("unit.scan")
-	outcomes, err := campaign.RunClasses(w.target, w.golden, w.space, w.cfg, u.Classes)
+	entries := make([]checkpoint.Entry, 0, len(u.Classes))
+	err := w.session.Run(u.Classes, func(ci int, o campaign.Outcome) {
+		entries = append(entries, checkpoint.Entry{Class: ci, Outcome: uint8(o)})
+	})
 	if err == nil && sp.Live() {
 		sp.End(fmt.Sprintf("unit %d (%d classes)", u.ID, len(u.Classes)))
 	}
-	return outcomes, err
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Class < entries[j].Class })
+	return entries, err
 }
 
 // heartbeat extends the lease of a unit every LeaseTTL/3 until stopped.
@@ -321,12 +323,7 @@ func (w *worker) heartbeat(unitID uint64, stop <-chan struct{}) {
 	}
 }
 
-func (w *worker) submit(u WorkUnit, outcomes map[int]campaign.Outcome) error {
-	entries := make([]checkpoint.Entry, 0, len(outcomes))
-	for ci, o := range outcomes {
-		entries = append(entries, checkpoint.Entry{Class: ci, Outcome: uint8(o)})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Class < entries[j].Class })
+func (w *worker) submit(u WorkUnit, entries []checkpoint.Entry) error {
 	// The worker.submit span ends after the drain below, so it ships with
 	// the NEXT submission — each timeline batch trails the round trip that
 	// carried the previous one. The final submit span of a campaign is

@@ -51,7 +51,7 @@ func NewForker(parent, child *Machine) *Forker {
 	if len(parent.ram) != len(child.ram) {
 		panic("machine: NewForker with mismatched RAM size")
 	}
-	return &Forker{parent: parent, child: child, stale: make([]uint64, len(parent.dirty))}
+	return &Forker{parent: parent, child: child, stale: newPageSet(len(parent.ram))}
 }
 
 // Invalidate forces the next Fork to copy every page. Required after any

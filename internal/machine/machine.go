@@ -248,7 +248,7 @@ func New(cfg Config, prog []isa.Instruction, image []byte) (*Machine, error) {
 		status:    StatusRunning,
 		maxSerial: maxSerial,
 		fireAt:    cfg.TimerPeriod,
-		dirty:     make([]uint64, (numPages(cfg.RAMSize)+63)/64),
+		dirty:     newPageSet(cfg.RAMSize),
 	}
 	copy(m.ram, image)
 	return m, nil

@@ -193,6 +193,9 @@ type Service struct {
 // New opens the result archive and returns a ready-to-serve Service.
 func New(opts Options) (*Service, error) {
 	opts = opts.withDefaults()
+	if err := cluster.CheckLeaseTTL(opts.LeaseTTL); err != nil {
+		return nil, err
+	}
 	s := &Service{
 		opts:      opts,
 		campaigns: make(map[[32]byte]*entry),
@@ -572,10 +575,7 @@ func (s *Service) runCampaign(e *entry) {
 	defer s.wg.Done()
 	t, g, fs, cfg, err := cluster.BuildCampaign(e.spec)
 	if err != nil {
-		s.mu.Lock()
-		s.finishLocked(e, StateFailed, err.Error())
-		s.retireLocked(e)
-		s.mu.Unlock()
+		s.retire(e, StateFailed, err.Error(), nil)
 		return
 	}
 	coord, err := cluster.NewCoordinator(t, g, fs, cfg, cluster.Options{
@@ -589,10 +589,7 @@ func (s *Service) runCampaign(e *entry) {
 		TraceID: e.spec.TraceID,
 	}, nil)
 	if err != nil {
-		s.mu.Lock()
-		s.finishLocked(e, StateFailed, err.Error())
-		s.retireLocked(e)
-		s.mu.Unlock()
+		s.retire(e, StateFailed, err.Error(), nil)
 		return
 	}
 	spec := e.spec
@@ -617,31 +614,42 @@ func (s *Service) runCampaign(e *entry) {
 		// Interrupted: cancel endpoint or service drain. Keep the partial
 		// coordinator state for late worker traffic; archive nothing.
 		s.drainCoordinator(coord)
-		s.mu.Lock()
-		s.finishLocked(e, StateCancelled, "interrupted")
-		s.retireLocked(e)
-		s.mu.Unlock()
+		s.retire(e, StateCancelled, "interrupted", nil)
 		return
 	}
 	var buf bytes.Buffer
-	if err := archive.Encode(&buf, res); err == nil {
-		if s.store != nil {
-			if perr := s.store.Put(e.id, buf.Bytes()); perr != nil {
-				s.opts.Logf("service: archive %s: %v", e.idHex[:12], perr)
-			}
-		}
-	} else {
-		s.mu.Lock()
-		s.finishLocked(e, StateFailed, err.Error())
-		s.retireLocked(e)
-		s.mu.Unlock()
+	if err := archive.Encode(&buf, res); err != nil {
+		s.retire(e, StateFailed, err.Error(), nil)
 		return
 	}
+	if s.store != nil {
+		// A report that could not be archived would be served from memory
+		// until the next restart and then be gone: that is a failed
+		// campaign, not a done one.
+		if err := s.store.Put(e.id, buf.Bytes()); err != nil {
+			s.retire(e, StateFailed, err.Error(), nil)
+			return
+		}
+	}
+	s.retire(e, StateDone, "", buf.Bytes())
+}
+
+// retire ends a running campaign: it records the terminal state (and,
+// for StateDone, the report), frees its slot and schedules the next
+// queued one.
+func (s *Service) retire(e *entry, state, detail string, report []byte) {
 	s.mu.Lock()
-	e.report = buf.Bytes()
-	s.finishLocked(e, StateDone, "")
-	s.retireLocked(e)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	e.report = report
+	s.finishLocked(e, state, detail)
+	for i, a := range s.active {
+		if a == e {
+			s.active = append(s.active[:i], s.active[i+1:]...)
+			break
+		}
+	}
+	s.telActive.Set(int64(len(s.active)))
+	s.scheduleLocked()
 }
 
 // finishLocked moves a campaign to a terminal state.
@@ -653,19 +661,6 @@ func (s *Service) finishLocked(e *entry, state, detail string) {
 	close(e.done)
 	s.opts.Telemetry.Tracef("campaign."+state, "%s (%s) %s", e.spec.Name, e.idHex[:12], detail)
 	s.opts.Logf("service: campaign %s (%s) %s %s", e.spec.Name, e.idHex[:12], state, detail)
-}
-
-// retireLocked removes a campaign from the active set and schedules the
-// next queued one.
-func (s *Service) retireLocked(e *entry) {
-	for i, a := range s.active {
-		if a == e {
-			s.active = append(s.active[:i], s.active[i+1:]...)
-			break
-		}
-	}
-	s.telActive.Set(int64(len(s.active)))
-	s.scheduleLocked()
 }
 
 // drainCoordinator gives the fleet a bounded grace period to see the

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -254,6 +255,48 @@ func TestInvariant12ArchiveHit(t *testing.T) {
 		t.Fatalf("idempotent resubmit: HTTP %d state %s", resp3.StatusCode, st3.State)
 	}
 	svc2.Shutdown()
+}
+
+// TestArchiveWriteFailureFailsCampaign: a report the store could not
+// write must not be served as done — it would live in memory until the
+// next restart and then be gone. The campaign fails with the store's
+// error, nothing is archived, and a later campaign still runs.
+func TestArchiveWriteFailureFailsCampaign(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	dir := t.TempDir()
+	svc, srv := startService(t, Options{Dir: dir})
+	startFleet(t, svc, srv.URL, 1)
+	spec := testSpec(t, "hi", 0)
+	// The temp file Put writes through lands on a full device.
+	if err := os.Symlink("/dev/full", svc.Archive().path(spec.Identity)+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	st, resp := submitSpec(t, srv.URL, spec, "alice")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	st = waitDone(t, srv.URL, st.ID)
+	if st.State != StateFailed || !strings.Contains(st.Error, "archive") {
+		t.Errorf("campaign ended %s (error %q), want failed with the archive error", st.State, st.Error)
+	}
+	if r, err := http.Get(srv.URL + "/v1/campaigns/" + st.ID + "/report"); err != nil {
+		t.Fatal(err)
+	} else if r.Body.Close(); r.StatusCode == http.StatusOK {
+		t.Error("a campaign whose report was not archived still serves it")
+	}
+	if n := svc.Archive().Len(); n != 0 {
+		t.Errorf("failed Put left %d archive entries", n)
+	}
+	next, resp := submitSpec(t, srv.URL, testSpec(t, "hi", 5), "alice")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("next submit: HTTP %d", resp.StatusCode)
+	}
+	if next = waitDone(t, srv.URL, next.ID); next.State != StateDone {
+		t.Errorf("campaign after the failed one ended %s (%s)", next.State, next.Error)
+	}
+	svc.Shutdown()
 }
 
 // TestTwoTenantsConcurrent drives two distinct campaigns from different

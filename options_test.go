@@ -108,7 +108,6 @@ func TestOptionCensus(t *testing.T) {
 				"Predecode":        {invariant, true},
 				"Telemetry":        {invariant, reg},
 				"Spans":            {invariant, telemetry.NewSpanRecorder(trace, "census", 0)},
-				"Pool":             {invariant, campaign.NewMachinePool(target)},
 				"OnResult":         {invariant, onResult},
 				"OnProgress":       {invariant, func(Progress) {}},
 				"ProgressInterval": {invariant, time.Minute},
