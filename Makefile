@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race race-service race-spaces race-observability fuzz-smoke bench bench-telemetry bench-smoke bench-build loc
+.PHONY: check vet build test race race-service race-spaces race-observability race-checkpoint fuzz-smoke bench bench-telemetry bench-smoke bench-build loc
 
 # check is the tier-1 gate: everything a PR must keep green.
-check: vet build test race race-service race-spaces race-observability fuzz-smoke bench-telemetry bench-smoke bench-build
+check: vet build test race race-service race-spaces race-observability race-checkpoint fuzz-smoke bench-telemetry bench-smoke bench-build
 
 vet:
 	$(GO) vet ./...
@@ -48,6 +48,16 @@ race-spaces:
 race-observability:
 	$(GO) test -race -count=2 -run='TestFleetTraceTimeline|TestWatchdogFlagsStragglerWorker|TestWindowedWorkerRates|TestCoordinatorMetricsExposition' ./internal/cluster
 	$(GO) test -race -count=2 -run='TestServiceTraceAndMetrics|TestStarvedTenantWatchdog' ./internal/service
+
+# The checkpoint writer's flusher goroutine under the race detector: the
+# group-commit, sticky-error and torn-commit tests of the package, then the
+# root scans that feed a writer from a live collector or coordinator —
+# pinned file bytes, interrupt+resume, kill-the-coordinator-and-resume and
+# a disk filling up mid-scan. -count=3 varies how the commits interleave
+# with the appends.
+race-checkpoint:
+	$(GO) test -race -count=3 ./internal/checkpoint
+	$(GO) test -race -count=3 -run='TestCheckpointBytesPinned|TestInterruptResumeEquivalence|TestInterruptResumeFork|TestPlacementEquivalenceCheckpointResume|TestScanStopsOnDeadCheckpoint|TestServeScanStopsOnDeadCheckpoint' .
 
 # A short deterministic-corpus + 10s randomized smoke of the attack
 # surfaces: the binary decoders exposed to untrusted bytes (the field

@@ -65,8 +65,9 @@ type ServeOptions struct {
 //
 // Checkpoint and Resume behave exactly as in Scan: merged outcomes
 // stream into the crash-safe checkpoint, and a restarted coordinator
-// resumes with no experiment redone. Interrupt stops granting leases and
-// returns the partial result with ErrInterrupted.
+// resumes with no experiment redone; a checkpoint that can no longer be
+// written ends the campaign with its error. Interrupt stops granting
+// leases and returns the partial result with ErrInterrupted.
 func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) {
 	c, err := prepare(p, opts.ScanOptions)
 	if err != nil {
@@ -83,24 +84,22 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 		Pprof:            opts.Pprof,
 	}
 	var prior map[int]campaign.Outcome
-	closeCheckpoint := func() error { return nil }
+	finish := wrapScanErr
 	if opts.Checkpoint != "" {
-		w, completed, err := opts.openCheckpoint(c.target, c.space, c.cfg)
+		ck, completed, err := opts.openCheckpoint(c.target, c.space, c.cfg)
 		if err != nil {
 			return nil, err
 		}
-		prior, closeCheckpoint = completed, w.Close
-		copts.OnResult = func(ci int, o campaign.Outcome) { w.Append(ci, uint8(o)) }
+		prior, finish = completed, ck.close
+		copts.OnResult, copts.Interrupt = ck.record, ck.interrupt
 	}
 	coord, err := cluster.NewCoordinator(c.target, c.golden, c.space, c.cfg, copts, prior)
 	if err != nil {
-		closeCheckpoint()
-		return nil, fmt.Errorf("faultspace: %w", err)
+		return finish(nil, err)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		closeCheckpoint()
-		return nil, fmt.Errorf("faultspace: %w", err)
+		return finish(nil, err)
 	}
 	if opts.OnListen != nil {
 		opts.OnListen(ln.Addr().String())
@@ -122,12 +121,7 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 	// late handler can touch a closed checkpoint writer.
 	stop()
 	coord.Seal()
-	// Close flushes buffered records — including on the interrupt path,
-	// which makes a SIGINT-killed coordinator resumable.
-	if cerr := closeCheckpoint(); cerr != nil && scanErr == nil {
-		return nil, fmt.Errorf("faultspace: %w", cerr)
-	}
-	return wrapScanErr(res, scanErr)
+	return finish(res, scanErr)
 }
 
 // readHeaderTimeout bounds how long a connection may take to send its

@@ -34,6 +34,7 @@
 package faultspace
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -42,6 +43,7 @@ import (
 	"faultspace/internal/asm"
 	"faultspace/internal/campaign"
 	"faultspace/internal/checkpoint"
+	"faultspace/internal/cluster"
 	"faultspace/internal/machine"
 	"faultspace/internal/pruning"
 	"faultspace/internal/telemetry"
@@ -355,15 +357,51 @@ func Scan(p *Program, opts ScanOptions) (*ScanResult, error) {
 	}
 	// Stream completed experiments into (and, when resuming, restore them
 	// from) the checkpoint file.
-	w, prior, err := opts.openCheckpoint(c.target, c.space, c.cfg)
+	ck, prior, err := opts.openCheckpoint(c.target, c.space, c.cfg)
 	if err != nil {
 		return nil, err
 	}
-	c.cfg.OnResult = func(ci int, o campaign.Outcome) { w.Append(ci, uint8(o)) }
-	res, scanErr := campaign.ResumeScan(c.target, c.golden, c.space, c.cfg, prior)
-	// Close flushes buffered records — including on the interrupt path,
-	// which is what makes a SIGINT-killed campaign resumable without loss.
-	if cerr := w.Close(); cerr != nil && scanErr == nil {
+	c.cfg.OnResult, c.cfg.Interrupt = ck.record, ck.interrupt
+	if onProgress := c.cfg.OnProgress; onProgress != nil && opts.Interrupt != nil {
+		// An embedder that closes its Interrupt inside OnProgress is on the
+		// collector goroutine and has the scan see it before the next
+		// hand-off, not once the goroutine forwarding it has been scheduled.
+		c.cfg.OnProgress = func(p Progress) {
+			onProgress(p)
+			select {
+			case <-opts.Interrupt:
+				ck.stop()
+			default:
+			}
+		}
+	}
+	return ck.close(campaign.ResumeScan(c.target, c.golden, c.space, c.cfg, prior))
+}
+
+// scanCheckpoint is a scan's open checkpoint file: record is the scan's
+// OnResult and interrupt its Interrupt — the caller's own forwarded,
+// which the writer's first error fires as well, so that a campaign never
+// runs on past a checkpoint that can no longer record it.
+type scanCheckpoint struct {
+	w         *checkpoint.Writer
+	interrupt <-chan struct{}
+	stop      context.CancelFunc // closes interrupt
+}
+
+func (ck *scanCheckpoint) record(ci int, o campaign.Outcome) {
+	if ck.w.Append(ci, uint8(o)) != nil {
+		ck.stop()
+	}
+}
+
+// close ends the scan that returned (res, scanErr). Closing the writer
+// makes every delivered record durable — including on the interrupt path,
+// which is what makes a SIGINT-killed campaign resumable without loss —
+// so a checkpoint error outranks the interrupt: what it stopped, or kept
+// from being saved, is a scan with no result.
+func (ck *scanCheckpoint) close(res *ScanResult, scanErr error) (*ScanResult, error) {
+	ck.stop()
+	if cerr := ck.w.Close(); cerr != nil && (scanErr == nil || errors.Is(scanErr, campaign.ErrInterrupted)) {
 		return nil, fmt.Errorf("faultspace: %w", cerr)
 	}
 	return wrapScanErr(res, scanErr)
@@ -372,7 +410,7 @@ func Scan(p *Program, opts ScanOptions) (*ScanResult, error) {
 // openCheckpoint starts the campaign's checkpoint file, bound to its
 // identity hash: a fresh one, or with Resume the existing one, whose
 // completed outcomes are validated and returned.
-func (o ScanOptions) openCheckpoint(t campaign.Target, fs *FaultSpace, cfg campaign.Config) (*checkpoint.Writer, map[int]campaign.Outcome, error) {
+func (o ScanOptions) openCheckpoint(t campaign.Target, fs *FaultSpace, cfg campaign.Config) (*scanCheckpoint, map[int]campaign.Outcome, error) {
 	id, err := t.CampaignIdentity(fs.Kind, cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("faultspace: %w", err)
@@ -397,7 +435,8 @@ func (o ScanOptions) openCheckpoint(t campaign.Target, fs *FaultSpace, cfg campa
 		prior[ci] = campaign.Outcome(out)
 	}
 	w.Instrument(o.Telemetry)
-	return w, prior, nil
+	ctx, stop := cluster.InterruptContext(o.Interrupt)
+	return &scanCheckpoint{w: w, interrupt: ctx.Done(), stop: stop}, prior, nil
 }
 
 // CampaignIdentity returns the campaign identity hash Scan would use for

@@ -207,7 +207,10 @@ func (s *Session) Run(classes []int, deliver func(class int, o Outcome)) (err er
 	// every prior flush before a worker proceeds. Progress therefore
 	// trails execution by at most one flush window even at GOMAXPROCS=1,
 	// which keeps interrupt delivery bounded for embedders that trigger
-	// it from OnProgress.
+	// it from OnProgress. The price is that whatever deliver spends, every
+	// worker soon waits out — which is why the checkpoint writer behind
+	// OnResult only encodes there and leaves write and fsync to its own
+	// flusher goroutine.
 	results := make(chan []record)
 	errCh := make(chan error, 1)
 	var stop atomic.Bool

@@ -2,11 +2,13 @@
 // an append-only, CRC-guarded, chunked binary record of completed
 // fault-injection experiments.
 //
-// A campaign streams every completed (class, outcome) pair into a Writer.
-// If the process is killed — SIGINT, OOM, power loss — the file retains
-// every record that was flushed before the crash, and a campaign relaunch
-// loads the valid prefix, truncates any torn tail and continues appending
-// where the previous run stopped. The file is bound to a campaign
+// A campaign streams every completed (class, outcome) pair into a Writer,
+// whose flusher goroutine commits them behind the scan's back. If the
+// process is killed — OOM, power loss — the file retains every record the
+// disk had acknowledged before the crash (a SIGINT, which closes the
+// writer, loses none), and a campaign relaunch loads the valid prefix,
+// truncates any torn tail and continues appending where the previous run
+// stopped. The file is bound to a campaign
 // identity hash (program image + fault-space kind + outcome-relevant
 // config, see campaign.Target.CampaignIdentity), so a stale checkpoint
 // can never be resumed against a different target.
@@ -22,22 +24,28 @@
 //	'H'  header, exactly one, first: version(u32) identity(32) classes(u64)
 //	'R'  records: repeated { class(uvarint) outcome(1 byte) }
 //
-// Frames are written with a single write(2) each and fsynced, so a crash
-// can only produce a torn or missing tail frame — never a half-updated
-// earlier region. The decoder accepts exactly the longest valid frame
-// prefix: a clean cut mid-frame yields ErrTruncated, a CRC or framing
-// mismatch yields ErrCorrupt, and in both cases the records decoded
-// before the damage are still returned so a resume can salvage them.
+// The file only ever grows: there is one write(2) per commit — of every
+// frame sealed since the previous commit, possibly several — followed by
+// one fsync, so a crash can only produce torn or missing tail frames,
+// never a half-updated earlier region. The decoder accepts exactly the
+// longest valid frame prefix: a clean cut mid-frame yields ErrTruncated, a
+// CRC or framing mismatch yields ErrCorrupt, and in both cases the records
+// decoded before the damage are still returned so a resume can salvage
+// them. A file cut inside its header is what a crash in Create leaves;
+// Open starts it over when the bytes it holds are this campaign's own.
 // Damage to the header, a bad magic, CRC-valid-but-malformed payloads or
 // out-of-range class indices are unrecoverable (ErrFormat / ErrVersion /
 // ErrIdentityMismatch): nothing in such a file can be trusted.
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"faultspace/internal/frame"
@@ -53,7 +61,7 @@ const (
 	kindRecords = 'R'
 )
 
-// DefaultFlushEvery is the record count between automatic flushes.
+// DefaultFlushEvery is the record count of an automatically sealed frame.
 const DefaultFlushEvery = 256
 
 // Decoder sentinel errors, distinguishable with errors.Is.
@@ -176,20 +184,49 @@ func entryMap(entries []Entry) map[int]uint8 {
 	return m
 }
 
-// Writer appends experiment records to a checkpoint file. It buffers
-// records and writes them as one CRC-framed chunk per flush (a single
-// write followed by fsync), so a crash can only lose the unflushed tail.
+// Writer appends experiment records to a checkpoint file. Append only
+// encodes: every FlushEvery records are sealed into one CRC-guarded frame
+// and queued for the writer's flusher goroutine, which commits everything
+// queued with one write followed by one fsync. While the disk keeps up, a
+// commit holds one frame; while it does not, the frames sealed during a
+// commit coalesce into the next (group commit), so whoever produces the
+// records never waits for the disk except in Sync and Close. A crash loses
+// only what the disk had not acknowledged.
+//
 // A Writer is not safe for concurrent use; the campaign engine calls it
 // from its single collector goroutine.
 type Writer struct {
-	f       *os.File
-	buf     []byte
-	pending int
-	// FlushEvery is the number of buffered records that triggers an
-	// automatic flush (default DefaultFlushEvery). Lower it to tighten
-	// the crash-loss window at the cost of more fsyncs.
+	f *os.File
+	// FlushEvery is the number of buffered records that seals a frame
+	// (default DefaultFlushEvery). Lower it to tighten the crash-loss
+	// window at the cost of more, smaller frames.
 	FlushEvery int
-	err        error
+
+	// The caller's side: the records of the frame being built, and what
+	// Close returned.
+	buf      []byte
+	pending  int
+	closeErr error
+
+	// syncFile makes what was written durable: f.Sync, a field only so
+	// that tests can slow it down or fail it.
+	syncFile func() error
+
+	// Shared with the flusher, guarded by mu. cond is signalled whenever
+	// one of these changes: frames were queued or closing was set (the
+	// flusher waits for that), a commit ended (Sync waits for that).
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []byte        // sealed frames not yet handed to write(2)
+	queued  int           // frames in queue
+	sealed  int           // frames sealed so far
+	durable int           // frames written and fsynced
+	closing bool          // Close wants the flusher gone
+	done    chan struct{} // closed as the flusher exits; nil until the first seal starts it
+	// err is the first write, fsync or close error. It is written once,
+	// before failed is set: whoever saw failed may read it without mu.
+	err    error
+	failed atomic.Bool
 
 	// Telemetry instruments, nil (no-op) until Instrument is called.
 	flushes *telemetry.Counter
@@ -197,42 +234,60 @@ type Writer struct {
 	fsync   *telemetry.Histogram
 }
 
+func newWriter(f *os.File) *Writer {
+	w := &Writer{f: f, FlushEvery: DefaultFlushEvery, syncFile: f.Sync}
+	w.cond = sync.NewCond(&w.mu)
+	return w
+}
+
 // Instrument attaches checkpoint I/O metrics from the registry:
-// "checkpoint.flushes" and "checkpoint.bytes" count frame flushes and
-// bytes written, "checkpoint.fsync" is the fsync latency histogram.
-// Safe with a nil registry (the instruments stay no-ops).
+// "checkpoint.flushes" counts the frames committed, "checkpoint.bytes"
+// their bytes, and "checkpoint.fsync" takes one fsync latency sample per
+// commit — so flushes over fsync samples is the group-commit coalescing
+// factor. Call it before the first Append. Safe with a nil registry (the
+// instruments stay no-ops).
 func (w *Writer) Instrument(r *telemetry.Registry) {
 	w.flushes = r.Counter("checkpoint.flushes")
 	w.bytes = r.Counter("checkpoint.bytes")
 	w.fsync = r.Histogram("checkpoint.fsync")
 }
 
-// Create starts a fresh checkpoint at path. It refuses to overwrite an
-// existing file (use Open to resume, or remove the file explicitly).
-func Create(path string, h Header) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
+// fileHead is the magic and header frame every checkpoint of h starts with.
+func fileHead(h Header) []byte {
 	payload := binary.LittleEndian.AppendUint32(nil, Version)
 	payload = append(payload, h.Identity[:]...)
 	payload = binary.LittleEndian.AppendUint64(payload, h.Classes)
-	if _, err = f.Write(frame.Append([]byte(magic), kindHeader, payload)); err == nil {
-		err = f.Sync()
-	}
+	return frame.Append([]byte(magic), kindHeader, payload)
+}
+
+// Create starts a fresh checkpoint at path. It refuses to overwrite an
+// existing file (use Open to resume, or remove the file explicitly). The
+// header is written but not fsynced: the first commit's fsync covers it,
+// and Open starts over from a file a crash left with part of it.
+func Create(path string, h Header) (*Writer, error) {
+	return create(path, h, os.O_EXCL)
+}
+
+func create(path string, h Header, flag int) (*Writer, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|flag, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	if _, err = f.Write(fileHead(h)); err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return &Writer{f: f, FlushEvery: DefaultFlushEvery}, nil
+	return newWriter(f), nil
 }
 
 // Open resumes a checkpoint: it validates the header against h (same
 // version, identity and class count), loads the completed records,
 // truncates any torn or corrupt tail and positions the writer for
 // appending. If the file does not exist yet, Open creates it, so a
-// "resume" of a first run degrades to a fresh campaign. The returned map
+// "resume" of a first run degrades to a fresh campaign — and so does the
+// resume of a run that died inside Create: a file holding only part of
+// this campaign's own magic and header is started over. The returned map
 // holds the already-completed outcomes by class index.
 func Open(path string, h Header) (*Writer, map[int]uint8, error) {
 	data, err := os.ReadFile(path)
@@ -242,6 +297,10 @@ func Open(path string, h Header) (*Writer, map[int]uint8, error) {
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	if head := fileHead(h); len(data) < len(head) && bytes.HasPrefix(head, data) {
+		w, cerr := create(path, h, os.O_TRUNC)
+		return w, nil, cerr
 	}
 	fh, entries, goodLen, derr := decodeAll(data)
 	if derr != nil && !errors.Is(derr, ErrTruncated) && !errors.Is(derr, ErrCorrupt) {
@@ -266,74 +325,143 @@ func Open(path string, h Header) (*Writer, map[int]uint8, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return &Writer{f: f, FlushEvery: DefaultFlushEvery}, entryMap(entries), nil
+	return newWriter(f), entryMap(entries), nil
 }
 
-// Append buffers one completed experiment record, flushing automatically
-// every FlushEvery records. Errors are sticky: once a flush fails, every
-// subsequent call (and Close) reports the failure.
+// Append buffers one completed experiment record and seals a frame every
+// FlushEvery records. It never waits for the disk. Errors are sticky: once
+// a commit has failed, every subsequent call (and Close) reports the
+// failure.
 func (w *Writer) Append(class int, outcome uint8) error {
-	if w.err != nil {
+	if w.failed.Load() {
 		return w.err
 	}
 	w.buf = binary.AppendUvarint(w.buf, uint64(class))
 	w.buf = append(w.buf, outcome)
 	w.pending++
 	if w.pending >= w.FlushEvery {
-		return w.flush()
+		w.seal()
 	}
 	return nil
 }
 
-// Sync flushes buffered records to disk as one frame and fsyncs.
-func (w *Writer) Sync() error {
-	if w.err != nil {
-		return w.err
+// seal frames the buffered records and queues the frame for the flusher,
+// which the first seal starts.
+func (w *Writer) seal() {
+	if w.pending == 0 {
+		return
 	}
-	return w.flush()
+	w.mu.Lock()
+	w.queue = frame.Append(w.queue, kindRecords, w.buf)
+	w.queued++
+	w.sealed++
+	if w.done == nil {
+		w.done = make(chan struct{})
+		go w.flusher()
+	}
+	w.mu.Unlock()
+	w.cond.Broadcast()
+	w.buf = w.buf[:0]
+	w.pending = 0
 }
 
-func (w *Writer) flush() error {
-	if w.pending == 0 {
-		return nil
+// flusher commits the queue until a commit fails or Close asks it to go.
+// A commit takes everything queued, so it covers every frame sealed
+// before it started, and no frame is ever written after a failed one.
+func (w *Writer) flusher() {
+	var spare []byte
+	w.mu.Lock()
+	defer close(w.done)
+	defer w.mu.Unlock()
+	for {
+		for w.queued == 0 && !w.closing {
+			w.cond.Wait()
+		}
+		if w.queued == 0 {
+			return
+		}
+		batch, frames := w.queue, w.queued
+		w.queue, w.queued = spare[:0], 0
+		w.mu.Unlock()
+		err := w.commit(batch, frames)
+		w.mu.Lock()
+		spare = batch
+		if err != nil {
+			w.fail(err)
+			w.cond.Broadcast()
+			return
+		}
+		w.durable += frames
+		w.cond.Broadcast()
 	}
-	rec := frame.Append(make([]byte, 0, frame.HeaderLen+len(w.buf)), kindRecords, w.buf)
-	if _, err := w.f.Write(rec); err != nil {
-		w.err = fmt.Errorf("checkpoint: %w", err)
-		return w.err
+}
+
+// fail makes err the writer's sticky error. No commit is in flight: the
+// caller is the flusher holding mu, or Close after the flusher has gone.
+func (w *Writer) fail(err error) {
+	w.err = fmt.Errorf("checkpoint: %w", err)
+	w.failed.Store(true)
+}
+
+// commit makes a batch of whole frames durable: one write, one fsync.
+func (w *Writer) commit(batch []byte, frames int) error {
+	if _, err := w.f.Write(batch); err != nil {
+		return err
 	}
 	var t0 time.Time
 	if w.fsync != nil {
 		t0 = time.Now()
 	}
-	if err := w.f.Sync(); err != nil {
-		w.err = fmt.Errorf("checkpoint: %w", err)
-		return w.err
+	if err := w.syncFile(); err != nil {
+		return err
 	}
 	if w.fsync != nil {
 		w.fsync.Observe(time.Since(t0))
 	}
-	w.flushes.Inc()
-	w.bytes.Add(uint64(len(rec)))
-	w.buf = w.buf[:0]
-	w.pending = 0
+	w.flushes.Add(uint64(frames))
+	w.bytes.Add(uint64(len(batch)))
 	return nil
 }
 
-// Close flushes pending records and closes the file.
+// Sync seals the buffered records and returns once every record appended
+// so far is on disk (or a commit has failed).
+func (w *Writer) Sync() error {
+	if w.failed.Load() {
+		return w.err
+	}
+	w.seal()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.durable < w.sealed && w.err == nil {
+		w.cond.Wait()
+	}
+	return w.err
+}
+
+// Close makes every appended record durable as Sync does, stops the
+// flusher and closes the file. Closing again returns the same result;
+// appending to a closed writer fails.
 func (w *Writer) Close() error {
 	if w.f == nil {
-		return w.err
+		return w.closeErr
 	}
-	ferr := w.flush()
+	err := w.Sync()
+	w.mu.Lock()
+	w.closing = true
+	w.mu.Unlock()
+	if w.done != nil {
+		w.cond.Broadcast()
+		<-w.done
+	}
 	cerr := w.f.Close()
 	w.f = nil
-	if ferr != nil {
-		return ferr
+	if err == nil && cerr != nil {
+		w.fail(cerr)
+		err = w.err
 	}
-	if cerr != nil {
-		w.err = fmt.Errorf("checkpoint: %w", cerr)
-		return w.err
+	w.closeErr = err
+	if err == nil {
+		w.fail(os.ErrClosed)
 	}
-	return nil
+	return err
 }

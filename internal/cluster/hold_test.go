@@ -6,12 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"faultspace/internal/campaign"
+	"faultspace/internal/leakcheck"
 	"faultspace/internal/telemetry"
 )
 
@@ -319,7 +319,7 @@ func TestHeldLeaseReclaimsAtLeaseExpiry(t *testing.T) {
 // TestInterruptReleasesParkedJoin: a worker parked on a held lease stops
 // as its Interrupt closes, and leaves no goroutine behind.
 func TestInterruptReleasesParkedJoin(t *testing.T) {
-	base := runtime.NumGoroutine()
+	settled := leakcheck.Goroutines(t)
 	reg := telemetry.New()
 	coord, srv, _ := oneUnitCoordinator(t, Options{Telemetry: reg})
 	leaseAs(t, srv.URL, coord.Identity(), "holder")
@@ -351,7 +351,7 @@ func TestInterruptReleasesParkedJoin(t *testing.T) {
 	})
 	client.CloseIdleConnections()
 	srv.Close()
-	waitFor(t, "goroutines to end", func() bool { return runtime.NumGoroutine() <= base })
+	settled()
 }
 
 // TestHandshakeJoinsNamedWorker: a worker that names itself in the

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,6 +14,7 @@ import (
 
 	"faultspace/internal/campaign"
 	"faultspace/internal/cluster"
+	"faultspace/internal/leakcheck"
 	"faultspace/internal/telemetry"
 )
 
@@ -223,7 +223,7 @@ func TestHeldStatus(t *testing.T) {
 // handshake stops as its Interrupt closes, and leaves no goroutine
 // behind.
 func TestInterruptReleasesParkedJoinFleet(t *testing.T) {
-	base := runtime.NumGoroutine()
+	settled := leakcheck.Goroutines(t)
 	reg := telemetry.New()
 	svc, err := New(Options{Telemetry: reg})
 	if err != nil {
@@ -260,7 +260,7 @@ func TestInterruptReleasesParkedJoinFleet(t *testing.T) {
 	})
 	client.CloseIdleConnections()
 	srv.Close()
-	waitFor(t, "goroutines to end", func() bool { return runtime.NumGoroutine() <= base })
+	settled()
 }
 
 // TestHoldHalvesClientTimeout: a client with a timeout asks for half of

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"faultspace/internal/cluster"
+	"faultspace/internal/leakcheck"
 	"faultspace/internal/progs"
 )
 
@@ -197,7 +197,7 @@ func TestWaitCampaignKeepsSpacingWithoutHold(t *testing.T) {
 // own) and leaves no goroutine behind.
 func TestInterruptReleasesParkedWaitCampaign(t *testing.T) {
 	http.DefaultClient.CloseIdleConnections()
-	base := runtime.NumGoroutine()
+	settled := leakcheck.Goroutines(t)
 	parked := make(chan struct{}, 1)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		parked <- struct{}{}
@@ -229,11 +229,5 @@ func TestInterruptReleasesParkedWaitCampaign(t *testing.T) {
 	}
 	srv.Close()
 	http.DefaultClient.CloseIdleConnections()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines left, %d before the call", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	settled()
 }
