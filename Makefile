@@ -37,17 +37,17 @@ race-spaces:
 	$(GO) test -race -count=2 -run='TestInvariant12ArchiveHitAttackSpaces' ./internal/service
 
 # The observability layer under the race detector: the fleet trace
-# timeline (spans merging from concurrent workers into the
-# coordinator's recorder), the straggler watchdog and windowed rate
-# estimator reading coordinator state while leases churn, the
-# /metrics exposition racing live instruments, and the service-side
-# trace/metrics/starved-tenant surface — the span recorder and
-# watchdog are the newest lock-guarded state shared across worker
-# goroutines and HTTP handlers, and -count=2 shakes out
+# timeline (spans merging from concurrent workers, and the coordinator's
+# marks, into one recorder), the windowed rate estimator reading
+# coordinator state while leases churn, the /metrics exposition racing
+# live instruments, the service-side trace/metrics surface and a retired
+# campaign's entry answering status and /trace while late worker traffic
+# still arrives — the span recorder is lock-guarded state shared across
+# worker goroutines and HTTP handlers, and -count=2 shakes out
 # ordering-dependent races, exactly like race-service.
 race-observability:
-	$(GO) test -race -count=2 -run='TestFleetTraceTimeline|TestWatchdogFlagsStragglerWorker|TestWindowedWorkerRates|TestCoordinatorMetricsExposition' ./internal/cluster
-	$(GO) test -race -count=2 -run='TestServiceTraceAndMetrics|TestStarvedTenantWatchdog' ./internal/service
+	$(GO) test -race -count=2 -run='TestFleetTraceTimeline|TestStatusAndTelemetryEndpoints|TestWindowedWorkerRates|TestCoordinatorMetricsExposition' ./internal/cluster
+	$(GO) test -race -count=2 -run='TestServiceTraceAndMetrics|TestRetiredCampaignDropsCoordinator' ./internal/service
 
 # The checkpoint writer's flusher goroutine under the race detector: the
 # group-commit, sticky-error and torn-commit tests of the package, then the

@@ -43,9 +43,7 @@ type options struct {
 	csv       bool
 	samples   int
 	seed      int64
-	binsemN   int
-	syncN     int
-	syncBuf   int
+	sizes     progs.Sizes
 	dilutionN int
 }
 
@@ -55,9 +53,7 @@ func run(args []string, w io.Writer) error {
 	fs.BoolVar(&opts.csv, "csv", false, "emit tables as CSV instead of aligned text")
 	fs.IntVar(&opts.samples, "n", 2000, "sample count for the sampling artifact")
 	fs.Int64Var(&opts.seed, "seed", 1, "PRNG seed for sampling campaigns")
-	fs.IntVar(&opts.binsemN, "binsem-rounds", 4, "bin_sem2 ping-pong rounds")
-	fs.IntVar(&opts.syncN, "sync-rounds", 3, "sync2 handshake rounds")
-	fs.IntVar(&opts.syncBuf, "sync-buf", 64, "sync2 message-buffer bytes")
+	opts.sizes.RegisterFlags(fs, "binsem-rounds", "sync-rounds", "sync-buf")
 	fs.IntVar(&opts.dilutionN, "dilution", 4, "instructions prepended by DFT/DFT'")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -178,9 +174,9 @@ func dilution(w io.Writer, opts options) error {
 
 func figure2(w io.Writer, opts options) error {
 	f2, err := experiments.Figure2(experiments.Figure2Config{
-		BinSemRounds: opts.binsemN,
-		SyncRounds:   opts.syncN,
-		SyncBufBytes: opts.syncBuf,
+		BinSemRounds: opts.sizes.BinSemRounds,
+		SyncRounds:   opts.sizes.SyncRounds,
+		SyncBufBytes: opts.sizes.SyncBufBytes,
 	}, faultspace.ScanOptions{})
 	if err != nil {
 		return err
@@ -245,7 +241,7 @@ func pruneStats(w io.Writer, opts options) error {
 		Title:   "§III-C: def/use pruning effectiveness",
 		Headers: []string{"variant", "raw fault space w", "experiments", "known No Effect", "reduction factor"},
 	}
-	specs := []progs.Spec{progs.BinSem2(opts.binsemN), progs.Sync2(opts.syncN, opts.syncBuf)}
+	specs := []progs.Spec{progs.BinSem2(opts.sizes.BinSemRounds), progs.Sync2(opts.sizes.SyncRounds, opts.sizes.SyncBufBytes)}
 	for _, spec := range specs {
 		for _, build := range []func() (*faultspace.Program, error){spec.Baseline, spec.Hardened} {
 			p, err := build()
@@ -264,7 +260,7 @@ func pruneStats(w io.Writer, opts options) error {
 }
 
 func sampling(w io.Writer, opts options) error {
-	spec := progs.Sync2(opts.syncN, opts.syncBuf)
+	spec := progs.Sync2(opts.sizes.SyncRounds, opts.sizes.SyncBufBytes)
 	p, err := spec.Baseline()
 	if err != nil {
 		return err
@@ -294,7 +290,7 @@ func sampling(w io.Writer, opts options) error {
 }
 
 func registerSpace(w io.Writer, opts options) error {
-	r, err := experiments.RegisterSpace(progs.BinSem2(opts.binsemN), faultspace.ScanOptions{})
+	r, err := experiments.RegisterSpace(progs.BinSem2(opts.sizes.BinSemRounds), faultspace.ScanOptions{})
 	if err != nil {
 		return err
 	}
@@ -360,7 +356,7 @@ func multiFault(w io.Writer, opts options) error {
 }
 
 func sweep(w io.Writer, opts options) error {
-	s, err := experiments.SweepSync2Buffer(opts.syncN, nil, faultspace.ScanOptions{})
+	s, err := experiments.SweepSync2Buffer(opts.sizes.SyncRounds, nil, faultspace.ScanOptions{})
 	if err != nil {
 		return err
 	}
@@ -402,7 +398,7 @@ func sweep(w io.Writer, opts options) error {
 
 func mechanisms(w io.Writer, opts options) error {
 	m, err := experiments.Mechanisms([]progs.Spec{
-		progs.BinSem2(opts.binsemN),
+		progs.BinSem2(opts.sizes.BinSemRounds),
 		progs.Sort1(12),
 	}, faultspace.ScanOptions{})
 	if err != nil {

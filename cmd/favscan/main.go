@@ -31,13 +31,11 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
 	"faultspace"
 	"faultspace/internal/campaign"
-	"faultspace/internal/harden"
 	"faultspace/internal/progs"
 	"faultspace/internal/pruning"
 	"faultspace/internal/report"
@@ -56,7 +54,7 @@ func main() {
 func run(args []string, w, errW io.Writer) error {
 	fs := flag.NewFlagSet("favscan", flag.ContinueOnError)
 	var (
-		variant  = fs.String("variant", "baseline", "baseline, sum+dmr, dft:N or dft2:N")
+		variant  = fs.String("variant", "baseline", progs.VariantUsage)
 		sample   = fs.Int("sample", 0, "draw N samples instead of a full scan")
 		seed     = fs.Int64("seed", 1, "PRNG seed for sampling")
 		biased   = fs.Bool("biased", false, "sample classes uniformly (Pitfall 2) instead of raw coordinates")
@@ -86,16 +84,9 @@ func run(args []string, w, errW io.Writer) error {
 		traceFl  = fs.String("trace", "", "write the campaign span timeline as Chrome trace-event JSON (Perfetto-loadable) to this file on exit")
 		metricFl = fs.String("metrics", "", "expose the telemetry registry in Prometheus text format on this address at /metrics")
 		pprofFl  = fs.Bool("pprof", false, "expose /debug/pprof profiling endpoints on the coordinator (requires -serve)")
-		binsemN  = fs.Int("binsem-rounds", 4, "bin_sem2 ping-pong rounds")
-		syncN    = fs.Int("sync-rounds", 3, "sync2 handshake rounds")
-		syncBuf  = fs.Int("sync-buf", 64, "sync2 message-buffer bytes")
-		clockN   = fs.Int("clock-ticks", 6, "clock1 timer ticks")
-		clockP   = fs.Uint64("clock-period", 64, "clock1 timer period (cycles)")
-		mboxN    = fs.Int("mbox-messages", 6, "mbox1 messages")
-		preemptN = fs.Int("preempt-work", 40, "preempt1 work units per thread")
-		preemptP = fs.Uint64("preempt-period", 48, "preempt1 timer period (cycles)")
-		sortN    = fs.Int("sort-elements", 12, "sort1 array elements")
+		sizes    progs.Sizes
 	)
+	sizes.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -225,17 +216,7 @@ func run(args []string, w, errW io.Writer) error {
 		return fmt.Errorf("expected one benchmark name or assembly file")
 	}
 
-	prog, err := loadProgram(fs.Arg(0), *variant, progs.Sizes{
-		BinSemRounds:  *binsemN,
-		SyncRounds:    *syncN,
-		SyncBufBytes:  *syncBuf,
-		ClockTicks:    *clockN,
-		ClockPeriod:   *clockP,
-		MboxMessages:  *mboxN,
-		PreemptWork:   *preemptN,
-		PreemptPeriod: *preemptP,
-		SortElements:  *sortN,
-	})
+	prog, err := progs.Load(fs.Arg(0), *variant, sizes)
 	if err != nil {
 		return err
 	}
@@ -252,22 +233,26 @@ func run(args []string, w, errW io.Writer) error {
 	}
 	// One registry serves all three observability surfaces: the run
 	// manifest (-telemetry), the summary table (-progress) and, under
-	// -serve, the coordinator's /v1/status and /debug/telemetry
-	// endpoints. Telemetry never changes outcomes (invariant 10), so
+	// -serve, the coordinator's /v1/status and /metrics endpoints.
+	// Telemetry never changes outcomes (invariant 10), so
 	// attaching it unconditionally here would be harmless — but keeping
 	// it nil unless asked for preserves the zero-overhead default.
 	var reg *faultspace.Telemetry
 	if *telem != "" || *progress || *traceFl != "" || *metricFl != "" {
 		reg = faultspace.NewTelemetry()
-		reg.EnableTrace(1024)
 		opts.Telemetry = reg
 	}
 	// Span tracing attaches a recorder to the registry. Locally the scan
 	// records phase spans into it directly; under -serve the coordinator
 	// reuses the same recorder and merges every worker's spans into it,
-	// so the file written at exit is the whole fleet's timeline.
+	// so the file written at exit is the whole fleet's timeline — and
+	// this process is its "coordinator" scope, phase spans and marks alike.
 	if *traceFl != "" {
-		reg.EnableSpans(faultspace.NewTraceID(), "local", 0)
+		scope := "local"
+		if *serve != "" {
+			scope = "coordinator"
+		}
+		reg.EnableSpans(faultspace.NewTraceID(), scope, 0)
 	}
 	if *metricFl != "" {
 		stop, err := serveMetrics(*metricFl, reg, errW)
@@ -671,40 +656,4 @@ func printOutcomes(w io.Writer, scan *faultspace.ScanResult, csv bool) error {
 		return tbl.RenderCSV(w)
 	}
 	return tbl.Render(w)
-}
-
-// loadProgram and buildVariant mirror favsim; kept local so each tool
-// stays a single self-contained file.
-func loadProgram(arg, variant string, sizes progs.Sizes) (*faultspace.Program, error) {
-	if strings.HasSuffix(arg, ".s") || strings.HasSuffix(arg, ".asm") {
-		src, err := os.ReadFile(arg)
-		if err != nil {
-			return nil, err
-		}
-		return faultspace.AssembleSource(arg, string(src))
-	}
-	spec, err := progs.Resolve(arg, sizes)
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case variant == "baseline":
-		return spec.Baseline()
-	case variant == "sum+dmr" || variant == "sumdmr" || variant == "hardened":
-		return spec.Hardened()
-	case strings.HasPrefix(variant, "dft:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(variant, "dft:"))
-		if err != nil {
-			return nil, fmt.Errorf("bad dft count: %w", err)
-		}
-		return spec.WithVariant(harden.Dilution{NOPs: n})
-	case strings.HasPrefix(variant, "dft2:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(variant, "dft2:"))
-		if err != nil {
-			return nil, fmt.Errorf("bad dft2 count: %w", err)
-		}
-		return spec.WithVariant(harden.DilutionLoads{Loads: n, Addrs: spec.DataAddrs})
-	default:
-		return nil, fmt.Errorf("unknown variant %q (baseline, sum+dmr, dft:N, dft2:N)", variant)
-	}
 }

@@ -585,7 +585,8 @@ func TestTelemetryManifestCluster(t *testing.T) {
 	path := filepath.Join(dir, "cluster.json")
 	ck := filepath.Join(dir, "c.ckpt")
 	serveWithWorkers(t, []string{
-		"-telemetry", path, "-checkpoint", ck, "-unit-size", "8", "-sort-elements", "8", "sort1",
+		"-telemetry", path, "-trace", filepath.Join(dir, "cluster.trace.json"),
+		"-checkpoint", ck, "-unit-size", "8", "-sort-elements", "8", "sort1",
 	}, 1)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -607,13 +608,18 @@ func TestTelemetryManifestCluster(t *testing.T) {
 	if m.Telemetry.Counters["checkpoint.flushes"] == 0 || m.Telemetry.Counters["checkpoint.bytes"] == 0 {
 		t.Error("checkpoint writer instruments must be non-zero with -checkpoint")
 	}
+	// With -trace the manifest carries the campaign timeline, the
+	// coordinator's marks included; the separate event stream is gone.
 	var joined bool
-	for _, e := range m.Events {
-		if e.Name == "worker.joined" {
+	for _, sp := range m.Spans {
+		if sp.Name == "worker.joined" && sp.Scope == "coordinator" && sp.Dur == 0 {
 			joined = true
 		}
 	}
 	if !joined {
-		t.Errorf("manifest events missing worker.joined: %+v", m.Events)
+		t.Errorf("manifest timeline missing the worker.joined mark: %+v", m.Spans)
+	}
+	if strings.Contains(string(data), `"events`) {
+		t.Error("manifest still has an events key")
 	}
 }

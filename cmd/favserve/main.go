@@ -50,7 +50,6 @@ func run(args []string, w, errW io.Writer) error {
 		maxQueued  = fs.Int("max-queued", 0, "queued campaigns across all tenants before 429 backpressure (default 16)")
 		unitSize   = fs.Int("unit-size", 0, "classes per leased work unit (default 256)")
 		leaseTTL   = fs.Duration("lease", 0, "work-unit lease TTL before reassignment (default 10s)")
-		starveTTL  = fs.Duration("starve-after", 0, "starved-tenant watchdog: flag tenants whose campaigns queue longer than this (default 2m)")
 		workers    = fs.Int("workers", 0, "in-process fleet workers executing campaigns (0 = serve only; workers join with favscan -fleet)")
 		parallel   = fs.Int("parallel", 0, "experiment executors per in-process worker (0 = GOMAXPROCS)")
 		predec     = fs.Bool("predecode", true, "in-process workers execute via the pre-decoded dispatch stream")
@@ -64,7 +63,6 @@ func run(args []string, w, errW io.Writer) error {
 	}
 
 	reg := faultspace.NewTelemetry()
-	reg.EnableTrace(1024)
 
 	// Graceful SIGINT: drain leases, flush the archive, then exit zero.
 	intCh := make(chan struct{})
@@ -89,7 +87,6 @@ func run(args []string, w, errW io.Writer) error {
 		MaxQueued:       *maxQueued,
 		UnitSize:        *unitSize,
 		LeaseTTL:        *leaseTTL,
-		StarveAfter:     *starveTTL,
 		LocalWorkers:    *workers,
 		WorkerOptions: faultspace.JoinOptions{
 			Workers:   *parallel,

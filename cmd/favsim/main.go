@@ -17,11 +17,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"faultspace"
-	"faultspace/internal/harden"
 	"faultspace/internal/isa"
 	"faultspace/internal/machine"
 	"faultspace/internal/progs"
@@ -38,19 +35,13 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("favsim", flag.ContinueOnError)
 	var (
-		variant   = fs.String("variant", "baseline", "baseline, sum+dmr, dft:N or dft2:N")
+		variant   = fs.String("variant", "baseline", progs.VariantUsage)
 		disasm    = fs.Bool("disasm", false, "print the disassembled program before running")
 		dumpTrace = fs.Bool("trace", false, "print the memory-access trace")
 		maxCycles = fs.Uint64("max-cycles", 1<<22, "cycle budget for the run")
-		binsemN   = fs.Int("binsem-rounds", 4, "bin_sem2 ping-pong rounds")
-		syncN     = fs.Int("sync-rounds", 3, "sync2 handshake rounds")
-		syncBuf   = fs.Int("sync-buf", 64, "sync2 message-buffer bytes")
-		clockN    = fs.Int("clock-ticks", 6, "clock1 timer ticks")
-		clockP    = fs.Uint64("clock-period", 64, "clock1 timer period (cycles)")
-		mboxN     = fs.Int("mbox-messages", 6, "mbox1 messages")
-		preemptN  = fs.Int("preempt-work", 40, "preempt1 work units per thread")
-		preemptP  = fs.Uint64("preempt-period", 48, "preempt1 timer period (cycles)")
+		sizes     progs.Sizes
 	)
+	sizes.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -59,16 +50,7 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("expected one benchmark name or assembly file")
 	}
 
-	prog, err := loadProgram(fs.Arg(0), *variant, progs.Sizes{
-		BinSemRounds:  *binsemN,
-		SyncRounds:    *syncN,
-		SyncBufBytes:  *syncBuf,
-		ClockTicks:    *clockN,
-		ClockPeriod:   *clockP,
-		MboxMessages:  *mboxN,
-		PreemptWork:   *preemptN,
-		PreemptPeriod: *preemptP,
-	})
+	prog, err := progs.Load(fs.Arg(0), *variant, sizes)
 	if err != nil {
 		return err
 	}
@@ -109,44 +91,4 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// loadProgram resolves a registered benchmark (with variant) or assembles
-// a file.
-func loadProgram(arg, variant string, sizes progs.Sizes) (*faultspace.Program, error) {
-	if strings.HasSuffix(arg, ".s") || strings.HasSuffix(arg, ".asm") {
-		src, err := os.ReadFile(arg)
-		if err != nil {
-			return nil, err
-		}
-		return faultspace.AssembleSource(arg, string(src))
-	}
-	spec, err := progs.Resolve(arg, sizes)
-	if err != nil {
-		return nil, err
-	}
-	return buildVariant(spec, variant)
-}
-
-func buildVariant(spec progs.Spec, variant string) (*faultspace.Program, error) {
-	switch {
-	case variant == "baseline":
-		return spec.Baseline()
-	case variant == "sum+dmr" || variant == "sumdmr" || variant == "hardened":
-		return spec.Hardened()
-	case strings.HasPrefix(variant, "dft:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(variant, "dft:"))
-		if err != nil {
-			return nil, fmt.Errorf("bad dft count: %w", err)
-		}
-		return spec.WithVariant(harden.Dilution{NOPs: n})
-	case strings.HasPrefix(variant, "dft2:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(variant, "dft2:"))
-		if err != nil {
-			return nil, fmt.Errorf("bad dft2 count: %w", err)
-		}
-		return spec.WithVariant(harden.DilutionLoads{Loads: n, Addrs: spec.DataAddrs})
-	default:
-		return nil, fmt.Errorf("unknown variant %q (baseline, sum+dmr, dft:N, dft2:N)", variant)
-	}
 }

@@ -52,6 +52,14 @@ func TestVariants(t *testing.T) {
 	if !strings.Contains(dft2, "cycles  : 12") {
 		t.Errorf("DFT' variant should run 12 cycles:\n%s", dft2)
 	}
+	// favsim loads programs as favscan does: the TMR variant and sort1's
+	// size flag work here too.
+	if tmr := runSim(t, "-binsem-rounds", "2", "-variant", "tmr", "bin_sem2"); tmr == base || tmr == hard {
+		t.Error("the tmr variant produced the baseline or sum+dmr report")
+	}
+	if runSim(t, "-sort-elements", "4", "sort1") == runSim(t, "sort1") {
+		t.Error("-sort-elements did not size sort1")
+	}
 }
 
 func TestAssemblyFile(t *testing.T) {

@@ -117,9 +117,9 @@ const (
 // Progress is one event of a scan's progress stream; see ScanOptions.
 type Progress = campaign.Progress
 
-// Telemetry is a metrics and event-trace registry: named atomic
-// counters, gauges and duration histograms plus an optional bounded
-// ring-buffer event tracer. Attach one via ScanOptions.Telemetry (or
+// Telemetry is a metrics registry: named atomic counters, gauges and
+// duration histograms, plus the campaign's span timeline once
+// EnableSpans attached one. Attach one via ScanOptions.Telemetry (or
 // ServeOptions/JoinOptions) to observe a campaign; a nil registry
 // disables all instrumentation at zero cost. Telemetry never changes
 // scan results (DESIGN.md invariant 10).
@@ -138,7 +138,8 @@ type TraceID = telemetry.TraceID
 // NewTraceID mints a random trace ID.
 func NewTraceID() TraceID { return telemetry.NewTraceID() }
 
-// Span is one completed timed operation in a campaign timeline.
+// Span is one completed timed operation in a campaign timeline; a span
+// of duration zero is a mark, a point event.
 type Span = telemetry.Span
 
 // SpanRecorder is a bounded, concurrency-safe store of completed spans.
@@ -168,8 +169,8 @@ func WritePrometheus(w io.Writer, snap telemetry.Snapshot, labels map[string]str
 
 // RunManifest is the machine-readable record of one campaign run:
 // campaign identity and configuration, wall/CPU timing, the final
-// counter snapshot and retained trace events. favscan -telemetry
-// writes one per run.
+// counter snapshot and, with -trace, the span timeline. favscan
+// -telemetry writes one per run.
 type RunManifest = telemetry.Manifest
 
 // ErrInterrupted is returned by Scan when the campaign was stopped via

@@ -43,21 +43,71 @@ func (p Progress) Failures() uint64 {
 	return n
 }
 
+// Tally is the running account of a campaign: how many classes have an
+// outcome and which, how many of them this run executed, and when the
+// run started. The local scan's meter and the cluster coordinator both
+// keep one, so a -progress line, an OnProgress event and /v1/status
+// compute Done, Rate and ETA the same way. Not safe for concurrent use;
+// its holder serializes access.
+type Tally struct {
+	// Total is the class count of the fault space, Done the number with
+	// a recorded outcome (restored ones included) and Session the number
+	// executed by this run.
+	Total, Done, Session int
+	Counts               [NumOutcomes]uint64
+	Attacks              uint64
+	Start                time.Time
+}
+
+// Restore accounts one outcome carried over from a checkpoint.
+func (t *Tally) Restore(o Outcome) {
+	t.Counts[o.Base()]++
+	if o.Attack() {
+		t.Attacks++
+	}
+	t.Done++
+}
+
+// Record accounts one outcome produced by this run.
+func (t *Tally) Record(o Outcome) {
+	t.Restore(o)
+	t.Session++
+}
+
+// Remaining returns the number of classes still without an outcome.
+func (t *Tally) Remaining() int { return t.Total - t.Done }
+
+// Progress builds one progress event. The single now reading is the
+// clock for Elapsed and hence for Rate and ETA.
+func (t *Tally) Progress(now time.Time, final bool) Progress {
+	p := Progress{
+		Done:    t.Done,
+		Total:   t.Total,
+		Session: t.Session,
+		Counts:  t.Counts,
+		Attacks: t.Attacks,
+		Elapsed: now.Sub(t.Start),
+		Final:   final,
+	}
+	if p.Elapsed > 0 && t.Session > 0 {
+		p.Rate = float64(t.Session) / p.Elapsed.Seconds()
+		if rem := t.Remaining(); rem > 0 && p.Rate > 0 {
+			p.ETA = time.Duration(float64(rem) / p.Rate * float64(time.Second))
+		}
+	}
+	return p
+}
+
 // meter accumulates scan progress and drives the OnResult / OnProgress
 // callbacks. All mutating calls happen on the collector goroutine (or,
 // for the initial and final events, strictly before/after it runs), so
 // no locking is needed.
 type meter struct {
+	Tally
 	onResult   func(class int, o Outcome)
 	onProgress func(Progress)
 	interval   time.Duration // < 0: emit every record
 
-	total    int
-	done     int
-	session  int
-	counts   [NumOutcomes]uint64
-	attacks  uint64
-	start    time.Time
 	lastEmit time.Time
 	finished bool
 }
@@ -67,18 +117,13 @@ type meter struct {
 func newMeter(cfg Config, total int, prior map[int]Outcome) *meter {
 	now := time.Now()
 	m := &meter{
+		Tally:      Tally{Total: total, Start: now},
 		onResult:   cfg.OnResult,
 		onProgress: cfg.OnProgress,
 		interval:   cfg.ProgressInterval,
-		total:      total,
-		done:       len(prior),
-		start:      now,
 	}
 	for _, o := range prior {
-		m.counts[o.Base()]++
-		if o.Attack() {
-			m.attacks++
-		}
+		m.Restore(o)
 	}
 	if m.onProgress != nil {
 		m.emit(now, false)
@@ -88,12 +133,7 @@ func newMeter(cfg Config, total int, prior map[int]Outcome) *meter {
 
 // record accounts one completed experiment.
 func (m *meter) record(class int, o Outcome) {
-	m.counts[o.Base()]++
-	if o.Attack() {
-		m.attacks++
-	}
-	m.done++
-	m.session++
+	m.Record(o)
 	if m.onResult != nil {
 		m.onResult(class, o)
 	}
@@ -117,21 +157,6 @@ func (m *meter) finish() {
 // throttle timestamp lastEmit — so an event can never report an Elapsed
 // that disagrees with the instant its throttle window opened.
 func (m *meter) emit(now time.Time, final bool) {
-	p := Progress{
-		Done:    m.done,
-		Total:   m.total,
-		Session: m.session,
-		Counts:  m.counts,
-		Attacks: m.attacks,
-		Elapsed: now.Sub(m.start),
-		Final:   final,
-	}
-	if p.Elapsed > 0 && m.session > 0 {
-		p.Rate = float64(m.session) / p.Elapsed.Seconds()
-		if remaining := m.total - m.done; remaining > 0 && p.Rate > 0 {
-			p.ETA = time.Duration(float64(remaining) / p.Rate * float64(time.Second))
-		}
-	}
 	m.lastEmit = now
-	m.onProgress(p)
+	m.onProgress(m.Tally.Progress(now, final))
 }

@@ -46,9 +46,9 @@ type Options struct {
 	Interrupt <-chan struct{}
 	// Telemetry, when non-nil, receives cluster metrics (lease grants and
 	// expiries, submissions, duplicate submits, heartbeats and their gap
-	// histogram; see DESIGN.md §4d) and enables the /debug/telemetry
-	// endpoint on Handler(). Purely observational: it never changes what
-	// the coordinator computes.
+	// histogram; see DESIGN.md §4d), served in /v1/status and /metrics.
+	// Purely observational: it never changes what the coordinator
+	// computes.
 	Telemetry *telemetry.Registry
 	// TraceID overrides the campaign trace ID minted by NewSpec — the
 	// service passes a submitted campaign's ID through so the fleet's
@@ -78,7 +78,7 @@ const (
 	// submissions — four times a single recorder's default, since the
 	// coordinator aggregates a whole fleet. Beyond capacity the newest
 	// spans are dropped and the loss is self-described via the recorder's
-	// drop counter in /debug/telemetry.
+	// drop counter in /v1/status.
 	timelineCapacity = 4 * telemetry.DefaultSpanCapacity
 )
 
@@ -145,9 +145,6 @@ type Progress struct {
 	Reassignments int
 	// Workers holds per-worker statistics, sorted by ID.
 	Workers []WorkerStat
-	// Stragglers holds the watchdog's current verdicts (watchdog.go),
-	// sorted by worker ID then kind.
-	Stragglers []Straggler
 }
 
 type unitState uint8
@@ -166,7 +163,7 @@ type unit struct {
 	owner    string
 	deadline time.Time
 	// grantedAt is when the current lease was granted; it anchors the
-	// unit.lease span and the watchdog's lease-age check.
+	// unit.lease span.
 	grantedAt time.Time
 }
 
@@ -180,9 +177,6 @@ type workerInfo struct {
 	// lastHeartbeat feeds the cluster.heartbeat_gap histogram: the time
 	// between a worker's consecutive heartbeats. Zero until the first one.
 	lastHeartbeat time.Time
-	// lastSeen is the last contact of any kind (lease, submit, heartbeat,
-	// leave) — the watchdog's silent-heartbeat anchor.
-	lastSeen time.Time
 	// Windowed-rate state: experiments counted up to winStart, and the
 	// rate of the last completed window (valid once hasRate is set).
 	winStart time.Time
@@ -204,17 +198,15 @@ type Coordinator struct {
 	opts     Options
 	mux      *http.ServeMux
 
-	mu          sync.Mutex
+	mu sync.Mutex
+	// tally is the campaign's running account, the one the local scan's
+	// meter keeps: progress events and /v1/status are built from it.
+	tally       campaign.Tally
 	units       []*unit
 	pending     []*unit // LIFO of grantable units
 	leased      int
 	outcomes    []campaign.Outcome
 	have        []bool
-	counts      [campaign.NumOutcomes]uint64
-	attacks     uint64
-	remaining   int
-	session     int
-	start       time.Time
 	lastEmit    time.Time
 	reassigned  int
 	workers     map[string]*workerInfo
@@ -242,13 +234,6 @@ type Coordinator struct {
 	spans    *telemetry.SpanRecorder
 	rampedUp bool
 
-	// Watchdog state (watchdog.go): a ring window of completed lease
-	// durations and the already-flagged verdict keys (one trace event per
-	// distinct condition).
-	leaseDurs    []time.Duration
-	leaseDurNext int
-	flagged      map[string]bool
-
 	// Telemetry instruments, resolved once in NewCoordinator; all nil
 	// (no-op) when Options.Telemetry is nil.
 	telGranted    *telemetry.Counter
@@ -259,7 +244,6 @@ type Coordinator struct {
 	telWorkers    *telemetry.Gauge
 	telGap        *telemetry.Histogram
 	telLeaseDur   *telemetry.Histogram
-	telStragglers *telemetry.Gauge
 	telLeaseHold  *telemetry.Histogram
 	telLeaseHeld  *telemetry.Gauge
 }
@@ -291,8 +275,7 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 		outcomes: make([]campaign.Outcome, len(fs.Classes)),
 		have:     make([]bool, len(fs.Classes)),
 		workers:  make(map[string]*workerInfo),
-		flagged:  make(map[string]bool),
-		start:    time.Now(),
+		tally:    campaign.Tally{Total: len(fs.Classes), Start: time.Now()},
 		finished: make(chan struct{}),
 		wake:     make(chan struct{}),
 	}
@@ -306,7 +289,6 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 	c.telWorkers = reg.Gauge("cluster.active_workers")
 	c.telGap = reg.Histogram("cluster.heartbeat_gap")
 	c.telLeaseDur = reg.Histogram("cluster.lease_duration")
-	c.telStragglers = reg.Gauge("fleet.stragglers")
 	c.telLeaseHold = reg.Histogram("cluster.lease_hold")
 	c.telLeaseHeld = reg.Gauge("cluster.lease_held")
 	spec, err := NewSpec(t, fs.Kind, cfg, opts.MaxGoldenCycles, uint64(len(fs.Classes)))
@@ -340,12 +322,8 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 		}
 		c.outcomes[ci] = o
 		c.have[ci] = true
-		c.counts[o.Base()]++
-		if o.Attack() {
-			c.attacks++
-		}
+		c.tally.Restore(o)
 	}
-	c.remaining = len(fs.Classes) - len(prior)
 
 	var todo []int
 	for i := range fs.Classes {
@@ -375,7 +353,7 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 	for i := len(c.units) - 1; i >= 0; i-- {
 		c.pending = append(c.pending, c.units[i])
 	}
-	if c.remaining == 0 {
+	if c.tally.Remaining() == 0 {
 		c.finishLocked()
 	}
 	c.mu.Lock()
@@ -408,8 +386,8 @@ func (c *Coordinator) finishLocked() {
 			Scope:  "coordinator",
 			Name:   "campaign",
 			Detail: c.target.Name + " " + c.space.Kind.String(),
-			Start:  c.start,
-			Dur:    time.Since(c.start),
+			Start:  c.tally.Start,
+			Dur:    time.Since(c.tally.Start),
 		})
 		close(c.finished)
 		c.wakeLocked()
@@ -422,11 +400,9 @@ func (c *Coordinator) wakeLocked() {
 	c.wake = make(chan struct{})
 }
 
-// Handler returns the coordinator's HTTP handler. With
-// Options.Telemetry set it additionally serves /debug/telemetry (the
-// live instrument snapshot plus retained trace events as JSON), and
-// with Options.Pprof the standard net/http/pprof endpoints under
-// /debug/pprof/ — both are observability side doors and never touch
+// Handler returns the coordinator's HTTP handler. With Options.Pprof
+// it additionally serves the standard net/http/pprof endpoints under
+// /debug/pprof/ — an observability side door that never touches
 // campaign state.
 func (c *Coordinator) Handler() http.Handler { return c.mux }
 
@@ -442,9 +418,6 @@ func (c *Coordinator) routes() *http.ServeMux {
 	mux.HandleFunc("/v1/status", c.handleStatus)
 	mux.HandleFunc("/v1/trace", c.handleTrace)
 	mux.HandleFunc("/metrics", c.handleMetrics)
-	if c.opts.Telemetry != nil {
-		mux.HandleFunc("/debug/telemetry", c.handleTelemetry)
-	}
 	if c.opts.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -696,7 +669,7 @@ func (c *Coordinator) leaseLocked(workerID string) WorkUnit {
 	switch {
 	case stopped:
 		return WorkUnit{Status: UnitShutdown}
-	case c.remaining == 0:
+	case c.tally.Remaining() == 0:
 		return WorkUnit{Status: UnitDone}
 	}
 	if len(c.pending) == 0 {
@@ -725,12 +698,11 @@ func (c *Coordinator) leaseLocked(workerID string) WorkUnit {
 			Scope:  "coordinator",
 			Name:   "campaign.rampup",
 			Detail: "campaign start to first lease grant",
-			Start:  c.start,
-			Dur:    u.grantedAt.Sub(c.start),
+			Start:  c.tally.Start,
+			Dur:    u.grantedAt.Sub(c.tally.Start),
 		})
 	}
 	c.telGranted.Inc()
-	c.opts.Telemetry.Tracef("lease.granted", "unit %d (%d classes) to %s", u.id, len(u.classes), workerID)
 	return WorkUnit{Status: UnitGranted, ID: u.id, Token: u.token, Classes: u.classes}
 }
 
@@ -767,7 +739,7 @@ func (c *Coordinator) reclaimExpiredLocked() {
 				wi.outstanding--
 			}
 			c.telExpired.Inc()
-			c.opts.Telemetry.Tracef("lease.expired", "unit %d reclaimed from %s", u.id, u.owner)
+			c.spans.Mark("lease.expired", fmt.Sprintf("unit %d reclaimed from %s", u.id, u.owner))
 			u.owner = ""
 			c.pending = append(c.pending, u)
 			c.reassigned++
@@ -833,12 +805,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		o := campaign.Outcome(e.Outcome)
 		c.have[e.Class] = true
 		c.outcomes[e.Class] = o
-		c.counts[o.Base()]++
-		if o.Attack() {
-			c.attacks++
-		}
-		c.remaining--
-		c.session++
+		c.tally.Record(o)
 		wi.merged++
 		if c.opts.OnResult != nil {
 			c.opts.OnResult(e.Class, o)
@@ -852,8 +819,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				owner.outstanding--
 			}
 			// Close out the lease: grant → full merge is the coordinator's
-			// view of the unit's life, feeding both the timeline and the
-			// watchdog's outlier baseline.
+			// view of the unit's life.
 			if !u.grantedAt.IsZero() {
 				d := time.Since(u.grantedAt)
 				c.spans.Add(telemetry.Span{
@@ -863,7 +829,6 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 					Start:  u.grantedAt,
 					Dur:    d,
 				})
-				c.recordLeaseDurationLocked(d)
 				c.telLeaseDur.Observe(d)
 			}
 		} else {
@@ -883,7 +848,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		(c.opts.ProgressInterval < 0 || time.Since(c.lastEmit) >= c.opts.ProgressInterval) {
 		c.emitLocked(false)
 	}
-	if c.remaining == 0 {
+	if c.tally.Remaining() == 0 {
 		c.finishLocked()
 	}
 	w.WriteHeader(http.StatusOK)
@@ -940,7 +905,7 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	if wi := c.workers[q.WorkerID]; wi != nil {
 		if !wi.left {
 			c.telWorkers.Add(-1)
-			c.opts.Telemetry.Tracef("worker.left", "%s", q.WorkerID)
+			c.spans.Mark("worker.left", q.WorkerID)
 		}
 		wi.left = true
 		// Return whatever the worker still holds without waiting for the
@@ -982,9 +947,13 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 		// Workers carries each worker's session statistics, including its
 		// windowed experiments-per-second rate.
 		Workers []WorkerStat `json:"workers"`
-		// Stragglers holds the watchdog's current verdicts (empty when the
-		// fleet looks healthy).
-		Stragglers []Straggler `json:"stragglers,omitempty"`
+		// TraceID names the campaign timeline /v1/trace serves; Spans is
+		// how many spans and marks it holds, SpansDropped how many a full
+		// recorder discarded and SpansCapacity its size.
+		TraceID       string `json:"traceId,omitempty"`
+		Spans         int    `json:"spans,omitempty"`
+		SpansDropped  uint64 `json:"spansDropped,omitempty"`
+		SpansCapacity int    `json:"spansCapacity,omitempty"`
 		// Telemetry is the coordinator's live instrument snapshot; absent
 		// when the coordinator runs without a registry.
 		Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
@@ -994,44 +963,16 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Attacks: p.Attacks,
 		Rate:    p.Rate, Leases: p.OutstandingLeases,
 		Reassignments: p.Reassignments, Workers: p.Workers,
-		Stragglers: p.Stragglers,
+	}
+	if !c.traceID.IsZero() {
+		resp.TraceID = c.traceID.String()
+		resp.Spans = c.spans.Len()
+		resp.SpansDropped = c.spans.Dropped()
+		resp.SpansCapacity = c.spans.Cap()
 	}
 	if c.opts.Telemetry != nil {
 		snap := c.opts.Telemetry.Snapshot()
 		resp.Telemetry = &snap
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
-}
-
-// handleTelemetry serves the full registry snapshot plus the retained
-// trace events — the /debug/telemetry endpoint (only mounted when a
-// registry is configured).
-func (c *Coordinator) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	if !RequireMethod(w, r, http.MethodGet) {
-		return
-	}
-	reg := c.opts.Telemetry
-	resp := struct {
-		Telemetry      telemetry.Snapshot `json:"telemetry"`
-		Events         []telemetry.Event  `json:"events,omitempty"`
-		EventsDropped  uint64             `json:"events_dropped,omitempty"`
-		EventsCapacity int                `json:"events_capacity,omitempty"`
-		TraceID        string             `json:"trace_id,omitempty"`
-		Spans          int                `json:"spans,omitempty"`
-		SpansDropped   uint64             `json:"spans_dropped,omitempty"`
-		SpansCapacity  int                `json:"spans_capacity,omitempty"`
-	}{Telemetry: reg.Snapshot()}
-	if tr := reg.Tracer(); tr != nil {
-		resp.Events = tr.Events()
-		resp.EventsDropped = tr.Dropped()
-		resp.EventsCapacity = tr.Cap()
-	}
-	if !c.traceID.IsZero() {
-		resp.TraceID = c.traceID.String()
-		resp.Spans = len(c.spans.Spans())
-		resp.SpansDropped = c.spans.Dropped()
-		resp.SpansCapacity = c.spans.Cap()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
@@ -1099,38 +1040,23 @@ func (c *Coordinator) touchLocked(workerID string) *workerInfo {
 		wi = &workerInfo{id: workerID, joined: now, winStart: now}
 		c.workers[workerID] = wi
 		c.telWorkers.Add(1)
-		c.opts.Telemetry.Tracef("worker.joined", "%s", workerID)
+		c.spans.Mark("worker.joined", workerID)
 	} else if wi.left {
 		// A worker that left and came back counts as active again.
 		c.telWorkers.Add(1)
-		c.opts.Telemetry.Tracef("worker.joined", "%s (rejoined)", workerID)
+		c.spans.Mark("worker.joined", workerID+" (rejoined)")
 	}
 	wi.left = false
-	wi.lastSeen = time.Now()
 	return wi
 }
 
 func (c *Coordinator) progressLocked(final bool) Progress {
+	now := time.Now()
 	p := Progress{
-		Progress: campaign.Progress{
-			Done:    len(c.space.Classes) - c.remaining,
-			Total:   len(c.space.Classes),
-			Session: c.session,
-			Counts:  c.counts,
-			Attacks: c.attacks,
-			Elapsed: time.Since(c.start),
-			Final:   final,
-		},
+		Progress:          c.tally.Progress(now, final),
 		OutstandingLeases: c.leased,
 		Reassignments:     c.reassigned,
 	}
-	if p.Elapsed > 0 && c.session > 0 {
-		p.Rate = float64(c.session) / p.Elapsed.Seconds()
-		if rem := c.remaining; rem > 0 && p.Rate > 0 {
-			p.ETA = time.Duration(float64(rem) / p.Rate * float64(time.Second))
-		}
-	}
-	now := time.Now()
 	for _, wi := range c.workers {
 		ws := WorkerStat{
 			ID:          wi.id,
@@ -1159,7 +1085,6 @@ func (c *Coordinator) progressLocked(final bool) Progress {
 		p.Workers = append(p.Workers, ws)
 	}
 	sort.Slice(p.Workers, func(i, j int) bool { return p.Workers[i].ID < p.Workers[j].ID })
-	p.Stragglers = c.stragglersLocked()
 	return p
 }
 

@@ -21,7 +21,11 @@ type statusDoc struct {
 		Merged      int     `json:"merged"`
 		Rate        float64 `json:"expPerSec"`
 	} `json:"workers"`
-	Telemetry *telemetry.Snapshot `json:"telemetry"`
+	TraceID       string              `json:"traceId"`
+	Spans         int                 `json:"spans"`
+	SpansDropped  *uint64             `json:"spansDropped"`
+	SpansCapacity int                 `json:"spansCapacity"`
+	Telemetry     *telemetry.Snapshot `json:"telemetry"`
 }
 
 func getJSON(t *testing.T, url string, into any) {
@@ -41,13 +45,12 @@ func getJSON(t *testing.T, url string, into any) {
 
 // TestStatusAndTelemetryEndpoints runs a real loopback cluster with
 // telemetry enabled and exercises the observability surface over HTTP:
-// /v1/status must carry the instrument snapshot and per-worker session
-// rates, /debug/telemetry the snapshot plus trace events, and the
-// opt-in pprof mux must answer.
+// /v1/status must carry the instrument snapshot, per-worker session
+// rates and the timeline's trace ID, span count, dropped count and
+// capacity, and the opt-in pprof mux must answer.
 func TestStatusAndTelemetryEndpoints(t *testing.T) {
 	tgt, golden, fs := testCampaign(t, "bin_sem2")
 	reg := telemetry.New()
-	reg.EnableTrace(256)
 	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
 		UnitSize:        16,
 		MaxGoldenCycles: testMaxGolden,
@@ -93,25 +96,11 @@ func TestStatusAndTelemetryEndpoints(t *testing.T) {
 		t.Error("cluster.submissions must be non-zero after a completed campaign")
 	}
 
-	var dbg struct {
-		Telemetry telemetry.Snapshot `json:"telemetry"`
-		Events    []telemetry.Event  `json:"events"`
-	}
-	getJSON(t, srv.URL+"/debug/telemetry", &dbg)
-	if dbg.Telemetry.Counters["cluster.leases_granted"] == 0 {
-		t.Error("/debug/telemetry must serve the registry counters")
-	}
-	var joined, granted bool
-	for _, e := range dbg.Events {
-		switch e.Name {
-		case "worker.joined":
-			joined = true
-		case "lease.granted":
-			granted = true
-		}
-	}
-	if !joined || !granted {
-		t.Errorf("trace events missing (joined=%v granted=%v): %+v", joined, granted, dbg.Events)
+	spans, dropped := coord.Timeline()
+	if st.TraceID != coord.TraceID().String() || st.Spans != len(spans) || st.Spans == 0 ||
+		st.SpansDropped != nil || dropped != 0 || st.SpansCapacity != timelineCapacity {
+		t.Errorf("status timeline figures: traceId %q, %d spans, dropped %v, capacity %d; want %s, %d, omitted, %d",
+			st.TraceID, st.Spans, st.SpansDropped, st.SpansCapacity, coord.TraceID(), len(spans), timelineCapacity)
 	}
 
 	resp, err := http.Get(srv.URL + "/debug/pprof/cmdline")
@@ -172,15 +161,13 @@ func TestDebugEndpointsOffByDefault(t *testing.T) {
 	}
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
-	for _, path := range []string{"/debug/telemetry", "/debug/pprof/cmdline"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s: HTTP %d, want 404", path, resp.StatusCode)
-		}
+	resp, err := http.Get(srv.URL + "/debug/pprof/cmdline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /debug/pprof/cmdline: HTTP %d, want 404", resp.StatusCode)
 	}
 	var st statusDoc
 	getJSON(t, srv.URL+"/v1/status", &st)

@@ -385,7 +385,7 @@ func TestIndexStrideBound(t *testing.T) {
 }
 
 // FuzzShiftedReconverge: random self-repairing program, random timer,
-// random fault of any kind at a random cycle, full or starved index.
+// random fault of any kind at a random cycle, full or undersized index.
 // Whenever the matcher reports a golden cycle t′ for the child at cycle
 // c, running the child out must reproduce the composed run: a halt at
 // cycle c + Δt − t′ with the composed serial output and counters.
@@ -402,7 +402,7 @@ func FuzzShiftedReconverge(f *testing.F) {
 		prog, vector := buildHealingProgram(rng, ramSize, 20+rng.Intn(60), period > 0)
 		cfg := Config{RAMSize: ramSize, TimerVector: vector}
 		if period > 0 {
-			cfg.TimerPeriod = uint64(period) + 8 // the handler must not starve the program
+			cfg.TimerPeriod = uint64(period) + 8 // the handler must not lock out the program
 		}
 		budget := uint64(goldenIndexBudget)
 		if kind&4 != 0 {

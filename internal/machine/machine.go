@@ -400,7 +400,7 @@ func (m *Machine) Step() (Status, error) {
 	// cycle count reaches fireAt, unless a handler is already running.
 	// The timer is re-armed when the handler returns (see OpSret), so the
 	// period counts cycles outside the handler and a handler longer than
-	// the period cannot starve the interrupted program.
+	// the period cannot lock out the interrupted program.
 	if m.cfg.TimerPeriod > 0 && !m.inIRQ && m.cycles >= m.fireAt {
 		m.savedPC = m.pc
 		m.pc = m.cfg.TimerVector

@@ -26,8 +26,8 @@ func Clock1(nticks int, period uint64) Spec {
 		nticks = 1
 	}
 	if period < 32 {
-		// The hardened ISR takes ~25 cycles; shorter periods would starve
-		// the main program.
+		// The hardened ISR takes ~25 cycles; shorter periods would leave
+		// the main program no cycles.
 		period = 32
 	}
 	const (

@@ -2,12 +2,14 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"testing"
-	"time"
 
+	"faultspace/internal/cluster"
+	"faultspace/internal/pruning"
 	"faultspace/internal/telemetry"
 	"faultspace/internal/telemetry/promtest"
 )
@@ -153,75 +155,206 @@ func TestServiceTraceAndMetrics(t *testing.T) {
 	svc2.Shutdown()
 }
 
-// TestStarvedTenantWatchdog pins the service-side watchdog: with no
-// fleet attached and one active slot taken, a queued campaign past
-// StarveAfter marks its tenant starved in /v1/status, raises the
-// fleet.starved_tenants gauge, and emits exactly one deduplicated
-// trace event no matter how often status is polled.
-func TestStarvedTenantWatchdog(t *testing.T) {
-	reg := telemetry.New()
-	reg.EnableTrace(64)
-	_, srv := startService(t, Options{
-		MaxActive:   1,
-		StarveAfter: 20 * time.Millisecond,
-		Telemetry:   reg,
+// liveCoordinator waits for the campaign to get its coordinator and
+// returns it, so a test can compare what the service serves once the
+// campaign is retired with what the coordinator itself says.
+func liveCoordinator(t *testing.T, svc *Service, id [32]byte) *cluster.Coordinator {
+	t.Helper()
+	var coord *cluster.Coordinator
+	waitFor(t, "the campaign's coordinator", func() bool {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		coord = svc.campaigns[id].coord
+		return coord != nil
 	})
-	// No fleet: the first campaign occupies the active slot forever, the
-	// second queues behind it.
-	_, resp1 := submitSpec(t, srv.URL, testSpec(t, "hi", 2), "alice")
-	stB, resp2 := submitSpec(t, srv.URL, testSpec(t, "hi", 3), "bob")
-	if resp1.StatusCode != http.StatusAccepted || resp2.StatusCode != http.StatusAccepted {
-		t.Fatalf("submits: HTTP %d, %d", resp1.StatusCode, resp2.StatusCode)
-	}
-	time.Sleep(40 * time.Millisecond)
+	return coord
+}
 
-	var status struct {
-		Starved []StarvedTenant `json:"starvedTenants"`
+// retiredCoordinator reports what coordinator the entry still holds.
+func retiredCoordinator(svc *Service, id [32]byte) *cluster.Coordinator {
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	return svc.campaigns[id].coord
+}
+
+// workerAsk posts one worker-protocol frame through the service.
+func workerAsk(t *testing.T, url, path string, frame []byte) []byte {
+	t.Helper()
+	resp, err := http.Post(url+path, "application/octet-stream", bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
 	}
-	getServiceJSON(t, srv.URL+"/v1/status", &status)
-	var verdict *StarvedTenant
-	for i := range status.Starved {
-		if status.Starved[i].Tenant == "bob" {
-			verdict = &status.Starved[i]
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: HTTP %d: %s", path, resp.StatusCode, body)
+	}
+	return body
+}
+
+// servedTimeline fetches a campaign's /trace in both formats and returns
+// the JSONL spans and the number of span and mark events in the Chrome
+// document.
+func servedTimeline(t *testing.T, url, id, traceID string) (spans []telemetry.Span, chromeEvents int) {
+	t.Helper()
+	var doc struct {
+		TraceEvents []struct {
+			Ph string `json:"ph"`
+		} `json:"traceEvents"`
+		OtherData map[string]string `json:"otherData"`
+	}
+	getServiceJSON(t, url+"/v1/campaigns/"+id+"/trace", &doc)
+	if doc.OtherData["traceId"] != traceID {
+		t.Errorf("trace document id %q, want %q", doc.OtherData["traceId"], traceID)
+	}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" || ev.Ph == "i" {
+			chromeEvents++
 		}
 	}
-	if verdict == nil {
-		t.Fatalf("tenant bob not flagged; starved = %+v", status.Starved)
+	resp, err := http.Get(url + "/v1/campaigns/" + id + "/trace?format=jsonl")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if verdict.CampaignID != stB.ID {
-		t.Errorf("verdict names campaign %s, want %s", verdict.CampaignID, stB.ID)
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var line struct {
+			Trace string `json:"trace"`
+			telemetry.Span
+		}
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("jsonl line %d: %v", len(spans)+1, err)
+		}
+		if line.Trace != traceID {
+			t.Fatalf("jsonl line %d has trace %q, want %q", len(spans)+1, line.Trace, traceID)
+		}
+		spans = append(spans, line.Span)
 	}
-	if verdict.WaitingMs < 20 {
-		t.Errorf("verdict wait %.1fms, want >= the 20ms threshold", verdict.WaitingMs)
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
 	}
-	if got := reg.Snapshot().Gauges["fleet.starved_tenants"]; got != 1 {
-		t.Errorf("fleet.starved_tenants gauge = %d, want 1", got)
-	}
+	return spans, chromeEvents
+}
 
-	// Polling again re-reports the verdict but records no second event.
-	getServiceJSON(t, srv.URL+"/v1/status", &status)
-	events := 0
-	for _, e := range reg.Tracer().Events() {
-		if e.Name == "watchdog.starved_tenant" {
-			events++
+// sameTimeline compares served spans with a coordinator's own. A leave
+// that was routed to the coordinator just before retire let go of it may
+// land just after the copy: such a worker.left mark may be missing from
+// the served timeline, nothing else.
+func sameTimeline(t *testing.T, got, want []telemetry.Span) {
+	t.Helper()
+	i := 0
+	for _, w := range want {
+		if i < len(got) {
+			g := got[i]
+			if g.Scope == w.Scope && g.Name == w.Name && g.Detail == w.Detail && g.Start.Equal(w.Start) && g.Dur == w.Dur {
+				i++
+				continue
+			}
+		}
+		if w.Name != "worker.left" {
+			t.Errorf("the coordinator's span %+v is not served (next served: %d of %d)", w, i, len(got))
 		}
 	}
-	if events != 1 {
-		t.Errorf("watchdog.starved_tenant trace events = %d, want exactly 1", events)
+	if i != len(got) {
+		t.Errorf("%d served spans are not the coordinator's, from %+v", len(got)-i, got[i])
+	}
+}
+
+// TestRetiredCampaignDropsCoordinator: a campaign that has ended keeps
+// answering status and /trace as its coordinator would, but no longer
+// holds the coordinator — golden trace, fault space, outcome arrays and
+// unit table of every campaign a long-lived service ever ran. Late
+// worker traffic gets the synthesized answers of a campaign without a
+// coordinator. A cancelled campaign is retired only after its fleet had
+// its grace period on the live coordinator.
+func TestRetiredCampaignDropsCoordinator(t *testing.T) {
+	svc, srv := startService(t, Options{})
+	spec := testSpecSpace(t, "bin_sem2", pruning.SpaceBurst2, "corrupt")
+	st, resp := submitSpec(t, srv.URL, spec, "alice")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	coord := liveCoordinator(t, svc, spec.Identity)
+	stop := startFleet(t, svc, srv.URL, 1)
+	if st = waitDone(t, srv.URL, st.ID); st.State != StateDone {
+		t.Fatalf("state %s, want done", st.State)
+	}
+	stop()
+
+	if c := retiredCoordinator(svc, spec.Identity); c != nil {
+		t.Error("the done campaign's entry still references its coordinator")
+	}
+	snap := coord.Snapshot()
+	if snap.Attacks == 0 {
+		t.Fatal("the reference campaign has no attack outcomes to compare")
+	}
+	if st.Done != int(spec.Classes) || st.Attacks != snap.Attacks || st.TraceID != coord.TraceID().String() {
+		t.Errorf("retired status: done %d attacks %d trace %q; coordinator has %d, %d, %s",
+			st.Done, st.Attacks, st.TraceID, snap.Done, snap.Attacks, coord.TraceID())
+	}
+	want, _ := coord.Timeline()
+	got, chromeEvents := servedTimeline(t, srv.URL, st.ID, st.TraceID)
+	sameTimeline(t, got, want)
+	if chromeEvents != len(got) {
+		t.Errorf("chrome export has %d span and mark events, the jsonl stream %d", chromeEvents, len(got))
 	}
 
-	// Cancelling the queued campaign clears the verdict and the gauge.
-	cresp, err := http.Post(srv.URL+"/v1/campaigns/"+stB.ID+"/cancel", "", nil)
+	// A straggler asks for work: done, answered without the coordinator.
+	late := cluster.EncodeLeaseRequest(cluster.LeaseRequest{Identity: spec.Identity, WorkerID: "late"})
+	u, err := cluster.DecodeWorkUnit(workerAsk(t, srv.URL, "/v1/lease", late))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.Status != cluster.UnitDone {
+		t.Errorf("straggling lease ask: status %d, want done", u.Status)
+	}
+	workerAsk(t, srv.URL, "/v1/leave", late)
+	for _, ws := range coord.Snapshot().Workers {
+		if ws.ID == "late" {
+			t.Error("the straggler's ask reached the retired coordinator")
+		}
+	}
+
+	// Cancelled: the campaign runs unserved but for one protocol-level
+	// worker holding a unit. Cancel interrupts it; the coordinator stays
+	// until that worker has fetched its shutdown notice and left.
+	spec2 := testSpec(t, "hi", 3)
+	st2, _ := submitSpec(t, srv.URL, spec2, "alice")
+	coord2 := liveCoordinator(t, svc, spec2.Identity)
+	held := cluster.EncodeLeaseRequest(cluster.LeaseRequest{Identity: spec2.Identity, WorkerID: "held"})
+	if u, err := cluster.DecodeWorkUnit(workerAsk(t, srv.URL, "/v1/lease", held)); err != nil || u.Status != cluster.UnitGranted {
+		t.Fatalf("lease of the running campaign: %+v, %v", u, err)
+	}
+	cresp, err := http.Post(srv.URL+"/v1/campaigns/"+st2.ID+"/cancel", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cresp.Body.Close()
-	status.Starved = nil
-	getServiceJSON(t, srv.URL+"/v1/status", &status)
-	if len(status.Starved) != 0 {
-		t.Errorf("starved tenants after cancel = %+v, want none", status.Starved)
+	if u, err := cluster.DecodeWorkUnit(workerAsk(t, srv.URL, "/v1/lease", held)); err != nil || u.Status != cluster.UnitShutdown {
+		t.Fatalf("lease of the cancelled campaign: %+v, %v", u, err)
 	}
-	if got := reg.Snapshot().Gauges["fleet.starved_tenants"]; got != 0 {
-		t.Errorf("fleet.starved_tenants gauge = %d after cancel, want 0", got)
+	if c := retiredCoordinator(svc, spec2.Identity); c != coord2 {
+		t.Error("the cancelled campaign was retired while a worker still had to leave")
 	}
+	workerAsk(t, srv.URL, "/v1/leave", held)
+	if st2 = waitDone(t, srv.URL, st2.ID); st2.State != StateCancelled || st2.Done != 0 {
+		t.Errorf("cancelled campaign: state %s done %d, want cancelled and 0", st2.State, st2.Done)
+	}
+	if c := retiredCoordinator(svc, spec2.Identity); c != nil {
+		t.Error("the cancelled campaign's entry still references its coordinator")
+	}
+	want2, _ := coord2.Timeline()
+	left := false
+	for _, sp := range want2 {
+		left = left || sp.Name == "worker.left" && sp.Detail == "held"
+	}
+	if !left {
+		t.Errorf("the live coordinator never saw the held worker leave: %+v", want2)
+	}
+	got2, _ := servedTimeline(t, srv.URL, st2.ID, st2.TraceID)
+	sameTimeline(t, got2, want2)
 }

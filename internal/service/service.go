@@ -39,22 +39,17 @@ type Options struct {
 	UnitSize int
 	LeaseTTL time.Duration
 	// Telemetry, when non-nil, receives service-level metrics (queue
-	// depth, active campaigns, archive hit/miss counters) and campaign
-	// lifecycle trace events, and enables /debug/telemetry.
+	// depth, active campaigns, archive hit/miss counters, handshake
+	// holds), served in /v1/status and /metrics.
 	Telemetry *telemetry.Registry
-	// StarveAfter is the starved-tenant watchdog threshold: a campaign
-	// still queued after this long marks its tenant starved in /v1/status
-	// and the fleet.starved_tenants gauge (default DefaultStarveAfter).
-	StarveAfter time.Duration
 	// Logf, when non-nil, receives service life-cycle log lines.
 	Logf func(format string, args ...any)
 }
 
 // Defaults for Options.
 const (
-	DefaultMaxActive   = 2
-	DefaultMaxQueued   = 16
-	DefaultStarveAfter = 2 * time.Minute
+	DefaultMaxActive = 2
+	DefaultMaxQueued = 16
 )
 
 func (o Options) withDefaults() Options {
@@ -69,9 +64,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LeaseTTL == 0 {
 		o.LeaseTTL = cluster.DefaultLeaseTTL
-	}
-	if o.StarveAfter == 0 {
-		o.StarveAfter = DefaultStarveAfter
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -103,17 +95,21 @@ type entry struct {
 	state  string
 	cached bool   // done without execution: served from the archive
 	errMsg string // for StateFailed
-	// submitted anchors the starved-tenant watchdog; starveFlagged
-	// dedupes its trace event.
-	submitted     time.Time
-	starveFlagged bool
 
 	// reg is the campaign's own telemetry registry: its coordinator's
 	// cluster.* counters and — for in-process fleet workers — its
 	// engine's scan.*, fork.* and predecode counters land here,
 	// isolated from every other campaign in the process.
-	reg   *telemetry.Registry
-	coord *cluster.Coordinator // nil until running; stays set after
+	reg *telemetry.Registry
+	// coord is set while the campaign runs. retire drops it — with its
+	// golden trace, fault space, outcome arrays and unit table — and
+	// keeps what the endpoints go on serving: the classes done (all of
+	// them for an archive hit), the attack count and the timeline (nil
+	// when the campaign never ran).
+	coord       *cluster.Coordinator
+	doneClasses int
+	attacks     uint64
+	spans       []telemetry.Span
 	// intr interrupts the campaign (cancel endpoint or service drain).
 	intr     chan struct{}
 	intrOnce sync.Once
@@ -145,9 +141,6 @@ type CampaignStatus struct {
 	// TraceID is the campaign's 128-bit trace ID (hex) when span tracing
 	// is on — the correlation key for /v1/campaigns/<id>/trace.
 	TraceID string `json:"traceId,omitempty"`
-	// Stragglers holds the campaign coordinator's current watchdog
-	// verdicts (running campaigns only).
-	Stragglers []cluster.Straggler `json:"stragglers,omitempty"`
 	// Telemetry is the campaign's own registry snapshot — per-campaign
 	// cluster and engine counters, not process globals.
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
@@ -185,7 +178,6 @@ type Service struct {
 	telSubmitted  *telemetry.Counter
 	telHits       *telemetry.Counter
 	telMisses     *telemetry.Counter
-	telStarved    *telemetry.Gauge
 	telHold       *telemetry.Histogram
 	telHeld       *telemetry.Gauge
 }
@@ -215,7 +207,6 @@ func New(opts Options) (*Service, error) {
 	s.telSubmitted = reg.Counter("service.submissions")
 	s.telHits = reg.Counter("service.archive_hits")
 	s.telMisses = reg.Counter("service.archive_misses")
-	s.telStarved = reg.Gauge("fleet.starved_tenants")
 	s.telHold = reg.Histogram("fleet.handshake_hold")
 	s.telHeld = reg.Gauge("fleet.handshake_held")
 	return s, nil
@@ -249,9 +240,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("/v1/leave", s.routeWorker)
 	mux.HandleFunc("/v1/status", s.handleStatus)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	if s.opts.Telemetry != nil {
-		mux.HandleFunc("/debug/telemetry", s.handleTelemetry)
-	}
 	return mux
 }
 
@@ -328,15 +316,14 @@ func (s *Service) submit(w http.ResponseWriter, r *http.Request) {
 		spec.TraceID = telemetry.NewTraceID()
 	}
 	e := &entry{
-		id:        spec.Identity,
-		idHex:     hex.EncodeToString(spec.Identity[:]),
-		tenant:    tenant,
-		spec:      spec,
-		state:     StateQueued,
-		reg:       telemetry.New(),
-		intr:      make(chan struct{}),
-		done:      make(chan struct{}),
-		submitted: time.Now(),
+		id:     spec.Identity,
+		idHex:  hex.EncodeToString(spec.Identity[:]),
+		tenant: tenant,
+		spec:   spec,
+		state:  StateQueued,
+		reg:    telemetry.New(),
+		intr:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	if s.store != nil {
 		if report, hit := s.store.Get(spec.Identity); hit {
@@ -344,12 +331,12 @@ func (s *Service) submit(w http.ResponseWriter, r *http.Request) {
 			// (invariant 12), so the campaign is already done.
 			e.state = StateDone
 			e.cached = true
+			e.doneClasses = int(spec.Classes)
 			e.report = report
 			close(e.done)
 			s.campaigns[e.id] = e
 			s.order = append(s.order, e)
 			s.telHits.Inc()
-			s.opts.Telemetry.Tracef("campaign.cached", "%s (%s) served from archive", e.spec.Name, e.idHex[:12])
 			s.opts.Logf("service: campaign %s (%s) served from archive", e.spec.Name, e.idHex[:12])
 			writeJSON(w, http.StatusOK, s.statusLocked(e, false))
 			return
@@ -369,7 +356,6 @@ func (s *Service) submit(w http.ResponseWriter, r *http.Request) {
 	s.queues[tenant] = append(s.queues[tenant], e)
 	s.queued++
 	s.telQueueDepth.Set(int64(s.queued))
-	s.opts.Telemetry.Tracef("campaign.submitted", "%s (%s) by tenant %s", e.spec.Name, e.idHex[:12], tenant)
 	s.opts.Logf("service: campaign %s (%s) submitted by tenant %s", e.spec.Name, e.idHex[:12], tenant)
 	s.scheduleLocked()
 	writeJSON(w, http.StatusAccepted, s.statusLocked(e, false))
@@ -455,22 +441,25 @@ func (s *Service) handleCampaign(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.mu.Lock()
-		coord := e.coord
+		coord, spans := e.coord, e.spans
 		s.mu.Unlock()
-		if coord == nil || coord.TraceID().IsZero() {
+		if coord != nil {
+			spans, _ = coord.Timeline()
+		}
+		if spans == nil {
 			// Cached or never-started campaigns executed nothing, so there
 			// is no timeline to serve.
 			http.Error(w, "service: no trace for this campaign", http.StatusNotFound)
 			return
 		}
-		spans, _ := coord.Timeline()
+		// The coordinator records under the submission's trace ID.
 		if r.URL.Query().Get("format") == "jsonl" {
 			w.Header().Set("Content-Type", "application/jsonl")
-			telemetry.WriteSpansJSONL(w, coord.TraceID(), spans)
+			telemetry.WriteSpansJSONL(w, e.spec.TraceID, spans)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		telemetry.WriteChromeTrace(w, coord.TraceID(), spans)
+		telemetry.WriteChromeTrace(w, e.spec.TraceID, spans)
 	default:
 		http.Error(w, "service: unknown campaign endpoint", http.StatusNotFound)
 	}
@@ -516,17 +505,10 @@ func (s *Service) statusLocked(e *entry, withTelemetry bool) CampaignStatus {
 	if !e.spec.TraceID.IsZero() {
 		st.TraceID = e.spec.TraceID.String()
 	}
-	switch {
-	case e.state == StateDone:
-		st.Done = st.Total
-		if e.coord != nil {
-			st.Attacks = e.coord.Snapshot().Attacks
-		}
-	case e.coord != nil:
+	st.Done, st.Attacks = e.doneClasses, e.attacks
+	if e.coord != nil {
 		snap := e.coord.Snapshot()
-		st.Done = snap.Done
-		st.Attacks = snap.Attacks
-		st.Stragglers = snap.Stragglers
+		st.Done, st.Attacks = snap.Done, snap.Attacks
 	}
 	if withTelemetry {
 		snap := e.reg.Snapshot()
@@ -538,7 +520,7 @@ func (s *Service) statusLocked(e *entry, withTelemetry bool) CampaignStatus {
 // --- scheduling ----------------------------------------------------------
 
 // scheduleLocked starts queued campaigns while capacity lasts, visiting
-// tenants round-robin so no tenant's backlog starves another's.
+// tenants round-robin so no tenant's backlog holds up another's.
 func (s *Service) scheduleLocked() {
 	if s.draining {
 		return
@@ -600,7 +582,6 @@ func (s *Service) runCampaign(e *entry) {
 	e.specBytes = cluster.EncodeSpec(spec)
 	s.wakeLocked() // the campaign is assignable: release the parked fleet
 	s.mu.Unlock()
-	s.opts.Telemetry.Tracef("campaign.started", "%s (%s)", e.spec.Name, e.idHex[:12])
 	s.opts.Logf("service: campaign %s (%s) started", e.spec.Name, e.idHex[:12])
 
 	res, err := coord.Wait()
@@ -611,8 +592,8 @@ func (s *Service) runCampaign(e *entry) {
 	e.specBytes = nil
 	s.mu.Unlock()
 	if err != nil {
-		// Interrupted: cancel endpoint or service drain. Keep the partial
-		// coordinator state for late worker traffic; archive nothing.
+		// Interrupted: cancel endpoint or service drain. Give the fleet
+		// its grace period on the live coordinator; archive nothing.
 		s.drainCoordinator(coord)
 		s.retire(e, StateCancelled, "interrupted", nil)
 		return
@@ -635,12 +616,20 @@ func (s *Service) runCampaign(e *entry) {
 }
 
 // retire ends a running campaign: it records the terminal state (and,
-// for StateDone, the report), frees its slot and schedules the next
-// queued one.
+// for StateDone, the report), lets go of the coordinator, frees the
+// campaign's slot and schedules the next queued one. Worker traffic
+// that still arrives gets the answers routeWorker synthesizes for a
+// campaign without a coordinator.
 func (s *Service) retire(e *entry, state, detail string, report []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e.report = report
+	if c := e.coord; c != nil {
+		snap := c.Snapshot()
+		e.doneClasses, e.attacks = snap.Done, snap.Attacks
+		e.spans, _ = c.Timeline()
+		e.coord = nil
+	}
 	s.finishLocked(e, state, detail)
 	for i, a := range s.active {
 		if a == e {
@@ -659,7 +648,6 @@ func (s *Service) finishLocked(e *entry, state, detail string) {
 		e.errMsg = detail
 	}
 	close(e.done)
-	s.opts.Telemetry.Tracef("campaign."+state, "%s (%s) %s", e.spec.Name, e.idHex[:12], detail)
 	s.opts.Logf("service: campaign %s (%s) %s %s", e.spec.Name, e.idHex[:12], state, detail)
 }
 
@@ -705,8 +693,7 @@ func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 		w.Write(spec)
 		return
 	}
-	hello, err := DecodeFleetHello(body)
-	if err != nil {
+	if _, err := DecodeFleetHello(body); err != nil {
 		http.Error(w, "service: handshake: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -748,7 +735,6 @@ func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 		resp.Status = FleetGranted
 		resp.Spec = spec
 	}
-	s.opts.Telemetry.Tracef("fleet.handshake", "worker %s: status %d", hello.WorkerID, resp.Status)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(EncodeServiceHello(resp))
 }
@@ -773,8 +759,8 @@ func (s *Service) pickCampaignLocked() (spec []byte, draining bool) {
 // campaign's coordinator. Every post-handshake message carries the
 // campaign identity as its payload prefix, so the service peeks it
 // without fully decoding and replays the request against the owning
-// coordinator. Campaigns that never ran a coordinator (archive hits,
-// early failures) synthesize the protocol answers workers expect.
+// coordinator. Campaigns without one (archive hits, early failures,
+// retired campaigns) synthesize the protocol answers workers expect.
 func (s *Service) routeWorker(w http.ResponseWriter, r *http.Request) {
 	body, ok := cluster.ReadBody(w, r)
 	if !ok {
@@ -832,47 +818,6 @@ func peekIdentity(body []byte) ([32]byte, bool) {
 
 // --- observability -------------------------------------------------------
 
-// StarvedTenant is one starved-tenant watchdog verdict: a campaign
-// still queued after Options.StarveAfter. Complements the per-campaign
-// straggler watchdog (cluster.Straggler) one level up: stragglers catch
-// a stalling fleet member, starvation catches a tenant whose work never
-// reaches the fleet at all.
-type StarvedTenant struct {
-	Tenant     string  `json:"tenant"`
-	CampaignID string  `json:"campaignId"`
-	WaitingMs  float64 `json:"waitingMs"`
-}
-
-// starvedLocked computes the current starvation verdicts, emits one
-// trace event per newly starved campaign and keeps the
-// fleet.starved_tenants gauge current.
-func (s *Service) starvedLocked() []StarvedTenant {
-	now := time.Now()
-	var out []StarvedTenant
-	tenants := make(map[string]bool)
-	for _, tenant := range s.ring {
-		for _, e := range s.queues[tenant] {
-			wait := now.Sub(e.submitted)
-			if wait <= s.opts.StarveAfter {
-				continue
-			}
-			out = append(out, StarvedTenant{
-				Tenant:     tenant,
-				CampaignID: e.idHex,
-				WaitingMs:  float64(wait) / float64(time.Millisecond),
-			})
-			tenants[tenant] = true
-			if !e.starveFlagged {
-				e.starveFlagged = true
-				s.opts.Telemetry.Tracef("watchdog.starved_tenant", "%s: campaign %s queued %s",
-					tenant, e.idHex[:12], wait.Round(time.Second))
-			}
-		}
-	}
-	s.telStarved.Set(int64(len(tenants)))
-	return out
-}
-
 // handleMetrics serves the Prometheus text exposition: the service
 // registry plus one labelled set per campaign (campaign id prefix and
 // tenant), so per-campaign scan/cluster counters stay distinguishable
@@ -907,10 +852,7 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Queued    int              `json:"queued"`
 		Active    int              `json:"active"`
 		Draining  bool             `json:"draining,omitempty"`
-		// Starved holds the starved-tenant watchdog verdicts: queued
-		// campaigns waiting longer than Options.StarveAfter.
-		Starved []StarvedTenant `json:"starvedTenants,omitempty"`
-		Archive *struct {
+		Archive   *struct {
 			Entries int    `json:"entries"`
 			Bytes   int64  `json:"bytes"`
 			Evicted uint64 `json:"evicted"`
@@ -921,7 +863,6 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Active:   len(s.active),
 		Draining: s.draining,
 	}
-	resp.Starved = s.starvedLocked()
 	for _, e := range s.order {
 		// Per-campaign snapshots keep every campaign's scan/cluster
 		// counters isolated — /v1/status never mixes campaigns into one
@@ -940,34 +881,6 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Telemetry != nil {
 		snap := s.opts.Telemetry.Snapshot()
 		resp.Telemetry = &snap
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Service) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	if !cluster.RequireMethod(w, r, http.MethodGet) {
-		return
-	}
-	reg := s.opts.Telemetry
-	resp := struct {
-		Telemetry      telemetry.Snapshot            `json:"telemetry"`
-		Campaigns      map[string]telemetry.Snapshot `json:"campaigns,omitempty"`
-		Events         []telemetry.Event             `json:"events,omitempty"`
-		EventsDropped  uint64                        `json:"events_dropped,omitempty"`
-		EventsCapacity int                           `json:"events_capacity,omitempty"`
-	}{Telemetry: reg.Snapshot()}
-	s.mu.Lock()
-	if len(s.order) > 0 {
-		resp.Campaigns = make(map[string]telemetry.Snapshot, len(s.order))
-		for _, e := range s.order {
-			resp.Campaigns[e.idHex] = e.reg.Snapshot()
-		}
-	}
-	s.mu.Unlock()
-	if tr := reg.Tracer(); tr != nil {
-		resp.Events = tr.Events()
-		resp.EventsDropped = tr.Dropped()
-		resp.EventsCapacity = tr.Cap()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -1006,6 +919,5 @@ func (s *Service) Shutdown() {
 	if s.store != nil {
 		s.store.Sync()
 	}
-	s.opts.Telemetry.Trace("service.shutdown", "drained")
 	s.opts.Logf("service: shut down")
 }

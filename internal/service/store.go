@@ -17,6 +17,13 @@
 // (fleet.go) and the archive entry files (store.go) — are internal/frame
 // frames read with its field Reader, like the cluster wire they ride
 // next to.
+//
+// The service is observed the way a scan is (DESIGN.md §4d): its own
+// registry and one registry per campaign in /v1/status and /metrics,
+// each campaign's span timeline at /v1/campaigns/<id>/trace, and
+// life-cycle sentences through Options.Logf. A campaign holds its
+// coordinator only while it runs; what status and the trace endpoint
+// serve afterwards is copied out when the campaign is retired.
 package service
 
 import (

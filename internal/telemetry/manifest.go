@@ -8,7 +8,7 @@ import (
 
 // Manifest is the machine-readable record of one campaign run: the
 // campaign's identity and configuration, the wall/CPU time breakdown,
-// the final counter snapshot and the retained trace events. favscan
+// the final counter snapshot and, with -trace, the span timeline. favscan
 // writes it on exit (and on SIGINT, whose graceful-interrupt path runs
 // the same exit code) when -telemetry is set.
 type Manifest struct {
@@ -31,33 +31,23 @@ type Manifest struct {
 	CPUSystemSecs float64 `json:"cpu_system_seconds"`
 	// Telemetry is the final instrument snapshot.
 	Telemetry Snapshot `json:"telemetry"`
-	// Events are the retained trace events, oldest first; EventsDropped
-	// counts older events the ring buffer evicted and EventsCapacity the
-	// ring size, so a truncated trace is self-describing.
-	Events         []Event `json:"events,omitempty"`
-	EventsDropped  uint64  `json:"events_dropped,omitempty"`
-	EventsCapacity int     `json:"events_capacity,omitempty"`
-	// TraceID and Spans are the run's span timeline when span tracing
-	// was enabled (favscan -trace); SpansDropped/SpansCapacity describe
-	// truncation the same way the event fields do.
+	// TraceID and Spans are the run's span timeline (spans and marks)
+	// when span tracing was enabled (favscan -trace); SpansDropped counts
+	// what a full recorder discarded and SpansCapacity its size, so a
+	// truncated timeline is self-describing.
 	TraceID       string `json:"trace_id,omitempty"`
 	Spans         []Span `json:"spans,omitempty"`
 	SpansDropped  uint64 `json:"spans_dropped,omitempty"`
 	SpansCapacity int    `json:"spans_capacity,omitempty"`
 }
 
-// Finish stamps the manifest with the registry's final snapshot, trace
-// events and the process CPU times, and computes WallSeconds from
+// Finish stamps the manifest with the registry's final snapshot, span
+// timeline and the process CPU times, and computes WallSeconds from
 // StartedAt. Safe with a nil registry (the snapshot is empty).
 func (m *Manifest) Finish(r *Registry) {
 	m.WallSeconds = time.Since(m.StartedAt).Seconds()
 	m.CPUUserSecs, m.CPUSystemSecs = cpuTimes()
 	m.Telemetry = r.Snapshot()
-	if tr := r.Tracer(); tr != nil {
-		m.Events = tr.Events()
-		m.EventsDropped = tr.Dropped()
-		m.EventsCapacity = tr.Cap()
-	}
 	if rec := r.SpanRecorder(); rec != nil {
 		m.TraceID = rec.TraceID().String()
 		m.Spans = rec.Spans()

@@ -56,9 +56,9 @@ func ParseTraceID(s string) (TraceID, error) {
 }
 
 // Span is one completed timed operation in a campaign timeline: a named
-// interval with the scope (process/worker) that measured it. Spans are
-// value types so recording one never allocates beyond the recorder's
-// ring slot.
+// interval with the scope (process/worker) that measured it. A span of
+// duration zero is a mark, a point event (see Mark). Spans are value
+// types so recording one never allocates beyond the recorder's slot.
 type Span struct {
 	// Scope names the measuring party: "coordinator", a worker ID, or
 	// "local" for single-process scans. Timelines group by scope.
@@ -73,10 +73,10 @@ type Span struct {
 func (s Span) End() time.Time { return s.Start.Add(s.Dur) }
 
 // SpanRecorder is a bounded, concurrency-safe store of completed spans.
-// Like the event Tracer it degrades by dropping (newest-first here:
-// once full, new spans are counted but not retained, keeping the
-// campaign's opening phases — golden prefix, first units — which is
-// what timeline analysis needs) rather than growing without bound. A
+// It degrades by dropping rather than growing without bound: once
+// full, new spans are counted but not retained, keeping the campaign's
+// opening phases — golden prefix, first units — which is what timeline
+// analysis needs. A
 // nil *SpanRecorder is the disabled state: every method is a no-op and
 // Start returns an inert ActiveSpan without reading the clock.
 type SpanRecorder struct {
@@ -121,6 +121,16 @@ func (r *SpanRecorder) Record(name, detail string, start time.Time, dur time.Dur
 	r.Add(Span{Scope: r.scope, Name: name, Detail: detail, Start: start, Dur: dur})
 }
 
+// Mark records a point event — a worker joining, a lease expiring — as
+// a zero-duration span under the recorder's default scope. It is the
+// one way to put something that has no duration on the timeline.
+func (r *SpanRecorder) Mark(name, detail string) {
+	if r == nil {
+		return
+	}
+	r.Record(name, detail, time.Now(), 0)
+}
+
 // Add appends a fully-specified span (the span's own Scope is kept; the
 // coordinator uses this to merge worker-side spans into the campaign
 // timeline).
@@ -146,6 +156,16 @@ func (r *SpanRecorder) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
+}
+
+// Len returns how many spans are retained.
+func (r *SpanRecorder) Len() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.spans)
 }
 
 // Spans returns a copy of the retained spans sorted by start time.
@@ -232,14 +252,15 @@ func (r *Registry) SpanRecorder() *SpanRecorder {
 }
 
 // chromeEvent is one entry of the Chrome trace-event JSON format
-// (the subset Perfetto and chrome://tracing load: complete "X" events
-// plus "M" metadata naming processes and threads). Timestamps and
-// durations are microseconds.
+// (the subset Perfetto and chrome://tracing load: complete "X" events,
+// thread-scoped instant "i" events for marks, plus "M" metadata naming
+// processes and threads). Timestamps and durations are microseconds.
 type chromeEvent struct {
 	Name string            `json:"name"`
 	Ph   string            `json:"ph"`
 	Ts   float64           `json:"ts"`
 	Dur  float64           `json:"dur,omitempty"`
+	S    string            `json:"s,omitempty"`
 	Pid  int               `json:"pid"`
 	Tid  int               `json:"tid"`
 	Cat  string            `json:"cat,omitempty"`
@@ -248,7 +269,8 @@ type chromeEvent struct {
 
 // WriteChromeTrace writes a span timeline as Chrome trace-event JSON:
 // one process per campaign, one named thread per scope (coordinator,
-// each worker), one complete event per span. Load the output in
+// each worker), one complete event per span, one instant event per
+// mark. Load the output in
 // Perfetto (ui.perfetto.dev) or chrome://tracing.
 func WriteChromeTrace(w io.Writer, trace TraceID, spans []Span) error {
 	// Stable thread numbering: scopes sorted, "coordinator" first so the
@@ -291,6 +313,9 @@ func WriteChromeTrace(w io.Writer, trace TraceID, spans []Span) error {
 			Pid:  1,
 			Tid:  seen[s.Scope],
 			Cat:  "faultspace",
+		}
+		if s.Dur == 0 {
+			ev.Ph, ev.S = "i", "t"
 		}
 		if s.Detail != "" {
 			ev.Args = map[string]string{"detail": s.Detail}

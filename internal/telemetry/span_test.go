@@ -34,7 +34,7 @@ func TestTraceIDParseAndString(t *testing.T) {
 
 // TestSpanRecorderDropNewest pins the overflow policy: a full recorder
 // keeps the spans it has (the campaign's opening phases) and counts the
-// rest, mirroring the event tracer's bounded-degradation contract.
+// rest.
 func TestSpanRecorderDropNewest(t *testing.T) {
 	rec := NewSpanRecorder(NewTraceID(), "w1", 2)
 	base := time.Unix(0, 1000)
@@ -106,8 +106,8 @@ func TestActiveSpanLifecycle(t *testing.T) {
 
 // TestWriteChromeTraceStructure pins the trace-event JSON shape Perfetto
 // loads: process metadata, one named thread per scope with the
-// coordinator first, and one complete event per span with microsecond
-// timestamps.
+// coordinator first, one complete event per span with microsecond
+// timestamps, and one thread-scoped instant event per mark.
 func TestWriteChromeTraceStructure(t *testing.T) {
 	trace := NewTraceID()
 	base := time.Unix(100, 500)
@@ -115,6 +115,9 @@ func TestWriteChromeTraceStructure(t *testing.T) {
 		{Scope: "w1", Name: "unit.scan", Start: base.Add(time.Millisecond), Dur: 2 * time.Millisecond},
 		{Scope: "coordinator", Name: "campaign", Detail: "hi memory", Start: base, Dur: 5 * time.Millisecond},
 	}
+	rec := NewSpanRecorder(trace, "coordinator", 4)
+	rec.Mark("worker.joined", "w1")
+	spans = append(spans, rec.Spans()...)
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, trace, spans); err != nil {
 		t.Fatal(err)
@@ -125,6 +128,7 @@ func TestWriteChromeTraceStructure(t *testing.T) {
 			Ph   string            `json:"ph"`
 			Ts   float64           `json:"ts"`
 			Dur  float64           `json:"dur"`
+			S    string            `json:"s"`
 			Tid  int               `json:"tid"`
 			Args map[string]string `json:"args"`
 		} `json:"traceEvents"`
@@ -138,11 +142,16 @@ func TestWriteChromeTraceStructure(t *testing.T) {
 		t.Errorf("document metadata: %+v / %q", doc.OtherData, doc.DisplayTimeUnit)
 	}
 	threads := map[string]int{}
-	var complete int
+	var complete, instant int
 	for _, ev := range doc.TraceEvents {
 		switch {
 		case ev.Ph == "M" && ev.Name == "thread_name":
 			threads[ev.Args["name"]] = ev.Tid
+		case ev.Ph == "i":
+			instant++
+			if ev.Name != "worker.joined" || ev.S != "t" || ev.Dur != 0 || ev.Args["detail"] != "w1" {
+				t.Errorf("mark rendered as %+v, want a thread-scoped instant worker.joined", ev)
+			}
 		case ev.Ph == "X":
 			complete++
 			if ev.Name == "campaign" {
@@ -160,8 +169,11 @@ func TestWriteChromeTraceStructure(t *testing.T) {
 			}
 		}
 	}
-	if complete != 2 {
-		t.Errorf("%d complete events, want 2", complete)
+	if complete != 2 || instant != 1 {
+		t.Errorf("%d complete and %d instant events, want 2 and 1", complete, instant)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"ph":"i"`)) {
+		t.Errorf("no \"ph\":\"i\" event in %s", buf.Bytes())
 	}
 	// The coordinator leads the thread numbering even though its span was
 	// appended last.
@@ -197,11 +209,6 @@ func TestSpanExportWriterErrors(t *testing.T) {
 	}
 	if err := WriteChromeTrace(&failWriter{limit: 10}, trace, spans); !errors.Is(err, errWriterFull) {
 		t.Errorf("WriteChromeTrace on a failing writer: %v, want errWriterFull", err)
-	}
-	tr := NewTracer(4)
-	tr.Emit("e", "d")
-	if err := tr.WriteJSONL(&failWriter{limit: 3}); !errors.Is(err, errWriterFull) {
-		t.Errorf("Tracer.WriteJSONL on a failing writer: %v, want errWriterFull", err)
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package telemetry is the campaign observability layer: named atomic
-// counters, gauges and duration histograms in a Registry, plus a bounded
-// ring-buffer event tracer (tracer.go) and an exportable run manifest
-// (manifest.go). Stdlib only.
+// counters, gauges and duration histograms in a Registry, one bounded
+// span timeline per campaign (span.go: timed spans plus zero-duration
+// marks for point events) and an exportable run manifest (manifest.go).
+// Those two — instruments and the timeline — are the only observation
+// mechanisms; anything else worth a sentence is a log line. Stdlib only.
 //
 // The package is built around one non-negotiable constraint: telemetry
 // must never perturb campaign results and must cost nothing when it is
@@ -39,7 +41,7 @@ import (
 )
 
 // Registry is a named set of counters, gauges and histograms, optionally
-// carrying an event Tracer. A nil *Registry is the disabled state: it
+// carrying a SpanRecorder. A nil *Registry is the disabled state: it
 // hands out nil instruments and empty snapshots. A Registry is safe for
 // concurrent use.
 type Registry struct {
@@ -47,7 +49,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	tracer     *Tracer
 	spans      *SpanRecorder
 }
 
@@ -236,7 +237,7 @@ func (h *Histogram) Count() uint64 {
 }
 
 // Snapshot is a point-in-time copy of a registry's instruments,
-// JSON-serializable for the /debug/telemetry endpoint and the run
+// JSON-serializable for the /v1/status endpoints and the run
 // manifest. Maps are nil when empty so a zero Snapshot marshals small.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters,omitempty"`

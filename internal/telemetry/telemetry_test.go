@@ -1,10 +1,8 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -44,11 +42,9 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	}
 	r.Gauge("g").Set(3)
 	r.Histogram("h").Observe(time.Second)
-	r.EnableTrace(8)
-	r.Trace("e", "d")
-	r.Tracef("e", "%d", 1)
-	if tr := r.Tracer(); tr != nil {
-		t.Error("nil registry must have no tracer")
+	r.EnableSpans(NewTraceID(), "local", 8)
+	if rec := r.SpanRecorder(); rec != nil {
+		t.Error("nil registry must have no span recorder")
 	}
 	s := r.Snapshot()
 	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
@@ -58,8 +54,8 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 
 // TestDisabledPathAllocFree is the hard half of the zero-overhead
 // contract: the nil-registry fast path must not allocate, on any
-// instrument or the tracer. (BenchmarkTelemetryOverhead measures the
-// time side; allocations are the deterministic assertion.)
+// instrument or the span recorder. (BenchmarkTelemetryOverhead measures
+// the time side; allocations are the deterministic assertion.)
 func TestDisabledPathAllocFree(t *testing.T) {
 	var r *Registry
 	if n := testing.AllocsPerRun(100, func() {
@@ -69,8 +65,6 @@ func TestDisabledPathAllocFree(t *testing.T) {
 		_ = c.Value()
 		r.Gauge("g").Add(1)
 		r.Histogram("h").Observe(time.Millisecond)
-		r.Trace("event", "detail")
-		r.Tracer().Emit("event", "detail")
 		// The span layer honors the same contract: a nil recorder's Start
 		// returns the inert zero ActiveSpan (no clock read), and every
 		// other method is a single-branch no-op.
@@ -81,6 +75,7 @@ func TestDisabledPathAllocFree(t *testing.T) {
 		}
 		sp.End("detail")
 		rec.Record("x", "", time.Time{}, 0)
+		rec.Mark("worker.joined", "w1")
 		rec.Add(Span{})
 		_ = rec.Drain()
 		_ = rec.Dropped()
@@ -155,62 +150,17 @@ func TestConcurrentInstruments(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				r.Counter("c").Inc()
 				r.Histogram("h").Observe(time.Duration(j) * time.Microsecond)
-				r.Trace("e", "")
+				r.SpanRecorder().Mark("e", "")
 			}
 		}()
 	}
-	r.EnableTrace(64)
+	r.EnableSpans(NewTraceID(), "local", 64)
 	wg.Wait()
 	if got := r.Counter("c").Value(); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
 	}
 	if got := r.Histogram("h").Count(); got != 8000 {
 		t.Errorf("histogram count = %d, want 8000", got)
-	}
-}
-
-func TestTracerRingBuffer(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 1; i <= 10; i++ {
-		tr.Emitf("e", "n=%d", i)
-	}
-	ev := tr.Events()
-	if len(ev) != 4 {
-		t.Fatalf("retained %d events, want 4", len(ev))
-	}
-	for i, e := range ev {
-		wantSeq := uint64(7 + i)
-		if e.Seq != wantSeq {
-			t.Errorf("event %d: seq = %d, want %d", i, e.Seq, wantSeq)
-		}
-		if e.Detail != fmt.Sprintf("n=%d", wantSeq) {
-			t.Errorf("event %d: detail = %q", i, e.Detail)
-		}
-	}
-	if got := tr.Dropped(); got != 6 {
-		t.Errorf("dropped = %d, want 6", got)
-	}
-}
-
-func TestTracerJSONL(t *testing.T) {
-	tr := NewTracer(8)
-	tr.Emit("lease.granted", "unit 3 to w1")
-	tr.Emit("scan.finish", "")
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	var lines int
-	for sc.Scan() {
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("line %d: %v", lines, err)
-		}
-		lines++
-	}
-	if lines != 2 {
-		t.Errorf("wrote %d JSONL lines, want 2", lines)
 	}
 }
 
@@ -233,9 +183,9 @@ func TestSnapshotNames(t *testing.T) {
 
 func TestManifestWriteFile(t *testing.T) {
 	r := New()
-	r.EnableTrace(16)
+	r.EnableSpans(NewTraceID(), "local", 16)
 	r.Counter("scan.experiments").Add(42)
-	r.Trace("scan.finish", "done")
+	r.SpanRecorder().Mark("scan.finish", "done")
 	m := &Manifest{
 		Tool:      "favscan",
 		StartedAt: time.Now().Add(-time.Second),
@@ -265,8 +215,11 @@ func TestManifestWriteFile(t *testing.T) {
 	if back.Telemetry.Counters["scan.experiments"] != 42 {
 		t.Errorf("round-tripped counter = %d, want 42", back.Telemetry.Counters["scan.experiments"])
 	}
-	if len(back.Events) != 1 || back.Events[0].Name != "scan.finish" {
-		t.Errorf("round-tripped events = %+v", back.Events)
+	if len(back.Spans) != 1 || back.Spans[0].Name != "scan.finish" || back.Spans[0].Dur != 0 {
+		t.Errorf("round-tripped spans = %+v", back.Spans)
+	}
+	if bytes.Contains(data, []byte(`"events`)) {
+		t.Errorf("manifest still carries an events field:\n%s", data)
 	}
 }
 

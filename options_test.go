@@ -202,7 +202,6 @@ func TestOptionCensus(t *testing.T) {
 				"UnitSize":        {invariant, 3},
 				"LeaseTTL":        {invariant, time.Minute},
 				"Telemetry":       {invariant, reg},
-				"StarveAfter":     {invariant, time.Minute},
 				"Logf":            {invariant, logf},
 			},
 			identity: func(t *testing.T, opts reflect.Value) [32]byte {

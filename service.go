@@ -34,10 +34,6 @@ type CampaignServiceOptions struct {
 	// UnitSize and LeaseTTL parameterize each campaign's coordinator.
 	UnitSize int
 	LeaseTTL time.Duration
-	// StarveAfter is the starved-tenant watchdog threshold: a campaign
-	// still queued this long flags its tenant in /v1/status, the trace
-	// stream and the fleet.starved_tenants gauge (default 2m).
-	StarveAfter time.Duration
 	// LocalWorkers starts this many in-process fleet workers against the
 	// service's own address, so a single favserve process can execute
 	// campaigns without external workers joining.
@@ -50,8 +46,8 @@ type CampaignServiceOptions struct {
 	// submissions are rejected with 503, running campaigns are
 	// interrupted and their leases drained, and the archive is flushed.
 	Interrupt <-chan struct{}
-	// Telemetry, when non-nil, receives service-level metrics and
-	// campaign lifecycle trace events, and enables /debug/telemetry.
+	// Telemetry, when non-nil, receives service-level metrics, served in
+	// /v1/status and /metrics.
 	Telemetry *Telemetry
 	// OnListen, when non-nil, receives the bound listen address once the
 	// service is serving — useful with ":0" addresses.
@@ -102,7 +98,6 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 		MaxQueued:       opts.MaxQueued,
 		UnitSize:        opts.UnitSize,
 		LeaseTTL:        opts.LeaseTTL,
-		StarveAfter:     opts.StarveAfter,
 		Telemetry:       opts.Telemetry,
 		Logf:            opts.Logf,
 	})
