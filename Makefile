@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race race-service race-spaces race-observability race-checkpoint fuzz-smoke bench bench-telemetry bench-smoke bench-build loc
+.PHONY: check vet build test race race-service race-spaces race-observability race-checkpoint race-session fuzz-smoke bench bench-telemetry bench-smoke bench-build loc
 
 # check is the tier-1 gate: everything a PR must keep green.
-check: vet build test race race-service race-spaces race-observability race-checkpoint fuzz-smoke bench-telemetry bench-smoke bench-build
+check: vet build test race race-service race-spaces race-observability race-checkpoint race-session fuzz-smoke bench-telemetry bench-smoke bench-build
 
 vet:
 	$(GO) vet ./...
@@ -58,6 +58,19 @@ race-observability:
 race-checkpoint:
 	$(GO) test -race -count=3 ./internal/checkpoint
 	$(GO) test -race -count=3 -run='TestCheckpointBytesPinned|TestInterruptResumeEquivalence|TestInterruptResumeFork|TestPlacementEquivalenceCheckpointResume|TestScanStopsOnDeadCheckpoint|TestServeScanStopsOnDeadCheckpoint' .
+
+# The scan driver under the race detector at one, two and four Ps: workers
+# claim units from a shared list and deliver their own batches under one
+# lock, with the caller as worker 0 — the session tests hold deliver to
+# "never concurrent, each call after the previous one" with plain
+# variables, so a delivery outside the lock is a reported race; the
+# progress tests hold the meter behind it to its event counts. Then the
+# root scans whose bytes depend on delivery order and on an interrupt
+# raised from inside a callback. -cpu 1 is the case where worker 0 runs
+# everything before a started goroutine is scheduled at all.
+race-session:
+	$(GO) test -race -count=3 -cpu 1,2,4 -run='TestSession|TestWorkerErrorNoDeadlock|TestProgress' ./internal/campaign
+	$(GO) test -race -cpu 1,2 -run='TestCheckpointBytesPinned|TestInterruptResumeEquivalence' .
 
 # A short deterministic-corpus + 10s randomized smoke of the attack
 # surfaces: the binary decoders exposed to untrusted bytes (the field

@@ -44,8 +44,12 @@ type Analysis struct {
 	WeightedCounts [campaign.NumOutcomes]uint64 // per outcome, weighted (full space)
 }
 
-// Analyze computes the Analysis of a scan result.
+// Analyze computes the Analysis of a complete scan result; the partial
+// result of an interrupted scan is refused with ErrPartialResult.
 func Analyze(r *ScanResult) (Analysis, error) {
+	if r.Pending > 0 {
+		return Analysis{}, fmt.Errorf("faultspace: analyze %s: %w (%d classes pending)", r.Target.Name, ErrPartialResult, r.Pending)
+	}
 	a := Analysis{
 		Name:           r.Target.Name,
 		Space:          r.Space.Kind,

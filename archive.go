@@ -18,7 +18,8 @@ import (
 // these bytes, keyed by the campaign identity hash, which is what makes
 // an archived report byte-identical to a live scan's (invariant 12).
 
-// SaveScan writes a completed scan as a JSON archive.
+// SaveScan writes a completed scan as a JSON archive; the partial result
+// of an interrupted scan is refused with ErrPartialResult.
 func SaveScan(w io.Writer, r *ScanResult) error {
 	return archive.Encode(w, r)
 }

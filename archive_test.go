@@ -2,7 +2,10 @@ package faultspace
 
 import (
 	"bytes"
+	"errors"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"faultspace/internal/progs"
@@ -84,5 +87,61 @@ func TestSaveScanValidates(t *testing.T) {
 	var buf bytes.Buffer
 	if err := SaveScan(&buf, scan); err == nil {
 		t.Error("SaveScan must reject mismatched outcome counts")
+	}
+}
+
+// TestPartialResultRefused: the partial result an interrupted scan
+// returns — its unrun classes read as "No Effect" — can be neither
+// archived nor analyzed, and resuming it archives to the bytes of an
+// uninterrupted scan.
+func TestPartialResultRefused(t *testing.T) {
+	prog, err := progs.Sort1(10).Baseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Scan(prog, ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Pending != 0 {
+		t.Errorf("complete scan: Pending = %d", full.Pending)
+	}
+
+	ck := filepath.Join(t.TempDir(), "scan.ckpt")
+	interrupt := make(chan struct{})
+	var once sync.Once
+	partial, err := Scan(prog, ScanOptions{
+		Checkpoint:       ck,
+		ProgressInterval: -1,
+		OnProgress: func(p Progress) {
+			if p.Done >= p.Total/3 && p.Done > 0 {
+				once.Do(func() { close(interrupt) })
+			}
+		},
+		Interrupt: interrupt,
+	})
+	if !errors.Is(err, ErrInterrupted) || partial == nil {
+		t.Fatalf("interrupted scan: result %v, err = %v", partial, err)
+	}
+	if n := len(partial.Outcomes); partial.Pending <= 0 || partial.Pending > n-n/3 {
+		t.Errorf("partial result: %d of %d classes pending, interrupted after a third", partial.Pending, n)
+	}
+	var buf bytes.Buffer
+	if err := SaveScan(&buf, partial); !errors.Is(err, ErrPartialResult) || buf.Len() != 0 {
+		t.Errorf("SaveScan of a partial result: err = %v, %d bytes written", err, buf.Len())
+	}
+	if _, err := Analyze(partial); !errors.Is(err, ErrPartialResult) {
+		t.Errorf("Analyze of a partial result: err = %v", err)
+	}
+
+	resumed, err := Scan(prog, ScanOptions{Checkpoint: ck, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Pending != 0 {
+		t.Errorf("resumed scan: Pending = %d", resumed.Pending)
+	}
+	if !bytes.Equal(scanBytes(t, resumed), scanBytes(t, full)) {
+		t.Error("resumed archive is not byte-identical to an uninterrupted scan's")
 	}
 }

@@ -178,6 +178,11 @@ type RunManifest = telemetry.Manifest
 // the checkpoint (if one is configured); rerun with Resume to continue.
 var ErrInterrupted = campaign.ErrInterrupted
 
+// ErrPartialResult is returned by SaveScan and Analyze for the partial
+// result of an interrupted scan (ScanResult.Pending > 0): its unrun
+// classes have no outcome and would read as "No Effect".
+var ErrPartialResult = campaign.ErrPartialResult
+
 // ScanOptions parameterizes Scan.
 type ScanOptions struct {
 	// TimeoutFactor bounds experiment runtime as a multiple of the golden
@@ -364,9 +369,10 @@ func Scan(p *Program, opts ScanOptions) (*ScanResult, error) {
 	}
 	c.cfg.OnResult, c.cfg.Interrupt = ck.record, ck.interrupt
 	if onProgress := c.cfg.OnProgress; onProgress != nil && opts.Interrupt != nil {
-		// An embedder that closes its Interrupt inside OnProgress is on the
-		// collector goroutine and has the scan see it before the next
-		// hand-off, not once the goroutine forwarding it has been scheduled.
+		// An embedder that closes its Interrupt inside OnProgress does so
+		// under the scan's delivery lock and has the delivering worker see
+		// it at its next poll, not once the goroutine forwarding it has
+		// been scheduled.
 		c.cfg.OnProgress = func(p Progress) {
 			onProgress(p)
 			select {

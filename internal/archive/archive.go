@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"faultspace/internal/campaign"
 	"faultspace/internal/pruning"
@@ -62,13 +63,21 @@ type classArchive struct {
 	Outcome uint8  `json:"o"`
 }
 
-// Encode writes a completed scan as a JSON archive.
+// Encode writes a completed scan as a JSON archive; a partial result
+// (Pending > 0) is refused with campaign.ErrPartialResult. The header
+// fields go through encoding/json; the class list — all but a few hundred
+// of an archive's bytes — is appended by hand to the bytes the reflective
+// encoder would produce for []classArchive, which it spent a tenth of a
+// small campaign on.
 func Encode(w io.Writer, r *campaign.Result) error {
+	if r.Pending > 0 {
+		return fmt.Errorf("archive: %w (%d classes pending)", campaign.ErrPartialResult, r.Pending)
+	}
 	if len(r.Outcomes) != len(r.Space.Classes) {
 		return fmt.Errorf("archive: scan result has %d outcomes for %d classes",
 			len(r.Outcomes), len(r.Space.Classes))
 	}
-	a := scanArchive{
+	head, err := json.Marshal(&scanArchive{
 		Version:       Version,
 		Name:          r.Target.Name,
 		Identity:      identityHex(r.Identity),
@@ -80,18 +89,29 @@ func Encode(w io.Writer, r *campaign.Result) error {
 		Serial:        r.Golden.Serial,
 		Detects:       r.Golden.Detects,
 		Corrects:      r.Golden.Corrects,
-		Classes:       make([]classArchive, len(r.Space.Classes)),
+		Classes:       []classArchive{},
+	})
+	if err != nil {
+		return err
 	}
+	// head ends in the empty class list, `[]}`: the classes go between
+	// its brackets.
+	const perClass = 48 // `{"b":…,"d":…,"u":…,"o":…},` of a 64 KiB RAM, million-cycle campaign
+	buf := make([]byte, 0, len(head)+len(r.Space.Classes)*perClass+1)
+	buf = append(buf, head[:len(head)-2]...)
 	for i, c := range r.Space.Classes {
-		a.Classes[i] = classArchive{
-			Bit:     c.Bit,
-			Def:     c.DefCycle,
-			Use:     c.UseCycle,
-			Outcome: uint8(r.Outcomes[i]),
+		if i > 0 {
+			buf = append(buf, ',')
 		}
+		buf = strconv.AppendUint(append(buf, `{"b":`...), c.Bit, 10)
+		buf = strconv.AppendUint(append(buf, `,"d":`...), c.DefCycle, 10)
+		buf = strconv.AppendUint(append(buf, `,"u":`...), c.UseCycle, 10)
+		buf = strconv.AppendUint(append(buf, `,"o":`...), uint64(r.Outcomes[i]), 10)
+		buf = append(buf, '}')
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&a)
+	buf = append(buf, "]}\n"...)
+	_, err = w.Write(buf)
+	return err
 }
 
 // Decode reads a scan archive and reconstructs a campaign result

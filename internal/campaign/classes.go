@@ -34,10 +34,10 @@ func RunClasses(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Conf
 	completed := make(map[int]Outcome, len(classes))
 	m := newMeter(s.cfg, len(classes), nil)
 	defer m.finish()
-	err = s.Run(classes, func(ci int, o Outcome) {
+	err = s.run(classes, func(ci int, o Outcome) {
 		completed[ci] = o
 		m.record(ci, o)
-	})
+	}, m.delivered)
 	if err != nil && !errors.Is(err, ErrInterrupted) {
 		return nil, err
 	}

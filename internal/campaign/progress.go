@@ -99,9 +99,10 @@ func (t *Tally) Progress(now time.Time, final bool) Progress {
 }
 
 // meter accumulates scan progress and drives the OnResult / OnProgress
-// callbacks. All mutating calls happen on the collector goroutine (or,
-// for the initial and final events, strictly before/after it runs), so
-// no locking is needed.
+// callbacks. Its mutating calls are serialised by the session — record
+// and delivered run under the run's delivery lock, the initial and final
+// events strictly before and after the run — so it needs no locking of
+// its own.
 type meter struct {
 	Tally
 	onResult   func(class int, o Outcome)
@@ -131,14 +132,24 @@ func newMeter(cfg Config, total int, prior map[int]Outcome) *meter {
 	return m
 }
 
-// record accounts one completed experiment.
+// record accounts one completed experiment. Only a negative interval —
+// one event per record — reads the clock here; the throttle is checked
+// once per delivered batch.
 func (m *meter) record(class int, o Outcome) {
 	m.Record(o)
 	if m.onResult != nil {
 		m.onResult(class, o)
 	}
-	if m.onProgress != nil {
-		if now := time.Now(); m.interval < 0 || now.Sub(m.lastEmit) >= m.interval {
+	if m.onProgress != nil && m.interval < 0 {
+		m.emit(time.Now(), false)
+	}
+}
+
+// delivered is the session's end-of-batch hook: it emits a throttled
+// progress event when the interval has passed since the last one.
+func (m *meter) delivered() {
+	if m.onProgress != nil && m.interval >= 0 {
+		if now := time.Now(); now.Sub(m.lastEmit) >= m.interval {
 			m.emit(now, false)
 		}
 	}

@@ -63,10 +63,12 @@ func replayTo(m *machine.Machine, slot uint64) error {
 
 // resetUnitClasses is the size of a reset-provider work unit. The reset
 // provider has no locality to exploit, so units exist only to amortize
-// the channel handoffs; every experiment replays the whole golden
-// prefix, which makes one handoff per four of them noise already, and
-// small units keep the workers balanced to the end of a small campaign
-// and an interrupt from waiting for more than four replays.
+// the claim and the delivery that ends every unit; every experiment
+// replays the whole golden prefix, which makes one of each per four of
+// them noise already (one class a unit measured 10-15 % slower on the
+// benchmark's scan_rerun list, sixteen no different), and small units
+// keep the workers balanced to the end of a small campaign and an
+// interrupt from waiting for more than four replays.
 const resetUnitClasses = 4
 
 // carveResetUnits splits todo into fixed-size units.

@@ -249,9 +249,8 @@ func TestInterruptedScanResumes(t *testing.T) {
 }
 
 // badFlipSpace builds a fault space whose classes all point outside RAM,
-// so every flip attempt fails. Many slots and classes keep the feeder
-// busy while every worker dies — the scenario that used to be able to
-// wedge the feeder when workers stopped draining their channel.
+// so every flip attempt fails. Many slots and classes leave plenty of
+// units unclaimed when every worker dies.
 func badFlipSpace(golden uint64, ramBits uint64) *pruning.FaultSpace {
 	fs := &pruning.FaultSpace{Kind: pruning.SpaceMemory, Cycles: golden, Bits: ramBits}
 	for slot := uint64(1); slot <= golden; slot++ {
@@ -268,8 +267,10 @@ func badFlipSpace(golden uint64, ramBits uint64) *pruning.FaultSpace {
 
 // TestWorkerErrorNoDeadlock is the regression test for the worker-error
 // path: injected flips that fail in every worker must surface as an
-// error promptly instead of deadlocking the feeder (workers keep
-// draining their work channel after failing).
+// error promptly. The deadlock it was written for needed a feeder
+// goroutine blocked on a send to workers that had stopped receiving;
+// units are claimed now, not sent, and the test stays to hold any later
+// driver to the same promise.
 func TestWorkerErrorNoDeadlock(t *testing.T) {
 	target := hiTarget(t)
 	golden, _ := prepare(t, target)

@@ -19,13 +19,20 @@ type Result struct {
 	// Identity is the campaign identity hash (see Target.CampaignIdentity);
 	// zero for results reconstructed from archives that predate it.
 	Identity [32]byte
+	// Pending is the number of classes without an outcome: 0 for a
+	// complete scan, positive for the partial result of an interrupted
+	// one, whose unrun classes read as the zero Outcome (OutcomeNoEffect).
+	Pending int
 }
 
 // ErrInterrupted is returned by a scan stopped via Config.Interrupt. The
-// partial Result is returned alongside it: outcomes of classes that did
-// not run yet are zero (OutcomeNoEffect) and must not be analyzed —
-// resume the scan instead.
+// partial Result is returned alongside it with Pending set; it cannot be
+// archived or analyzed (ErrPartialResult) — resume the scan instead.
 var ErrInterrupted = errors.New("campaign: scan interrupted")
+
+// ErrPartialResult is returned when a Result with Pending > 0 is handed
+// to something that needs every class's outcome.
+var ErrPartialResult = errors.New("campaign: partial scan result")
 
 // FullScan runs one fault-injection experiment per equivalence class of the
 // pruned fault space and classifies every outcome. The scan is exhaustive:
@@ -80,13 +87,14 @@ func ResumeScan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Conf
 
 	m := newMeter(s.cfg, len(fs.Classes), prior)
 	defer m.finish()
-	err = s.Run(todo, func(ci int, o Outcome) {
+	err = s.run(todo, func(ci int, o Outcome) {
 		res.Outcomes[ci] = o
 		m.record(ci, o)
-	})
+	}, m.delivered)
 	if errors.Is(err, ErrInterrupted) {
 		// Partial result: everything completed so far has been
 		// recorded (and checkpointed via OnResult).
+		res.Pending = m.Remaining()
 		return res, err
 	}
 	if err != nil {

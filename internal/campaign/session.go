@@ -39,8 +39,10 @@ type Session struct {
 	st     *scanTel
 
 	// providers is one prefix provider per worker; nil until the first
-	// non-empty Run builds them, so an idle session costs nothing.
+	// non-empty Run builds them, so an idle session costs nothing. recs is
+	// each worker's record buffer, reused by every run.
 	providers []provider
+	recs      [][]record
 	// ladder is the fork strategy's golden pass, whose rungs carve every
 	// run's units; nil under StrategyRerun.
 	ladder *machine.Ladder
@@ -65,7 +67,7 @@ func OpenSession(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Con
 // Close releases the session's machines and golden pass. Idempotent.
 func (s *Session) Close() {
 	s.closed = true
-	s.providers, s.ladder = nil, nil
+	s.providers, s.recs, s.ladder = nil, nil, nil
 }
 
 // build allocates the worker machines and their providers — the one place
@@ -86,6 +88,10 @@ func (s *Session) build() error {
 	}
 	budget := s.cfg.timeoutBudget(s.golden.Cycles)
 	providers := make([]provider, s.cfg.Workers)
+	s.recs = make([][]record, s.cfg.Workers)
+	for w := range s.recs {
+		s.recs[w] = make([]record, 0, scanFlushClasses+scanPollClasses)
+	}
 	if s.cfg.Strategy == StrategyRerun {
 		for w := range providers {
 			providers[w] = newResetProvider(ms[w], s.golden, budget, s.cfg.Objective)
@@ -114,32 +120,22 @@ func (s *Session) build() error {
 	return nil
 }
 
-// record is one completed experiment streaming from a worker to the
-// collector.
+// record is one completed experiment in a worker's buffer, between the
+// experiment and its delivery.
 type record struct {
 	class   int
 	outcome Outcome
 }
 
-// scanFail reports a worker error at most once and raises the stop flag.
-// Workers keep draining their work channel after failing (doing nothing)
-// so the feeder can never deadlock on a send to a channel nobody reads —
-// the bug the regression test TestWorkerErrorNoDeadlock pins down.
-func scanFail(stop *atomic.Bool, errCh chan<- error, err error) {
-	stop.Store(true)
-	select {
-	case errCh <- err:
-	default:
-	}
-}
-
-// Driver cadence. A worker accumulates completed experiments locally and
-// hands them to the collector scanFlushClasses at a time — a channel
-// handoff per record is a measurable slice of a fork experiment's
+// Driver cadence. A worker accumulates completed experiments in its own
+// buffer and delivers them scanFlushClasses at a time — taking the
+// delivery lock per record is a measurable slice of a fork experiment's
 // sub-microsecond suffix — and checks for a flush and polls the
 // interrupt every scanPollClasses classes (~a quarter millisecond of
-// fork experiments): a SIGINT never waits out a whole 512-class unit,
-// and progress never trails by more than one flush window.
+// fork experiments), delivering what is left when a unit ends: a SIGINT
+// never waits out a whole 512-class unit, and progress never trails by
+// more than one flush window a worker. A buffer never holds more than
+// the two together.
 const (
 	scanFlushClasses = 64
 	scanPollClasses  = 16 // power of two
@@ -148,16 +144,39 @@ const (
 // Run executes the listed classes of the session's fault space — class
 // indices in any order, without duplicates — and hands each outcome to
 // deliver. Every scan entry point runs through here, under either
-// strategy. Run owns what is common to all of them: the worker
-// goroutines, the work feed, interrupt polling, first-error fan-in,
-// phase spans and telemetry, and batched delivery from a single
-// collector goroutine — so deliver, and the OnResult/OnProgress callbacks
-// and checkpoint writers behind it, never need locking; it is not called
-// again once Run has returned.
+// strategy. Run owns what is common to all of them: carving the classes
+// into units, the workers, interrupt polling, first-error-wins, phase
+// spans and telemetry, and serialised delivery.
+//
+// Nothing on the per-record path crosses a goroutine, because a channel
+// hand-off per unit and per batch cost a two-worker scan a quarter of its
+// workers' time (park/ready pairs and the futex wakes behind them,
+// DESIGN.md §4c). The carved units are shared and a worker claims the
+// next one with an atomic add; it delivers its own records, a batch at a
+// time, under the run's one delivery lock. The calling goroutine is
+// worker 0 and only as many more are started as there are further units
+// to claim, so a one-worker run — a fleet worker's leased unit — starts
+// none.
+//
+// deliver is therefore never called concurrently, and each call
+// happens-after the previous one, but not on one goroutine: the
+// OnResult/OnProgress callbacks and checkpoint writers behind it need no
+// locking and must not be goroutine-affine. With one worker the classes
+// are delivered in ascending order. deliver runs under the delivery lock,
+// so whatever it spends every worker soon waits out — which is why the
+// checkpoint writer behind OnResult only encodes there and leaves write
+// and fsync to its own flusher goroutine — and it is not called again
+// once Run has returned.
 //
 // When Config.Interrupt closes, no new experiments start, the finished
 // ones are delivered and Run returns ErrInterrupted.
-func (s *Session) Run(classes []int, deliver func(class int, o Outcome)) (err error) {
+func (s *Session) Run(classes []int, deliver func(class int, o Outcome)) error {
+	return s.run(classes, deliver, nil)
+}
+
+// run is Run with the meter's end-of-batch hook: delivered, when non-nil,
+// is called under the delivery lock after every batch of deliver calls.
+func (s *Session) run(classes []int, deliver func(class int, o Outcome), delivered func()) (err error) {
 	if s.closed {
 		return ErrSessionClosed
 	}
@@ -190,117 +209,114 @@ func (s *Session) Run(classes []int, deliver func(class int, o Outcome)) (err er
 			return err
 		}
 	}
-	st, cfg, fs := s.st, s.cfg, s.fs
-	if sp := st.spans.Start("scan.run"); sp.Live() {
-		defer func() { sp.End(fmt.Sprintf("%s: %d classes", cfg.Strategy, len(todo))) }()
+	if sp := s.st.spans.Start("scan.run"); sp.Live() {
+		defer func() { sp.End(fmt.Sprintf("%s: %d classes", s.cfg.Strategy, len(todo))) }()
 	}
 	var units []unit
 	if s.ladder == nil {
 		units = carveResetUnits(todo)
 	} else {
-		units = carveForkUnits(s.ladder, fs, todo)
+		units = carveForkUnits(s.ladder, s.fs, todo)
 	}
 
-	work := make(chan unit)
-	// The results channel is deliberately unbuffered: each flush is a
-	// synchronous handoff, so the collector has observed (and metered)
-	// every prior flush before a worker proceeds. Progress therefore
-	// trails execution by at most one flush window even at GOMAXPROCS=1,
-	// which keeps interrupt delivery bounded for embedders that trigger
-	// it from OnProgress. The price is that whatever deliver spends, every
-	// worker soon waits out — which is why the checkpoint writer behind
-	// OnResult only encodes there and leaves write and fsync to its own
-	// flusher goroutine.
-	results := make(chan []record)
-	errCh := make(chan error, 1)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for _, p := range s.providers {
-		wg.Add(1)
+	d := &drive{s: s, units: units, deliver: deliver, delivered: delivered}
+	for w := 1; w < min(len(s.providers), len(units)); w++ {
+		d.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for u := range work {
-				if stop.Load() {
-					continue
-				}
-				// Reset units are load-balancing chunks, not phases: a span
-				// per four classes would only flood the recorder.
-				var sp telemetry.ActiveSpan
-				if u.rung >= 0 {
-					sp = st.spans.Start("scan.batch")
-				}
-				p.start(u)
-				// A flushed slice is never reused — ownership passes to
-				// the collector on send.
-				recs := make([]record, 0, min(len(u.classes), scanFlushClasses+scanPollClasses))
-				for k, ci := range u.classes {
-					if k&(scanPollClasses-1) == 0 {
-						if len(recs) >= scanFlushClasses {
-							results <- recs
-							recs = make([]record, 0, scanFlushClasses+scanPollClasses)
-						}
-						select {
-						case <-cfg.Interrupt:
-							scanFail(&stop, errCh, ErrInterrupted)
-						default:
-						}
-					}
-					if stop.Load() {
-						break
-					}
-					t0 := st.begin()
-					o, err := inject(p, s.flip, fs.Classes[ci].Slot(), fs.Classes[ci].Bit)
-					if err != nil {
-						scanFail(&stop, errCh, err)
-						break
-					}
-					st.experiment(o, t0)
-					recs = append(recs, record{class: ci, outcome: o})
-				}
-				if len(recs) > 0 {
-					results <- recs
-				}
-				p.end(u)
-				if sp.Live() {
-					sp.End(fmt.Sprintf("rung %d: %d classes", u.rung, len(u.classes)))
-				}
-			}
+			defer d.wg.Done()
+			d.work(w)
 		}()
 	}
-	collected := make(chan struct{})
-	go func() {
-		defer close(collected)
-		for recs := range results {
-			for _, r := range recs {
-				deliver(r.class, r.outcome)
-			}
-		}
-	}()
+	d.work(0)
+	d.wg.Wait()
+	return d.err
+}
 
-	feed := func() error {
-		for _, u := range units {
-			select {
-			case <-cfg.Interrupt:
-				return ErrInterrupted
-			case err := <-errCh:
-				return err
-			case work <- u:
-			}
+// drive is what the workers of one run share.
+type drive struct {
+	s         *Session
+	units     []unit
+	deliver   func(class int, o Outcome)
+	delivered func()
+
+	claimed atomic.Int64 // units handed out so far
+	stop    atomic.Bool  // set by the first failure or interrupt
+	mu      sync.Mutex   // the delivery lock; guards err as well
+	err     error        // the first failure
+	wg      sync.WaitGroup
+}
+
+// fail records the run's error, first one wins, and stops every worker
+// at its next class.
+func (d *drive) fail(err error) {
+	d.mu.Lock()
+	if d.err == nil {
+		d.err = err
+	}
+	d.mu.Unlock()
+	d.stop.Store(true)
+}
+
+// flush delivers a worker's buffered records under the delivery lock and
+// returns the buffer, emptied.
+func (d *drive) flush(recs []record) []record {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, r := range recs {
+		d.deliver(r.class, r.outcome)
+	}
+	if d.delivered != nil {
+		d.delivered()
+	}
+	return recs[:0]
+}
+
+// work is worker w: it claims units until none is left or the run stops.
+func (d *drive) work(w int) {
+	s := d.s
+	st, fs, p, recs := s.st, s.fs, s.providers[w], s.recs[w][:0]
+	for !d.stop.Load() {
+		i := int(d.claimed.Add(1)) - 1
+		if i >= len(d.units) {
+			return
 		}
-		return nil
+		u := d.units[i]
+		// Reset units are load-balancing chunks, not phases: a span
+		// per four classes would only flood the recorder.
+		var sp telemetry.ActiveSpan
+		if u.rung >= 0 {
+			sp = st.spans.Start("scan.batch")
+		}
+		p.start(u)
+		for k, ci := range u.classes {
+			if k&(scanPollClasses-1) == 0 {
+				if len(recs) >= scanFlushClasses {
+					recs = d.flush(recs)
+				}
+				select {
+				case <-s.cfg.Interrupt:
+					d.fail(ErrInterrupted)
+				default:
+				}
+			}
+			if d.stop.Load() {
+				break
+			}
+			t0 := st.begin()
+			o, err := inject(p, s.flip, fs.Classes[ci].Slot(), fs.Classes[ci].Bit)
+			if err != nil {
+				d.fail(err)
+				break
+			}
+			st.experiment(o, t0)
+			recs = append(recs, record{class: ci, outcome: o})
+		}
+		if len(recs) > 0 {
+			recs = d.flush(recs)
+		}
+		p.end(u)
+		if sp.Live() {
+			sp.End(fmt.Sprintf("rung %d: %d classes", u.rung, len(u.classes)))
+		}
 	}
-	ferr := feed()
-	close(work)
-	wg.Wait()
-	close(results)
-	<-collected
-	if ferr != nil {
-		return ferr
-	}
-	select {
-	case err := <-errCh:
-		return err
-	default:
-	}
-	return nil
 }

@@ -109,11 +109,17 @@ type Config struct {
 	Objective *Objective
 
 	// OnResult, when non-nil, receives every completed experiment in
-	// completion order. It is invoked from a single collector goroutine,
-	// so implementations (e.g. a checkpoint writer) need no locking.
+	// completion order (ascending class order with one worker). Calls are
+	// never concurrent and each happens-after the previous one, so
+	// implementations (e.g. a checkpoint writer) need no locking; they
+	// come from whichever scan worker delivers, the calling goroutine
+	// included, so implementations must not be goroutine-affine. The scan
+	// holds its delivery lock across the call: what it spends, every
+	// worker soon waits out.
 	OnResult func(class int, o Outcome)
 	// OnProgress, when non-nil, receives progress events: one initial,
-	// throttled intermediate ones, one final. Same goroutine as OnResult.
+	// throttled intermediate ones, one final. Serialised with OnResult
+	// under the same contract.
 	OnProgress func(Progress)
 	// ProgressInterval throttles intermediate progress events. 0 means
 	// DefaultProgressInterval; a negative value emits one event per

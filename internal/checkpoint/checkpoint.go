@@ -193,8 +193,9 @@ func entryMap(entries []Entry) map[int]uint8 {
 // records never waits for the disk except in Sync and Close. A crash loses
 // only what the disk had not acknowledged.
 //
-// A Writer is not safe for concurrent use; the campaign engine calls it
-// from its single collector goroutine.
+// A Writer is not safe for concurrent use, and needs no one goroutine:
+// the campaign engine calls it under its delivery lock, from whichever
+// scan worker delivers, each call after the previous one.
 type Writer struct {
 	f *os.File
 	// FlushEvery is the number of buffered records that seals a frame

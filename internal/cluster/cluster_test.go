@@ -382,3 +382,27 @@ func TestClusterMethodRejection(t *testing.T) {
 		}
 	}
 }
+
+// TestCoordinatorPartialResultPending: an interrupted coordinator's
+// partial result says how many classes have no outcome, which is what
+// keeps it from being archived or analyzed as a complete campaign.
+func TestCoordinatorPartialResultPending(t *testing.T) {
+	tgt, golden, fs := testCampaign(t, "hi")
+	interrupt := make(chan struct{})
+	close(interrupt)
+	prior := map[int]campaign.Outcome{0: campaign.OutcomeNoEffect, 3: campaign.OutcomeNoEffect}
+	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
+		Interrupt:       interrupt,
+		MaxGoldenCycles: testMaxGolden,
+	}, prior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := coord.Wait()
+	if !errors.Is(err, campaign.ErrInterrupted) || res == nil {
+		t.Fatalf("Wait: result %v, err = %v", res, err)
+	}
+	if want := len(fs.Classes) - len(prior); res.Pending != want {
+		t.Errorf("partial result: Pending = %d, want %d", res.Pending, want)
+	}
+}

@@ -509,6 +509,7 @@ func (c *Coordinator) resultLocked() *campaign.Result {
 		Space:    c.space,
 		Outcomes: append([]campaign.Outcome(nil), c.outcomes...),
 		Identity: c.identity,
+		Pending:  c.tally.Remaining(),
 	}
 }
 

@@ -131,7 +131,6 @@ func BuildSkip(g *trace.Golden, code []isa.Instruction) (*FaultSpace, error) {
 		Kind:   SpaceSkip,
 		Cycles: g.Cycles,
 		Bits:   1,
-		byBit:  make(map[uint64][]int32),
 	}
 	for t := uint64(1); t <= g.Cycles; t++ {
 		pc := g.ExecPCs[t-1]
@@ -177,7 +176,6 @@ func BuildSkip(g *trace.Golden, code []isa.Instruction) (*FaultSpace, error) {
 			fs.Classes = append(fs.Classes, Class{Bit: 0, DefCycle: t - 1, UseCycle: t})
 		}
 	}
-	indexByBit(fs)
 	if err := fs.checkPartition(); err != nil {
 		return nil, err
 	}
@@ -195,7 +193,6 @@ func BuildPC(g *trace.Golden, codeLen uint32) (*FaultSpace, error) {
 		Kind:   SpacePC,
 		Cycles: g.Cycles,
 		Bits:   machine.PCBits,
-		byBit:  make(map[uint64][]int32),
 	}
 	for b := uint64(0); b < machine.PCBits; b++ {
 		runStart := uint64(0) // first slot of the current bad-PC run, 0 = none
@@ -228,7 +225,6 @@ func BuildPC(g *trace.Golden, codeLen uint32) (*FaultSpace, error) {
 		}
 		return a.Bit < b.Bit
 	})
-	indexByBit(fs)
 	if err := fs.checkPartition(); err != nil {
 		return nil, err
 	}

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"faultspace/internal/machine"
 	"faultspace/internal/trace"
@@ -141,8 +142,11 @@ type FaultSpace struct {
 	KnownNoEffect uint64
 
 	// byBit indexes Classes per bit for coordinate lookups; classes of a
-	// bit are sorted by UseCycle.
-	byBit map[uint64][]int32
+	// bit are sorted by UseCycle. The first Locate builds it: only
+	// sampling, the oracle and BuildSkip look coordinates up, a scan never
+	// does, and eager it was a measurable part of a small campaign.
+	byBit     map[uint64][]int32
+	indexOnce sync.Once
 }
 
 // Size returns the raw fault-space size w = Δt·Δm.
@@ -196,9 +200,9 @@ func BuildBurst(g *trace.Golden, k int) (*FaultSpace, error) {
 }
 
 // FromClasses reconstructs a fault space from externally stored classes
-// (e.g. a scan archive). The classes are re-sorted, re-indexed and the
-// exact-partition invariant is verified, so a tampered or inconsistent
-// archive is rejected.
+// (e.g. a scan archive). Their canonical order and the exact-partition
+// invariant are verified, so a tampered or inconsistent archive is
+// rejected.
 func FromClasses(kind SpaceKind, cycles, bits uint64, classes []Class, knownNoEffect uint64) (*FaultSpace, error) {
 	if !kind.Valid() {
 		return nil, fmt.Errorf("pruning: unknown space kind %d", kind)
@@ -209,7 +213,6 @@ func FromClasses(kind SpaceKind, cycles, bits uint64, classes []Class, knownNoEf
 		Bits:          bits,
 		Classes:       make([]Class, len(classes)),
 		KnownNoEffect: knownNoEffect,
-		byBit:         make(map[uint64][]int32),
 	}
 	copy(fs.Classes, classes)
 	for i, c := range fs.Classes {
@@ -229,7 +232,6 @@ func FromClasses(kind SpaceKind, cycles, bits uint64, classes []Class, knownNoEf
 			}
 		}
 	}
-	indexByBit(fs)
 	if err := fs.checkPartition(); err != nil {
 		return nil, err
 	}
@@ -358,22 +360,20 @@ func buildSpace(kind SpaceKind, cycles, bits uint64, accesses []trace.Access, pe
 			prev = cycle
 		}
 	}
-	indexByBit(fs)
-
 	if err := fs.checkPartition(); err != nil {
 		return nil, err
 	}
 	return fs, nil
 }
 
-// indexByBit (re)builds the per-bit class index. Classes are in
-// canonical (Slot, Bit) order, so appending class indices bit by bit
-// yields per-bit lists sorted by UseCycle, as Locate requires. The
-// lists are carved from one flat backing array sized by a counting
-// pass, so the index costs two slice allocations regardless of how
-// many bits are touched.
-func indexByBit(fs *FaultSpace) {
-	counts := make(map[uint64]int32, len(fs.byBit))
+// indexByBit builds the per-bit class index. Classes are in canonical
+// (Slot, Bit) order, so appending class indices bit by bit yields
+// per-bit lists sorted by UseCycle, as Locate requires. The lists are
+// carved from one flat backing array sized by a counting pass, so the
+// index costs two slice allocations regardless of how many bits are
+// touched.
+func (fs *FaultSpace) indexByBit() {
+	counts := make(map[uint64]int32)
 	for _, c := range fs.Classes {
 		counts[c.Bit]++
 	}
@@ -408,7 +408,7 @@ func (fs *FaultSpace) checkPartition() error {
 // Locate maps a raw fault-space coordinate to its equivalence class.
 // It returns the class index, or ok=false when the coordinate is known
 // a priori to be "No Effect". Slot must be in [1, Cycles] and bit in
-// [0, Bits).
+// [0, Bits). Safe for concurrent use.
 func (fs *FaultSpace) Locate(slot, bit uint64) (int, bool, error) {
 	if slot == 0 || slot > fs.Cycles {
 		return 0, false, fmt.Errorf("pruning: slot %d outside [1, %d]", slot, fs.Cycles)
@@ -416,6 +416,7 @@ func (fs *FaultSpace) Locate(slot, bit uint64) (int, bool, error) {
 	if bit >= fs.Bits {
 		return 0, false, fmt.Errorf("pruning: bit %d outside [0, %d)", bit, fs.Bits)
 	}
+	fs.indexOnce.Do(fs.indexByBit)
 	idxs := fs.byBit[bit]
 	// Classes per bit are sorted by UseCycle; find the first class with
 	// UseCycle >= slot and check whether the slot falls inside it.
