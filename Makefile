@@ -20,11 +20,15 @@ race:
 # The campaign service's multi-campaign concurrency proof under the
 # race detector: two tenants' distinct campaigns complete concurrently
 # on one shared fleet (TestTwoTenantsConcurrent), plus the rest of the
-# service suite (scheduling, backpressure, drain, archive hits) —
-# -count=2 shakes out ordering-dependent races the single pass in
-# `race` can miss.
+# service suite (scheduling, backpressure, drain, archive hits, the one
+# worker loop against both servers) — -count=2 shakes out
+# ordering-dependent races the single pass in `race` can miss. Then the
+# drain contract of both servers twenty times over: every worker is
+# answered its dismissal before the listener closes, which one run in a
+# few loses when the order is wrong.
 race-service:
 	$(GO) test -race -count=2 ./internal/service
+	$(GO) test -race -count=20 -run='TestServeScanDismissesEveryWorker|TestServeCampaignsDismissesParkedWorkers' .
 
 # The attack-style fault models (instruction skip, PC corruption,
 # multi-bit bursts) under the race detector: the objective-carrying
@@ -75,9 +79,9 @@ race-session:
 # A short deterministic-corpus + 10s randomized smoke of the attack
 # surfaces: the binary decoders exposed to untrusted bytes (the field
 # reader they all decode through must stay inside its payload under any
-# sequence of reads; corrupted checkpoint files, mutated cluster wire and
-# fleet handshake frames and damaged service archive entries must error,
-# never panic), the ladder
+# sequence of reads; corrupted checkpoint files, mutated cluster wire
+# frames, handshake included, and damaged service archive entries must
+# error, never panic), the ladder
 # delta-restore engine (random
 # programs + random restore/flip/run sequences must reproduce full-
 # snapshot state bit-for-bit) and the any-cycle golden match (random

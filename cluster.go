@@ -1,7 +1,6 @@
 package faultspace
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -20,11 +19,12 @@ type ClusterProgress = cluster.Progress
 // WorkerStat is one worker's slice of a ClusterProgress event.
 type WorkerStat = cluster.WorkerStat
 
-// ErrCoordinatorShutdown is returned by JoinScan when the coordinator
-// announced an interrupt-driven shutdown before the campaign completed.
+// ErrCoordinatorShutdown is returned by JoinScan when the last campaign
+// it worked on was stopped — interrupted or cancelled — before it
+// completed.
 var ErrCoordinatorShutdown = cluster.ErrShutdown
 
-// ErrCoordinatorUnreachable is returned by JoinScan when the coordinator
+// ErrCoordinatorUnreachable is returned by JoinScan when the server
 // stayed unreachable through the worker's bounded retry budget — e.g.
 // after the coordinator process was killed outright.
 var ErrCoordinatorUnreachable = cluster.ErrUnreachable
@@ -48,7 +48,7 @@ type ServeOptions struct {
 	// coordinator is serving — useful with ":0" addresses.
 	OnListen func(addr string)
 	// DrainTimeout bounds how long ServeScan waits after completion for
-	// workers to fetch their done notice and deregister (default 3s).
+	// workers to fetch their done notice and be dismissed (default 3s).
 	DrainTimeout time.Duration
 	// Pprof mounts net/http/pprof profiling endpoints under /debug/pprof/
 	// on the coordinator's HTTP handler. Off by default: profiling a
@@ -108,10 +108,10 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 
 	res, scanErr := coord.Wait()
 	// Let the workers fetch their done/shutdown notice before tearing the
-	// server down; workers deregister via /v1/leave as they exit. On
-	// the interrupt path this also lets in-flight units finish submitting,
-	// so their experiments are recorded — the cluster analogue of the
-	// local graceful-interrupt semantics.
+	// server down: each says hello once more and is dismissed. On the
+	// interrupt path this also lets in-flight units finish submitting, so
+	// their experiments are recorded — the cluster analogue of the local
+	// graceful-interrupt semantics.
 	drain := opts.DrainTimeout
 	if drain == 0 {
 		drain = 3 * time.Second
@@ -161,25 +161,33 @@ func ServeMetrics(addr string, reg *Telemetry) (bound string, stop func(), err e
 	return ln.Addr().String(), serve(ln, mux), nil
 }
 
-// JoinOptions parameterizes JoinScan and JoinServiceFleet: the worker's
-// name, its local execution choices (Workers, Strategy, LadderInterval,
-// Predecode — outcome-invariant, free to differ across a fleet), retry
-// backoff, Interrupt (when closed the worker dies abruptly mid-unit
-// without submitting — the crash the coordinator's lease expiry must
-// absorb), Telemetry, the HTTP client and Logf.
+// JoinOptions parameterizes JoinScan: the worker's name, its local
+// execution choices (Workers, Strategy, LadderInterval, Predecode —
+// outcome-invariant, free to differ across a fleet), retry backoff,
+// Interrupt (when closed the worker dies abruptly mid-unit without
+// submitting — the crash the coordinator's lease expiry must absorb),
+// Telemetry, the HTTP client and Logf.
 type JoinOptions = cluster.WorkerOptions
 
-// JoinScan joins a coordinator started with ServeScan (or favscan
-// -serve) as a worker: it rebuilds the campaign from the handshake —
-// needing no local program knowledge — verifies the campaign identity,
-// then pulls, executes and submits leased work units until the campaign
-// completes. Requests are retried with exponential backoff; a worker
-// whose campaign identity differs from the coordinator's is rejected.
+// JoinScan makes this process a worker of the server at addr — a
+// coordinator started with ServeScan (favscan -serve) or a campaign
+// service started with ServeCampaigns (favserve), it is the same
+// protocol. The server grants it a campaign; it rebuilds the campaign
+// from the handshake — needing no local program knowledge — verifies the
+// campaign identity, then pulls, executes and submits leased work units
+// until the campaign ends, and asks for the next one. Requests are
+// retried with exponential backoff; a worker whose campaign identity
+// differs from the server's is rejected.
+//
+// JoinScan returns once the server dismisses the worker — a coordinator
+// when its campaign is over, a service when it drains: nil after
+// campaigns that completed (or before working on any: a worker that
+// arrives after the end is sent home at the handshake), and
+// ErrCoordinatorShutdown when the last campaign it worked on was cut
+// short. It returns ErrCoordinatorUnreachable when the server stays
+// unreachable and ErrInterrupted when JoinOptions.Interrupt fires.
 func JoinScan(addr string, opts JoinOptions) error {
-	if err := cluster.Join(normalizeURL(addr), opts); err != nil {
-		if errors.Is(err, campaign.ErrInterrupted) {
-			return fmt.Errorf("faultspace: %w", campaign.ErrInterrupted)
-		}
+	if err := cluster.Join(normalizeURL(addr), opts, nil); err != nil {
 		return fmt.Errorf("faultspace: %w", err)
 	}
 	return nil

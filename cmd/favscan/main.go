@@ -21,9 +21,13 @@
 //
 //	favscan -serve :9321 -checkpoint s2.ckpt sync2   # coordinator
 //	favscan -join host:9321                          # worker (any machine)
+//
+// The same -join works for a favserve campaign service; -submit hands it a
+// campaign and prints the report.
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -53,6 +57,11 @@ func main() {
 // stdout report stays byte-identical to an uninterrupted run's.
 func run(args []string, w, errW io.Writer) error {
 	fs := flag.NewFlagSet("favscan", flag.ContinueOnError)
+	// What is scanned: the size flags, then -variant, -space, -objective.
+	var sizes progs.Sizes
+	sizes.RegisterFlags(fs)
+	campaignFlags := " variant space objective"
+	fs.VisitAll(func(f *flag.Flag) { campaignFlags += " " + f.Name })
 	var (
 		variant  = fs.String("variant", "baseline", progs.VariantUsage)
 		sample   = fs.Int("sample", 0, "draw N samples instead of a full scan")
@@ -66,10 +75,9 @@ func run(args []string, w, errW io.Writer) error {
 		objFl    = fs.String("objective", "", "attacker objective evaluated on every outcome: bypass, corrupt or dos (default none)")
 		workers  = fs.Int("workers", 0, "parallel experiment executors (0 = GOMAXPROCS)")
 		serve    = fs.String("serve", "", "coordinate a distributed scan: serve work units on this address")
-		join     = fs.String("join", "", "join a distributed scan as a worker of the coordinator at this address")
+		join     = fs.String("join", "", "work for the coordinator (favscan -serve) or campaign service (favserve) at this address")
 		submit   = fs.String("submit", "", "submit the campaign to the favserve service at this address, wait and report")
 		tenant   = fs.String("tenant", "", "tenant id attributed to -submit for fair scheduling (default \"default\")")
-		fleetFl  = fs.String("fleet", "", "join the favserve service at this address as a long-lived fleet worker")
 		workerID = fs.String("worker-id", "", "worker name in cluster statistics (default w<pid>)")
 		unitSize = fs.Int("unit-size", 0, "classes per leased work unit (coordinator; default 256)")
 		leaseTTL = fs.Duration("lease", 0, "work-unit lease TTL before reassignment (coordinator; default 10s)")
@@ -84,9 +92,7 @@ func run(args []string, w, errW io.Writer) error {
 		traceFl  = fs.String("trace", "", "write the campaign span timeline as Chrome trace-event JSON (Perfetto-loadable) to this file on exit")
 		metricFl = fs.String("metrics", "", "expose the telemetry registry in Prometheus text format on this address at /metrics")
 		pprofFl  = fs.Bool("pprof", false, "expose /debug/pprof profiling endpoints on the coordinator (requires -serve)")
-		sizes    progs.Sizes
 	)
-	sizes.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -112,46 +118,40 @@ func run(args []string, w, errW io.Writer) error {
 	if *resume && *ckpt == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
-	if *ckpt != "" && (*sample > 0 || *loadFrom != "") {
-		return fmt.Errorf("-checkpoint applies to full scans only (not -sample or -load)")
+	// The mode is the first of these that is set; every flag given must be
+	// one that means something in it.
+	const (
+		executorFlags = " strategy ladder-interval predecode workers"
+		reportFlags   = " outcomes save csv"
+		fullScanFlags = reportFlags + " checkpoint resume progress telemetry trace metrics"
+	)
+	mode, allowed := "a local full scan", campaignFlags+executorFlags+fullScanFlags
+	switch {
+	case *serve != "":
+		mode, allowed = "-serve", campaignFlags+fullScanFlags+" serve unit-size lease pprof"
+	case *join != "":
+		mode, allowed = "-join", executorFlags+" join worker-id progress metrics"
+	case *submit != "":
+		mode, allowed = "-submit", campaignFlags+reportFlags+" submit tenant"
+	case *loadFrom != "":
+		mode, allowed = "-load", " load outcomes csv"
+	case *sample > 0:
+		mode, allowed = "-sample", campaignFlags+executorFlags+" sample seed biased effective csv progress metrics"
 	}
-	if moreThanOne(*serve != "", *join != "", *submit != "", *fleetFl != "") {
-		return fmt.Errorf("-serve, -join, -submit and -fleet are mutually exclusive")
+	var misplaced error
+	fs.Visit(func(f *flag.Flag) {
+		if misplaced == nil && !strings.Contains(allowed+" ", " "+f.Name+" ") {
+			misplaced = fmt.Errorf("-%s does not apply to %s", f.Name, mode)
+		}
+	})
+	if misplaced != nil {
+		return misplaced
 	}
-	if *submit != "" && (*sample > 0 || *loadFrom != "" || *ckpt != "" || *telem != "") {
-		return fmt.Errorf("-submit hands the campaign to the service: it accepts no sampling, archive-load, checkpoint or telemetry flags")
-	}
-	if *tenant != "" && *submit == "" {
-		return fmt.Errorf("-tenant requires -submit")
-	}
-	if *serve != "" && (*sample > 0 || *loadFrom != "") {
-		return fmt.Errorf("-serve applies to full scans only (not -sample or -load)")
-	}
-	if *pprofFl && *serve == "" {
-		return fmt.Errorf("-pprof requires -serve")
-	}
-	if *telem != "" && (*sample > 0 || *loadFrom != "" || *join != "") {
-		return fmt.Errorf("-telemetry applies to full scans only (not -sample, -load or -join)")
-	}
-	if *traceFl != "" && (*sample > 0 || *loadFrom != "" || *join != "" || *fleetFl != "" || *submit != "") {
-		return fmt.Errorf("-trace applies to local or served full scans only (workers ship their spans to the coordinator)")
-	}
-	if *metricFl != "" && (*loadFrom != "" || *submit != "") {
-		return fmt.Errorf("-metrics requires a campaign executing in this process (not -load or -submit)")
+	if (mode == "-join" || mode == "-load") && fs.NArg() != 0 {
+		return fmt.Errorf("%s takes no benchmark argument", mode)
 	}
 
-	if *join != "" || *fleetFl != "" {
-		// The two worker modes differ only in who hands out the campaign.
-		mode, source := "-join", "the campaign comes from the coordinator's handshake"
-		if *fleetFl != "" {
-			mode, source = "-fleet", "campaigns are assigned by the service"
-		}
-		if fs.NArg() != 0 {
-			return fmt.Errorf("%s takes no benchmark argument: %s", mode, source)
-		}
-		if *sample > 0 || *loadFrom != "" || *saveTo != "" || *ckpt != "" || *outcomes {
-			return fmt.Errorf("%s is a pure worker: it accepts no campaign, archive or checkpoint flags", mode)
-		}
+	if *join != "" {
 		jopts := faultspace.JoinOptions{
 			WorkerID:       *workerID,
 			Workers:        *workers,
@@ -175,20 +175,12 @@ func run(args []string, w, errW io.Writer) error {
 			}
 			defer stop()
 		}
-		var err error
-		if *join != "" {
-			err = faultspace.JoinScan(*join, jopts)
-		} else {
-			err = faultspace.JoinServiceFleet(*fleetFl, jopts)
-		}
+		err := faultspace.JoinScan(*join, jopts)
 		printTelemetrySummary(errW, jopts.Telemetry)
 		return err
 	}
 
 	if *loadFrom != "" {
-		if fs.NArg() != 0 {
-			return fmt.Errorf("-load takes no benchmark argument")
-		}
 		f, err := os.Open(*loadFrom)
 		if err != nil {
 			return err
@@ -309,21 +301,12 @@ func run(args []string, w, errW io.Writer) error {
 		opts.Resume = *resume
 		// Graceful SIGINT: stop feeding experiments, let in-flight ones
 		// finish, flush the checkpoint, then exit non-zero.
-		intCh := make(chan struct{})
-		doneCh := make(chan struct{})
-		sigCh := make(chan os.Signal, 1)
-		signal.Notify(sigCh, os.Interrupt)
-		defer signal.Stop(sigCh)
-		defer close(doneCh)
-		go func() {
-			select {
-			case <-sigCh:
-				fmt.Fprintln(errW, "favscan: interrupt — flushing checkpoint")
-				close(intCh)
-			case <-doneCh:
-			}
-		}()
-		opts.Interrupt = intCh
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		defer stop()
+		defer context.AfterFunc(ctx, func() {
+			fmt.Fprintln(errW, "favscan: interrupt — flushing checkpoint")
+		})() // deregistered before stop cancels ctx
+		opts.Interrupt = ctx.Done()
 	}
 
 	var scan *faultspace.ScanResult
@@ -406,17 +389,6 @@ func run(args []string, w, errW io.Writer) error {
 		return printOutcomes(w, scan, *csv)
 	}
 	return nil
-}
-
-// moreThanOne reports whether more than one mode flag is set.
-func moreThanOne(flags ...bool) bool {
-	n := 0
-	for _, f := range flags {
-		if f {
-			n++
-		}
-	}
-	return n > 1
 }
 
 // submitAndFetch ships the campaign to a favserve service, waits for a

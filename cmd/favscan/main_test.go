@@ -124,11 +124,11 @@ func TestCheckpointFlagValidation(t *testing.T) {
 		t.Error("-resume without -checkpoint must fail")
 	}
 	ck := filepath.Join(t.TempDir(), "c.ckpt")
-	if err := run([]string{"-checkpoint", ck, "-sample", "10", "hi"}, &sb, io.Discard); err == nil {
-		t.Error("-checkpoint with -sample must fail")
-	}
-	if err := run([]string{"-checkpoint", ck, "-load", "x.json"}, &sb, io.Discard); err == nil {
-		t.Error("-checkpoint with -load must fail")
+	for _, mode := range [][]string{{"-sample", "10", "hi"}, {"-load", "x.json"}} {
+		err := run(append([]string{"-checkpoint", ck}, mode...), &sb, io.Discard)
+		if want := "-checkpoint does not apply to " + mode[0]; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-checkpoint with %s: err = %v, want %q", mode[0], err, want)
+		}
 	}
 }
 
@@ -248,15 +248,35 @@ func TestFlagValidationUpfront(t *testing.T) {
 		{[]string{"-strategy", "snapshot", "hi"}, "valid: fork, rerun"},
 		{[]string{"-strategy", "ladder", "hi"}, "valid: fork, rerun"},
 		{[]string{"-ladder-interval", "64", "-strategy", "rerun", "hi"}, "requires -strategy fork"},
-		{[]string{"-serve", ":0", "-join", "x:1", "hi"}, "mutually exclusive"},
-		{[]string{"-serve", ":0", "-sample", "10", "hi"}, "full scans only"},
-		{[]string{"-join", "x:1", "hi"}, "no benchmark argument"},
-		{[]string{"-join", "x:1", "-checkpoint", "c.ckpt"}, "pure worker"},
-		{[]string{"-pprof", "hi"}, "requires -serve"},
 		{[]string{"-serve", "127.0.0.1:0", "-lease", "2ns", "hi"}, "lease TTL too short"},
-		{[]string{"-telemetry", "t.json", "-sample", "10", "hi"}, "full scans only"},
-		{[]string{"-telemetry", "t.json", "-load", "x.json"}, "full scans only"},
-		{[]string{"-telemetry", "t.json", "-join", "x:1"}, "full scans only"},
+		{[]string{"-join", "x:1", "hi"}, "-join takes no benchmark argument"},
+		{[]string{"-fleet", "x:1"}, "flag provided but not defined"},
+		// One mode at a time, and only the flags that mean something in it.
+		{[]string{"-serve", ":0", "-join", "x:1", "hi"}, "-join does not apply to -serve"},
+		{[]string{"-serve", ":0", "-submit", "x:1", "hi"}, "-submit does not apply to -serve"},
+		{[]string{"-join", "x:1", "-submit", "x:1"}, "-submit does not apply to -join"},
+		{[]string{"-serve", ":0", "-sample", "10", "hi"}, "-sample does not apply to -serve"},
+		{[]string{"-serve", ":0", "-load", "x.json"}, "-load does not apply to -serve"},
+		{[]string{"-join", "x:1", "-checkpoint", "c.ckpt"}, "-checkpoint does not apply to -join"},
+		{[]string{"-join", "x:1", "-sample", "10"}, "-sample does not apply to -join"},
+		{[]string{"-join", "x:1", "-load", "x.json"}, "-load does not apply to -join"},
+		{[]string{"-join", "x:1", "-save", "x.json"}, "-save does not apply to -join"},
+		{[]string{"-join", "x:1", "-outcomes"}, "-outcomes does not apply to -join"},
+		{[]string{"-submit", "x:1", "-sample", "10", "hi"}, "-sample does not apply to -submit"},
+		{[]string{"-submit", "x:1", "-load", "x.json"}, "-load does not apply to -submit"},
+		{[]string{"-submit", "x:1", "-checkpoint", "c.ckpt", "hi"}, "-checkpoint does not apply to -submit"},
+		{[]string{"-submit", "x:1", "-telemetry", "t.json", "hi"}, "-telemetry does not apply to -submit"},
+		{[]string{"-tenant", "alice", "hi"}, "-tenant does not apply to a local full scan"},
+		{[]string{"-pprof", "hi"}, "-pprof does not apply to a local full scan"},
+		{[]string{"-telemetry", "t.json", "-sample", "10", "hi"}, "-telemetry does not apply to -sample"},
+		{[]string{"-telemetry", "t.json", "-load", "x.json"}, "-telemetry does not apply to -load"},
+		{[]string{"-telemetry", "t.json", "-join", "x:1"}, "-telemetry does not apply to -join"},
+		{[]string{"-trace", "t.json", "-sample", "10", "hi"}, "-trace does not apply to -sample"},
+		{[]string{"-trace", "t.json", "-load", "x.json"}, "-trace does not apply to -load"},
+		{[]string{"-trace", "t.json", "-join", "x:1"}, "-trace does not apply to -join"},
+		{[]string{"-trace", "t.json", "-submit", "x:1", "hi"}, "-trace does not apply to -submit"},
+		{[]string{"-metrics", ":0", "-load", "x.json"}, "-metrics does not apply to -load"},
+		{[]string{"-metrics", ":0", "-submit", "x:1", "hi"}, "-metrics does not apply to -submit"},
 	} {
 		err := run(tc.args, io.Discard, io.Discard)
 		if err == nil {

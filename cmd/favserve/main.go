@@ -14,7 +14,7 @@
 //
 //	favserve -archive /var/lib/favserve -workers 2   # self-contained service
 //	favserve -addr :9321                             # serve only; workers join with
-//	                                                 #   favscan -fleet host:9321
+//	                                                 #   favscan -join host:9321
 //	favscan -submit host:9321 -tenant alice sync2    # submit + wait + report
 //
 // SIGINT drains the service gracefully: queued campaigns are cancelled,
@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -50,7 +51,7 @@ func run(args []string, w, errW io.Writer) error {
 		maxQueued  = fs.Int("max-queued", 0, "queued campaigns across all tenants before 429 backpressure (default 16)")
 		unitSize   = fs.Int("unit-size", 0, "classes per leased work unit (default 256)")
 		leaseTTL   = fs.Duration("lease", 0, "work-unit lease TTL before reassignment (default 10s)")
-		workers    = fs.Int("workers", 0, "in-process fleet workers executing campaigns (0 = serve only; workers join with favscan -fleet)")
+		workers    = fs.Int("workers", 0, "in-process fleet workers executing campaigns (0 = serve only; workers join with favscan -join)")
 		parallel   = fs.Int("parallel", 0, "experiment executors per in-process worker (0 = GOMAXPROCS)")
 		predec     = fs.Bool("predecode", true, "in-process workers execute via the pre-decoded dispatch stream")
 		verbose    = fs.Bool("verbose", false, "log campaign and worker life-cycle events to stderr")
@@ -65,20 +66,11 @@ func run(args []string, w, errW io.Writer) error {
 	reg := faultspace.NewTelemetry()
 
 	// Graceful SIGINT: drain leases, flush the archive, then exit zero.
-	intCh := make(chan struct{})
-	doneCh := make(chan struct{})
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt)
-	defer signal.Stop(sigCh)
-	defer close(doneCh)
-	go func() {
-		select {
-		case <-sigCh:
-			fmt.Fprintln(errW, "favserve: interrupt — draining")
-			close(intCh)
-		case <-doneCh:
-		}
-	}()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	defer context.AfterFunc(ctx, func() {
+		fmt.Fprintln(errW, "favserve: interrupt — draining")
+	})() // deregistered before stop cancels ctx
 
 	opts := faultspace.CampaignServiceOptions{
 		ArchiveDir:      *archiveDir,
@@ -92,7 +84,7 @@ func run(args []string, w, errW io.Writer) error {
 			Workers:   *parallel,
 			Predecode: *predec,
 		},
-		Interrupt: intCh,
+		Interrupt: ctx.Done(),
 		Telemetry: reg,
 		OnListen: func(bound string) {
 			fmt.Fprintf(errW, "favserve: serving campaigns on %s\n", bound)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -65,7 +66,7 @@ func runCluster(t testing.TB, coord *Coordinator, workers []WorkerOptions) (*cam
 		wg.Add(1)
 		go func(i int, w WorkerOptions) {
 			defer wg.Done()
-			errs[i] = Join(srv.URL, w)
+			errs[i] = Join(srv.URL, w, nil)
 		}(i, w)
 	}
 	res, err := coord.Wait()
@@ -312,12 +313,15 @@ func TestClusterIdentityAdmission(t *testing.T) {
 }
 
 // TestClusterInterruptShutdown: closing the coordinator's interrupt
-// stops lease grants; a polling worker receives the shutdown notice and
-// exits with ErrShutdown.
+// stops lease grants; a worker of the campaign receives the shutdown
+// notice, is dismissed by its next hello and exits with ErrShutdown. One
+// that arrives after the interrupt is dismissed at the handshake without
+// rebuilding anything, and has nothing to report.
 func TestClusterInterruptShutdown(t *testing.T) {
 	tgt, golden, fs := testCampaign(t, "hi")
 	intCh := make(chan struct{})
 	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
+		UnitSize:        4,
 		MaxGoldenCycles: testMaxGolden,
 		Interrupt:       intCh,
 	}, nil)
@@ -327,12 +331,30 @@ func TestClusterInterruptShutdown(t *testing.T) {
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
-	close(intCh)
+	var once sync.Once
+	early := make(chan error, 1)
+	go func() {
+		early <- Join(srv.URL, WorkerOptions{WorkerID: "early", onUnit: func(u WorkUnit) {
+			if u.Status == UnitGranted {
+				once.Do(func() { close(intCh) })
+			}
+		}}, nil)
+	}()
 	if _, err := coord.Wait(); !errors.Is(err, campaign.ErrInterrupted) {
 		t.Fatalf("Wait: %v, want ErrInterrupted", err)
 	}
-	if err := Join(srv.URL, WorkerOptions{WorkerID: "late"}); !errors.Is(err, ErrShutdown) {
-		t.Errorf("Join after interrupt: %v, want ErrShutdown", err)
+	if err := <-early; !errors.Is(err, ErrShutdown) {
+		t.Errorf("Join across the interrupt: %v, want ErrShutdown", err)
+	}
+	if !coord.WaitDrained(time.Second) {
+		t.Error("the dismissed worker still counts as joined")
+	}
+	var rebuilt bool
+	err = Join(srv.URL, WorkerOptions{WorkerID: "late", Logf: func(format string, _ ...any) {
+		rebuilt = rebuilt || strings.Contains(format, "joined")
+	}}, nil)
+	if err != nil || rebuilt {
+		t.Errorf("Join after the interrupt: %v, rebuilt the campaign: %v; want dismissed at the handshake", err, rebuilt)
 	}
 }
 
@@ -361,7 +383,6 @@ func TestClusterMethodRejection(t *testing.T) {
 		{"/v1/submit", http.MethodGet, "POST"},
 		{"/v1/submit", http.MethodPut, "POST"},
 		{"/v1/heartbeat", http.MethodGet, "POST"},
-		{"/v1/leave", http.MethodGet, "POST"},
 		{"/v1/status", http.MethodPost, "GET"},
 	}
 	for _, tc := range cases {

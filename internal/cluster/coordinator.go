@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -414,7 +415,6 @@ func (c *Coordinator) routes() *http.ServeMux {
 	mux.HandleFunc("/v1/lease", c.handleLease)
 	mux.HandleFunc("/v1/submit", c.handleSubmit)
 	mux.HandleFunc("/v1/heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("/v1/leave", c.handleLeave)
 	mux.HandleFunc("/v1/status", c.handleStatus)
 	mux.HandleFunc("/v1/trace", c.handleTrace)
 	mux.HandleFunc("/metrics", c.handleMetrics)
@@ -476,7 +476,7 @@ func (c *Coordinator) drainedLocked() bool {
 // WaitDrained blocks until every worker that ever joined has left again
 // or the timeout has passed, and reports which: the bounded grace period
 // a finished or interrupted campaign gives its fleet to fetch the
-// done/shutdown answer and deregister.
+// done/shutdown answer and say hello once more.
 func (c *Coordinator) WaitDrained(timeout time.Duration) bool {
 	t := time.NewTimer(timeout)
 	defer t.Stop()
@@ -572,22 +572,74 @@ func (c *Coordinator) admit(w http.ResponseWriter, id [32]byte) bool {
 	return true
 }
 
-// handleHandshake hands out the campaign spec. A worker that names
-// itself (?worker=<id>, as Join does) has joined from here on, not from
-// its first lease: between the two it rebuilds the campaign, and a
-// campaign that ends meanwhile must still wait for it to fetch its done
-// notice (WaitDrained) rather than close the door on it.
+// handleHandshake answers a worker's hello: granted, with the campaign
+// spec, while there is work to hand out, shutdown once the campaign is
+// finished, interrupted or sealed.
 func (c *Coordinator) handleHandshake(w http.ResponseWriter, r *http.Request) {
-	if _, ok := ReadBody(w, r); !ok {
+	body, ok := ReadBody(w, r)
+	if !ok {
 		return
 	}
-	if id := r.URL.Query().Get("worker"); id != "" {
-		c.mu.Lock()
-		c.touchLocked(id)
-		c.mu.Unlock()
+	h, err := DecodeHello(body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
+	reply := HelloReply{Status: HelloShutdown}
+	spec := c.Hello(h.WorkerID)
+	if spec != nil {
+		reply = HelloReply{Status: HelloGranted, Spec: spec}
+	}
+	WriteWhole(w, EncodeHelloReply(reply))
+	if spec == nil {
+		// Dismissed — and gone only now that the answer is out: whoever
+		// waits for the fleet to drain (WaitDrained) closes the server next,
+		// and a dismissal cut off there would leave the worker knocking at a
+		// closed port.
+		c.Leave(h.WorkerID)
+	}
+}
+
+// WriteWhole answers a request with one wire message, its length
+// announced and the bytes flushed to the connection before it returns: a
+// server closed right after — which is what follows a worker's dismissal
+// — closes a connection whose answer is complete.
+func WriteWhole(w http.ResponseWriter, frame []byte) {
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(c.spec)
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	w.Write(frame)
+	http.NewResponseController(w).Flush()
+}
+
+// Hello joins a worker to the campaign while there is work to hand out,
+// and returns the encoded spec; otherwise it returns nil. The worker has
+// joined from here on, not from its first lease: between the two it
+// rebuilds the campaign, and a campaign that ends meanwhile must still
+// wait for it to come back (WaitDrained) rather than close the door on
+// it. A worker restarted under the name it had before it died first
+// gives back what that one held (Leave), instead of waiting out its own
+// stale lease.
+func (c *Coordinator) Hello(workerID string) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.stoppedLocked() || c.tally.Remaining() == 0 {
+		return nil
+	}
+	c.leaveLocked(workerID)
+	c.touchLocked(workerID)
+	return c.spec
+}
+
+// stoppedLocked reports whether the campaign was interrupted or sealed.
+func (c *Coordinator) stoppedLocked() bool {
+	select {
+	case <-c.opts.Interrupt:
+		// Wait may not have noticed yet; a request woken by the same channel
+		// must not be told to wait or be granted anything.
+		return true
+	default:
+		return c.interrupted || c.sealed
+	}
 }
 
 // handleLease grants the asking worker a unit. With ?wait= a would-be
@@ -659,16 +711,8 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 // leaseLocked answers one lease ask from the current state.
 func (c *Coordinator) leaseLocked(workerID string) WorkUnit {
-	stopped := c.interrupted || c.sealed
-	select {
-	case <-c.opts.Interrupt:
-		// Wait may not have noticed yet; a parked request woken by the
-		// same channel must not answer UnitWait.
-		stopped = true
-	default:
-	}
 	switch {
-	case stopped:
+	case c.stoppedLocked():
 		return WorkUnit{Status: UnitShutdown}
 	case c.tally.Remaining() == 0:
 		return WorkUnit{Status: UnitDone}
@@ -889,43 +933,36 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
-	body, ok := ReadBody(w, r)
-	if !ok {
-		return
-	}
-	q, err := DecodeLeaseRequest(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !c.admit(w, q.Identity) {
-		return
-	}
+// Leave takes a worker out of the campaign: whatever it still holds goes
+// back to pending without waiting for the lease to expire, and the fleet
+// may now be drained. A name that never joined, or has left already, is a
+// no-op.
+func (c *Coordinator) Leave(workerID string) {
 	c.mu.Lock()
-	if wi := c.workers[q.WorkerID]; wi != nil {
-		if !wi.left {
-			c.telWorkers.Add(-1)
-			c.spans.Mark("worker.left", q.WorkerID)
-		}
-		wi.left = true
-		// Return whatever the worker still holds without waiting for the
-		// lease to expire; a voluntary return is not a reassignment.
-		for _, u := range c.units {
-			if u.state == unitLeased && u.owner == q.WorkerID {
-				u.state = unitPending
-				u.owner = ""
-				c.leased--
-				c.expiryKnown = false
-				c.pending = append(c.pending, u)
-			}
-		}
-		wi.outstanding = 0
-		// Its units are pending again, and the fleet may now be drained.
-		c.wakeLocked()
-	}
+	c.leaveLocked(workerID)
 	c.mu.Unlock()
-	w.WriteHeader(http.StatusOK)
+}
+
+func (c *Coordinator) leaveLocked(workerID string) {
+	wi := c.workers[workerID]
+	if wi == nil || wi.left {
+		return
+	}
+	wi.left = true
+	c.telWorkers.Add(-1)
+	c.spans.Mark("worker.left", workerID)
+	// A voluntary return is not a reassignment.
+	for _, u := range c.units {
+		if u.state == unitLeased && u.owner == workerID {
+			u.state = unitPending
+			u.owner = ""
+			c.leased--
+			c.expiryKnown = false
+			c.pending = append(c.pending, u)
+		}
+	}
+	wi.outstanding = 0
+	c.wakeLocked()
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -7,14 +7,11 @@ import (
 
 	"faultspace/internal/checkpoint"
 	"faultspace/internal/cluster"
-	"faultspace/internal/service"
 )
 
 // FuzzWorkUnitDecode is the cluster mirror of FuzzCheckpointDecode: the
 // wire-protocol decoder must error on mutated or truncated frames, never
-// panic, and everything it accepts must re-encode to the same bytes. It
-// lives in the external test package so that it can reach the fleet
-// handshake decoders of internal/service, which imports this one.
+// panic, and everything it accepts must re-encode to the same bytes.
 func FuzzWorkUnitDecode(f *testing.F) {
 	spec := cluster.EncodeSpec(cluster.Spec{
 		Proto: cluster.ProtoVersion, Name: "hi/baseline", Code: []byte{1, 2, 3, 4, 5, 6, 7, 8}, Image: []byte{0xaa, 0x55},
@@ -30,8 +27,9 @@ func FuzzWorkUnitDecode(f *testing.F) {
 	f.Add(cluster.EncodeSubmission(cluster.Submission{WorkerID: "w", Entries: []checkpoint.Entry{{Class: 1, Outcome: 3}}}))
 	f.Add([]byte{})
 	f.Add([]byte("W garbage that is not a frame"))
-	f.Add(service.EncodeFleetHello(service.FleetHello{WorkerID: "f1"}))
-	f.Add(service.EncodeServiceHello(service.ServiceHello{Status: service.FleetGranted, Spec: spec}))
+	f.Add(cluster.EncodeHello(cluster.Hello{WorkerID: "f1"}))
+	f.Add(cluster.EncodeHello(cluster.Hello{}))
+	f.Add(cluster.EncodeHelloReply(cluster.HelloReply{Status: cluster.HelloGranted, Spec: spec}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u, err := cluster.DecodeWorkUnit(data)
@@ -59,7 +57,13 @@ func FuzzWorkUnitDecode(f *testing.F) {
 		cluster.DecodeSubmission(data)
 		cluster.DecodeHeartbeat(data)
 		cluster.DecodeLeaseRequest(data)
-		service.DecodeFleetHello(data)
-		service.DecodeServiceHello(data)
+		// A hello registers its worker, so like every signed message it
+		// must name one.
+		if h, err := cluster.DecodeHello(data); err == nil && h.WorkerID == "" {
+			t.Error("accepted a hello without a worker name")
+		}
+		if h, err := cluster.DecodeHelloReply(data); err == nil && h.Status > cluster.HelloShutdown {
+			t.Errorf("accepted a hello reply with invalid status %d", h.Status)
+		}
 	})
 }

@@ -77,9 +77,23 @@ func postAs(t *testing.T, url, path string, frame []byte) {
 	}
 }
 
-func leaveAs(t *testing.T, url string, id [32]byte, workerID string) {
+// helloAs says hello as workerID and returns the coordinator's answer.
+func helloAs(t *testing.T, url, workerID string) HelloReply {
 	t.Helper()
-	postAs(t, url, "/v1/leave", EncodeLeaseRequest(LeaseRequest{Identity: id, WorkerID: workerID}))
+	resp, err := http.Post(url+"/v1/handshake", "application/octet-stream", bytes.NewReader(EncodeHello(Hello{WorkerID: workerID})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("hello of %s: HTTP %d: %s", workerID, resp.StatusCode, body)
+	}
+	h, err := DecodeHelloReply(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 // parkLease starts a held lease ask in the background and returns once
@@ -179,7 +193,7 @@ func TestHeldLeaseWakeConditions(t *testing.T) {
 		go func() { drained <- coord.WaitDrained(5 * time.Second) }()
 
 		event := time.Now()
-		leaveAs(t, srv.URL, coord.Identity(), "holder")
+		coord.Leave("holder")
 		answeredAtOnce(t, got, event, UnitGranted)
 		if reg.Gauge("cluster.lease_held").Value() != 0 {
 			t.Error("cluster.lease_held must fall back to 0 once the request is answered")
@@ -195,7 +209,7 @@ func TestHeldLeaseWakeConditions(t *testing.T) {
 		case <-time.After(20 * time.Millisecond):
 		}
 		event = time.Now()
-		leaveAs(t, srv.URL, coord.Identity(), "asker")
+		coord.Leave("asker")
 		select {
 		case ok := <-drained:
 			if !ok || time.Since(event) > prompt {
@@ -262,7 +276,7 @@ func TestHeldLeaseReclaimsAtLeaseExpiry(t *testing.T) {
 		mu.Lock()
 		answers = append(answers, u.Status)
 		mu.Unlock()
-	}})
+	}}, nil)
 	if err != nil {
 		t.Fatalf("survivor: %v", err)
 	}
@@ -328,7 +342,7 @@ func TestInterruptReleasesParkedJoin(t *testing.T) {
 	client := &http.Client{Transport: &http.Transport{}}
 	intr := make(chan struct{})
 	done := make(chan error, 1)
-	go func() { done <- Join(srv.URL, WorkerOptions{WorkerID: "parked", Interrupt: intr, Client: client}) }()
+	go func() { done <- Join(srv.URL, WorkerOptions{WorkerID: "parked", Interrupt: intr, Client: client}, nil) }()
 	waitFor(t, "the worker to park", func() bool { return reg.Gauge("cluster.lease_held").Value() == 1 })
 
 	closed := time.Now()
@@ -354,26 +368,61 @@ func TestInterruptReleasesParkedJoin(t *testing.T) {
 	settled()
 }
 
-// TestHandshakeJoinsNamedWorker: a worker that names itself in the
-// handshake has joined from there on — between handshake and first lease
-// it rebuilds the campaign, and a coordinator whose campaign ends
-// meanwhile must wait for it (WaitDrained) instead of closing the door
-// on it. An anonymous handshake joins nobody, as ever.
+// TestHandshakeJoinsNamedWorker: a worker has joined from its hello on —
+// between handshake and first lease it rebuilds the campaign, and a
+// coordinator whose campaign ends meanwhile must wait for it
+// (WaitDrained) instead of closing the door on it. A hello without a
+// frame or without a name is refused and joins nobody. The next hello is
+// the worker's exit notice: it is dismissed, and gone. A restarted worker
+// saying hello under its old name gets its stale lease back at once, not
+// at lease expiry.
 func TestHandshakeJoinsNamedWorker(t *testing.T) {
 	coord, srv, outcomes := oneUnitCoordinator(t, Options{})
-	postAs(t, srv.URL, "/v1/handshake", nil)
-	if !coord.WaitDrained(0) {
-		t.Fatal("an anonymous handshake must not join a worker")
+	for name, body := range map[string][]byte{
+		"empty":     nil,
+		"nameless":  EncodeHello(Hello{}),
+		"bare spec": coord.spec,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/handshake", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s hello: HTTP %d, want 400", name, resp.StatusCode)
+		}
 	}
-	postAs(t, srv.URL, "/v1/handshake?worker=late", nil)
+	if !coord.WaitDrained(0) {
+		t.Fatal("a refused handshake must not join a worker")
+	}
+	if h := helloAs(t, srv.URL, "late"); h.Status != HelloGranted || !bytes.Equal(h.Spec, coord.spec) {
+		t.Fatalf("hello of a running campaign: status %d, %d spec bytes; want granted with the spec", h.Status, len(h.Spec))
+	}
 	if ws := coord.Snapshot().Workers; len(ws) != 1 || ws[0].ID != "late" {
 		t.Fatalf("workers after the named handshake: %+v, want late", ws)
 	}
 
-	// A peer runs the whole campaign and leaves while "late" rebuilds.
+	// A peer takes the unit and dies; restarted under its name, its hello
+	// hands the unit back before the lease (10 s) runs out.
+	helloAs(t, srv.URL, "peer")
+	leaseAs(t, srv.URL, coord.Identity(), "peer")
+	if u := leaseAs(t, srv.URL, coord.Identity(), "late"); u.Status != UnitWait {
+		t.Fatalf("second asker: status %d, want wait while peer holds the unit", u.Status)
+	}
+	if h := helloAs(t, srv.URL, "peer"); h.Status != HelloGranted {
+		t.Fatalf("restarted peer's hello: status %d, want granted", h.Status)
+	}
+	if p := coord.Snapshot(); p.OutstandingLeases != 0 || p.Reassignments != 0 {
+		t.Fatalf("after the restarted peer's hello: %d leases outstanding, %d reassignments; want its lease returned, not expired",
+			p.OutstandingLeases, p.Reassignments)
+	}
+
+	// The peer runs the whole campaign and leaves while "late" rebuilds.
 	u := leaseAs(t, srv.URL, coord.Identity(), "peer")
 	submitAs(t, srv.URL, coord.Identity(), "peer", u, outcomes)
-	leaveAs(t, srv.URL, coord.Identity(), "peer")
+	if h := helloAs(t, srv.URL, "peer"); h.Status != HelloShutdown || h.Spec != nil {
+		t.Fatalf("hello of a finished campaign: %+v, want a bare shutdown", h)
+	}
 	if _, err := coord.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -383,9 +432,12 @@ func TestHandshakeJoinsNamedWorker(t *testing.T) {
 	if u := leaseAs(t, srv.URL, coord.Identity(), "late"); u.Status != UnitDone {
 		t.Fatalf("late worker's lease: status %d, want UnitDone", u.Status)
 	}
-	leaveAs(t, srv.URL, coord.Identity(), "late")
-	if !coord.WaitDrained(0) {
+	helloAs(t, srv.URL, "late")
+	if !coord.WaitDrained(prompt) {
 		t.Error("WaitDrained must return once the handshaken worker has left")
+	}
+	if h := helloAs(t, srv.URL, "after"); h.Status != HelloShutdown || len(coord.Snapshot().Workers) != 2 {
+		t.Errorf("hello after the end: status %d, workers %+v; want dismissed without joining", h.Status, coord.Snapshot().Workers)
 	}
 }
 
@@ -432,7 +484,7 @@ func TestNextExpiryCache(t *testing.T) {
 	check("heartbeat of the earliest lease")
 	submitAs(t, srv.URL, id, "b", b, want.Outcomes)
 	check("submit")
-	leaveAs(t, srv.URL, id, "c")
+	coord.Leave("c")
 	check("leave")
 	for leaseAs(t, srv.URL, id, "d").Status == UnitGranted {
 	}

@@ -66,7 +66,7 @@ func TestStatusAndTelemetryEndpoints(t *testing.T) {
 	wreg := telemetry.New()
 	werr := make(chan error, 1)
 	go func() {
-		werr <- Join(srv.URL, WorkerOptions{WorkerID: "w1", Workers: 2, Telemetry: wreg})
+		werr <- Join(srv.URL, WorkerOptions{WorkerID: "w1", Workers: 2, Telemetry: wreg}, nil)
 	}()
 	if _, err := coord.Wait(); err != nil {
 		t.Fatal(err)

@@ -16,17 +16,19 @@
 //
 // Every message body is one CRC-guarded frame; the frame grammar and the
 // field encodings (little-endian integers, uvarints, length-prefixed
-// strings, ascending index lists) are those of internal/frame.
-// Endpoints:
+// strings, ascending index lists) are those of internal/frame. A worker
+// speaks to a single-campaign coordinator and to the campaign service
+// (internal/service) through the same four endpoints:
 //
-//	POST /v1/handshake  → 'S' spec: everything a worker needs to rebuild
-//	                      the campaign (program, machine config, fault
-//	                      space kind, timeout budget, identity hash);
-//	                      ?worker=<id> joins the worker from here on
+//	POST /v1/handshake  'F' hello → 'V' reply: granted + the 'S' spec of a
+//	                    campaign (everything a worker needs to rebuild it:
+//	                    program, machine config, fault-space kind, timeout
+//	                    budget, identity hash), wait, or shutdown. The hello
+//	                    joins the worker to the granted campaign and is its
+//	                    exit notice from the one it worked on before
 //	POST /v1/lease      'L' request → 'W' work unit (or wait/done/shutdown)
 //	POST /v1/submit     'U' submission → 200 (idempotent, duplicate-safe)
 //	POST /v1/heartbeat  'B' heartbeat → 200 (extends lease deadlines)
-//	POST /v1/leave      'L' request → 200 (worker exit notice)
 //	GET  /v1/status     JSON progress snapshot (human/monitoring aid)
 //
 // Decoders never panic on malformed input — the FuzzWorkUnitDecode fuzz
@@ -46,7 +48,7 @@ import (
 
 // ProtoVersion is the wire-protocol version spoken by this package.
 // Version 2 appended the attacker-objective name to the handshake spec;
-// version-1 peers reject it in JoinCampaign, so a mixed fleet can never
+// version-1 peers reject it at admission, so a mixed fleet can never
 // silently record objective-less outcomes for an objective campaign.
 // Version 3 appended the campaign trace ID to the spec and a span list
 // to submissions (fleet-wide distributed tracing); as before, the whole
@@ -60,6 +62,8 @@ const (
 	msgWorkUnit  = 'W'
 	msgSubmit    = 'U'
 	msgHeartbeat = 'B'
+	msgHello     = 'F'
+	msgReply     = 'V'
 )
 
 // maxUnitClasses bounds the class count a single work unit or submission
@@ -128,8 +132,33 @@ type WorkUnit struct {
 	Classes []int
 }
 
-// LeaseRequest asks the coordinator for a work unit. The same payload
-// shape serves the /v1/leave exit notice.
+// Hello statuses of a handshake reply.
+const (
+	// HelloGranted carries the spec of the campaign the worker now belongs
+	// to.
+	HelloGranted uint8 = iota
+	// HelloWait means no campaign is running right now; ask again, held.
+	// Only the campaign service says it.
+	HelloWait
+	// HelloShutdown dismisses the worker: the campaign is over or the
+	// service is draining, and nothing will be granted any more.
+	HelloShutdown
+)
+
+// Hello is a worker's handshake: it names the worker and asks for a
+// campaign to work on.
+type Hello struct {
+	WorkerID string
+}
+
+// HelloReply answers a Hello. Spec, present when Status is HelloGranted,
+// is the granted campaign's encoded spec frame.
+type HelloReply struct {
+	Status uint8
+	Spec   []byte
+}
+
+// LeaseRequest asks the coordinator for a work unit.
 type LeaseRequest struct {
 	Identity [32]byte
 	WorkerID string
@@ -203,7 +232,20 @@ func EncodeWorkUnit(u WorkUnit) []byte {
 	return frame.Append(nil, msgWorkUnit, p)
 }
 
-// EncodeLeaseRequest encodes a lease request (or leave notice) frame.
+// EncodeHello encodes a handshake frame.
+func EncodeHello(h Hello) []byte {
+	return frame.Append(nil, msgHello, frame.AppendString(nil, h.WorkerID))
+}
+
+// EncodeHelloReply encodes a handshake reply frame.
+func EncodeHelloReply(h HelloReply) []byte {
+	p := make([]byte, 0, 16+len(h.Spec))
+	p = append(p, h.Status)
+	p = frame.AppendBytes(p, h.Spec)
+	return frame.Append(nil, msgReply, p)
+}
+
+// EncodeLeaseRequest encodes a lease request frame.
 func EncodeLeaseRequest(r LeaseRequest) []byte {
 	p := make([]byte, 0, 40+len(r.WorkerID))
 	p = append(p, r.Identity[:]...)
@@ -284,7 +326,7 @@ func DecodeSpec(data []byte) (Spec, error) {
 	s.Objective = r.String()
 	if s.Proto >= 3 {
 		// Proto-2 frames end at the objective; decoding them cleanly lets
-		// JoinCampaign report the version mismatch instead of "payload cut".
+		// the worker report the version mismatch instead of "payload cut".
 		copy(s.TraceID[:], r.Take(len(s.TraceID)))
 	}
 	if err := r.Finish(); err != nil {
@@ -315,7 +357,34 @@ func DecodeWorkUnit(data []byte) (WorkUnit, error) {
 	return u, nil
 }
 
-// DecodeLeaseRequest parses a lease request (or leave notice) frame.
+// DecodeHello parses a handshake frame.
+func DecodeHello(data []byte) (Hello, error) {
+	r := open(data, msgHello)
+	h := Hello{WorkerID: workerID(&r)}
+	if err := r.Finish(); err != nil {
+		return Hello{}, err
+	}
+	return h, nil
+}
+
+// DecodeHelloReply parses a handshake reply frame; the returned Spec
+// aliases data.
+func DecodeHelloReply(data []byte) (HelloReply, error) {
+	r := open(data, msgReply)
+	h := HelloReply{Status: r.U8()}
+	if spec := r.Bytes(); len(spec) > 0 {
+		h.Spec = spec
+	}
+	if h.Status > HelloShutdown {
+		r.Failf("unknown hello status %d", h.Status)
+	}
+	if err := r.Finish(); err != nil {
+		return HelloReply{}, err
+	}
+	return h, nil
+}
+
+// DecodeLeaseRequest parses a lease request frame.
 func DecodeLeaseRequest(data []byte) (LeaseRequest, error) {
 	r := open(data, msgLease)
 	q := LeaseRequest{Identity: r.Identity(), WorkerID: workerID(&r)}

@@ -81,7 +81,8 @@ func TestWorkerRejectsProtoMismatch(t *testing.T) {
 	for _, proto := range []uint32{ProtoVersion - 1, ProtoVersion + 1, 0} {
 		spec := testSpec()
 		spec.Proto = proto
-		err := JoinCampaign("http://invalid.invalid", spec, WorkerOptions{WorkerID: "w"})
+		w := &worker{base: "http://invalid.invalid", opts: WorkerOptions{WorkerID: "w"}.withDefaults()}
+		err := w.run(spec, nil)
 		if !errors.Is(err, ErrRejected) {
 			t.Errorf("proto %d: err = %v, want ErrRejected", proto, err)
 		}
@@ -209,7 +210,7 @@ func TestPostOnceRejectsOversizedResponse(t *testing.T) {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.Write(make([]byte, size))
 		}))
-		body, status, err := PostOnce(context.Background(), srv.Client(), srv.URL, nil)
+		body, status, err := postOnce(context.Background(), srv.Client(), srv.URL, nil)
 		srv.Close()
 		if size > maxBody {
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d-byte bound", maxBody)) {
@@ -218,5 +219,62 @@ func TestPostOnceRejectsOversizedResponse(t *testing.T) {
 		} else if err != nil || status != http.StatusOK || len(body) != size {
 			t.Errorf("answer of %d bytes: got %d bytes, status %d, err %v; want it whole", size, len(body), status, err)
 		}
+	}
+}
+
+// TestHelloCodec covers the two handshake decoders, which both servers'
+// handleHandshake and Join feed bytes from the network.
+func TestHelloCodec(t *testing.T) {
+	for _, want := range []Hello{{WorkerID: "f1"}, {WorkerID: string(make([]byte, 300))}} {
+		got, err := DecodeHello(EncodeHello(want))
+		if err != nil || got != want {
+			t.Errorf("fleet hello %q: got %q, %v", want.WorkerID, got.WorkerID, err)
+		}
+	}
+	for _, want := range []HelloReply{
+		{Status: HelloGranted, Spec: []byte("not decoded at this layer")},
+		{Status: HelloWait},
+		{Status: HelloShutdown},
+	} {
+		got, err := DecodeHelloReply(EncodeHelloReply(want))
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("service hello: got %+v, %v, want %+v", got, err, want)
+		}
+	}
+
+	// 2^64 as a ten-byte varint: the hand-rolled loop this codec replaced
+	// dropped the overflowing bit and read it as a zero length.
+	overflow := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}
+	bad := map[string][]byte{
+		"empty input":            nil,
+		"wrong kind":             EncodeHelloReply(HelloReply{Status: HelloWait}),
+		"trailing bytes":         append(EncodeHello(Hello{WorkerID: "f1"}), 0),
+		"trailing payload bytes": frame.Append(nil, msgHello, []byte{2, 'f', '1', 0}),
+		"cut string":             frame.Append(nil, msgHello, []byte{5, 'f', '1'}),
+		"empty payload":          frame.Append(nil, msgHello, nil),
+		"empty name":             EncodeHello(Hello{}),
+		"overflowing varint":     frame.Append(nil, msgHello, overflow),
+	}
+	for name, data := range bad {
+		if h, err := DecodeHello(data); err == nil {
+			t.Errorf("fleet hello, %s: accepted as %+v", name, h)
+		}
+	}
+	bad["wrong kind"] = EncodeHello(Hello{WorkerID: "f1"})
+	bad["trailing bytes"] = append(EncodeHelloReply(HelloReply{Status: HelloWait}), 0)
+	bad["trailing payload bytes"] = frame.Append(nil, msgReply, []byte{HelloWait, 0, 0})
+	bad["cut string"] = frame.Append(nil, msgReply, []byte{HelloGranted, 9, 'S'})
+	bad["overflowing varint"] = frame.Append(nil, msgReply, append([]byte{HelloGranted}, overflow...))
+	delete(bad, "empty name")
+	bad["unknown status"] = EncodeHelloReply(HelloReply{Status: HelloShutdown + 1})
+	for name, data := range bad {
+		if h, err := DecodeHelloReply(data); err == nil {
+			t.Errorf("service hello, %s: accepted as %+v", name, h)
+		}
+	}
+	flipped := EncodeHello(Hello{WorkerID: "f1"})
+	flipped[len(flipped)-1] ^= 1
+	if _, err := DecodeHello(flipped); !errors.Is(err, ErrWire) {
+		t.Errorf("flipped bit: err = %v, want ErrWire", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"os"
 	"sort"
 	"strings"
@@ -20,8 +19,8 @@ import (
 
 // Worker sentinel errors.
 var (
-	// ErrShutdown is returned by Join when the coordinator announced an
-	// interrupt-driven shutdown before the campaign completed.
+	// ErrShutdown is returned by Join when the last campaign it worked on
+	// was stopped — interrupted or cancelled — before it completed.
 	ErrShutdown = errors.New("cluster: coordinator shut down")
 	// ErrRejected is returned when the coordinator rejected the worker —
 	// identity mismatch or a protocol violation. Not retryable.
@@ -31,12 +30,11 @@ var (
 	ErrUnreachable = errors.New("cluster: coordinator unreachable")
 )
 
-// WorkerOptions parameterizes a worker: Join, JoinCampaign and the
-// service's JoinFleet. It is the one declaration of a worker's options —
-// the root package's JoinOptions is an alias of it.
+// WorkerOptions parameterizes Join. It is the one declaration of a
+// worker's options — the root package's JoinOptions is an alias of it.
 type WorkerOptions struct {
 	// WorkerID names the worker in leases and statistics (default
-	// "w<pid>"; "f<pid>" for a fleet worker).
+	// "w<pid>").
 	WorkerID string
 	// Workers is the number of parallel experiment executors per unit
 	// (default GOMAXPROCS, via campaign.Config).
@@ -72,13 +70,25 @@ type WorkerOptions struct {
 	onUnit func(u WorkUnit)
 }
 
-// maxRetries bounds consecutive failed attempts per request before the
-// worker gives up.
-const maxRetries = 6
+// Consecutive failed attempts (transport errors and 5xx answers, backed
+// off from BaseBackoff to MaxBackoff) before a request gives up with
+// ErrUnreachable.
+const (
+	// requestRetries is the budget of a lease or a submission, about 1.5 s
+	// at the default backoff: the unit's lease expires and moves to another
+	// worker anyway, so a dead coordinator is worth finding out fast.
+	requestRetries = 6
+	// handshakeRetries is the budget of a hello, about 40 s: a worker
+	// between campaigns holds nothing, and a server that goes away there
+	// never gets to dismiss it, so connection errors are the only signal
+	// left — long enough to ride out a service restart, short enough not
+	// to ask a dead address forever.
+	handshakeRetries = 25
+)
 
-// WithDefaults returns the options with every unset field at its
+// withDefaults returns the options with every unset field at its
 // default.
-func (o WorkerOptions) WithDefaults() WorkerOptions {
+func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.WorkerID == "" {
 		o.WorkerID = fmt.Sprintf("w%d", os.Getpid())
 	}
@@ -97,52 +107,77 @@ func (o WorkerOptions) WithDefaults() WorkerOptions {
 	return o
 }
 
-// Join connects to a coordinator, rebuilds the campaign from the
-// handshake spec — the worker needs no local program knowledge — and
-// pulls, executes and submits work units until the campaign completes.
-// It returns nil on completion, ErrShutdown when the coordinator stopped
-// early, campaign.ErrInterrupted when Options.Interrupt fired, and a
-// permanent error for admission or protocol failures.
-func Join(baseURL string, opts WorkerOptions) error {
-	w, stop := newWorker(baseURL, opts)
-	defer stop()
-	// Naming itself makes the worker a member of the fleet before its
-	// first lease (Coordinator.handleHandshake).
-	body, err := w.post("/v1/handshake?worker="+url.QueryEscape(w.opts.WorkerID), nil)
-	if err != nil {
-		return err
-	}
-	spec, err := DecodeSpec(body)
-	if err != nil {
-		return fmt.Errorf("cluster: handshake: %w", err)
-	}
-	return w.join(spec)
-}
-
-// JoinCampaign runs the worker loop for a campaign whose spec was
-// obtained out of band — e.g. from the campaign service's fleet
-// handshake, which assigns campaigns to workers dynamically. It rebuilds
-// the campaign from the spec, verifies the identity hash and then
-// leases, executes and submits work units exactly like Join.
-func JoinCampaign(baseURL string, spec Spec, opts WorkerOptions) error {
-	w, stop := newWorker(baseURL, opts)
-	defer stop()
-	return w.join(spec)
-}
-
-// newWorker builds a worker whose requests are cancelled by
-// opts.Interrupt; stop releases the context.
-func newWorker(baseURL string, opts WorkerOptions) (w *worker, stop func()) {
-	w = &worker{base: strings.TrimSuffix(baseURL, "/"), opts: opts.WithDefaults()}
+// Join is the one worker loop, against a single-campaign coordinator and
+// against the campaign service alike: say hello, rebuild the granted
+// campaign from its spec — the worker needs no local program knowledge —
+// pull, execute and submit its work units until it is done or shut down,
+// and say hello again, which tells the server the worker is through with
+// that campaign and asks for the next. The hello is a held request: a
+// service with nothing to run parks it until it has, so an idle worker
+// starts on a submission at once. telemetryFor, when non-nil, selects the
+// registry for each granted campaign in place of opts.Telemetry — the
+// service points its in-process workers at the campaign's own registry.
+//
+// Join returns when the server dismisses the worker: nil after campaigns
+// that completed (or before any), ErrShutdown when the last campaign it
+// worked on was cut short. It returns ErrUnreachable when the server
+// stays unreachable through a request's retry budget,
+// campaign.ErrInterrupted when opts.Interrupt fires, and a permanent
+// error for admission or protocol failures.
+func Join(baseURL string, opts WorkerOptions, telemetryFor func(Spec) *telemetry.Registry) error {
+	w := worker{base: strings.TrimSuffix(baseURL, "/"), opts: opts.withDefaults()}
+	var stop context.CancelFunc
 	w.ctx, stop = InterruptContext(opts.Interrupt)
-	return w, stop
+	defer stop()
+	hello := EncodeHello(Hello{WorkerID: w.opts.WorkerID})
+	held := "/v1/handshake" + HoldQuery(w.opts.Client)
+	var last error // how the campaign before this hello ended
+	for {
+		asked := time.Now()
+		body, err := w.post(held, hello, handshakeRetries)
+		if err != nil {
+			return err
+		}
+		reply, err := DecodeHelloReply(body)
+		if err != nil {
+			return fmt.Errorf("cluster: handshake: %w", err)
+		}
+		switch reply.Status {
+		case HelloShutdown:
+			w.opts.Logf("worker %s: dismissed by %s", w.opts.WorkerID, w.base)
+			return last
+		case HelloWait:
+			// The hold ran out with nothing to do — or came back early from
+			// a server that does not hold; then wait out the spacing.
+			if !Pace(asked, AskSpacing, w.opts.Interrupt) {
+				return campaign.ErrInterrupted
+			}
+			continue
+		}
+		spec, err := DecodeSpec(reply.Spec)
+		if err != nil {
+			return fmt.Errorf("cluster: handshake spec: %w", err)
+		}
+		reg := w.opts.Telemetry
+		if telemetryFor != nil {
+			reg = telemetryFor(spec)
+		}
+		// Each campaign gets a worker of its own: the heartbeat of the last
+		// unit may still be reading the one before's.
+		cw := w
+		if last = cw.run(spec, reg); last != nil && !errors.Is(last, ErrShutdown) {
+			return last
+		}
+	}
 }
 
-func (w *worker) join(spec Spec) error {
+// run works on one granted campaign until it completes (nil) or is shut
+// down (ErrShutdown).
+func (w *worker) run(spec Spec, reg *telemetry.Registry) error {
 	if spec.Proto != ProtoVersion {
 		return fmt.Errorf("%w: coordinator speaks protocol %d, this worker %d", ErrRejected, spec.Proto, ProtoVersion)
 	}
-	if err := w.rebuild(spec); err != nil {
+	if err := w.rebuild(spec, reg); err != nil {
 		return err
 	}
 	defer w.session.Close()
@@ -155,9 +190,10 @@ type worker struct {
 	base string
 	opts WorkerOptions
 	// ctx carries every request; it is cancelled by opts.Interrupt, so a
-	// lease parked at the coordinator never delays an interrupt.
+	// request parked at the server never delays an interrupt.
 	ctx context.Context
 
+	// The campaign being worked on, set by rebuild.
 	spec  Spec
 	space *pruning.FaultSpace
 	// session executes every leased unit of the campaign on the same
@@ -175,7 +211,7 @@ type worker struct {
 // BuildCampaign — the worker-side half of the admission check — and
 // layers this worker's local execution choices (all outcome-invariant)
 // on top of the outcome-relevant config the spec pins down.
-func (w *worker) rebuild(spec Spec) error {
+func (w *worker) rebuild(spec Spec, reg *telemetry.Registry) error {
 	// A nonzero trace ID in the spec switches span tracing on: this
 	// worker records its slice of the campaign timeline and ships it back
 	// with each submission.
@@ -195,7 +231,7 @@ func (w *worker) rebuild(spec Spec) error {
 	cfg.LadderInterval = w.opts.LadderInterval
 	cfg.Predecode = w.opts.Predecode
 	cfg.Interrupt = w.opts.Interrupt
-	cfg.Telemetry = w.opts.Telemetry
+	cfg.Telemetry = reg
 	cfg.Spans = w.spans
 	if w.session, err = campaign.OpenSession(t, g, fs, cfg); err != nil {
 		return err
@@ -242,11 +278,9 @@ func (w *worker) loop() error {
 		}
 		switch u.Status {
 		case UnitDone:
-			w.leave(leaseReq)
 			w.opts.Logf("worker %s: campaign complete", w.opts.WorkerID)
 			return nil
 		case UnitShutdown:
-			w.leave(leaseReq)
 			return ErrShutdown
 		}
 
@@ -273,7 +307,7 @@ func (w *worker) loop() error {
 
 // lease asks for a unit at path (with or without a hold).
 func (w *worker) lease(path string, leaseReq []byte) (WorkUnit, error) {
-	body, err := w.post(path, leaseReq)
+	body, err := w.post(path, leaseReq, requestRetries)
 	if err != nil {
 		return WorkUnit{}, err
 	}
@@ -318,7 +352,7 @@ func (w *worker) heartbeat(unitID uint64, stop <-chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
-			PostOnce(w.ctx, w.opts.Client, w.base+"/v1/heartbeat", frame)
+			postOnce(w.ctx, w.opts.Client, w.base+"/v1/heartbeat", frame)
 		}
 	}
 }
@@ -340,16 +374,11 @@ func (w *worker) submit(u WorkUnit, entries []checkpoint.Entry) error {
 		// no extra round trips. Nil (and zero wire bytes) when tracing is
 		// off.
 		Spans: w.spans.Drain(),
-	}))
+	}), requestRetries)
 	if err == nil && sp.Live() {
 		sp.End(fmt.Sprintf("unit %d", u.ID))
 	}
 	return err
-}
-
-// leave deregisters the worker, best effort.
-func (w *worker) leave(leaseReq []byte) {
-	PostOnce(w.ctx, w.opts.Client, w.base+"/v1/leave", leaseReq)
 }
 
 func (w *worker) interrupted() bool {
@@ -361,13 +390,13 @@ func (w *worker) interrupted() bool {
 	}
 }
 
-// post issues one POST with bounded retries and exponential backoff.
-// Transport errors and 5xx responses are retried; 4xx responses are
-// permanent (ErrRejected).
-func (w *worker) post(path string, body []byte) ([]byte, error) {
+// post issues one POST, retried up to budget attempts with exponential
+// backoff — the worker's one retry loop. Transport errors and 5xx
+// responses are retried; 4xx responses are permanent (ErrRejected).
+func (w *worker) post(path string, body []byte, budget int) ([]byte, error) {
 	backoff := w.opts.BaseBackoff
 	var lastErr error
-	for attempt := 0; attempt < maxRetries; attempt++ {
+	for attempt := 0; attempt < budget; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-w.opts.Interrupt:
@@ -379,7 +408,7 @@ func (w *worker) post(path string, body []byte) ([]byte, error) {
 				backoff = w.opts.MaxBackoff
 			}
 		}
-		resp, status, err := PostOnce(w.ctx, w.opts.Client, w.base+path, body)
+		resp, status, err := postOnce(w.ctx, w.opts.Client, w.base+path, body)
 		switch {
 		case err != nil && w.interrupted():
 			// The interrupt cancels requests in flight; that is not the
@@ -394,17 +423,16 @@ func (w *worker) post(path string, body []byte) ([]byte, error) {
 		default:
 			return nil, fmt.Errorf("%w: %s: HTTP %d: %s", ErrRejected, path, status, strings.TrimSpace(string(resp)))
 		}
-		w.opts.Logf("worker %s: %s attempt %d/%d failed: %v", w.opts.WorkerID, path, attempt+1, maxRetries, lastErr)
+		w.opts.Logf("worker %s: %s attempt %d/%d failed: %v", w.opts.WorkerID, path, attempt+1, budget, lastErr)
 	}
-	return nil, fmt.Errorf("%w: %s after %d attempts: %v", ErrUnreachable, path, maxRetries, lastErr)
+	return nil, fmt.Errorf("%w: %s after %d attempts: %v", ErrUnreachable, path, budget, lastErr)
 }
 
-// PostOnce issues one POST of a wire message and returns the response
+// postOnce issues one POST of a wire message and returns the response
 // body and the status code — the one request primitive under the worker's
-// retrying post, its best-effort heartbeat and leave, and the fleet
-// handshake of internal/service. A response above the wire bound is an
-// error, not a truncated message.
-func PostOnce(ctx context.Context, client *http.Client, url string, body []byte) ([]byte, int, error) {
+// retrying post and its best-effort heartbeat. A response above the wire
+// bound is an error, not a truncated message.
+func postOnce(ctx context.Context, client *http.Client, url string, body []byte) ([]byte, int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, 0, err

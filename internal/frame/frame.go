@@ -12,8 +12,8 @@
 // crc is CRC-32 (IEEE) over the payload; length is at most MaxPayload. A
 // frame cut short yields ErrTruncated, a frame whose length, CRC or
 // expected kind does not verify yields ErrCorrupt. Frame kinds share one
-// namespace: 'H' 'R' (checkpoint), 'S' 'L' 'W' 'U' 'B' (cluster), 'F'
-// 'V' (fleet handshake), 'E' 'D' (archive entry).
+// namespace: 'H' 'R' (checkpoint), 'S' 'L' 'W' 'U' 'B' 'F' 'V' (cluster),
+// 'E' 'D' (archive entry).
 //
 // # Fields
 //

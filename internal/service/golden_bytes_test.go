@@ -97,7 +97,7 @@ func TestGoldenWireBytes(t *testing.T) {
 		},
 	}
 	beat := cluster.Heartbeat{Identity: testID(0x55), WorkerID: "w2", Units: []uint64{1, 9, 300}}
-	granted := ServiceHello{Status: FleetGranted, Spec: cluster.EncodeSpec(goldenSpec())}
+	granted := cluster.HelloReply{Status: cluster.HelloGranted, Spec: cluster.EncodeSpec(goldenSpec())}
 	report := twoChunkReport()
 
 	rows := []struct {
@@ -160,24 +160,24 @@ func TestGoldenWireBytes(t *testing.T) {
 		},
 		{
 			name: "F fleet hello",
-			got:  EncodeFleetHello(FleetHello{WorkerID: "fleet-7"}),
+			got:  cluster.EncodeHello(cluster.Hello{WorkerID: "fleet-7"}),
 			want: "4608000000eea0f26e07666c6565742d37",
-			back: func(d []byte) (any, error) { return DecodeFleetHello(d) },
-			orig: FleetHello{WorkerID: "fleet-7"},
+			back: func(d []byte) (any, error) { return cluster.DecodeHello(d) },
+			orig: cluster.Hello{WorkerID: "fleet-7"},
 		},
 		{
 			name: "V service hello granted",
-			got:  EncodeServiceHello(granted),
+			got:  cluster.EncodeHelloReply(granted),
 			want: "5697000000d34362b5009401538b0000002e242ae403000000111111111111111111111111111111111111111111111111111111111111111102686904deadbeef0201020200000000000000020100000000000040000000000000000c00000001000000000000104000010000000000000000400000000000100000000000000000e40b540200000006627970617373a0a1a2a3a4a5a6a7a8a9aaabacadaeaf",
-			back: func(d []byte) (any, error) { return DecodeServiceHello(d) },
+			back: func(d []byte) (any, error) { return cluster.DecodeHelloReply(d) },
 			orig: granted,
 		},
 		{
 			name: "V service hello wait",
-			got:  EncodeServiceHello(ServiceHello{Status: FleetWait}),
+			got:  cluster.EncodeHelloReply(cluster.HelloReply{Status: cluster.HelloWait}),
 			want: "5602000000be23c2580100",
-			back: func(d []byte) (any, error) { return DecodeServiceHello(d) },
-			orig: ServiceHello{Status: FleetWait},
+			back: func(d []byte) (any, error) { return cluster.DecodeHelloReply(d) },
+			orig: cluster.HelloReply{Status: cluster.HelloWait},
 		},
 		{
 			name: "E+D entry spanning two chunks",

@@ -18,29 +18,29 @@ import (
 	"faultspace/internal/telemetry"
 )
 
-// askHandshake posts one FleetHello with the given query ("" or
+// askHandshake posts one hello with the given query ("" or
 // "?wait=...") and returns the answer, the HTTP status and how long the
 // service took.
-func askHandshake(t *testing.T, url, query string) (ServiceHello, int, time.Duration) {
+func askHandshake(t *testing.T, url, query string) (cluster.HelloReply, int, time.Duration) {
 	t.Helper()
 	start := time.Now()
 	resp, err := http.Post(url+"/v1/handshake"+query, "application/octet-stream",
-		bytes.NewReader(EncodeFleetHello(FleetHello{WorkerID: "raw"})))
+		bytes.NewReader(cluster.EncodeHello(cluster.Hello{WorkerID: "raw"})))
 	if err != nil {
 		t.Error(err)
-		return ServiceHello{}, 0, 0
+		return cluster.HelloReply{}, 0, 0
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	took := time.Since(start)
 	if err != nil {
 		t.Error(err)
-		return ServiceHello{}, 0, took
+		return cluster.HelloReply{}, 0, took
 	}
 	if resp.StatusCode != http.StatusOK {
-		return ServiceHello{}, resp.StatusCode, took
+		return cluster.HelloReply{}, resp.StatusCode, took
 	}
-	h, err := DecodeServiceHello(body)
+	h, err := cluster.DecodeHelloReply(body)
 	if err != nil {
 		t.Error(err)
 	}
@@ -64,11 +64,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// parkHandshake starts a held FleetHello in the background and returns
+// parkHandshake starts a held hello in the background and returns
 // once the service reports it parked.
-func parkHandshake(t *testing.T, reg *telemetry.Registry, url string) <-chan ServiceHello {
+func parkHandshake(t *testing.T, reg *telemetry.Registry, url string) <-chan cluster.HelloReply {
 	t.Helper()
-	got := make(chan ServiceHello, 1)
+	got := make(chan cluster.HelloReply, 1)
 	go func() {
 		h, _, _ := askHandshake(t, url, "?wait=20s")
 		got <- h
@@ -77,7 +77,7 @@ func parkHandshake(t *testing.T, reg *telemetry.Registry, url string) <-chan Ser
 	return got
 }
 
-func helloWithin(t *testing.T, got <-chan ServiceHello, since time.Time, want uint8) ServiceHello {
+func helloWithin(t *testing.T, got <-chan cluster.HelloReply, since time.Time, want uint8) cluster.HelloReply {
 	t.Helper()
 	select {
 	case h := <-got:
@@ -92,28 +92,28 @@ func helloWithin(t *testing.T, got <-chan ServiceHello, since time.Time, want ui
 		return h
 	case <-time.After(5 * time.Second):
 		t.Fatal("parked handshake was not released")
-		return ServiceHello{}
+		return cluster.HelloReply{}
 	}
 }
 
-// TestHeldHandshake: a FleetHello without ?wait= on an idle service is
-// answered FleetWait at once, as ever. With it the request parks: a
-// submission releases it with FleetGranted, a drain with FleetShutdown,
+// TestHeldHandshake: a hello without ?wait= on an idle service is
+// answered cluster.HelloWait at once, as ever. With it the request parks: a
+// submission releases it with cluster.HelloGranted, a drain with cluster.HelloShutdown,
 // each at once, and Shutdown does not wait for the hold.
 func TestHeldHandshake(t *testing.T) {
 	t.Run("no wait answers at once", func(t *testing.T) {
 		_, srv := startService(t, Options{})
 		h, _, took := askHandshake(t, srv.URL, "")
-		if h.Status != FleetWait || took > prompt {
-			t.Errorf("unheld handshake: status %d after %v, want FleetWait at once", h.Status, took)
+		if h.Status != cluster.HelloWait || took > prompt {
+			t.Errorf("unheld handshake: status %d after %v, want cluster.HelloWait at once", h.Status, took)
 		}
 	})
 
 	t.Run("hold runs out", func(t *testing.T) {
 		_, srv := startService(t, Options{})
 		h, _, took := askHandshake(t, srv.URL, "?wait=60ms")
-		if h.Status != FleetWait || took < 60*time.Millisecond || took > time.Second {
-			t.Errorf("expired hold: status %d after %v, want FleetWait after the 60ms hold", h.Status, took)
+		if h.Status != cluster.HelloWait || took < 60*time.Millisecond || took > time.Second {
+			t.Errorf("expired hold: status %d after %v, want cluster.HelloWait after the 60ms hold", h.Status, took)
 		}
 	})
 
@@ -132,9 +132,9 @@ func TestHeldHandshake(t *testing.T) {
 		if _, resp := submitSpec(t, srv.URL, spec, "alice"); resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit: HTTP %d", resp.StatusCode)
 		}
-		h := helloWithin(t, got, time.Now(), FleetGranted)
+		h := helloWithin(t, got, time.Now(), cluster.HelloGranted)
 		if len(h.Spec) == 0 {
-			t.Error("FleetGranted must carry the campaign's spec")
+			t.Error("cluster.HelloGranted must carry the campaign's spec")
 		}
 		if reg.Gauge("fleet.handshake_held").Value() != 0 || reg.Histogram("fleet.handshake_hold").Count() != 1 {
 			t.Errorf("hold metrics: held %d, holds %d; want 0 and 1",
@@ -151,7 +151,7 @@ func TestHeldHandshake(t *testing.T) {
 		if d := time.Since(event); d > prompt {
 			t.Errorf("Shutdown took %v: it must not wait out a parked handshake", d)
 		}
-		helloWithin(t, got, event, FleetShutdown)
+		helloWithin(t, got, event, cluster.HelloShutdown)
 	})
 }
 
@@ -219,7 +219,7 @@ func TestHeldStatus(t *testing.T) {
 	}
 }
 
-// TestInterruptReleasesParkedJoinFleet: a fleet worker parked on a held
+// TestInterruptReleasesParkedJoinFleet: a worker parked on a held
 // handshake stops as its Interrupt closes, and leaves no goroutine
 // behind.
 func TestInterruptReleasesParkedJoinFleet(t *testing.T) {
@@ -236,7 +236,7 @@ func TestInterruptReleasesParkedJoinFleet(t *testing.T) {
 	intr := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- JoinFleet(srv.URL, cluster.WorkerOptions{WorkerID: "parked", Interrupt: intr, Client: client}, nil)
+		done <- cluster.Join(srv.URL, cluster.WorkerOptions{WorkerID: "parked", Interrupt: intr, Client: client}, nil)
 	}()
 	waitFor(t, "the worker to park", func() bool { return reg.Gauge("fleet.handshake_held").Value() == 1 })
 
@@ -245,12 +245,12 @@ func TestInterruptReleasesParkedJoinFleet(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, campaign.ErrInterrupted) {
-			t.Errorf("JoinFleet: %v, want ErrInterrupted", err)
+			t.Errorf("Join: %v, want ErrInterrupted", err)
 		}
 		d := time.Since(closed)
-		t.Logf("JoinFleet returned %v after the interrupt", d)
+		t.Logf("Join returned %v after the interrupt", d)
 		if d > prompt {
-			t.Errorf("JoinFleet returned %v after the interrupt, want at once", d)
+			t.Errorf("Join returned %v after the interrupt, want at once", d)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("a parked handshake delayed the interrupt")
@@ -264,7 +264,7 @@ func TestInterruptReleasesParkedJoinFleet(t *testing.T) {
 }
 
 // TestHoldHalvesClientTimeout: a client with a timeout asks for half of
-// it, so the service answers FleetWait before the client gives up and an
+// it, so the service answers cluster.HelloWait before the client gives up and an
 // idle hold never burns the failure budget.
 func TestHoldHalvesClientTimeout(t *testing.T) {
 	reg := telemetry.New()
@@ -275,14 +275,14 @@ func TestHoldHalvesClientTimeout(t *testing.T) {
 	intr := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- JoinFleet(srv.URL, cluster.WorkerOptions{WorkerID: "timed", Interrupt: intr, Client: client,
+		done <- cluster.Join(srv.URL, cluster.WorkerOptions{WorkerID: "timed", Interrupt: intr, Client: client,
 			Logf: func(string, ...any) { failed = true }}, nil)
 	}()
 	// Three holds of 300 ms each run out and are re-asked.
 	waitFor(t, "three holds to run out", func() bool { return reg.Histogram("fleet.handshake_hold").Count() >= 3 })
 	close(intr)
 	if err := <-done; !errors.Is(err, campaign.ErrInterrupted) {
-		t.Errorf("JoinFleet: %v, want ErrInterrupted", err)
+		t.Errorf("Join: %v, want ErrInterrupted", err)
 	}
 	if failed {
 		t.Error("an idle hold was logged as a handshake failure")
@@ -299,7 +299,7 @@ func TestFinishedCampaignIsNotReassigned(t *testing.T) {
 	intr := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- JoinFleet(srv.URL, cluster.WorkerOptions{WorkerID: "w", Interrupt: intr,
+		done <- cluster.Join(srv.URL, cluster.WorkerOptions{WorkerID: "w", Interrupt: intr,
 			Logf: func(format string, _ ...any) {
 				if strings.Contains(format, "joined") {
 					joins.Add(1)

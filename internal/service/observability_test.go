@@ -312,7 +312,8 @@ func TestRetiredCampaignDropsCoordinator(t *testing.T) {
 	if u.Status != cluster.UnitDone {
 		t.Errorf("straggling lease ask: status %d, want done", u.Status)
 	}
-	workerAsk(t, srv.URL, "/v1/leave", late)
+	hello := func(id string) []byte { return cluster.EncodeHello(cluster.Hello{WorkerID: id}) }
+	workerAsk(t, srv.URL, "/v1/handshake", hello("late"))
 	for _, ws := range coord.Snapshot().Workers {
 		if ws.ID == "late" {
 			t.Error("the straggler's ask reached the retired coordinator")
@@ -340,7 +341,9 @@ func TestRetiredCampaignDropsCoordinator(t *testing.T) {
 	if c := retiredCoordinator(svc, spec2.Identity); c != coord2 {
 		t.Error("the cancelled campaign was retired while a worker still had to leave")
 	}
-	workerAsk(t, srv.URL, "/v1/leave", held)
+	// Its next hello is its exit notice: the drain ends with it, long
+	// before 2×LeaseTTL.
+	workerAsk(t, srv.URL, "/v1/handshake", hello("held"))
 	if st2 = waitDone(t, srv.URL, st2.ID); st2.State != StateCancelled || st2.Done != 0 {
 		t.Errorf("cancelled campaign: state %s done %d, want cancelled and 0", st2.State, st2.Done)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -87,10 +88,6 @@ type entry struct {
 	idHex  string
 	tenant string
 	spec   cluster.Spec
-	// specBytes is the encoded handshake frame handed to fleet workers:
-	// set while the campaign is assignable, from its coordinator's start
-	// to its last outcome (it carries the service's LeaseTTL).
-	specBytes []byte
 
 	state  string
 	cached bool   // done without execution: served from the archive
@@ -101,7 +98,9 @@ type entry struct {
 	// engine's scan.*, fork.* and predecode counters land here,
 	// isolated from every other campaign in the process.
 	reg *telemetry.Registry
-	// coord is set while the campaign runs. retire drops it — with its
+	// coord is set while the campaign runs, and grants the campaign to
+	// handshaking workers while it has work to hand out (it ships the
+	// service's LeaseTTL in its spec). retire drops it — with its
 	// golden trace, fault space, outcome arrays and unit table — and
 	// keeps what the endpoints go on serving: the classes done (all of
 	// them for an archive hit), the attack count and the timeline (nil
@@ -146,6 +145,15 @@ type CampaignStatus struct {
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
 }
 
+// Terminal reports whether the campaign has reached a final state.
+func (c CampaignStatus) Terminal() bool {
+	switch c.State {
+	case StateDone, StateCancelled, StateFailed:
+		return true
+	}
+	return false
+}
+
 // Service is a long-lived multi-campaign coordinator with per-tenant
 // fair scheduling and a content-addressed result archive. It is an
 // http.Handler factory (Handler) speaking both the campaign lifecycle
@@ -168,10 +176,13 @@ type Service struct {
 	fleetPos  int      // round-robin position for fleet assignment
 	draining  bool
 	// wake is closed and replaced (wakeLocked) when the answer a parked
-	// fleet handshake is waiting for may have changed: a campaign became
-	// assignable, or the service started draining.
-	wake chan struct{}
-	wg   sync.WaitGroup
+	// handshake is waiting for may have changed: a campaign became
+	// assignable, or the service started draining — and, while draining,
+	// when the last of the hellos being answered is out, which Shutdown
+	// waits for.
+	wake   chan struct{}
+	hellos int
+	wg     sync.WaitGroup
 
 	telQueueDepth *telemetry.Gauge
 	telActive     *telemetry.Gauge
@@ -216,7 +227,7 @@ func New(opts Options) (*Service, error) {
 func (s *Service) Archive() *Store { return s.store }
 
 // CampaignTelemetry returns the campaign's own telemetry registry (nil
-// for unknown identities) — JoinFleet's telemetryFor hook for
+// for unknown identities) — cluster.Join's telemetryFor hook for
 // in-process fleet workers, so their engine counters land in the right
 // campaign's registry.
 func (s *Service) CampaignTelemetry(id [32]byte) *telemetry.Registry {
@@ -237,7 +248,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("/v1/lease", s.routeWorker)
 	mux.HandleFunc("/v1/submit", s.routeWorker)
 	mux.HandleFunc("/v1/heartbeat", s.routeWorker)
-	mux.HandleFunc("/v1/leave", s.routeWorker)
 	mux.HandleFunc("/v1/status", s.handleStatus)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	return mux
@@ -574,23 +584,14 @@ func (s *Service) runCampaign(e *entry) {
 		s.retire(e, StateFailed, err.Error(), nil)
 		return
 	}
-	spec := e.spec
-	spec.LeaseTTL = s.opts.LeaseTTL
 
 	s.mu.Lock()
 	e.coord = coord
-	e.specBytes = cluster.EncodeSpec(spec)
 	s.wakeLocked() // the campaign is assignable: release the parked fleet
 	s.mu.Unlock()
 	s.opts.Logf("service: campaign %s (%s) started", e.spec.Name, e.idHex[:12])
 
 	res, err := coord.Wait()
-	// Nothing is left to hand out: stop assigning the campaign, so that a
-	// worker told done or shutdown parks on its next handshake instead of
-	// being granted this campaign again and again until it is retired.
-	s.mu.Lock()
-	e.specBytes = nil
-	s.mu.Unlock()
 	if err != nil {
 		// Interrupted: cancel endpoint or service drain. Give the fleet
 		// its grace period on the live coordinator; archive nothing.
@@ -652,13 +653,13 @@ func (s *Service) finishLocked(e *entry, state, detail string) {
 }
 
 // drainCoordinator gives the fleet a bounded grace period to see the
-// shutdown answer and deregister before the coordinator is sealed.
+// shutdown answer and say hello again before the coordinator is sealed.
 func (s *Service) drainCoordinator(c *cluster.Coordinator) {
 	c.WaitDrained(2 * s.opts.LeaseTTL)
 	c.Seal()
 }
 
-// wakeLocked releases every parked fleet handshake to look again.
+// wakeLocked releases every parked handshake to look again.
 func (s *Service) wakeLocked() {
 	close(s.wake)
 	s.wake = make(chan struct{})
@@ -666,34 +667,22 @@ func (s *Service) wakeLocked() {
 
 // --- worker protocol -----------------------------------------------------
 
-// handleHandshake admits workers. An empty body is the single-campaign
-// protocol of cluster.Join: the reply is the spec of one running
-// campaign (chosen round-robin), or 503 + Retry-After when none is
-// running — the worker's bounded retry loop absorbs the wait. A body
-// carrying a FleetHello frame gets a ServiceHello back, which can also
-// say "wait" or "shutdown" explicitly (JoinFleet's protocol). With
-// ?wait= a FleetHello that would be answered "wait" is parked until a
-// campaign becomes assignable, the service starts draining, the worker
-// goes away or the hold runs out (then "wait", as without a hold).
+// handleHandshake answers a worker's hello. The hello is first the
+// worker's exit notice from the campaign it worked on before: every
+// coordinator still hosted hears it, so that a cancelled campaign's
+// drain ends with its last worker instead of a lease timeout. Then the
+// worker is granted a running campaign (chosen round-robin) and has
+// joined it, or told to shut down when the service drains, or to wait.
+// With ?wait= a would-be "wait" is parked until a campaign becomes
+// assignable, the service starts draining, the worker goes away or the
+// hold runs out (then "wait", as without a hold).
 func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 	body, ok := cluster.ReadBody(w, r)
 	if !ok {
 		return
 	}
-	if len(body) == 0 {
-		s.mu.Lock()
-		spec, _ := s.pickCampaignLocked()
-		s.mu.Unlock()
-		if spec == nil {
-			retryAfter(w)
-			http.Error(w, "service: no campaign running", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(spec)
-		return
-	}
-	if _, err := DecodeFleetHello(body); err != nil {
+	hello, err := cluster.DecodeHello(body)
+	if err != nil {
 		http.Error(w, "service: handshake: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -704,7 +693,13 @@ func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 	asked := time.Now()
 
 	s.mu.Lock()
-	spec, draining := s.pickCampaignLocked()
+	s.hellos++
+	for _, e := range s.active {
+		if e.coord != nil {
+			e.coord.Leave(hello.WorkerID)
+		}
+	}
+	spec, draining := s.grantLocked(hello.WorkerID)
 	if spec == nil && !draining && hold > 0 {
 		s.telHeld.Add(1)
 		t := time.NewTimer(hold)
@@ -719,7 +714,9 @@ func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 				expired = true
 			}
 			s.mu.Lock()
-			spec, draining = s.pickCampaignLocked()
+			if r.Context().Err() == nil {
+				spec, draining = s.grantLocked(hello.WorkerID)
+			}
 		}
 		t.Stop()
 		s.telHeld.Add(-1)
@@ -727,29 +724,38 @@ func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	resp := ServiceHello{Status: FleetWait}
+	resp := cluster.HelloReply{Status: cluster.HelloWait}
 	switch {
 	case draining:
-		resp.Status = FleetShutdown
+		resp.Status = cluster.HelloShutdown
 	case spec != nil:
-		resp.Status = FleetGranted
+		resp.Status = cluster.HelloGranted
 		resp.Spec = spec
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(EncodeServiceHello(resp))
+	cluster.WriteWhole(w, cluster.EncodeHelloReply(resp))
+	s.mu.Lock()
+	if s.hellos--; s.hellos == 0 && s.draining {
+		s.wakeLocked()
+	}
+	s.mu.Unlock()
 }
 
-// pickCampaignLocked chooses a running campaign round-robin for a
-// handshaking worker, spreading the fleet across concurrent campaigns.
-func (s *Service) pickCampaignLocked() (spec []byte, draining bool) {
+// grantLocked joins a handshaking worker to a running campaign, chosen
+// round-robin to spread the fleet across concurrent campaigns. A
+// campaign whose last outcome is merged, or which was cancelled, grants
+// nothing (Coordinator.Hello), so a worker told done or shutdown parks
+// here instead of being handed that campaign again until it is retired.
+func (s *Service) grantLocked(workerID string) (spec []byte, draining bool) {
 	if s.draining {
 		return nil, true
 	}
 	for range s.active {
 		e := s.active[s.fleetPos%len(s.active)]
 		s.fleetPos++
-		if e.specBytes != nil {
-			return e.specBytes, false
+		if e.coord != nil {
+			if spec := e.coord.Hello(workerID); spec != nil {
+				return spec, false
+			}
 		}
 	}
 	return nil, false
@@ -806,6 +812,9 @@ func (s *Service) routeWorker(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 }
+
+// errMessage marks a worker message whose payload does not parse.
+var errMessage = errors.New("service: malformed worker message")
 
 // peekIdentity extracts the identity prefix every post-handshake worker
 // message payload starts with.
@@ -916,6 +925,18 @@ func (s *Service) Shutdown() {
 		e.interrupt()
 	}
 	s.wg.Wait()
+	// Whoever called closes the server next: every worker saying hello
+	// right now — the parked ones were all just released — has its
+	// dismissal on the wire first, or it would knock at a closed port
+	// until its retries run out.
+	s.mu.Lock()
+	for s.hellos > 0 {
+		wake := s.wake
+		s.mu.Unlock()
+		<-wake
+		s.mu.Lock()
+	}
+	s.mu.Unlock()
 	if s.store != nil {
 		s.store.Sync()
 	}

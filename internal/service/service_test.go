@@ -98,7 +98,7 @@ func startFleet(t testing.TB, svc *Service, url string, n int) (stop func()) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			JoinFleet(url, cluster.WorkerOptions{
+			cluster.Join(url, cluster.WorkerOptions{
 				WorkerID:  fmt.Sprintf("fleet%d", i),
 				Interrupt: intr,
 			}, func(spec cluster.Spec) *telemetry.Registry {
@@ -452,17 +452,17 @@ func TestCancelAndDrain(t *testing.T) {
 		t.Error("503 must carry a Retry-After hint")
 	}
 	hello, err := http.Post(srv.URL+"/v1/handshake", "application/octet-stream",
-		bytes.NewReader(EncodeFleetHello(FleetHello{WorkerID: "late"})))
+		bytes.NewReader(cluster.EncodeHello(cluster.Hello{WorkerID: "late"})))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(hello.Body)
 	hello.Body.Close()
-	h, err := DecodeServiceHello(body)
+	h, err := cluster.DecodeHelloReply(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != FleetShutdown {
+	if h.Status != cluster.HelloShutdown {
 		t.Errorf("fleet handshake while draining: status %d, want shutdown", h.Status)
 	}
 }
@@ -480,7 +480,6 @@ func TestServiceMethodRejection(t *testing.T) {
 		{"/v1/lease", "POST"},
 		{"/v1/submit", "POST"},
 		{"/v1/heartbeat", "POST"},
-		{"/v1/leave", "POST"},
 		{"/v1/campaigns", "GET, POST"},
 		{"/v1/status", "GET"},
 	}
@@ -519,33 +518,6 @@ func TestServiceMethodRejection(t *testing.T) {
 	_ = id
 }
 
-// TestFleetWireRoundtrip pins the fleet handshake codec.
-func TestFleetWireRoundtrip(t *testing.T) {
-	h, err := DecodeFleetHello(EncodeFleetHello(FleetHello{WorkerID: "w1"}))
-	if err != nil || h.WorkerID != "w1" {
-		t.Fatalf("fleet hello roundtrip: %+v, %v", h, err)
-	}
-	for _, want := range []ServiceHello{
-		{Status: FleetWait},
-		{Status: FleetShutdown},
-		{Status: FleetGranted, Spec: []byte("spec-bytes")},
-	} {
-		got, err := DecodeServiceHello(EncodeServiceHello(want))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Status != want.Status || !bytes.Equal(got.Spec, want.Spec) {
-			t.Fatalf("service hello roundtrip: %+v, want %+v", got, want)
-		}
-	}
-	if _, err := DecodeFleetHello([]byte("garbage")); err == nil {
-		t.Error("garbage fleet hello must be rejected")
-	}
-	if _, err := DecodeServiceHello(EncodeFleetHello(FleetHello{})); err == nil {
-		t.Error("kind confusion must be rejected")
-	}
-}
-
 // TestUnknownWorkerIdentity: worker traffic for an unknown campaign is
 // answered 409, mirroring the single-coordinator admission check.
 func TestUnknownWorkerIdentity(t *testing.T) {
@@ -569,11 +541,11 @@ func TestUnknownWorkerIdentity(t *testing.T) {
 func TestFleetUnreachableGivesUp(t *testing.T) {
 	srv := httptest.NewServer(http.NotFoundHandler())
 	srv.Close() // nothing listens here any more
-	err := JoinFleet(srv.URL, cluster.WorkerOptions{
+	err := cluster.Join(srv.URL, cluster.WorkerOptions{
 		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
 	}, nil)
 	if !errors.Is(err, cluster.ErrUnreachable) {
-		t.Fatalf("JoinFleet against a dead service: %v, want ErrUnreachable", err)
+		t.Fatalf("Join against a dead service: %v, want ErrUnreachable", err)
 	}
 }
 
@@ -638,7 +610,7 @@ func TestFleetForkStrategy(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		JoinFleet(srv.URL, cluster.WorkerOptions{
+		cluster.Join(srv.URL, cluster.WorkerOptions{
 			WorkerID:  "fork-fleet",
 			Interrupt: intr,
 			Strategy:  campaign.StrategyFork,

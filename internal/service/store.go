@@ -13,10 +13,9 @@
 // archive, byte-identical to a live scan, without touching the fleet
 // (invariant 12).
 //
-// The package's two binary formats — the fleet handshake messages
-// (fleet.go) and the archive entry files (store.go) — are internal/frame
-// frames read with its field Reader, like the cluster wire they ride
-// next to.
+// The package's binary format — the archive entry files (store.go) — is
+// made of internal/frame frames read with its field Reader, like the
+// cluster wire the service speaks to its workers.
 //
 // The service is observed the way a scan is (DESIGN.md §4d): its own
 // registry and one registry per campaign in /v1/status and /metrics,

@@ -97,6 +97,32 @@ func TestPlacementEquivalenceAllBenchmarks(t *testing.T) {
 	}
 }
 
+// TestServeScanDismissesEveryWorker is the drain contract of ServeScan:
+// every worker that said hello is answered its dismissal before the
+// listener closes — none of the three finds a closed port on its way out
+// and burns its handshake retries into ErrCoordinatorUnreachable
+// (serveAndJoin fails on any worker error) — and the drain is the round
+// trips it takes, nowhere near DrainTimeout.
+func TestServeScanDismissesEveryWorker(t *testing.T) {
+	prog := equivProgram(t, "sort1")
+	const drain = 3 * time.Second
+	var merged time.Time
+	serveAndJoin(t, prog, ServeOptions{
+		UnitSize:     16,
+		DrainTimeout: drain,
+		OnClusterProgress: func(p ClusterProgress) {
+			if p.Final {
+				merged = time.Now()
+			}
+		},
+	}, 3)
+	took := time.Since(merged)
+	t.Logf("ServeScan returned %v after the last merge", took)
+	if took > drain/3 {
+		t.Errorf("ServeScan returned %v after the last merge; want well inside the %v DrainTimeout", took, drain)
+	}
+}
+
 // TestPlacementEquivalenceCheckpointResume interrupts a distributed
 // campaign via the coordinator's interrupt channel, then resumes it from
 // the checkpoint with fresh workers: the merged result must be identical

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"faultspace/internal/service"
+	"faultspace/internal/cluster"
 )
 
 // TestServeHeaderTimeoutSparesHeldRequests: a connection that sends half
@@ -25,7 +25,7 @@ func TestServeHeaderTimeoutSparesHeldRequests(t *testing.T) {
 	addr := startCampaignService(t, CampaignServiceOptions{})
 
 	type answer struct {
-		hello service.ServiceHello
+		hello cluster.HelloReply
 		took  time.Duration
 		err   error
 	}
@@ -33,7 +33,7 @@ func TestServeHeaderTimeoutSparesHeldRequests(t *testing.T) {
 	go func() {
 		start := time.Now()
 		resp, err := http.Post("http://"+addr+"/v1/handshake?wait="+hold.String(), "application/octet-stream",
-			bytes.NewReader(service.EncodeFleetHello(service.FleetHello{WorkerID: "parked"})))
+			bytes.NewReader(cluster.EncodeHello(cluster.Hello{WorkerID: "parked"})))
 		if err != nil {
 			parked <- answer{err: err}
 			return
@@ -44,7 +44,7 @@ func TestServeHeaderTimeoutSparesHeldRequests(t *testing.T) {
 			parked <- answer{err: err}
 			return
 		}
-		h, err := service.DecodeServiceHello(body)
+		h, err := cluster.DecodeHelloReply(body)
 		parked <- answer{hello: h, took: time.Since(start), err: err}
 	}()
 
@@ -71,8 +71,8 @@ func TestServeHeaderTimeoutSparesHeldRequests(t *testing.T) {
 	if a.err != nil {
 		t.Fatalf("parked handshake: %v", a.err)
 	}
-	if a.hello.Status != service.FleetWait || a.took < hold {
-		t.Errorf("parked handshake answered status %d after %v, want FleetWait after the full %v hold",
+	if a.hello.Status != cluster.HelloWait || a.took < hold {
+		t.Errorf("parked handshake answered status %d after %v, want wait after the full %v hold",
 			a.hello.Status, a.took, hold)
 	}
 }

@@ -57,34 +57,16 @@ type CampaignServiceOptions struct {
 }
 
 // CampaignInfo is one campaign's state as reported by the service's
-// lifecycle endpoints.
-type CampaignInfo struct {
-	ID     string `json:"id"`
-	Name   string `json:"name"`
-	Tenant string `json:"tenant"`
-	// State is one of "queued", "running", "done", "cancelled", "failed".
-	State string `json:"state"`
-	// Cached reports that the campaign completed without executing a
-	// single experiment: its report was served from the result archive.
-	Cached bool   `json:"cached"`
-	Done   int    `json:"done"`
-	Total  int    `json:"total"`
-	Error  string `json:"error"`
-}
-
-// Terminal reports whether the campaign has reached a final state.
-func (c CampaignInfo) Terminal() bool {
-	switch c.State {
-	case service.StateDone, service.StateCancelled, service.StateFailed:
-		return true
-	}
-	return false
-}
+// lifecycle endpoints: State is one of "queued", "running", "done",
+// "cancelled", "failed"; Cached reports that the campaign completed
+// without executing a single experiment, its report served from the
+// result archive.
+type CampaignInfo = service.CampaignStatus
 
 // ServeCampaigns runs a campaign service on addr until Interrupt is
 // closed: a long-lived, multi-tenant coordinator that accepts campaign
 // submissions (SubmitCampaign or favscan -submit), runs them against a
-// shared worker fleet (JoinServiceFleet, favscan -fleet, or in-process
+// shared worker fleet (JoinScan, favscan -join, or in-process
 // LocalWorkers) with per-tenant fair scheduling, and archives every
 // report content-addressed by the campaign identity hash. A duplicate
 // submission — same program image, fault-space kind and timeout budget —
@@ -125,10 +107,10 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 			w.Logf = opts.Logf
 			// Point each assigned campaign's engine counters at that
 			// campaign's own registry, keeping them isolated.
-			err := service.JoinFleet("http://"+bound, w, func(spec cluster.Spec) *telemetry.Registry {
+			err := cluster.Join("http://"+bound, w, func(spec cluster.Spec) *telemetry.Registry {
 				return svc.CampaignTelemetry(spec.Identity)
 			})
-			if err != nil && !errors.Is(err, ErrInterrupted) && opts.Logf != nil {
+			if err != nil && !errors.Is(err, ErrInterrupted) && !errors.Is(err, ErrCoordinatorShutdown) && opts.Logf != nil {
 				opts.Logf("faultspace: local worker %d: %v", n, err)
 			}
 		}(i)
@@ -268,18 +250,4 @@ func CampaignReport(addr, id string) (*ScanResult, error) {
 		return nil, err
 	}
 	return LoadScan(bytes.NewReader(report))
-}
-
-// JoinServiceFleet attaches this process to a campaign service as a
-// long-lived fleet worker: the service assigns it a campaign, it runs
-// that campaign's work units exactly like JoinScan, and when the
-// campaign completes it asks for the next one. The options keep their
-// JoinScan meaning per assigned campaign. It returns nil when the
-// service announces shutdown and ErrInterrupted when
-// JoinOptions.Interrupt fires.
-func JoinServiceFleet(addr string, opts JoinOptions) error {
-	if err := service.JoinFleet(normalizeURL(addr), opts, nil); err != nil {
-		return fmt.Errorf("faultspace: %w", err)
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package faultspace
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -38,6 +39,53 @@ func startCampaignService(t testing.TB, opts CampaignServiceOptions) (addr strin
 		}
 	})
 	return addr
+}
+
+// TestServeCampaignsDismissesParkedWorkers is the service's half of the
+// drain contract (ServeScan's is TestServeScanDismissesEveryWorker): three
+// external workers sit parked in their hellos when the service is told to
+// drain; each has its shutdown answer before the listener closes and
+// returns nil — none meets a closed port and retries its way to
+// ErrCoordinatorUnreachable.
+func TestServeCampaignsDismissesParkedWorkers(t *testing.T) {
+	reg := NewTelemetry()
+	intr := make(chan struct{})
+	listening := make(chan string, 1)
+	served := make(chan error, 1)
+	go func() {
+		served <- ServeCampaigns("127.0.0.1:0", CampaignServiceOptions{
+			Interrupt: intr, Telemetry: reg, OnListen: func(a string) { listening <- a },
+		})
+	}()
+	var addr string
+	select {
+	case addr = <-listening:
+	case err := <-served:
+		t.Fatalf("ServeCampaigns: %v", err)
+	}
+	const workers = 3
+	joined := make(chan error, workers)
+	for i := 0; i < workers; i++ {
+		go func(i int) {
+			joined <- JoinScan(addr, JoinOptions{WorkerID: fmt.Sprint("w", i),
+				BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond})
+		}(i)
+	}
+	for deadline := time.Now().Add(5 * time.Second); reg.Gauge("fleet.handshake_held").Value() != workers; {
+		if time.Now().After(deadline) {
+			t.Fatal("the workers never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(intr)
+	for i := 0; i < workers; i++ {
+		if err := <-joined; err != nil {
+			t.Errorf("a parked worker: %v, want nil: dismissed by the draining service", err)
+		}
+	}
+	if err := <-served; err != nil {
+		t.Errorf("ServeCampaigns: %v", err)
+	}
 }
 
 func hiProgram(t testing.TB) *Program {
