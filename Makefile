@@ -81,7 +81,10 @@ race-session:
 # reader they all decode through must stay inside its payload under any
 # sequence of reads; corrupted checkpoint files, mutated cluster wire
 # frames, handshake included, and damaged service archive entries must
-# error, never panic), the ladder
+# error, never panic), the scan-report decoder LoadScan runs on report
+# bytes fetched from a service (whatever the hand-written decoder accepts,
+# the reflective decoder it replaced must accept and decode to a deeply
+# equal result), the ladder
 # delta-restore engine (random
 # programs + random restore/flip/run sequences must reproduce full-
 # snapshot state bit-for-bit) and the any-cycle golden match (random
@@ -96,6 +99,7 @@ fuzz-smoke:
 	$(GO) test ./internal/checkpoint -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=10s
 	$(GO) test ./internal/cluster -run='^$$' -fuzz=FuzzWorkUnitDecode -fuzztime=10s
 	$(GO) test ./internal/service -run='^$$' -fuzz=FuzzArchiveEntryDecode -fuzztime=10s
+	$(GO) test ./internal/archive -run='^$$' -fuzz=FuzzScanArchiveDecode -fuzztime=10s
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzDeltaRestore -fuzztime=10s
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzForkClone -fuzztime=10s
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzShiftedReconverge -fuzztime=10s

@@ -29,6 +29,16 @@ func SaveScan(w io.Writer, r *ScanResult) error {
 // reconstructed result has no program attached and cannot be re-executed.
 // The fault-space partition invariant is re-verified, so inconsistent or
 // tampered archives are rejected.
+//
+// The accepted input is every archive SaveScan writes, and the same JSON
+// object with whitespace anywhere and keys in any order; a missing key
+// reads as zero, so archives from builds without "identity" still load.
+// A repeated key, a key outside the v1 schema or in different case, a
+// number that is not a plain unsigned integer, and anything but whitespace
+// after the closing brace — a second archive included — are errors that
+// name the byte offset. That is narrower than encoding/json, and whatever
+// is accepted decodes to the result encoding/json's reflective decoder
+// gives for the same bytes (accept ⇒ equal).
 func LoadScan(r io.Reader) (*ScanResult, error) {
 	return archive.Decode(r)
 }

@@ -59,6 +59,11 @@ func TestScanArchiveRoundTrip(t *testing.T) {
 }
 
 func TestLoadScanRejectsGarbage(t *testing.T) {
+	const valid = `{"version":1,"name":"x","space":"memory","cycles":10,"bits":1,
+	  "knownNoEffect":5,"classes":[{"b":0,"d":0,"u":5,"o":0}]}`
+	if _, err := LoadScan(strings.NewReader(valid)); err != nil {
+		t.Fatalf("valid archive: %v", err)
+	}
 	cases := []string{
 		``,
 		`not json`,
@@ -73,6 +78,9 @@ func TestLoadScanRejectsGarbage(t *testing.T) {
 		// Out-of-order classes (outcome pairing would be silently wrong).
 		`{"version":1,"name":"x","space":"memory","cycles":10,"bits":2,
 		  "knownNoEffect":8,"classes":[{"b":1,"d":0,"u":6,"o":0},{"b":0,"d":0,"u":6,"o":0}]}`,
+		// Trailing data: only the first value used to be read.
+		valid + "\n" + valid,
+		valid + " garbage",
 	}
 	for i, src := range cases {
 		if _, err := LoadScan(strings.NewReader(src)); err == nil {

@@ -21,8 +21,6 @@ import (
 	"strconv"
 
 	"faultspace/internal/campaign"
-	"faultspace/internal/pruning"
-	"faultspace/internal/trace"
 )
 
 // Version is bumped on incompatible schema changes.
@@ -112,60 +110,4 @@ func Encode(w io.Writer, r *campaign.Result) error {
 	buf = append(buf, "]}\n"...)
 	_, err = w.Write(buf)
 	return err
-}
-
-// Decode reads a scan archive and reconstructs a campaign result
-// sufficient for analysis and reporting (Analyze, Compare, outcome
-// dumps). The reconstructed result has no program attached and cannot be
-// re-executed. The fault-space partition invariant is re-verified, so
-// inconsistent or tampered archives are rejected.
-func Decode(r io.Reader) (*campaign.Result, error) {
-	var a scanArchive
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("archive: decode scan archive: %w", err)
-	}
-	if a.Version != Version {
-		return nil, fmt.Errorf("archive: scan archive version %d, want %d", a.Version, Version)
-	}
-	kind, err := pruning.ParseKind(a.Space)
-	if err != nil {
-		return nil, fmt.Errorf("archive: %w in archive", err)
-	}
-
-	classes := make([]pruning.Class, len(a.Classes))
-	outcomes := make([]campaign.Outcome, len(a.Classes))
-	for i, c := range a.Classes {
-		classes[i] = pruning.Class{Bit: c.Bit, DefCycle: c.Def, UseCycle: c.Use}
-		if !campaign.Outcome(c.Outcome).Known() {
-			return nil, fmt.Errorf("archive: archive class %d has unknown outcome %d", i, c.Outcome)
-		}
-		outcomes[i] = campaign.Outcome(c.Outcome)
-	}
-	fs, err := pruning.FromClasses(kind, a.Cycles, a.Bits, classes, a.KnownNoEffect)
-	if err != nil {
-		return nil, fmt.Errorf("archive: scan archive inconsistent: %w", err)
-	}
-	var id [32]byte
-	if a.Identity != "" {
-		raw, err := hex.DecodeString(a.Identity)
-		if err != nil || len(raw) != len(id) {
-			return nil, fmt.Errorf("archive: scan archive has malformed identity %q", a.Identity)
-		}
-		copy(id[:], raw)
-	}
-	return &campaign.Result{
-		Identity: id,
-		Target:   campaign.Target{Name: a.Name},
-		Golden: &trace.Golden{
-			Name:     a.Name,
-			Cycles:   a.Cycles,
-			RAMBits:  a.RAMBits,
-			Serial:   a.Serial,
-			Detects:  a.Detects,
-			Corrects: a.Corrects,
-		},
-		Space:    fs,
-		Outcomes: outcomes,
-	}, nil
 }

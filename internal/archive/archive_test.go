@@ -3,12 +3,15 @@ package archive
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"faultspace/internal/campaign"
@@ -47,8 +50,63 @@ func referenceEncode(w io.Writer, r *campaign.Result) error {
 	return json.NewEncoder(w).Encode(&a)
 }
 
+// referenceDecode is Decode as it was while the whole archive went
+// through encoding/json's reflective struct decoder: the result the
+// hand-written scanner is held to on every input it accepts.
+func referenceDecode(r io.Reader) (*campaign.Result, error) {
+	var a scanArchive
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&a); err != nil {
+		return nil, fmt.Errorf("archive: decode scan archive: %w", err)
+	}
+	if a.Version != Version {
+		return nil, fmt.Errorf("archive: scan archive version %d, want %d", a.Version, Version)
+	}
+	kind, err := pruning.ParseKind(a.Space)
+	if err != nil {
+		return nil, fmt.Errorf("archive: %w in archive", err)
+	}
+
+	classes := make([]pruning.Class, len(a.Classes))
+	outcomes := make([]campaign.Outcome, len(a.Classes))
+	for i, c := range a.Classes {
+		classes[i] = pruning.Class{Bit: c.Bit, DefCycle: c.Def, UseCycle: c.Use}
+		if !campaign.Outcome(c.Outcome).Known() {
+			return nil, fmt.Errorf("archive: archive class %d has unknown outcome %d", i, c.Outcome)
+		}
+		outcomes[i] = campaign.Outcome(c.Outcome)
+	}
+	fs, err := pruning.FromClasses(kind, a.Cycles, a.Bits, classes, a.KnownNoEffect)
+	if err != nil {
+		return nil, fmt.Errorf("archive: scan archive inconsistent: %w", err)
+	}
+	var id [32]byte
+	if a.Identity != "" {
+		raw, err := hex.DecodeString(a.Identity)
+		if err != nil || len(raw) != len(id) {
+			return nil, fmt.Errorf("archive: scan archive has malformed identity %q", a.Identity)
+		}
+		copy(id[:], raw)
+	}
+	return &campaign.Result{
+		Identity: id,
+		Target:   campaign.Target{Name: a.Name},
+		Golden: &trace.Golden{
+			Name:     a.Name,
+			Cycles:   a.Cycles,
+			RAMBits:  a.RAMBits,
+			Serial:   a.Serial,
+			Detects:  a.Detects,
+			Corrects: a.Corrects,
+		},
+		Space:    fs,
+		Outcomes: outcomes,
+	}, nil
+}
+
 // checkResult holds Encode to the reference encoder's bytes and Decode to
-// giving back what was encoded; it returns the archive.
+// giving back what was encoded, and to the reference decoder's result; it
+// returns the archive.
 func checkResult(t *testing.T, label string, r *campaign.Result) []byte {
 	t.Helper()
 	var got, want bytes.Buffer
@@ -64,6 +122,9 @@ func checkResult(t *testing.T, label string, r *campaign.Result) []byte {
 	back, err := Decode(bytes.NewReader(got.Bytes()))
 	if err != nil {
 		t.Fatalf("%s: Decode: %v", label, err)
+	}
+	if ref, err := referenceDecode(bytes.NewReader(got.Bytes())); err != nil || !reflect.DeepEqual(back, ref) {
+		t.Fatalf("%s: Decode differs from the reflective decoder (err %v):\n got %+v\nwant %+v", label, err, back, ref)
 	}
 	g, bg, fs, bfs := r.Golden, back.Golden, r.Space, back.Space
 	switch {
@@ -84,7 +145,7 @@ func checkResult(t *testing.T, label string, r *campaign.Result) []byte {
 
 // scanProgram runs the named bundled program, at its smallest size, over
 // one fault space.
-func scanProgram(t *testing.T, name string, kind pruning.SpaceKind) *campaign.Result {
+func scanProgram(t testing.TB, name string, kind pruning.SpaceKind) *campaign.Result {
 	t.Helper()
 	spec, err := progs.Resolve(name, progs.Sizes{
 		BinSemRounds: 1, SyncRounds: 1, SyncBufBytes: 16,
@@ -94,6 +155,12 @@ func scanProgram(t *testing.T, name string, kind pruning.SpaceKind) *campaign.Re
 	if err != nil {
 		t.Fatal(err)
 	}
+	return scanSpec(t, spec, kind)
+}
+
+// scanSpec runs a bundled program's baseline over one fault space.
+func scanSpec(t testing.TB, spec progs.Spec, kind pruning.SpaceKind) *campaign.Result {
+	t.Helper()
 	prog, err := spec.Baseline()
 	if err != nil {
 		t.Fatal(err)
@@ -251,4 +318,166 @@ func TestEncodeRefuses(t *testing.T) {
 	if err := Encode(&buf, r); err == nil || errors.Is(err, campaign.ErrPartialResult) || buf.Len() != 0 {
 		t.Errorf("outcome/class length mismatch: err = %v, %d bytes written", err, buf.Len())
 	}
+}
+
+// TestDecodeAllocs: a decode allocates the same number of times whatever
+// the class count — the input buffer, the class and outcome slices, the
+// header's strings and the result — so a regression to an allocation per
+// class fails here. mbox1(16) has 14 times the classes of sort1(6).
+func TestDecodeAllocs(t *testing.T) {
+	const want = 16
+	for _, spec := range []progs.Spec{progs.Sort1(6), progs.Mbox1(16)} {
+		var archive bytes.Buffer
+		res := scanSpec(t, spec, pruning.SpaceMemory)
+		if err := Encode(&archive, res); err != nil {
+			t.Fatal(err)
+		}
+		r := bytes.NewReader(nil)
+		allocs := testing.AllocsPerRun(20, func() {
+			r.Reset(archive.Bytes())
+			if _, err := Decode(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != want {
+			t.Errorf("%s: %.0f allocations to decode %d classes, want %d", spec.Name, allocs, len(res.Outcomes), want)
+		}
+	}
+}
+
+// hiArchive is hi's memory-space archive, as Encode writes it.
+func hiArchive(t testing.TB) []byte {
+	var buf bytes.Buffer
+	if err := Encode(&buf, scanProgram(t, "hi", pruning.SpaceMemory)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// reordered rewrites an archive with its header keys sorted and
+// indented — valid JSON of the same archive in another layout.
+func reordered(t testing.TB, archive []byte) []byte {
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(archive, &m); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.MarshalIndent(m, " ", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(append([]byte("\r\n "), out...), " \n"...)
+}
+
+// TestDecodeRejectsEveryPrefix cuts hi's pinned archive at every byte, as
+// a report torn in transfer or storage would be: no prefix decodes but the
+// one that drops only the newline Encode ends with, which is whitespace.
+func TestDecodeRejectsEveryPrefix(t *testing.T) {
+	hi := hiArchive(t)
+	if len(hi) != 658 || hi[len(hi)-1] != '\n' {
+		t.Fatalf("hi archive: %d bytes ending in %q, want the pinned 658 ending in a newline", len(hi), hi[len(hi)-1:])
+	}
+	for cut := 0; cut < len(hi)-1; cut++ {
+		if _, err := Decode(bytes.NewReader(hi[:cut])); err == nil {
+			t.Fatalf("cut at %d of %d bytes: decoded", cut, len(hi))
+		}
+	}
+	if _, err := Decode(bytes.NewReader(hi[:len(hi)-1])); err != nil {
+		t.Errorf("without its final newline: %v", err)
+	}
+}
+
+// TestDecodeAcceptedInput pins the edge of the accepted input: layout is
+// free, a missing key reads as zero, and anything encoding/json would
+// accept only by ignoring or overwriting something is an error naming
+// its byte offset.
+func TestDecodeAcceptedInput(t *testing.T) {
+	hi := hiArchive(t)
+	accepted := map[string]string{
+		"canonical":        string(hi),
+		"reordered":        string(reordered(t, hi)),
+		"identity":         `{"version":1,"identity":"` + strings.Repeat("a5", 32) + `","space":"memory","cycles":3,"bits":2,"knownNoEffect":6}`,
+		"keys missing":     `{"version":1,"space":"memory","cycles":3,"bits":2,"knownNoEffect":6}`,
+		"null serial":      `{"version":1,"space":"memory","serial":null,"cycles":3,"bits":2,"knownNoEffect":6}`,
+		"empty serial":     `{"version":1,"space":"memory","serial":"","cycles":3,"bits":2,"knownNoEffect":6}`,
+		"empty class list": `{"version":1,"space":"pc","cycles":3,"bits":2,"knownNoEffect":6,"classes":[ ]}`,
+		"classes first":    `{"classes":[{"o":1,"u":3,"d":0,"b":1}],"bits":2,"cycles":3,"knownNoEffect":3,"space":"memory","version":1}`,
+	}
+	for name, src := range accepted {
+		got, err := Decode(strings.NewReader(src))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if want, err := referenceDecode(strings.NewReader(src)); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: differs from the reflective decoder (err %v):\n got %+v\nwant %+v", name, err, got, want)
+		}
+	}
+
+	const base = `{"version":1,"space":"memory","cycles":3,"bits":2,"knownNoEffect":3,"classes":[{"b":1,"d":0,"u":3,"o":1}]`
+	rejected := map[string]struct {
+		src string
+		at  int
+	}{
+		"repeated key":        {base + `,"cycles":3}`, len(base) + 1},
+		"unknown key":         {base + `,"comment":""}`, len(base) + 1},
+		"key in another case": {base + `,"Name":"x"}`, len(base) + 1},
+		"escaped key":         {base + `,"n\u0061me":"x"}`, len(base) + 1},
+		"repeated class key":  {`{"classes":[{"b":1,"b":1}]}`, 19},
+		"trailing data":       {base + `} x`, len(base) + 2},
+		"second archive":      {base + `}` + base + `}`, len(base) + 1},
+		"leading zero":        {`{"cycles":03}`, 10},
+		"negative":            {`{"cycles":-3}`, 10},
+		"fraction":            {`{"cycles":3.0}`, 11},
+		"outcome above uint8": {`{"classes":[{"o":256}]}`, 17},
+		"uint64 overflow":     {`{"bits":18446744073709551616}`, 8},
+		"null class":          {`{"classes":[null]}`, 12},
+		"null number":         {`{"cycles":null}`, 10},
+	}
+	for name, tc := range rejected {
+		_, err := Decode(strings.NewReader(tc.src))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("byte %d:", tc.at)) {
+			t.Errorf("%s: err = %v, want one naming byte %d", name, err, tc.at)
+		}
+	}
+}
+
+// FuzzScanArchiveDecode: Decode never panics, and whatever it accepts the
+// reflective decoder accepts too and decodes to a deeply equal result —
+// nil and empty serial output told apart.
+func FuzzScanArchiveDecode(f *testing.F) {
+	hi := hiArchive(f)
+	f.Add(hi)
+	f.Add(reordered(f, hi))
+	// The rows of the root package's TestLoadScanRejectsGarbage.
+	const valid = `{"version":1,"name":"x","space":"memory","cycles":10,"bits":1,
+	  "knownNoEffect":5,"classes":[{"b":0,"d":0,"u":5,"o":0}]}`
+	for _, src := range []string{
+		``,
+		`not json`,
+		`{"version":99}`,
+		`{"version":1,"space":"plutonium","cycles":1,"bits":8}`,
+		`{"version":1,"name":"x","space":"memory","cycles":10,"bits":8,
+		  "knownNoEffect":0,"classes":[{"b":0,"d":0,"u":5,"o":0}]}`,
+		`{"version":1,"name":"x","space":"memory","cycles":10,"bits":1,
+		  "knownNoEffect":5,"classes":[{"b":0,"d":0,"u":5,"o":200}]}`,
+		`{"version":1,"name":"x","space":"memory","cycles":10,"bits":2,
+		  "knownNoEffect":8,"classes":[{"b":1,"d":0,"u":6,"o":0},{"b":0,"d":0,"u":6,"o":0}]}`,
+		valid + "\n" + valid,
+		valid + " garbage",
+	} {
+		f.Add([]byte(src))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		want, err := referenceDecode(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("Decode accepted what the reflective decoder rejects (%v): %q", err, data)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Decode differs from the reflective decoder on %q:\n got %+v\nwant %+v", data, got, want)
+		}
+	})
 }

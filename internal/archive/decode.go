@@ -1,0 +1,370 @@
+package archive
+
+import (
+	"bytes"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+
+	"faultspace/internal/campaign"
+	"faultspace/internal/pruning"
+	"faultspace/internal/trace"
+)
+
+// headerKeys are the keys of a v1 archive, in the order Encode writes
+// them; no build ever wrote another.
+var headerKeys = [...]string{"version", "name", "identity", "space", "cycles", "bits",
+	"ramBits", "knownNoEffect", "serial", "detects", "corrects", "classes"}
+
+// headerKey returns the index of a header key in headerKeys, -1 for any
+// other.
+func headerKey(name []byte) int {
+	for k, key := range headerKeys {
+		if string(name) == key {
+			return k
+		}
+	}
+	return -1
+}
+
+// classKey returns the index of a class key — bit, def cycle, use cycle,
+// outcome — and -1 for any other.
+func classKey(name []byte) int {
+	switch string(name) {
+	case "b":
+		return 0
+	case "d":
+		return 1
+	case "u":
+		return 2
+	case "o":
+		return 3
+	}
+	return -1
+}
+
+// Decode reads a scan archive and reconstructs a campaign result
+// sufficient for analysis and reporting (Analyze, Compare, outcome
+// dumps). The reconstructed result has no program attached and cannot be
+// re-executed. The fault-space partition invariant is re-verified, so
+// inconsistent or tampered archives are rejected.
+//
+// Decode accepts every archive Encode writes, and the same JSON object
+// rewritten with whitespace anywhere and keys in any order; a missing key
+// reads as zero, so archives from builds without "identity" load. That is
+// narrower than what encoding/json accepts: a repeated key, a key outside
+// the v1 schema or in different case, a number that is not a plain
+// unsigned integer, a class that is not an object, and anything but
+// whitespace after the closing brace are errors naming the byte offset.
+// Whatever Decode accepts decodes to the result encoding/json's reflective
+// decoder gives for the same bytes; the tests hold it to that decoder.
+func Decode(r io.Reader) (*campaign.Result, error) {
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("archive: read scan archive: %w", err)
+	}
+	s := scanner{data: data}
+	var a scanArchive // the header; its Classes stay nil
+	classes, outcomes := []pruning.Class{}, []campaign.Outcome{}
+	if err := s.expect('{'); err != nil {
+		return nil, err
+	}
+	for seen := uint16(0); ; {
+		k, err := s.key(headerKey, &seen)
+		if err != nil {
+			return nil, err
+		}
+		if k < 0 {
+			break
+		}
+		switch headerKeys[k] {
+		case "version":
+			var v uint64
+			v, err = s.integer(math.MaxInt)
+			a.Version = int(v)
+		case "name":
+			err = s.text(&a.Name)
+		case "identity":
+			err = s.text(&a.Identity)
+		case "space":
+			err = s.text(&a.Space)
+		case "cycles":
+			a.Cycles, err = s.integer(math.MaxUint64)
+		case "bits":
+			a.Bits, err = s.integer(math.MaxUint64)
+		case "ramBits":
+			a.RAMBits, err = s.integer(math.MaxUint64)
+		case "knownNoEffect":
+			a.KnownNoEffect, err = s.integer(math.MaxUint64)
+		case "serial":
+			err = s.text(&a.Serial)
+		case "detects":
+			a.Detects, err = s.integer(math.MaxUint64)
+		case "corrects":
+			a.Corrects, err = s.integer(math.MaxUint64)
+		case "classes":
+			classes, outcomes, err = s.classes()
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if s.skipSpace(); s.pos != len(s.data) {
+		return nil, s.errorf(s.pos, "trailing data after the archive")
+	}
+
+	if a.Version != Version {
+		return nil, fmt.Errorf("archive: scan archive version %d, want %d", a.Version, Version)
+	}
+	kind, err := pruning.ParseKind(a.Space)
+	if err != nil {
+		return nil, fmt.Errorf("archive: %w in archive", err)
+	}
+	fs, err := pruning.FromClasses(kind, a.Cycles, a.Bits, classes, a.KnownNoEffect)
+	if err != nil {
+		return nil, fmt.Errorf("archive: scan archive inconsistent: %w", err)
+	}
+	var id [32]byte
+	if a.Identity != "" {
+		raw, err := hex.DecodeString(a.Identity)
+		if err != nil || len(raw) != len(id) {
+			return nil, fmt.Errorf("archive: scan archive has malformed identity %q", a.Identity)
+		}
+		copy(id[:], raw)
+	}
+	return &campaign.Result{
+		Identity: id,
+		Target:   campaign.Target{Name: a.Name},
+		Golden: &trace.Golden{
+			Name:     a.Name,
+			Cycles:   a.Cycles,
+			RAMBits:  a.RAMBits,
+			Serial:   a.Serial,
+			Detects:  a.Detects,
+			Corrects: a.Corrects,
+		},
+		Space:    fs,
+		Outcomes: outcomes,
+	}, nil
+}
+
+// readAll is io.ReadAll, but for a reader that knows its length — an
+// in-memory report — it reads in one allocation.
+func readAll(r io.Reader) ([]byte, error) {
+	size := 512
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = l.Len() + 1 // the byte more lets the read that sees EOF go without growing
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+}
+
+// scanner walks an archive held in one buffer.
+type scanner struct {
+	data []byte
+	pos  int
+}
+
+// errorf reports malformed input at byte offset at.
+func (s *scanner) errorf(at int, format string, args ...any) error {
+	return fmt.Errorf("archive: scan archive byte %d: %s", at, fmt.Sprintf(format, args...))
+}
+
+func (s *scanner) skipSpace() {
+	for s.pos < len(s.data) {
+		// Every JSON whitespace byte is at most ' ', and between tokens of
+		// an archive as Encode writes it there is none.
+		if c := s.data[s.pos]; c > ' ' || c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			return
+		}
+		s.pos++
+	}
+}
+
+// next consumes c if it is the next byte.
+func (s *scanner) next(c byte) bool {
+	if s.pos < len(s.data) && s.data[s.pos] == c {
+		s.pos++
+		return true
+	}
+	return false
+}
+
+// expect consumes c after any whitespace.
+func (s *scanner) expect(c byte) error {
+	if s.skipSpace(); !s.next(c) {
+		return s.errorf(s.pos, "want %q", c)
+	}
+	return nil
+}
+
+// key reads the next member of an object, up to and including the colon,
+// and returns the key's index — or -1 once it has consumed the object's
+// closing brace. index maps a key to its index, -1 for a key outside the
+// schema; seen holds the keys read so far, one bit each, and starts at
+// zero after the opening brace.
+func (s *scanner) key(index func(name []byte) int, seen *uint16) (int, error) {
+	s.skipSpace()
+	if s.next('}') {
+		return -1, nil
+	}
+	if *seen != 0 {
+		if !s.next(',') {
+			return 0, s.errorf(s.pos, "want ',' or '}'")
+		}
+		s.skipSpace()
+	}
+	at := s.pos
+	tok, err := s.str()
+	if err != nil {
+		return 0, err
+	}
+	k := index(tok[1 : len(tok)-1])
+	switch {
+	case k < 0:
+		return 0, s.errorf(at, "key %s is not in the v1 schema", tok)
+	case *seen&(1<<k) != 0:
+		return 0, s.errorf(at, "repeated key %s", tok)
+	}
+	*seen |= 1 << k
+	return k, s.expect(':')
+}
+
+// str returns the JSON string at the scanner, quotes included and escapes
+// left as they are.
+func (s *scanner) str() ([]byte, error) {
+	start := s.pos
+	if !s.next('"') {
+		return nil, s.errorf(start, "want a string")
+	}
+	for i := s.pos; i < len(s.data); i++ {
+		switch s.data[i] {
+		case '\\':
+			i++
+		case '"':
+			s.pos = i + 1
+			return s.data[start:s.pos], nil
+		}
+	}
+	return nil, s.errorf(start, "unterminated string")
+}
+
+// text decodes the string or null after any whitespace into v through
+// encoding/json, so that escapes, invalid UTF-8 and base64 read exactly as
+// they do for the reflective decoder; null leaves a string empty and a
+// byte slice nil.
+func (s *scanner) text(v any) error {
+	s.skipSpace()
+	at := s.pos
+	var tok []byte
+	if bytes.HasPrefix(s.data[s.pos:], []byte("null")) {
+		s.pos += 4
+		tok = s.data[at:s.pos]
+	} else {
+		var err error
+		if tok, err = s.str(); err != nil {
+			return err
+		}
+	}
+	if err := json.Unmarshal(tok, v); err != nil {
+		return s.errorf(at, "%v", err)
+	}
+	return nil
+}
+
+// integer parses the JSON integer after any whitespace: digits only, no
+// leading zero, at most limit.
+func (s *scanner) integer(limit uint64) (uint64, error) {
+	s.skipSpace()
+	data, start, i := s.data, s.pos, s.pos
+	var v uint64
+	for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
+		d := uint64(data[i] - '0')
+		// 19 digits fit in a uint64 whatever they are; a 20th may not.
+		if i-start >= 19 && v > (math.MaxUint64-d)/10 {
+			return 0, s.errorf(start, "integer above %d", limit)
+		}
+		v = v*10 + d
+	}
+	s.pos = i
+	switch {
+	case i == start:
+		return 0, s.errorf(start, "want an unsigned integer")
+	case data[start] == '0' && i-start > 1:
+		return 0, s.errorf(start, "integer with a leading zero")
+	case v > limit:
+		return 0, s.errorf(start, "integer above %d", limit)
+	}
+	return v, nil
+}
+
+// classes parses the class list after any whitespace. A class holds only
+// integers, so in a valid list every '{' before the first ']' opens a
+// class: counting them sizes both slices exactly, once.
+func (s *scanner) classes() ([]pruning.Class, []campaign.Outcome, error) {
+	if err := s.expect('['); err != nil {
+		return nil, nil, err
+	}
+	end := bytes.IndexByte(s.data[s.pos:], ']')
+	if end < 0 {
+		return nil, nil, s.errorf(s.pos, "unterminated class list")
+	}
+	n := bytes.Count(s.data[s.pos:s.pos+end], []byte{'{'})
+	classes, outcomes := make([]pruning.Class, n), make([]campaign.Outcome, n)
+	if s.skipSpace(); s.next(']') {
+		return classes, outcomes, nil
+	}
+	for i := 0; ; i++ {
+		if i == n {
+			return nil, nil, s.errorf(s.pos, "more than the %d classes counted", n)
+		}
+		var v [4]uint64 // b, d, u, o
+		if err := s.expect('{'); err != nil {
+			return nil, nil, err
+		}
+		for seen := uint16(0); ; {
+			k, err := s.key(classKey, &seen)
+			if err != nil {
+				return nil, nil, err
+			}
+			if k < 0 {
+				break
+			}
+			limit := uint64(math.MaxUint64)
+			if k == 3 {
+				limit = math.MaxUint8
+			}
+			if v[k], err = s.integer(limit); err != nil {
+				return nil, nil, err
+			}
+		}
+		if o := campaign.Outcome(v[3]); !o.Known() {
+			return nil, nil, fmt.Errorf("archive: archive class %d has unknown outcome %d", i, o)
+		}
+		classes[i] = pruning.Class{Bit: v[0], DefCycle: v[1], UseCycle: v[2]}
+		outcomes[i] = campaign.Outcome(v[3])
+		if s.skipSpace(); s.next(']') {
+			if i+1 != n {
+				return nil, nil, s.errorf(s.pos, "%d classes, %d counted", i+1, n)
+			}
+			return classes, outcomes, nil
+		}
+		if !s.next(',') {
+			return nil, nil, s.errorf(s.pos, "want ',' or ']'")
+		}
+	}
+}

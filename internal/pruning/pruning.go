@@ -202,7 +202,8 @@ func BuildBurst(g *trace.Golden, k int) (*FaultSpace, error) {
 // FromClasses reconstructs a fault space from externally stored classes
 // (e.g. a scan archive). Their canonical order and the exact-partition
 // invariant are verified, so a tampered or inconsistent archive is
-// rejected.
+// rejected. The space takes ownership of classes: it becomes the returned
+// space's Classes, not a copy, and the caller must not modify it after.
 func FromClasses(kind SpaceKind, cycles, bits uint64, classes []Class, knownNoEffect uint64) (*FaultSpace, error) {
 	if !kind.Valid() {
 		return nil, fmt.Errorf("pruning: unknown space kind %d", kind)
@@ -211,10 +212,9 @@ func FromClasses(kind SpaceKind, cycles, bits uint64, classes []Class, knownNoEf
 		Kind:          kind,
 		Cycles:        cycles,
 		Bits:          bits,
-		Classes:       make([]Class, len(classes)),
+		Classes:       classes,
 		KnownNoEffect: knownNoEffect,
 	}
-	copy(fs.Classes, classes)
 	for i, c := range fs.Classes {
 		if c.Bit >= bits {
 			return nil, fmt.Errorf("pruning: class bit %d outside space (%d bits)", c.Bit, bits)
