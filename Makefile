@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race race-service race-spaces race-observability race-checkpoint race-session fuzz-smoke bench bench-telemetry bench-smoke bench-build loc
+.PHONY: check vet build test explore race race-service race-spaces race-observability race-checkpoint race-session fuzz-smoke bench bench-telemetry bench-smoke bench-build loc
 
 # check is the tier-1 gate: everything a PR must keep green.
 check: vet build test race race-service race-spaces race-observability race-checkpoint race-session fuzz-smoke bench-telemetry bench-smoke bench-build
@@ -11,8 +11,25 @@ vet:
 build:
 	$(GO) build ./...
 
+# The whole suite, the protocol explorer's bounded mode included (see
+# explore below): two models, one of them exhausted, ≥10⁵ states in a few
+# seconds.
 test:
 	$(GO) test ./...
+
+# The campaign protocol explorer's deep mode (internal/cluster/lease,
+# ≈1.5 min, ≈300 MB): a depth-first search in virtual time over every
+# interleaving of 2–3 workers on a four-unit campaign — hellos, asks,
+# held asks, submissions, heartbeats, lease expiry, crashes, restarts
+# under the same name, duplicate and stale-token submissions in any
+# order, interrupt and seal. It asserts that every class is merged
+# exactly once with the local scan's outcome, that no lease outlives its
+# deadline and no held ask misses its wake-up, that the fleet is never
+# drained while a worker waits for an answer, and that from every
+# reachable state the workers' own moves reach the end, every held
+# request answered.
+explore:
+	$(GO) test ./internal/cluster/lease -run='^TestExplore$$' -v -timeout=30m -explore.deep
 
 race:
 	$(GO) test -race ./...
@@ -25,10 +42,12 @@ race:
 # ordering-dependent races the single pass in `race` can miss. Then the
 # drain contract of both servers twenty times over: every worker is
 # answered its dismissal before the listener closes, which one run in a
-# few loses when the order is wrong.
+# few loses when the order is wrong — and a status request held by a
+# client waiting for its campaign is answered with the campaign's end,
+# not cut off by the same close.
 race-service:
 	$(GO) test -race -count=2 ./internal/service
-	$(GO) test -race -count=20 -run='TestServeScanDismissesEveryWorker|TestServeCampaignsDismissesParkedWorkers' .
+	$(GO) test -race -count=20 -run='TestServeScanDismissesEveryWorker|TestServeCampaignsDismissesParkedWorkers|TestServeCampaignsAnswersHeldStatus' .
 
 # The attack-style fault models (instruction skip, PC corruption,
 # multi-bit bursts) under the race detector: the objective-carrying
@@ -42,15 +61,15 @@ race-spaces:
 
 # The observability layer under the race detector: the fleet trace
 # timeline (spans merging from concurrent workers, and the coordinator's
-# marks, into one recorder), the windowed rate estimator reading
-# coordinator state while leases churn, the /metrics exposition racing
+# marks, into one recorder), progress snapshots reading coordinator
+# state while leases churn, the /metrics exposition racing
 # live instruments, the service-side trace/metrics surface and a retired
 # campaign's entry answering status and /trace while late worker traffic
 # still arrives — the span recorder is lock-guarded state shared across
 # worker goroutines and HTTP handlers, and -count=2 shakes out
 # ordering-dependent races, exactly like race-service.
 race-observability:
-	$(GO) test -race -count=2 -run='TestFleetTraceTimeline|TestStatusAndTelemetryEndpoints|TestWindowedWorkerRates|TestCoordinatorMetricsExposition' ./internal/cluster
+	$(GO) test -race -count=2 -run='TestFleetTraceTimeline|TestStatusAndTelemetryEndpoints|TestCoordinatorMetricsExposition' ./internal/cluster
 	$(GO) test -race -count=2 -run='TestServiceTraceAndMetrics|TestRetiredCampaignDropsCoordinator' ./internal/service
 
 # The checkpoint writer's flusher goroutine under the race detector: the

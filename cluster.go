@@ -124,16 +124,27 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 	return finish(res, scanErr)
 }
 
-// readHeaderTimeout bounds how long a connection may take to send its
-// request header. A variable only so that its test need not wait it out.
-var readHeaderTimeout = 10 * time.Second
+// The server's read bounds: how long a connection may take to send its
+// request header, to send the whole request, body included, and how long
+// a kept-alive connection may sit idle between requests. Variables only
+// so that their test need not wait them out.
+var (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * cluster.MaxHold
+)
 
 // serve runs handler on ln until the returned stop is called; stop closes
 // the listener and every connection and returns once Serve has. There is
 // deliberately no write timeout: held ?wait= answers legitimately take up
-// to cluster.MaxHold.
+// to cluster.MaxHold, and a hold starts only once the request is read.
 func serve(ln net.Listener, handler http.Handler) (stop func()) {
-	srv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
+	srv := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

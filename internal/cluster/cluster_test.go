@@ -3,9 +3,11 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -188,7 +190,10 @@ func TestClusterKillWorkerMidScan(t *testing.T) {
 // shuffled and a fork-strategy worker draining it, the merged outcome
 // vector — and with it every archived report, which is a pure function
 // of target, space, identity and outcomes — stays byte-identical to a
-// local FullScan and to an unshuffled cluster run.
+// local FullScan and to an unshuffled cluster run. The queue is shuffled
+// through the protocol: one placeholder worker takes each unit, and they
+// give them back (leave) in a shuffled order — pending is a LIFO, so the
+// last unit returned is granted first.
 func TestClusterUnitOrderInvariance(t *testing.T) {
 	tgt, golden, fs := testCampaign(t, "bin_sem2")
 	outcomesOf := func(shuffleSeed int64) []campaign.Outcome {
@@ -199,18 +204,31 @@ func TestClusterUnitOrderInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, u := range coord.units {
-			for i := 1; i < len(u.classes); i++ {
-				if fs.Classes[u.classes[i]].Slot() < fs.Classes[u.classes[i-1]].Slot() {
-					t.Fatalf("unit %d not injection-ordered at position %d", u.id, i)
+		srv := httptest.NewServer(coord.Handler())
+		var holders []string
+		for {
+			name := fmt.Sprint("placeholder", len(holders))
+			holders = append(holders, name)
+			u := leaseAs(t, srv.URL, coord.Identity(), name)
+			if u.Status != UnitGranted {
+				break
+			}
+			for i := 1; i < len(u.Classes); i++ {
+				if fs.Classes[u.Classes[i]].Slot() < fs.Classes[u.Classes[i-1]].Slot() {
+					t.Fatalf("unit %d not injection-ordered at position %d", u.ID, i)
 				}
 			}
 		}
+		srv.Close()
 		if shuffleSeed != 0 {
-			rng := rand.New(rand.NewSource(shuffleSeed))
-			rng.Shuffle(len(coord.pending), func(i, j int) {
-				coord.pending[i], coord.pending[j] = coord.pending[j], coord.pending[i]
+			rand.New(rand.NewSource(shuffleSeed)).Shuffle(len(holders), func(i, j int) {
+				holders[i], holders[j] = holders[j], holders[i]
 			})
+		} else {
+			slices.Reverse(holders) // the first unit is granted first again
+		}
+		for _, name := range holders {
+			coord.Leave(name)
 		}
 		res, errs := runCluster(t, coord, []WorkerOptions{
 			{WorkerID: "fork", Strategy: campaign.StrategyFork},

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"faultspace/internal/campaign"
+	"faultspace/internal/cluster/lease"
 	"faultspace/internal/pruning"
 	"faultspace/internal/telemetry"
 	"faultspace/internal/trace"
@@ -60,20 +61,12 @@ type Options struct {
 	// Pprof additionally mounts net/http/pprof under /debug/pprof/ on
 	// Handler() — opt-in, for live profiling of a long cluster scan.
 	Pprof bool
-	// rateWindow is a test seam: the averaging window of the per-worker
-	// rates (default defaultRateWindow).
-	rateWindow time.Duration
 }
 
 // Defaults for Options, and the coordinator's fixed settings.
 const (
 	DefaultUnitSize = 256
 	DefaultLeaseTTL = 10 * time.Second
-	// defaultRateWindow is the averaging window for the per-worker
-	// experiments-per-second rates in /v1/status. Rates cover the last
-	// full window, so an idle worker's rate decays to zero instead of being
-	// diluted over its whole session.
-	defaultRateWindow = 5 * time.Second
 	// timelineCapacity bounds the merged campaign timeline: the
 	// coordinator's own spans plus every span workers ship back with
 	// submissions — four times a single recorder's default, since the
@@ -110,86 +103,20 @@ func (o Options) withDefaults() Options {
 	if o.ProgressInterval == 0 {
 		o.ProgressInterval = time.Second
 	}
-	if o.rateWindow == 0 {
-		o.rateWindow = defaultRateWindow
-	}
 	return o
 }
 
-// WorkerStat is one worker's slice of a cluster Progress event. The
-// JSON field names are the /v1/status wire contract.
-type WorkerStat struct {
-	ID string `json:"id"`
-	// Experiments counts entries this worker submitted, including
-	// re-executions of reassigned units — the work it actually performed.
-	Experiments int `json:"experiments"`
-	// Merged counts the outcomes this worker contributed first.
-	Merged int `json:"merged"`
-	// Rate is the worker's experiments-per-second over the last full
-	// rate window, 5 s (the partial current window before the first
-	// window completes), so it tracks what the worker is doing now — an
-	// idle worker's rate decays to zero within a window instead of being
-	// diluted over its whole session.
-	Rate float64 `json:"expPerSec"`
-	// Outstanding is the number of units the worker currently holds.
-	Outstanding int `json:"outstanding"`
-}
+// WorkerStat is one worker's slice of a cluster Progress event.
+type WorkerStat = lease.WorkerStat
 
 // Progress is one event of a distributed campaign's progress stream: the
 // regular campaign progress plus cluster-level statistics.
-type Progress struct {
-	campaign.Progress
-	// OutstandingLeases is the number of currently leased units.
-	OutstandingLeases int
-	// Reassignments counts units whose lease expired and were handed to
-	// another worker.
-	Reassignments int
-	// Workers holds per-worker statistics, sorted by ID.
-	Workers []WorkerStat
-}
+type Progress = lease.Progress
 
-type unitState uint8
-
-const (
-	unitPending unitState = iota
-	unitLeased
-	unitDone
-)
-
-type unit struct {
-	id       uint64
-	classes  []int
-	state    unitState
-	token    uint64
-	owner    string
-	deadline time.Time
-	// grantedAt is when the current lease was granted; it anchors the
-	// unit.lease span.
-	grantedAt time.Time
-}
-
-type workerInfo struct {
-	id          string
-	experiments int
-	merged      int
-	outstanding int
-	joined      time.Time
-	left        bool
-	// lastHeartbeat feeds the cluster.heartbeat_gap histogram: the time
-	// between a worker's consecutive heartbeats. Zero until the first one.
-	lastHeartbeat time.Time
-	// Windowed-rate state: experiments counted up to winStart, and the
-	// rate of the last completed window (valid once hasRate is set).
-	winStart time.Time
-	winExp   int
-	rate     float64
-	hasRate  bool
-}
-
-// Coordinator shards a campaign into leased work units and merges the
-// outcomes workers stream back. It is an http.Handler; all state is
-// guarded by one mutex, which also serializes the OnResult checkpoint
-// hook.
+// Coordinator serves one campaign's lease.State over HTTP, with three
+// jobs: decode and admit each request, take the one mutex around Step,
+// and apply the effects — write the reply, feed OnResult, spans and
+// counters, wake held requests, keep one timer at the next deadline.
 type Coordinator struct {
 	target   campaign.Target
 	golden   *trace.Golden
@@ -199,31 +126,18 @@ type Coordinator struct {
 	opts     Options
 	mux      *http.ServeMux
 
-	mu sync.Mutex
-	// tally is the campaign's running account, the one the local scan's
-	// meter keeps: progress events and /v1/status are built from it.
-	tally       campaign.Tally
-	units       []*unit
-	pending     []*unit // LIFO of grantable units
-	leased      int
-	outcomes    []campaign.Outcome
-	have        []bool
-	lastEmit    time.Time
-	reassigned  int
-	workers     map[string]*workerInfo
-	nextToken   uint64
-	interrupted bool
-	sealed      bool
-	finished    chan struct{}
-	// expiry caches the earliest deadline among the outstanding leases
-	// (zero: none) while expiryKnown; whatever grants, extends or ends a
-	// lease keeps it current or clears expiryKnown (nextExpiryLocked).
-	expiry      time.Time
-	expiryKnown bool
-	// wake is closed and replaced (wakeLocked) whenever an answer a parked
-	// request is waiting for may have changed: a unit went back to pending,
-	// the campaign finished, the coordinator was sealed, a worker left.
-	wake chan struct{}
+	mu       sync.Mutex
+	state    *lease.State
+	start    time.Time
+	lastEmit time.Time
+	finished chan struct{}
+	// wake is closed and replaced when a step says so; holds counts every
+	// hello and lease ask until its answer is out; timer ticks the state
+	// at the earliest lease deadline (armed).
+	wake  chan struct{}
+	holds Holds
+	timer *time.Timer
+	armed time.Time
 
 	// Fleet timeline: the campaign trace ID from the spec and the merged
 	// span recorder (the coordinator's own spans plus the spans workers
@@ -245,8 +159,6 @@ type Coordinator struct {
 	telWorkers    *telemetry.Gauge
 	telGap        *telemetry.Histogram
 	telLeaseDur   *telemetry.Histogram
-	telLeaseHold  *telemetry.Histogram
-	telLeaseHeld  *telemetry.Gauge
 }
 
 // NewCoordinator builds a coordinator for the campaign. prior holds
@@ -267,21 +179,22 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 	if err != nil {
 		return nil, fmt.Errorf("cluster: identity: %w", err)
 	}
+	reg := opts.Telemetry
 	c := &Coordinator{
 		target:   t,
 		golden:   golden,
 		space:    fs,
 		identity: id,
 		opts:     opts,
-		outcomes: make([]campaign.Outcome, len(fs.Classes)),
-		have:     make([]bool, len(fs.Classes)),
-		workers:  make(map[string]*workerInfo),
-		tally:    campaign.Tally{Total: len(fs.Classes), Start: time.Now()},
+		start:    time.Now(),
 		finished: make(chan struct{}),
 		wake:     make(chan struct{}),
+		holds: Holds{
+			Held: reg.Gauge("cluster.lease_held"),
+			Took: reg.Histogram("cluster.lease_hold"),
+		},
 	}
 	c.mux = c.routes()
-	reg := opts.Telemetry
 	c.telGranted = reg.Counter("cluster.leases_granted")
 	c.telExpired = reg.Counter("cluster.leases_expired")
 	c.telSubmits = reg.Counter("cluster.submissions")
@@ -290,8 +203,6 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 	c.telWorkers = reg.Gauge("cluster.active_workers")
 	c.telGap = reg.Histogram("cluster.heartbeat_gap")
 	c.telLeaseDur = reg.Histogram("cluster.lease_duration")
-	c.telLeaseHold = reg.Histogram("cluster.lease_hold")
-	c.telLeaseHeld = reg.Gauge("cluster.lease_held")
 	spec, err := NewSpec(t, fs.Kind, cfg, opts.MaxGoldenCycles, uint64(len(fs.Classes)))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
@@ -321,14 +232,10 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 		if !o.Known() {
 			return nil, fmt.Errorf("cluster: prior class %d has unknown outcome %d", ci, o)
 		}
-		c.outcomes[ci] = o
-		c.have[ci] = true
-		c.tally.Restore(o)
 	}
-
 	var todo []int
 	for i := range fs.Classes {
-		if !c.have[i] {
+		if _, ok := prior[i]; !ok {
 			todo = append(todo, i)
 		}
 	}
@@ -341,25 +248,30 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 	sort.SliceStable(todo, func(i, j int) bool {
 		return fs.Classes[todo[i]].Slot() < fs.Classes[todo[j]].Slot()
 	})
+	var units [][]int
 	for len(todo) > 0 {
-		n := opts.UnitSize
-		if n > len(todo) {
-			n = len(todo)
-		}
-		u := &unit{id: uint64(len(c.units)), classes: todo[:n]}
-		c.units = append(c.units, u)
+		n := min(opts.UnitSize, len(todo))
+		units = append(units, todo[:n])
 		todo = todo[n:]
 	}
-	// Grant units in class order: pending is popped from the tail.
-	for i := len(c.units) - 1; i >= 0; i-- {
-		c.pending = append(c.pending, c.units[i])
-	}
-	if c.tally.Remaining() == 0 {
-		c.finishLocked()
-	}
+	c.state = lease.New(c.start, opts.LeaseTTL, len(fs.Classes), prior, units)
 	c.mu.Lock()
+	if c.state.Remaining() == 0 {
+		c.finishLocked(c.start)
+	}
 	c.emitLocked(false)
 	c.mu.Unlock()
+	if opts.Interrupt != nil {
+		// Held requests wait on the wake signal, so the interrupt must be
+		// a step of its own, not only something Wait notices.
+		go func() {
+			select {
+			case <-opts.Interrupt:
+				c.step(lease.Event{Kind: lease.Interrupt})
+			case <-c.finished:
+			}
+		}()
+	}
 	return c, nil
 }
 
@@ -376,10 +288,111 @@ func (c *Coordinator) Timeline() ([]telemetry.Span, uint64) {
 	return c.spans.Spans(), c.spans.Dropped()
 }
 
-// finishLocked closes the finished channel exactly once, recording the
-// campaign root span the first time. (Safe without the lock in
-// NewCoordinator, before the coordinator is shared.)
-func (c *Coordinator) finishLocked() {
+func (c *Coordinator) step(ev lease.Event) lease.Effects {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stepLocked(ev)
+}
+
+// stepLocked applies one event at the current time and its effects.
+func (c *Coordinator) stepLocked(ev lease.Event) lease.Effects {
+	now := time.Now()
+	eff := c.state.Step(now, ev)
+	if c.opts.OnResult != nil {
+		for _, e := range eff.Merged {
+			c.opts.OnResult(e.Class, campaign.Outcome(e.Outcome))
+		}
+	}
+	switch {
+	case ev.Kind == lease.Ask && eff.Reply.Status == lease.Granted:
+		c.telGranted.Inc()
+		if !c.rampedUp {
+			c.rampedUp = true
+			c.spans.Add(telemetry.Span{
+				Scope:  "coordinator",
+				Name:   "campaign.rampup",
+				Detail: "campaign start to first lease grant",
+				Start:  c.start,
+				Dur:    now.Sub(c.start),
+			})
+		}
+	case ev.Kind == lease.Submit && eff.Reply.Err == nil:
+		c.telSubmits.Inc()
+		c.telDuplicates.Add(uint64(len(ev.Entries) - len(eff.Merged)))
+	}
+	for _, n := range eff.Notes {
+		c.observe(now, n)
+	}
+	if eff.Done {
+		c.finishLocked(now)
+	}
+	if eff.Wake {
+		close(c.wake)
+		c.wake = make(chan struct{})
+	}
+	c.armLocked(eff.Next)
+	return eff
+}
+
+// observe turns a step's note into counters, marks and spans.
+func (c *Coordinator) observe(now time.Time, n lease.Note) {
+	switch n.Kind {
+	case lease.Joined:
+		c.telWorkers.Add(1)
+		if n.Rejoin {
+			c.spans.Mark("worker.joined", n.Worker+" (rejoined)")
+		} else {
+			c.spans.Mark("worker.joined", n.Worker)
+		}
+	case lease.Left:
+		c.telWorkers.Add(-1)
+		c.spans.Mark("worker.left", n.Worker)
+	case lease.Expired:
+		c.telExpired.Inc()
+		c.spans.Mark("lease.expired", fmt.Sprintf("unit %d reclaimed from %s", n.Unit, n.Worker))
+	case lease.Closed:
+		// Grant → full merge is the coordinator's view of the unit's life.
+		d := now.Sub(n.At)
+		c.spans.Add(telemetry.Span{
+			Scope:  "coordinator",
+			Name:   "unit.lease",
+			Detail: fmt.Sprintf("unit %d (%d classes) by %s", n.Unit, n.Classes, n.Worker),
+			Start:  n.At,
+			Dur:    d,
+		})
+		c.telLeaseDur.Observe(d)
+	case lease.Beat:
+		c.telGap.Observe(n.Gap)
+	}
+}
+
+// armLocked keeps the one timer at the next lease deadline.
+func (c *Coordinator) armLocked(next time.Time) {
+	if next.Equal(c.armed) {
+		return
+	}
+	c.armed = next
+	switch {
+	case next.IsZero():
+		if c.timer != nil {
+			c.timer.Stop()
+		}
+	case c.timer == nil:
+		c.timer = time.AfterFunc(time.Until(next), c.tick)
+	default:
+		c.timer.Reset(time.Until(next))
+	}
+}
+
+func (c *Coordinator) tick() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.armed = time.Time{}
+	c.stepLocked(lease.Event{Kind: lease.Tick})
+}
+
+// finishLocked closes finished once, recording the campaign root span.
+func (c *Coordinator) finishLocked(now time.Time) {
 	select {
 	case <-c.finished:
 	default:
@@ -387,18 +400,11 @@ func (c *Coordinator) finishLocked() {
 			Scope:  "coordinator",
 			Name:   "campaign",
 			Detail: c.target.Name + " " + c.space.Kind.String(),
-			Start:  c.tally.Start,
-			Dur:    time.Since(c.tally.Start),
+			Start:  c.start,
+			Dur:    now.Sub(c.start),
 		})
 		close(c.finished)
-		c.wakeLocked()
 	}
-}
-
-// wakeLocked releases every parked request to look at the state again.
-func (c *Coordinator) wakeLocked() {
-	close(c.wake)
-	c.wake = make(chan struct{})
 }
 
 // Handler returns the coordinator's HTTP handler. With Options.Pprof
@@ -433,59 +439,55 @@ func (c *Coordinator) routes() *http.ServeMux {
 // with campaign.ErrInterrupted). Late in-flight submissions keep merging
 // — and reaching OnResult — until Seal is called.
 func (c *Coordinator) Wait() (*campaign.Result, error) {
-	var interrupt <-chan struct{} = c.opts.Interrupt
+	var err error
 	select {
 	case <-c.finished:
-		c.mu.Lock()
-		c.emitLocked(true)
-		res := c.resultLocked()
-		c.mu.Unlock()
-		return res, nil
-	case <-interrupt:
-		c.mu.Lock()
-		c.interrupted = true
-		c.emitLocked(true)
-		res := c.resultLocked()
-		c.mu.Unlock()
-		return res, campaign.ErrInterrupted
+	case <-c.opts.Interrupt:
+		err = campaign.ErrInterrupted
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		c.stepLocked(lease.Event{Kind: lease.Interrupt})
+	}
+	c.emitLocked(true)
+	return &campaign.Result{
+		Target:   c.target,
+		Golden:   c.golden,
+		Space:    c.space,
+		Outcomes: c.state.Outcomes(),
+		Identity: c.identity,
+		Pending:  c.state.Remaining(),
+	}, err
 }
 
 // Seal stops result merging: subsequent submissions are rejected with
 // 503 and OnResult will not be invoked again. Call it after the HTTP
 // server has shut down (or before closing a checkpoint writer) so no
 // handler can race a closed writer.
-func (c *Coordinator) Seal() {
-	c.mu.Lock()
-	c.sealed = true
-	c.wakeLocked()
-	c.mu.Unlock()
-}
-
-// drainedLocked reports whether every worker that ever joined has left
-// again.
-func (c *Coordinator) drainedLocked() bool {
-	for _, w := range c.workers {
-		if !w.left {
-			return false
-		}
-	}
-	return true
-}
+func (c *Coordinator) Seal() { c.step(lease.Event{Kind: lease.Seal}) }
 
 // WaitDrained blocks until every worker that ever joined has left again
-// or the timeout has passed, and reports which: the bounded grace period
-// a finished or interrupted campaign gives its fleet to fetch the
-// done/shutdown answer and say hello once more.
+// and every hello and lease ask has its answer out, or the timeout has
+// passed, and reports which: the bounded grace period a finished or
+// interrupted campaign gives its fleet to fetch the done/shutdown answer
+// and say hello once more.
 func (c *Coordinator) WaitDrained(timeout time.Duration) bool {
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	for {
 		c.mu.Lock()
-		drained, wake := c.drainedLocked(), c.wake
+		drained := c.state.Drained()
+		var wake <-chan struct{} = c.wake
 		c.mu.Unlock()
 		if drained {
-			return true
+			idle := c.holds.Idle()
+			select {
+			case <-idle:
+				return true
+			default:
+			}
+			wake = idle
 		}
 		select {
 		case <-wake:
@@ -499,18 +501,7 @@ func (c *Coordinator) WaitDrained(timeout time.Duration) bool {
 func (c *Coordinator) Snapshot() Progress {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.progressLocked(false)
-}
-
-func (c *Coordinator) resultLocked() *campaign.Result {
-	return &campaign.Result{
-		Target:   c.target,
-		Golden:   c.golden,
-		Space:    c.space,
-		Outcomes: append([]campaign.Outcome(nil), c.outcomes...),
-		Identity: c.identity,
-		Pending:  c.tally.Remaining(),
-	}
+	return c.state.Progress(time.Now(), false)
 }
 
 // --- HTTP handlers -------------------------------------------------------
@@ -561,20 +552,33 @@ func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return body, true
 }
 
-// admit enforces the campaign identity admission check shared by every
-// post-handshake endpoint.
-func (c *Coordinator) admit(w http.ResponseWriter, id [32]byte) bool {
-	if id != c.identity {
+// admitted reads and decodes a post-handshake message and enforces the
+// campaign identity admission check; anything else is answered here and
+// reported false.
+func admitted[M any](c *Coordinator, w http.ResponseWriter, r *http.Request, decode func([]byte) (M, error), id func(M) [32]byte) (M, bool) {
+	body, ok := ReadBody(w, r)
+	if !ok {
+		var zero M
+		return zero, false
+	}
+	m, err := decode(body)
+	switch {
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	case id(m) != c.identity:
 		http.Error(w, "cluster: campaign identity mismatch (different program image, fault-space kind or timeout budget)",
 			http.StatusConflict)
-		return false
+	default:
+		return m, true
 	}
-	return true
+	return m, false
 }
 
-// handleHandshake answers a worker's hello: granted, with the campaign
-// spec, while there is work to hand out, shutdown once the campaign is
-// finished, interrupted or sealed.
+// handleHandshake answers a worker's hello: granted with the spec, or
+// shutdown. A dismissed worker is gone from its hello on, but the answer
+// counts as held until written: whoever waits for the drain
+// (WaitDrained) closes the server next, and a dismissal cut off there
+// would leave the worker knocking at a closed port.
 func (c *Coordinator) handleHandshake(w http.ResponseWriter, r *http.Request) {
 	body, ok := ReadBody(w, r)
 	if !ok {
@@ -585,19 +589,17 @@ func (c *Coordinator) handleHandshake(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	var spec []byte
+	answered := c.holds.Park(r.Context(), time.Time{}, func() <-chan struct{} {
+		spec = c.Hello(h.WorkerID)
+		return nil
+	})
+	defer answered()
 	reply := HelloReply{Status: HelloShutdown}
-	spec := c.Hello(h.WorkerID)
 	if spec != nil {
 		reply = HelloReply{Status: HelloGranted, Spec: spec}
 	}
 	WriteWhole(w, EncodeHelloReply(reply))
-	if spec == nil {
-		// Dismissed — and gone only now that the answer is out: whoever
-		// waits for the fleet to drain (WaitDrained) closes the server next,
-		// and a dismissal cut off there would leave the worker knocking at a
-		// closed port.
-		c.Leave(h.WorkerID)
-	}
 }
 
 // WriteWhole answers a request with one wire message, its length
@@ -611,358 +613,85 @@ func WriteWhole(w http.ResponseWriter, frame []byte) {
 	http.NewResponseController(w).Flush()
 }
 
-// Hello joins a worker to the campaign while there is work to hand out,
-// and returns the encoded spec; otherwise it returns nil. The worker has
-// joined from here on, not from its first lease: between the two it
-// rebuilds the campaign, and a campaign that ends meanwhile must still
-// wait for it to come back (WaitDrained) rather than close the door on
-// it. A worker restarted under the name it had before it died first
-// gives back what that one held (Leave), instead of waiting out its own
-// stale lease.
+// Hello is a worker's handshake (lease.Hello): it returns the encoded
+// spec when the worker has joined the campaign, nil when it is dismissed.
 func (c *Coordinator) Hello(workerID string) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stoppedLocked() || c.tally.Remaining() == 0 {
+	if c.step(lease.Event{Kind: lease.Hello, Worker: workerID}).Reply.Status != lease.Granted {
 		return nil
 	}
-	c.leaveLocked(workerID)
-	c.touchLocked(workerID)
 	return c.spec
 }
 
-// stoppedLocked reports whether the campaign was interrupted or sealed.
-func (c *Coordinator) stoppedLocked() bool {
-	select {
-	case <-c.opts.Interrupt:
-		// Wait may not have noticed yet; a request woken by the same channel
-		// must not be told to wait or be granted anything.
-		return true
-	default:
-		return c.interrupted || c.sealed
-	}
+// Leave takes a worker out of the campaign (lease.Leave): whatever it
+// still holds goes back to pending without waiting for the lease to
+// expire.
+func (c *Coordinator) Leave(workerID string) {
+	c.step(lease.Event{Kind: lease.Leave, Worker: workerID})
 }
 
 // handleLease grants the asking worker a unit. With ?wait= a would-be
-// UnitWait is parked until the answer changes — a unit is pending again
-// (returned by a leaving worker, or reclaimed at the earliest outstanding
-// lease deadline, for which the parked request itself wakes up), the
-// campaign finishes, or the coordinator is interrupted or sealed — or
-// the hold runs out, which is answered UnitWait as an unheld ask is.
+// UnitWait is held until a step wakes it (a unit pending again, the
+// campaign over) or the hold runs out; each look is an ask of its own.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	body, ok := ReadBody(w, r)
+	q, ok := admitted(c, w, r, DecodeLeaseRequest, func(q LeaseRequest) [32]byte { return q.Identity })
 	if !ok {
-		return
-	}
-	q, err := DecodeLeaseRequest(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !c.admit(w, q.Identity) {
 		return
 	}
 	hold, ok := ParseHold(w, r)
 	if !ok {
 		return
 	}
-	asked := time.Now()
-
-	c.mu.Lock()
-	c.touchLocked(q.WorkerID)
-	resp := c.leaseLocked(q.WorkerID)
-	if resp.Status == UnitWait && hold > 0 {
-		c.telLeaseHeld.Add(1)
-		expiry := asked.Add(hold)
-		for resp.Status == UnitWait {
-			now, until := time.Now(), expiry
-			if !now.Before(until) {
-				break
-			}
-			if d, ok := c.nextExpiryLocked(); ok && d.Before(until) {
-				until = d
-			}
-			wake := c.wake
-			c.mu.Unlock()
-			t := time.NewTimer(until.Sub(now))
-			select {
-			case <-wake:
-			case <-t.C:
-			case <-c.opts.Interrupt:
-			case <-r.Context().Done():
-			}
-			t.Stop()
-			c.mu.Lock()
-			if r.Context().Err() != nil {
-				// The asker is gone; whatever is pending stays so.
-				break
-			}
-			// Each look is a contact, as the re-poll it replaces was.
-			c.touchLocked(q.WorkerID)
-			resp = c.leaseLocked(q.WorkerID)
+	var reply lease.Reply
+	answered := c.holds.Park(r.Context(), time.Now().Add(hold), func() <-chan struct{} {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if reply = c.stepLocked(lease.Event{Kind: lease.Ask, Worker: q.WorkerID}).Reply; reply.Status != lease.Wait {
+			return nil
 		}
-		c.telLeaseHeld.Add(-1)
-		c.telLeaseHold.Observe(time.Since(asked))
-	}
-	c.mu.Unlock()
-
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(EncodeWorkUnit(resp))
-}
-
-// leaseLocked answers one lease ask from the current state.
-func (c *Coordinator) leaseLocked(workerID string) WorkUnit {
-	switch {
-	case c.stoppedLocked():
-		return WorkUnit{Status: UnitShutdown}
-	case c.tally.Remaining() == 0:
-		return WorkUnit{Status: UnitDone}
-	}
-	if len(c.pending) == 0 {
-		c.reclaimExpiredLocked()
-	}
-	n := len(c.pending)
-	if n == 0 {
-		return WorkUnit{Status: UnitWait}
-	}
-	u := c.pending[n-1]
-	c.pending = c.pending[:n-1]
-	c.nextToken++
-	u.state = unitLeased
-	u.token = c.nextToken
-	u.owner = workerID
-	u.grantedAt = time.Now()
-	u.deadline = u.grantedAt.Add(c.opts.LeaseTTL)
-	if c.expiryKnown && (c.expiry.IsZero() || u.deadline.Before(c.expiry)) {
-		c.expiry = u.deadline
-	}
-	c.leased++
-	c.workers[workerID].outstanding++
-	if !c.rampedUp {
-		c.rampedUp = true
-		c.spans.Add(telemetry.Span{
-			Scope:  "coordinator",
-			Name:   "campaign.rampup",
-			Detail: "campaign start to first lease grant",
-			Start:  c.tally.Start,
-			Dur:    u.grantedAt.Sub(c.tally.Start),
-		})
-	}
-	c.telGranted.Inc()
-	return WorkUnit{Status: UnitGranted, ID: u.id, Token: u.token, Classes: u.classes}
-}
-
-// nextExpiryLocked returns the earliest deadline among the outstanding
-// leases: when a parked lease request must look again so that
-// reclaimExpiredLocked runs on time even though nobody polls. The scan
-// over the units runs once per change to the leased set, not once per
-// asker: a wake-up releases every parked request at the same time.
-func (c *Coordinator) nextExpiryLocked() (time.Time, bool) {
-	if !c.expiryKnown {
-		c.expiry = time.Time{}
-		for _, u := range c.units {
-			if u.state == unitLeased && (c.expiry.IsZero() || u.deadline.Before(c.expiry)) {
-				c.expiry = u.deadline
-			}
-		}
-		c.expiryKnown = true
-	}
-	return c.expiry, !c.expiry.IsZero()
-}
-
-// reclaimExpiredLocked returns expired leases to the pending pool.
-func (c *Coordinator) reclaimExpiredLocked() {
-	now := time.Now()
-	if first, ok := c.nextExpiryLocked(); !ok || !now.After(first) {
-		return
-	}
-	c.expiryKnown = false
-	for _, u := range c.units {
-		if u.state == unitLeased && now.After(u.deadline) {
-			u.state = unitPending
-			c.leased--
-			if wi := c.workers[u.owner]; wi != nil && wi.outstanding > 0 {
-				wi.outstanding--
-			}
-			c.telExpired.Inc()
-			c.spans.Mark("lease.expired", fmt.Sprintf("unit %d reclaimed from %s", u.id, u.owner))
-			u.owner = ""
-			c.pending = append(c.pending, u)
-			c.reassigned++
-		}
-	}
+		return c.wake
+	})
+	defer answered()
+	WriteWhole(w, EncodeWorkUnit(WorkUnit{Status: uint8(reply.Status), ID: reply.Unit, Token: reply.Token, Classes: reply.Classes}))
 }
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, ok := ReadBody(w, r)
+	s, ok := admitted(c, w, r, DecodeSubmission, func(s Submission) [32]byte { return s.Identity })
 	if !ok {
 		return
 	}
-	s, err := DecodeSubmission(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !c.admit(w, s.Identity) {
-		return
-	}
-
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sealed {
-		http.Error(w, "cluster: coordinator sealed", http.StatusServiceUnavailable)
-		return
-	}
-	if s.UnitID >= uint64(len(c.units)) {
-		http.Error(w, fmt.Sprintf("cluster: unknown unit %d", s.UnitID), http.StatusBadRequest)
-		return
-	}
-	u := c.units[s.UnitID]
-	for _, e := range s.Entries {
-		// A unit's class list is ascending (NewCoordinator carves it so).
-		if i := sort.SearchInts(u.classes, e.Class); i == len(u.classes) || u.classes[i] != e.Class {
-			http.Error(w, fmt.Sprintf("cluster: class %d not part of unit %d", e.Class, s.UnitID), http.StatusBadRequest)
-			return
+	err := c.stepLocked(lease.Event{Kind: lease.Submit, Worker: s.WorkerID, Unit: s.UnitID, Entries: s.Entries}).Reply.Err
+	if err == nil {
+		// The scope is the admitted worker ID, never the wire's: a worker
+		// cannot attribute spans to another.
+		for _, sp := range s.Spans {
+			sp.Scope = s.WorkerID
+			c.spans.Add(sp)
 		}
-		if !campaign.Outcome(e.Outcome).Known() {
-			http.Error(w, fmt.Sprintf("cluster: unknown outcome %d", e.Outcome), http.StatusBadRequest)
-			return
+		if c.opts.OnProgress != nil &&
+			(c.opts.ProgressInterval < 0 || time.Since(c.lastEmit) >= c.opts.ProgressInterval) {
+			c.emitLocked(false)
 		}
 	}
-
-	wi := c.touchLocked(s.WorkerID)
-	wi.experiments += len(s.Entries)
-	c.telSubmits.Inc()
-	// Merge the worker's spans into the fleet timeline. The scope is
-	// stamped from the authenticated-by-admission worker ID, never taken
-	// from the wire, so a worker cannot attribute spans to another.
-	for _, sp := range s.Spans {
-		sp.Scope = s.WorkerID
-		c.spans.Add(sp)
+	c.mu.Unlock()
+	switch {
+	case errors.Is(err, lease.ErrSealed):
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	default:
+		w.WriteHeader(http.StatusOK)
 	}
-	// Idempotent merge: outcomes are deterministic, so the first record
-	// for a class is as good as any duplicate — including submissions
-	// under a stale lease token after a reassignment.
-	for _, e := range s.Entries {
-		if c.have[e.Class] {
-			c.telDuplicates.Inc()
-			continue
-		}
-		o := campaign.Outcome(e.Outcome)
-		c.have[e.Class] = true
-		c.outcomes[e.Class] = o
-		c.tally.Record(o)
-		wi.merged++
-		if c.opts.OnResult != nil {
-			c.opts.OnResult(e.Class, o)
-		}
-	}
-	if len(s.Entries) == len(u.classes) && u.state != unitDone {
-		if u.state == unitLeased {
-			c.leased--
-			c.expiryKnown = false
-			if owner := c.workers[u.owner]; owner != nil && owner.outstanding > 0 {
-				owner.outstanding--
-			}
-			// Close out the lease: grant → full merge is the coordinator's
-			// view of the unit's life.
-			if !u.grantedAt.IsZero() {
-				d := time.Since(u.grantedAt)
-				c.spans.Add(telemetry.Span{
-					Scope:  "coordinator",
-					Name:   "unit.lease",
-					Detail: fmt.Sprintf("unit %d (%d classes) by %s", u.id, len(u.classes), u.owner),
-					Start:  u.grantedAt,
-					Dur:    d,
-				})
-				c.telLeaseDur.Observe(d)
-			}
-		} else {
-			// The unit's lease had already expired and it went back to the
-			// pending pool; drop it from there so nobody re-runs it.
-			for i, p := range c.pending {
-				if p == u {
-					c.pending = append(c.pending[:i], c.pending[i+1:]...)
-					break
-				}
-			}
-		}
-		u.state = unitDone
-		u.owner = ""
-	}
-	if c.opts.OnProgress != nil &&
-		(c.opts.ProgressInterval < 0 || time.Since(c.lastEmit) >= c.opts.ProgressInterval) {
-		c.emitLocked(false)
-	}
-	if c.tally.Remaining() == 0 {
-		c.finishLocked()
-	}
-	w.WriteHeader(http.StatusOK)
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	body, ok := ReadBody(w, r)
+	h, ok := admitted(c, w, r, DecodeHeartbeat, func(h Heartbeat) [32]byte { return h.Identity })
 	if !ok {
 		return
 	}
-	h, err := DecodeHeartbeat(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !c.admit(w, h.Identity) {
-		return
-	}
-	c.mu.Lock()
-	wi := c.touchLocked(h.WorkerID)
+	c.step(lease.Event{Kind: lease.Heartbeat, Worker: h.WorkerID, Units: h.Units})
 	c.telHeartbeats.Inc()
-	now := time.Now()
-	if !wi.lastHeartbeat.IsZero() {
-		c.telGap.Observe(now.Sub(wi.lastHeartbeat))
-	}
-	wi.lastHeartbeat = now
-	for _, id := range h.Units {
-		if id < uint64(len(c.units)) {
-			u := c.units[id]
-			if u.state == unitLeased && u.owner == h.WorkerID {
-				u.deadline = now.Add(c.opts.LeaseTTL)
-				c.expiryKnown = false
-			}
-		}
-	}
-	c.mu.Unlock()
 	w.WriteHeader(http.StatusOK)
-}
-
-// Leave takes a worker out of the campaign: whatever it still holds goes
-// back to pending without waiting for the lease to expire, and the fleet
-// may now be drained. A name that never joined, or has left already, is a
-// no-op.
-func (c *Coordinator) Leave(workerID string) {
-	c.mu.Lock()
-	c.leaveLocked(workerID)
-	c.mu.Unlock()
-}
-
-func (c *Coordinator) leaveLocked(workerID string) {
-	wi := c.workers[workerID]
-	if wi == nil || wi.left {
-		return
-	}
-	wi.left = true
-	c.telWorkers.Add(-1)
-	c.spans.Mark("worker.left", workerID)
-	// A voluntary return is not a reassignment.
-	for _, u := range c.units {
-		if u.state == unitLeased && u.owner == workerID {
-			u.state = unitPending
-			u.owner = ""
-			c.leased--
-			c.expiryKnown = false
-			c.pending = append(c.pending, u)
-		}
-	}
-	wi.outstanding = 0
-	c.wakeLocked()
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -1016,9 +745,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// handleTrace serves the merged fleet span timeline: Chrome trace-event
-// JSON by default (loadable in Perfetto / chrome://tracing), one JSON
-// object per span with ?format=jsonl.
+// handleTrace serves the merged fleet span timeline.
 func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if !RequireMethod(w, r, http.MethodGet) {
 		return
@@ -1028,13 +755,20 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spans, _ := c.Timeline()
+	ServeTimeline(w, r, c.traceID, spans)
+}
+
+// ServeTimeline writes a campaign's span timeline: Chrome trace-event JSON
+// (loadable in Perfetto / chrome://tracing), or one JSON object per span
+// with ?format=jsonl.
+func ServeTimeline(w http.ResponseWriter, r *http.Request, id telemetry.TraceID, spans []telemetry.Span) {
 	if r.URL.Query().Get("format") == "jsonl" {
 		w.Header().Set("Content-Type", "application/jsonl")
-		telemetry.WriteSpansJSONL(w, c.traceID, spans)
+		telemetry.WriteSpansJSONL(w, id, spans)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	telemetry.WriteChromeTrace(w, c.traceID, spans)
+	telemetry.WriteChromeTrace(w, id, spans)
 }
 
 // handleMetrics serves the Prometheus text exposition: the registry's
@@ -1069,67 +803,11 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	telemetry.WritePrometheusSets(w, sets)
 }
 
-// --- progress ------------------------------------------------------------
-
-func (c *Coordinator) touchLocked(workerID string) *workerInfo {
-	wi := c.workers[workerID]
-	if wi == nil {
-		now := time.Now()
-		wi = &workerInfo{id: workerID, joined: now, winStart: now}
-		c.workers[workerID] = wi
-		c.telWorkers.Add(1)
-		c.spans.Mark("worker.joined", workerID)
-	} else if wi.left {
-		// A worker that left and came back counts as active again.
-		c.telWorkers.Add(1)
-		c.spans.Mark("worker.joined", workerID+" (rejoined)")
-	}
-	wi.left = false
-	return wi
-}
-
-func (c *Coordinator) progressLocked(final bool) Progress {
-	now := time.Now()
-	p := Progress{
-		Progress:          c.tally.Progress(now, final),
-		OutstandingLeases: c.leased,
-		Reassignments:     c.reassigned,
-	}
-	for _, wi := range c.workers {
-		ws := WorkerStat{
-			ID:          wi.id,
-			Experiments: wi.experiments,
-			Merged:      wi.merged,
-			Outstanding: wi.outstanding,
-		}
-		// Roll the rate window forward: each elapsed window becomes the
-		// reported rate, so the stat reflects recent throughput. Several
-		// windows may have passed since the last progress computation — the
-		// experiments since winStart then spread over all of them, and a
-		// fully idle stretch decays the rate to zero.
-		if d := now.Sub(wi.winStart); d >= c.opts.rateWindow {
-			windows := float64(d) / float64(c.opts.rateWindow)
-			wi.rate = float64(wi.experiments-wi.winExp) / (windows * c.opts.rateWindow.Seconds())
-			wi.hasRate = true
-			wi.winStart = now
-			wi.winExp = wi.experiments
-		}
-		if wi.hasRate {
-			ws.Rate = wi.rate
-		} else if d := now.Sub(wi.winStart); d > 0 && wi.experiments > wi.winExp {
-			// Before the first full window: the partial-window rate.
-			ws.Rate = float64(wi.experiments-wi.winExp) / d.Seconds()
-		}
-		p.Workers = append(p.Workers, ws)
-	}
-	sort.Slice(p.Workers, func(i, j int) bool { return p.Workers[i].ID < p.Workers[j].ID })
-	return p
-}
-
 func (c *Coordinator) emitLocked(final bool) {
 	if c.opts.OnProgress == nil {
 		return
 	}
-	c.lastEmit = time.Now()
-	c.opts.OnProgress(c.progressLocked(final))
+	now := time.Now()
+	c.lastEmit = now
+	c.opts.OnProgress(c.state.Progress(now, final))
 }

@@ -3,7 +3,10 @@ package cluster
 import (
 	"context"
 	"net/http"
+	"sync"
 	"time"
+
+	"faultspace/internal/telemetry"
 )
 
 // Held requests. The three hand-offs on the submit→report path — an idle
@@ -42,6 +45,85 @@ func ParseHold(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
 		d = MaxHold
 	}
 	return d, true
+}
+
+// Holds parks one kind of a server's held requests and counts them until
+// their answers are out, so that a draining server waits for every held
+// answer before it closes instead of cutting it. The zero value is ready
+// to use; Held and Took, when set, count the requests parked right now
+// and observe how long each was.
+type Holds struct {
+	Held *telemetry.Gauge
+	Took *telemetry.Histogram
+
+	mu   sync.Mutex
+	n    int
+	idle chan struct{} // closed when n returns to zero
+}
+
+// closed is a channel closed from the start.
+var closed = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// Park holds a request until look finds its answer, the deadline passes
+// or ctx ends — the one hold loop of both servers. look works out the
+// answer and returns nil once it is the one to give, else the channel
+// whose closing means "look again"; a deadline already passed looks once,
+// and once ctx ends (the asker is gone) nothing looks again. The request
+// counts as held until the caller calls answered, after writing.
+func (h *Holds) Park(ctx context.Context, deadline time.Time, look func() <-chan struct{}) (answered func()) {
+	h.mu.Lock()
+	h.n++
+	h.mu.Unlock()
+	start := time.Now()
+	wake := look()
+	if wake != nil && start.Before(deadline) {
+		h.Held.Add(1)
+		t := time.NewTimer(deadline.Sub(start))
+	hold:
+		for wake != nil {
+			select {
+			case <-wake:
+			case <-t.C:
+				break hold
+			case <-ctx.Done():
+				break hold
+			}
+			if ctx.Err() != nil {
+				break
+			}
+			wake = look()
+		}
+		t.Stop()
+		h.Held.Add(-1)
+		h.Took.Observe(time.Since(start))
+	}
+	return h.done
+}
+
+func (h *Holds) done() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.n--; h.n == 0 && h.idle != nil {
+		close(h.idle)
+		h.idle = nil
+	}
+}
+
+// Idle returns a channel closed once no request is held.
+func (h *Holds) Idle() <-chan struct{} {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.n == 0 {
+		return closed
+	}
+	if h.idle == nil {
+		h.idle = make(chan struct{})
+	}
+	return h.idle
 }
 
 // HoldQuery is the query string a client appends to ask for a held

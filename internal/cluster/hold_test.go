@@ -440,59 +440,3 @@ func TestHandshakeJoinsNamedWorker(t *testing.T) {
 		t.Errorf("hello after the end: status %d, workers %+v; want dismissed without joining", h.Status, coord.Snapshot().Workers)
 	}
 }
-
-// TestNextExpiryCache: the cached earliest lease deadline equals a scan
-// over the units after everything that grants, extends or ends a lease —
-// the parked requests' timers and the reclaim rely on it.
-func TestNextExpiryCache(t *testing.T) {
-	const ttl = 150 * time.Millisecond
-	tgt, golden, fs := testCampaign(t, "hi")
-	want, err := campaign.FullScan(tgt, golden, fs, campaign.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{},
-		Options{UnitSize: 4, LeaseTTL: ttl, MaxGoldenCycles: testMaxGolden}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	id := coord.Identity()
-
-	check := func(after string) {
-		t.Helper()
-		coord.mu.Lock()
-		defer coord.mu.Unlock()
-		var scan time.Time
-		for _, u := range coord.units {
-			if u.state == unitLeased && (scan.IsZero() || u.deadline.Before(scan)) {
-				scan = u.deadline
-			}
-		}
-		if got, _ := coord.nextExpiryLocked(); !got.Equal(scan) {
-			t.Errorf("after %s: cached earliest deadline %v, a scan finds %v", after, got, scan)
-		}
-	}
-	check("start")
-	a := leaseAs(t, srv.URL, id, "a")
-	check("first grant")
-	b := leaseAs(t, srv.URL, id, "b")
-	leaseAs(t, srv.URL, id, "c")
-	check("three grants")
-	postAs(t, srv.URL, "/v1/heartbeat", EncodeHeartbeat(Heartbeat{Identity: id, WorkerID: "a", Units: []uint64{a.ID}}))
-	check("heartbeat of the earliest lease")
-	submitAs(t, srv.URL, id, "b", b, want.Outcomes)
-	check("submit")
-	coord.Leave("c")
-	check("leave")
-	for leaseAs(t, srv.URL, id, "d").Status == UnitGranted {
-	}
-	check("everything leased")
-	// The rest expire together; the next ask reclaims and is granted one.
-	time.Sleep(ttl + 20*time.Millisecond)
-	if u := leaseAs(t, srv.URL, id, "e"); u.Status != UnitGranted {
-		t.Fatalf("ask after every lease expired: status %d, want a reclaimed unit", u.Status)
-	}
-	check("reclaim")
-}

@@ -283,58 +283,6 @@ func TestFleetTraceTimeline(t *testing.T) {
 	}
 }
 
-// TestWindowedWorkerRates pins the /v1/status rate semantics: a worker's
-// experiments-per-second is averaged over the last rate window, so after
-// an idle stretch it decays to zero instead of being diluted over the
-// whole session (the since-join bug this replaces).
-func TestWindowedWorkerRates(t *testing.T) {
-	tgt, golden, fs := testCampaign(t, "hi")
-	want, err := campaign.FullScan(tgt, golden, fs, campaign.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
-		UnitSize:        8,
-		LeaseTTL:        time.Minute,
-		rateWindow:      50 * time.Millisecond,
-		MaxGoldenCycles: testMaxGolden,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	id := coord.Identity()
-
-	u := leaseAs(t, srv.URL, id, "w")
-	if u.Status != UnitGranted {
-		t.Fatalf("lease: status %d, want granted", u.Status)
-	}
-	submitAs(t, srv.URL, id, "w", u, want.Outcomes)
-
-	rateOf := func(p Progress) float64 {
-		for _, ws := range p.Workers {
-			if ws.ID == "w" {
-				return ws.Rate
-			}
-		}
-		t.Fatal("worker w missing from progress")
-		return 0
-	}
-	if r := rateOf(coord.Snapshot()); r <= 0 {
-		t.Errorf("rate right after submitting = %g, want > 0", r)
-	}
-	// Two idle windows later the rate must have decayed to zero. The
-	// first snapshot closes whatever window the submission landed in;
-	// the second covers a fully idle one.
-	time.Sleep(60 * time.Millisecond)
-	coord.Snapshot()
-	time.Sleep(60 * time.Millisecond)
-	if r := rateOf(coord.Snapshot()); r != 0 {
-		t.Errorf("rate after two idle windows = %g, want 0", r)
-	}
-}
-
 // TestCoordinatorMetricsExposition scrapes the coordinator's /metrics
 // through the validating Prometheus text-format parser: the registry's
 // instruments and the synthetic per-worker series must all be

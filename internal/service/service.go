@@ -9,12 +9,14 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"faultspace/internal/archive"
 	"faultspace/internal/cluster"
+	"faultspace/internal/cluster/lease"
 	"faultspace/internal/frame"
 	"faultspace/internal/telemetry"
 )
@@ -175,22 +177,18 @@ type Service struct {
 	active    []*entry // running campaigns
 	fleetPos  int      // round-robin position for fleet assignment
 	draining  bool
-	// wake is closed and replaced (wakeLocked) when the answer a parked
-	// handshake is waiting for may have changed: a campaign became
-	// assignable, or the service started draining — and, while draining,
-	// when the last of the hellos being answered is out, which Shutdown
-	// waits for.
-	wake   chan struct{}
-	hellos int
-	wg     sync.WaitGroup
+	// wake is closed and replaced when a campaign becomes assignable or
+	// the service drains; hellos and waits hold handshakes and ?wait=
+	// status requests until their answers are out, which Shutdown awaits.
+	wake          chan struct{}
+	wg            sync.WaitGroup
+	hellos, waits cluster.Holds
 
 	telQueueDepth *telemetry.Gauge
 	telActive     *telemetry.Gauge
 	telSubmitted  *telemetry.Counter
 	telHits       *telemetry.Counter
 	telMisses     *telemetry.Counter
-	telHold       *telemetry.Histogram
-	telHeld       *telemetry.Gauge
 }
 
 // New opens the result archive and returns a ready-to-serve Service.
@@ -218,8 +216,10 @@ func New(opts Options) (*Service, error) {
 	s.telSubmitted = reg.Counter("service.submissions")
 	s.telHits = reg.Counter("service.archive_hits")
 	s.telMisses = reg.Counter("service.archive_misses")
-	s.telHold = reg.Histogram("fleet.handshake_hold")
-	s.telHeld = reg.Gauge("fleet.handshake_held")
+	s.hellos.Held = reg.Gauge("fleet.handshake_held")
+	s.hellos.Took = reg.Histogram("fleet.handshake_hold")
+	s.waits.Held = reg.Gauge("service.status_held")
+	s.waits.Took = reg.Histogram("service.status_hold")
 	return s, nil
 }
 
@@ -261,10 +261,17 @@ func retryAfter(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", "1")
 }
 
+// writeJSON answers with v as one JSON line, its length announced and
+// flushed, so that a server closed right after — as at the end of a
+// drain — closes a connection whose answer is complete.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, _ := json.Marshal(v)
+	body = append(body, '\n')
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(body)
+	http.NewResponseController(w).Flush()
 }
 
 // handleCampaigns serves POST /v1/campaigns (submit) and GET
@@ -414,15 +421,15 @@ func (s *Service) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return
 		}
-		if hold > 0 {
-			t := time.NewTimer(hold)
+		answered := s.waits.Park(r.Context(), time.Now().Add(hold), func() <-chan struct{} {
 			select {
 			case <-e.done:
-			case <-t.C:
-			case <-r.Context().Done():
+				return nil
+			default:
+				return e.done
 			}
-			t.Stop()
-		}
+		})
+		defer answered()
 		s.mu.Lock()
 		st := s.statusLocked(e, true)
 		s.mu.Unlock()
@@ -463,13 +470,7 @@ func (s *Service) handleCampaign(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// The coordinator records under the submission's trace ID.
-		if r.URL.Query().Get("format") == "jsonl" {
-			w.Header().Set("Content-Type", "application/jsonl")
-			telemetry.WriteSpansJSONL(w, e.spec.TraceID, spans)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		telemetry.WriteChromeTrace(w, e.spec.TraceID, spans)
+		cluster.ServeTimeline(w, r, e.spec.TraceID, spans)
 	default:
 		http.Error(w, "service: unknown campaign endpoint", http.StatusNotFound)
 	}
@@ -690,39 +691,26 @@ func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	asked := time.Now()
+	deadline := time.Now().Add(hold)
 
 	s.mu.Lock()
-	s.hellos++
 	for _, e := range s.active {
 		if e.coord != nil {
 			e.coord.Leave(hello.WorkerID)
 		}
 	}
-	spec, draining := s.grantLocked(hello.WorkerID)
-	if spec == nil && !draining && hold > 0 {
-		s.telHeld.Add(1)
-		t := time.NewTimer(hold)
-		for expired := false; spec == nil && !draining && !expired; {
-			wake := s.wake
-			s.mu.Unlock()
-			select {
-			case <-wake:
-			case <-t.C:
-				expired = true
-			case <-r.Context().Done():
-				expired = true
-			}
-			s.mu.Lock()
-			if r.Context().Err() == nil {
-				spec, draining = s.grantLocked(hello.WorkerID)
-			}
-		}
-		t.Stop()
-		s.telHeld.Add(-1)
-		s.telHold.Observe(time.Since(asked))
-	}
 	s.mu.Unlock()
+	var spec []byte
+	var draining bool
+	answered := s.hellos.Park(r.Context(), deadline, func() <-chan struct{} {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if spec, draining = s.grantLocked(hello.WorkerID); spec != nil || draining {
+			return nil
+		}
+		return s.wake
+	})
+	defer answered()
 
 	resp := cluster.HelloReply{Status: cluster.HelloWait}
 	switch {
@@ -733,11 +721,6 @@ func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 		resp.Spec = spec
 	}
 	cluster.WriteWhole(w, cluster.EncodeHelloReply(resp))
-	s.mu.Lock()
-	if s.hellos--; s.hellos == 0 && s.draining {
-		s.wakeLocked()
-	}
-	s.mu.Unlock()
 }
 
 // grantLocked joins a handshaking worker to a running campaign, chosen
@@ -794,20 +777,18 @@ func (s *Service) routeWorker(w http.ResponseWriter, r *http.Request) {
 		coord.Handler().ServeHTTP(w, r)
 		return
 	}
-	// No coordinator: synthesize the answer a finished (or not yet
-	// started) campaign owes the worker.
+	// No coordinator: answer as a campaign state in the entry's phase
+	// answers an ask it grants nothing (lease.Phase.Answer).
 	if strings.HasSuffix(r.URL.Path, "/lease") {
-		u := cluster.WorkUnit{}
+		phase := lease.Stopped
 		switch state {
 		case StateQueued:
-			u.Status = cluster.UnitWait
+			phase = lease.Queued
 		case StateDone:
-			u.Status = cluster.UnitDone
-		default:
-			u.Status = cluster.UnitShutdown
+			phase = lease.Finished
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(cluster.EncodeWorkUnit(u))
+		w.Write(cluster.EncodeWorkUnit(cluster.WorkUnit{Status: uint8(phase.Answer())}))
 		return
 	}
 	w.WriteHeader(http.StatusOK)
@@ -900,7 +881,8 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 // queued campaigns are cancelled, running ones interrupted — their
 // coordinators answer the fleet with shutdown and get a bounded grace
 // period to drain their leases — and the archive is flushed. It blocks
-// until every campaign goroutine has finished.
+// until every campaign goroutine has finished and every held hello and
+// status has its answer out.
 func (s *Service) Shutdown() {
 	s.mu.Lock()
 	if s.draining {
@@ -928,15 +910,10 @@ func (s *Service) Shutdown() {
 	// Whoever called closes the server next: every worker saying hello
 	// right now — the parked ones were all just released — has its
 	// dismissal on the wire first, or it would knock at a closed port
-	// until its retries run out.
-	s.mu.Lock()
-	for s.hellos > 0 {
-		wake := s.wake
-		s.mu.Unlock()
-		<-wake
-		s.mu.Lock()
-	}
-	s.mu.Unlock()
+	// until its retries run out; every client holding its campaign's
+	// status has the campaign's end, not a cut connection.
+	<-s.hellos.Idle()
+	<-s.waits.Idle()
 	if s.store != nil {
 		s.store.Sync()
 	}

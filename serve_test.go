@@ -13,15 +13,17 @@ import (
 	"faultspace/internal/cluster"
 )
 
-// TestServeHeaderTimeoutSparesHeldRequests: a connection that sends half
-// a header line and stalls is closed once readHeaderTimeout runs out,
-// while a handshake parked at the same server with ?wait= — held four
-// timeouts long — is answered in full: the server bounds how long a
-// request may take to arrive, never how long its answer may be held.
+// TestServeHeaderTimeoutSparesHeldRequests: a connection that stalls is
+// closed once its read bound runs out — half a header line by
+// readHeaderTimeout, a body shorter than announced by readTimeout, a
+// kept-alive connection with no next request by idleTimeout — while a
+// handshake parked at the same server with ?wait=, held longer than any
+// of them, is answered in full: the server bounds how long a request may
+// take to arrive, never how long its answer may be held.
 func TestServeHeaderTimeoutSparesHeldRequests(t *testing.T) {
-	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
-	readHeaderTimeout = 150 * time.Millisecond
-	const hold = 4 * 150 * time.Millisecond
+	defer func(h, r, i time.Duration) { readHeaderTimeout, readTimeout, idleTimeout = h, r, i }(readHeaderTimeout, readTimeout, idleTimeout)
+	readHeaderTimeout, readTimeout, idleTimeout = 100*time.Millisecond, 600*time.Millisecond, 100*time.Millisecond
+	const hold = 1500 * time.Millisecond
 	addr := startCampaignService(t, CampaignServiceOptions{})
 
 	type answer struct {
@@ -48,23 +50,37 @@ func TestServeHeaderTimeoutSparesHeldRequests(t *testing.T) {
 		parked <- answer{hello: h, took: time.Since(start), err: err}
 	}()
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := io.WriteString(conn, "GET /v1/status HTT"); err != nil {
-		t.Fatal(err)
-	}
-	stalled := time.Now()
-	conn.SetReadDeadline(stalled.Add(10 * time.Second))
-	// The server may answer 400 first; what matters is that it hangs up.
-	if _, err := io.ReadAll(conn); err != nil {
-		t.Fatalf("stalled connection: %v; want the server to close it", err)
-	}
-	if d := time.Since(stalled); d >= hold {
-		t.Errorf("stalled connection closed after %v, want within the %v header timeout (well before the %v hold)",
-			d, readHeaderTimeout, hold)
+	for _, row := range []struct {
+		name, send string
+		// within is when the server must have hung up: past its own bound,
+		// short of the next larger one.
+		within time.Duration
+	}{
+		{"stalled header", "GET /v1/status HTT", readTimeout},
+		{"stalled body", "POST /v1/handshake HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\nabc", hold},
+		// Idle, the server falls back to readTimeout when there is no
+		// idleTimeout: half of it tells the two apart.
+		{"idle connection", "GET /v1/status HTTP/1.1\r\nHost: x\r\n\r\n", readTimeout / 2},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.WriteString(conn, row.send); err != nil {
+			t.Fatal(err)
+		}
+		stalled := time.Now()
+		conn.SetReadDeadline(stalled.Add(10 * time.Second))
+		// The server may answer first (400, or the status itself); what
+		// matters is that it hangs up.
+		_, err = io.ReadAll(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("%s: %v; want the server to close it", row.name, err)
+		}
+		if d := time.Since(stalled); d >= row.within {
+			t.Errorf("%s: closed after %v, want within %v", row.name, d, row.within)
+		}
 	}
 
 	a := <-parked

@@ -88,6 +88,57 @@ func TestServeCampaignsDismissesParkedWorkers(t *testing.T) {
 	}
 }
 
+// TestServeCampaignsAnswersHeldStatus: a WaitCampaign parked on its held
+// status when the service is told to drain returns the campaign's end —
+// cancelled — never a transport error: the drain answers every held
+// status before the listener closes, as it dismisses every parked worker
+// (TestServeCampaignsDismissesParkedWorkers).
+func TestServeCampaignsAnswersHeldStatus(t *testing.T) {
+	reg := NewTelemetry()
+	intr := make(chan struct{})
+	listening := make(chan string, 1)
+	served := make(chan error, 1)
+	go func() {
+		served <- ServeCampaigns("127.0.0.1:0", CampaignServiceOptions{
+			Interrupt: intr, Telemetry: reg, OnListen: func(a string) { listening <- a },
+		})
+	}()
+	var addr string
+	select {
+	case addr = <-listening:
+	case err := <-served:
+		t.Fatalf("ServeCampaigns: %v", err)
+	}
+	// No fleet: the campaign runs unserved until the drain cancels it.
+	info, err := SubmitCampaign(addr, hiProgram(t), ScanOptions{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		info CampaignInfo
+		err  error
+	}
+	waited := make(chan result, 1)
+	go func() {
+		info, err := WaitCampaign(addr, info.ID, 0, nil)
+		waited <- result{info, err}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); reg.Gauge("service.status_held").Value() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the status request never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(intr)
+	r := <-waited
+	if r.err != nil || r.info.State != "cancelled" {
+		t.Errorf("WaitCampaign across the drain: state %q, err %v; want cancelled, no error", r.info.State, r.err)
+	}
+	if err := <-served; err != nil {
+		t.Errorf("ServeCampaigns: %v", err)
+	}
+}
+
 func hiProgram(t testing.TB) *Program {
 	t.Helper()
 	p, err := progs.Hi().Baseline()
