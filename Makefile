@@ -90,10 +90,15 @@ race-checkpoint:
 # progress tests hold the meter behind it to its event counts. Then the
 # root scans whose bytes depend on delivery order and on an interrupt
 # raised from inside a callback. -cpu 1 is the case where worker 0 runs
-# everything before a started goroutine is scheduled at all.
+# everything before a started goroutine is scheduled at all. Last, hi's
+# interrupt+resume scan a hundred times: an interrupt raised inside
+# OnProgress must stop its 16 classes before the last unit, and when the
+# stop reached the scan through a goroutine about one run in twenty under
+# -race finished instead.
 race-session:
 	$(GO) test -race -count=3 -cpu 1,2,4 -run='TestSession|TestWorkerErrorNoDeadlock|TestProgress' ./internal/campaign
-	$(GO) test -race -cpu 1,2 -run='TestCheckpointBytesPinned|TestInterruptResumeEquivalence' .
+	$(GO) test -race -cpu 1,2 -run='TestCheckpointBytesPinned|TestInterruptResumeEquivalence|TestCancelInsideProgress' .
+	$(GO) test -race -count=100 -run='TestInterruptResumeEquivalence/hi' .
 
 # A short deterministic-corpus + 10s randomized smoke of the attack
 # surfaces: the binary decoders exposed to untrusted bytes (the field

@@ -2,6 +2,7 @@ package faultspace
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"path/filepath"
 	"strings"
@@ -116,17 +117,17 @@ func TestPartialResultRefused(t *testing.T) {
 	}
 
 	ck := filepath.Join(t.TempDir(), "scan.ckpt")
-	interrupt := make(chan struct{})
+	ctx, interrupt := context.WithCancel(context.Background())
 	var once sync.Once
 	partial, err := Scan(prog, ScanOptions{
 		Checkpoint:       ck,
 		ProgressInterval: -1,
 		OnProgress: func(p Progress) {
 			if p.Done >= p.Total/3 && p.Done > 0 {
-				once.Do(func() { close(interrupt) })
+				once.Do(interrupt)
 			}
 		},
-		Interrupt: interrupt,
+		Context: ctx,
 	})
 	if !errors.Is(err, ErrInterrupted) || partial == nil {
 		t.Fatalf("interrupted scan: result %v, err = %v", partial, err)

@@ -1,6 +1,7 @@
 package faultspace
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -9,7 +10,6 @@ import (
 	"sync"
 	"syscall"
 	"testing"
-	"time"
 
 	"faultspace/internal/leakcheck"
 	"faultspace/internal/progs"
@@ -74,7 +74,7 @@ func TestScanStopsOnDeadCheckpoint(t *testing.T) {
 	res, err := Scan(prog, ScanOptions{
 		Workers:          2,
 		Checkpoint:       ck,
-		Interrupt:        make(chan struct{}), // never closed: the stop is the checkpoint's
+		Context:          context.Background(), // never cancelled: the stop is the checkpoint's
 		ProgressInterval: -1,
 		OnProgress: func(p Progress) {
 			total, ran = p.Total, p.Session
@@ -109,9 +109,8 @@ func TestServeScanStopsOnDeadCheckpoint(t *testing.T) {
 	var total, merged int
 	worker := make(chan error, 1)
 	res, err := ServeScan(prog, "127.0.0.1:0", ServeOptions{
-		ScanOptions:  ScanOptions{Checkpoint: ck, ProgressInterval: -1},
-		UnitSize:     64,
-		DrainTimeout: time.Second,
+		ScanOptions: ScanOptions{Checkpoint: ck, ProgressInterval: -1},
+		UnitSize:    64,
 		OnClusterProgress: func(p ClusterProgress) {
 			total, merged = p.Total, p.Session
 		},

@@ -47,9 +47,6 @@ type ServeOptions struct {
 	// OnListen, when non-nil, receives the bound listen address once the
 	// coordinator is serving — useful with ":0" addresses.
 	OnListen func(addr string)
-	// DrainTimeout bounds how long ServeScan waits after completion for
-	// workers to fetch their done notice and be dismissed (default 3s).
-	DrainTimeout time.Duration
 	// Pprof mounts net/http/pprof profiling endpoints under /debug/pprof/
 	// on the coordinator's HTTP handler. Off by default: profiling a
 	// public coordinator address is opt-in.
@@ -66,8 +63,8 @@ type ServeOptions struct {
 // Checkpoint and Resume behave exactly as in Scan: merged outcomes
 // stream into the crash-safe checkpoint, and a restarted coordinator
 // resumes with no experiment redone; a checkpoint that can no longer be
-// written ends the campaign with its error. Interrupt stops granting
-// leases and returns the partial result with ErrInterrupted.
+// written ends the campaign with its error. Cancelling Context stops
+// granting leases and returns the partial result with ErrInterrupted.
 func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) {
 	c, err := prepare(p, opts.ScanOptions)
 	if err != nil {
@@ -79,7 +76,7 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 		MaxGoldenCycles:  opts.maxGolden(),
 		OnProgress:       opts.OnClusterProgress,
 		ProgressInterval: opts.ProgressInterval,
-		Interrupt:        opts.Interrupt,
+		Context:          opts.Context,
 		Telemetry:        opts.Telemetry,
 		Pprof:            opts.Pprof,
 	}
@@ -91,7 +88,7 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 			return nil, err
 		}
 		prior, finish = completed, ck.close
-		copts.OnResult, copts.Interrupt = ck.record, ck.interrupt
+		copts.OnResult, copts.Context = ck.record, ck.ctx
 	}
 	coord, err := cluster.NewCoordinator(c.target, c.golden, c.space, c.cfg, copts, prior)
 	if err != nil {
@@ -112,17 +109,18 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 	// interrupt path this also lets in-flight units finish submitting, so
 	// their experiments are recorded — the cluster analogue of the local
 	// graceful-interrupt semantics.
-	drain := opts.DrainTimeout
-	if drain == 0 {
-		drain = 3 * time.Second
-	}
-	coord.WaitDrained(drain)
+	coord.WaitDrained(drainTimeout)
 	// Close the listener and connections, then seal the coordinator so no
 	// late handler can touch a closed checkpoint writer.
 	stop()
 	coord.Seal()
 	return finish(res, scanErr)
 }
+
+// drainTimeout bounds how long ServeScan waits after the campaign's end
+// for its workers to fetch their done or shutdown notice and be
+// dismissed.
+const drainTimeout = 3 * time.Second
 
 // The server's read bounds: how long a connection may take to send its
 // request header, to send the whole request, body included, and how long
@@ -173,11 +171,11 @@ func ServeMetrics(addr string, reg *Telemetry) (bound string, stop func(), err e
 }
 
 // JoinOptions parameterizes JoinScan: the worker's name, its local
-// execution choices (Workers, Strategy, LadderInterval, Predecode —
-// outcome-invariant, free to differ across a fleet), retry backoff,
-// Interrupt (when closed the worker dies abruptly mid-unit without
-// submitting — the crash the coordinator's lease expiry must absorb),
-// Telemetry, the HTTP client and Logf.
+// execution choices (Workers, Strategy, Predecode — outcome-invariant,
+// free to differ across a fleet), retry backoff, Context (when cancelled
+// the worker dies abruptly mid-unit without submitting — the crash the
+// coordinator's lease expiry must absorb), Telemetry, the HTTP client and
+// Logf.
 type JoinOptions = cluster.WorkerOptions
 
 // JoinScan makes this process a worker of the server at addr — a
@@ -196,7 +194,7 @@ type JoinOptions = cluster.WorkerOptions
 // arrives after the end is sent home at the handshake), and
 // ErrCoordinatorShutdown when the last campaign it worked on was cut
 // short. It returns ErrCoordinatorUnreachable when the server stays
-// unreachable and ErrInterrupted when JoinOptions.Interrupt fires.
+// unreachable and ErrInterrupted when JoinOptions.Context is cancelled.
 func JoinScan(addr string, opts JoinOptions) error {
 	if err := cluster.Join(normalizeURL(addr), opts, nil); err != nil {
 		return fmt.Errorf("faultspace: %w", err)

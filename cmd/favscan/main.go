@@ -69,7 +69,6 @@ func run(args []string, w, errW io.Writer) error {
 		biased   = fs.Bool("biased", false, "sample classes uniformly (Pitfall 2) instead of raw coordinates")
 		effect   = fs.Bool("effective", false, "sample the reduced population w' (Corollary 1)")
 		strategy = fs.String("strategy", "fork", "experiment strategy: fork, or rerun (the brute-force reference)")
-		ladderIv = fs.Uint64("ladder-interval", 0, "rung spacing in cycles for -strategy fork (0 = auto-tune)")
 		predec   = fs.Bool("predecode", true, "execute via the pre-decoded dispatch stream (outcome-invariant; -predecode=false for the plain decoder)")
 		space    = fs.String("space", "memory", "fault space: memory, registers (§VI-B), skip, pc, burst2 or burst4")
 		objFl    = fs.String("objective", "", "attacker objective evaluated on every outcome: bypass, corrupt or dos (default none)")
@@ -112,16 +111,13 @@ func run(args []string, w, errW io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *ladderIv > 0 && strat != faultspace.StrategyFork {
-		return fmt.Errorf("-ladder-interval requires -strategy fork")
-	}
 	if *resume && *ckpt == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
 	// The mode is the first of these that is set; every flag given must be
 	// one that means something in it.
 	const (
-		executorFlags = " strategy ladder-interval predecode workers"
+		executorFlags = " strategy predecode workers"
 		reportFlags   = " outcomes save csv"
 		fullScanFlags = reportFlags + " checkpoint resume progress telemetry trace metrics"
 	)
@@ -153,11 +149,10 @@ func run(args []string, w, errW io.Writer) error {
 
 	if *join != "" {
 		jopts := faultspace.JoinOptions{
-			WorkerID:       *workerID,
-			Workers:        *workers,
-			Strategy:       strat,
-			LadderInterval: *ladderIv,
-			Predecode:      *predec,
+			WorkerID:  *workerID,
+			Workers:   *workers,
+			Strategy:  strat,
+			Predecode: *predec,
 		}
 		if *progress {
 			jopts.Logf = func(format string, args ...any) {
@@ -213,12 +208,11 @@ func run(args []string, w, errW io.Writer) error {
 		return err
 	}
 	opts := faultspace.ScanOptions{
-		Workers:        *workers,
-		Strategy:       strat,
-		LadderInterval: *ladderIv,
-		Predecode:      *predec,
-		Space:          spaceKind,
-		Objective:      *objFl,
+		Workers:   *workers,
+		Strategy:  strat,
+		Predecode: *predec,
+		Space:     spaceKind,
+		Objective: *objFl,
 	}
 	if *progress {
 		opts.OnProgress = progressPrinter(errW)
@@ -306,7 +300,7 @@ func run(args []string, w, errW io.Writer) error {
 		defer context.AfterFunc(ctx, func() {
 			fmt.Fprintln(errW, "favscan: interrupt — flushing checkpoint")
 		})() // deregistered before stop cancels ctx
-		opts.Interrupt = ctx.Done()
+		opts.Context = ctx
 	}
 
 	var scan *faultspace.ScanResult

@@ -247,7 +247,6 @@ func TestFlagValidationUpfront(t *testing.T) {
 		{[]string{"-strategy", "quantum", "hi"}, "valid: fork, rerun"},
 		{[]string{"-strategy", "snapshot", "hi"}, "valid: fork, rerun"},
 		{[]string{"-strategy", "ladder", "hi"}, "valid: fork, rerun"},
-		{[]string{"-ladder-interval", "64", "-strategy", "rerun", "hi"}, "requires -strategy fork"},
 		{[]string{"-serve", "127.0.0.1:0", "-lease", "2ns", "hi"}, "lease TTL too short"},
 		{[]string{"-join", "x:1", "hi"}, "-join takes no benchmark argument"},
 		{[]string{"-fleet", "x:1"}, "flag provided but not defined"},
@@ -287,8 +286,8 @@ func TestFlagValidationUpfront(t *testing.T) {
 			t.Errorf("run(%v): error %q does not mention %q", tc.args, err, tc.want)
 		}
 	}
-	// Strategy flag accepts its valid values, and none of them (nor the
-	// fork rung spacing) may change the scan report.
+	// Strategy flag accepts its valid values, and none of them may change
+	// the scan report.
 	a := runScan(t, "-strategy", "fork", "hi")
 	b := runScan(t, "-strategy", "rerun", "hi")
 	if a != b {
@@ -297,10 +296,6 @@ func TestFlagValidationUpfront(t *testing.T) {
 	c := runScan(t, "hi")
 	if a != c {
 		t.Error("the default strategy must be fork, and must not change scan results")
-	}
-	d := runScan(t, "-ladder-interval", "3", "hi")
-	if a != d {
-		t.Error("-ladder-interval must not change scan results")
 	}
 }
 
@@ -370,11 +365,8 @@ func serveWithWorkers(t *testing.T, serveArgs []string, nWorkers int) string {
 			// Mixed strategies across the cluster: outcomes must not
 			// depend on which strategy which worker runs.
 			args := []string{"-join", addr, "-worker-id", fmt.Sprintf("w%d", i)}
-			switch i % 3 {
-			case 1:
+			if i%2 == 1 {
 				args = append(args, "-strategy", "rerun")
-			case 2:
-				args = append(args, "-ladder-interval", "5")
 			}
 			if err := run(args, io.Discard, io.Discard); err != nil {
 				t.Errorf("worker %d: %v", i, err)

@@ -2,6 +2,7 @@ package faultspace
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -70,10 +71,11 @@ func scanBytes(t *testing.T, res *ScanResult) []byte {
 // benchmark × every fault-space kind, plus hardened rows (SUM+DMR and
 // TMR variants, memory, register and PC spaces) whose experiments
 // reconverge shifted, every executor configuration — {fork, rerun} × {predecode
-// on/off}, an explicit rung interval, telemetry-instrumented and
-// span-traced variants — must archive byte-identically to the naive
-// plain-decoder rerun reference. This is the invariant that justifies
-// excluding Strategy, LadderInterval and Predecode from the campaign
+// on/off}, telemetry-instrumented and span-traced variants — must archive
+// byte-identically to the naive plain-decoder rerun reference (the
+// explicit-rung-spacing leg is internal/campaign's
+// TestForkIntervalAllPrograms). This is the invariant that justifies
+// excluding Strategy, the rung spacing and Predecode from the campaign
 // identity hash.
 func TestStrategyEquivalenceAllBenchmarks(t *testing.T) {
 	for _, name := range progs.Names() {
@@ -155,11 +157,6 @@ func checkExecutorEquivalence(t *testing.T, prog *Program, space SpaceKind) (shi
 		{label: "fork", opts: ScanOptions{Space: space, Strategy: StrategyFork}},
 		{label: "fork+pre", opts: ScanOptions{Space: space, Strategy: StrategyFork, Predecode: true}},
 		{label: "rerun+pre", opts: ScanOptions{Space: space, Strategy: StrategyRerun, Predecode: true}},
-		// An explicit rung interval reshapes the fork carving — more
-		// rungs, smaller units — and, below the default probe spacing,
-		// makes the probes denser; outcomes must not care.
-		{label: "fork/7+pre", opts: ScanOptions{Space: space, Strategy: StrategyFork,
-			LadderInterval: 7, Predecode: true}},
 	}
 	for _, strat := range []Strategy{StrategyFork, StrategyRerun} {
 		opts := ScanOptions{Space: space, Strategy: strat, Predecode: true}
@@ -320,7 +317,7 @@ func testInterruptResume(t *testing.T, prog *Program, opts ScanOptions, resume S
 	}
 
 	ck := filepath.Join(t.TempDir(), "scan.ckpt")
-	intCh := make(chan struct{})
+	ctx, intCh := context.WithCancel(context.Background())
 	var once sync.Once
 	popts := opts
 	popts.Workers = 1
@@ -328,10 +325,10 @@ func testInterruptResume(t *testing.T, prog *Program, opts ScanOptions, resume S
 	popts.ProgressInterval = -1
 	popts.OnProgress = func(p Progress) {
 		if p.Done >= p.Total/2 && p.Done > 0 {
-			once.Do(func() { close(intCh) })
+			once.Do(intCh)
 		}
 	}
-	popts.Interrupt = intCh
+	popts.Context = ctx
 	partial, err := Scan(prog, popts)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted scan: err = %v, want ErrInterrupted", err)
@@ -355,6 +352,38 @@ func testInterruptResume(t *testing.T, prog *Program, opts ScanOptions, resume S
 	}
 	if !bytes.Equal(scanBytes(t, resumed), scanBytes(t, full)) {
 		t.Error("resumed archive is not byte-identical to an uninterrupted scan's")
+	}
+}
+
+// TestCancelInsideProgress: an embedder that cancels its Context inside
+// OnProgress stops a checkpointed scan at the delivering worker's next
+// poll, not once some goroutine has passed the cancellation on: the
+// scan's context is a child of the caller's, and cancelling a parent
+// cancels its children before it returns. One worker, cancelled at the
+// first intermediate event, a hundred times under each strategy.
+func TestCancelInsideProgress(t *testing.T) {
+	prog := equivProgram(t, "sort1")
+	dir := t.TempDir()
+	for _, strat := range []Strategy{StrategyFork, StrategyRerun} {
+		for i := 0; i < 100; i++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			res, err := Scan(prog, ScanOptions{
+				Strategy:         strat,
+				Workers:          1,
+				Checkpoint:       filepath.Join(dir, fmt.Sprintf("%s%d.ckpt", strat, i)),
+				ProgressInterval: -1,
+				OnProgress: func(p Progress) {
+					if p.Session > 0 && !p.Final {
+						cancel()
+					}
+				},
+				Context: ctx,
+			})
+			cancel()
+			if !errors.Is(err, ErrInterrupted) || res == nil || res.Pending == 0 {
+				t.Fatalf("%s, run %d: err = %v, result %v; want ErrInterrupted with classes pending", strat, i, err, res != nil)
+			}
+		}
 	}
 }
 

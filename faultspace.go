@@ -34,6 +34,7 @@
 package faultspace
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -43,7 +44,6 @@ import (
 	"faultspace/internal/asm"
 	"faultspace/internal/campaign"
 	"faultspace/internal/checkpoint"
-	"faultspace/internal/cluster"
 	"faultspace/internal/machine"
 	"faultspace/internal/pruning"
 	"faultspace/internal/telemetry"
@@ -173,9 +173,10 @@ func WritePrometheus(w io.Writer, snap telemetry.Snapshot, labels map[string]str
 // -telemetry writes one per run.
 type RunManifest = telemetry.Manifest
 
-// ErrInterrupted is returned by Scan when the campaign was stopped via
-// ScanOptions.Interrupt. All completed experiments have been flushed to
-// the checkpoint (if one is configured); rerun with Resume to continue.
+// ErrInterrupted is returned by Scan when the campaign was stopped by
+// cancelling ScanOptions.Context. All completed experiments have been
+// flushed to the checkpoint (if one is configured); rerun with Resume to
+// continue.
 var ErrInterrupted = campaign.ErrInterrupted
 
 // ErrPartialResult is returned by SaveScan and Analyze for the partial
@@ -194,11 +195,6 @@ type ScanOptions struct {
 	// Strategy selects the execution strategy (default StrategyFork).
 	// Strategies are outcome-invariant: they never change the scan result.
 	Strategy Strategy
-	// LadderInterval is StrategyFork's rung spacing in cycles — the
-	// distance between the golden-run snapshots that anchor its batches
-	// (and, below 64 cycles, between a faulty run's first probes); 0
-	// auto-tunes from the golden-trace length.
-	LadderInterval uint64
 	// Predecode enables the simulator's pre-decoded dispatch stream: the
 	// program is lowered once per worker machine into a dense instruction
 	// stream executed by a tight chunked loop. Outcome-invariant — the
@@ -234,10 +230,11 @@ type ScanOptions struct {
 	// ProgressInterval throttles intermediate progress events
 	// (default 1s; negative = one event per experiment).
 	ProgressInterval time.Duration
-	// Interrupt, when non-nil, stops the scan gracefully once closed:
+	// Context, when non-nil, stops the scan gracefully once cancelled:
 	// in-flight experiments finish and are checkpointed, then Scan
-	// returns the partial result with ErrInterrupted.
-	Interrupt <-chan struct{}
+	// returns the partial result with ErrInterrupted. A field, not a
+	// parameter: bench/ compiles against Scan's signature.
+	Context context.Context
 	// Telemetry, when non-nil, collects campaign metrics: experiment
 	// counts, per-outcome timing histograms, strategy shortcut counters
 	// and checkpoint I/O. Outcome-invariant (invariant 10) and excluded
@@ -268,12 +265,11 @@ func (o ScanOptions) resolve() (SpaceKind, campaign.Config, error) {
 		TimeoutFactor:    o.TimeoutFactor,
 		Workers:          o.Workers,
 		Strategy:         o.Strategy,
-		LadderInterval:   o.LadderInterval,
 		Predecode:        o.Predecode,
 		Objective:        obj,
 		OnProgress:       o.OnProgress,
 		ProgressInterval: o.ProgressInterval,
-		Interrupt:        o.Interrupt,
+		Context:          o.Context,
 		Telemetry:        o.Telemetry,
 		// Span tracing rides the registry: EnableSpans attaches a recorder,
 		// a bare registry (or none) leaves cfg.Spans nil and the scan pays
@@ -353,6 +349,8 @@ func Target(p *Program) campaign.Target {
 // equivalence class. With ScanOptions.Checkpoint set, completed
 // experiments stream into a crash-safe checkpoint file; with Resume, a
 // previous campaign's checkpoint is continued instead of restarted.
+// Cancelling ScanOptions.Context stops the scan gracefully: Scan returns
+// the partial result with ErrInterrupted.
 func Scan(p *Program, opts ScanOptions) (*ScanResult, error) {
 	c, err := prepare(p, opts)
 	if err != nil {
@@ -367,37 +365,25 @@ func Scan(p *Program, opts ScanOptions) (*ScanResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.cfg.OnResult, c.cfg.Interrupt = ck.record, ck.interrupt
-	if onProgress := c.cfg.OnProgress; onProgress != nil && opts.Interrupt != nil {
-		// An embedder that closes its Interrupt inside OnProgress does so
-		// under the scan's delivery lock and has the delivering worker see
-		// it at its next poll, not once the goroutine forwarding it has
-		// been scheduled.
-		c.cfg.OnProgress = func(p Progress) {
-			onProgress(p)
-			select {
-			case <-opts.Interrupt:
-				ck.stop()
-			default:
-			}
-		}
-	}
+	c.cfg.OnResult, c.cfg.Context = ck.record, ck.ctx
 	return ck.close(campaign.ResumeScan(c.target, c.golden, c.space, c.cfg, prior))
 }
 
 // scanCheckpoint is a scan's open checkpoint file: record is the scan's
-// OnResult and interrupt its Interrupt — the caller's own forwarded,
-// which the writer's first error fires as well, so that a campaign never
-// runs on past a checkpoint that can no longer record it.
+// OnResult and ctx its Context — a child of the caller's, which the
+// writer's first error cancels as well, so that a campaign never runs on
+// past a checkpoint that can no longer record it. A cancelled parent
+// cancels ctx before its cancel returns: an embedder that cancels inside
+// OnProgress has the delivering worker see it at its next poll.
 type scanCheckpoint struct {
-	w         *checkpoint.Writer
-	interrupt <-chan struct{}
-	stop      context.CancelFunc // closes interrupt
+	w      *checkpoint.Writer
+	ctx    context.Context
+	cancel context.CancelCauseFunc
 }
 
 func (ck *scanCheckpoint) record(ci int, o campaign.Outcome) {
-	if ck.w.Append(ci, uint8(o)) != nil {
-		ck.stop()
+	if err := ck.w.Append(ci, uint8(o)); err != nil {
+		ck.cancel(err)
 	}
 }
 
@@ -407,7 +393,7 @@ func (ck *scanCheckpoint) record(ci int, o campaign.Outcome) {
 // so a checkpoint error outranks the interrupt: what it stopped, or kept
 // from being saved, is a scan with no result.
 func (ck *scanCheckpoint) close(res *ScanResult, scanErr error) (*ScanResult, error) {
-	ck.stop()
+	ck.cancel(nil)
 	if cerr := ck.w.Close(); cerr != nil && (scanErr == nil || errors.Is(scanErr, campaign.ErrInterrupted)) {
 		return nil, fmt.Errorf("faultspace: %w", cerr)
 	}
@@ -442,8 +428,8 @@ func (o ScanOptions) openCheckpoint(t campaign.Target, fs *FaultSpace, cfg campa
 		prior[ci] = campaign.Outcome(out)
 	}
 	w.Instrument(o.Telemetry)
-	ctx, stop := cluster.InterruptContext(o.Interrupt)
-	return &scanCheckpoint{w: w, interrupt: ctx.Done(), stop: stop}, prior, nil
+	ctx, cancel := context.WithCancelCause(cmp.Or(o.Context, context.Background()))
+	return &scanCheckpoint{w: w, ctx: ctx, cancel: cancel}, prior, nil
 }
 
 // CampaignIdentity returns the campaign identity hash Scan would use for
@@ -473,6 +459,8 @@ type SampleOptions struct {
 }
 
 // Sample runs a sampling campaign over the program's fault space.
+// Cancelling ScanOptions.Context stops it with ErrInterrupted and no
+// result.
 func Sample(p *Program, opts SampleOptions) (*campaign.SampleResult, error) {
 	mode := campaign.SampleRaw
 	switch {

@@ -23,7 +23,7 @@ func (c Config) EffectiveTimeout() (factor float64, slack uint64) {
 // (invariant 8, placement equivalence).
 //
 // Class indices may arrive in any order; duplicates and out-of-range
-// indices are rejected. On interruption via Config.Interrupt the outcomes
+// indices are rejected. On cancellation of Config.Context the outcomes
 // completed so far are returned alongside ErrInterrupted.
 func RunClasses(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, classes []int) (map[int]Outcome, error) {
 	s, err := OpenSession(t, golden, fs, cfg)

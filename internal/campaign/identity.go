@@ -17,7 +17,7 @@ import (
 // checkpoint may only ever be resumed into a campaign with the same
 // identity.
 //
-// Workers, Strategy and LadderInterval are deliberately excluded — they
+// Workers, Strategy and the rung spacing are deliberately excluded — they
 // change how experiments are executed, never what they compute. That
 // invariance is what the differential strategy-equivalence test suite
 // enforces, and it is what makes a checkpoint written under

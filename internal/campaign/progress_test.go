@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -93,14 +94,14 @@ func TestProgressFinalOnErrorPath(t *testing.T) {
 func TestProgressFinalOnInterrupt(t *testing.T) {
 	target := hiTarget(t)
 	golden, fs := prepare(t, target)
-	intCh := make(chan struct{})
-	close(intCh) // interrupted before the scan even starts
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // interrupted before the scan even starts
 	var events []Progress
 	cfg := Config{
 		Workers:          2,
 		ProgressInterval: -1,
 		OnProgress:       func(p Progress) { events = append(events, p) },
-		Interrupt:        intCh,
+		Context:          ctx,
 	}
 	_, err := FullScan(target, golden, fs, cfg)
 	if !errors.Is(err, ErrInterrupted) {

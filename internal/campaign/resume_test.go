@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -178,8 +179,8 @@ loop:   lb      r1, 0(r0)
 `, iterations))
 }
 
-// TestInterruptedScanResumes kills a scan at roughly 50% via the
-// Interrupt channel, then resumes from the streamed results: the merged
+// TestInterruptedScanResumes kills a scan at roughly 50% via its
+// Context, then resumes from the streamed results: the merged
 // outcome vector must be bit-identical to an uninterrupted scan, for both
 // execution strategies.
 func TestInterruptedScanResumes(t *testing.T) {
@@ -198,8 +199,7 @@ func TestInterruptedScanResumes(t *testing.T) {
 		}
 		var mu sync.Mutex
 		done := make(map[int]Outcome)
-		intCh := make(chan struct{})
-		var once sync.Once
+		ctx, interrupt := context.WithCancel(context.Background())
 		half := len(fs.Classes) / 2
 		// One worker and the synchronous result handoff bound how far the
 		// scan can run past the interrupt: the worker stops at its next
@@ -213,10 +213,10 @@ func TestInterruptedScanResumes(t *testing.T) {
 				n := len(done)
 				mu.Unlock()
 				if n >= half {
-					once.Do(func() { close(intCh) })
+					interrupt()
 				}
 			},
-			Interrupt: intCh,
+			Context: ctx,
 		}
 		res, err := ResumeScan(target, golden, fs, cfg, nil)
 		if !errors.Is(err, ErrInterrupted) {

@@ -94,7 +94,7 @@ func (sr *SampleResult) ExtrapolatedFailures() float64 {
 
 // SampleScan runs a sampling campaign of n draws with the given mode and
 // deterministic seed. The experiments run through RunClasses, so cfg's
-// execution knobs, progress stream, telemetry and Interrupt apply to
+// execution knobs, progress stream, telemetry and Context apply to
 // them exactly as in a scan.
 func SampleScan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, mode SampleMode, n int, seed int64) (*SampleResult, error) {
 	if n <= 0 {

@@ -25,7 +25,7 @@ type Result struct {
 	Pending int
 }
 
-// ErrInterrupted is returned by a scan stopped via Config.Interrupt. The
+// ErrInterrupted is returned by a scan stopped via Config.Context. The
 // partial Result is returned alongside it with Pending set; it cannot be
 // archived or analyzed (ErrPartialResult) — resume the scan instead.
 var ErrInterrupted = errors.New("campaign: scan interrupted")
@@ -49,8 +49,8 @@ func FullScan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config
 // the checkpoint layer enforces that with the campaign identity hash.
 //
 // Completed experiments stream through Config.OnResult and progress
-// events through Config.OnProgress; Config.Interrupt stops the scan
-// early with ErrInterrupted after flushing all finished experiments.
+// events through Config.OnProgress; cancelling Config.Context stops the
+// scan early with ErrInterrupted after flushing all finished experiments.
 func ResumeScan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, prior map[int]Outcome) (*Result, error) {
 	s, err := OpenSession(t, golden, fs, cfg)
 	if err != nil {

@@ -51,7 +51,7 @@ type Session struct {
 
 // OpenSession validates the configuration and returns a session that has
 // not built anything yet. Results go to Run's callback: of cfg it reads
-// the execution settings, Telemetry, Spans and Interrupt only.
+// the execution settings, Telemetry, Spans and Context only.
 func OpenSession(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config) (*Session, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -168,8 +168,8 @@ const (
 // and fsync to its own flusher goroutine — and it is not called again
 // once Run has returned.
 //
-// When Config.Interrupt closes, no new experiments start, the finished
-// ones are delivered and Run returns ErrInterrupted.
+// When Config.Context is cancelled, no new experiments start, the
+// finished ones are delivered and Run returns ErrInterrupted.
 func (s *Session) Run(classes []int, deliver func(class int, o Outcome)) error {
 	return s.run(classes, deliver, nil)
 }
@@ -220,6 +220,9 @@ func (s *Session) run(classes []int, deliver func(class int, o Outcome), deliver
 	}
 
 	d := &drive{s: s, units: units, deliver: deliver, delivered: delivered}
+	if ctx := s.cfg.Context; ctx != nil {
+		d.done = ctx.Done()
+	}
 	for w := 1; w < min(len(s.providers), len(units)); w++ {
 		d.wg.Add(1)
 		go func() {
@@ -238,6 +241,9 @@ type drive struct {
 	units     []unit
 	deliver   func(class int, o Outcome)
 	delivered func()
+	// done is Config.Context's Done channel, read once a run (nil: never
+	// closed); a worker's poll of it sets stop.
+	done <-chan struct{}
 
 	claimed atomic.Int64 // units handed out so far
 	stop    atomic.Bool  // set by the first failure or interrupt
@@ -294,7 +300,7 @@ func (d *drive) work(w int) {
 					recs = d.flush(recs)
 				}
 				select {
-				case <-s.cfg.Interrupt:
+				case <-d.done:
 					d.fail(ErrInterrupted)
 				default:
 				}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"testing"
@@ -13,7 +14,7 @@ import (
 // two workers each, the fork one with rungs dense enough that Hi's
 // 16 classes spread over several of them.
 var sessionConfigs = []Config{
-	{Strategy: StrategyFork, LadderInterval: 3, Workers: 2},
+	{Strategy: StrategyFork, ladderInterval: 3, Workers: 2},
 	{Strategy: StrategyRerun, Workers: 2},
 }
 
@@ -81,7 +82,7 @@ func TestSessionOneGoldenPass(t *testing.T) {
 	}
 	all := allClasses(len(fs.Classes))
 	for want := 1; want <= 2; want++ {
-		s, err := OpenSession(target, golden, fs, Config{LadderInterval: 3, Spans: spans, Workers: 2})
+		s, err := OpenSession(target, golden, fs, Config{ladderInterval: 3, Spans: spans, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,8 +162,8 @@ func TestSessionRunAllocs(t *testing.T) {
 func TestSessionClosedAfterFailedRun(t *testing.T) {
 	target := hiTarget(t)
 	golden, fs := prepare(t, target)
-	interrupted := make(chan struct{})
-	close(interrupted)
+	interrupted, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -171,7 +172,7 @@ func TestSessionClosedAfterFailedRun(t *testing.T) {
 		{"out of range", Config{}, func(s *Session) error { return s.Run([]int{len(fs.Classes)}, nil) }},
 		{"duplicate", Config{}, func(s *Session) error { return s.Run([]int{2, 1, 2}, nil) }},
 		{"ascending duplicate", Config{}, func(s *Session) error { return s.Run([]int{1, 2, 2}, nil) }},
-		{"interrupt", Config{Interrupt: interrupted}, func(s *Session) error { return s.Run([]int{0}, func(int, Outcome) {}) }},
+		{"interrupt", Config{Context: interrupted}, func(s *Session) error { return s.Run([]int{0}, func(int, Outcome) {}) }},
 		{"close", Config{}, func(s *Session) error { s.Close(); return ErrSessionClosed }},
 	} {
 		s, err := OpenSession(target, golden, fs, tc.cfg)
@@ -314,13 +315,13 @@ func TestSessionInterruptInsideDeliver(t *testing.T) {
 	const at = 200
 	for _, cfg := range sessionConfigs {
 		for _, workers := range []int{1, 4} {
-			interrupt := make(chan struct{})
+			ctx, interrupt := context.WithCancel(context.Background())
 			delivered := make(map[int]Outcome)
-			cfg.Workers, cfg.Interrupt = workers, interrupt
+			cfg.Workers, cfg.Context = workers, ctx
 			cfg.OnResult = func(ci int, o Outcome) {
 				delivered[ci] = o
 				if len(delivered) == at {
-					close(interrupt)
+					interrupt()
 				}
 			}
 			res, err := FullScan(target, golden, fs, cfg)

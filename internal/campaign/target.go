@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -69,16 +70,9 @@ type Config struct {
 	Workers int
 	// Strategy selects the execution strategy. 0 means StrategyFork.
 	Strategy Strategy
-	// LadderInterval is the rung spacing in cycles for StrategyFork:
-	// rungs are its unit anchors and restore sources, so smaller
-	// intervals mean smaller units but more snapshot memory; an interval
-	// below probeInterval also sets the initial probe spacing. 0
-	// auto-tunes from the golden-trace length (aiming at DefaultForkRungs
-	// rungs, at least MinLadderInterval cycles apart); StrategyRerun
-	// ignores it. Like Strategy, it is
-	// outcome-invariant and deliberately not part of the campaign
-	// identity hash.
-	LadderInterval uint64
+	// ladderInterval, when non-zero, overrides forkInterval's policy: a
+	// test hook that reshapes the fork carving. Outcomes must not care.
+	ladderInterval uint64
 	// Telemetry, when non-nil, receives scan metrics: the experiment
 	// counter, per-outcome duration histograms and the strategy-specific
 	// shortcut counters (see DESIGN.md §4d for the metric names). Like
@@ -125,10 +119,10 @@ type Config struct {
 	// DefaultProgressInterval; a negative value emits one event per
 	// completed experiment (useful in tests).
 	ProgressInterval time.Duration
-	// Interrupt, when non-nil, stops the scan as soon as it is closed:
+	// Context, when non-nil, stops the scan as soon as it is cancelled:
 	// no new experiments start, in-flight ones finish and are recorded,
-	// and the scan returns ErrInterrupted.
-	Interrupt <-chan struct{}
+	// and the scan returns ErrInterrupted. nil is never cancelled.
+	Context context.Context
 }
 
 // Defaults for Config.
@@ -148,7 +142,7 @@ const (
 	// read by bench/layers.go.
 	MinLadderInterval = 16
 
-	// DefaultForkRungs is the rung count the LadderInterval auto-tuner
+	// DefaultForkRungs is the rung count the fork strategy's spacing
 	// aims for. Fork rungs are never restore sources for individual
 	// experiments — the monotone cursor pays each rung restore once per
 	// unit, not once per class — and no longer convergence checkpoints
@@ -193,12 +187,12 @@ func (c Config) validate() error {
 	return nil
 }
 
-// forkInterval returns the effective rung spacing for StrategyFork: an
-// explicit LadderInterval is honored verbatim, otherwise the auto-tuner
-// aims at DefaultForkRungs rungs.
+// forkInterval returns the rung spacing for StrategyFork: DefaultForkRungs
+// rungs, at least MinLadderInterval cycles apart. Like Strategy it is
+// outcome-invariant and not part of the campaign identity hash.
 func (c Config) forkInterval(goldenCycles uint64) uint64 {
-	if c.LadderInterval > 0 {
-		return c.LadderInterval
+	if c.ladderInterval > 0 {
+		return c.ladderInterval
 	}
 	iv := goldenCycles / DefaultForkRungs
 	if iv < MinLadderInterval {

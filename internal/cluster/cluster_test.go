@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -154,17 +155,17 @@ func TestClusterKillWorkerMidScan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kill := make(chan struct{})
+	killCtx, kill := context.WithCancel(context.Background())
 	var once sync.Once
 	victim := WorkerOptions{
-		WorkerID:  "victim",
-		Interrupt: kill,
+		WorkerID: "victim",
+		Context:  killCtx,
 		// Slow strategy + single executor so the kill lands mid-unit.
 		Strategy: campaign.StrategyRerun,
 		Workers:  1,
 		onUnit: func(u WorkUnit) {
 			if u.Status == UnitGranted {
-				once.Do(func() { close(kill) })
+				once.Do(kill)
 			}
 		},
 	}
@@ -337,11 +338,11 @@ func TestClusterIdentityAdmission(t *testing.T) {
 // rebuilding anything, and has nothing to report.
 func TestClusterInterruptShutdown(t *testing.T) {
 	tgt, golden, fs := testCampaign(t, "hi")
-	intCh := make(chan struct{})
+	ctx, intCh := context.WithCancel(context.Background())
 	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
 		UnitSize:        4,
 		MaxGoldenCycles: testMaxGolden,
-		Interrupt:       intCh,
+		Context:         ctx,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +355,7 @@ func TestClusterInterruptShutdown(t *testing.T) {
 	go func() {
 		early <- Join(srv.URL, WorkerOptions{WorkerID: "early", onUnit: func(u WorkUnit) {
 			if u.Status == UnitGranted {
-				once.Do(func() { close(intCh) })
+				once.Do(intCh)
 			}
 		}}, nil)
 	}()
@@ -427,11 +428,11 @@ func TestClusterMethodRejection(t *testing.T) {
 // keeps it from being archived or analyzed as a complete campaign.
 func TestCoordinatorPartialResultPending(t *testing.T) {
 	tgt, golden, fs := testCampaign(t, "hi")
-	interrupt := make(chan struct{})
-	close(interrupt)
+	ctx, interrupt := context.WithCancel(context.Background())
+	interrupt()
 	prior := map[int]campaign.Outcome{0: campaign.OutcomeNoEffect, 3: campaign.OutcomeNoEffect}
 	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
-		Interrupt:       interrupt,
+		Context:         ctx,
 		MaxGoldenCycles: testMaxGolden,
 	}, prior)
 	if err != nil {
@@ -443,5 +444,32 @@ func TestCoordinatorPartialResultPending(t *testing.T) {
 	}
 	if want := len(fs.Classes) - len(prior); res.Pending != want {
 		t.Errorf("partial result: Pending = %d, want %d", res.Pending, want)
+	}
+}
+
+// TestWaitCompletionWins: a campaign whose every class has an outcome is
+// complete, even when its context has ended too by the time Wait looks —
+// as under a resume from a checkpoint holding every class, after a
+// SIGINT. Sixty-four coordinators, so that a choice left to chance would
+// show.
+func TestWaitCompletionWins(t *testing.T) {
+	tgt, golden, fs := testCampaign(t, "hi")
+	prior := make(map[int]campaign.Outcome, len(fs.Classes))
+	for ci := range fs.Classes {
+		prior[ci] = campaign.OutcomeNoEffect
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 64; i++ {
+		coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
+			Context:         ctx,
+			MaxGoldenCycles: testMaxGolden,
+		}, prior)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := coord.Wait(); err != nil || res.Pending != 0 {
+			t.Fatalf("coordinator %d: Wait: err = %v, Pending = %d; want the complete result", i, err, res.Pending)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,9 +44,10 @@ type Options struct {
 	// ProgressInterval throttles intermediate progress events (default
 	// 1s; negative = one event per submission).
 	ProgressInterval time.Duration
-	// Interrupt, when closed, stops the campaign: leases stop being
-	// granted, Wait returns the partial result with ErrInterrupted.
-	Interrupt <-chan struct{}
+	// Context, when cancelled, stops the campaign: leases stop being
+	// granted, Wait returns the partial result with ErrInterrupted. nil is
+	// never cancelled.
+	Context context.Context
 	// Telemetry, when non-nil, receives cluster metrics (lease grants and
 	// expiries, submissions, duplicate submits, heartbeats and their gap
 	// histogram; see DESIGN.md §4d), served in /v1/status and /metrics.
@@ -131,6 +133,11 @@ type Coordinator struct {
 	start    time.Time
 	lastEmit time.Time
 	finished chan struct{}
+	// stopped is Options.Context's Done channel (nil: never closed);
+	// unwatch deregisters the step that interrupts the campaign when it
+	// closes, once the campaign has finished or is sealed.
+	stopped <-chan struct{}
+	unwatch func() bool
 	// wake is closed and replaced when a step says so; holds counts every
 	// hello and lease ask until its answer is out; timer ticks the state
 	// at the earliest lease deadline (armed).
@@ -188,6 +195,7 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 		opts:     opts,
 		start:    time.Now(),
 		finished: make(chan struct{}),
+		unwatch:  func() bool { return false },
 		wake:     make(chan struct{}),
 		holds: Holds{
 			Held: reg.Gauge("cluster.lease_held"),
@@ -258,20 +266,18 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 	c.mu.Lock()
 	if c.state.Remaining() == 0 {
 		c.finishLocked(c.start)
+	} else if ctx := opts.Context; ctx != nil {
+		// Held requests wait on the wake signal, so the interrupt must be
+		// a step of its own, not only something Wait notices.
+		c.stopped = ctx.Done()
+		c.unwatch = context.AfterFunc(ctx, func() {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			c.interruptLocked()
+		})
 	}
 	c.emitLocked(false)
 	c.mu.Unlock()
-	if opts.Interrupt != nil {
-		// Held requests wait on the wake signal, so the interrupt must be
-		// a step of its own, not only something Wait notices.
-		go func() {
-			select {
-			case <-opts.Interrupt:
-				c.step(lease.Event{Kind: lease.Interrupt})
-			case <-c.finished:
-			}
-		}()
-	}
 	return c, nil
 }
 
@@ -396,6 +402,7 @@ func (c *Coordinator) finishLocked(now time.Time) {
 	select {
 	case <-c.finished:
 	default:
+		c.unwatch()
 		c.spans.Add(telemetry.Span{
 			Scope:  "coordinator",
 			Name:   "campaign",
@@ -435,21 +442,18 @@ func (c *Coordinator) routes() *http.ServeMux {
 }
 
 // Wait blocks until every class has an outcome (returning the complete
-// result) or Options.Interrupt is closed (returning the partial result
-// with campaign.ErrInterrupted). Late in-flight submissions keep merging
-// — and reaching OnResult — until Seal is called.
+// result) or Options.Context is cancelled (returning the partial result
+// with campaign.ErrInterrupted). A campaign complete by then is complete,
+// however its context ends. Late in-flight submissions keep merging — and
+// reaching OnResult — until Seal is called.
 func (c *Coordinator) Wait() (*campaign.Result, error) {
-	var err error
 	select {
 	case <-c.finished:
-	case <-c.opts.Interrupt:
-		err = campaign.ErrInterrupted
+	case <-c.stopped:
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err != nil {
-		c.stepLocked(lease.Event{Kind: lease.Interrupt})
-	}
+	err := c.interruptLocked()
 	c.emitLocked(true)
 	return &campaign.Result{
 		Target:   c.target,
@@ -465,7 +469,21 @@ func (c *Coordinator) Wait() (*campaign.Result, error) {
 // 503 and OnResult will not be invoked again. Call it after the HTTP
 // server has shut down (or before closing a checkpoint writer) so no
 // handler can race a closed writer.
-func (c *Coordinator) Seal() { c.step(lease.Event{Kind: lease.Seal}) }
+func (c *Coordinator) Seal() {
+	c.step(lease.Event{Kind: lease.Seal})
+	c.unwatch()
+}
+
+// interruptLocked stops a campaign that still has classes to run and
+// reports ErrInterrupted; a complete campaign stays complete, however its
+// context ends.
+func (c *Coordinator) interruptLocked() error {
+	if c.state.Remaining() == 0 {
+		return nil
+	}
+	c.stepLocked(lease.Event{Kind: lease.Interrupt})
+	return campaign.ErrInterrupted
+}
 
 // WaitDrained blocks until every worker that ever joined has left again
 // and every hello and lease ask has its answer out, or the timeout has

@@ -138,28 +138,10 @@ func HoldQuery(client *http.Client) string {
 	return "?wait=" + d.String()
 }
 
-// InterruptContext returns a context that is cancelled when interrupt
-// is closed, so a request parked at the server never delays an
-// interrupt. The caller must call stop, which also ends the goroutine
-// watching the channel.
-func InterruptContext(interrupt <-chan struct{}) (ctx context.Context, stop context.CancelFunc) {
-	ctx, stop = context.WithCancel(context.Background())
-	if interrupt != nil {
-		go func() {
-			select {
-			case <-interrupt:
-				stop()
-			case <-ctx.Done():
-			}
-		}()
-	}
-	return ctx, stop
-}
-
 // Pace sleeps out what is left of spacing since asked and reports false
-// when interrupt closes first. After a hold that ran its course nothing
-// is left and it returns at once.
-func Pace(asked time.Time, spacing time.Duration, interrupt <-chan struct{}) bool {
+// when ctx ends first. After a hold that ran its course nothing is left
+// and it returns at once.
+func Pace(ctx context.Context, asked time.Time, spacing time.Duration) bool {
 	rest := spacing - time.Since(asked)
 	if rest <= 0 {
 		return true
@@ -167,7 +149,7 @@ func Pace(asked time.Time, spacing time.Duration, interrupt <-chan struct{}) boo
 	t := time.NewTimer(rest)
 	defer t.Stop()
 	select {
-	case <-interrupt:
+	case <-ctx.Done():
 		return false
 	case <-t.C:
 		return true

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -232,12 +233,12 @@ func TestHeldLeaseWakeConditions(t *testing.T) {
 
 	t.Run("interrupt", func(t *testing.T) {
 		reg := telemetry.New()
-		intr := make(chan struct{})
-		coord, srv, _ := oneUnitCoordinator(t, Options{Telemetry: reg, Interrupt: intr})
+		ctx, intr := context.WithCancel(context.Background())
+		coord, srv, _ := oneUnitCoordinator(t, Options{Telemetry: reg, Context: ctx})
 		leaseAs(t, srv.URL, coord.Identity(), "holder")
 		got := parkLease(t, reg, srv.URL, coord.Identity(), "asker")
 		event := time.Now()
-		close(intr)
+		intr()
 		answeredAtOnce(t, got, event, UnitShutdown)
 	})
 
@@ -331,7 +332,7 @@ func TestHeldLeaseReclaimsAtLeaseExpiry(t *testing.T) {
 }
 
 // TestInterruptReleasesParkedJoin: a worker parked on a held lease stops
-// as its Interrupt closes, and leaves no goroutine behind.
+// as its Context is cancelled, and leaves no goroutine behind.
 func TestInterruptReleasesParkedJoin(t *testing.T) {
 	settled := leakcheck.Goroutines(t)
 	reg := telemetry.New()
@@ -340,13 +341,13 @@ func TestInterruptReleasesParkedJoin(t *testing.T) {
 	http.DefaultClient.CloseIdleConnections()
 
 	client := &http.Client{Transport: &http.Transport{}}
-	intr := make(chan struct{})
+	ctx, intr := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- Join(srv.URL, WorkerOptions{WorkerID: "parked", Interrupt: intr, Client: client}, nil) }()
+	go func() { done <- Join(srv.URL, WorkerOptions{WorkerID: "parked", Context: ctx, Client: client}, nil) }()
 	waitFor(t, "the worker to park", func() bool { return reg.Gauge("cluster.lease_held").Value() == 1 })
 
 	closed := time.Now()
-	close(intr)
+	intr()
 	select {
 	case err := <-done:
 		if !errors.Is(err, campaign.ErrInterrupted) {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -220,7 +221,7 @@ func TestHeldStatus(t *testing.T) {
 }
 
 // TestInterruptReleasesParkedJoinFleet: a worker parked on a held
-// handshake stops as its Interrupt closes, and leaves no goroutine
+// handshake stops as its Context is cancelled, and leaves no goroutine
 // behind.
 func TestInterruptReleasesParkedJoinFleet(t *testing.T) {
 	settled := leakcheck.Goroutines(t)
@@ -233,15 +234,15 @@ func TestInterruptReleasesParkedJoinFleet(t *testing.T) {
 	defer srv.Close()
 
 	client := &http.Client{Transport: &http.Transport{}}
-	intr := make(chan struct{})
+	ctx, intr := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- cluster.Join(srv.URL, cluster.WorkerOptions{WorkerID: "parked", Interrupt: intr, Client: client}, nil)
+		done <- cluster.Join(srv.URL, cluster.WorkerOptions{WorkerID: "parked", Context: ctx, Client: client}, nil)
 	}()
 	waitFor(t, "the worker to park", func() bool { return reg.Gauge("fleet.handshake_held").Value() == 1 })
 
 	closed := time.Now()
-	close(intr)
+	intr()
 	select {
 	case err := <-done:
 		if !errors.Is(err, campaign.ErrInterrupted) {
@@ -272,15 +273,15 @@ func TestHoldHalvesClientTimeout(t *testing.T) {
 	client := &http.Client{Timeout: 600 * time.Millisecond, Transport: &http.Transport{}}
 	defer client.CloseIdleConnections()
 	var failed bool
-	intr := make(chan struct{})
+	ctx, intr := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- cluster.Join(srv.URL, cluster.WorkerOptions{WorkerID: "timed", Interrupt: intr, Client: client,
+		done <- cluster.Join(srv.URL, cluster.WorkerOptions{WorkerID: "timed", Context: ctx, Client: client,
 			Logf: func(string, ...any) { failed = true }}, nil)
 	}()
 	// Three holds of 300 ms each run out and are re-asked.
 	waitFor(t, "three holds to run out", func() bool { return reg.Histogram("fleet.handshake_hold").Count() >= 3 })
-	close(intr)
+	intr()
 	if err := <-done; !errors.Is(err, campaign.ErrInterrupted) {
 		t.Errorf("Join: %v, want ErrInterrupted", err)
 	}
@@ -296,10 +297,10 @@ func TestHoldHalvesClientTimeout(t *testing.T) {
 func TestFinishedCampaignIsNotReassigned(t *testing.T) {
 	svc, srv := startService(t, Options{Dir: t.TempDir()})
 	var joins atomic.Int32
-	intr := make(chan struct{})
+	ctx, intr := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- cluster.Join(srv.URL, cluster.WorkerOptions{WorkerID: "w", Interrupt: intr,
+		done <- cluster.Join(srv.URL, cluster.WorkerOptions{WorkerID: "w", Context: ctx,
 			Logf: func(format string, _ ...any) {
 				if strings.Contains(format, "joined") {
 					joins.Add(1)
@@ -314,7 +315,7 @@ func TestFinishedCampaignIsNotReassigned(t *testing.T) {
 		}
 	}
 	svc.Shutdown()
-	close(intr)
+	intr()
 	<-done
 	// One join per campaign; one more is tolerated for a handshake that
 	// slips in between the last merge and the service noticing it.

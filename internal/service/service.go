@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -111,15 +112,13 @@ type entry struct {
 	doneClasses int
 	attacks     uint64
 	spans       []telemetry.Span
-	// intr interrupts the campaign (cancel endpoint or service drain).
-	intr     chan struct{}
-	intrOnce sync.Once
-	report   []byte        // archive.Encode bytes, set when done
-	done     chan struct{} // closed on done/cancelled/failed
-}
-
-func (e *entry) interrupt() {
-	e.intrOnce.Do(func() { close(e.intr) })
+	// ctx is the running campaign's coordinator context; cancel
+	// interrupts the campaign (cancel endpoint or service drain) and lets
+	// go of a retired one.
+	ctx    context.Context
+	cancel context.CancelFunc
+	report []byte        // archive.Encode bytes, set when done
+	done   chan struct{} // closed on done/cancelled/failed
 }
 
 // CampaignStatus is the JSON status of one campaign, served by the
@@ -339,7 +338,6 @@ func (s *Service) submit(w http.ResponseWriter, r *http.Request) {
 		spec:   spec,
 		state:  StateQueued,
 		reg:    telemetry.New(),
-		intr:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
 	if s.store != nil {
@@ -365,6 +363,7 @@ func (s *Service) submit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "service: campaign queue full", http.StatusTooManyRequests)
 		return
 	}
+	e.ctx, e.cancel = context.WithCancel(context.Background())
 	s.campaigns[e.id] = e
 	s.order = append(s.order, e)
 	if _, known := s.queues[tenant]; !known {
@@ -493,7 +492,7 @@ func (s *Service) cancel(w http.ResponseWriter, e *entry) {
 	case StateRunning:
 		// The coordinator answers the fleet with UnitShutdown and Wait
 		// returns ErrInterrupted; runCampaign finishes the entry.
-		e.interrupt()
+		e.cancel()
 	}
 	st := s.statusLocked(e, false)
 	s.mu.Unlock()
@@ -575,7 +574,7 @@ func (s *Service) runCampaign(e *entry) {
 		UnitSize:        s.opts.UnitSize,
 		LeaseTTL:        s.opts.LeaseTTL,
 		MaxGoldenCycles: e.spec.MaxGoldenCycles,
-		Interrupt:       e.intr,
+		Context:         e.ctx,
 		Telemetry:       e.reg,
 		// The submission's trace ID flows through to the coordinator so
 		// every fleet span of this campaign correlates with it.
@@ -623,6 +622,7 @@ func (s *Service) runCampaign(e *entry) {
 // that still arrives gets the answers routeWorker synthesizes for a
 // campaign without a coordinator.
 func (s *Service) retire(e *entry, state, detail string, report []byte) {
+	e.cancel()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e.report = report
@@ -904,7 +904,7 @@ func (s *Service) Shutdown() {
 	s.mu.Unlock()
 
 	for _, e := range running {
-		e.interrupt()
+		e.cancel()
 	}
 	s.wg.Wait()
 	// Whoever called closes the server next: every worker saying hello

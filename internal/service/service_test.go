@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -91,7 +92,7 @@ func startService(t testing.TB, opts Options) (*Service, *httptest.Server) {
 // stop drains them (and is registered as cleanup).
 func startFleet(t testing.TB, svc *Service, url string, n int) (stop func()) {
 	t.Helper()
-	intr := make(chan struct{})
+	ctx, intr := context.WithCancel(context.Background())
 	var once sync.Once
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -99,15 +100,15 @@ func startFleet(t testing.TB, svc *Service, url string, n int) (stop func()) {
 		go func(i int) {
 			defer wg.Done()
 			cluster.Join(url, cluster.WorkerOptions{
-				WorkerID:  fmt.Sprintf("fleet%d", i),
-				Interrupt: intr,
+				WorkerID: fmt.Sprintf("fleet%d", i),
+				Context:  ctx,
 			}, func(spec cluster.Spec) *telemetry.Registry {
 				return svc.CampaignTelemetry(spec.Identity)
 			})
 		}(i)
 	}
 	stop = func() {
-		once.Do(func() { close(intr) })
+		once.Do(intr)
 		wg.Wait()
 	}
 	t.Cleanup(stop)
@@ -604,22 +605,22 @@ func TestFleetForkStrategy(t *testing.T) {
 	want := localReport(t, "bin_sem2", 0)
 
 	svc, srv := startService(t, Options{})
-	intr := make(chan struct{})
+	ctx, intr := context.WithCancel(context.Background())
 	var once sync.Once
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		cluster.Join(srv.URL, cluster.WorkerOptions{
-			WorkerID:  "fork-fleet",
-			Interrupt: intr,
-			Strategy:  campaign.StrategyFork,
+			WorkerID: "fork-fleet",
+			Context:  ctx,
+			Strategy: campaign.StrategyFork,
 		}, func(s cluster.Spec) *telemetry.Registry {
 			return svc.CampaignTelemetry(s.Identity)
 		})
 	}()
 	t.Cleanup(func() {
-		once.Do(func() { close(intr) })
+		once.Do(intr)
 		wg.Wait()
 	})
 

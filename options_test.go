@@ -2,6 +2,7 @@ package faultspace
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
@@ -50,7 +51,7 @@ func TestOptionCensus(t *testing.T) {
 		t.Fatal(err)
 	}
 	var (
-		open      = make(chan struct{}) // an Interrupt that never fires
+		open      = context.Background() // a Context that is never cancelled
 		reg       = NewTelemetry()
 		logf      = func(string, ...any) {}
 		onResult  = func(int, campaign.Outcome) {}
@@ -78,14 +79,13 @@ func TestOptionCensus(t *testing.T) {
 				"Objective":        {bearing, "bypass"},
 				"Workers":          {invariant, 7},
 				"Strategy":         {invariant, StrategyRerun},
-				"LadderInterval":   {invariant, 64},
 				"Predecode":        {invariant, true},
 				"MaxGoldenCycles":  {invariant, 1 << 20},
 				"Checkpoint":       {invariant, "scan.ckpt"},
 				"Resume":           {invariant, true},
 				"OnProgress":       {invariant, func(Progress) {}},
 				"ProgressInterval": {invariant, time.Minute},
-				"Interrupt":        {invariant, open},
+				"Context":          {invariant, open},
 				"Telemetry":        {invariant, reg},
 			},
 			identity: func(t *testing.T, opts reflect.Value) [32]byte {
@@ -104,14 +104,13 @@ func TestOptionCensus(t *testing.T) {
 				"Objective":        {bearing, bypass},
 				"Workers":          {invariant, 7},
 				"Strategy":         {invariant, StrategyRerun},
-				"LadderInterval":   {invariant, 64},
 				"Predecode":        {invariant, true},
 				"Telemetry":        {invariant, reg},
 				"Spans":            {invariant, telemetry.NewSpanRecorder(trace, "census", 0)},
 				"OnResult":         {invariant, onResult},
 				"OnProgress":       {invariant, func(Progress) {}},
 				"ProgressInterval": {invariant, time.Minute},
-				"Interrupt":        {invariant, open},
+				"Context":          {invariant, open},
 			},
 			identity: func(t *testing.T, opts reflect.Value) [32]byte {
 				id, err := target.CampaignIdentity(SpaceMemory, opts.Interface().(campaign.Config))
@@ -127,17 +126,16 @@ func TestOptionCensus(t *testing.T) {
 			// executes keeps its identity.
 			base: cluster.WorkerOptions{},
 			fields: map[string]field{
-				"WorkerID":       {invariant, "census"},
-				"Workers":        {invariant, 2},
-				"Strategy":       {invariant, StrategyRerun},
-				"LadderInterval": {invariant, 64},
-				"Predecode":      {invariant, true},
-				"BaseBackoff":    {invariant, time.Millisecond},
-				"MaxBackoff":     {invariant, time.Millisecond},
-				"Interrupt":      {invariant, open},
-				"Telemetry":      {invariant, reg},
-				"Client":         {invariant, &http.Client{}},
-				"Logf":           {invariant, logf},
+				"WorkerID":    {invariant, "census"},
+				"Workers":     {invariant, 2},
+				"Strategy":    {invariant, StrategyRerun},
+				"Predecode":   {invariant, true},
+				"BaseBackoff": {invariant, time.Millisecond},
+				"MaxBackoff":  {invariant, time.Millisecond},
+				"Context":     {invariant, open},
+				"Telemetry":   {invariant, reg},
+				"Client":      {invariant, &http.Client{}},
+				"Logf":        {invariant, logf},
 			},
 			identity: func(t *testing.T, opts reflect.Value) [32]byte {
 				addr := make(chan string, 1)
@@ -162,7 +160,7 @@ func TestOptionCensus(t *testing.T) {
 				"OnResult":         {invariant, onResult},
 				"OnProgress":       {invariant, func(ClusterProgress) {}},
 				"ProgressInterval": {invariant, time.Minute},
-				"Interrupt":        {invariant, open},
+				"Context":          {invariant, open},
 				"Telemetry":        {invariant, reg},
 				"TraceID":          {invariant, trace},
 				"Pprof":            {invariant, true},

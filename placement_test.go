@@ -1,6 +1,7 @@
 package faultspace
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"reflect"
@@ -102,14 +103,12 @@ func TestPlacementEquivalenceAllBenchmarks(t *testing.T) {
 // listener closes — none of the three finds a closed port on its way out
 // and burns its handshake retries into ErrCoordinatorUnreachable
 // (serveAndJoin fails on any worker error) — and the drain is the round
-// trips it takes, nowhere near DrainTimeout.
+// trips it takes, nowhere near drainTimeout.
 func TestServeScanDismissesEveryWorker(t *testing.T) {
 	prog := equivProgram(t, "sort1")
-	const drain = 3 * time.Second
 	var merged time.Time
 	serveAndJoin(t, prog, ServeOptions{
-		UnitSize:     16,
-		DrainTimeout: drain,
+		UnitSize: 16,
 		OnClusterProgress: func(p ClusterProgress) {
 			if p.Final {
 				merged = time.Now()
@@ -118,8 +117,8 @@ func TestServeScanDismissesEveryWorker(t *testing.T) {
 	}, 3)
 	took := time.Since(merged)
 	t.Logf("ServeScan returned %v after the last merge", took)
-	if took > drain/3 {
-		t.Errorf("ServeScan returned %v after the last merge; want well inside the %v DrainTimeout", took, drain)
+	if took > drainTimeout/3 {
+		t.Errorf("ServeScan returned %v after the last merge; want well inside the %v drainTimeout", took, drainTimeout)
 	}
 }
 
@@ -136,19 +135,18 @@ func TestPlacementEquivalenceCheckpointResume(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "cluster.ckpt")
 
 	// Phase 1: interrupt once half the classes are merged.
-	intCh := make(chan struct{})
+	ctx, intCh := context.WithCancel(context.Background())
 	var once sync.Once
 	opts := ServeOptions{
 		ScanOptions: ScanOptions{
 			Checkpoint:       ck,
 			ProgressInterval: -1,
-			Interrupt:        intCh,
+			Context:          ctx,
 		},
-		UnitSize:     8,
-		DrainTimeout: time.Second,
+		UnitSize: 8,
 		OnClusterProgress: func(p ClusterProgress) {
 			if p.Done >= p.Total/2 && p.Done > 0 {
-				once.Do(func() { close(intCh) })
+				once.Do(intCh)
 			}
 		},
 	}

@@ -39,12 +39,14 @@ type CampaignServiceOptions struct {
 	// campaigns without external workers joining.
 	LocalWorkers int
 	// WorkerOptions configures the local fleet workers (strategy,
-	// parallelism, predecode). WorkerID, Telemetry and Logf are managed
-	// by the service; Interrupt is wired to the service's Interrupt.
+	// parallelism, predecode). WorkerID, Context, Telemetry and Logf are
+	// managed by the service: the workers' Context is cancelled as the
+	// service starts to drain.
 	WorkerOptions JoinOptions
 	// Interrupt, when closed, drains the service gracefully: new
 	// submissions are rejected with 503, running campaigns are
 	// interrupted and their leases drained, and the archive is flushed.
+	// A channel, not a context, because bench/ compiles against it.
 	Interrupt <-chan struct{}
 	// Telemetry, when non-nil, receives service-level metrics, served in
 	// /v1/status and /metrics.
@@ -96,6 +98,7 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 	}
 	stop := serve(ln, svc.Handler())
 
+	workers, stopWorkers := context.WithCancel(context.Background())
 	var fleet sync.WaitGroup
 	for i := 0; i < opts.LocalWorkers; i++ {
 		fleet.Add(1)
@@ -103,7 +106,7 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 			defer fleet.Done()
 			w := opts.WorkerOptions
 			w.WorkerID = fmt.Sprintf("local%d", n)
-			w.Interrupt = opts.Interrupt
+			w.Context = workers
 			w.Logf = opts.Logf
 			// Point each assigned campaign's engine counters at that
 			// campaign's own registry, keeping them isolated.
@@ -122,6 +125,7 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 		// No interrupt channel: serve until the process dies.
 		select {}
 	}
+	stopWorkers()
 	// Drain: cancel queued work, interrupt running campaigns, let their
 	// coordinators answer the fleet with shutdown, flush the archive.
 	svc.Shutdown()
@@ -214,12 +218,25 @@ func campaignState(ctx context.Context, addr, id, query string) (CampaignInfo, e
 // until the campaign ends, so it returns as the campaign does; spacing
 // (default 500ms) is only the least time between two asks when an answer
 // comes back early, as from a service that does not hold requests.
+// interrupt is a channel, not a context, because bench/ compiles against
+// this signature.
 func WaitCampaign(addr, id string, spacing time.Duration, interrupt <-chan struct{}) (CampaignInfo, error) {
 	if spacing <= 0 {
 		spacing = 500 * time.Millisecond
 	}
-	ctx, stop := cluster.InterruptContext(interrupt)
+	// The one adapter left from a channel to the context the requests
+	// take.
+	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
+	if interrupt != nil {
+		go func() {
+			select {
+			case <-interrupt:
+				stop()
+			case <-ctx.Done():
+			}
+		}()
+	}
 	query := cluster.HoldQuery(http.DefaultClient)
 	for {
 		asked := time.Now()
@@ -233,7 +250,7 @@ func WaitCampaign(addr, id string, spacing time.Duration, interrupt <-chan struc
 		if info.Terminal() {
 			return info, nil
 		}
-		if !cluster.Pace(asked, spacing, interrupt) {
+		if !cluster.Pace(ctx, asked, spacing) {
 			return info, fmt.Errorf("faultspace: %w", ErrInterrupted)
 		}
 	}
