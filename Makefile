@@ -37,14 +37,15 @@ race:
 # The campaign service's multi-campaign concurrency proof under the
 # race detector: two tenants' distinct campaigns complete concurrently
 # on one shared fleet (TestTwoTenantsConcurrent), plus the rest of the
-# service suite (scheduling, backpressure, drain, archive hits, the one
-# worker loop against both servers) — -count=2 shakes out
+# service suite (scheduling, backpressure, drain, archive hits,
+# resubmission, the one worker loop) — -count=2 shakes out
 # ordering-dependent races the single pass in `race` can miss. Then the
-# drain contract of both servers twenty times over: every worker is
-# answered its dismissal before the listener closes, which one run in a
-# few loses when the order is wrong — and a status request held by a
-# client waiting for its campaign is answered with the campaign's end,
-# not cut off by the same close.
+# service's drain contract twenty times over, under ServeScan's one
+# campaign and under ServeCampaigns: every worker is answered its
+# dismissal before the listener closes, which one run in a few loses
+# when the order is wrong — and a status request held by a client
+# waiting for its campaign is answered with the campaign's end, not cut
+# off by the same close.
 race-service:
 	$(GO) test -race -count=2 ./internal/service
 	$(GO) test -race -count=20 -run='TestServeScanDismissesEveryWorker|TestServeCampaignsDismissesParkedWorkers|TestServeCampaignsAnswersHeldStatus' .
@@ -62,11 +63,12 @@ race-spaces:
 # The observability layer under the race detector: the fleet trace
 # timeline (spans merging from concurrent workers, and the coordinator's
 # marks, into one recorder), progress snapshots reading coordinator
-# state while leases churn, the /metrics exposition racing
-# live instruments, the service-side trace/metrics surface and a retired
-# campaign's entry answering status and /trace while late worker traffic
-# still arrives — the span recorder is lock-guarded state shared across
-# worker goroutines and HTTP handlers, and -count=2 shakes out
+# state while leases churn, the /metrics exposition racing live
+# instruments — all of it served by the campaign service that hosts the
+# campaign — the service's per-campaign trace/metrics surface and a
+# retired campaign's entry answering status and /trace while late worker
+# traffic still arrives — the span recorder is lock-guarded state shared
+# across worker goroutines and HTTP handlers, and -count=2 shakes out
 # ordering-dependent races, exactly like race-service.
 race-observability:
 	$(GO) test -race -count=2 -run='TestFleetTraceTimeline|TestStatusAndTelemetryEndpoints|TestCoordinatorMetricsExposition' ./internal/cluster

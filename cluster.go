@@ -1,14 +1,18 @@
 package faultspace
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"strings"
 	"time"
 
 	"faultspace/internal/campaign"
 	"faultspace/internal/cluster"
+	"faultspace/internal/service"
 )
 
 // ClusterProgress is one event of a distributed campaign's progress
@@ -47,18 +51,17 @@ type ServeOptions struct {
 	// OnListen, when non-nil, receives the bound listen address once the
 	// coordinator is serving — useful with ":0" addresses.
 	OnListen func(addr string)
-	// Pprof mounts net/http/pprof profiling endpoints under /debug/pprof/
-	// on the coordinator's HTTP handler. Off by default: profiling a
-	// public coordinator address is opt-in.
-	Pprof bool
 }
 
 // ServeScan runs a distributed full fault-space scan: it prepares the
-// campaign locally, then serves leased work units to workers joining via
-// JoinScan (or favscan -join) on addr until every equivalence class has
-// an outcome. The final result — and therefore the report — is
+// campaign locally, hosts it on an in-memory campaign service — no
+// archive, no workers of its own — and serves that on addr to workers
+// joining via JoinScan (or favscan -join) until every equivalence class
+// has an outcome. The final result — and therefore the report — is
 // byte-identical to a local FullScan of the same program (invariant 8,
-// placement equivalence).
+// placement equivalence). The address answers what favserve's does: the
+// campaign's status and timeline under /v1/campaigns/<id>, /v1/status and
+// /metrics.
 //
 // Checkpoint and Resume behave exactly as in Scan: merged outcomes
 // stream into the crash-safe checkpoint, and a restarted coordinator
@@ -71,15 +74,12 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 		return nil, err
 	}
 	copts := cluster.Options{
-		UnitSize:         opts.UnitSize,
-		LeaseTTL:         opts.LeaseTTL,
 		MaxGoldenCycles:  opts.maxGolden(),
 		OnProgress:       opts.OnClusterProgress,
 		ProgressInterval: opts.ProgressInterval,
-		Context:          opts.Context,
 		Telemetry:        opts.Telemetry,
-		Pprof:            opts.Pprof,
 	}
+	ctx := cmp.Or(opts.Context, context.Background())
 	var prior map[int]campaign.Outcome
 	finish := wrapScanErr
 	if opts.Checkpoint != "" {
@@ -88,39 +88,37 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 			return nil, err
 		}
 		prior, finish = completed, ck.close
-		copts.OnResult, copts.Context = ck.record, ck.ctx
+		copts.OnResult, ctx = ck.record, ck.ctx
 	}
-	coord, err := cluster.NewCoordinator(c.target, c.golden, c.space, c.cfg, copts, prior)
+	svc, err := service.New(service.Options{UnitSize: opts.UnitSize, LeaseTTL: opts.LeaseTTL})
+	if err != nil {
+		return finish(nil, err)
+	}
+	coord, err := svc.Host(ctx, c.target, c.golden, c.space, c.cfg, copts, prior)
 	if err != nil {
 		return finish(nil, err)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
+		svc.Shutdown()
 		return finish(nil, err)
 	}
 	if opts.OnListen != nil {
 		opts.OnListen(ln.Addr().String())
 	}
-	stop := serve(ln, coord.Handler())
+	stop := serve(ln, svc.Handler())
 
 	res, scanErr := coord.Wait()
-	// Let the workers fetch their done/shutdown notice before tearing the
-	// server down: each says hello once more and is dismissed. On the
-	// interrupt path this also lets in-flight units finish submitting, so
-	// their experiments are recorded — the cluster analogue of the local
-	// graceful-interrupt semantics.
-	coord.WaitDrained(drainTimeout)
-	// Close the listener and connections, then seal the coordinator so no
-	// late handler can touch a closed checkpoint writer.
+	// The service's drain: every worker that joined fetches its done or
+	// shutdown notice and says hello once more, and is dismissed; on the
+	// interrupt path in-flight units finish submitting first, so their
+	// experiments are recorded — the cluster analogue of the local
+	// graceful-interrupt semantics. The campaign is sealed before Shutdown
+	// returns, so no late submission touches a closed checkpoint writer.
+	svc.Shutdown()
 	stop()
-	coord.Seal()
 	return finish(res, scanErr)
 }
-
-// drainTimeout bounds how long ServeScan waits after the campaign's end
-// for its workers to fetch their done or shutdown notice and be
-// dismissed.
-const drainTimeout = 3 * time.Second
 
 // The server's read bounds: how long a connection may take to send its
 // request header, to send the whole request, body included, and how long
@@ -155,8 +153,10 @@ func serve(ln net.Listener, handler http.Handler) (stop func()) {
 }
 
 // ServeMetrics exposes the registry's snapshot in Prometheus text format
-// at /metrics on addr until the returned stop is called; bound is the
-// address listened on.
+// at /metrics on addr, and the net/http/pprof profiles under
+// /debug/pprof/ next to it, until the returned stop is called; bound is
+// the address listened on. Profiling is as opt-in as the listener: no
+// campaign server mounts it.
 func ServeMetrics(addr string, reg *Telemetry) (bound string, stop func(), err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -167,6 +167,11 @@ func ServeMetrics(addr string, reg *Telemetry) (bound string, stop func(), err e
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = WritePrometheus(w, reg.Snapshot(), nil)
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return ln.Addr().String(), serve(ln, mux), nil
 }
 
@@ -178,22 +183,20 @@ func ServeMetrics(addr string, reg *Telemetry) (bound string, stop func(), err e
 // Logf.
 type JoinOptions = cluster.WorkerOptions
 
-// JoinScan makes this process a worker of the server at addr — a
-// coordinator started with ServeScan (favscan -serve) or a campaign
-// service started with ServeCampaigns (favserve), it is the same
-// protocol. The server grants it a campaign; it rebuilds the campaign
-// from the handshake — needing no local program knowledge — verifies the
-// campaign identity, then pulls, executes and submits leased work units
-// until the campaign ends, and asks for the next one. Requests are
-// retried with exponential backoff; a worker whose campaign identity
-// differs from the server's is rejected.
+// JoinScan makes this process a worker of the campaign service at addr —
+// the one ServeScan (favscan -serve) starts for its campaign, or one
+// started with ServeCampaigns (favserve). The service grants it a
+// campaign; it rebuilds the campaign from the handshake — needing no
+// local program knowledge — verifies the campaign identity, then pulls,
+// executes and submits leased work units until the campaign ends, and
+// asks for the next one. Requests are retried with exponential backoff; a
+// worker whose campaign identity differs from the server's is rejected.
 //
-// JoinScan returns once the server dismisses the worker — a coordinator
-// when its campaign is over, a service when it drains: nil after
-// campaigns that completed (or before working on any: a worker that
-// arrives after the end is sent home at the handshake), and
-// ErrCoordinatorShutdown when the last campaign it worked on was cut
-// short. It returns ErrCoordinatorUnreachable when the server stays
+// JoinScan returns once the service dismisses the worker, as it drains —
+// ServeScan's once its campaign is over: nil after campaigns that
+// completed (or before working on any: a worker that arrives after the
+// end is sent home at the handshake), and ErrCoordinatorShutdown when the
+// last campaign it worked on was cut short. It returns ErrCoordinatorUnreachable when the server stays
 // unreachable and ErrInterrupted when JoinOptions.Context is cancelled.
 func JoinScan(addr string, opts JoinOptions) error {
 	if err := cluster.Join(normalizeURL(addr), opts, nil); err != nil {

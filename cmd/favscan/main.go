@@ -89,8 +89,7 @@ func run(args []string, w, errW io.Writer) error {
 		progress = fs.Bool("progress", false, "print live progress (classes done, exp/s, ETA) to stderr")
 		telem    = fs.String("telemetry", "", "write a JSON run manifest (identity, config, counters, timing) to this file on exit")
 		traceFl  = fs.String("trace", "", "write the campaign span timeline as Chrome trace-event JSON (Perfetto-loadable) to this file on exit")
-		metricFl = fs.String("metrics", "", "expose the telemetry registry in Prometheus text format on this address at /metrics")
-		pprofFl  = fs.Bool("pprof", false, "expose /debug/pprof profiling endpoints on the coordinator (requires -serve)")
+		metricFl = fs.String("metrics", "", "expose the telemetry registry in Prometheus text format on this address at /metrics, and /debug/pprof profiles next to it")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -124,7 +123,7 @@ func run(args []string, w, errW io.Writer) error {
 	mode, allowed := "a local full scan", campaignFlags+executorFlags+fullScanFlags
 	switch {
 	case *serve != "":
-		mode, allowed = "-serve", campaignFlags+fullScanFlags+" serve unit-size lease pprof"
+		mode, allowed = "-serve", campaignFlags+fullScanFlags+" serve unit-size lease"
 	case *join != "":
 		mode, allowed = "-join", executorFlags+" join worker-id progress metrics"
 	case *submit != "":
@@ -219,7 +218,7 @@ func run(args []string, w, errW io.Writer) error {
 	}
 	// One registry serves all three observability surfaces: the run
 	// manifest (-telemetry), the summary table (-progress) and, under
-	// -serve, the coordinator's /v1/status and /metrics endpoints.
+	// -serve, the campaign's status and /metrics on the serving address.
 	// Telemetry never changes outcomes (invariant 10), so
 	// attaching it unconditionally here would be harmless — but keeping
 	// it nil unless asked for preserves the zero-overhead default.
@@ -311,7 +310,6 @@ func run(args []string, w, errW io.Writer) error {
 			ScanOptions: opts,
 			UnitSize:    *unitSize,
 			LeaseTTL:    *leaseTTL,
-			Pprof:       *pprofFl,
 			OnListen: func(addr string) {
 				fmt.Fprintf(errW, "favscan: serving campaign on %s\n", addr)
 			},

@@ -266,7 +266,7 @@ func TestFlagValidationUpfront(t *testing.T) {
 		{[]string{"-submit", "x:1", "-checkpoint", "c.ckpt", "hi"}, "-checkpoint does not apply to -submit"},
 		{[]string{"-submit", "x:1", "-telemetry", "t.json", "hi"}, "-telemetry does not apply to -submit"},
 		{[]string{"-tenant", "alice", "hi"}, "-tenant does not apply to a local full scan"},
-		{[]string{"-pprof", "hi"}, "-pprof does not apply to a local full scan"},
+		{[]string{"-pprof", "hi"}, "flag provided but not defined: -pprof"},
 		{[]string{"-telemetry", "t.json", "-sample", "10", "hi"}, "-telemetry does not apply to -sample"},
 		{[]string{"-telemetry", "t.json", "-load", "x.json"}, "-telemetry does not apply to -load"},
 		{[]string{"-telemetry", "t.json", "-join", "x:1"}, "-telemetry does not apply to -join"},

@@ -1,10 +1,12 @@
-package cluster
+package cluster_test
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -15,54 +17,71 @@ import (
 	"time"
 
 	"faultspace/internal/campaign"
-	"faultspace/internal/machine"
-	"faultspace/internal/progs"
+	. "faultspace/internal/cluster"
 	"faultspace/internal/pruning"
+	"faultspace/internal/service"
 	"faultspace/internal/trace"
 )
 
-const testMaxGolden = 1 << 22
-
-// testCampaign prepares a small benchmark campaign.
-func testCampaign(t testing.TB, name string) (campaign.Target, *trace.Golden, *pruning.FaultSpace) {
-	t.Helper()
-	spec, err := progs.Resolve(name, progs.Sizes{
-		BinSemRounds: 1, SyncRounds: 1, SyncBufBytes: 16,
-		ClockTicks: 2, ClockPeriod: 32, MboxMessages: 2,
-		PreemptWork: 8, PreemptPeriod: 24, SortElements: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := spec.Baseline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tgt := campaign.Target{
-		Name:  prog.Name,
-		Code:  prog.Code,
-		Image: prog.Image,
-		Mach: machine.Config{
-			RAMSize:     prog.RAMSize,
-			TimerPeriod: prog.TimerPeriod,
-			TimerVector: prog.TimerVector,
-		},
-	}
-	golden, fs, err := tgt.PrepareSpace(pruning.SpaceMemory, testMaxGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tgt, golden, fs
+// server is a loopback campaign service hosting one campaign, as
+// ServeScan serves it.
+type server struct {
+	*httptest.Server
+	svc *service.Service
 }
 
-// runCluster serves a coordinator on a loopback listener, joins it with
-// the given worker option sets concurrently, and returns the result plus
-// the per-worker Join errors.
-func runCluster(t testing.TB, coord *Coordinator, workers []WorkerOptions) (*campaign.Result, []error) {
+// serveCampaign hosts a campaign on an in-memory campaign service — the
+// unit size and lease TTL of opts become the service's, its Context the
+// host's — and serves it on a loopback listener. When the test ends the
+// campaign is interrupted and the server closed; a fleet that never says
+// goodbye keeps the drain, not the test, waiting.
+func serveCampaign(t testing.TB, tgt campaign.Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg campaign.Config, opts Options, prior map[int]campaign.Outcome) (*Coordinator, server) {
 	t.Helper()
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	svc, err := service.New(service.Options{UnitSize: opts.UnitSize, LeaseTTL: opts.LeaseTTL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(cmp.Or(opts.Context, context.Background()))
+	coord, err := svc.Host(ctx, tgt, golden, fs, cfg, opts, prior)
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	srv := server{httptest.NewServer(svc.Handler()), svc}
+	t.Cleanup(func() {
+		cancel()
+		srv.Close()
+	})
+	return coord, srv
+}
 
+// onUnit is a worker's HTTP transport that shows the test every lease
+// answer before the worker reads it.
+type onUnit func(u WorkUnit)
+
+func (f onUnit) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil || !strings.HasPrefix(r.URL.Path, "/v1/lease") {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	if u, err := DecodeWorkUnit(body); err == nil {
+		f(u)
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
+}
+
+// runCluster joins the served campaign with the given worker option sets
+// concurrently and returns the result plus the per-worker Join errors.
+// Like ServeScan it waits for the campaign, then shuts the service down,
+// which dismisses the workers.
+func runCluster(t testing.TB, coord *Coordinator, srv server, workers []WorkerOptions) (*campaign.Result, []error) {
+	t.Helper()
 	errs := make([]error, len(workers))
 	var wg sync.WaitGroup
 	for i, w := range workers {
@@ -76,8 +95,8 @@ func runCluster(t testing.TB, coord *Coordinator, workers []WorkerOptions) (*cam
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
+	srv.svc.Shutdown()
 	wg.Wait()
-	coord.Seal()
 	return res, errs
 }
 
@@ -105,15 +124,12 @@ func assertPlacementEquivalent(t *testing.T, tgt campaign.Target, golden *trace.
 // workers — one snapshot, one rerun — must produce the exact outcome
 // vector of a local FullScan.
 func TestClusterPlacementEquivalence(t *testing.T) {
-	tgt, golden, fs := testCampaign(t, "bin_sem2")
-	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
+	tgt, golden, fs := SmallCampaign(t, "bin_sem2")
+	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
 		UnitSize:        32,
-		MaxGoldenCycles: testMaxGolden,
+		MaxGoldenCycles: MaxGolden,
 	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, errs := runCluster(t, coord, []WorkerOptions{
+	res, errs := runCluster(t, coord, srv, []WorkerOptions{
 		{WorkerID: "snap"},
 		{WorkerID: "rerun", Strategy: campaign.StrategyRerun},
 	})
@@ -145,15 +161,12 @@ func TestClusterPlacementEquivalence(t *testing.T) {
 // loses nothing: the survivor finishes, at least one unit is reassigned,
 // and the result still matches a local FullScan.
 func TestClusterKillWorkerMidScan(t *testing.T) {
-	tgt, golden, fs := testCampaign(t, "sort1")
-	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
+	tgt, golden, fs := SmallCampaign(t, "sort1")
+	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
 		UnitSize:        16,
 		LeaseTTL:        150 * time.Millisecond,
-		MaxGoldenCycles: testMaxGolden,
+		MaxGoldenCycles: MaxGolden,
 	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	killCtx, kill := context.WithCancel(context.Background())
 	var once sync.Once
@@ -163,15 +176,15 @@ func TestClusterKillWorkerMidScan(t *testing.T) {
 		// Slow strategy + single executor so the kill lands mid-unit.
 		Strategy: campaign.StrategyRerun,
 		Workers:  1,
-		onUnit: func(u WorkUnit) {
+		Client: &http.Client{Transport: onUnit(func(u WorkUnit) {
 			if u.Status == UnitGranted {
 				once.Do(kill)
 			}
-		},
+		})},
 	}
 	survivor := WorkerOptions{WorkerID: "survivor"}
 
-	res, errs := runCluster(t, coord, []WorkerOptions{victim, survivor})
+	res, errs := runCluster(t, coord, srv, []WorkerOptions{victim, survivor})
 	if !errors.Is(errs[0], campaign.ErrInterrupted) {
 		t.Errorf("victim: err = %v, want ErrInterrupted", errs[0])
 	}
@@ -196,16 +209,12 @@ func TestClusterKillWorkerMidScan(t *testing.T) {
 // give them back (leave) in a shuffled order — pending is a LIFO, so the
 // last unit returned is granted first.
 func TestClusterUnitOrderInvariance(t *testing.T) {
-	tgt, golden, fs := testCampaign(t, "bin_sem2")
+	tgt, golden, fs := SmallCampaign(t, "bin_sem2")
 	outcomesOf := func(shuffleSeed int64) []campaign.Outcome {
-		coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
+		coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
 			UnitSize:        16,
-			MaxGoldenCycles: testMaxGolden,
+			MaxGoldenCycles: MaxGolden,
 		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(coord.Handler())
 		var holders []string
 		for {
 			name := fmt.Sprint("placeholder", len(holders))
@@ -220,7 +229,6 @@ func TestClusterUnitOrderInvariance(t *testing.T) {
 				}
 			}
 		}
-		srv.Close()
 		if shuffleSeed != 0 {
 			rand.New(rand.NewSource(shuffleSeed)).Shuffle(len(holders), func(i, j int) {
 				holders[i], holders[j] = holders[j], holders[i]
@@ -231,7 +239,7 @@ func TestClusterUnitOrderInvariance(t *testing.T) {
 		for _, name := range holders {
 			coord.Leave(name)
 		}
-		res, errs := runCluster(t, coord, []WorkerOptions{
+		res, errs := runCluster(t, coord, srv, []WorkerOptions{
 			{WorkerID: "fork", Strategy: campaign.StrategyFork},
 		})
 		if errs[0] != nil {
@@ -256,7 +264,7 @@ func TestClusterUnitOrderInvariance(t *testing.T) {
 // outcomes (as a checkpoint restore would) and verifies only the
 // remainder is executed, with the merged result still bit-identical.
 func TestClusterResumeFromPrior(t *testing.T) {
-	tgt, golden, fs := testCampaign(t, "hi")
+	tgt, golden, fs := SmallCampaign(t, "hi")
 	want, err := campaign.FullScan(tgt, golden, fs, campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -265,14 +273,11 @@ func TestClusterResumeFromPrior(t *testing.T) {
 	for i := 0; i < len(fs.Classes)/2; i++ {
 		prior[i] = want.Outcomes[i]
 	}
-	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
+	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
 		UnitSize:        4,
-		MaxGoldenCycles: testMaxGolden,
+		MaxGoldenCycles: MaxGolden,
 	}, prior)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, errs := runCluster(t, coord, []WorkerOptions{{WorkerID: "w"}})
+	res, errs := runCluster(t, coord, srv, []WorkerOptions{{WorkerID: "w"}})
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
@@ -287,13 +292,8 @@ func TestClusterResumeFromPrior(t *testing.T) {
 // keeps a worker with a different program image, fault space or timeout
 // budget out of the campaign.
 func TestClusterIdentityAdmission(t *testing.T) {
-	tgt, golden, fs := testCampaign(t, "hi")
-	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{MaxGoldenCycles: testMaxGolden}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	tgt, golden, fs := SmallCampaign(t, "hi")
+	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{MaxGoldenCycles: MaxGolden}, nil)
 
 	var wrong [32]byte
 	wrong[0] = 0xff
@@ -319,9 +319,9 @@ func TestClusterIdentityAdmission(t *testing.T) {
 	// and must refuse during its own handshake verification too: simulate
 	// by corrupting the spec the coordinator would serve. Covered from the
 	// worker side via a coordinator for a different campaign.
-	tgt2, golden2, fs2 := testCampaign(t, "sort1")
+	tgt2, golden2, fs2 := SmallCampaign(t, "sort1")
 	cfg2 := campaign.Config{TimeoutFactor: 2}
-	coord2, err := NewCoordinator(tgt2, golden2, fs2, cfg2, Options{MaxGoldenCycles: testMaxGolden}, nil)
+	coord2, err := NewCoordinator(tgt2, golden2, fs2, cfg2, Options{MaxGoldenCycles: MaxGolden}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,37 +331,34 @@ func TestClusterIdentityAdmission(t *testing.T) {
 	}
 }
 
-// TestClusterInterruptShutdown: closing the coordinator's interrupt
-// stops lease grants; a worker of the campaign receives the shutdown
-// notice, is dismissed by its next hello and exits with ErrShutdown. One
-// that arrives after the interrupt is dismissed at the handshake without
-// rebuilding anything, and has nothing to report.
+// TestClusterInterruptShutdown: cancelling the campaign's context stops
+// lease grants; a worker of the campaign receives the shutdown notice, is
+// dismissed by its next hello once the service drains, as ServeScan's
+// does after Wait, and exits with ErrShutdown. One that arrives after
+// the interrupt is dismissed at the handshake without rebuilding
+// anything, and has nothing to report.
 func TestClusterInterruptShutdown(t *testing.T) {
-	tgt, golden, fs := testCampaign(t, "hi")
+	tgt, golden, fs := SmallCampaign(t, "hi")
 	ctx, intCh := context.WithCancel(context.Background())
-	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
+	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
 		UnitSize:        4,
-		MaxGoldenCycles: testMaxGolden,
+		MaxGoldenCycles: MaxGolden,
 		Context:         ctx,
 	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
 
 	var once sync.Once
 	early := make(chan error, 1)
 	go func() {
-		early <- Join(srv.URL, WorkerOptions{WorkerID: "early", onUnit: func(u WorkUnit) {
+		early <- Join(srv.URL, WorkerOptions{WorkerID: "early", Client: &http.Client{Transport: onUnit(func(u WorkUnit) {
 			if u.Status == UnitGranted {
 				once.Do(intCh)
 			}
-		}}, nil)
+		})}}, nil)
 	}()
 	if _, err := coord.Wait(); !errors.Is(err, campaign.ErrInterrupted) {
 		t.Fatalf("Wait: %v, want ErrInterrupted", err)
 	}
+	srv.svc.Shutdown()
 	if err := <-early; !errors.Is(err, ErrShutdown) {
 		t.Errorf("Join across the interrupt: %v, want ErrShutdown", err)
 	}
@@ -369,7 +366,7 @@ func TestClusterInterruptShutdown(t *testing.T) {
 		t.Error("the dismissed worker still counts as joined")
 	}
 	var rebuilt bool
-	err = Join(srv.URL, WorkerOptions{WorkerID: "late", Logf: func(format string, _ ...any) {
+	err := Join(srv.URL, WorkerOptions{WorkerID: "late", Logf: func(format string, _ ...any) {
 		rebuilt = rebuilt || strings.Contains(format, "joined")
 	}}, nil)
 	if err != nil || rebuilt {
@@ -377,19 +374,14 @@ func TestClusterInterruptShutdown(t *testing.T) {
 	}
 }
 
-// TestClusterMethodRejection: every mutating cluster endpoint enforces
+// TestClusterMethodRejection: every mutating worker endpoint enforces
 // POST and the read endpoints GET; anything else gets 405 with an Allow
 // header naming the one accepted method.
 func TestClusterMethodRejection(t *testing.T) {
-	tgt, golden, fs := testCampaign(t, "hi")
-	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
-		MaxGoldenCycles: testMaxGolden,
+	tgt, golden, fs := SmallCampaign(t, "hi")
+	_, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
+		MaxGoldenCycles: MaxGolden,
 	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
 
 	cases := []struct {
 		path   string
@@ -427,13 +419,13 @@ func TestClusterMethodRejection(t *testing.T) {
 // partial result says how many classes have no outcome, which is what
 // keeps it from being archived or analyzed as a complete campaign.
 func TestCoordinatorPartialResultPending(t *testing.T) {
-	tgt, golden, fs := testCampaign(t, "hi")
+	tgt, golden, fs := SmallCampaign(t, "hi")
 	ctx, interrupt := context.WithCancel(context.Background())
 	interrupt()
 	prior := map[int]campaign.Outcome{0: campaign.OutcomeNoEffect, 3: campaign.OutcomeNoEffect}
 	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
 		Context:         ctx,
-		MaxGoldenCycles: testMaxGolden,
+		MaxGoldenCycles: MaxGolden,
 	}, prior)
 	if err != nil {
 		t.Fatal(err)
@@ -453,7 +445,7 @@ func TestCoordinatorPartialResultPending(t *testing.T) {
 // SIGINT. Sixty-four coordinators, so that a choice left to chance would
 // show.
 func TestWaitCompletionWins(t *testing.T) {
-	tgt, golden, fs := testCampaign(t, "hi")
+	tgt, golden, fs := SmallCampaign(t, "hi")
 	prior := make(map[int]campaign.Outcome, len(fs.Classes))
 	for ci := range fs.Classes {
 		prior[ci] = campaign.OutcomeNoEffect
@@ -463,7 +455,7 @@ func TestWaitCompletionWins(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
 			Context:         ctx,
-			MaxGoldenCycles: testMaxGolden,
+			MaxGoldenCycles: MaxGolden,
 		}, prior)
 		if err != nil {
 			t.Fatal(err)

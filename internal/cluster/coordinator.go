@@ -2,14 +2,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/pprof"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -50,7 +45,8 @@ type Options struct {
 	Context context.Context
 	// Telemetry, when non-nil, receives cluster metrics (lease grants and
 	// expiries, submissions, duplicate submits, heartbeats and their gap
-	// histogram; see DESIGN.md §4d), served in /v1/status and /metrics.
+	// histogram; see DESIGN.md §4d), served in the campaign's status and
+	// /metrics by the campaign service that hosts it.
 	// Purely observational: it never changes what the coordinator
 	// computes.
 	Telemetry *telemetry.Registry
@@ -60,9 +56,6 @@ type Options struct {
 	// The trace ID is observability identity only and never feeds the
 	// campaign identity hash (invariant 15).
 	TraceID telemetry.TraceID
-	// Pprof additionally mounts net/http/pprof under /debug/pprof/ on
-	// Handler() — opt-in, for live profiling of a long cluster scan.
-	Pprof bool
 }
 
 // Defaults for Options, and the coordinator's fixed settings.
@@ -74,7 +67,7 @@ const (
 	// submissions — four times a single recorder's default, since the
 	// coordinator aggregates a whole fleet. Beyond capacity the newest
 	// spans are dropped and the loss is self-described via the recorder's
-	// drop counter in /v1/status.
+	// drop counter in the campaign's status.
 	timelineCapacity = 4 * telemetry.DefaultSpanCapacity
 )
 
@@ -115,10 +108,12 @@ type WorkerStat = lease.WorkerStat
 // regular campaign progress plus cluster-level statistics.
 type Progress = lease.Progress
 
-// Coordinator serves one campaign's lease.State over HTTP, with three
-// jobs: decode and admit each request, take the one mutex around Step,
-// and apply the effects — write the reply, feed OnResult, spans and
-// counters, wake held requests, keep one timer at the next deadline.
+// Coordinator is the lease host of one campaign: its lease.State, the one
+// mutex around Step and the step's effects — the reply, OnResult, spans
+// and counters, held requests woken, one timer at the next deadline. It
+// speaks no HTTP: the campaign service (internal/service) decodes each
+// worker message, routes it by the campaign identity it carries and hands
+// it to Hello, Leave, Ask, Submit or Heartbeat.
 type Coordinator struct {
 	target   campaign.Target
 	golden   *trace.Golden
@@ -126,7 +121,6 @@ type Coordinator struct {
 	identity [32]byte
 	spec     []byte // encoded handshake frame
 	opts     Options
-	mux      *http.ServeMux
 
 	mu       sync.Mutex
 	state    *lease.State
@@ -139,19 +133,21 @@ type Coordinator struct {
 	stopped <-chan struct{}
 	unwatch func() bool
 	// wake is closed and replaced when a step says so; holds counts every
-	// hello and lease ask until its answer is out; timer ticks the state
-	// at the earliest lease deadline (armed).
-	wake  chan struct{}
-	holds Holds
-	timer *time.Timer
-	armed time.Time
+	// lease ask until its answer is out; timer ticks the state at the
+	// earliest lease deadline (armed); waited is set once Wait has sent the
+	// final progress event.
+	wake   chan struct{}
+	holds  Holds
+	timer  *time.Timer
+	armed  time.Time
+	waited bool
 
 	// Fleet timeline: the campaign trace ID from the spec and the merged
 	// span recorder (the coordinator's own spans plus the spans workers
-	// ship back with submissions), served at /v1/trace. rampedUp latches
-	// the one-shot campaign.rampup span covering campaign start to the
-	// first lease grant — the time-to-first-work a fleet operator cares
-	// about, and otherwise a dark region at the head of every timeline.
+	// ship back with submissions). rampedUp latches the one-shot
+	// campaign.rampup span covering campaign start to the first lease
+	// grant — the time-to-first-work a fleet operator cares about, and
+	// otherwise a dark region at the head of every timeline.
 	traceID  telemetry.TraceID
 	spans    *telemetry.SpanRecorder
 	rampedUp bool
@@ -202,7 +198,6 @@ func NewCoordinator(t campaign.Target, golden *trace.Golden, fs *pruning.FaultSp
 			Took: reg.Histogram("cluster.lease_hold"),
 		},
 	}
-	c.mux = c.routes()
 	c.telGranted = reg.Counter("cluster.leases_granted")
 	c.telExpired = reg.Counter("cluster.leases_expired")
 	c.telSubmits = reg.Counter("cluster.submissions")
@@ -293,6 +288,10 @@ func (c *Coordinator) TraceID() telemetry.TraceID { return c.traceID }
 func (c *Coordinator) Timeline() ([]telemetry.Span, uint64) {
 	return c.spans.Spans(), c.spans.Dropped()
 }
+
+// Spans returns the recorder of the merged fleet timeline, which outlives
+// the coordinator for whoever keeps serving it.
+func (c *Coordinator) Spans() *telemetry.SpanRecorder { return c.spans }
 
 func (c *Coordinator) step(ev lease.Event) lease.Effects {
 	c.mu.Lock()
@@ -414,38 +413,13 @@ func (c *Coordinator) finishLocked(now time.Time) {
 	}
 }
 
-// Handler returns the coordinator's HTTP handler. With Options.Pprof
-// it additionally serves the standard net/http/pprof endpoints under
-// /debug/pprof/ — an observability side door that never touches
-// campaign state.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
-
-// routes builds the handler once, in NewCoordinator: the campaign service
-// asks for it on every worker request it forwards.
-func (c *Coordinator) routes() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/handshake", c.handleHandshake)
-	mux.HandleFunc("/v1/lease", c.handleLease)
-	mux.HandleFunc("/v1/submit", c.handleSubmit)
-	mux.HandleFunc("/v1/heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("/v1/status", c.handleStatus)
-	mux.HandleFunc("/v1/trace", c.handleTrace)
-	mux.HandleFunc("/metrics", c.handleMetrics)
-	if c.opts.Pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	return mux
-}
-
 // Wait blocks until every class has an outcome (returning the complete
 // result) or Options.Context is cancelled (returning the partial result
 // with campaign.ErrInterrupted). A campaign complete by then is complete,
 // however its context ends. Late in-flight submissions keep merging — and
-// reaching OnResult — until Seal is called.
+// reaching OnResult — until Seal is called. Any number may wait — the
+// service that hosts the campaign and whoever handed it the campaign —
+// and the final progress event goes out once.
 func (c *Coordinator) Wait() (*campaign.Result, error) {
 	select {
 	case <-c.finished:
@@ -454,7 +428,10 @@ func (c *Coordinator) Wait() (*campaign.Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	err := c.interruptLocked()
-	c.emitLocked(true)
+	if !c.waited {
+		c.waited = true
+		c.emitLocked(true)
+	}
 	return &campaign.Result{
 		Target:   c.target,
 		Golden:   c.golden,
@@ -466,9 +443,9 @@ func (c *Coordinator) Wait() (*campaign.Result, error) {
 }
 
 // Seal stops result merging: subsequent submissions are rejected with
-// 503 and OnResult will not be invoked again. Call it after the HTTP
-// server has shut down (or before closing a checkpoint writer) so no
-// handler can race a closed writer.
+// lease.ErrSealed and OnResult will not be invoked again. Call it before
+// closing a checkpoint writer, so no late submission can race a closed
+// writer.
 func (c *Coordinator) Seal() {
 	c.step(lease.Event{Kind: lease.Seal})
 	c.unwatch()
@@ -486,10 +463,10 @@ func (c *Coordinator) interruptLocked() error {
 }
 
 // WaitDrained blocks until every worker that ever joined has left again
-// and every hello and lease ask has its answer out, or the timeout has
-// passed, and reports which: the bounded grace period a finished or
-// interrupted campaign gives its fleet to fetch the done/shutdown answer
-// and say hello once more.
+// and every lease ask has its answer out, or the timeout has passed, and
+// reports which: the bounded grace period a finished or interrupted
+// campaign gives its fleet to fetch the done/shutdown answer and say
+// hello once more.
 func (c *Coordinator) WaitDrained(timeout time.Duration) bool {
 	t := time.NewTimer(timeout)
 	defer t.Stop()
@@ -515,121 +492,15 @@ func (c *Coordinator) WaitDrained(timeout time.Duration) bool {
 	}
 }
 
-// Snapshot returns the current progress (also served at /v1/status).
+// Snapshot returns the current progress (also served in the campaign's
+// status).
 func (c *Coordinator) Snapshot() Progress {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.state.Progress(time.Now(), false)
 }
 
-// --- HTTP handlers -------------------------------------------------------
-
-// maxBody bounds request and response bodies; submissions are the
-// largest legitimate message (a few bytes per class).
-const maxBody = 16 << 20
-
-// RequireMethod enforces the single allowed method of an endpoint,
-// answering anything else with 405 and an Allow header per RFC 9110.
-// Shared with the campaign service's endpoints (internal/service).
-func RequireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
-	if r.Method != method {
-		w.Header().Set("Allow", method)
-		http.Error(w, "cluster: "+method+" required", http.StatusMethodNotAllowed)
-		return false
-	}
-	return true
-}
-
-// ReadBounded reads a request or response body up to the wire bound. A
-// longer one is an error that names the bound, so an oversized message
-// never reaches a decoder cut short.
-func ReadBounded(r io.Reader) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r, maxBody+1))
-	if err != nil {
-		return nil, fmt.Errorf("read: %w", err)
-	}
-	if len(body) > maxBody {
-		return nil, fmt.Errorf("body exceeds the %d-byte bound", maxBody)
-	}
-	return body, nil
-}
-
-// ReadBody reads the bounded body of a POST request — the one request
-// reader of the coordinator's and the campaign service's endpoints. Any
-// other method, a failed read or a body above the bound is answered here
-// and reported false.
-func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	if !RequireMethod(w, r, http.MethodPost) {
-		return nil, false
-	}
-	body, err := ReadBounded(r.Body)
-	if err != nil {
-		http.Error(w, "cluster: "+err.Error(), http.StatusBadRequest)
-		return nil, false
-	}
-	return body, true
-}
-
-// admitted reads and decodes a post-handshake message and enforces the
-// campaign identity admission check; anything else is answered here and
-// reported false.
-func admitted[M any](c *Coordinator, w http.ResponseWriter, r *http.Request, decode func([]byte) (M, error), id func(M) [32]byte) (M, bool) {
-	body, ok := ReadBody(w, r)
-	if !ok {
-		var zero M
-		return zero, false
-	}
-	m, err := decode(body)
-	switch {
-	case err != nil:
-		http.Error(w, err.Error(), http.StatusBadRequest)
-	case id(m) != c.identity:
-		http.Error(w, "cluster: campaign identity mismatch (different program image, fault-space kind or timeout budget)",
-			http.StatusConflict)
-	default:
-		return m, true
-	}
-	return m, false
-}
-
-// handleHandshake answers a worker's hello: granted with the spec, or
-// shutdown. A dismissed worker is gone from its hello on, but the answer
-// counts as held until written: whoever waits for the drain
-// (WaitDrained) closes the server next, and a dismissal cut off there
-// would leave the worker knocking at a closed port.
-func (c *Coordinator) handleHandshake(w http.ResponseWriter, r *http.Request) {
-	body, ok := ReadBody(w, r)
-	if !ok {
-		return
-	}
-	h, err := DecodeHello(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var spec []byte
-	answered := c.holds.Park(r.Context(), time.Time{}, func() <-chan struct{} {
-		spec = c.Hello(h.WorkerID)
-		return nil
-	})
-	defer answered()
-	reply := HelloReply{Status: HelloShutdown}
-	if spec != nil {
-		reply = HelloReply{Status: HelloGranted, Spec: spec}
-	}
-	WriteWhole(w, EncodeHelloReply(reply))
-}
-
-// WriteWhole answers a request with one wire message, its length
-// announced and the bytes flushed to the connection before it returns: a
-// server closed right after — which is what follows a worker's dismissal
-// — closes a connection whose answer is complete.
-func WriteWhole(w http.ResponseWriter, frame []byte) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-	w.Write(frame)
-	http.NewResponseController(w).Flush()
-}
+// --- worker messages ------------------------------------------------------
 
 // Hello is a worker's handshake (lease.Hello): it returns the encoded
 // spec when the worker has joined the campaign, nil when it is dismissed.
@@ -647,20 +518,14 @@ func (c *Coordinator) Leave(workerID string) {
 	c.step(lease.Event{Kind: lease.Leave, Worker: workerID})
 }
 
-// handleLease grants the asking worker a unit. With ?wait= a would-be
-// UnitWait is held until a step wakes it (a unit pending again, the
-// campaign over) or the hold runs out; each look is an ask of its own.
-func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	q, ok := admitted(c, w, r, DecodeLeaseRequest, func(q LeaseRequest) [32]byte { return q.Identity })
-	if !ok {
-		return
-	}
-	hold, ok := ParseHold(w, r)
-	if !ok {
-		return
-	}
+// Ask is a worker's lease request (lease.Ask). An answer that would be
+// UnitWait is held until a step wakes it — a unit pending again, the
+// campaign over — the deadline passes or ctx ends; each look is an ask of
+// its own. The ask counts as unanswered, for WaitDrained, until the caller
+// calls answered once the unit is written out.
+func (c *Coordinator) Ask(ctx context.Context, q LeaseRequest, deadline time.Time) (u WorkUnit, answered func()) {
 	var reply lease.Reply
-	answered := c.holds.Park(r.Context(), time.Now().Add(hold), func() <-chan struct{} {
+	answered = c.holds.Park(ctx, deadline, func() <-chan struct{} {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		if reply = c.stepLocked(lease.Event{Kind: lease.Ask, Worker: q.WorkerID}).Reply; reply.Status != lease.Wait {
@@ -668,157 +533,37 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		return c.wake
 	})
-	defer answered()
-	WriteWhole(w, EncodeWorkUnit(WorkUnit{Status: uint8(reply.Status), ID: reply.Unit, Token: reply.Token, Classes: reply.Classes}))
+	return WorkUnit{Status: uint8(reply.Status), ID: reply.Unit, Token: reply.Token, Classes: reply.Classes}, answered
 }
 
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	s, ok := admitted(c, w, r, DecodeSubmission, func(s Submission) [32]byte { return s.Identity })
-	if !ok {
-		return
-	}
+// Submit merges a worker's results (lease.Submit) and adds the spans it
+// shipped to the timeline. A sealed campaign refuses it with
+// lease.ErrSealed, a malformed one with another error.
+func (c *Coordinator) Submit(s Submission) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	err := c.stepLocked(lease.Event{Kind: lease.Submit, Worker: s.WorkerID, Unit: s.UnitID, Entries: s.Entries}).Reply.Err
-	if err == nil {
-		// The scope is the admitted worker ID, never the wire's: a worker
-		// cannot attribute spans to another.
-		for _, sp := range s.Spans {
-			sp.Scope = s.WorkerID
-			c.spans.Add(sp)
-		}
-		if c.opts.OnProgress != nil &&
-			(c.opts.ProgressInterval < 0 || time.Since(c.lastEmit) >= c.opts.ProgressInterval) {
-			c.emitLocked(false)
-		}
+	if err != nil {
+		return err
 	}
-	c.mu.Unlock()
-	switch {
-	case errors.Is(err, lease.ErrSealed):
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case err != nil:
-		http.Error(w, err.Error(), http.StatusBadRequest)
-	default:
-		w.WriteHeader(http.StatusOK)
+	// The scope is the submitting worker's ID, never the wire's: a worker
+	// cannot attribute spans to another.
+	for _, sp := range s.Spans {
+		sp.Scope = s.WorkerID
+		c.spans.Add(sp)
 	}
+	if c.opts.OnProgress != nil &&
+		(c.opts.ProgressInterval < 0 || time.Since(c.lastEmit) >= c.opts.ProgressInterval) {
+		c.emitLocked(false)
+	}
+	return nil
 }
 
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	h, ok := admitted(c, w, r, DecodeHeartbeat, func(h Heartbeat) [32]byte { return h.Identity })
-	if !ok {
-		return
-	}
+// Heartbeat extends the worker's leases on the units it lists
+// (lease.Heartbeat).
+func (c *Coordinator) Heartbeat(h Heartbeat) {
 	c.step(lease.Event{Kind: lease.Heartbeat, Worker: h.WorkerID, Units: h.Units})
 	c.telHeartbeats.Inc()
-	w.WriteHeader(http.StatusOK)
-}
-
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if !RequireMethod(w, r, http.MethodGet) {
-		return
-	}
-	p := c.Snapshot()
-	resp := struct {
-		Name     string `json:"name"`
-		Space    string `json:"space"`
-		Done     int    `json:"done"`
-		Total    int    `json:"total"`
-		Failures uint64 `json:"failures"`
-		// Attacks counts classes whose outcome satisfied the campaign's
-		// attacker objective (0 without one).
-		Attacks       uint64  `json:"attacks"`
-		Rate          float64 `json:"expPerSec"`
-		Leases        int     `json:"outstandingLeases"`
-		Reassignments int     `json:"reassignments"`
-		// Workers carries each worker's session statistics, including its
-		// windowed experiments-per-second rate.
-		Workers []WorkerStat `json:"workers"`
-		// TraceID names the campaign timeline /v1/trace serves; Spans is
-		// how many spans and marks it holds, SpansDropped how many a full
-		// recorder discarded and SpansCapacity its size.
-		TraceID       string `json:"traceId,omitempty"`
-		Spans         int    `json:"spans,omitempty"`
-		SpansDropped  uint64 `json:"spansDropped,omitempty"`
-		SpansCapacity int    `json:"spansCapacity,omitempty"`
-		// Telemetry is the coordinator's live instrument snapshot; absent
-		// when the coordinator runs without a registry.
-		Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
-	}{
-		Name: c.target.Name, Space: c.space.Kind.String(),
-		Done: p.Done, Total: p.Total, Failures: p.Failures(),
-		Attacks: p.Attacks,
-		Rate:    p.Rate, Leases: p.OutstandingLeases,
-		Reassignments: p.Reassignments, Workers: p.Workers,
-	}
-	if !c.traceID.IsZero() {
-		resp.TraceID = c.traceID.String()
-		resp.Spans = c.spans.Len()
-		resp.SpansDropped = c.spans.Dropped()
-		resp.SpansCapacity = c.spans.Cap()
-	}
-	if c.opts.Telemetry != nil {
-		snap := c.opts.Telemetry.Snapshot()
-		resp.Telemetry = &snap
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
-}
-
-// handleTrace serves the merged fleet span timeline.
-func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if !RequireMethod(w, r, http.MethodGet) {
-		return
-	}
-	if c.traceID.IsZero() {
-		http.Error(w, "cluster: span tracing disabled for this campaign", http.StatusNotFound)
-		return
-	}
-	spans, _ := c.Timeline()
-	ServeTimeline(w, r, c.traceID, spans)
-}
-
-// ServeTimeline writes a campaign's span timeline: Chrome trace-event JSON
-// (loadable in Perfetto / chrome://tracing), or one JSON object per span
-// with ?format=jsonl.
-func ServeTimeline(w http.ResponseWriter, r *http.Request, id telemetry.TraceID, spans []telemetry.Span) {
-	if r.URL.Query().Get("format") == "jsonl" {
-		w.Header().Set("Content-Type", "application/jsonl")
-		telemetry.WriteSpansJSONL(w, id, spans)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	telemetry.WriteChromeTrace(w, id, spans)
-}
-
-// handleMetrics serves the Prometheus text exposition: the registry's
-// instruments (when one is configured) plus synthetic per-worker series
-// labelled by worker ID, derived from the same statistics /v1/status
-// reports.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !RequireMethod(w, r, http.MethodGet) {
-		return
-	}
-	p := c.Snapshot()
-	sets := make([]telemetry.MetricSet, 0, 1+len(p.Workers))
-	if c.opts.Telemetry != nil {
-		sets = append(sets, telemetry.MetricSet{Snap: c.opts.Telemetry.Snapshot()})
-	}
-	for _, ws := range p.Workers {
-		snap := telemetry.Snapshot{
-			Counters: map[string]uint64{
-				"cluster.worker.experiments": uint64(ws.Experiments),
-				"cluster.worker.merged":      uint64(ws.Merged),
-			},
-			Gauges: map[string]int64{
-				"cluster.worker.outstanding": int64(ws.Outstanding),
-			},
-		}
-		sets = append(sets, telemetry.MetricSet{
-			Labels: map[string]string{"worker": ws.ID},
-			Snap:   snap,
-		})
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	telemetry.WritePrometheusSets(w, sets)
 }
 
 func (c *Coordinator) emitLocked(final bool) {

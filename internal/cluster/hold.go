@@ -29,24 +29,6 @@ const MaxHold = 30 * time.Second
 // sleeps out the remainder (Pace) so no server is ever busy-looped.
 const AskSpacing = 200 * time.Millisecond
 
-// ParseHold reads the ?wait= parameter of a request: 0 when absent,
-// capped at MaxHold. A malformed or negative value is answered 400.
-func ParseHold(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
-	v := r.URL.Query().Get("wait")
-	if v == "" {
-		return 0, true
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil || d < 0 {
-		http.Error(w, "cluster: malformed wait parameter", http.StatusBadRequest)
-		return 0, false
-	}
-	if d > MaxHold {
-		d = MaxHold
-	}
-	return d, true
-}
-
 // Holds parks one kind of a server's held requests and counts them until
 // their answers are out, so that a draining server waits for every held
 // answer before it closes instead of cutting it. The zero value is ready
@@ -69,11 +51,12 @@ var closed = func() chan struct{} {
 }()
 
 // Park holds a request until look finds its answer, the deadline passes
-// or ctx ends — the one hold loop of both servers. look works out the
-// answer and returns nil once it is the one to give, else the channel
-// whose closing means "look again"; a deadline already passed looks once,
-// and once ctx ends (the asker is gone) nothing looks again. The request
-// counts as held until the caller calls answered, after writing.
+// or ctx ends — the one hold loop, under the coordinator's held ask and
+// the service's held hello and status. look works out the answer and
+// returns nil once it is the one to give, else the channel whose closing
+// means "look again"; a deadline already passed looks once, and once ctx
+// ends (the asker is gone) nothing looks again. The request counts as
+// held until the caller calls answered, after writing.
 func (h *Holds) Park(ctx context.Context, deadline time.Time, look func() <-chan struct{}) (answered func()) {
 	h.mu.Lock()
 	h.n++

@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 import (
 	"bytes"
@@ -6,33 +6,28 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"faultspace/internal/campaign"
+	. "faultspace/internal/cluster"
 	"faultspace/internal/leakcheck"
 	"faultspace/internal/telemetry"
 )
 
 // oneUnitCoordinator serves a campaign carved into a single unit, so a
 // second asker always draws UnitWait while the first holds the lease.
-func oneUnitCoordinator(t *testing.T, opts Options) (*Coordinator, *httptest.Server, []campaign.Outcome) {
+func oneUnitCoordinator(t *testing.T, opts Options) (*Coordinator, server, []campaign.Outcome) {
 	t.Helper()
-	tgt, golden, fs := testCampaign(t, "hi")
+	tgt, golden, fs := SmallCampaign(t, "hi")
 	want, err := campaign.FullScan(tgt, golden, fs, campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.UnitSize = len(fs.Classes)
-	opts.MaxGoldenCycles = testMaxGolden
-	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Handler())
-	t.Cleanup(srv.Close)
+	opts.MaxGoldenCycles = MaxGolden
+	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, opts, nil)
 	return coord, srv, want.Outcomes
 }
 
@@ -273,27 +268,31 @@ func TestHeldLeaseReclaimsAtLeaseExpiry(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var answers []uint8
-	err := Join(srv.URL, WorkerOptions{WorkerID: "survivor", onUnit: func(u WorkUnit) {
-		mu.Lock()
-		answers = append(answers, u.Status)
-		mu.Unlock()
-	}}, nil)
+	joined := make(chan error, 1)
+	go func() {
+		joined <- Join(srv.URL, WorkerOptions{WorkerID: "survivor", Client: &http.Client{Transport: onUnit(func(u WorkUnit) {
+			mu.Lock()
+			answers = append(answers, u.Status)
+			mu.Unlock()
+		})}}, nil)
+	}()
+	res, err := coord.Wait()
 	if err != nil {
-		t.Fatalf("survivor: %v", err)
+		t.Fatal(err)
 	}
 	took := time.Since(killed)
 	if took < ttl || took > ttl+time.Second {
 		t.Errorf("campaign finished %v after the victim's lease was granted; want just after its %v expiry", took, ttl)
+	}
+	srv.svc.Shutdown()
+	if err := <-joined; err != nil {
+		t.Fatalf("survivor: %v", err)
 	}
 	// One unheld ask (UnitWait), one held ask that comes back with the
 	// unit, and the final UnitDone. A second UnitWait would mean the
 	// worker polled instead of parking.
 	if got, wantSeq := answers, []uint8{UnitWait, UnitGranted, UnitDone}; !bytes.Equal(got, wantSeq) {
 		t.Errorf("survivor's lease answers %v, want %v", got, wantSeq)
-	}
-	res, err := coord.Wait()
-	if err != nil {
-		t.Fatal(err)
 	}
 	for i := range want {
 		if res.Outcomes[i] != want[i] {
@@ -334,9 +333,11 @@ func TestHeldLeaseReclaimsAtLeaseExpiry(t *testing.T) {
 // TestInterruptReleasesParkedJoin: a worker parked on a held lease stops
 // as its Context is cancelled, and leaves no goroutine behind.
 func TestInterruptReleasesParkedJoin(t *testing.T) {
-	settled := leakcheck.Goroutines(t)
 	reg := telemetry.New()
 	coord, srv, _ := oneUnitCoordinator(t, Options{Telemetry: reg})
+	// Counted from here: the service's runner of the campaign, which the
+	// holder below keeps running, is no worker's.
+	settled := leakcheck.Goroutines(t)
 	leaseAs(t, srv.URL, coord.Identity(), "holder")
 	http.DefaultClient.CloseIdleConnections()
 
@@ -371,18 +372,17 @@ func TestInterruptReleasesParkedJoin(t *testing.T) {
 
 // TestHandshakeJoinsNamedWorker: a worker has joined from its hello on —
 // between handshake and first lease it rebuilds the campaign, and a
-// coordinator whose campaign ends meanwhile must wait for it
-// (WaitDrained) instead of closing the door on it. A hello without a
-// frame or without a name is refused and joins nobody. The next hello is
-// the worker's exit notice: it is dismissed, and gone. A restarted worker
-// saying hello under its old name gets its stale lease back at once, not
-// at lease expiry.
+// drain that starts meanwhile must wait for it (WaitDrained) instead of
+// closing the door on it. A hello without a frame or without a name is
+// refused and joins nobody. The next hello is the worker's exit notice:
+// it is dismissed, and gone. A restarted worker saying hello under its
+// old name gets its stale lease back at once, not at lease expiry.
 func TestHandshakeJoinsNamedWorker(t *testing.T) {
 	coord, srv, outcomes := oneUnitCoordinator(t, Options{})
 	for name, body := range map[string][]byte{
 		"empty":     nil,
 		"nameless":  EncodeHello(Hello{}),
-		"bare spec": coord.spec,
+		"bare spec": coord.SpecFrame(),
 	} {
 		resp, err := http.Post(srv.URL+"/v1/handshake", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
@@ -396,7 +396,7 @@ func TestHandshakeJoinsNamedWorker(t *testing.T) {
 	if !coord.WaitDrained(0) {
 		t.Fatal("a refused handshake must not join a worker")
 	}
-	if h := helloAs(t, srv.URL, "late"); h.Status != HelloGranted || !bytes.Equal(h.Spec, coord.spec) {
+	if h := helloAs(t, srv.URL, "late"); h.Status != HelloGranted || !bytes.Equal(h.Spec, coord.SpecFrame()) {
 		t.Fatalf("hello of a running campaign: status %d, %d spec bytes; want granted with the spec", h.Status, len(h.Spec))
 	}
 	if ws := coord.Snapshot().Workers; len(ws) != 1 || ws[0].ID != "late" {
@@ -418,14 +418,28 @@ func TestHandshakeJoinsNamedWorker(t *testing.T) {
 			p.OutstandingLeases, p.Reassignments)
 	}
 
-	// The peer runs the whole campaign and leaves while "late" rebuilds.
+	// The peer runs the whole campaign and leaves while "late" rebuilds;
+	// the service drains once the campaign is over, as ServeScan's does.
 	u := leaseAs(t, srv.URL, coord.Identity(), "peer")
 	submitAs(t, srv.URL, coord.Identity(), "peer", u, outcomes)
-	if h := helloAs(t, srv.URL, "peer"); h.Status != HelloShutdown || h.Spec != nil {
-		t.Fatalf("hello of a finished campaign: %+v, want a bare shutdown", h)
-	}
 	if _, err := coord.Wait(); err != nil {
 		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		srv.svc.Shutdown()
+	}()
+	defer func() { <-drained }()
+	waitFor(t, "the drain to start", func() bool {
+		var st struct {
+			Draining bool `json:"draining"`
+		}
+		getJSON(t, srv.URL+"/v1/status", &st)
+		return st.Draining
+	})
+	if h := helloAs(t, srv.URL, "peer"); h.Status != HelloShutdown || h.Spec != nil {
+		t.Fatalf("hello of a finished campaign: %+v, want a bare shutdown", h)
 	}
 	if coord.WaitDrained(20 * time.Millisecond) {
 		t.Fatal("WaitDrained returned before the handshaken worker fetched its done notice")

@@ -1,13 +1,13 @@
-package cluster
+package cluster_test
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"sort"
 	"testing"
@@ -15,9 +15,17 @@ import (
 
 	"faultspace/internal/campaign"
 	"faultspace/internal/checkpoint"
+	. "faultspace/internal/cluster"
 	"faultspace/internal/telemetry"
 	"faultspace/internal/telemetry/promtest"
 )
+
+// campaignURL is where the service serves the campaign: its status, and
+// its timeline under /trace.
+func campaignURL(srv server, coord *Coordinator) string {
+	id := coord.Identity()
+	return srv.URL + "/v1/campaigns/" + hex.EncodeToString(id[:])
+}
 
 // chromeDoc mirrors the Chrome trace-event JSON contract under test.
 type chromeDoc struct {
@@ -77,7 +85,7 @@ func submitAs(t *testing.T, url string, id [32]byte, workerID string, u WorkUnit
 
 // TestFleetTraceTimeline runs a real coordinator-plus-two-workers fleet
 // and proves the merged timeline told the campaign's whole story: the
-// /v1/trace export is well-formed Chrome trace-event JSON carrying the
+// campaign's /trace export is well-formed Chrome trace-event JSON carrying the
 // campaign trace ID, it names the coordinator and both worker scopes,
 // and the non-root spans cover at least 95% of the campaign's wall time
 // — while the scan report stays placement-equivalent to a local run.
@@ -85,18 +93,15 @@ func submitAs(t *testing.T, url string, id [32]byte, workerID string, u WorkUnit
 // worker.joined and one worker.left per worker, and a lease.expired
 // naming the unit when a worker dies holding one.
 func TestFleetTraceTimeline(t *testing.T) {
-	tgt, golden, fs := testCampaign(t, "bin_sem2")
-	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
+	tgt, golden, fs := SmallCampaign(t, "bin_sem2")
+	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
 		UnitSize:        8,
-		MaxGoldenCycles: testMaxGolden,
+		MaxGoldenCycles: MaxGolden,
 	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if coord.TraceID().IsZero() {
 		t.Fatal("NewSpec must mint a trace ID for every cluster campaign")
 	}
-	res, errs := runCluster(t, coord, []WorkerOptions{
+	res, errs := runCluster(t, coord, srv, []WorkerOptions{
 		{WorkerID: "wa"},
 		{WorkerID: "wb", Strategy: campaign.StrategyFork},
 	})
@@ -109,20 +114,17 @@ func TestFleetTraceTimeline(t *testing.T) {
 	// report must be byte-identical to an untraced local scan's.
 	assertPlacementEquivalent(t, tgt, golden, fs, res)
 
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/v1/trace")
+	resp, err := http.Get(campaignURL(srv, coord) + "/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/trace: HTTP %d", resp.StatusCode)
+		t.Fatalf("/trace: HTTP %d", resp.StatusCode)
 	}
 	var doc chromeDoc
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatalf("/v1/trace: decode: %v", err)
+		t.Fatalf("/trace: decode: %v", err)
 	}
 	if got := doc.OtherData["traceId"]; got != coord.TraceID().String() {
 		t.Errorf("trace document id %q, want %q", got, coord.TraceID())
@@ -206,7 +208,7 @@ func TestFleetTraceTimeline(t *testing.T) {
 
 	// The JSONL stream must carry the same spans, one object per line,
 	// each stamped with the trace ID.
-	resp2, err := http.Get(srv.URL + "/v1/trace?format=jsonl")
+	resp2, err := http.Get(campaignURL(srv, coord) + "/trace?format=jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,30 +285,25 @@ func TestFleetTraceTimeline(t *testing.T) {
 	}
 }
 
-// TestCoordinatorMetricsExposition scrapes the coordinator's /metrics
-// through the validating Prometheus text-format parser: the registry's
-// instruments and the synthetic per-worker series must all be
-// grammatically correct, and the endpoint must work with or without a
-// registry.
+// TestCoordinatorMetricsExposition scrapes the /metrics of the service
+// hosting the campaign through the validating Prometheus text-format
+// parser: the coordinator's instruments and the synthetic per-worker
+// series must all be grammatically correct, and the endpoint must work
+// with or without a registry.
 func TestCoordinatorMetricsExposition(t *testing.T) {
-	tgt, golden, fs := testCampaign(t, "bin_sem2")
+	tgt, golden, fs := SmallCampaign(t, "bin_sem2")
 	reg := telemetry.New()
-	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
+	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
 		UnitSize:        16,
-		MaxGoldenCycles: testMaxGolden,
+		MaxGoldenCycles: MaxGolden,
 		Telemetry:       reg,
 	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, errs := runCluster(t, coord, []WorkerOptions{{WorkerID: "w1"}})
+	res, errs := runCluster(t, coord, srv, []WorkerOptions{{WorkerID: "w1"}})
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
 	assertPlacementEquivalent(t, tgt, golden, fs, res)
 
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -345,14 +342,9 @@ func TestCoordinatorMetricsExposition(t *testing.T) {
 
 	// Without a registry the endpoint still serves (per-worker series
 	// only) and still parses.
-	coord2, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
-		MaxGoldenCycles: testMaxGolden,
+	_, srv2 := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
+		MaxGoldenCycles: MaxGolden,
 	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := httptest.NewServer(coord2.Handler())
-	defer srv2.Close()
 	resp2, err := http.Get(srv2.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

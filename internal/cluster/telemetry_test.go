@@ -1,16 +1,16 @@
-package cluster
+package cluster_test
 
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"faultspace/internal/campaign"
+	. "faultspace/internal/cluster"
 	"faultspace/internal/telemetry"
 )
 
-// statusDoc mirrors the /v1/status JSON contract under test.
+// statusDoc mirrors the campaign status JSON contract under test.
 type statusDoc struct {
 	Name    string `json:"name"`
 	Done    int    `json:"done"`
@@ -45,23 +45,17 @@ func getJSON(t *testing.T, url string, into any) {
 
 // TestStatusAndTelemetryEndpoints runs a real loopback cluster with
 // telemetry enabled and exercises the observability surface over HTTP:
-// /v1/status must carry the instrument snapshot, per-worker session
-// rates and the timeline's trace ID, span count, dropped count and
-// capacity, and the opt-in pprof mux must answer.
+// the campaign's status must carry the instrument snapshot, per-worker
+// session rates and the timeline's trace ID, span count, dropped count
+// and capacity.
 func TestStatusAndTelemetryEndpoints(t *testing.T) {
-	tgt, golden, fs := testCampaign(t, "bin_sem2")
+	tgt, golden, fs := SmallCampaign(t, "bin_sem2")
 	reg := telemetry.New()
-	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
+	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
 		UnitSize:        16,
-		MaxGoldenCycles: testMaxGolden,
+		MaxGoldenCycles: MaxGolden,
 		Telemetry:       reg,
-		Pprof:           true,
 	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
 
 	wreg := telemetry.New()
 	werr := make(chan error, 1)
@@ -71,12 +65,13 @@ func TestStatusAndTelemetryEndpoints(t *testing.T) {
 	if _, err := coord.Wait(); err != nil {
 		t.Fatal(err)
 	}
+	srv.svc.Shutdown()
 	if err := <-werr; err != nil {
 		t.Fatal(err)
 	}
 
 	var st statusDoc
-	getJSON(t, srv.URL+"/v1/status", &st)
+	getJSON(t, campaignURL(srv, coord), &st)
 	if st.Done != len(fs.Classes) || st.Total != len(fs.Classes) {
 		t.Errorf("status done/total = %d/%d, want %d/%d", st.Done, st.Total, len(fs.Classes), len(fs.Classes))
 	}
@@ -98,18 +93,9 @@ func TestStatusAndTelemetryEndpoints(t *testing.T) {
 
 	spans, dropped := coord.Timeline()
 	if st.TraceID != coord.TraceID().String() || st.Spans != len(spans) || st.Spans == 0 ||
-		st.SpansDropped != nil || dropped != 0 || st.SpansCapacity != timelineCapacity {
+		st.SpansDropped != nil || dropped != 0 || st.SpansCapacity != TimelineCapacity {
 		t.Errorf("status timeline figures: traceId %q, %d spans, dropped %v, capacity %d; want %s, %d, omitted, %d",
-			st.TraceID, st.Spans, st.SpansDropped, st.SpansCapacity, coord.TraceID(), len(spans), timelineCapacity)
-	}
-
-	resp, err := http.Get(srv.URL + "/debug/pprof/cmdline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("pprof endpoint: HTTP %d, want 200", resp.StatusCode)
+			st.TraceID, st.Spans, st.SpansDropped, st.SpansCapacity, coord.TraceID(), len(spans), TimelineCapacity)
 	}
 
 	// The worker's own registry saw the campaign through the campaign
@@ -149,18 +135,14 @@ func assertOneGoldenPassPerWorker(t *testing.T, coord *Coordinator) (units map[s
 	return units
 }
 
-// TestDebugEndpointsOffByDefault: without a registry and without Pprof,
-// the debug surface must not exist.
+// TestDebugEndpointsOffByDefault: the campaign server has no debug
+// surface — profiling lives on the metrics listener — and without a
+// registry the campaign's status carries no snapshot.
 func TestDebugEndpointsOffByDefault(t *testing.T) {
-	tgt, golden, fs := testCampaign(t, "bin_sem2")
-	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
-		MaxGoldenCycles: testMaxGolden,
+	tgt, golden, fs := SmallCampaign(t, "bin_sem2")
+	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
+		MaxGoldenCycles: MaxGolden,
 	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/pprof/cmdline")
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +152,7 @@ func TestDebugEndpointsOffByDefault(t *testing.T) {
 		t.Errorf("GET /debug/pprof/cmdline: HTTP %d, want 404", resp.StatusCode)
 	}
 	var st statusDoc
-	getJSON(t, srv.URL+"/v1/status", &st)
+	getJSON(t, campaignURL(srv, coord), &st)
 	if st.Telemetry != nil {
 		t.Error("status must omit the telemetry snapshot when no registry is configured")
 	}

@@ -1,24 +1,27 @@
 // Package cluster distributes a fault-injection campaign across machines:
 // a coordinator shards the pruned equivalence classes of a campaign into
-// leased work units and serves them over HTTP; workers pull leases, run
-// the experiments through the regular campaign machinery and stream the
-// per-class outcomes back.
+// leased work units, which the campaign service (internal/service) serves
+// over HTTP; workers pull leases, run the experiments through the regular
+// campaign machinery and stream the per-class outcomes back. The package
+// holds both halves of the protocol — the coordinator, the lease host
+// that takes decoded messages, and Join, the worker — and the wire codec
+// between them; it serves no HTTP itself.
 //
 // The design leans entirely on two invariants established earlier:
 // experiments are deterministic and independent (so any worker computes
 // the same outcome for a class), and execution placement — like strategy
 // and worker count — is excluded from the campaign identity hash. The
 // identity hash doubles as the admission check: every request after the
-// handshake carries it, and a worker whose program image, fault-space
-// kind or timeout budget differs is rejected with HTTP 409.
+// handshake carries it, the service routes the request by it, and a
+// worker whose program image, fault-space kind or timeout budget differs
+// names no campaign there and is rejected with HTTP 409.
 //
 // # Wire protocol
 //
 // Every message body is one CRC-guarded frame; the frame grammar and the
 // field encodings (little-endian integers, uvarints, length-prefixed
 // strings, ascending index lists) are those of internal/frame. A worker
-// speaks to a single-campaign coordinator and to the campaign service
-// (internal/service) through the same four endpoints:
+// speaks to the campaign service through four endpoints:
 //
 //	POST /v1/handshake  'F' hello → 'V' reply: granted + the 'S' spec of a
 //	                    campaign (everything a worker needs to rebuild it:
@@ -29,7 +32,6 @@
 //	POST /v1/lease      'L' request → 'W' work unit (or wait/done/shutdown)
 //	POST /v1/submit     'U' submission → 200 (idempotent, duplicate-safe)
 //	POST /v1/heartbeat  'B' heartbeat → 200 (extends lease deadlines)
-//	GET  /v1/status     JSON progress snapshot (human/monitoring aid)
 //
 // Decoders never panic on malformed input — the FuzzWorkUnitDecode fuzz
 // target pins that down, mirroring FuzzCheckpointDecode.

@@ -53,7 +53,7 @@ func testSpec() Spec {
 // ErrLeaseTTL: the worker decoding the spec, the coordinator configured
 // with one.
 func TestLeaseTTLFloor(t *testing.T) {
-	tgt, golden, fs := testCampaign(t, "hi")
+	tgt, golden, fs := SmallCampaign(t, "hi")
 	for _, tc := range []struct {
 		ttl time.Duration
 		ok  bool
@@ -66,7 +66,7 @@ func TestLeaseTTLFloor(t *testing.T) {
 		if _, err := DecodeSpec(EncodeSpec(spec)); (err == nil) != tc.ok || (!tc.ok && !errors.Is(err, ErrLeaseTTL)) {
 			t.Errorf("DecodeSpec with lease TTL %v: err = %v", tc.ttl, err)
 		}
-		_, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{LeaseTTL: tc.ttl, MaxGoldenCycles: testMaxGolden}, nil)
+		_, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{LeaseTTL: tc.ttl, MaxGoldenCycles: MaxGolden}, nil)
 		if (err == nil) != tc.ok || (!tc.ok && !errors.Is(err, ErrLeaseTTL)) {
 			t.Errorf("NewCoordinator with lease TTL %v: err = %v", tc.ttl, err)
 		}

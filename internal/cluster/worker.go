@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -63,8 +64,6 @@ type WorkerOptions struct {
 	Client *http.Client
 	// Logf, when non-nil, receives worker life-cycle log lines.
 	Logf func(format string, args ...any)
-	// onUnit is a test hook invoked after each granted lease.
-	onUnit func(u WorkUnit)
 }
 
 // Consecutive failed attempts (transport errors and 5xx answers, backed
@@ -107,16 +106,17 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	return o
 }
 
-// Join is the one worker loop, against a single-campaign coordinator and
-// against the campaign service alike: say hello, rebuild the granted
-// campaign from its spec — the worker needs no local program knowledge —
-// pull, execute and submit its work units until it is done or shut down,
-// and say hello again, which tells the server the worker is through with
-// that campaign and asks for the next. The hello is a held request: a
-// service with nothing to run parks it until it has, so an idle worker
-// starts on a submission at once. telemetryFor, when non-nil, selects the
-// registry for each granted campaign in place of opts.Telemetry — the
-// service points its in-process workers at the campaign's own registry.
+// Join is the one worker loop, against the campaign service — favserve's
+// or the one ServeScan starts for its campaign: say hello, rebuild the
+// granted campaign from its spec — the worker needs no local program
+// knowledge — pull, execute and submit its work units until it is done or
+// shut down, and say hello again, which tells the server the worker is
+// through with that campaign and asks for the next. The hello is a held
+// request: a service with nothing to run parks it until it has, so an
+// idle worker starts on a submission at once. telemetryFor, when non-nil,
+// selects the registry for each granted campaign in place of
+// opts.Telemetry — the service points its in-process workers at the
+// campaign's own registry.
 //
 // Join returns when the server dismisses the worker: nil after campaigns
 // that completed (or before any), ErrShutdown when the last campaign it
@@ -313,9 +313,6 @@ func (w *worker) lease(path string, leaseReq []byte) (WorkUnit, error) {
 	if err != nil {
 		return u, fmt.Errorf("cluster: lease: %w", err)
 	}
-	if w.opts.onUnit != nil {
-		w.opts.onUnit(u)
-	}
 	return u, nil
 }
 
@@ -416,6 +413,24 @@ func (w *worker) post(path string, body []byte, budget int) ([]byte, error) {
 		w.opts.Logf("worker %s: %s attempt %d/%d failed: %v", w.opts.WorkerID, path, attempt+1, budget, lastErr)
 	}
 	return nil, fmt.Errorf("%w: %s after %d attempts: %v", ErrUnreachable, path, budget, lastErr)
+}
+
+// maxBody bounds request and response bodies; submissions are the
+// largest legitimate message (a few bytes per class).
+const maxBody = 16 << 20
+
+// ReadBounded reads a request or response body up to the wire bound. A
+// longer one is an error that names the bound, so an oversized message
+// never reaches a decoder cut short.
+func ReadBounded(r io.Reader) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r, maxBody+1))
+	if err != nil {
+		return nil, fmt.Errorf("read: %w", err)
+	}
+	if len(body) > maxBody {
+		return nil, fmt.Errorf("body exceeds the %d-byte bound", maxBody)
+	}
+	return body, nil
 }
 
 // postOnce issues one POST of a wire message and returns the response

@@ -10,10 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"faultspace/internal/archive"
-	"faultspace/internal/campaign"
 	"faultspace/internal/cluster"
-	"faultspace/internal/pruning"
 )
 
 // helloLog sits in front of a server's handler and notes the status of
@@ -41,84 +38,43 @@ func (l *helloLog) wrap(next http.Handler) http.Handler {
 	})
 }
 
-// TestJoinIsOneLoopForBothServers runs the same cluster.Join against a
-// single-campaign coordinator and against the campaign service. Either
-// way the report is the local scan's, byte for byte; the worker is
-// granted the campaign by its first hello and dismissed by its second —
-// nothing else is answered — and returns nil; and no coordinator still
-// hosted counts it as joined afterwards.
+// TestJoinIsOneLoopForBothServers runs cluster.Join against the campaign
+// service — the one server, favserve's and ServeScan's alike. The report
+// is the local scan's, byte for byte; the worker is granted the campaign
+// by its first hello and dismissed by its second — nothing else is
+// answered — and returns nil; and no coordinator still hosted counts it
+// as joined afterwards.
 func TestJoinIsOneLoopForBothServers(t *testing.T) {
 	want := localReport(t, "bin_sem2", 0)
-	for _, tc := range []struct {
-		name string
-		// start serves the campaign behind log and returns the server's URL,
-		// how to wait for the report (after which the server dismisses its
-		// workers) and whether the worker has left the campaign.
-		start func(t *testing.T, log *helloLog) (url string, report func() []byte, left func() bool)
-	}{
-		{"coordinator", func(t *testing.T, log *helloLog) (string, func() []byte, func() bool) {
-			tgt := testTarget(t, "bin_sem2")
-			golden, fs, err := tgt.PrepareSpace(pruning.SpaceMemory, testMaxGolden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			coord, err := cluster.NewCoordinator(tgt, golden, fs, campaign.Config{},
-				cluster.Options{UnitSize: 32, MaxGoldenCycles: testMaxGolden}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := httptest.NewServer(log.wrap(coord.Handler()))
-			t.Cleanup(srv.Close)
-			return srv.URL, func() []byte {
-				res, err := coord.Wait()
-				if err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				if err := archive.Encode(&buf, res); err != nil {
-					t.Fatal(err)
-				}
-				return buf.Bytes()
-			}, func() bool { return coord.WaitDrained(prompt) }
-		}},
-		{"service", func(t *testing.T, log *helloLog) (string, func() []byte, func() bool) {
-			svc, err := New(Options{UnitSize: 32})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := httptest.NewServer(log.wrap(svc.Handler()))
-			t.Cleanup(srv.Close)
-			spec := testSpec(t, "bin_sem2", 0)
-			st, _ := submitSpec(t, srv.URL, spec, "alice")
-			return srv.URL, func() []byte {
-				if st := waitDone(t, srv.URL, st.ID); st.State != StateDone {
-					t.Fatalf("campaign ended %s", st.State)
-				}
-				report := fetchReport(t, srv.URL, st.ID)
-				svc.Shutdown()
-				return report
-			}, func() bool { return retiredCoordinator(svc, spec.Identity) == nil }
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var log helloLog
-			url, report, left := tc.start(t, &log)
-			joined := make(chan error, 1)
-			go func() { joined <- cluster.Join(url, cluster.WorkerOptions{WorkerID: "w"}, nil) }()
-			if got := report(); !bytes.Equal(got, want) {
-				t.Error("the report differs from the local scan's")
-			}
-			if err := <-joined; err != nil {
-				t.Errorf("Join: %v, want nil after a completed campaign", err)
-			}
-			if got := log.statuses; !bytes.Equal(got, []uint8{cluster.HelloGranted, cluster.HelloShutdown}) {
-				t.Errorf("answered hellos %v, want one granted, then one shutdown", got)
-			}
-			if !left() {
-				t.Error("the worker still counts as joined")
-			}
-		})
-	}
+	t.Run("service", func(t *testing.T) {
+		var log helloLog
+		svc, err := New(Options{UnitSize: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(log.wrap(svc.Handler()))
+		t.Cleanup(srv.Close)
+		spec := testSpec(t, "bin_sem2", 0)
+		st, _ := submitSpec(t, srv.URL, spec, "alice")
+		joined := make(chan error, 1)
+		go func() { joined <- cluster.Join(srv.URL, cluster.WorkerOptions{WorkerID: "w"}, nil) }()
+		if st := waitDone(t, srv.URL, st.ID); st.State != StateDone {
+			t.Fatalf("campaign ended %s", st.State)
+		}
+		if got := fetchReport(t, srv.URL, st.ID); !bytes.Equal(got, want) {
+			t.Error("the report differs from the local scan's")
+		}
+		svc.Shutdown()
+		if err := <-joined; err != nil {
+			t.Errorf("Join: %v, want nil after a completed campaign", err)
+		}
+		if got := log.statuses; !bytes.Equal(got, []uint8{cluster.HelloGranted, cluster.HelloShutdown}) {
+			t.Errorf("answered hellos %v, want one granted, then one shutdown", got)
+		}
+		if retiredCoordinator(svc, spec.Identity) != nil {
+			t.Error("the worker still counts as joined")
+		}
+	})
 }
 
 // TestCancelledCampaignDrainsAtNextHello: a worker of a cancelled
@@ -156,6 +112,8 @@ func TestCancelledCampaignDrainsAtNextHello(t *testing.T) {
 	if st := waitDone(t, srv.URL, st.ID); st.State != StateCancelled {
 		t.Fatalf("campaign ended %s, want cancelled", st.State)
 	}
+	// The terminal state is out before the drain; the retire is its end.
+	waitRetired(t, svc, spec.Identity)
 	took := time.Since(cancelled)
 	t.Logf("cancelled campaign retired %v after the cancel", took)
 	if took > ttl {

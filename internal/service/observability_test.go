@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"testing"
 
 	"faultspace/internal/cluster"
@@ -177,6 +178,18 @@ func retiredCoordinator(svc *Service, id [32]byte) *cluster.Coordinator {
 	return svc.campaigns[id].coord
 }
 
+// waitRetired waits for an ended campaign to leave its active slot: the
+// terminal state is published before its fleet drains, the slot freed
+// after.
+func waitRetired(t *testing.T, svc *Service, id [32]byte) {
+	t.Helper()
+	waitFor(t, "the campaign to retire", func() bool {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		return !slices.Contains(svc.active, svc.campaigns[id])
+	})
+}
+
 // workerAsk posts one worker-protocol frame through the service.
 func workerAsk(t *testing.T, url, path string, frame []byte) []byte {
 	t.Helper()
@@ -283,6 +296,7 @@ func TestRetiredCampaignDropsCoordinator(t *testing.T) {
 	if st = waitDone(t, srv.URL, st.ID); st.State != StateDone {
 		t.Fatalf("state %s, want done", st.State)
 	}
+	waitRetired(t, svc, spec.Identity)
 	stop()
 
 	if c := retiredCoordinator(svc, spec.Identity); c != nil {
@@ -344,6 +358,7 @@ func TestRetiredCampaignDropsCoordinator(t *testing.T) {
 	// Its next hello is its exit notice: the drain ends with it, long
 	// before 2×LeaseTTL.
 	workerAsk(t, srv.URL, "/v1/handshake", hello("held"))
+	waitRetired(t, svc, spec2.Identity)
 	if st2 = waitDone(t, srv.URL, st2.ID); st2.State != StateCancelled || st2.Done != 0 {
 		t.Errorf("cancelled campaign: state %s done %d, want cancelled and 0", st2.State, st2.Done)
 	}

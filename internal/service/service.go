@@ -7,8 +7,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,10 +17,12 @@ import (
 	"time"
 
 	"faultspace/internal/archive"
+	"faultspace/internal/campaign"
 	"faultspace/internal/cluster"
 	"faultspace/internal/cluster/lease"
-	"faultspace/internal/frame"
+	"faultspace/internal/pruning"
 	"faultspace/internal/telemetry"
+	"faultspace/internal/trace"
 )
 
 // Options parameterizes a Service.
@@ -99,19 +102,19 @@ type entry struct {
 	// reg is the campaign's own telemetry registry: its coordinator's
 	// cluster.* counters and — for in-process fleet workers — its
 	// engine's scan.*, fork.* and predecode counters land here,
-	// isolated from every other campaign in the process.
+	// isolated from every other campaign in the process. A hosted
+	// campaign's is its host's (nil: none).
 	reg *telemetry.Registry
-	// coord is set while the campaign runs, and grants the campaign to
-	// handshaking workers while it has work to hand out (it ships the
-	// service's LeaseTTL in its spec). retire drops it — with its
-	// golden trace, fault space, outcome arrays and unit table — and
-	// keeps what the endpoints go on serving: the classes done (all of
-	// them for an archive hit), the attack count and the timeline (nil
-	// when the campaign never ran).
-	coord       *cluster.Coordinator
-	doneClasses int
-	attacks     uint64
-	spans       []telemetry.Span
+	// coord is set while the campaign runs and while its fleet drains,
+	// and grants the campaign to handshaking workers while it has work to
+	// hand out (it ships the service's LeaseTTL in its spec). retire drops
+	// it — with its golden trace, fault space, outcome arrays and unit
+	// table — and keeps what the endpoints go on serving: progress, its
+	// last snapshot (every class done, for an archive hit), and spans, the
+	// timeline's recorder (nil when the campaign never ran).
+	coord    *cluster.Coordinator
+	progress cluster.Progress
+	spans    *telemetry.SpanRecorder
 	// ctx is the running campaign's coordinator context; cancel
 	// interrupts the campaign (cancel endpoint or service drain) and lets
 	// go of a retired one.
@@ -121,11 +124,25 @@ type entry struct {
 	done   chan struct{} // closed on done/cancelled/failed
 }
 
+// newEntry returns a queued campaign's entry.
+func newEntry(spec cluster.Spec, tenant string, reg *telemetry.Registry) *entry {
+	return &entry{
+		id:     spec.Identity,
+		idHex:  hex.EncodeToString(spec.Identity[:]),
+		tenant: tenant,
+		spec:   spec,
+		state:  StateQueued,
+		reg:    reg,
+		done:   make(chan struct{}),
+	}
+}
+
 // CampaignStatus is the JSON status of one campaign, served by the
 // lifecycle endpoints and embedded in /v1/status.
 type CampaignStatus struct {
 	ID     string `json:"id"`
 	Name   string `json:"name"`
+	Space  string `json:"space"`
 	Tenant string `json:"tenant"`
 	State  string `json:"state"`
 	// Cached reports that the campaign completed without executing a
@@ -133,14 +150,28 @@ type CampaignStatus struct {
 	Cached bool `json:"cached,omitempty"`
 	Done   int  `json:"done"`
 	Total  int  `json:"total"`
+	// Failures counts classes with a non-benign outcome so far.
+	Failures uint64 `json:"failures,omitempty"`
 	// Objective is the campaign's attacker-objective name ("" = none);
 	// Attacks counts classes whose outcome satisfied it so far.
 	Objective string `json:"objective,omitempty"`
 	Attacks   uint64 `json:"attacks,omitempty"`
 	Error     string `json:"error,omitempty"`
+	// The fleet as the coordinator sees it: experiments per second this
+	// session, the units leased out, the leases that expired and moved,
+	// and each worker's session statistics, its windowed rate included.
+	Rate          float64              `json:"expPerSec,omitempty"`
+	Leases        int                  `json:"outstandingLeases,omitempty"`
+	Reassignments int                  `json:"reassignments,omitempty"`
+	Workers       []cluster.WorkerStat `json:"workers,omitempty"`
 	// TraceID is the campaign's 128-bit trace ID (hex) when span tracing
-	// is on — the correlation key for /v1/campaigns/<id>/trace.
-	TraceID string `json:"traceId,omitempty"`
+	// is on — the correlation key for /v1/campaigns/<id>/trace. Spans is
+	// how many spans and marks that timeline holds, SpansDropped how many
+	// its full recorder discarded and SpansCapacity its size.
+	TraceID       string `json:"traceId,omitempty"`
+	Spans         int    `json:"spans,omitempty"`
+	SpansDropped  uint64 `json:"spansDropped,omitempty"`
+	SpansCapacity int    `json:"spansCapacity,omitempty"`
 	// Telemetry is the campaign's own registry snapshot — per-campaign
 	// cluster and engine counters, not process globals.
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
@@ -159,9 +190,9 @@ func (c CampaignStatus) Terminal() bool {
 // fair scheduling and a content-addressed result archive. It is an
 // http.Handler factory (Handler) speaking both the campaign lifecycle
 // API (/v1/campaigns...) and the worker protocol (/v1/handshake,
-// /v1/lease, /v1/submit, ...), routing worker traffic to the right
-// campaign's coordinator by the identity prefix every wire message
-// carries.
+// /v1/lease, /v1/submit, /v1/heartbeat), which it decodes once and
+// routes to the right campaign's coordinator by the identity every
+// post-handshake message carries.
 type Service struct {
 	opts  Options
 	store *Store
@@ -244,25 +275,79 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("/v1/campaigns", s.handleCampaigns)
 	mux.HandleFunc("/v1/campaigns/", s.handleCampaign)
 	mux.HandleFunc("/v1/handshake", s.handleHandshake)
-	mux.HandleFunc("/v1/lease", s.routeWorker)
-	mux.HandleFunc("/v1/submit", s.routeWorker)
-	mux.HandleFunc("/v1/heartbeat", s.routeWorker)
+	mux.HandleFunc("/v1/lease", s.handleLease)
+	mux.HandleFunc("/v1/submit", s.handleSubmit)
+	mux.HandleFunc("/v1/heartbeat", s.handleHeartbeat)
 	mux.HandleFunc("/v1/status", s.handleStatus)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	return mux
 }
 
-// --- lifecycle endpoints -------------------------------------------------
+// --- HTTP plumbing -------------------------------------------------------
 
-// retryAfter attaches the client back-off hint of 429/503 responses:
-// one second.
-func retryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
+// requireMethod enforces the single allowed method of an endpoint,
+// answering anything else with 405 and an Allow header per RFC 9110.
+func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method != method {
+		w.Header().Set("Allow", method)
+		http.Error(w, "service: "+method+" required", http.StatusMethodNotAllowed)
+		return false
+	}
+	return true
+}
+
+// decode reads the bounded body of a POST request — the one request
+// reader of every endpoint that takes a wire message — and decodes it.
+// Any other method, a failed read, a body above the bound or one that
+// does not decode is answered here and reported false.
+func decode[M any](w http.ResponseWriter, r *http.Request, dec func([]byte) (M, error)) (M, bool) {
+	var m M
+	if !requireMethod(w, r, http.MethodPost) {
+		return m, false
+	}
+	body, err := cluster.ReadBounded(r.Body)
+	if err == nil {
+		m, err = dec(body)
+	}
+	if err != nil {
+		http.Error(w, "service: "+err.Error(), http.StatusBadRequest)
+		return m, false
+	}
+	return m, true
+}
+
+// parseHold reads the ?wait= parameter of a request (held requests,
+// cluster.Holds): 0 when absent, capped at cluster.MaxHold. A malformed
+// or negative value is answered 400.
+func parseHold(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
+	v := r.URL.Query().Get("wait")
+	if v == "" {
+		return 0, true
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil || d < 0 {
+		http.Error(w, "service: malformed wait parameter", http.StatusBadRequest)
+		return 0, false
+	}
+	return min(d, cluster.MaxHold), true
+}
+
+// writeWhole answers a worker with one wire message, its length
+// announced and the bytes flushed to the connection before it returns: a
+// server closed right after — which is what follows a worker's dismissal
+// — closes a connection whose answer is complete. Every message answer
+// goes out through it, a phase answer included; a submission or a
+// heartbeat is answered a bare 200, which carries no message and which
+// no drain waits for.
+func writeWhole(w http.ResponseWriter, frame []byte) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	w.Write(frame)
+	http.NewResponseController(w).Flush()
 }
 
 // writeJSON answers with v as one JSON line, its length announced and
-// flushed, so that a server closed right after — as at the end of a
-// drain — closes a connection whose answer is complete.
+// flushed, for the same reason as writeWhole.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	body, _ := json.Marshal(v)
 	body = append(body, '\n')
@@ -272,6 +357,14 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write(body)
 	http.NewResponseController(w).Flush()
 }
+
+// retryAfter attaches the client back-off hint of 429/503 responses:
+// one second.
+func retryAfter(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", "1")
+}
+
+// --- lifecycle endpoints -------------------------------------------------
 
 // handleCampaigns serves POST /v1/campaigns (submit) and GET
 // /v1/campaigns (list).
@@ -289,16 +382,13 @@ func (s *Service) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 
 // submit admits one campaign: the body is an encoded cluster spec frame
 // (cluster.EncodeSpec), the tenant comes from the ?tenant= query
-// parameter. Identical re-submissions are idempotent; a submission whose
-// identity is archived completes instantly without touching the fleet.
+// parameter. Re-submitting a queued, running or done campaign is
+// idempotent; a cancelled or failed one is submitted afresh. A
+// submission whose identity is archived completes instantly without
+// touching the fleet.
 func (s *Service) submit(w http.ResponseWriter, r *http.Request) {
-	body, ok := cluster.ReadBody(w, r)
+	spec, ok := decode(w, r, cluster.DecodeSpec)
 	if !ok {
-		return
-	}
-	spec, err := cluster.DecodeSpec(body)
-	if err != nil {
-		http.Error(w, "service: spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	if spec.Proto != cluster.ProtoVersion {
@@ -318,9 +408,9 @@ func (s *Service) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.telSubmitted.Inc()
-	if e := s.campaigns[spec.Identity]; e != nil {
-		// Idempotent: the campaign is already known, whatever its state.
-		writeJSON(w, http.StatusOK, s.statusLocked(e, false))
+	old := s.campaigns[spec.Identity]
+	if old != nil && old.state != StateCancelled && old.state != StateFailed {
+		writeJSON(w, http.StatusOK, s.statusLocked(old, false))
 		return
 	}
 	// Submissions minted before span tracing (or with a degraded zero ID)
@@ -331,26 +421,17 @@ func (s *Service) submit(w http.ResponseWriter, r *http.Request) {
 	if spec.TraceID.IsZero() {
 		spec.TraceID = telemetry.NewTraceID()
 	}
-	e := &entry{
-		id:     spec.Identity,
-		idHex:  hex.EncodeToString(spec.Identity[:]),
-		tenant: tenant,
-		spec:   spec,
-		state:  StateQueued,
-		reg:    telemetry.New(),
-		done:   make(chan struct{}),
-	}
+	e := newEntry(spec, tenant, telemetry.New())
 	if s.store != nil {
 		if report, hit := s.store.Get(spec.Identity); hit {
 			// Archive hit: the identity pins down the report bytes
 			// (invariant 12), so the campaign is already done.
 			e.state = StateDone
 			e.cached = true
-			e.doneClasses = int(spec.Classes)
+			e.progress.Done = int(spec.Classes)
 			e.report = report
 			close(e.done)
-			s.campaigns[e.id] = e
-			s.order = append(s.order, e)
+			s.addLocked(e, old)
 			s.telHits.Inc()
 			s.opts.Logf("service: campaign %s (%s) served from archive", e.spec.Name, e.idHex[:12])
 			writeJSON(w, http.StatusOK, s.statusLocked(e, false))
@@ -364,8 +445,7 @@ func (s *Service) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.ctx, e.cancel = context.WithCancel(context.Background())
-	s.campaigns[e.id] = e
-	s.order = append(s.order, e)
+	s.addLocked(e, old)
 	if _, known := s.queues[tenant]; !known {
 		s.ring = append(s.ring, tenant)
 	}
@@ -375,6 +455,17 @@ func (s *Service) submit(w http.ResponseWriter, r *http.Request) {
 	s.opts.Logf("service: campaign %s (%s) submitted by tenant %s", e.spec.Name, e.idHex[:12], tenant)
 	s.scheduleLocked()
 	writeJSON(w, http.StatusAccepted, s.statusLocked(e, false))
+}
+
+// addLocked lists a new campaign, in the place of old — the cancelled or
+// failed entry of the same identity it replaces — if there is one.
+func (s *Service) addLocked(e, old *entry) {
+	s.campaigns[e.id] = e
+	if i := slices.Index(s.order, old); i >= 0 {
+		s.order[i] = e
+	} else {
+		s.order = append(s.order, e)
+	}
 }
 
 func (s *Service) list(w http.ResponseWriter) {
@@ -410,13 +501,13 @@ func (s *Service) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 	switch verb {
 	case "":
-		if !cluster.RequireMethod(w, r, http.MethodGet) {
+		if !requireMethod(w, r, http.MethodGet) {
 			return
 		}
 		// With ?wait= the status is held until the campaign reaches a
 		// terminal state (or the hold runs out, or the client goes away):
 		// what WaitCampaign asks instead of polling.
-		hold, ok := cluster.ParseHold(w, r)
+		hold, ok := parseHold(w, r)
 		if !ok {
 			return
 		}
@@ -434,7 +525,7 @@ func (s *Service) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, st)
 	case "report":
-		if !cluster.RequireMethod(w, r, http.MethodGet) {
+		if !requireMethod(w, r, http.MethodGet) {
 			return
 		}
 		s.mu.Lock()
@@ -448,28 +539,33 @@ func (s *Service) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(report)
 	case "cancel":
-		if !cluster.RequireMethod(w, r, http.MethodPost) {
+		if !requireMethod(w, r, http.MethodPost) {
 			return
 		}
 		s.cancel(w, e)
 	case "trace":
-		if !cluster.RequireMethod(w, r, http.MethodGet) {
+		if !requireMethod(w, r, http.MethodGet) {
 			return
 		}
 		s.mu.Lock()
-		coord, spans := e.coord, e.spans
+		rec := e.spans
 		s.mu.Unlock()
-		if coord != nil {
-			spans, _ = coord.Timeline()
-		}
-		if spans == nil {
+		if rec == nil {
 			// Cached or never-started campaigns executed nothing, so there
 			// is no timeline to serve.
 			http.Error(w, "service: no trace for this campaign", http.StatusNotFound)
 			return
 		}
-		// The coordinator records under the submission's trace ID.
-		cluster.ServeTimeline(w, r, e.spec.TraceID, spans)
+		// A timeline as Chrome trace-event JSON (loadable in Perfetto /
+		// chrome://tracing), or one JSON object per span with
+		// ?format=jsonl.
+		if r.URL.Query().Get("format") == "jsonl" {
+			w.Header().Set("Content-Type", "application/jsonl")
+			telemetry.WriteSpansJSONL(w, rec.TraceID(), rec.Spans())
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		telemetry.WriteChromeTrace(w, rec.TraceID(), rec.Spans())
 	default:
 		http.Error(w, "service: unknown campaign endpoint", http.StatusNotFound)
 	}
@@ -491,7 +587,7 @@ func (s *Service) cancel(w http.ResponseWriter, e *entry) {
 		s.finishLocked(e, StateCancelled, "cancelled before start")
 	case StateRunning:
 		// The coordinator answers the fleet with UnitShutdown and Wait
-		// returns ErrInterrupted; runCampaign finishes the entry.
+		// returns ErrInterrupted; finish retires the entry.
 		e.cancel()
 	}
 	st := s.statusLocked(e, false)
@@ -499,28 +595,44 @@ func (s *Service) cancel(w http.ResponseWriter, e *entry) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// progressLocked returns the campaign's progress: live from its
+// coordinator while it has one, else what retire kept.
+func (s *Service) progressLocked(e *entry) cluster.Progress {
+	if e.coord != nil {
+		return e.coord.Snapshot()
+	}
+	return e.progress
+}
+
 // statusLocked renders a campaign's status; withTelemetry attaches the
 // campaign's registry snapshot.
 func (s *Service) statusLocked(e *entry, withTelemetry bool) CampaignStatus {
+	p := s.progressLocked(e)
 	st := CampaignStatus{
-		ID:        e.idHex,
-		Name:      e.spec.Name,
-		Tenant:    e.tenant,
-		State:     e.state,
-		Cached:    e.cached,
-		Total:     int(e.spec.Classes),
-		Objective: e.spec.Objective,
-		Error:     e.errMsg,
+		ID:            e.idHex,
+		Name:          e.spec.Name,
+		Space:         pruning.SpaceKind(e.spec.SpaceKind).String(),
+		Tenant:        e.tenant,
+		State:         e.state,
+		Cached:        e.cached,
+		Done:          p.Done,
+		Total:         int(e.spec.Classes),
+		Failures:      p.Failures(),
+		Objective:     e.spec.Objective,
+		Attacks:       p.Attacks,
+		Error:         e.errMsg,
+		Rate:          p.Rate,
+		Leases:        p.OutstandingLeases,
+		Reassignments: p.Reassignments,
+		Workers:       p.Workers,
 	}
-	if !e.spec.TraceID.IsZero() {
+	if rec := e.spans; rec != nil {
+		st.TraceID = rec.TraceID().String()
+		st.Spans, st.SpansDropped, st.SpansCapacity = rec.Len(), rec.Dropped(), rec.Cap()
+	} else if !e.spec.TraceID.IsZero() {
 		st.TraceID = e.spec.TraceID.String()
 	}
-	st.Done, st.Attacks = e.doneClasses, e.attacks
-	if e.coord != nil {
-		snap := e.coord.Snapshot()
-		st.Done, st.Attacks = snap.Done, snap.Attacks
-	}
-	if withTelemetry {
+	if withTelemetry && e.reg != nil {
 		snap := e.reg.Snapshot()
 		st.Telemetry = &snap
 	}
@@ -551,57 +663,106 @@ func (s *Service) scheduleLocked() {
 		}
 		s.queued--
 		s.telQueueDepth.Set(int64(s.queued))
-		e.state = StateRunning
-		s.active = append(s.active, e)
-		s.telActive.Set(int64(len(s.active)))
-		s.wg.Add(1)
+		s.startLocked(e)
 		go s.runCampaign(e)
 	}
 }
 
-// runCampaign rebuilds the campaign from its spec (verifying the
+// startLocked moves a campaign into an active slot; the goroutine that
+// runs it calls s.wg.Done once it is retired.
+func (s *Service) startLocked(e *entry) {
+	e.state = StateRunning
+	s.active = append(s.active, e)
+	s.telActive.Set(int64(len(s.active)))
+	s.wg.Add(1)
+}
+
+// runCampaign rebuilds a submitted campaign from its spec (verifying the
 // identity — a spec whose content does not hash to its announced
-// identity fails here and can never poison the archive), runs it on the
-// shared fleet through a dedicated coordinator, and archives the report.
+// identity fails here and can never poison the archive) and runs it.
 func (s *Service) runCampaign(e *entry) {
 	defer s.wg.Done()
 	t, g, fs, cfg, err := cluster.BuildCampaign(e.spec)
+	var coord *cluster.Coordinator
+	if err == nil {
+		coord, err = s.coordinate(e, t, g, fs, cfg, cluster.Options{MaxGoldenCycles: e.spec.MaxGoldenCycles}, nil)
+	}
 	if err != nil {
-		s.retire(e, StateFailed, err.Error(), nil)
+		s.retire(e, nil, StateFailed, err.Error(), nil)
 		return
 	}
-	coord, err := cluster.NewCoordinator(t, g, fs, cfg, cluster.Options{
-		UnitSize:        s.opts.UnitSize,
-		LeaseTTL:        s.opts.LeaseTTL,
-		MaxGoldenCycles: e.spec.MaxGoldenCycles,
-		Context:         e.ctx,
-		Telemetry:       e.reg,
-		// The submission's trace ID flows through to the coordinator so
-		// every fleet span of this campaign correlates with it.
-		TraceID: e.spec.TraceID,
-	}, nil)
-	if err != nil {
-		s.retire(e, StateFailed, err.Error(), nil)
-		return
-	}
+	s.finish(e, coord)
+}
 
+// Host runs a campaign its caller built — ServeScan's — on the service,
+// through the runner a submitted campaign takes once BuildCampaign has
+// rebuilt it. opts carries the caller's MaxGoldenCycles, OnResult,
+// OnProgress, ProgressInterval and Telemetry, which becomes the
+// campaign's registry, and prior its restored outcomes; the unit size
+// and lease TTL are the service's, and the coordinator's context is a
+// child of ctx that the cancel endpoint and Shutdown cancel as well.
+// The campaign takes an active slot at once, whatever the queue and
+// MaxActive say; it must be one the service does not know yet. Its
+// result is the returned coordinator's Wait; the drain and the seal
+// follow in the background, and Shutdown waits for them.
+func (s *Service) Host(ctx context.Context, t campaign.Target, g *trace.Golden, fs *pruning.FaultSpace, cfg campaign.Config, opts cluster.Options, prior map[int]campaign.Outcome) (*cluster.Coordinator, error) {
+	spec, err := cluster.NewSpec(t, fs.Kind, cfg, opts.MaxGoldenCycles, uint64(len(fs.Classes)))
+	if err != nil {
+		return nil, err
+	}
+	e := newEntry(spec, "default", opts.Telemetry)
+	e.ctx, e.cancel = context.WithCancel(ctx)
 	s.mu.Lock()
-	e.coord = coord
+	s.addLocked(e, nil)
+	s.startLocked(e)
+	s.mu.Unlock()
+	coord, err := s.coordinate(e, t, g, fs, cfg, opts, prior)
+	if err != nil {
+		s.retire(e, nil, StateFailed, err.Error(), nil)
+		s.wg.Done()
+		return nil, err
+	}
+	go func() {
+		defer s.wg.Done()
+		s.finish(e, coord)
+	}()
+	return coord, nil
+}
+
+// coordinate makes a running campaign's coordinator — the service's unit
+// size and lease TTL and the entry's context, registry and trace ID over
+// opts — and hands the campaign to the fleet.
+func (s *Service) coordinate(e *entry, t campaign.Target, g *trace.Golden, fs *pruning.FaultSpace, cfg campaign.Config, opts cluster.Options, prior map[int]campaign.Outcome) (*cluster.Coordinator, error) {
+	opts.UnitSize, opts.LeaseTTL = s.opts.UnitSize, s.opts.LeaseTTL
+	opts.Context, opts.Telemetry = e.ctx, e.reg
+	// The submission's trace ID flows through to the coordinator so every
+	// fleet span of this campaign correlates with it.
+	opts.TraceID = e.spec.TraceID
+	coord, err := cluster.NewCoordinator(t, g, fs, cfg, opts, prior)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	e.coord, e.spans = coord, coord.Spans()
 	s.wakeLocked() // the campaign is assignable: release the parked fleet
 	s.mu.Unlock()
 	s.opts.Logf("service: campaign %s (%s) started", e.spec.Name, e.idHex[:12])
+	return coord, nil
+}
 
+// finish waits for the campaign's end, archives a complete one's report
+// and retires it.
+func (s *Service) finish(e *entry, coord *cluster.Coordinator) {
 	res, err := coord.Wait()
 	if err != nil {
-		// Interrupted: cancel endpoint or service drain. Give the fleet
-		// its grace period on the live coordinator; archive nothing.
-		s.drainCoordinator(coord)
-		s.retire(e, StateCancelled, "interrupted", nil)
+		// Interrupted: the cancel endpoint, the service drain or the host's
+		// context. Archive nothing.
+		s.retire(e, coord, StateCancelled, "interrupted", nil)
 		return
 	}
 	var buf bytes.Buffer
 	if err := archive.Encode(&buf, res); err != nil {
-		s.retire(e, StateFailed, err.Error(), nil)
+		s.retire(e, coord, StateFailed, err.Error(), nil)
 		return
 	}
 	if s.store != nil {
@@ -609,35 +770,46 @@ func (s *Service) runCampaign(e *entry) {
 		// until the next restart and then be gone: that is a failed
 		// campaign, not a done one.
 		if err := s.store.Put(e.id, buf.Bytes()); err != nil {
-			s.retire(e, StateFailed, err.Error(), nil)
+			s.retire(e, coord, StateFailed, err.Error(), nil)
 			return
 		}
 	}
-	s.retire(e, StateDone, "", buf.Bytes())
+	s.retire(e, coord, StateDone, "", buf.Bytes())
 }
 
-// retire ends a running campaign: it records the terminal state (and,
-// for StateDone, the report), lets go of the coordinator, frees the
-// campaign's slot and schedules the next queued one. Worker traffic
-// that still arrives gets the answers routeWorker synthesizes for a
-// campaign without a coordinator.
-func (s *Service) retire(e *entry, state, detail string, report []byte) {
+// retire ends a running campaign, on every path. It publishes the
+// terminal state first — with the report, for StateDone — so a client
+// waiting on the status is not held by what follows: the drain, the
+// grace period in which every worker that joined fetches its done or
+// shutdown answer from the live coordinator and says hello once more,
+// its exit notice, bounded by 2×LeaseTTL; then the seal, after which no
+// late submission reaches OnResult. Only then does it let go of the
+// coordinator and free the campaign's slot: worker traffic that still
+// arrives gets the phase answers of a campaign without a coordinator.
+//
+// The one bound is twice the lease TTL because the TTL is what the fleet
+// already promises: a live worker is never silent for longer — a unit in
+// progress heartbeats every TTL/3 — so twice it lets a unit in flight
+// finish and submit, and its worker say hello, before the campaign gives
+// up on a worker that died.
+func (s *Service) retire(e *entry, coord *cluster.Coordinator, state, detail string, report []byte) {
 	e.cancel()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	e.report = report
-	if c := e.coord; c != nil {
-		snap := c.Snapshot()
-		e.doneClasses, e.attacks = snap.Done, snap.Attacks
-		e.spans, _ = c.Timeline()
+	s.finishLocked(e, state, detail)
+	s.mu.Unlock()
+	if coord != nil {
+		coord.WaitDrained(2 * s.opts.LeaseTTL)
+		coord.Seal()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if coord != nil {
+		e.progress = coord.Snapshot()
 		e.coord = nil
 	}
-	s.finishLocked(e, state, detail)
-	for i, a := range s.active {
-		if a == e {
-			s.active = append(s.active[:i], s.active[i+1:]...)
-			break
-		}
+	if i := slices.Index(s.active, e); i >= 0 {
+		s.active = slices.Delete(s.active, i, i+1)
 	}
 	s.telActive.Set(int64(len(s.active)))
 	s.scheduleLocked()
@@ -653,13 +825,6 @@ func (s *Service) finishLocked(e *entry, state, detail string) {
 	s.opts.Logf("service: campaign %s (%s) %s %s", e.spec.Name, e.idHex[:12], state, detail)
 }
 
-// drainCoordinator gives the fleet a bounded grace period to see the
-// shutdown answer and say hello again before the coordinator is sealed.
-func (s *Service) drainCoordinator(c *cluster.Coordinator) {
-	c.WaitDrained(2 * s.opts.LeaseTTL)
-	c.Seal()
-}
-
 // wakeLocked releases every parked handshake to look again.
 func (s *Service) wakeLocked() {
 	close(s.wake)
@@ -670,24 +835,19 @@ func (s *Service) wakeLocked() {
 
 // handleHandshake answers a worker's hello. The hello is first the
 // worker's exit notice from the campaign it worked on before: every
-// coordinator still hosted hears it, so that a cancelled campaign's
-// drain ends with its last worker instead of a lease timeout. Then the
-// worker is granted a running campaign (chosen round-robin) and has
-// joined it, or told to shut down when the service drains, or to wait.
-// With ?wait= a would-be "wait" is parked until a campaign becomes
-// assignable, the service starts draining, the worker goes away or the
-// hold runs out (then "wait", as without a hold).
+// coordinator still hosted hears it, so that a campaign's drain ends
+// with its last worker instead of a lease timeout. Then the worker is
+// granted a running campaign (chosen round-robin) and has joined it, or
+// told to shut down when the service drains, or to wait. With ?wait= a
+// would-be "wait" is parked until a campaign becomes assignable, the
+// service starts draining, the worker goes away or the hold runs out
+// (then "wait", as without a hold).
 func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
-	body, ok := cluster.ReadBody(w, r)
+	hello, ok := decode(w, r, cluster.DecodeHello)
 	if !ok {
 		return
 	}
-	hello, err := cluster.DecodeHello(body)
-	if err != nil {
-		http.Error(w, "service: handshake: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	hold, ok := cluster.ParseHold(w, r)
+	hold, ok := parseHold(w, r)
 	if !ok {
 		return
 	}
@@ -720,7 +880,7 @@ func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 		resp.Status = cluster.HelloGranted
 		resp.Spec = spec
 	}
-	cluster.WriteWhole(w, cluster.EncodeHelloReply(resp))
+	writeWhole(w, cluster.EncodeHelloReply(resp))
 }
 
 // grantLocked joins a handshaking worker to a running campaign, chosen
@@ -744,76 +904,104 @@ func (s *Service) grantLocked(workerID string) (spec []byte, draining bool) {
 	return nil, false
 }
 
-// routeWorker dispatches a worker-protocol request to the right
-// campaign's coordinator. Every post-handshake message carries the
-// campaign identity as its payload prefix, so the service peeks it
-// without fully decoding and replays the request against the owning
-// coordinator. Campaigns without one (archive hits, early failures,
-// retired campaigns) synthesize the protocol answers workers expect.
-func (s *Service) routeWorker(w http.ResponseWriter, r *http.Request) {
-	body, ok := cluster.ReadBody(w, r)
-	if !ok {
-		return
-	}
-	id, ok := peekIdentity(body)
-	if !ok {
-		http.Error(w, "service: malformed worker message", http.StatusBadRequest)
-		return
-	}
+// route finds the campaign a decoded worker message names by its
+// identity — the protocol's admission check, so an identity the service
+// does not know is answered 409 here. It returns the campaign's
+// coordinator while it has one, else the phase its state answers in
+// (lease.Phase.Answer): queued, archived, failed and retired campaigns
+// answer a lease ask as a state in that phase answers one it grants
+// nothing, and take a submission or heartbeat without a word.
+func (s *Service) route(w http.ResponseWriter, id [32]byte) (*cluster.Coordinator, lease.Phase, bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e := s.campaigns[id]
-	var coord *cluster.Coordinator
-	var state string
-	if e != nil {
-		coord, state = e.coord, e.state
-	}
-	s.mu.Unlock()
 	if e == nil {
 		http.Error(w, "service: campaign identity mismatch (unknown campaign)", http.StatusConflict)
+		return nil, 0, false
+	}
+	phase := lease.Stopped
+	switch e.state {
+	case StateQueued:
+		phase = lease.Queued
+	case StateDone:
+		phase = lease.Finished
+	}
+	return e.coord, phase, true
+}
+
+// handleLease grants the asking worker a unit of its campaign; with
+// ?wait= a would-be UnitWait is held at the coordinator (Ask).
+func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
+	q, ok := decode(w, r, cluster.DecodeLeaseRequest)
+	if !ok {
+		return
+	}
+	coord, phase, ok := s.route(w, q.Identity)
+	if !ok {
+		return
+	}
+	hold, ok := parseHold(w, r)
+	if !ok {
+		return
+	}
+	u := cluster.WorkUnit{Status: uint8(phase.Answer())}
+	if coord != nil {
+		var answered func()
+		u, answered = coord.Ask(r.Context(), q, time.Now().Add(hold))
+		defer answered()
+	}
+	writeWhole(w, cluster.EncodeWorkUnit(u))
+}
+
+// handleSubmit merges a worker's results: 400 when they do not fit the
+// unit, 503 once the campaign is sealed, else a bare 200.
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	sub, ok := decode(w, r, cluster.DecodeSubmission)
+	if !ok {
+		return
+	}
+	coord, _, ok := s.route(w, sub.Identity)
+	if !ok {
+		return
+	}
+	var err error
+	if coord != nil {
+		err = coord.Submit(sub)
+	}
+	switch {
+	case errors.Is(err, lease.ErrSealed):
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	default:
+		w.WriteHeader(http.StatusOK)
+	}
+}
+
+func (s *Service) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
+	h, ok := decode(w, r, cluster.DecodeHeartbeat)
+	if !ok {
+		return
+	}
+	coord, _, ok := s.route(w, h.Identity)
+	if !ok {
 		return
 	}
 	if coord != nil {
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		coord.Handler().ServeHTTP(w, r)
-		return
-	}
-	// No coordinator: answer as a campaign state in the entry's phase
-	// answers an ask it grants nothing (lease.Phase.Answer).
-	if strings.HasSuffix(r.URL.Path, "/lease") {
-		phase := lease.Stopped
-		switch state {
-		case StateQueued:
-			phase = lease.Queued
-		case StateDone:
-			phase = lease.Finished
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(cluster.EncodeWorkUnit(cluster.WorkUnit{Status: uint8(phase.Answer())}))
-		return
+		coord.Heartbeat(h)
 	}
 	w.WriteHeader(http.StatusOK)
-}
-
-// errMessage marks a worker message whose payload does not parse.
-var errMessage = errors.New("service: malformed worker message")
-
-// peekIdentity extracts the identity prefix every post-handshake worker
-// message payload starts with.
-func peekIdentity(body []byte) ([32]byte, bool) {
-	_, payload, _, err := frame.Read(body, 0)
-	r := frame.NewReader(payload, errMessage)
-	id := r.Identity()
-	return id, err == nil && r.Err() == nil
 }
 
 // --- observability -------------------------------------------------------
 
 // handleMetrics serves the Prometheus text exposition: the service
-// registry plus one labelled set per campaign (campaign id prefix and
+// registry, one labelled set per campaign (campaign id prefix and
 // tenant), so per-campaign scan/cluster counters stay distinguishable
-// after scraping.
+// after scraping, and one per worker of a campaign (worker ID on top)
+// with the statistics its status reports.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !cluster.RequireMethod(w, r, http.MethodGet) {
+	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
 	var sets []telemetry.MetricSet
@@ -822,10 +1010,19 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	for _, e := range s.order {
-		sets = append(sets, telemetry.MetricSet{
-			Labels: map[string]string{"campaign": e.idHex[:12], "tenant": e.tenant},
-			Snap:   e.reg.Snapshot(),
-		})
+		labels := map[string]string{"campaign": e.idHex[:12], "tenant": e.tenant}
+		sets = append(sets, telemetry.MetricSet{Labels: labels, Snap: e.reg.Snapshot()})
+		for _, ws := range s.progressLocked(e).Workers {
+			worker := maps.Clone(labels)
+			worker["worker"] = ws.ID
+			sets = append(sets, telemetry.MetricSet{Labels: worker, Snap: telemetry.Snapshot{
+				Counters: map[string]uint64{
+					"cluster.worker.experiments": uint64(ws.Experiments),
+					"cluster.worker.merged":      uint64(ws.Merged),
+				},
+				Gauges: map[string]int64{"cluster.worker.outstanding": int64(ws.Outstanding)},
+			}})
+		}
 	}
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -833,7 +1030,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if !cluster.RequireMethod(w, r, http.MethodGet) {
+	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
 	s.mu.Lock()
@@ -878,11 +1075,10 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 // --- shutdown ------------------------------------------------------------
 
 // Shutdown drains the service: new submissions are rejected with 503,
-// queued campaigns are cancelled, running ones interrupted — their
-// coordinators answer the fleet with shutdown and get a bounded grace
-// period to drain their leases — and the archive is flushed. It blocks
-// until every campaign goroutine has finished and every held hello and
-// status has its answer out.
+// queued campaigns are cancelled, running ones interrupted and retired —
+// their fleets drained on the live coordinators (retire) — and the
+// archive is flushed. It blocks until every campaign is retired and every
+// held hello and status has its answer out.
 func (s *Service) Shutdown() {
 	s.mu.Lock()
 	if s.draining {

@@ -703,3 +703,47 @@ func TestInvariant12ArchiveHitAttackSpaces(t *testing.T) {
 		})
 	}
 }
+
+// TestResubmitAfterCancel: a cancelled campaign is not the last word on
+// its identity. Submitted again it is admitted afresh (202) in the
+// cancelled entry's place, runs, and its report is byte-identical to the
+// local scan's; a running campaign stays idempotent.
+func TestResubmitAfterCancel(t *testing.T) {
+	spec := testSpec(t, "sort1", 0)
+	want := localReport(t, "sort1", 0)
+	svc, srv := startService(t, Options{})
+	// No fleet yet: the campaign runs unserved until cancelled.
+	st, resp := submitSpec(t, srv.URL, spec, "alice")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	if again, resp := submitSpec(t, srv.URL, spec, "alice"); resp.StatusCode != http.StatusOK || again.State != StateRunning {
+		t.Fatalf("resubmit while running: HTTP %d state %s, want the running campaign", resp.StatusCode, again.State)
+	}
+	cresp, err := http.Post(srv.URL+"/v1/campaigns/"+st.ID+"/cancel", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cresp.Body.Close()
+	if st := waitDone(t, srv.URL, st.ID); st.State != StateCancelled {
+		t.Fatalf("cancelled campaign: %s", st.State)
+	}
+
+	startFleet(t, svc, srv.URL, 1)
+	again, resp := submitSpec(t, srv.URL, spec, "alice")
+	if resp.StatusCode != http.StatusAccepted || again.ID != st.ID {
+		t.Fatalf("resubmit after the cancel: HTTP %d id %.12s, want 202 for %.12s", resp.StatusCode, again.ID, st.ID)
+	}
+	if again = waitDone(t, srv.URL, again.ID); again.State != StateDone {
+		t.Fatalf("resubmitted campaign ended %s (%s)", again.State, again.Error)
+	}
+	if got := fetchReport(t, srv.URL, again.ID); !bytes.Equal(got, want) {
+		t.Error("the resubmitted campaign's report differs from the local scan's")
+	}
+	var list []CampaignStatus
+	getServiceJSON(t, srv.URL+"/v1/campaigns", &list)
+	if len(list) != 1 || list[0].State != StateDone {
+		t.Errorf("listed campaigns %+v, want the one, done, in the cancelled one's place", list)
+	}
+	svc.Shutdown()
+}

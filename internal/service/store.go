@@ -2,7 +2,9 @@
 // long-lived, multi-tenant coordinator that accepts campaign submissions
 // over HTTP, runs many campaigns concurrently against a shared worker
 // fleet, and fronts everything with a persistent content-addressed
-// result archive keyed by the campaign identity hash.
+// result archive keyed by the campaign identity hash. It is the one HTTP
+// server of the worker protocol: a single distributed scan (the root
+// package's ServeScan) is a campaign hosted on an in-memory service too.
 //
 // The archive is what turns the identity hash into a cache key: all
 // execution-side choices (strategy, placement, predecode)
@@ -21,8 +23,9 @@
 // registry and one registry per campaign in /v1/status and /metrics,
 // each campaign's span timeline at /v1/campaigns/<id>/trace, and
 // life-cycle sentences through Options.Logf. A campaign holds its
-// coordinator only while it runs; what status and the trace endpoint
-// serve afterwards is copied out when the campaign is retired.
+// coordinator only while it runs and its fleet drains; what status and
+// the trace endpoint serve afterwards — the last progress snapshot and
+// the span recorder — is kept when the campaign is retired.
 package service
 
 import (

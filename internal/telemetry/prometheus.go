@@ -9,8 +9,8 @@ import (
 
 // MetricSet pairs one snapshot with constant labels applied to every
 // series rendered from it. The service exposes one set per campaign
-// (labelled by campaign id and tenant); the coordinator adds per-worker
-// sets on top of its own registry.
+// (labelled by campaign id and tenant) and one per worker of a campaign
+// (the worker ID on top).
 type MetricSet struct {
 	Labels map[string]string
 	Snap   Snapshot

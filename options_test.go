@@ -30,7 +30,8 @@ const (
 )
 
 // TestOptionCensus lists every exported field of every struct that
-// describes a campaign, a worker, a coordinator or the service, and
+// describes a campaign, a worker, a coordinator, a served scan or the
+// service, and
 // classifies it as identity-bearing or not. A field added to one of them
 // fails the test until it is listed here — and so until someone has
 // decided whether it may change outcomes — and for each listed field the
@@ -58,6 +59,7 @@ func TestOptionCensus(t *testing.T) {
 		trace     = NewTraceID()
 		minted    = map[TraceID]bool{}
 		specFrame []byte // a submission for the service rows
+		stopRow   = make(chan struct{})
 	)
 	if spec, err := cluster.NewSpec(target, SpaceMemory, campaign.Config{}, DefaultMaxGoldenCycles, uint64(len(space.Classes))); err != nil {
 		t.Fatal(err)
@@ -121,8 +123,8 @@ func TestOptionCensus(t *testing.T) {
 			},
 		},
 		{
-			// A worker's options: whatever they are, the coordinator admits
-			// it (a differing identity is answered 409) and the campaign it
+			// A worker's options: whatever they are, the service admits it
+			// (a differing identity is answered 409) and the campaign it
 			// executes keeps its identity.
 			base: cluster.WorkerOptions{},
 			fields: map[string]field{
@@ -138,17 +140,22 @@ func TestOptionCensus(t *testing.T) {
 				"Logf":        {invariant, logf},
 			},
 			identity: func(t *testing.T, opts reflect.Value) [32]byte {
-				addr := make(chan string, 1)
-				joined := make(chan error, 1)
-				go func() { joined <- JoinScan(<-addr, opts.Interface().(JoinOptions)) }()
-				res, err := ServeScan(prog, "127.0.0.1:0", ServeOptions{OnListen: func(a string) { addr <- a }})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := <-joined; err != nil {
-					t.Fatalf("JoinScan: %v", err)
-				}
-				return res.Identity
+				return servedIdentity(t, prog, ServeOptions{}, opts.Interface().(JoinOptions))
+			},
+		},
+		{
+			// A served scan's options: the embedded campaign options are
+			// the campaign, the rest is how it is served.
+			base: ServeOptions{},
+			fields: map[string]field{
+				"ScanOptions":       {bearing, ScanOptions{TimeoutFactor: 8}},
+				"UnitSize":          {invariant, 3},
+				"LeaseTTL":          {invariant, time.Minute},
+				"OnClusterProgress": {invariant, func(ClusterProgress) {}},
+				"OnListen":          {invariant, func(string) {}},
+			},
+			identity: func(t *testing.T, opts reflect.Value) [32]byte {
+				return servedIdentity(t, prog, opts.Interface().(ServeOptions), JoinOptions{})
 			},
 		},
 		{
@@ -163,7 +170,6 @@ func TestOptionCensus(t *testing.T) {
 				"Context":          {invariant, open},
 				"Telemetry":        {invariant, reg},
 				"TraceID":          {invariant, trace},
-				"Pprof":            {invariant, true},
 			},
 			identity: func(t *testing.T, opts reflect.Value) [32]byte {
 				copts := opts.Interface().(cluster.Options)
@@ -214,11 +220,55 @@ func TestOptionCensus(t *testing.T) {
 				if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil || rec.Code != http.StatusAccepted {
 					t.Fatalf("submit: HTTP %d %q (%v)", rec.Code, rec.Body, err)
 				}
-				var id [32]byte
-				if n, err := hex.Decode(id[:], []byte(info.ID)); err != nil || n != len(id) {
-					t.Fatalf("campaign ID %q is not an identity hash", info.ID)
+				return infoIdentity(t, info)
+			},
+		},
+		{
+			// The root package's service options, the same promise end to
+			// end: ServeCampaigns admits a submission under the identity
+			// SubmitCampaign computed. The row's Interrupt is stopRow, which
+			// the identity function closes, as it closes its own otherwise.
+			base: CampaignServiceOptions{},
+			fields: map[string]field{
+				"ArchiveDir":      {invariant, t.TempDir()},
+				"MaxArchiveBytes": {invariant, 1 << 20},
+				"MaxActive":       {invariant, 1},
+				"MaxQueued":       {invariant, 1},
+				"UnitSize":        {invariant, 3},
+				"LeaseTTL":        {invariant, time.Minute},
+				"LocalWorkers":    {invariant, 1},
+				"WorkerOptions":   {invariant, JoinOptions{Workers: 2}},
+				"Interrupt":       {invariant, (<-chan struct{})(stopRow)},
+				"Telemetry":       {invariant, reg},
+				"OnListen":        {invariant, func(string) {}},
+				"Logf":            {invariant, logf},
+			},
+			identity: func(t *testing.T, opts reflect.Value) [32]byte {
+				o := opts.Interface().(CampaignServiceOptions)
+				stop := stopRow
+				if o.Interrupt == nil {
+					stop = make(chan struct{})
+					o.Interrupt = stop
 				}
-				return id
+				listen := o.OnListen
+				addr := make(chan string, 1)
+				o.OnListen = func(a string) {
+					if listen != nil {
+						listen(a)
+					}
+					addr <- a
+				}
+				served := make(chan error, 1)
+				go func() { served <- ServeCampaigns("127.0.0.1:0", o) }()
+				info, err := SubmitCampaign(<-addr, prog, ScanOptions{}, "")
+				close(stop)
+				if err := <-served; err != nil {
+					t.Fatalf("ServeCampaigns: %v", err)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return infoIdentity(t, info)
 			},
 		},
 	}
@@ -258,4 +308,39 @@ func TestOptionCensus(t *testing.T) {
 			}
 		})
 	}
+}
+
+// servedIdentity serves the program with ServeScan to one JoinScan
+// worker and returns the identity of the campaign it ran; sopts.OnListen
+// still hears the address.
+func servedIdentity(t *testing.T, prog *Program, sopts ServeOptions, jopts JoinOptions) [32]byte {
+	t.Helper()
+	listen := sopts.OnListen
+	addr := make(chan string, 1)
+	sopts.OnListen = func(a string) {
+		if listen != nil {
+			listen(a)
+		}
+		addr <- a
+	}
+	joined := make(chan error, 1)
+	go func() { joined <- JoinScan(<-addr, jopts) }()
+	res, err := ServeScan(prog, "127.0.0.1:0", sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-joined; err != nil {
+		t.Fatalf("JoinScan: %v", err)
+	}
+	return res.Identity
+}
+
+// infoIdentity decodes a campaign ID, which must be an identity hash.
+func infoIdentity(t *testing.T, info CampaignInfo) [32]byte {
+	t.Helper()
+	var id [32]byte
+	if n, err := hex.Decode(id[:], []byte(info.ID)); err != nil || n != len(id) {
+		t.Fatalf("campaign ID %q is not an identity hash", info.ID)
+	}
+	return id
 }

@@ -103,7 +103,7 @@ func TestPlacementEquivalenceAllBenchmarks(t *testing.T) {
 // listener closes — none of the three finds a closed port on its way out
 // and burns its handshake retries into ErrCoordinatorUnreachable
 // (serveAndJoin fails on any worker error) — and the drain is the round
-// trips it takes, nowhere near drainTimeout.
+// trips it takes, well inside 3 s.
 func TestServeScanDismissesEveryWorker(t *testing.T) {
 	prog := equivProgram(t, "sort1")
 	var merged time.Time
@@ -117,8 +117,8 @@ func TestServeScanDismissesEveryWorker(t *testing.T) {
 	}, 3)
 	took := time.Since(merged)
 	t.Logf("ServeScan returned %v after the last merge", took)
-	if took > drainTimeout/3 {
-		t.Errorf("ServeScan returned %v after the last merge; want well inside the %v drainTimeout", took, drainTimeout)
+	if took > time.Second {
+		t.Errorf("ServeScan returned %v after the last merge; want well inside 3s", took)
 	}
 }
 

@@ -110,3 +110,24 @@ func TestServiceCallRejectsOversizedResponse(t *testing.T) {
 		}
 	}
 }
+
+// TestServeMetricsServesProfiles: profiling rides the metrics listener,
+// opt-in through its address in every mode that takes -metrics — the
+// campaign server has none (TestDebugEndpointsOffByDefault).
+func TestServeMetricsServesProfiles(t *testing.T) {
+	bound, stop, err := ServeMetrics("127.0.0.1:0", NewTelemetry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	for _, path := range []string{"/metrics", "/debug/pprof/cmdline"} {
+		resp, err := http.Get("http://" + bound + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: HTTP %d, want 200", path, resp.StatusCode)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -39,9 +38,10 @@ type CampaignServiceOptions struct {
 	// campaigns without external workers joining.
 	LocalWorkers int
 	// WorkerOptions configures the local fleet workers (strategy,
-	// parallelism, predecode). WorkerID, Context, Telemetry and Logf are
-	// managed by the service: the workers' Context is cancelled as the
-	// service starts to drain.
+	// parallelism, predecode). WorkerID, Telemetry and Logf are managed by
+	// the service. The drain dismisses the local workers as it dismisses
+	// any other: told shutdown at their next lease, they say hello once
+	// more, are sent home and return.
 	WorkerOptions JoinOptions
 	// Interrupt, when closed, drains the service gracefully: new
 	// submissions are rejected with 503, running campaigns are
@@ -98,7 +98,6 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 	}
 	stop := serve(ln, svc.Handler())
 
-	workers, stopWorkers := context.WithCancel(context.Background())
 	var fleet sync.WaitGroup
 	for i := 0; i < opts.LocalWorkers; i++ {
 		fleet.Add(1)
@@ -106,14 +105,13 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 			defer fleet.Done()
 			w := opts.WorkerOptions
 			w.WorkerID = fmt.Sprintf("local%d", n)
-			w.Context = workers
 			w.Logf = opts.Logf
 			// Point each assigned campaign's engine counters at that
 			// campaign's own registry, keeping them isolated.
 			err := cluster.Join("http://"+bound, w, func(spec cluster.Spec) *telemetry.Registry {
 				return svc.CampaignTelemetry(spec.Identity)
 			})
-			if err != nil && !errors.Is(err, ErrInterrupted) && !errors.Is(err, ErrCoordinatorShutdown) && opts.Logf != nil {
+			if err != nil && opts.Logf != nil {
 				opts.Logf("faultspace: local worker %d: %v", n, err)
 			}
 		}(i)
@@ -125,9 +123,11 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 		// No interrupt channel: serve until the process dies.
 		select {}
 	}
-	stopWorkers()
 	// Drain: cancel queued work, interrupt running campaigns, let their
-	// coordinators answer the fleet with shutdown, flush the archive.
+	// coordinators answer the fleet with shutdown — the local workers
+	// included, whose next hello is their exit notice — flush the archive.
+	// The local workers are then on their way out, and the server stays up
+	// until they are.
 	svc.Shutdown()
 	fleet.Wait()
 	stop()

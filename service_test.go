@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -136,6 +138,82 @@ func TestServeCampaignsAnswersHeldStatus(t *testing.T) {
 	}
 	if err := <-served; err != nil {
 		t.Errorf("ServeCampaigns: %v", err)
+	}
+}
+
+// TestServeCampaignsDrainsLocalWorkers: an interrupted ServeCampaigns
+// drains before it lets go of its local workers. Told shutdown at their
+// next lease, they say hello once more — their exit notice — and are
+// dismissed, so the service returns in the round trips that takes, not
+// after 2×LeaseTTL waiting for workers it has killed itself; and the
+// local worker ends with ErrCoordinatorShutdown, its campaign cut short,
+// not ErrInterrupted.
+func TestServeCampaignsDrainsLocalWorkers(t *testing.T) {
+	const ttl = 5 * time.Second
+	spec, err := progs.Resolve("sync2", progs.Sizes{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := spec.Hardened()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var lines []string
+	intr := make(chan struct{})
+	listening := make(chan string, 1)
+	served := make(chan error, 1)
+	go func() {
+		served <- ServeCampaigns("127.0.0.1:0", CampaignServiceOptions{
+			LeaseTTL:     ttl,
+			LocalWorkers: 1,
+			// One slow executor keeps the campaign running into the drain.
+			WorkerOptions: JoinOptions{Workers: 1, Strategy: StrategyRerun},
+			Interrupt:     intr,
+			OnListen:      func(a string) { listening <- a },
+			Logf: func(format string, args ...any) {
+				mu.Lock()
+				lines = append(lines, fmt.Sprintf(format, args...))
+				mu.Unlock()
+			},
+		})
+	}()
+	var addr string
+	select {
+	case addr = <-listening:
+	case err := <-served:
+		t.Fatalf("ServeCampaigns: %v", err)
+	}
+	info, err := SubmitCampaign(addr, prog, ScanOptions{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); info.Done == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the local worker never merged a unit")
+		}
+		time.Sleep(time.Millisecond)
+		if info, err = CampaignState(addr, info.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if info.Terminal() {
+		t.Fatalf("the campaign ended %s before the interrupt", info.State)
+	}
+	interrupted := time.Now()
+	close(intr)
+	if err := <-served; err != nil {
+		t.Errorf("ServeCampaigns: %v", err)
+	}
+	took := time.Since(interrupted)
+	t.Logf("ServeCampaigns returned %v after its interrupt", took)
+	if took >= ttl {
+		t.Errorf("ServeCampaigns returned %v after its interrupt, want well under the %v lease", took, ttl)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := "faultspace: local worker 0: " + ErrCoordinatorShutdown.Error(); !slices.Contains(lines, want) {
+		t.Errorf("no %q among the log lines:\n%s", want, strings.Join(lines, "\n"))
 	}
 }
 
