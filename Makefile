@@ -110,10 +110,9 @@ race-session:
 # error, never panic), the scan-report decoder LoadScan runs on report
 # bytes fetched from a service (whatever the hand-written decoder accepts,
 # the reflective decoder it replaced must accept and decode to a deeply
-# equal result), the ladder
-# delta-restore engine (random
-# programs + random restore/flip/run sequences must reproduce full-
-# snapshot state bit-for-bit) and the any-cycle golden match (random
+# equal result), the fork engine (random programs + random
+# fork/flip/run/rung-restore sequences must reproduce replayed state
+# bit-for-bit) and the any-cycle golden match (random
 # self-repairing programs, timers and faults: whenever the matcher names a
 # golden cycle, running the child out must reproduce the composed halt,
 # output, counters and final cycle). The attack-space coordinate codecs are
@@ -126,7 +125,6 @@ fuzz-smoke:
 	$(GO) test ./internal/cluster -run='^$$' -fuzz=FuzzWorkUnitDecode -fuzztime=10s
 	$(GO) test ./internal/service -run='^$$' -fuzz=FuzzArchiveEntryDecode -fuzztime=10s
 	$(GO) test ./internal/archive -run='^$$' -fuzz=FuzzScanArchiveDecode -fuzztime=10s
-	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzDeltaRestore -fuzztime=10s
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzForkClone -fuzztime=10s
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzShiftedReconverge -fuzztime=10s
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzBurstMaskDecode -fuzztime=10s
@@ -162,9 +160,12 @@ bench-build:
 	$(GO) vet -C bench . && $(GO) test -C bench .
 
 # Lines of non-test Go outside bench/: the size a simplifying change
-# quotes against its parent.
+# quotes against its parent, then the same count per package.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | \
+		awk '$$2 != "total" { n = split($$2, p, "/"); d = p[2]; for (i = 3; i < n; i++) d = d "/" p[i]; if (n == 2) d = "."; s[d] += $$1 } \
+		END { for (d in s) printf "%7d  %s\n", s[d], d }' | sort -k2
 
 bench:
 	$(GO) test -bench=. -benchmem

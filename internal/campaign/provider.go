@@ -190,9 +190,7 @@ func newForkProvider(parent, child *machine.Machine, ladder *machine.Ladder, ind
 }
 
 func (p *forkProvider) start(u unit) {
-	// The forker owns the parent's dirty bits (it resets them at every
-	// Fork), so the cursor must full-copy and the forker resync afterwards.
-	p.cur.Invalidate()
+	// The restore rewrites the parent wholesale, so the forker resyncs.
 	p.cur.Restore(u.rung)
 	p.forker.Invalidate()
 	p.rungCycle = p.ladder.RungCycle(u.rung)

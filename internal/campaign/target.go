@@ -148,7 +148,7 @@ const (
 	// unit, not once per class — and no longer convergence checkpoints
 	// either (children are matched against the golden index at their
 	// probes), so they only anchor units: enough of them to spread a
-	// campaign over the workers, each costing one RAM delta to keep. The
+	// campaign over the workers, each costing one RAM snapshot to keep. The
 	// balance lands at few, wide rungs.
 	DefaultForkRungs = 4
 )

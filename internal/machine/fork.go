@@ -24,11 +24,9 @@ package machine
 //
 // To make "dirtied since the previous Fork" a direct bitset read, Fork
 // RESETS both machines' dirty sets once the copy is done. The forker
-// consequently owns the parent's dirty tracking: any other consumer of
-// those bits (a ladder Cursor in its delta mode) must not rely on them,
-// and any operation that rewrites the parent wholesale or resets its
-// bits behind the forker's back (Machine.Restore, Cursor.Restore) must
-// be followed by Invalidate.
+// consequently owns the parent's dirty tracking, and any operation that
+// rewrites the parent wholesale (Machine.Restore, Cursor.Restore) must be
+// followed by Invalidate.
 //
 // Before resetting them, Fork accumulates the parent's bits in a stale
 // set: the pages of the golden state that changed since a Matcher last
@@ -88,17 +86,7 @@ func (f *Forker) Fork() {
 	}
 	p.resetDirty()
 	c.resetDirty()
-	c.regs = p.regs
-	c.pc = p.pc
-	c.cycles = p.cycles
-	c.status = p.status
-	c.exc = p.exc
+	c.core = p.core
 	c.serial = append(c.serial[:0], p.serial...)
-	c.detects = p.detects
-	c.corrects = p.corrects
-	c.inIRQ = p.inIRQ
-	c.savedPC = p.savedPC
-	c.fireAt = p.fireAt
-	c.skipNext = p.skipNext
 	f.valid = true
 }

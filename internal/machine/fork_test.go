@@ -87,9 +87,9 @@ func TestForkerRepeatedPageWrites(t *testing.T) {
 }
 
 // TestForkerInvalidateAfterCursorRestore covers the fork scan's batch
-// boundary: the parent is repositioned via an invalidated ladder Cursor
-// (a full-page restore that resets dirty bits behind the forker), the
-// forker is invalidated, and the next Fork must still be exact.
+// boundary: the parent is repositioned on a ladder rung (a restore that
+// rewrites it wholesale behind the forker), the forker is invalidated,
+// and the next Fork must still be exact.
 func TestForkerInvalidateAfterCursorRestore(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	ramSize := 1024
@@ -114,7 +114,6 @@ func TestForkerInvalidateAfterCursorRestore(t *testing.T) {
 	f := NewForker(parent, child)
 	for i := 0; i < 20; i++ {
 		r := rng.Intn(l.Rungs())
-		cur.Invalidate()
 		cur.Restore(r)
 		f.Invalidate()
 		for j := 0; j < 3; j++ {
@@ -150,17 +149,24 @@ func TestNewForkerMismatchedRAMPanics(t *testing.T) {
 }
 
 // FuzzForkClone drives random fork/dirty/advance sequences against
-// replay references, like FuzzDeltaRestore does for the ladder cursor:
-// every forked child must hash identically to an uninterrupted run
-// reaching the parent's cycle.
+// replay references: every forked child must hash identically to an
+// uninterrupted run reaching the parent's cycle. One op in five first
+// repositions the parent on a random ladder rung and invalidates the
+// forker, the fork provider's sequence at every unit.
 func FuzzForkClone(f *testing.F) {
 	f.Add(int64(1), []byte{0, 3, 9, 1})
 	f.Add(int64(7), []byte{255, 128, 2})
 	f.Add(int64(42), []byte{5, 5, 5, 5, 5})
+	f.Add(int64(9), []byte{4, 30, 14, 2, 9, 19, 7, 24})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		ramSize := []int{16, 64, 256, 1024}[rng.Intn(4)]
 		prog := buildRandomProgram(rng, ramSize, 60)
+		golden, err := New(Config{RAMSize: ramSize}, prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := runWithLadder(golden, uint64(1+rng.Intn(16)), 1000)
 		parent, err := New(Config{RAMSize: ramSize}, prog, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -169,11 +175,16 @@ func FuzzForkClone(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cur := l.NewCursor(parent)
 		fk := NewForker(parent, child)
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
 		for i, b := range ops {
+			if b%5 == 4 {
+				cur.Restore(int(b/5) % l.Rungs())
+				fk.Invalidate()
+			}
 			if parent.Status() != StatusRunning {
 				break
 			}

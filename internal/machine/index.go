@@ -7,8 +7,6 @@ import (
 	"math/bits"
 	"sort"
 	"unsafe"
-
-	"faultspace/internal/isa"
 )
 
 // goldenIndexBudget bounds the memory one GoldenIndex may take, whatever
@@ -17,18 +15,14 @@ import (
 // fewer or later matches, and a run that is never matched simply runs out.
 const goldenIndexBudget = 32 << 20
 
-// goldenState is the execution-relevant state of one indexed golden
-// cycle — what a match is confirmed against — plus the observable
+// goldenState is the probe key of one indexed golden cycle — what a match
+// is confirmed against, with the cycle's RAM — plus the observable
 // accumulators a confirmed match is composed from.
 type goldenState struct {
-	regs      [isa.NumRegs]uint32
-	pc        uint32
-	savedPC   uint32
-	rel       uint64 // timerRel at this cycle
+	probeKey
 	serialLen int
 	detects   uint64
 	corrects  uint64
-	inIRQ     bool
 }
 
 // pageVersion is the content of one RAM page from indexed state `from`
@@ -48,9 +42,9 @@ const (
 )
 
 // GoldenIndex maps the execution-relevant state of the golden run's
-// cycles — pc, registers, IRQ state, the clamped relative timer deadline
-// (timerRel, exactly the loop detector's definition) and RAM — to the
-// cycle it occurred at, so a faulty run can be matched against the
+// cycles — the probe key (pc, registers, IRQ state, the clamped relative
+// timer deadline), exactly the loop detector's definition, and RAM — to
+// the cycle it occurred at, so a faulty run can be matched against the
 // golden run at ANY cycle, not only the one it is at. A machine whose
 // state equals the golden state of cycle t continues exactly as the
 // golden run does from t: the machine is deterministic, MMIO ports are
@@ -69,11 +63,10 @@ const (
 // to a constant and observes identical matches).
 //
 // RAM is stored as per-page versions: a page is copied only at an
-// indexed cycle since whose predecessor it was written, the way delta
-// rungs share unchanged pages. Memory is bounded by goldenIndexBudget:
-// golden runs too long to index every cycle within it are indexed every
-// stride-th cycle, with stride odd so that probes spaced a power of two
-// apart still visit every residue.
+// indexed cycle since whose predecessor it was written. Memory is bounded
+// by goldenIndexBudget: golden runs too long to index every cycle within
+// it are indexed every stride-th cycle, with stride odd so that probes
+// spaced a power of two apart still visit every residue.
 //
 // A GoldenIndex is immutable once captureGolden returns and safe for
 // concurrent use by any number of Matchers.
@@ -86,8 +79,8 @@ type GoldenIndex struct {
 	// slot is a tag from the state hash, the low half 1 + the state
 	// ordinal; 0 is empty. At most half full.
 	table []uint64
-	// filter has a bit set for the register pre-hash of every indexed
-	// state: a probe whose pc/registers no golden cycle shares is
+	// filter has a bit set for the probe-key pre-hash of every indexed
+	// state: a probe whose probe key no golden cycle shares is
 	// rejected before any RAM is touched.
 	filter []uint64
 	// pages[p] lists page p's versions by ascending `from`.
@@ -142,14 +135,15 @@ const (
 // mix is one step of the digests below: fold a word into a lane.
 func mix(h, w uint64) uint64 { return (bits.RotateLeft64(h, 29) ^ w) * hashK2 }
 
-// hashRegs digests the non-RAM part of the matched state — pc, registers,
-// IRQ state and rel, the machine's timerRel. The words go
-// through four independent lanes so the multiplies overlap: the hash
-// sits on every probe of every experiment.
-func (m *Machine) hashRegs(rel uint64) uint64 {
+// keyHash digests the machine's probe key, the non-RAM part of the
+// matched state, straight from the machine: the hash sits on every probe
+// of every experiment, and only a candidate it finds is worth loading the
+// key for. The words go through four independent lanes so the multiplies
+// overlap.
+func (m *Machine) keyHash() uint64 {
 	pair := func(i int) uint64 { return uint64(m.regs[i]) | uint64(m.regs[i+1])<<32 }
 	h0 := (uint64(m.pc) | uint64(m.savedPC)<<32) * hashK1
-	h1 := rel * hashK1
+	h1 := m.timerRel() * hashK1
 	if m.inIRQ {
 		h1 = ^h1
 	}
@@ -161,7 +155,7 @@ func (m *Machine) hashRegs(rel uint64) uint64 {
 }
 
 // hashPage digests the content of RAM page p, four lanes wide like
-// hashRegs. Page hashes combine by XOR into the RAM hash, so the page
+// keyHash. Page hashes combine by XOR into the RAM hash, so the page
 // number is part of the digest.
 func hashPage(p int, b []byte) uint64 {
 	h0 := uint64(p+1) * hashK1
@@ -182,15 +176,15 @@ func hashPage(p int, b []byte) uint64 {
 	return h ^ h>>32
 }
 
-// combineHash joins the register pre-hash and the RAM hash into the
+// combineHash joins the probe key's pre-hash and the RAM hash into the
 // table key.
-func combineHash(regHash, ramHash uint64) uint64 {
-	h := (regHash ^ bits.RotateLeft64(ramHash, 32)) * hashK1
+func combineHash(keyHash, ramHash uint64) uint64 {
+	h := (keyHash ^ bits.RotateLeft64(ramHash, 32)) * hashK1
 	return h ^ h>>29
 }
 
-func (x *GoldenIndex) filterBit(regHash uint64) (word int, bit uint64) {
-	i := regHash >> 8 & uint64(len(x.filter)*64-1)
+func (x *GoldenIndex) filterBit(keyHash uint64) (word int, bit uint64) {
+	i := keyHash >> 8 & uint64(len(x.filter)*64-1)
 	return int(i >> 6), 1 << (i & 63)
 }
 
@@ -204,13 +198,13 @@ type indexBuilder struct {
 }
 
 // add indexes the pioneer's current state as the next golden state.
-// changed is the set of pages written since the previous add (every
-// page on the first): only those are copied and rehashed.
-func (b *indexBuilder) add(m *Machine, changed []uint64) {
+// Only the pages in its dirty set — written since the previous add, every
+// page on the first — are copied and rehashed; add then clears the set.
+func (b *indexBuilder) add(m *Machine) {
 	x := b.x
 	i := len(x.states)
 	for p := range x.pages {
-		if !pageBit(changed, p) {
+		if !m.pageDirty(p) {
 			continue
 		}
 		lo, hi := m.pageBounds(p)
@@ -227,16 +221,13 @@ func (b *indexBuilder) add(m *Machine, changed []uint64) {
 		b.ramHash ^= b.pageHash[p] ^ h
 		b.pageHash[p] = h
 	}
-	rel := m.timerRel()
-	x.states = append(x.states, goldenState{
-		regs: m.regs, pc: m.pc, savedPC: m.savedPC, rel: rel,
-		serialLen: len(m.serial), detects: m.detects, corrects: m.corrects,
-		inIRQ: m.inIRQ,
-	})
-	regHash := m.hashRegs(rel) & x.hashMask
-	w, bit := x.filterBit(regHash)
+	m.resetDirty()
+	x.states = append(x.states, goldenState{serialLen: len(m.serial), detects: m.detects, corrects: m.corrects})
+	x.states[i].load(m)
+	keyHash := m.keyHash() & x.hashMask
+	w, bit := x.filterBit(keyHash)
 	x.filter[w] |= bit
-	h := combineHash(regHash, b.ramHash) & x.hashMask
+	h := combineHash(keyHash, b.ramHash) & x.hashMask
 	mask := uint64(len(x.table) - 1)
 	s := h & mask
 	for x.table[s] != 0 {
@@ -251,13 +242,13 @@ func (x *GoldenIndex) pageAt(p, i int) []byte {
 	return v[sort.Search(len(v), func(k int) bool { return v[k].from > i })-1].data
 }
 
-// equal is the full compare behind every reported match: registers, IRQ
-// and timer state first (a diverged run almost always differs there),
-// then every byte of RAM.
-func (x *GoldenIndex) equal(i int, m *Machine, rel uint64) bool {
-	st := &x.states[i]
-	if st.pc != m.pc || st.regs != m.regs || st.inIRQ != m.inIRQ ||
-		st.savedPC != m.savedPC || st.rel != rel {
+// equal is the full compare behind every reported match: the probe key
+// first (a diverged run almost always differs there), then every byte of
+// RAM.
+func (x *GoldenIndex) equal(i int, m *Machine) bool {
+	var k probeKey
+	k.load(m)
+	if x.states[i].probeKey != k {
 		return false
 	}
 	for p := range x.pages {
@@ -286,15 +277,9 @@ func captureGolden(pioneer *Machine, cycles, interval, budget, hashMask uint64) 
 	}
 	l := NewLadder(pioneer)
 	x := newGoldenIndex(len(pioneer.ram), cycles, budget, hashMask)
-
-	// The pioneer's dirty bits have two consumers at different rates, so
-	// they are drained into one pending set each at every stop.
-	words := len(pioneer.dirty)
-	forIndex, forRung := make([]uint64, words), make([]uint64, words)
 	b := indexBuilder{x: x, pageHash: make([]uint64, len(x.pages))}
-	fillPages(forIndex)
-	b.add(pioneer, forIndex)
-	clear(forIndex)
+	pioneer.markAllDirty()
+	b.add(pioneer)
 
 	nextIndex, nextRung := x.stride, interval
 	for {
@@ -306,19 +291,12 @@ func captureGolden(pioneer *Machine, cycles, interval, budget, hashMask uint64) 
 			return nil, nil, fmt.Errorf("machine: golden replay ended early at cycle %d (status %s)",
 				pioneer.cycles, status)
 		}
-		for i, d := range pioneer.dirty {
-			forIndex[i] |= d
-			forRung[i] |= d
-		}
-		pioneer.resetDirty()
 		if next == nextIndex {
-			b.add(pioneer, forIndex)
-			clear(forIndex)
+			b.add(pioneer)
 			nextIndex += x.stride
 		}
 		if next == nextRung {
-			l.capture(pioneer, forRung)
-			clear(forRung)
+			l.Capture(pioneer)
 			nextRung += interval
 		}
 	}
@@ -374,9 +352,8 @@ func (mt *Matcher) Match() (GoldenPoint, bool) {
 		// A pending instruction skip is state the index does not hold.
 		return GoldenPoint{}, false
 	}
-	rel := m.timerRel()
-	regHash := m.hashRegs(rel) & x.hashMask
-	if w, b := x.filterBit(regHash); x.filter[w]&b == 0 {
+	keyHash := m.keyHash() & x.hashMask
+	if w, b := x.filterBit(keyHash); x.filter[w]&b == 0 {
 		return GoldenPoint{}, false
 	}
 
@@ -399,14 +376,14 @@ func (mt *Matcher) Match() (GoldenPoint, bool) {
 		}
 	}
 
-	h := combineHash(regHash, ramHash) & x.hashMask
+	h := combineHash(keyHash, ramHash) & x.hashMask
 	mask := uint64(len(x.table) - 1)
 	for s := h & mask; x.table[s] != 0; s = (s + 1) & mask {
 		if x.table[s]>>32 != h>>32 {
 			continue
 		}
 		i := int(uint32(x.table[s])) - 1
-		if x.equal(i, m, rel) {
+		if x.equal(i, m) {
 			st := &x.states[i]
 			return GoldenPoint{
 				Cycle:     uint64(i) * x.stride,

@@ -63,18 +63,44 @@ const (
 	loopSlotCount = 128
 )
 
-// ringEntry is one probe state in the recurrence ring. The RAM buffer is
+// probeKey is the execution-relevant machine state apart from RAM and
+// serial output: pc, registers, IRQ state and the clamped distance to the
+// next timer fire (timerRel). Both probes of a faulty run compare it with
+// RAM beside it. The golden index's match is serial-blind (goldenState
+// keeps the serial length only to compose output from), the loop
+// detector's recurrence is serial-aware (ringEntry compares it too).
+// skipNext is not part of it: no probe ever sees it set (see core).
+type probeKey struct {
+	regs        [isa.NumRegs]uint32
+	pc, savedPC uint32
+	rel         uint64
+	inIRQ       bool
+}
+
+// load sets k to the machine's current probe key.
+func (k *probeKey) load(m *Machine) {
+	k.regs, k.pc, k.savedPC, k.rel, k.inIRQ = m.regs, m.pc, m.savedPC, m.timerRel(), m.inIRQ
+}
+
+// ringEntry is one probe state of the loop detector. The RAM buffer is
 // reused across probes and experiments; prev chains to the previous
 // probe whose pc hashed to the same slot (-1 ends the chain).
 type ringEntry struct {
-	pc        uint32
-	savedPC   uint32
-	rel       uint64
+	probeKey
 	serialLen int
-	prev      int
-	inIRQ     bool
-	regs      [isa.NumRegs]uint32
 	ram       []byte
+	prev      int
+}
+
+// holds reports whether e recorded the machine's state, k its probe key.
+func (e *ringEntry) holds(k *probeKey, m *Machine) bool {
+	return e.serialLen == len(m.serial) && e.probeKey == *k && bytes.Equal(e.ram, m.ram)
+}
+
+// record stores the machine's state, k its probe key, in e.
+func (e *ringEntry) record(k *probeKey, m *Machine) {
+	e.probeKey, e.serialLen = *k, len(m.serial)
+	e.ram = append(e.ram[:0], m.ram...)
 }
 
 // LoopDetector proves that a running machine can never halt, by exact
@@ -120,14 +146,7 @@ type LoopDetector struct {
 	probes   uint64 // probes since the last anchor
 	window   uint64 // probes until the next re-anchor (doubles)
 	anchored bool
-
-	refRegs   [isa.NumRegs]uint32
-	refPC     uint32
-	refInIRQ  bool
-	refSaved  uint32
-	refRel    uint64 // clamped fireAt − cycles at the anchor
-	refSerial int
-	refRAM    []byte
+	anchor   ringEntry
 }
 
 // NewLoopDetector creates a detector whose probes start interval cycles
@@ -181,22 +200,17 @@ func pcSlot(pc uint32) uint32 {
 // infinite loop. Otherwise the state is added to the ring and the Brent
 // anchor advances. The machine must be running.
 func (d *LoopDetector) Probe(m *Machine) bool {
-	rel := m.timerRel()
+	var k probeKey
+	k.load(m)
 
 	// Ring tier: walk the hash chain of probes sharing this pc, newest
 	// first. A chain entry older than the ring window has been
 	// overwritten; prev links only ever point further back, so the walk
 	// stops there.
-	h := pcSlot(m.pc)
+	h := pcSlot(k.pc)
 	for seq := int(d.slots[h]) - 1; seq >= 0 && d.ringN-seq <= loopRingSize; {
 		e := &d.ring[seq&(loopRingSize-1)]
-		if e.pc == m.pc &&
-			e.serialLen == len(m.serial) &&
-			e.inIRQ == m.inIRQ &&
-			e.savedPC == m.savedPC &&
-			e.rel == rel &&
-			e.regs == m.regs &&
-			bytes.Equal(e.ram, m.ram) {
+		if e.holds(&k, m) {
 			return true
 		}
 		seq = e.prev
@@ -204,26 +218,13 @@ func (d *LoopDetector) Probe(m *Machine) bool {
 
 	// Brent tier: exactly the classic anchor check, for loops whose
 	// probe-level period exceeds the ring window.
-	if d.anchored &&
-		m.pc == d.refPC &&
-		len(m.serial) == d.refSerial &&
-		m.inIRQ == d.refInIRQ &&
-		m.savedPC == d.refSaved &&
-		rel == d.refRel &&
-		m.regs == d.refRegs &&
-		bytes.Equal(m.ram, d.refRAM) {
+	if d.anchored && d.anchor.holds(&k, m) {
 		return true
 	}
 
 	// No recurrence: retain the current state in the ring...
 	e := &d.ring[d.ringN&(loopRingSize-1)]
-	e.pc = m.pc
-	e.savedPC = m.savedPC
-	e.rel = rel
-	e.serialLen = len(m.serial)
-	e.inIRQ = m.inIRQ
-	e.regs = m.regs
-	e.ram = append(e.ram[:0], m.ram...)
+	e.record(&k, m)
 	e.prev = int(d.slots[h]) - 1
 	d.slots[h] = int32(d.ringN) + 1
 	d.ringN++
@@ -234,13 +235,7 @@ func (d *LoopDetector) Probe(m *Machine) bool {
 		d.probes = 0
 		d.window *= 2
 		d.anchored = true
-		d.refRegs = m.regs
-		d.refPC = m.pc
-		d.refInIRQ = m.inIRQ
-		d.refSaved = m.savedPC
-		d.refRel = rel
-		d.refSerial = len(m.serial)
-		d.refRAM = append(d.refRAM[:0], m.ram...)
+		d.anchor.record(&k, m)
 	}
 	return false
 }

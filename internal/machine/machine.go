@@ -178,29 +178,19 @@ func (c Config) Validate() error {
 // ErrNotRunning is returned by Step when the machine has terminated.
 var ErrNotRunning = errors.New("machine: not running")
 
-// Machine is one fav32 simulator instance. It is not safe for concurrent
-// use; campaigns use one Machine per worker.
-type Machine struct {
-	cfg       Config
-	rom       []isa.Instruction
-	ram       []byte
-	regs      [isa.NumRegs]uint32
-	pc        uint32
-	cycles    uint64
-	status    Status
-	exc       Exception
-	serial    []byte
-	maxSerial int
-	detects   uint64
-	corrects  uint64
-	hook      MemHook
-	execHook  ExecHook
-
-	// dirty tracks RAM pages written since the last resetDirty, as a
-	// bitset over PageSize-byte pages. Ladder rung capture, Cursor
-	// restore, Forker and the golden index use it to touch only mutated
-	// pages (see ladder.go).
-	dirty []uint64
+// core is the machine's state apart from RAM and serial output: the part
+// every copy of a machine — Snapshot, Restore, Forker.Fork, a ladder rung
+// — takes with one assignment. A field added here is carried by all of
+// them; TestMachineStateCensus fails for a Machine field that is neither
+// here nor declared outside the state.
+type core struct {
+	regs     [isa.NumRegs]uint32
+	pc       uint32
+	cycles   uint64
+	status   Status
+	exc      Exception
+	detects  uint64
+	corrects uint64
 
 	// Timer-interrupt state.
 	inIRQ   bool
@@ -211,9 +201,27 @@ type Machine struct {
 	// its instruction: the instruction-skip fault model (FlipSkip). The
 	// flag is one-shot and always consumed before the machine reaches a
 	// probe (Run executes at least one cycle first), so it is deliberately
-	// excluded from the golden index's and the loop detector's state;
-	// Matcher.Match refuses a machine that still carries it.
+	// excluded from the probe key (loop.go); Matcher.Match refuses a
+	// machine that still carries it.
 	skipNext bool
+}
+
+// Machine is one fav32 simulator instance. It is not safe for concurrent
+// use; campaigns use one Machine per worker.
+type Machine struct {
+	core
+	cfg       Config
+	rom       []isa.Instruction
+	ram       []byte
+	serial    []byte
+	maxSerial int
+	hook      MemHook
+	execHook  ExecHook
+
+	// dirty tracks RAM pages written since the last resetDirty, as a
+	// bitset over PageSize-byte pages. The Forker and the golden index
+	// use it to touch only mutated pages (see fork.go and index.go).
+	dirty []uint64
 
 	// pre is the pre-decoded instruction stream (nil unless enabled via
 	// SetPredecode); see predecode.go.
@@ -242,12 +250,11 @@ func New(cfg Config, prog []isa.Instruction, image []byte) (*Machine, error) {
 			cfg.TimerVector, len(prog))
 	}
 	m := &Machine{
+		core:      core{status: StatusRunning, fireAt: cfg.TimerPeriod},
 		cfg:       cfg,
 		rom:       prog,
 		ram:       make([]byte, cfg.RAMSize),
-		status:    StatusRunning,
 		maxSerial: maxSerial,
-		fireAt:    cfg.TimerPeriod,
 		dirty:     newPageSet(cfg.RAMSize),
 	}
 	copy(m.ram, image)

@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"faultspace/internal/isa"
@@ -167,4 +168,40 @@ func TestRestoreMismatchedRAMPanics(t *testing.T) {
 		}
 	}()
 	m2.Restore(m1.Snapshot())
+}
+
+// TestMachineStateCensus: every field of Machine is either in the copied
+// core or declared outside it here, with the reason. A new field fails
+// the test until someone decides whether Snapshot, Forker.Fork and a rung
+// restore must carry it — by adding it to core — or not.
+func TestMachineStateCensus(t *testing.T) {
+	outside := map[string]string{
+		"cfg":       "configuration, fixed at New",
+		"rom":       "the program, immune to faults and shared",
+		"ram":       "copied beside the core by every copier",
+		"serial":    "copied beside the core by every copier",
+		"maxSerial": "configuration, fixed at New",
+		"hook":      "instrumentation, not state",
+		"execHook":  "instrumentation, not state",
+		"dirty":     "bookkeeping of the Forker and the golden index",
+		"pre":       "a lowering of rom, fixed by SetPredecode",
+	}
+	typ := reflect.TypeOf(Machine{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch _, listed := outside[f.Name]; {
+		case f.Anonymous && f.Type == reflect.TypeOf(core{}):
+		case listed:
+			delete(outside, f.Name)
+		default:
+			t.Errorf("Machine.%s is neither in core nor declared outside the copied state", f.Name)
+		}
+	}
+	for name := range outside {
+		t.Errorf("Machine has no field %s; drop it from the census", name)
+	}
+	// A snapshot is the core plus the two buffers, nothing else.
+	if n := reflect.TypeOf(Snapshot{}).NumField(); n != 3 {
+		t.Errorf("Snapshot has %d fields, want core, ram and serial", n)
+	}
 }

@@ -192,7 +192,7 @@ func BuildRegisters(g *trace.Golden) (*FaultSpace, error) {
 func BuildBurst(g *trace.Golden, k int) (*FaultSpace, error) {
 	for i, e := range kinds {
 		if e.burst == k && k != 0 {
-			perByte := uint64(9 - k)
+			perByte := machine.BurstPositions(k)
 			return buildSpace(SpaceKind(i+1), g.Cycles, g.RAMBits/8*perByte, g.Accesses, perByte)
 		}
 	}
