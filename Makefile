@@ -45,10 +45,11 @@ race:
 # dismissal before the listener closes, which one run in a few loses
 # when the order is wrong — and a status request held by a client
 # waiting for its campaign is answered with the campaign's end, not cut
-# off by the same close.
+# off by the same close; and a duplicate submission is answered from the
+# archive with nothing simulated on either side.
 race-service:
 	$(GO) test -race -count=2 ./internal/service
-	$(GO) test -race -count=20 -run='TestServeScanDismissesEveryWorker|TestServeCampaignsDismissesParkedWorkers|TestServeCampaignsAnswersHeldStatus' .
+	$(GO) test -race -count=20 -run='TestServeScanDismissesEveryWorker|TestServeCampaignsDismissesParkedWorkers|TestServeCampaignsAnswersHeldStatus|TestHitSimulatesNothing' .
 
 # The attack-style fault models (instruction skip, PC corruption,
 # multi-bit bursts) under the race detector: the objective-carrying

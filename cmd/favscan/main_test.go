@@ -484,6 +484,26 @@ func TestScanErrors(t *testing.T) {
 	if err := run([]string{}, &sb, io.Discard); err == nil {
 		t.Error("missing argument must fail")
 	}
+	// The service records the golden run of a submission: one that never
+	// halts fails the campaign, not the client.
+	spin := filepath.Join(t.TempDir(), "spin.s")
+	if err := os.WriteFile(spin, []byte("jmp 0\n"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	intr, listening, served := make(chan struct{}), make(chan string, 1), make(chan error, 1)
+	go func() {
+		served <- faultspace.ServeCampaigns("127.0.0.1:0", faultspace.CampaignServiceOptions{
+			Interrupt: intr, OnListen: func(a string) { listening <- a },
+		})
+	}()
+	err := run([]string{"-submit", <-listening, spin}, &sb, io.Discard)
+	if err == nil || !strings.HasPrefix(err.Error(), "campaign failed: ") || !strings.Contains(err.Error(), "did not halt") {
+		t.Errorf("-submit of a program that never halts: %v, want campaign failed: … did not halt", err)
+	}
+	close(intr)
+	if err := <-served; err != nil {
+		t.Error(err)
+	}
 }
 
 // TestTelemetryManifestFork is the observability acceptance test: a

@@ -285,8 +285,8 @@ func (o ScanOptions) maxGolden() uint64 {
 	return o.MaxGoldenCycles
 }
 
-// prepared is a campaign ready to run: what Scan, Sample, ServeScan and
-// SubmitCampaign all derive from a program and its options.
+// prepared is a campaign ready to run: what Scan, Sample and ServeScan
+// all derive from a program and its options.
 type prepared struct {
 	target campaign.Target
 	golden *Golden

@@ -10,6 +10,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -104,9 +105,9 @@ func referenceDecode(r io.Reader) (*campaign.Result, error) {
 	}, nil
 }
 
-// checkResult holds Encode to the reference encoder's bytes and Decode to
-// giving back what was encoded, and to the reference decoder's result; it
-// returns the archive.
+// checkResult holds Encode to the reference encoder's bytes, Decode to
+// giving back what was encoded and to the reference decoder's result, and
+// ClassCount to Decode's class count; it returns the archive.
 func checkResult(t *testing.T, label string, r *campaign.Result) []byte {
 	t.Helper()
 	var got, want bytes.Buffer
@@ -125,6 +126,9 @@ func checkResult(t *testing.T, label string, r *campaign.Result) []byte {
 	}
 	if ref, err := referenceDecode(bytes.NewReader(got.Bytes())); err != nil || !reflect.DeepEqual(back, ref) {
 		t.Fatalf("%s: Decode differs from the reflective decoder (err %v):\n got %+v\nwant %+v", label, err, back, ref)
+	}
+	if n, err := ClassCount(got.Bytes()); err != nil || n != len(back.Space.Classes) {
+		t.Fatalf("%s: ClassCount = %d (err %v), Decode has %d classes", label, n, err, len(back.Space.Classes))
 	}
 	g, bg, fs, bfs := r.Golden, back.Golden, r.Space, back.Space
 	switch {
@@ -212,7 +216,8 @@ func TestEncodeMatchesReflectiveEncoder(t *testing.T) {
 
 // randomResult draws a consistent result: per bit a chain of disjoint
 // def/use intervals, the rest known No Effect. Class counts 0 and 1, the
-// zero identity, nil and empty serial output, names that JSON escapes and
+// zero identity, nil and empty serial output and serial output that reads
+// like a class, names that JSON escapes or that hold '{' and ']', and
 // attack-flagged outcomes all occur.
 func randomResult(rng *rand.Rand) *campaign.Result {
 	fs := &pruning.FaultSpace{
@@ -254,7 +259,7 @@ func randomResult(rng *rand.Rand) *campaign.Result {
 			outcomes[i] |= campaign.AttackFlag
 		}
 	}
-	names := []string{"hi", "", `a "quoted" <name> & more`, "sørt1\u2028\t\\", "bin_sem2+sumdmr"}
+	names := []string{"hi", "", `a "quoted" <name> & more`, "sørt1\u2028\t\\", "bin_sem2+sumdmr", `{"classes":[{}]`}
 	name := names[rng.Intn(len(names))]
 	golden := &trace.Golden{
 		Name:     name,
@@ -263,10 +268,12 @@ func randomResult(rng *rand.Rand) *campaign.Result {
 		Detects:  uint64(rng.Intn(3)),
 		Corrects: rng.Uint64() >> uint(rng.Intn(64)),
 	}
-	switch rng.Intn(3) {
+	switch rng.Intn(4) {
 	case 0: // nil: "serial":null
 	case 1:
 		golden.Serial = []byte{}
+	case 2:
+		golden.Serial = []byte(`{"b":0}]`)
 	default:
 		golden.Serial = make([]byte, 1+rng.Intn(40))
 		rng.Read(golden.Serial)
@@ -371,18 +378,40 @@ func reordered(t testing.TB, archive []byte) []byte {
 // TestDecodeRejectsEveryPrefix cuts hi's pinned archive at every byte, as
 // a report torn in transfer or storage would be: no prefix decodes but the
 // one that drops only the newline Encode ends with, which is whitespace.
+// The same holds with its second class spaced out, reordered, or given a
+// number Encode never writes: a cut inside or after the class that leaves
+// Encode's layout.
 func TestDecodeRejectsEveryPrefix(t *testing.T) {
 	hi := hiArchive(t)
 	if len(hi) != 658 || hi[len(hi)-1] != '\n' {
 		t.Fatalf("hi archive: %d bytes ending in %q, want the pinned 658 ending in a newline", len(hi), hi[len(hi)-1:])
 	}
-	for cut := 0; cut < len(hi)-1; cut++ {
-		if _, err := Decode(bytes.NewReader(hi[:cut])); err == nil {
-			t.Fatalf("cut at %d of %d bytes: decoded", cut, len(hi))
-		}
+	// The second class, which hi's archive has as {"b":1,"d":1,"u":4,"o":2}.
+	second := bytes.Index(hi, []byte(`},{`)) + 2
+	end := second + bytes.IndexByte(hi[second:], '}') + 1
+	class := string(hi[second:end])
+	if class != `{"b":1,"d":1,"u":4,"o":2}` {
+		t.Fatalf("hi's second class is %s", class)
 	}
-	if _, err := Decode(bytes.NewReader(hi[:len(hi)-1])); err != nil {
-		t.Errorf("without its final newline: %v", err)
+	for name, tc := range map[string]struct {
+		class string
+		valid bool
+	}{
+		"canonical":    {class, true},
+		"spaced":       {`{ "b" :1, "d":1,"u":4,"o":2 }`, true},
+		"reordered":    {`{"o":2,"u":4,"d":1,"b":1}`, true},
+		"leading zero": {`{"b":1,"d":1,"u":04,"o":2}`, false},
+		"20 digits":    {`{"b":1,"d":1,"u":18446744073709551616,"o":2}`, false},
+	} {
+		src := slices.Concat(hi[:second], []byte(tc.class), hi[end:])
+		for cut := 0; cut < len(src)-1; cut++ {
+			if _, err := Decode(bytes.NewReader(src[:cut])); err == nil {
+				t.Fatalf("%s: cut at %d of %d bytes: decoded", name, cut, len(src))
+			}
+		}
+		if _, err := Decode(bytes.NewReader(src[:len(src)-1])); (err == nil) != tc.valid {
+			t.Errorf("%s: without its final newline: err = %v, want valid %v", name, err, tc.valid)
+		}
 	}
 }
 
@@ -392,6 +421,8 @@ func TestDecodeRejectsEveryPrefix(t *testing.T) {
 // its byte offset.
 func TestDecodeAcceptedInput(t *testing.T) {
 	hi := hiArchive(t)
+	// The header of three classes that cover the whole space.
+	const three = `{"version":1,"space":"memory","cycles":3,"bits":3,"knownNoEffect":0,"classes":[`
 	accepted := map[string]string{
 		"canonical":        string(hi),
 		"reordered":        string(reordered(t, hi)),
@@ -401,6 +432,11 @@ func TestDecodeAcceptedInput(t *testing.T) {
 		"empty serial":     `{"version":1,"space":"memory","serial":"","cycles":3,"bits":2,"knownNoEffect":6}`,
 		"empty class list": `{"version":1,"space":"pc","cycles":3,"bits":2,"knownNoEffect":6,"classes":[ ]}`,
 		"classes first":    `{"classes":[{"o":1,"u":3,"d":0,"b":1}],"bits":2,"cycles":3,"knownNoEffect":3,"space":"memory","version":1}`,
+		// Classes that leave Encode's layout among classes in it.
+		"spaced class":    three + `{"b":0,"d":0,"u":3,"o":1}, { "b" : 1,"d":0,"u":3,"o":2 },{"b":2,"d":0,"u":3,"o":0}]}`,
+		"reordered class": three + `{"b":0,"d":0,"u":3,"o":1},{"o":2,"u":3,"d":0,"b":1},{"b":2,"d":0,"u":3,"o":0}]}`,
+		"class key missing": `{"version":1,"space":"memory","cycles":3,"bits":3,"knownNoEffect":0,"classes":` +
+			`[{"b":0,"d":0,"u":3,"o":1},{"b":1,"u":3,"o":2},{"b":2,"d":0,"u":3,"o":0}]}`,
 	}
 	for name, src := range accepted {
 		got, err := Decode(strings.NewReader(src))
@@ -411,9 +447,13 @@ func TestDecodeAcceptedInput(t *testing.T) {
 		if want, err := referenceDecode(strings.NewReader(src)); err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: differs from the reflective decoder (err %v):\n got %+v\nwant %+v", name, err, got, want)
 		}
+		if n, err := ClassCount([]byte(src)); err != nil || n != len(got.Space.Classes) {
+			t.Errorf("%s: ClassCount = %d (err %v), Decode has %d classes", name, n, err, len(got.Space.Classes))
+		}
 	}
 
 	const base = `{"version":1,"space":"memory","cycles":3,"bits":2,"knownNoEffect":3,"classes":[{"b":1,"d":0,"u":3,"o":1}]`
+	const first = `{"b":0,"d":0,"u":3,"o":1},`
 	rejected := map[string]struct {
 		src string
 		at  int
@@ -432,6 +472,10 @@ func TestDecodeAcceptedInput(t *testing.T) {
 		"uint64 overflow":     {`{"bits":18446744073709551616}`, 8},
 		"null class":          {`{"classes":[null]}`, 12},
 		"null number":         {`{"cycles":null}`, 10},
+		// Encode's layout but for one number, in the second class.
+		"leading zero in a class":        {three + first + `{"b":01,"d":0,"u":3,"o":2}]}`, len(three+first) + 5},
+		"20 digits in a class":           {three + first + `{"b":1,"d":18446744073709551616,"u":3,"o":2}]}`, len(three+first) + 11},
+		"outcome above uint8 in a class": {three + first + `{"b":1,"d":0,"u":3,"o":256}]}`, len(three+first) + 23},
 	}
 	for name, tc := range rejected {
 		_, err := Decode(strings.NewReader(tc.src))

@@ -68,51 +68,11 @@ func Decode(r io.Reader) (*campaign.Result, error) {
 	s := scanner{data: data}
 	var a scanArchive // the header; its Classes stay nil
 	classes, outcomes := []pruning.Class{}, []campaign.Outcome{}
-	if err := s.expect('{'); err != nil {
+	if err := s.object(&a, func() (err error) {
+		classes, outcomes, err = s.classes()
+		return err
+	}); err != nil {
 		return nil, err
-	}
-	for seen := uint16(0); ; {
-		k, err := s.key(headerKey, &seen)
-		if err != nil {
-			return nil, err
-		}
-		if k < 0 {
-			break
-		}
-		switch headerKeys[k] {
-		case "version":
-			var v uint64
-			v, err = s.integer(math.MaxInt)
-			a.Version = int(v)
-		case "name":
-			err = s.text(&a.Name)
-		case "identity":
-			err = s.text(&a.Identity)
-		case "space":
-			err = s.text(&a.Space)
-		case "cycles":
-			a.Cycles, err = s.integer(math.MaxUint64)
-		case "bits":
-			a.Bits, err = s.integer(math.MaxUint64)
-		case "ramBits":
-			a.RAMBits, err = s.integer(math.MaxUint64)
-		case "knownNoEffect":
-			a.KnownNoEffect, err = s.integer(math.MaxUint64)
-		case "serial":
-			err = s.text(&a.Serial)
-		case "detects":
-			a.Detects, err = s.integer(math.MaxUint64)
-		case "corrects":
-			a.Corrects, err = s.integer(math.MaxUint64)
-		case "classes":
-			classes, outcomes, err = s.classes()
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if s.skipSpace(); s.pos != len(s.data) {
-		return nil, s.errorf(s.pos, "trailing data after the archive")
 	}
 
 	if a.Version != Version {
@@ -148,6 +108,73 @@ func Decode(r io.Reader) (*campaign.Result, error) {
 		Space:    fs,
 		Outcomes: outcomes,
 	}, nil
+}
+
+// ClassCount returns how many classes the archive in data holds — the
+// count Decode sizes its slices by — reading its header but none of its
+// classes. For an archive Decode accepts it is the length of the decoded
+// fault space's class list.
+func ClassCount(data []byte) (int, error) {
+	s := scanner{data: data}
+	n := 0
+	err := s.object(new(scanArchive), func() error {
+		c, end, err := s.count()
+		n, s.pos = c, end+1 // past the ']' that closes a valid list
+		return err
+	})
+	return n, err
+}
+
+// object reads the archive object into a's header fields and hands the
+// class list to list, then checks that only whitespace follows.
+func (s *scanner) object(a *scanArchive, list func() error) error {
+	if err := s.expect('{'); err != nil {
+		return err
+	}
+	for seen := uint16(0); ; {
+		k, err := s.key(headerKey, &seen)
+		if err != nil {
+			return err
+		}
+		if k < 0 {
+			break
+		}
+		switch headerKeys[k] {
+		case "version":
+			var v uint64
+			v, err = s.integer(math.MaxInt)
+			a.Version = int(v)
+		case "name":
+			err = s.text(&a.Name)
+		case "identity":
+			err = s.text(&a.Identity)
+		case "space":
+			err = s.text(&a.Space)
+		case "cycles":
+			a.Cycles, err = s.integer(math.MaxUint64)
+		case "bits":
+			a.Bits, err = s.integer(math.MaxUint64)
+		case "ramBits":
+			a.RAMBits, err = s.integer(math.MaxUint64)
+		case "knownNoEffect":
+			a.KnownNoEffect, err = s.integer(math.MaxUint64)
+		case "serial":
+			err = s.text(&a.Serial)
+		case "detects":
+			a.Detects, err = s.integer(math.MaxUint64)
+		case "corrects":
+			a.Corrects, err = s.integer(math.MaxUint64)
+		case "classes":
+			err = list()
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if s.skipSpace(); s.pos != len(s.data) {
+		return s.errorf(s.pos, "trailing data after the archive")
+	}
+	return nil
 }
 
 // readAll is io.ReadAll, but for a reader that knows its length — an
@@ -312,18 +339,29 @@ func (s *scanner) integer(limit uint64) (uint64, error) {
 	return v, nil
 }
 
-// classes parses the class list after any whitespace. A class holds only
-// integers, so in a valid list every '{' before the first ']' opens a
-// class: counting them sizes both slices exactly, once.
-func (s *scanner) classes() ([]pruning.Class, []campaign.Outcome, error) {
+// count opens the class list after any whitespace and counts its classes
+// without reading them, returning the offset of the first ']' after it. A
+// class holds only integers, so in a valid list every '{' before that ']'
+// opens a class, and the ']' closes the list.
+func (s *scanner) count() (n, end int, err error) {
 	if err := s.expect('['); err != nil {
+		return 0, 0, err
+	}
+	end = bytes.IndexByte(s.data[s.pos:], ']')
+	if end < 0 {
+		return 0, 0, s.errorf(s.pos, "unterminated class list")
+	}
+	end += s.pos
+	return bytes.Count(s.data[s.pos:end], []byte{'{'}), end, nil
+}
+
+// classes parses the class list after any whitespace; its count sizes
+// both slices exactly, once.
+func (s *scanner) classes() ([]pruning.Class, []campaign.Outcome, error) {
+	n, _, err := s.count()
+	if err != nil {
 		return nil, nil, err
 	}
-	end := bytes.IndexByte(s.data[s.pos:], ']')
-	if end < 0 {
-		return nil, nil, s.errorf(s.pos, "unterminated class list")
-	}
-	n := bytes.Count(s.data[s.pos:s.pos+end], []byte{'{'})
 	classes, outcomes := make([]pruning.Class, n), make([]campaign.Outcome, n)
 	if s.skipSpace(); s.next(']') {
 		return classes, outcomes, nil
@@ -333,22 +371,8 @@ func (s *scanner) classes() ([]pruning.Class, []campaign.Outcome, error) {
 			return nil, nil, s.errorf(s.pos, "more than the %d classes counted", n)
 		}
 		var v [4]uint64 // b, d, u, o
-		if err := s.expect('{'); err != nil {
-			return nil, nil, err
-		}
-		for seen := uint16(0); ; {
-			k, err := s.key(classKey, &seen)
-			if err != nil {
-				return nil, nil, err
-			}
-			if k < 0 {
-				break
-			}
-			limit := uint64(math.MaxUint64)
-			if k == 3 {
-				limit = math.MaxUint8
-			}
-			if v[k], err = s.integer(limit); err != nil {
+		if !s.encoded(&v) {
+			if err := s.class(&v); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -365,6 +389,59 @@ func (s *scanner) classes() ([]pruning.Class, []campaign.Outcome, error) {
 		}
 		if !s.next(',') {
 			return nil, nil, s.errorf(s.pos, "want ',' or ']'")
+		}
+	}
+}
+
+// encoded reads the class at the scanner if it is in exactly the layout
+// Encode writes, {"b":N,"d":N,"u":N,"o":N}: no whitespace, the keys in
+// that order, every number without a leading zero and of at most 19
+// digits, the outcome at most 255. On any other byte it reports false and
+// leaves the scanner where it was, for class to read the class from its
+// start with the same result or error.
+func (s *scanner) encoded(v *[4]uint64) bool {
+	data, p := s.data, s.pos
+	var w [4]uint64
+	for k := range w {
+		// What comes before the number: `{"b":`, `,"d":`, `,"u":`, `,"o":`.
+		if len(data)-p < 5 || data[p] != "{,,,"[k] || data[p+1] != '"' ||
+			data[p+2] != "bduo"[k] || data[p+3] != '"' || data[p+4] != ':' {
+			return false
+		}
+		p += 5
+		start := p
+		var x uint64
+		for ; p < len(data) && p-start < 19 && '0' <= data[p] && data[p] <= '9'; p++ {
+			x = x*10 + uint64(data[p]-'0')
+		}
+		if p == start || data[start] == '0' && p-start > 1 {
+			return false
+		}
+		w[k] = x
+	}
+	if w[3] > math.MaxUint8 || p == len(data) || data[p] != '}' {
+		return false
+	}
+	*v, s.pos = w, p+1
+	return true
+}
+
+// class reads a class after any whitespace in any layout Decode accepts.
+func (s *scanner) class(v *[4]uint64) error {
+	if err := s.expect('{'); err != nil {
+		return err
+	}
+	for seen := uint16(0); ; {
+		k, err := s.key(classKey, &seen)
+		if err != nil || k < 0 {
+			return err
+		}
+		limit := uint64(math.MaxUint64)
+		if k == 3 {
+			limit = math.MaxUint8
+		}
+		if v[k], err = s.integer(limit); err != nil {
+			return err
 		}
 	}
 }

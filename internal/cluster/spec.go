@@ -15,9 +15,12 @@ import (
 // campaign description shipped in coordinator handshakes and accepted as
 // the body of a service campaign submission. classes is the total
 // equivalence-class count of the prepared fault space (a sanity check
-// the receiving side re-verifies after rebuilding the campaign).
-// LeaseTTL defaults to DefaultLeaseTTL; a serving coordinator stamps its
-// own before answering handshakes.
+// the receiving side re-verifies after rebuilding the campaign), or 0 for
+// none announced: a submission is made of the campaign's inputs alone,
+// with no golden run behind it, while a coordinator always announces the
+// space it built. Nothing here simulates. LeaseTTL defaults to
+// DefaultLeaseTTL; a serving coordinator stamps its own before answering
+// handshakes.
 func NewSpec(t campaign.Target, kind pruning.SpaceKind, cfg campaign.Config, maxGoldenCycles, classes uint64) (Spec, error) {
 	id, err := t.CampaignIdentity(kind, cfg)
 	if err != nil {
@@ -60,11 +63,11 @@ func NewSpec(t campaign.Target, kind pruning.SpaceKind, cfg campaign.Config, max
 
 // BuildCampaign reconstructs a campaign from a spec deterministically:
 // it decodes the program, re-records the golden run, re-derives the
-// pruned fault space and verifies both the announced class count and the
-// campaign identity hash. A spec whose rebuild diverges (different
-// simulator semantics, skewed or forged spec) fails here rather than
-// poisoning results — this is the worker-side half of the admission
-// check, and the service's submission validation.
+// pruned fault space and verifies the class count, when the spec
+// announces one (non-zero), and the campaign identity hash. A spec whose
+// rebuild diverges (different simulator semantics, skewed or forged spec)
+// fails here rather than poisoning results — this is the worker-side half
+// of the admission check, and the service's submission validation.
 //
 // The returned config carries only the outcome-relevant parameters (the
 // timeout budget); callers layer their local execution choices (workers,
@@ -103,7 +106,7 @@ func BuildCampaign(spec Spec) (campaign.Target, *trace.Golden, *pruning.FaultSpa
 	if err != nil {
 		return campaign.Target{}, nil, nil, cfg, fmt.Errorf("cluster: rebuild campaign: %w", err)
 	}
-	if uint64(len(fs.Classes)) != spec.Classes {
+	if spec.Classes != 0 && uint64(len(fs.Classes)) != spec.Classes {
 		return campaign.Target{}, nil, nil, cfg, fmt.Errorf("%w: rebuilt fault space has %d classes, spec announced %d",
 			ErrRejected, len(fs.Classes), spec.Classes)
 	}

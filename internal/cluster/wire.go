@@ -99,7 +99,7 @@ type Spec struct {
 	TimeoutFactor   float64
 	TimeoutSlack    uint64
 	MaxGoldenCycles uint64
-	Classes         uint64 // total equivalence-class count (sanity check)
+	Classes         uint64 // total equivalence-class count (sanity check); 0 = not announced
 	LeaseTTL        time.Duration
 	// Objective is the attacker-objective name ("" = none), resolved by
 	// the worker via campaign.ObjectiveByName. Proto 2+.

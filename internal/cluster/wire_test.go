@@ -89,6 +89,38 @@ func TestWorkerRejectsProtoMismatch(t *testing.T) {
 	}
 }
 
+// TestBuildCampaignClassAnnouncement: a spec's class count is checked
+// against the rebuilt fault space when it announces one, and a spec
+// without one — a submission, which simulates nothing — builds.
+func TestBuildCampaignClassAnnouncement(t *testing.T) {
+	tgt, _, fs := SmallCampaign(t, "hi")
+	n := uint64(len(fs.Classes))
+	for _, tc := range []struct {
+		name      string
+		announced uint64
+		rejected  bool
+	}{
+		{"true count", n, false},
+		{"one more", n + 1, true},
+		{"one fewer", n - 1, true},
+		{"none announced", 0, false},
+	} {
+		spec, err := NewSpec(tgt, fs.Kind, campaign.Config{}, MaxGolden, tc.announced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, built, _, err := BuildCampaign(spec)
+		switch {
+		case tc.rejected && !errors.Is(err, ErrRejected):
+			t.Errorf("%s: err = %v, want ErrRejected", tc.name, err)
+		case !tc.rejected && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case !tc.rejected && len(built.Classes) != len(fs.Classes):
+			t.Errorf("%s: built %d classes, want %d", tc.name, len(built.Classes), len(fs.Classes))
+		}
+	}
+}
+
 func TestSpecRoundTrip(t *testing.T) {
 	want := testSpec()
 	got, err := DecodeSpec(EncodeSpec(want))

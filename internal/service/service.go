@@ -148,8 +148,13 @@ type CampaignStatus struct {
 	// Cached reports that the campaign completed without executing a
 	// single experiment: its report came from the result archive.
 	Cached bool `json:"cached,omitempty"`
-	Done   int  `json:"done"`
-	Total  int  `json:"total"`
+	// Done counts the classes with an outcome, Total those of the
+	// campaign's fault space. The service counts them itself: from the
+	// archived report on a hit, from its own build once a miss starts. A
+	// queued miss reports Total 0 — or the count its spec announced — until
+	// then.
+	Done  int `json:"done"`
+	Total int `json:"total"`
 	// Failures counts classes with a non-benign outcome so far.
 	Failures uint64 `json:"failures,omitempty"`
 	// Objective is the campaign's attacker-objective name ("" = none);
@@ -423,12 +428,17 @@ func (s *Service) submit(w http.ResponseWriter, r *http.Request) {
 	}
 	e := newEntry(spec, tenant, telemetry.New())
 	if s.store != nil {
-		if report, hit := s.store.Get(spec.Identity); hit {
+		// A report whose classes do not count is no report to serve: the
+		// campaign runs again, as on a miss.
+		report, hit := s.store.Get(spec.Identity)
+		n, err := archive.ClassCount(report)
+		if hit && err == nil {
 			// Archive hit: the identity pins down the report bytes
-			// (invariant 12), so the campaign is already done.
+			// (invariant 12), so the campaign is already done. Its class
+			// count is the report's, whatever the submission announced.
 			e.state = StateDone
 			e.cached = true
-			e.progress.Done = int(spec.Classes)
+			e.spec.Classes, e.progress.Done = uint64(n), n
 			e.report = report
 			close(e.done)
 			s.addLocked(e, old)
@@ -685,6 +695,10 @@ func (s *Service) runCampaign(e *entry) {
 	t, g, fs, cfg, err := cluster.BuildCampaign(e.spec)
 	var coord *cluster.Coordinator
 	if err == nil {
+		// The count is the service's own, announced or not.
+		s.mu.Lock()
+		e.spec.Classes = uint64(len(fs.Classes))
+		s.mu.Unlock()
 		coord, err = s.coordinate(e, t, g, fs, cfg, cluster.Options{MaxGoldenCycles: e.spec.MaxGoldenCycles}, nil)
 	}
 	if err != nil {

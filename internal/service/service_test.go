@@ -258,6 +258,47 @@ func TestInvariant12ArchiveHit(t *testing.T) {
 	svc2.Shutdown()
 }
 
+// TestServiceCountsClasses: the service counts a campaign's classes
+// itself. A submission announcing none is running with the count of the
+// service's own build as its total; the archive hit of the same campaign
+// has the archived report's count, whatever its submission announced.
+func TestServiceCountsClasses(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(t, "hi", 0)
+	want := int(spec.Classes)
+	spec.Classes = 0
+
+	// No fleet yet: the campaign runs unserved.
+	svc, srv := startService(t, Options{Dir: dir})
+	st, resp := submitSpec(t, srv.URL, spec, "")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	waitFor(t, "the campaign's build", func() bool {
+		getServiceJSON(t, srv.URL+"/v1/campaigns/"+st.ID, &st)
+		return st.Total != 0
+	})
+	if st.State != StateRunning || st.Total != want || st.Done != 0 {
+		t.Errorf("running miss: state %s, done/total %d/%d, want running, 0/%d", st.State, st.Done, st.Total, want)
+	}
+	startFleet(t, svc, srv.URL, 1)
+	if st = waitDone(t, srv.URL, st.ID); st.State != StateDone || st.Done != want || st.Total != want {
+		t.Errorf("finished miss: state %s, done/total %d/%d, want done, %d/%d", st.State, st.Done, st.Total, want, want)
+	}
+	svc.Shutdown()
+
+	for _, announced := range []uint64{0, uint64(want) + 1} {
+		spec.Classes = announced
+		svc, srv := startService(t, Options{Dir: dir})
+		st, _ := submitSpec(t, srv.URL, spec, "")
+		if !st.Cached || st.Done != want || st.Total != want {
+			t.Errorf("hit announcing %d: cached %v, done/total %d/%d, want cached, %d/%d",
+				announced, st.Cached, st.Done, st.Total, want, want)
+		}
+		svc.Shutdown()
+	}
+}
+
 // TestArchiveWriteFailureFailsCampaign: a report the store could not
 // write must not be served as done — it would live in memory until the
 // next restart and then be gone. The campaign fails with the store's

@@ -82,7 +82,8 @@ func EncodeEntry(id [32]byte, report []byte) []byte {
 // DecodeEntry decodes an archive entry file, verifying magic, CRC frames
 // and the announced report length. Truncation surfaces as
 // frame.ErrTruncated (a torn tail, recoverable by re-running the
-// campaign), CRC damage as frame.ErrCorrupt.
+// campaign), CRC damage as frame.ErrCorrupt. A report of one data frame —
+// every report under chunkSize — is returned in place, a slice of data.
 func DecodeEntry(data []byte) (id [32]byte, report []byte, err error) {
 	if len(data) < len(storeMagic) {
 		return id, nil, fmt.Errorf("%w: file cut before magic", frame.ErrTruncated)
@@ -114,6 +115,13 @@ func DecodeEntry(data []byte) (id [32]byte, report []byte, err error) {
 		}
 		if uint64(len(report))+uint64(len(payload)) > total {
 			return id, nil, fmt.Errorf("%w: report overruns announced length %d", ErrEntry, total)
+		}
+		if len(report) == 0 && uint64(len(payload)) == total {
+			report = payload // the whole report in one frame: read in place
+			continue
+		}
+		if cap(report) == 0 {
+			report = make([]byte, 0, min(total, uint64(len(data))))
 		}
 		report = append(report, payload...)
 	}

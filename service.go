@@ -135,19 +135,25 @@ func ServeCampaigns(addr string, opts CampaignServiceOptions) error {
 }
 
 // SubmitCampaign submits a campaign to a service started with
-// ServeCampaigns (or favserve). The campaign is prepared locally — the
-// golden run and pruned fault space pin down the identity hash — and
-// shipped as a self-contained spec; the service re-verifies the identity
-// before running it. tenant attributes the submission for fair
-// scheduling ("" = "default"). The returned info reports the admission
-// state: an archived identity comes back "done" (Cached) immediately.
+// ServeCampaigns (or favserve). The client simulates nothing: it ships
+// the campaign's inputs — program, machine, fault-space kind, timeout
+// budget, objective — as a self-contained spec whose identity hash covers
+// exactly those, and the service records the golden run, prunes the fault
+// space and re-verifies the identity before running it. A golden run that
+// does not halt within MaxGoldenCycles is therefore not an error here: the
+// campaign ends "failed" with the trace error in its status, and nothing
+// is archived. The budget is not part of the identity, so an archived
+// campaign is served whatever it says. tenant attributes the submission
+// for fair scheduling ("" = "default"). The returned info reports the
+// admission state: an archived identity comes back "done" (Cached)
+// immediately, Done and Total the report's class count.
 func SubmitCampaign(addr string, p *Program, opts ScanOptions, tenant string) (CampaignInfo, error) {
 	var info CampaignInfo
-	c, err := prepare(p, opts)
+	kind, cfg, err := opts.resolve()
 	if err != nil {
 		return info, err
 	}
-	spec, err := cluster.NewSpec(c.target, c.space.Kind, c.cfg, opts.maxGolden(), uint64(len(c.space.Classes)))
+	spec, err := cluster.NewSpec(Target(p), kind, cfg, opts.maxGolden(), 0)
 	if err != nil {
 		return info, fmt.Errorf("faultspace: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"slices"
 	"sort"
 	"strings"
@@ -214,6 +215,70 @@ func TestServeCampaignsDrainsLocalWorkers(t *testing.T) {
 	defer mu.Unlock()
 	if want := "faultspace: local worker 0: " + ErrCoordinatorShutdown.Error(); !slices.Contains(lines, want) {
 		t.Errorf("no %q among the log lines:\n%s", want, strings.Join(lines, "\n"))
+	}
+}
+
+// sortProgram is a small sort1.
+func sortProgram(t testing.TB) *Program {
+	t.Helper()
+	p, err := progs.Sort1(6).Baseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestHitSimulatesNothing: the submission of an archived campaign is
+// answered from the archive without the client simulating anything. The
+// proof is a golden-run budget of one cycle, in which no golden run of
+// sort1 halts: it is not part of the campaign identity, so the answer is
+// the archived report, its every class counted.
+func TestHitSimulatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	addr := startCampaignService(t, CampaignServiceOptions{ArchiveDir: dir, LocalWorkers: 1})
+	prog := sortProgram(t)
+	c, err := prepare(prog, ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(c.space.Classes)
+	info, err := SubmitCampaign(addr, prog, ScanOptions{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err = WaitCampaign(addr, info.ID, 0, nil); err != nil || info.State != "done" || info.Cached {
+		t.Fatalf("live run: state %s, cached %v, err %v; want done, not cached", info.State, info.Cached, err)
+	}
+	// A service without workers over the same archive.
+	hit, err := SubmitCampaign(startCampaignService(t, CampaignServiceOptions{ArchiveDir: dir}),
+		prog, ScanOptions{MaxGoldenCycles: 1}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.ID != info.ID || !hit.Cached || hit.State != "done" || hit.Done != want || hit.Total != want {
+		t.Errorf("hit: id %.12s state %s cached %v done/total %d/%d; want id %.12s, done from the archive, %d/%d",
+			hit.ID, hit.State, hit.Cached, hit.Done, hit.Total, info.ID, want, want)
+	}
+}
+
+// TestGoldenFailureFailsCampaign: the golden run is the service's, so a
+// miss whose golden run does not halt within its budget is admitted and
+// ends failed with the trace error, and nothing is archived.
+func TestGoldenFailureFailsCampaign(t *testing.T) {
+	dir := t.TempDir()
+	addr := startCampaignService(t, CampaignServiceOptions{ArchiveDir: dir})
+	info, err := SubmitCampaign(addr, sortProgram(t), ScanOptions{MaxGoldenCycles: 1}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err = WaitCampaign(addr, info.ID, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if info.State != "failed" || !strings.Contains(info.Error, "trace: golden run") || !strings.Contains(info.Error, "did not halt within 1 cycles") {
+		t.Errorf("state %s, error %q; want failed with the golden run's trace error", info.State, info.Error)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("archive directory holds %d entries (%v), want none", len(entries), err)
 	}
 }
 
