@@ -46,8 +46,14 @@ race:
 # when the order is wrong — and a status request held by a client
 # waiting for its campaign is answered with the campaign's end, not cut
 # off by the same close; and a duplicate submission is answered from the
-# archive with nothing simulated on either side.
+# archive with nothing simulated on either side. First, the archive
+# decoder a hit's report goes through, at one, two and four Ps: every
+# decode test decodes each input sequentially and with its class list
+# split into parts of one or two classes parsed concurrently, and the two
+# must agree, error texts included; -count=3 varies how the parts
+# interleave.
 race-service:
+	$(GO) test -race -cpu 1,2,4 -count=3 -run='TestDecode|TestEncodeRandomResults' ./internal/archive
 	$(GO) test -race -count=2 ./internal/service
 	$(GO) test -race -count=20 -run='TestServeScanDismissesEveryWorker|TestServeCampaignsDismissesParkedWorkers|TestServeCampaignsAnswersHeldStatus|TestHitSimulatesNothing' .
 

@@ -39,6 +39,11 @@ func SaveScan(w io.Writer, r *ScanResult) error {
 // name the byte offset. That is narrower than encoding/json, and whatever
 // is accepted decodes to the result encoding/json's reflective decoder
 // gives for the same bytes (accept ⇒ equal).
+//
+// Pass a *bytes.Reader over bytes already in memory: its bytes are parsed
+// in place, not copied, and the result keeps no reference to them. A long
+// class list is parsed on every core, with the same result and errors as
+// a sequential parse.
 func LoadScan(r io.Reader) (*ScanResult, error) {
 	return archive.Decode(r)
 }

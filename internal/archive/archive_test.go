@@ -10,6 +10,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -105,9 +106,46 @@ func referenceDecode(r io.Reader) (*campaign.Result, error) {
 	}, nil
 }
 
-// checkResult holds Encode to the reference encoder's bytes, Decode to
-// giving back what was encoded and to the reference decoder's result, and
-// ClassCount to Decode's class count; it returns the archive.
+// splitAll is a partsFor that splits every class list into parts of one
+// or two classes, whatever the count and the number of Ps.
+func splitAll(n int) int { return n }
+
+// withParts runs f with partsFor replaced by parts.
+func withParts(parts func(int) int, f func()) {
+	saved := partsFor
+	partsFor = parts
+	defer func() { partsFor = saved }()
+	f()
+}
+
+// decodeEveryWay decodes data in place from a *bytes.Reader, through a reader
+// of another type, and in place with every class list split (splitAll),
+// fails t unless all three give the same result or the same error text,
+// and returns the first.
+func decodeEveryWay(t testing.TB, data []byte) (*campaign.Result, error) {
+	t.Helper()
+	got, err := Decode(bytes.NewReader(data))
+	read, rerr := Decode(strings.NewReader(string(data)))
+	var split *campaign.Result
+	var serr error
+	withParts(splitAll, func() { split, serr = Decode(bytes.NewReader(data)) })
+	for _, other := range []struct {
+		way string
+		res *campaign.Result
+		err error
+	}{{"read into a buffer", read, rerr}, {"split", split, serr}} {
+		if fmt.Sprint(other.err) != fmt.Sprint(err) || !reflect.DeepEqual(other.res, got) {
+			t.Fatalf("Decode %s differs from Decode in place on %q:\n got %+v (err %v)\nwant %+v (err %v)",
+				other.way, data, other.res, other.err, got, err)
+		}
+	}
+	return got, err
+}
+
+// checkResult holds Encode to the reference encoder's bytes, Decode —
+// in place, read, and split — to giving back what was encoded and to the
+// reference decoder's result, and ClassCount to Decode's class count; it
+// returns the archive.
 func checkResult(t *testing.T, label string, r *campaign.Result) []byte {
 	t.Helper()
 	var got, want bytes.Buffer
@@ -120,7 +158,7 @@ func checkResult(t *testing.T, label string, r *campaign.Result) []byte {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("%s: Encode differs from the reflective encoder:\n got %s\nwant %s", label, got.Bytes(), want.Bytes())
 	}
-	back, err := Decode(bytes.NewReader(got.Bytes()))
+	back, err := decodeEveryWay(t, got.Bytes())
 	if err != nil {
 		t.Fatalf("%s: Decode: %v", label, err)
 	}
@@ -328,11 +366,14 @@ func TestEncodeRefuses(t *testing.T) {
 }
 
 // TestDecodeAllocs: a decode allocates the same number of times whatever
-// the class count — the input buffer, the class and outcome slices, the
-// header's strings and the result — so a regression to an allocation per
-// class fails here. mbox1(16) has 14 times the classes of sort1(6).
+// the class count — the class and outcome slices, the header's strings,
+// the result and the sink a *bytes.Reader writes to; the input is read in
+// place — so a regression to an allocation per class fails here.
+// mbox1(16) has 14 times the classes of sort1(6). A split decode adds its
+// own constant: the part bounds, the join and one goroutine per part after
+// the first, here two parts.
 func TestDecodeAllocs(t *testing.T) {
-	const want = 16
+	const sequential, split = 16, 22
 	for _, spec := range []progs.Spec{progs.Sort1(6), progs.Mbox1(16)} {
 		var archive bytes.Buffer
 		res := scanSpec(t, spec, pruning.SpaceMemory)
@@ -340,14 +381,140 @@ func TestDecodeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := bytes.NewReader(nil)
-		allocs := testing.AllocsPerRun(20, func() {
+		decode := func() {
 			r.Reset(archive.Bytes())
 			if _, err := Decode(r); err != nil {
 				t.Fatal(err)
 			}
+		}
+		// AllocsPerRun runs at one P, where nothing is split.
+		if allocs := testing.AllocsPerRun(20, decode); allocs != sequential {
+			t.Errorf("%s: %.0f allocations to decode %d classes, want %d", spec.Name, allocs, len(res.Outcomes), sequential)
+		}
+		withParts(func(int) int { return 2 }, func() {
+			if allocs := testing.AllocsPerRun(20, decode); allocs != split {
+				t.Errorf("%s: %.0f allocations to decode %d classes in two parts, want %d", spec.Name, allocs, len(res.Outcomes), split)
+			}
 		})
-		if allocs != want {
-			t.Errorf("%s: %.0f allocations to decode %d classes, want %d", spec.Name, allocs, len(res.Outcomes), want)
+	}
+}
+
+// TestDecodeKeepsNoReference: a result decoded in place from a
+// *bytes.Reader shares no storage with the reader's bytes, which its
+// owner may reuse the moment Decode returns.
+func TestDecodeKeepsNoReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for n := 0; n < 50; n++ {
+		r := randomResult(rng)
+		r.Golden.Serial = []byte("serial output")
+		var buf bytes.Buffer
+		if err := Encode(&buf, r); err != nil {
+			t.Fatal(err)
+		}
+		want, err := Decode(bytes.NewReader(slices.Clone(buf.Bytes())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, parts := range []func(int) int{partsFor, splitAll} {
+			src := slices.Clone(buf.Bytes())
+			var got *campaign.Result
+			withParts(parts, func() { got, err = Decode(bytes.NewReader(src)) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range src {
+				src[i] = '9'
+			}
+			if !reflect.DeepEqual(got, want) || string(got.Golden.Serial) != "serial output" {
+				t.Fatalf("result %d: overwriting the decoded bytes changed the result:\n got %+v\nwant %+v", n, got, want)
+			}
+		}
+	}
+}
+
+// splitList runs split on the class list of src in p parts and reports
+// whether it accepted the list, with the classes it read.
+func splitList(t *testing.T, src []byte, p int) (bool, []pruning.Class, []campaign.Outcome) {
+	t.Helper()
+	s := scanner{data: src, pos: bytes.Index(src, []byte(`"classes":`)) + len(`"classes":`)}
+	n, end, err := s.count()
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes, outcomes := make([]pruning.Class, n), make([]campaign.Outcome, n)
+	return s.split(p, end, classes, outcomes), classes, outcomes
+}
+
+// TestDecodeSplit holds the split class list to the sequential parse at
+// its edges: a list split anywhere reads what the sequential parse reads;
+// a part that meets a malformed class, or does not end on its cut, makes
+// the whole list parse again sequentially, so the error text — byte offset
+// or absolute class index — is the sequential one; a list with no ",{" is
+// not split; and at one P nothing is.
+func TestDecodeSplit(t *testing.T) {
+	hi := hiArchive(t)
+	want, err := referenceDecode(bytes.NewReader(hi))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 2; p <= len(want.Outcomes)+1; p++ {
+		ok, classes, outcomes := splitList(t, hi, p)
+		if !ok || !slices.Equal(classes, want.Space.Classes) || !slices.Equal(outcomes, want.Outcomes) {
+			t.Fatalf("hi in %d parts: split %v, classes %v %v, want %v %v", p, ok, classes, outcomes, want.Space.Classes, want.Outcomes)
+		}
+	}
+
+	const three = `{"version":1,"space":"memory","cycles":3,"bits":3,"knownNoEffect":0,"classes":[`
+	const (
+		c0 = `{"b":0,"d":0,"u":3,"o":1}`
+		c1 = `{"b":1,"d":0,"u":3,"o":2}`
+		c2 = `{"b":2,"d":0,"u":3,"o":0}`
+	)
+	for name, tc := range map[string]struct {
+		src   string
+		want  string // in the error; "" for a list that decodes
+		split bool   // whether a split in three parts reads the list
+	}{
+		"cut right after a malformed class": {three + c0 + `,{"b":01,"d":0,"u":3,"o":2},` + c2 + `]}`,
+			fmt.Sprintf("byte %d:", len(three+c0)+6), false},
+		"a class running into its cut": {three + c0 + `,{"b":1,"d":0,"u":3,"o":2,` + c2 + `]}`,
+			fmt.Sprintf("byte %d:", len(three+c0)+26), false},
+		"error in the last part": {three + c0 + "," + c1 + `,{"b":2,"d":0,"u":3,"o":256}]}`,
+			fmt.Sprintf("byte %d:", len(three+c0+c1)+25), false},
+		"unknown outcome in part 2": {three + c0 + "," + c1 + `,{"b":2,"d":0,"u":3,"o":100}]}`,
+			"archive class 2 has unknown outcome 100", false},
+		"spaced list with no ,{":       {three + c0 + ", " + c1 + " , " + c2 + `]}`, "", false},
+		"empty class in the last part": {three + c0 + "," + c1 + `,{}]}`, "inconsistent", true},
+	} {
+		_, err := decodeEveryWay(t, []byte(tc.src))
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
+		}
+		if ok, _, _ := splitList(t, []byte(tc.src), 3); ok != tc.split {
+			t.Errorf("%s: split in three parts read the list: %v, want %v", name, ok, tc.split)
+		}
+	}
+
+	// The production split: mbox1(16)'s 16,544 classes are four parts'
+	// worth, so they are split in as many parts as there are Ps — none at one.
+	res := scanSpec(t, progs.Mbox1(16), pruning.SpaceMemory)
+	var archive bytes.Buffer
+	if err := Encode(&archive, res); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := referenceDecode(bytes.NewReader(archive.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		if got, want := partsFor(len(res.Outcomes)), min(procs, 4); got != want {
+			t.Errorf("at %d Ps: %d parts, want %d", procs, got, want)
+		}
+		got, err := Decode(bytes.NewReader(archive.Bytes()))
+		if err != nil || !reflect.DeepEqual(got, ref) {
+			t.Fatalf("at %d Ps: Decode differs from the reflective decoder (err %v)", procs, err)
 		}
 	}
 }
@@ -405,11 +572,11 @@ func TestDecodeRejectsEveryPrefix(t *testing.T) {
 	} {
 		src := slices.Concat(hi[:second], []byte(tc.class), hi[end:])
 		for cut := 0; cut < len(src)-1; cut++ {
-			if _, err := Decode(bytes.NewReader(src[:cut])); err == nil {
+			if _, err := decodeEveryWay(t, src[:cut]); err == nil {
 				t.Fatalf("%s: cut at %d of %d bytes: decoded", name, cut, len(src))
 			}
 		}
-		if _, err := Decode(bytes.NewReader(src[:len(src)-1])); (err == nil) != tc.valid {
+		if _, err := decodeEveryWay(t, src[:len(src)-1]); (err == nil) != tc.valid {
 			t.Errorf("%s: without its final newline: err = %v, want valid %v", name, err, tc.valid)
 		}
 	}
@@ -439,7 +606,7 @@ func TestDecodeAcceptedInput(t *testing.T) {
 			`[{"b":0,"d":0,"u":3,"o":1},{"b":1,"u":3,"o":2},{"b":2,"d":0,"u":3,"o":0}]}`,
 	}
 	for name, src := range accepted {
-		got, err := Decode(strings.NewReader(src))
+		got, err := decodeEveryWay(t, []byte(src))
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -478,7 +645,7 @@ func TestDecodeAcceptedInput(t *testing.T) {
 		"outcome above uint8 in a class": {three + first + `{"b":1,"d":0,"u":3,"o":256}]}`, len(three+first) + 23},
 	}
 	for name, tc := range rejected {
-		_, err := Decode(strings.NewReader(tc.src))
+		_, err := decodeEveryWay(t, []byte(tc.src))
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("byte %d:", tc.at)) {
 			t.Errorf("%s: err = %v, want one naming byte %d", name, err, tc.at)
 		}
@@ -487,7 +654,9 @@ func TestDecodeAcceptedInput(t *testing.T) {
 
 // FuzzScanArchiveDecode: Decode never panics, and whatever it accepts the
 // reflective decoder accepts too and decodes to a deeply equal result —
-// nil and empty serial output told apart.
+// nil and empty serial output told apart. Decode in place, through a
+// buffer and split into parts of one or two classes agree on every input,
+// error texts included.
 func FuzzScanArchiveDecode(f *testing.F) {
 	hi := hiArchive(f)
 	f.Add(hi)
@@ -512,7 +681,7 @@ func FuzzScanArchiveDecode(f *testing.F) {
 		f.Add([]byte(src))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Decode(bytes.NewReader(data))
+		got, err := decodeEveryWay(t, data)
 		if err != nil {
 			return
 		}

@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"faultspace/internal/campaign"
 	"faultspace/internal/pruning"
@@ -60,11 +63,41 @@ func classKey(name []byte) int {
 // whitespace after the closing brace are errors naming the byte offset.
 // Whatever Decode accepts decodes to the result encoding/json's reflective
 // decoder gives for the same bytes; the tests hold it to that decoder.
+//
+// A *bytes.Reader's unread bytes are parsed where they lie, inside the
+// one Write its WriteTo makes, and the result keeps no reference to them;
+// any other reader is read into a buffer first. Either way the reader is
+// left at its end. A class list long enough to be worth it is parsed on
+// every P at once (see classes); the result and any error are the
+// sequential parse's.
 func Decode(r io.Reader) (*campaign.Result, error) {
+	if br, ok := r.(*bytes.Reader); ok && br.Len() > 0 {
+		var d inPlace
+		br.WriteTo(&d) // one Write, which never fails
+		return d.res, d.err
+	}
 	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("archive: read scan archive: %w", err)
 	}
+	return decode(data)
+}
+
+// inPlace is the sink a *bytes.Reader writes its unread bytes to: it
+// decodes them during the Write, while they are the reader's own.
+type inPlace struct {
+	res *campaign.Result
+	err error
+}
+
+func (d *inPlace) Write(p []byte) (int, error) {
+	d.res, d.err = decode(p)
+	return len(p), nil
+}
+
+// decode reconstructs the result an archive's bytes hold; it keeps no
+// reference to data.
+func decode(data []byte) (*campaign.Result, error) {
 	s := scanner{data: data}
 	var a scanArchive // the header; its Classes stay nil
 	classes, outcomes := []pruning.Class{}, []campaign.Outcome{}
@@ -355,14 +388,32 @@ func (s *scanner) count() (n, end int, err error) {
 	return bytes.Count(s.data[s.pos:end], []byte{'{'}), end, nil
 }
 
+// minPartClasses is the fewest classes a part of a split class list
+// holds: below it, starting a goroutine costs more than the part saves.
+const minPartClasses = 4096
+
+// partsFor returns how many parts a list of n classes is parsed in: one
+// per P, each of at least minPartClasses classes. Tests replace it to
+// force splits.
+var partsFor = func(n int) int {
+	return min(runtime.GOMAXPROCS(0), n/minPartClasses)
+}
+
 // classes parses the class list after any whitespace; its count sizes
-// both slices exactly, once.
+// both slices exactly, once. A list of more than one part's worth of
+// classes is parsed in parts, concurrently (split); whenever that fails
+// the whole list is parsed again in one part, so that what is accepted
+// and every error text are the sequential parse's.
 func (s *scanner) classes() ([]pruning.Class, []campaign.Outcome, error) {
-	n, _, err := s.count()
+	n, end, err := s.count()
 	if err != nil {
 		return nil, nil, err
 	}
 	classes, outcomes := make([]pruning.Class, n), make([]campaign.Outcome, n)
+	if p := partsFor(n); p > 1 && s.split(p, end, classes, outcomes) {
+		s.pos = end + 1
+		return classes, outcomes, nil
+	}
 	if s.skipSpace(); s.next(']') {
 		return classes, outcomes, nil
 	}
@@ -370,17 +421,9 @@ func (s *scanner) classes() ([]pruning.Class, []campaign.Outcome, error) {
 		if i == n {
 			return nil, nil, s.errorf(s.pos, "more than the %d classes counted", n)
 		}
-		var v [4]uint64 // b, d, u, o
-		if !s.encoded(&v) {
-			if err := s.class(&v); err != nil {
-				return nil, nil, err
-			}
+		if err := s.readClass(i, &classes[i], &outcomes[i]); err != nil {
+			return nil, nil, err
 		}
-		if o := campaign.Outcome(v[3]); !o.Known() {
-			return nil, nil, fmt.Errorf("archive: archive class %d has unknown outcome %d", i, o)
-		}
-		classes[i] = pruning.Class{Bit: v[0], DefCycle: v[1], UseCycle: v[2]}
-		outcomes[i] = campaign.Outcome(v[3])
 		if s.skipSpace(); s.next(']') {
 			if i+1 != n {
 				return nil, nil, s.errorf(s.pos, "%d classes, %d counted", i+1, n)
@@ -391,6 +434,96 @@ func (s *scanner) classes() ([]pruning.Class, []campaign.Outcome, error) {
 			return nil, nil, s.errorf(s.pos, "want ',' or ']'")
 		}
 	}
+}
+
+// split parses the class list from the scanner's position to its ']' at
+// end in up to p parts, all at once, the caller's goroutine taking the
+// first. Part k after the first starts at the '{' of the first ",{" at or
+// after the k-th of p equal byte shares of the list; the part before it
+// must end on that ',', and the last part on the ']'. A part's first
+// class is the number of '{' before its start, and it fills its own
+// subslice of classes and outcomes exactly. When every part does, the
+// sequential parse would have read the same classes from the same
+// offsets, so the result is its result. split reports false when a part
+// errs or misses its end, with the slices partly written and the scanner
+// where it was.
+func (s *scanner) split(p, end int, classes []pruning.Class, outcomes []campaign.Outcome) bool {
+	// bounds[k] is where part k starts, bounds[k+1]-1 where it must stop;
+	// first[k] is its first class.
+	bounds, first := make([]int, 1, p+1), make([]int, 1, p+1)
+	bounds[0] = s.pos
+	size := end - s.pos
+	for k := 1; k < p; k++ {
+		from := max(s.pos+k*size/p, bounds[len(bounds)-1])
+		cut := bytes.Index(s.data[from:end], []byte(",{"))
+		if cut < 0 {
+			break
+		}
+		at := from + cut + 1
+		first = append(first, first[len(first)-1]+bytes.Count(s.data[bounds[len(bounds)-1]:at], []byte{'{'}))
+		bounds = append(bounds, at)
+	}
+	if len(bounds) == 1 { // no ",{": a spaced layout
+		return false
+	}
+	bounds, first = append(bounds, end+1), append(first, len(classes))
+
+	data := s.data // not s, which would then escape
+	var wg sync.WaitGroup
+	var failed atomic.Bool
+	run := func(k int) {
+		ps := scanner{data: data, pos: bounds[k]}
+		lo, hi := first[k], first[k+1]
+		if !ps.part(bounds[k+1]-1, classes[lo:hi], outcomes[lo:hi]) {
+			failed.Store(true)
+		}
+	}
+	wg.Add(len(bounds) - 2)
+	for k := 1; k < len(bounds)-1; k++ {
+		go func() {
+			defer wg.Done()
+			run(k)
+		}()
+	}
+	run(0)
+	wg.Wait()
+	return !failed.Load()
+}
+
+// part parses one part of a split class list up to stop: it must read
+// exactly len(classes) classes and end on stop, the ',' before the next
+// part or the list's ']'. Its errors are dropped, so the class numbers in
+// them do not matter.
+func (s *scanner) part(stop int, classes []pruning.Class, outcomes []campaign.Outcome) bool {
+	for i := range classes {
+		if s.readClass(i, &classes[i], &outcomes[i]) != nil {
+			return false
+		}
+		if s.skipSpace(); s.pos == stop {
+			return i+1 == len(classes)
+		}
+		if !s.next(',') {
+			return false
+		}
+	}
+	return false
+}
+
+// readClass reads the class at the scanner, class number i of its list,
+// through encoded or else class, and checks its outcome.
+func (s *scanner) readClass(i int, c *pruning.Class, o *campaign.Outcome) error {
+	var v [4]uint64 // b, d, u, o
+	if !s.encoded(&v) {
+		if err := s.class(&v); err != nil {
+			return err
+		}
+	}
+	if out := campaign.Outcome(v[3]); !out.Known() {
+		return fmt.Errorf("archive: archive class %d has unknown outcome %d", i, out)
+	}
+	*c = pruning.Class{Bit: v[0], DefCycle: v[1], UseCycle: v[2]}
+	*o = campaign.Outcome(v[3])
+	return nil
 }
 
 // encoded reads the class at the scanner if it is in exactly the layout

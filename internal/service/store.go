@@ -33,6 +33,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -82,30 +83,25 @@ func EncodeEntry(id [32]byte, report []byte) []byte {
 // DecodeEntry decodes an archive entry file, verifying magic, CRC frames
 // and the announced report length. Truncation surfaces as
 // frame.ErrTruncated (a torn tail, recoverable by re-running the
-// campaign), CRC damage as frame.ErrCorrupt. A report of one data frame —
-// every report under chunkSize — is returned in place, a slice of data.
+// campaign), CRC damage as frame.ErrCorrupt.
+//
+// A non-empty report is returned inside data's own storage. One of a single
+// data frame — every report under chunkSize — is a slice of data, which
+// DecodeEntry leaves as it was. One of several frames is made by moving
+// each frame's payload over the frame headers before it, so that it ends
+// up contiguous behind the first frame's header: the bytes of data after
+// that header are rewritten, whether the entry then decodes or not. A
+// caller that needs data afterwards passes a copy.
 func DecodeEntry(data []byte) (id [32]byte, report []byte, err error) {
-	if len(data) < len(storeMagic) {
-		return id, nil, fmt.Errorf("%w: file cut before magic", frame.ErrTruncated)
-	}
-	if string(data[:len(storeMagic)]) != storeMagic {
-		return id, nil, fmt.Errorf("%w: bad magic", ErrEntry)
-	}
-	kind, payload, off, err := frame.Read(data, len(storeMagic))
+	id, total, off, err := entryHead(data)
 	if err != nil {
 		return id, nil, err
 	}
-	if kind != kindEntry {
-		return id, nil, fmt.Errorf("%w: first frame kind %q, want %q", ErrEntry, kind, byte(kindEntry))
-	}
-	r := frame.NewReader(payload, ErrEntry)
-	id = r.Identity()
-	total := r.Uvarint()
-	if err := r.Finish(); err != nil {
-		return id, nil, err
-	}
-	report = []byte{}
-	for uint64(len(report)) < total {
+	start := off + frame.HeaderLen // where the report's first byte is
+	n := uint64(0)                 // the report bytes assembled so far
+	for n < total {
+		var kind byte
+		var payload []byte
 		kind, payload, off, err = frame.Read(data, off)
 		if err != nil {
 			return id, nil, err
@@ -113,22 +109,56 @@ func DecodeEntry(data []byte) (id [32]byte, report []byte, err error) {
 		if kind != kindData {
 			return id, nil, fmt.Errorf("%w: frame kind %q inside report, want %q", ErrEntry, kind, byte(kindData))
 		}
-		if uint64(len(report))+uint64(len(payload)) > total {
+		if n+uint64(len(payload)) > total {
 			return id, nil, fmt.Errorf("%w: report overruns announced length %d", ErrEntry, total)
 		}
-		if len(report) == 0 && uint64(len(payload)) == total {
-			report = payload // the whole report in one frame: read in place
-			continue
+		if at := start + int(n); off-len(payload) != at {
+			copy(data[at:], payload)
 		}
-		if cap(report) == 0 {
-			report = make([]byte, 0, min(total, uint64(len(data))))
-		}
-		report = append(report, payload...)
+		n += uint64(len(payload))
 	}
 	if off != len(data) {
 		return id, nil, fmt.Errorf("%w: %d trailing bytes after report", ErrEntry, len(data)-off)
 	}
-	return id, report, nil
+	if total == 0 {
+		return id, []byte{}, nil
+	}
+	return id, data[start : start+int(total)], nil
+}
+
+// entryHead reads an entry file's magic and its CRC-checked kindEntry
+// frame, and returns the identity, the report length that frame announces
+// and the offset of the first data frame. data need hold no more of the
+// file than that.
+func entryHead(data []byte) (id [32]byte, total uint64, off int, err error) {
+	if len(data) < len(storeMagic) {
+		return id, 0, 0, fmt.Errorf("%w: file cut before magic", frame.ErrTruncated)
+	}
+	if string(data[:len(storeMagic)]) != storeMagic {
+		return id, 0, 0, fmt.Errorf("%w: bad magic", ErrEntry)
+	}
+	kind, payload, off, err := frame.Read(data, len(storeMagic))
+	if err != nil {
+		return id, 0, 0, err
+	}
+	if kind != kindEntry {
+		return id, 0, 0, fmt.Errorf("%w: first frame kind %q, want %q", ErrEntry, kind, byte(kindEntry))
+	}
+	r := frame.NewReader(payload, ErrEntry)
+	id = r.Identity()
+	total = r.Uvarint()
+	return id, total, off, r.Finish()
+}
+
+// entrySize returns the size of the entry file whose kindEntry frame ends
+// at headLen and announces a report of total bytes, or -1 when no file
+// could be that long.
+func entrySize(headLen int, total uint64) int64 {
+	if total > 1<<62 {
+		return -1
+	}
+	frames := (total + chunkSize - 1) / chunkSize
+	return int64(headLen) + int64(frames)*frame.HeaderLen + int64(total)
 }
 
 // storeEntry tracks one archived report on disk.
@@ -153,11 +183,15 @@ type Store struct {
 }
 
 // OpenStore opens (creating if necessary) an archive directory and
-// recovers its index. Entries that fail to decode — torn tails from a
-// crash mid-write, CRC damage, foreign files with the entry extension —
-// are deleted: the archive is a cache, and re-running a campaign is
-// always sound, while serving a damaged report never is. maxBytes caps
-// the total archive size; 0 means unbounded.
+// recovers its index from each entry file's head and size: its magic,
+// its CRC-checked kindEntry frame (identity and announced report length),
+// its name, and a size equal to the framing that length implies. Files
+// that fail these — torn tails from a crash mid-write, foreign files with
+// the entry extension, misnamed entries — are deleted: the archive is a
+// cache, and re-running a campaign is always sound, while serving a
+// damaged report never is. Report payloads are not read here; their CRCs
+// are checked by Get, which drops a damaged entry and answers a miss.
+// maxBytes caps the total archive size; 0 means unbounded.
 func OpenStore(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("service: archive: %w", err)
@@ -180,25 +214,19 @@ func OpenStore(dir string, maxBytes int64) (*Store, error) {
 			continue
 		}
 		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
+		id, info, valid, err := readHead(path)
 		if err != nil {
 			return nil, fmt.Errorf("service: archive: %w", err)
 		}
-		id, _, derr := DecodeEntry(data)
-		if derr != nil || name != hex.EncodeToString(id[:])+entryExt {
-			// Torn tail, corruption or a misnamed entry: drop it so the
-			// campaign can be re-run and re-archived cleanly.
+		if !valid || name != hex.EncodeToString(id[:])+entryExt {
+			// Torn tail, a foreign file or a misnamed entry: drop it so
+			// the campaign can be re-run and re-archived cleanly.
 			if err := os.Remove(path); err != nil {
 				return nil, fmt.Errorf("service: archive: drop damaged entry: %w", err)
 			}
 			continue
 		}
-		info, err := de.Info()
-		mtime := time.Time{}
-		if err == nil {
-			mtime = info.ModTime()
-		}
-		ok = append(ok, found{id: id, size: int64(len(data)), mtime: mtime})
+		ok = append(ok, found{id: id, size: info.Size(), mtime: info.ModTime()})
 	}
 	// Seed recency from mtimes so LRU order survives restarts (Get
 	// touches entries via Chtimes).
@@ -211,13 +239,38 @@ func OpenStore(dir string, maxBytes int64) (*Store, error) {
 	return s, nil
 }
 
+// readHead reads the head of the entry file at path and reports whether
+// it is one: a valid magic and kindEntry frame, and the file size they
+// imply.
+func readHead(path string) (id [32]byte, info os.FileInfo, valid bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return id, nil, false, err
+	}
+	defer f.Close()
+	if info, err = f.Stat(); err != nil {
+		return id, nil, false, err
+	}
+	// Magic, then the kindEntry frame: identity and a uvarint length.
+	var head [len(storeMagic) + frame.HeaderLen + 32 + binary.MaxVarintLen64]byte
+	n, err := io.ReadFull(f, head[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return id, nil, false, err
+	}
+	id, total, off, err := entryHead(head[:n])
+	return id, info, err == nil && info.Size() == entrySize(off, total), nil
+}
+
 func (s *Store) path(id [32]byte) string {
 	return filepath.Join(s.dir, hex.EncodeToString(id[:])+entryExt)
 }
 
 // Get returns the archived report for an identity, or (nil, false) on a
-// miss. A hit refreshes the entry's LRU recency. An entry that fails to
-// decode on read is dropped and reported as a miss.
+// miss. A hit refreshes the entry's LRU recency. Get is where a report's
+// payload CRCs are checked (OpenStore reads only heads): an entry that
+// fails to decode is dropped — its file deleted, Len and Size shrunk —
+// and reported as a miss, so a damaged report is never served. The
+// report is assembled inside the one buffer the file is read into.
 func (s *Store) Get(id [32]byte) ([]byte, bool) {
 	s.mu.Lock()
 	e := s.entries[id]

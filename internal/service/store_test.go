@@ -2,8 +2,11 @@ package service
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -102,6 +105,118 @@ func TestStoreRoundtripAndRecovery(t *testing.T) {
 	}
 	if st2.Len() != 0 {
 		t.Fatalf("store has %d entries after recovery, want 0", st2.Len())
+	}
+}
+
+// TestEntryAssembledInPlace: DecodeEntry returns every report inside the
+// storage of the bytes it was given — one of several data frames moved
+// over the frame headers before it — so a hit costs one buffer.
+func TestEntryAssembledInPlace(t *testing.T) {
+	for _, size := range []int{1, chunkSize, chunkSize + 1, 3*chunkSize + 17} {
+		report := make([]byte, size)
+		for i := range report {
+			report[i] = byte(i % 251)
+		}
+		data := EncodeEntry(testID(5), report)
+		_, got, err := DecodeEntry(data)
+		if err != nil {
+			t.Fatalf("%d bytes: %v", size, err)
+		}
+		if !bytes.Equal(got, report) {
+			t.Fatalf("%d bytes: report differs after assembly", size)
+		}
+		// The first data frame's payload stays where it is; the rest follow it.
+		frames := (size + chunkSize - 1) / chunkSize
+		if &got[0] != &data[len(data)-size-(frames-1)*frame.HeaderLen] {
+			t.Errorf("%d bytes: report is not assembled inside the entry's bytes", size)
+		}
+	}
+}
+
+// TestStoreOpenReadsHeads: OpenStore indexes entries by their head and
+// size, so a report damaged at the same size is indexed; the first Get
+// checks its CRCs, answers a miss and drops it. Files whose head or name
+// is wrong are still deleted at open.
+func TestStoreOpenReadsHeads(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, damaged := testID(1), testID(2)
+	report := bytes.Repeat([]byte("r"), chunkSize+100) // two data frames
+	for _, id := range [][32]byte{good, damaged} {
+		if err := st.Put(id, report); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(st.path(damaged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-10] ^= 0x01 // a payload byte of the second data frame
+	if err := os.WriteFile(st.path(damaged), data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	foreign := filepath.Join(dir, "foreign"+entryExt)
+	if err := os.WriteFile(foreign, []byte("not an archive entry"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	misID := testID(9)
+	misnamed := filepath.Join(dir, hex.EncodeToString(misID[:])+entryExt)
+	if err := os.WriteFile(misnamed, EncodeEntry(testID(3), report), 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{foreign, misnamed} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s must be deleted at open, stat: %v", filepath.Base(path), err)
+		}
+	}
+	size := st2.Size()
+	if st2.Len() != 2 || size != 2*int64(len(data)) {
+		t.Fatalf("after open: %d entries, %d bytes; want the good and the damaged one, %d bytes", st2.Len(), size, 2*len(data))
+	}
+	if _, ok := st2.Get(damaged); ok {
+		t.Fatal("damaged report served")
+	}
+	if _, err := os.Stat(st2.path(damaged)); !os.IsNotExist(err) {
+		t.Errorf("damaged entry must be deleted by the Get that found it, stat: %v", err)
+	}
+	if st2.Len() != 1 || st2.Size() != size-int64(len(data)) {
+		t.Errorf("after the miss: %d entries, %d bytes; want 1, %d", st2.Len(), st2.Size(), size-int64(len(data)))
+	}
+	if got, ok := st2.Get(good); !ok || !bytes.Equal(got, report) {
+		t.Errorf("good entry: hit %v, %d bytes", ok, len(got))
+	}
+}
+
+// BenchmarkStoreOpen opens an archive of 64 entries: with 4 KiB and with
+// 512 KiB reports the time is the same, that of reading 64 heads.
+func BenchmarkStoreOpen(b *testing.B) {
+	for _, size := range []int{4 << 10, 512 << 10} {
+		b.Run(fmt.Sprintf("report=%dKiB", size>>10), func(b *testing.B) {
+			dir := b.TempDir()
+			report := bytes.Repeat([]byte("r"), size)
+			for i := 0; i < 64; i++ {
+				var id [32]byte
+				id[0], id[1] = byte(i), 0xa5
+				if err := os.WriteFile(filepath.Join(dir, hex.EncodeToString(id[:])+entryExt), EncodeEntry(id, report), 0o666); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := OpenStore(dir, 0)
+				if err != nil || st.Len() != 64 {
+					b.Fatalf("OpenStore: %d entries, err %v", st.Len(), err)
+				}
+			}
+		})
 	}
 }
 

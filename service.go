@@ -266,6 +266,8 @@ func WaitCampaign(addr, id string, spacing time.Duration, interrupt <-chan struc
 // service and reconstructs it for analysis. The bytes served are exactly
 // what SaveScan of a live scan would have produced — whether the service
 // executed the campaign or answered from its archive (invariant 12).
+// They are decoded where they were received, through a *bytes.Reader (see
+// LoadScan).
 func CampaignReport(addr, id string) (*ScanResult, error) {
 	report, err := serviceCall(context.Background(), "report", http.MethodGet,
 		normalizeURL(addr)+"/v1/campaigns/"+url.PathEscape(id)+"/report", nil)
