@@ -51,11 +51,15 @@ race:
 # decode test decodes each input sequentially and with its class list
 # split into parts of one or two classes parsed concurrently, and the two
 # must agree, error texts included; -count=3 varies how the parts
-# interleave.
+# interleave. Last, the two fleet tests whose workers race each other to
+# a campaign of a few milliseconds, ten times: their transports hold each
+# worker's first lease ask until the other has joined (placement) or the
+# victim holds a unit (kill-a-worker), so no schedule leaves one out.
 race-service:
 	$(GO) test -race -cpu 1,2,4 -count=3 -run='TestDecode|TestEncodeRandomResults' ./internal/archive
 	$(GO) test -race -count=2 ./internal/service
 	$(GO) test -race -count=20 -run='TestServeScanDismissesEveryWorker|TestServeCampaignsDismissesParkedWorkers|TestServeCampaignsAnswersHeldStatus|TestHitSimulatesNothing' .
+	$(GO) test -race -count=10 -run='TestClusterPlacementEquivalence|TestClusterKillWorkerMidScan' ./internal/cluster
 
 # The attack-style fault models (instruction skip, PC corruption,
 # multi-bit bursts) under the race detector: the objective-carrying
@@ -68,8 +72,8 @@ race-spaces:
 	$(GO) test -race -count=2 -run='TestInvariant12ArchiveHitAttackSpaces' ./internal/service
 
 # The observability layer under the race detector: the fleet trace
-# timeline (spans merging from concurrent workers, and the coordinator's
-# marks, into one recorder), progress snapshots reading coordinator
+# timeline (spans merging from concurrent workers, and the campaign
+# host's marks, into one recorder), progress snapshots reading the host's
 # state while leases churn, the /metrics exposition racing live
 # instruments — all of it served by the campaign service that hosts the
 # campaign — the service's per-campaign trace/metrics surface and a

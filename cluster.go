@@ -1,8 +1,6 @@
 package faultspace
 
 import (
-	"cmp"
-	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -73,13 +71,6 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	copts := cluster.Options{
-		MaxGoldenCycles:  opts.maxGolden(),
-		OnProgress:       opts.OnClusterProgress,
-		ProgressInterval: opts.ProgressInterval,
-		Telemetry:        opts.Telemetry,
-	}
-	ctx := cmp.Or(opts.Context, context.Background())
 	var prior map[int]campaign.Outcome
 	finish := wrapScanErr
 	if opts.Checkpoint != "" {
@@ -88,13 +79,13 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 			return nil, err
 		}
 		prior, finish = completed, ck.close
-		copts.OnResult, ctx = ck.record, ck.ctx
+		c.cfg.OnResult, c.cfg.Context = ck.record, ck.ctx
 	}
 	svc, err := service.New(service.Options{UnitSize: opts.UnitSize, LeaseTTL: opts.LeaseTTL})
 	if err != nil {
 		return finish(nil, err)
 	}
-	coord, err := svc.Host(ctx, c.target, c.golden, c.space, c.cfg, copts, prior)
+	wait, err := svc.Host(c.target, c.golden, c.space, c.cfg, opts.maxGolden(), prior, opts.OnClusterProgress)
 	if err != nil {
 		return finish(nil, err)
 	}
@@ -108,7 +99,7 @@ func ServeScan(p *Program, addr string, opts ServeOptions) (*ScanResult, error) 
 	}
 	stop := serve(ln, svc.Handler())
 
-	res, scanErr := coord.Wait()
+	res, scanErr := wait()
 	// The service's drain: every worker that joined fetches its done or
 	// shutdown notice and says hello once more, and is dismissed; on the
 	// interrupt path in-flight units finish submitting first, so their

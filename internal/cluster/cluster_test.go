@@ -5,12 +5,9 @@ import (
 	"cmp"
 	"context"
 	"errors"
-	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,39 +17,64 @@ import (
 	. "faultspace/internal/cluster"
 	"faultspace/internal/pruning"
 	"faultspace/internal/service"
+	"faultspace/internal/telemetry"
 	"faultspace/internal/trace"
 )
 
 // server is a loopback campaign service hosting one campaign, as
-// ServeScan serves it.
+// ServeScan serves it: id is the campaign's identity and wait what Host
+// returned.
 type server struct {
 	*httptest.Server
-	svc *service.Service
+	svc  *service.Service
+	id   [32]byte
+	wait func() (*campaign.Result, error)
 }
 
-// serveCampaign hosts a campaign on an in-memory campaign service — the
-// unit size and lease TTL of opts become the service's, its Context the
-// host's — and serves it on a loopback listener. When the test ends the
-// campaign is interrupted and the server closed; a fleet that never says
-// goodbye keeps the drain, not the test, waiting.
-func serveCampaign(t testing.TB, tgt campaign.Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg campaign.Config, opts Options, prior map[int]campaign.Outcome) (*Coordinator, server) {
+// serveCampaign hosts a campaign on an in-memory campaign service with
+// sopts' unit size and lease TTL — the host's context a child of
+// cfg.Context — and serves it on a loopback listener. When the test ends
+// the campaign is interrupted and the server closed; a fleet that never
+// says goodbye keeps the drain, not the test, waiting.
+func serveCampaign(t testing.TB, tgt campaign.Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg campaign.Config, sopts service.Options, prior map[int]campaign.Outcome) server {
 	t.Helper()
-	svc, err := service.New(service.Options{UnitSize: opts.UnitSize, LeaseTTL: opts.LeaseTTL})
+	svc, err := service.New(sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(cmp.Or(opts.Context, context.Background()))
-	coord, err := svc.Host(ctx, tgt, golden, fs, cfg, opts, prior)
+	id, err := tgt.CampaignIdentity(fs.Kind, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(cmp.Or(cfg.Context, context.Background()))
+	cfg.Context = ctx
+	wait, err := svc.Host(tgt, golden, fs, cfg, MaxGolden, prior, nil)
 	if err != nil {
 		cancel()
 		t.Fatal(err)
 	}
-	srv := server{httptest.NewServer(svc.Handler()), svc}
+	srv := server{httptest.NewServer(svc.Handler()), svc, id, wait}
 	t.Cleanup(func() {
 		cancel()
 		srv.Close()
 	})
-	return coord, srv
+	return srv
+}
+
+// campaignStatus reads the hosted campaign's status, as a client does.
+func campaignStatus(t *testing.T, srv server) service.CampaignStatus {
+	t.Helper()
+	var st service.CampaignStatus
+	getJSON(t, campaignURL(srv), &st)
+	return st
+}
+
+// peek reads a response's body and puts it back for the worker to read.
+func peek(resp *http.Response) ([]byte, error) {
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return body, err
 }
 
 // onUnit is a worker's HTTP transport that shows the test every lease
@@ -64,15 +86,49 @@ func (f onUnit) RoundTrip(r *http.Request) (*http.Response, error) {
 	if err != nil || !strings.HasPrefix(r.URL.Path, "/v1/lease") {
 		return resp, err
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	body, err := peek(resp)
 	if err != nil {
 		return nil, err
 	}
 	if u, err := DecodeWorkUnit(body); err == nil {
 		f(u)
 	}
-	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
+}
+
+// gate is a worker's HTTP transport that holds the worker's first lease
+// request until open is closed, and calls granted, when set, once the
+// worker's first handshake is granted. It orders a fleet test's workers
+// without touching the server: a campaign of a few milliseconds is
+// otherwise over before the slower worker's first hello.
+type gate struct {
+	next    http.RoundTripper
+	open    <-chan struct{}
+	granted func()
+
+	leased, joined sync.Once
+}
+
+func (g *gate) RoundTrip(r *http.Request) (*http.Response, error) {
+	if strings.HasPrefix(r.URL.Path, "/v1/lease") {
+		g.leased.Do(func() {
+			select {
+			case <-g.open:
+			case <-r.Context().Done():
+			}
+		})
+	}
+	resp, err := g.next.RoundTrip(r)
+	if err != nil || g.granted == nil || !strings.HasPrefix(r.URL.Path, "/v1/handshake") {
+		return resp, err
+	}
+	body, err := peek(resp)
+	if err != nil {
+		return nil, err
+	}
+	if h, err := DecodeHelloReply(body); err == nil && h.Status == HelloGranted {
+		g.joined.Do(g.granted)
+	}
 	return resp, nil
 }
 
@@ -80,7 +136,7 @@ func (f onUnit) RoundTrip(r *http.Request) (*http.Response, error) {
 // concurrently and returns the result plus the per-worker Join errors.
 // Like ServeScan it waits for the campaign, then shuts the service down,
 // which dismisses the workers.
-func runCluster(t testing.TB, coord *Coordinator, srv server, workers []WorkerOptions) (*campaign.Result, []error) {
+func runCluster(t testing.TB, srv server, workers []WorkerOptions) (*campaign.Result, []error) {
 	t.Helper()
 	errs := make([]error, len(workers))
 	var wg sync.WaitGroup
@@ -91,7 +147,7 @@ func runCluster(t testing.TB, coord *Coordinator, srv server, workers []WorkerOp
 			errs[i] = Join(srv.URL, w, nil)
 		}(i, w)
 	}
-	res, err := coord.Wait()
+	res, err := srv.wait()
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
@@ -122,16 +178,24 @@ func assertPlacementEquivalent(t *testing.T, tgt campaign.Target, golden *trace.
 
 // TestClusterPlacementEquivalence: a coordinator plus two loopback
 // workers — one snapshot, one rerun — must produce the exact outcome
-// vector of a local FullScan.
+// vector of a local FullScan. Neither worker asks for a unit before both
+// have joined, so both take part however fast the other is.
 func TestClusterPlacementEquivalence(t *testing.T) {
 	tgt, golden, fs := SmallCampaign(t, "bin_sem2")
-	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
-		UnitSize:        32,
-		MaxGoldenCycles: MaxGolden,
-	}, nil)
-	res, errs := runCluster(t, coord, srv, []WorkerOptions{
-		{WorkerID: "snap"},
-		{WorkerID: "rerun", Strategy: campaign.StrategyRerun},
+	srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, service.Options{UnitSize: 32}, nil)
+	var joined sync.WaitGroup
+	joined.Add(2)
+	both := make(chan struct{})
+	go func() {
+		joined.Wait()
+		close(both)
+	}()
+	gated := func() *http.Client {
+		return &http.Client{Transport: &gate{next: http.DefaultTransport, open: both, granted: joined.Done}}
+	}
+	res, errs := runCluster(t, srv, []WorkerOptions{
+		{WorkerID: "snap", Client: gated()},
+		{WorkerID: "rerun", Strategy: campaign.StrategyRerun, Client: gated()},
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -140,9 +204,9 @@ func TestClusterPlacementEquivalence(t *testing.T) {
 	}
 	assertPlacementEquivalent(t, tgt, golden, fs, res)
 
-	p := coord.Snapshot()
-	if p.Done != len(fs.Classes) || p.OutstandingLeases != 0 {
-		t.Errorf("final progress: done %d/%d, %d leases outstanding", p.Done, p.Total, p.OutstandingLeases)
+	p := campaignStatus(t, srv)
+	if p.Done != len(fs.Classes) || p.Leases != 0 {
+		t.Errorf("final progress: done %d/%d, %d leases outstanding", p.Done, p.Total, p.Leases)
 	}
 	if len(p.Workers) != 2 {
 		t.Errorf("progress knows %d workers, want 2", len(p.Workers))
@@ -159,16 +223,18 @@ func TestClusterPlacementEquivalence(t *testing.T) {
 // TestClusterKillWorkerMidScan kills one worker abruptly mid-unit (no
 // submit, no leave — exactly a crash) and proves the lease machinery
 // loses nothing: the survivor finishes, at least one unit is reassigned,
-// and the result still matches a local FullScan.
+// and the result still matches a local FullScan. The survivor asks for
+// its first unit only once the victim holds one, so the kill always
+// lands however fast the survivor is.
 func TestClusterKillWorkerMidScan(t *testing.T) {
 	tgt, golden, fs := SmallCampaign(t, "sort1")
-	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
-		UnitSize:        16,
-		LeaseTTL:        150 * time.Millisecond,
-		MaxGoldenCycles: MaxGolden,
+	srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, service.Options{
+		UnitSize: 16,
+		LeaseTTL: 150 * time.Millisecond,
 	}, nil)
 
 	killCtx, kill := context.WithCancel(context.Background())
+	victimLeased := make(chan struct{})
 	var once sync.Once
 	victim := WorkerOptions{
 		WorkerID: "victim",
@@ -178,13 +244,18 @@ func TestClusterKillWorkerMidScan(t *testing.T) {
 		Workers:  1,
 		Client: &http.Client{Transport: onUnit(func(u WorkUnit) {
 			if u.Status == UnitGranted {
-				once.Do(kill)
+				once.Do(func() {
+					kill()
+					close(victimLeased)
+				})
 			}
 		})},
 	}
-	survivor := WorkerOptions{WorkerID: "survivor"}
+	survivor := WorkerOptions{WorkerID: "survivor", Client: &http.Client{
+		Transport: &gate{next: http.DefaultTransport, open: victimLeased},
+	}}
 
-	res, errs := runCluster(t, coord, srv, []WorkerOptions{victim, survivor})
+	res, errs := runCluster(t, srv, []WorkerOptions{victim, survivor})
 	if !errors.Is(errs[0], campaign.ErrInterrupted) {
 		t.Errorf("victim: err = %v, want ErrInterrupted", errs[0])
 	}
@@ -192,71 +263,8 @@ func TestClusterKillWorkerMidScan(t *testing.T) {
 		t.Errorf("survivor: %v", errs[1])
 	}
 	assertPlacementEquivalent(t, tgt, golden, fs, res)
-	if got := coord.Snapshot().Reassignments; got < 1 {
+	if got := campaignStatus(t, srv).Reassignments; got < 1 {
 		t.Errorf("reassignments = %d, want >= 1 (the victim's leased unit must expire and move)", got)
-	}
-}
-
-// TestClusterUnitOrderInvariance pins two properties of the unit
-// carving. First, every unit's class list is injection-ordered (the
-// fork worker's monotone-cursor precondition). Second, the order units
-// are GRANTED in must not matter: with the coordinator's pending queue
-// shuffled and a fork-strategy worker draining it, the merged outcome
-// vector — and with it every archived report, which is a pure function
-// of target, space, identity and outcomes — stays byte-identical to a
-// local FullScan and to an unshuffled cluster run. The queue is shuffled
-// through the protocol: one placeholder worker takes each unit, and they
-// give them back (leave) in a shuffled order — pending is a LIFO, so the
-// last unit returned is granted first.
-func TestClusterUnitOrderInvariance(t *testing.T) {
-	tgt, golden, fs := SmallCampaign(t, "bin_sem2")
-	outcomesOf := func(shuffleSeed int64) []campaign.Outcome {
-		coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
-			UnitSize:        16,
-			MaxGoldenCycles: MaxGolden,
-		}, nil)
-		var holders []string
-		for {
-			name := fmt.Sprint("placeholder", len(holders))
-			holders = append(holders, name)
-			u := leaseAs(t, srv.URL, coord.Identity(), name)
-			if u.Status != UnitGranted {
-				break
-			}
-			for i := 1; i < len(u.Classes); i++ {
-				if fs.Classes[u.Classes[i]].Slot() < fs.Classes[u.Classes[i-1]].Slot() {
-					t.Fatalf("unit %d not injection-ordered at position %d", u.ID, i)
-				}
-			}
-		}
-		if shuffleSeed != 0 {
-			rand.New(rand.NewSource(shuffleSeed)).Shuffle(len(holders), func(i, j int) {
-				holders[i], holders[j] = holders[j], holders[i]
-			})
-		} else {
-			slices.Reverse(holders) // the first unit is granted first again
-		}
-		for _, name := range holders {
-			coord.Leave(name)
-		}
-		res, errs := runCluster(t, coord, srv, []WorkerOptions{
-			{WorkerID: "fork", Strategy: campaign.StrategyFork},
-		})
-		if errs[0] != nil {
-			t.Fatal(errs[0])
-		}
-		assertPlacementEquivalent(t, tgt, golden, fs, res)
-		return res.Outcomes
-	}
-	ref := outcomesOf(0)
-	for _, seed := range []int64{1, 2} {
-		got := outcomesOf(seed)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("seed %d: class %d: %v, want %v (grant order leaked into outcomes)",
-					seed, i, got[i], ref[i])
-			}
-		}
 	}
 }
 
@@ -273,17 +281,19 @@ func TestClusterResumeFromPrior(t *testing.T) {
 	for i := 0; i < len(fs.Classes)/2; i++ {
 		prior[i] = want.Outcomes[i]
 	}
-	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
-		UnitSize:        4,
-		MaxGoldenCycles: MaxGolden,
-	}, prior)
-	res, errs := runCluster(t, coord, srv, []WorkerOptions{{WorkerID: "w"}})
+	srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, service.Options{UnitSize: 4}, prior)
+	res, errs := runCluster(t, srv, []WorkerOptions{{WorkerID: "w"}})
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
 	assertPlacementEquivalent(t, tgt, golden, fs, res)
-	if p := coord.Snapshot(); p.Session != len(fs.Classes)-len(prior) {
-		t.Errorf("session executed %d classes, want %d (prior must not re-run)", p.Session, len(fs.Classes)-len(prior))
+	// The session's classes are the ones its workers merged.
+	var session int
+	for _, ws := range campaignStatus(t, srv).Workers {
+		session += ws.Merged
+	}
+	if session != len(fs.Classes)-len(prior) {
+		t.Errorf("session executed %d classes, want %d (prior must not re-run)", session, len(fs.Classes)-len(prior))
 	}
 }
 
@@ -293,7 +303,7 @@ func TestClusterResumeFromPrior(t *testing.T) {
 // budget out of the campaign.
 func TestClusterIdentityAdmission(t *testing.T) {
 	tgt, golden, fs := SmallCampaign(t, "hi")
-	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{MaxGoldenCycles: MaxGolden}, nil)
+	srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, service.Options{}, nil)
 
 	var wrong [32]byte
 	wrong[0] = 0xff
@@ -318,15 +328,14 @@ func TestClusterIdentityAdmission(t *testing.T) {
 	// A worker whose timeout budget differs computes a different identity
 	// and must refuse during its own handshake verification too: simulate
 	// by corrupting the spec the coordinator would serve. Covered from the
-	// worker side via a coordinator for a different campaign.
-	tgt2, golden2, fs2 := SmallCampaign(t, "sort1")
+	// worker side via the spec of a different campaign.
+	tgt2, _, fs2 := SmallCampaign(t, "sort1")
 	cfg2 := campaign.Config{TimeoutFactor: 2}
-	coord2, err := NewCoordinator(tgt2, golden2, fs2, cfg2, Options{MaxGoldenCycles: MaxGolden}, nil)
+	spec2, err := NewSpec(tgt2, fs2.Kind, cfg2, MaxGolden, uint64(len(fs2.Classes)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = coord2
-	if coord.Identity() == coord2.Identity() {
+	if srv.id == spec2.Identity {
 		t.Error("different campaigns must have different identities")
 	}
 }
@@ -340,11 +349,7 @@ func TestClusterIdentityAdmission(t *testing.T) {
 func TestClusterInterruptShutdown(t *testing.T) {
 	tgt, golden, fs := SmallCampaign(t, "hi")
 	ctx, intCh := context.WithCancel(context.Background())
-	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
-		UnitSize:        4,
-		MaxGoldenCycles: MaxGolden,
-		Context:         ctx,
-	}, nil)
+	srv := serveCampaign(t, tgt, golden, fs, campaign.Config{Context: ctx, Telemetry: telemetry.New()}, service.Options{UnitSize: 4}, nil)
 
 	var once sync.Once
 	early := make(chan error, 1)
@@ -355,14 +360,14 @@ func TestClusterInterruptShutdown(t *testing.T) {
 			}
 		})}}, nil)
 	}()
-	if _, err := coord.Wait(); !errors.Is(err, campaign.ErrInterrupted) {
+	if _, err := srv.wait(); !errors.Is(err, campaign.ErrInterrupted) {
 		t.Fatalf("Wait: %v, want ErrInterrupted", err)
 	}
 	srv.svc.Shutdown()
 	if err := <-early; !errors.Is(err, ErrShutdown) {
 		t.Errorf("Join across the interrupt: %v, want ErrShutdown", err)
 	}
-	if !coord.WaitDrained(time.Second) {
+	if joined(t, srv) != 0 {
 		t.Error("the dismissed worker still counts as joined")
 	}
 	var rebuilt bool
@@ -379,9 +384,7 @@ func TestClusterInterruptShutdown(t *testing.T) {
 // header naming the one accepted method.
 func TestClusterMethodRejection(t *testing.T) {
 	tgt, golden, fs := SmallCampaign(t, "hi")
-	_, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
-		MaxGoldenCycles: MaxGolden,
-	}, nil)
+	srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, service.Options{}, nil)
 
 	cases := []struct {
 		path   string
@@ -415,7 +418,7 @@ func TestClusterMethodRejection(t *testing.T) {
 	}
 }
 
-// TestCoordinatorPartialResultPending: an interrupted coordinator's
+// TestCoordinatorPartialResultPending: an interrupted hosted campaign's
 // partial result says how many classes have no outcome, which is what
 // keeps it from being archived or analyzed as a complete campaign.
 func TestCoordinatorPartialResultPending(t *testing.T) {
@@ -423,14 +426,7 @@ func TestCoordinatorPartialResultPending(t *testing.T) {
 	ctx, interrupt := context.WithCancel(context.Background())
 	interrupt()
 	prior := map[int]campaign.Outcome{0: campaign.OutcomeNoEffect, 3: campaign.OutcomeNoEffect}
-	coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
-		Context:         ctx,
-		MaxGoldenCycles: MaxGolden,
-	}, prior)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := coord.Wait()
+	res, err := hostOnly(t, tgt, golden, fs, campaign.Config{Context: ctx}, prior)
 	if !errors.Is(err, campaign.ErrInterrupted) || res == nil {
 		t.Fatalf("Wait: result %v, err = %v", res, err)
 	}
@@ -442,8 +438,8 @@ func TestCoordinatorPartialResultPending(t *testing.T) {
 // TestWaitCompletionWins: a campaign whose every class has an outcome is
 // complete, even when its context has ended too by the time Wait looks —
 // as under a resume from a checkpoint holding every class, after a
-// SIGINT. Sixty-four coordinators, so that a choice left to chance would
-// show.
+// SIGINT. Sixty-four hosted campaigns, so that a choice left to chance
+// would show.
 func TestWaitCompletionWins(t *testing.T) {
 	tgt, golden, fs := SmallCampaign(t, "hi")
 	prior := make(map[int]campaign.Outcome, len(fs.Classes))
@@ -453,15 +449,37 @@ func TestWaitCompletionWins(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 64; i++ {
-		coord, err := NewCoordinator(tgt, golden, fs, campaign.Config{}, Options{
-			Context:         ctx,
-			MaxGoldenCycles: MaxGolden,
-		}, prior)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res, err := coord.Wait(); err != nil || res.Pending != 0 {
+		if res, err := hostOnly(t, tgt, golden, fs, campaign.Config{Context: ctx}, prior); err != nil || res.Pending != 0 {
 			t.Fatalf("coordinator %d: Wait: err = %v, Pending = %d; want the complete result", i, err, res.Pending)
 		}
 	}
+}
+
+// hostOnly hosts a campaign on a service of its own with no listener and
+// no fleet, and returns what its wait returns once the service has shut
+// down.
+func hostOnly(t *testing.T, tgt campaign.Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg campaign.Config, prior map[int]campaign.Outcome) (*campaign.Result, error) {
+	t.Helper()
+	svc, err := service.New(service.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown()
+	wait, err := svc.Host(tgt, golden, fs, cfg, MaxGolden, prior, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wait()
+}
+
+// joined is how many workers the hosted campaign counts as joined: the
+// cluster.active_workers gauge of its status, which a campaign hosted
+// with a registry carries.
+func joined(t *testing.T, srv server) int64 {
+	t.Helper()
+	st := campaignStatus(t, srv)
+	if st.Telemetry == nil {
+		t.Fatal("the campaign's status carries no telemetry: host it with a registry")
+	}
+	return st.Telemetry.Gauges["cluster.active_workers"]
 }

@@ -7,21 +7,20 @@ import (
 	"faultspace/internal/machine"
 	"faultspace/internal/progs"
 	"faultspace/internal/pruning"
+	"faultspace/internal/telemetry"
 	"faultspace/internal/trace"
 )
 
-// The tests that run a coordinator behind the campaign service are in
-// package cluster_test — internal/service imports this package — and
-// share these fixtures and internals with the tests in package cluster.
+// The tests that host a campaign on the campaign service are in package
+// cluster_test — internal/service imports this package — and share these
+// fixtures with the tests in package cluster.
 
 // MaxGolden is the golden-run bound of the test campaigns.
 const MaxGolden = 1 << 22
 
-// TimelineCapacity is the capacity of a coordinator's own recorder.
-const TimelineCapacity = timelineCapacity
-
-// SpecFrame returns the encoded spec the coordinator grants workers.
-func (c *Coordinator) SpecFrame() []byte { return c.spec }
+// TimelineCapacity is the capacity of the recorder a campaign's host
+// makes when its registry brings none.
+const TimelineCapacity = 4 * telemetry.DefaultSpanCapacity
 
 // SmallCampaign prepares a small benchmark campaign.
 func SmallCampaign(t testing.TB, name string) (campaign.Target, *trace.Golden, *pruning.FaultSpace) {

@@ -51,7 +51,7 @@ var closed = func() chan struct{} {
 }()
 
 // Park holds a request until look finds its answer, the deadline passes
-// or ctx ends — the one hold loop, under the coordinator's held ask and
+// or ctx ends — the one hold loop, under the campaign host's held ask and
 // the service's held hello and status. look works out the answer and
 // returns nil once it is the one to give, else the channel whose closing
 // means "look again"; a deadline already passed looks once, and once ctx

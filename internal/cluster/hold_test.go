@@ -13,22 +13,23 @@ import (
 	"faultspace/internal/campaign"
 	. "faultspace/internal/cluster"
 	"faultspace/internal/leakcheck"
+	"faultspace/internal/service"
 	"faultspace/internal/telemetry"
 )
 
 // oneUnitCoordinator serves a campaign carved into a single unit, so a
-// second asker always draws UnitWait while the first holds the lease.
-func oneUnitCoordinator(t *testing.T, opts Options) (*Coordinator, server, []campaign.Outcome) {
+// second asker always draws UnitWait while the first holds the lease. cfg
+// brings the host's context and registry; a zero ttl is the default lease
+// TTL.
+func oneUnitCoordinator(t *testing.T, cfg campaign.Config, ttl time.Duration) (server, []campaign.Outcome) {
 	t.Helper()
 	tgt, golden, fs := SmallCampaign(t, "hi")
 	want, err := campaign.FullScan(tgt, golden, fs, campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.UnitSize = len(fs.Classes)
-	opts.MaxGoldenCycles = MaxGolden
-	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, opts, nil)
-	return coord, srv, want.Outcomes
+	srv := serveCampaign(t, tgt, golden, fs, cfg, service.Options{UnitSize: len(fs.Classes), LeaseTTL: ttl}, nil)
+	return srv, want.Outcomes
 }
 
 // askLease posts one lease request with the given query ("" or
@@ -147,103 +148,58 @@ func answeredAtOnce(t *testing.T, got <-chan WorkUnit, since time.Time, want uin
 
 // TestHeldLeaseWakeConditions drives the lease endpoint at protocol
 // level: without ?wait= a would-be UnitWait is answered at once, exactly
-// as before; with it the request parks and is released at once by a
-// unit going back to pending, by the campaign finishing, by an
-// interrupt and by a seal, and by nothing else before the hold runs out.
+// as before; with it the request parks and is released at once by the
+// campaign finishing and by an interrupt, and by nothing else before the
+// hold runs out. A unit going back to pending and a seal release it too:
+// the service's TestHeldLeaseWakeConditions steps the host for those.
 func TestHeldLeaseWakeConditions(t *testing.T) {
 	t.Run("no wait answers at once", func(t *testing.T) {
-		coord, srv, _ := oneUnitCoordinator(t, Options{})
-		if u := leaseAs(t, srv.URL, coord.Identity(), "holder"); u.Status != UnitGranted {
+		srv, _ := oneUnitCoordinator(t, campaign.Config{}, 0)
+		if u := leaseAs(t, srv.URL, srv.id, "holder"); u.Status != UnitGranted {
 			t.Fatalf("holder: status %d", u.Status)
 		}
-		u, _, took := askLease(t, srv.URL, "", coord.Identity(), "asker")
+		u, _, took := askLease(t, srv.URL, "", srv.id, "asker")
 		if u.Status != UnitWait || took > prompt {
 			t.Errorf("unheld ask: status %d after %v, want UnitWait at once", u.Status, took)
 		}
 	})
 
 	t.Run("hold runs out", func(t *testing.T) {
-		coord, srv, _ := oneUnitCoordinator(t, Options{})
-		leaseAs(t, srv.URL, coord.Identity(), "holder")
-		u, _, took := askLease(t, srv.URL, "?wait=60ms", coord.Identity(), "asker")
+		srv, _ := oneUnitCoordinator(t, campaign.Config{}, 0)
+		leaseAs(t, srv.URL, srv.id, "holder")
+		u, _, took := askLease(t, srv.URL, "?wait=60ms", srv.id, "asker")
 		if u.Status != UnitWait || took < 60*time.Millisecond || took > time.Second {
 			t.Errorf("expired hold: status %d after %v, want UnitWait after the 60ms hold", u.Status, took)
 		}
 	})
 
 	t.Run("malformed wait", func(t *testing.T) {
-		coord, srv, _ := oneUnitCoordinator(t, Options{})
+		srv, _ := oneUnitCoordinator(t, campaign.Config{}, 0)
 		for _, q := range []string{"?wait=soon", "?wait=-1s"} {
-			if _, status, _ := askLease(t, srv.URL, q, coord.Identity(), "asker"); status != http.StatusBadRequest {
+			if _, status, _ := askLease(t, srv.URL, q, srv.id, "asker"); status != http.StatusBadRequest {
 				t.Errorf("%s: HTTP %d, want 400", q, status)
 			}
 		}
 	})
 
-	t.Run("peer leaves", func(t *testing.T) {
-		reg := telemetry.New()
-		coord, srv, _ := oneUnitCoordinator(t, Options{Telemetry: reg})
-		leaseAs(t, srv.URL, coord.Identity(), "holder")
-		got := parkLease(t, reg, srv.URL, coord.Identity(), "asker")
-		drained := make(chan bool, 1)
-		go func() { drained <- coord.WaitDrained(5 * time.Second) }()
-
-		event := time.Now()
-		coord.Leave("holder")
-		answeredAtOnce(t, got, event, UnitGranted)
-		if reg.Gauge("cluster.lease_held").Value() != 0 {
-			t.Error("cluster.lease_held must fall back to 0 once the request is answered")
-		}
-		if reg.Histogram("cluster.lease_hold").Count() != 1 {
-			t.Error("cluster.lease_hold must record the one hold")
-		}
-		// The asker now holds the unit, so the fleet is not drained; its own
-		// leave must release WaitDrained without a poll.
-		select {
-		case <-drained:
-			t.Fatal("WaitDrained returned while a worker was still joined")
-		case <-time.After(20 * time.Millisecond):
-		}
-		event = time.Now()
-		coord.Leave("asker")
-		select {
-		case ok := <-drained:
-			if !ok || time.Since(event) > prompt {
-				t.Errorf("WaitDrained = %v, %v after the last leave", ok, time.Since(event))
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("WaitDrained was not released by the last leave")
-		}
-	})
-
 	t.Run("campaign finishes", func(t *testing.T) {
 		reg := telemetry.New()
-		coord, srv, outcomes := oneUnitCoordinator(t, Options{Telemetry: reg})
-		u := leaseAs(t, srv.URL, coord.Identity(), "holder")
-		got := parkLease(t, reg, srv.URL, coord.Identity(), "asker")
+		srv, outcomes := oneUnitCoordinator(t, campaign.Config{Telemetry: reg}, 0)
+		u := leaseAs(t, srv.URL, srv.id, "holder")
+		got := parkLease(t, reg, srv.URL, srv.id, "asker")
 		event := time.Now()
-		submitAs(t, srv.URL, coord.Identity(), "holder", u, outcomes)
+		submitAs(t, srv.URL, srv.id, "holder", u, outcomes)
 		answeredAtOnce(t, got, event, UnitDone)
 	})
 
 	t.Run("interrupt", func(t *testing.T) {
 		reg := telemetry.New()
 		ctx, intr := context.WithCancel(context.Background())
-		coord, srv, _ := oneUnitCoordinator(t, Options{Telemetry: reg, Context: ctx})
-		leaseAs(t, srv.URL, coord.Identity(), "holder")
-		got := parkLease(t, reg, srv.URL, coord.Identity(), "asker")
+		srv, _ := oneUnitCoordinator(t, campaign.Config{Telemetry: reg, Context: ctx}, 0)
+		leaseAs(t, srv.URL, srv.id, "holder")
+		got := parkLease(t, reg, srv.URL, srv.id, "asker")
 		event := time.Now()
 		intr()
-		answeredAtOnce(t, got, event, UnitShutdown)
-	})
-
-	t.Run("seal", func(t *testing.T) {
-		reg := telemetry.New()
-		coord, srv, _ := oneUnitCoordinator(t, Options{Telemetry: reg})
-		leaseAs(t, srv.URL, coord.Identity(), "holder")
-		got := parkLease(t, reg, srv.URL, coord.Identity(), "asker")
-		event := time.Now()
-		coord.Seal()
 		answeredAtOnce(t, got, event, UnitShutdown)
 	})
 }
@@ -260,10 +216,10 @@ func TestHeldLeaseReclaimsAtLeaseExpiry(t *testing.T) {
 	// half of it, which is what tells the spans apart below.
 	const ttl = 400 * time.Millisecond
 	reg := telemetry.New()
-	coord, srv, want := oneUnitCoordinator(t, Options{LeaseTTL: ttl, Telemetry: reg})
+	srv, want := oneUnitCoordinator(t, campaign.Config{Telemetry: reg}, ttl)
 
 	killed := time.Now()
-	if u := leaseAs(t, srv.URL, coord.Identity(), "victim"); u.Status != UnitGranted {
+	if u := leaseAs(t, srv.URL, srv.id, "victim"); u.Status != UnitGranted {
 		t.Fatalf("victim: status %d", u.Status)
 	}
 	var mu sync.Mutex
@@ -276,7 +232,7 @@ func TestHeldLeaseReclaimsAtLeaseExpiry(t *testing.T) {
 			mu.Unlock()
 		})}}, nil)
 	}()
-	res, err := coord.Wait()
+	res, err := srv.wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +255,7 @@ func TestHeldLeaseReclaimsAtLeaseExpiry(t *testing.T) {
 			t.Fatalf("class %d: %v, want %v", i, res.Outcomes[i], want[i])
 		}
 	}
-	if got := coord.Snapshot().Reassignments; got != 1 {
+	if got := campaignStatus(t, srv).Reassignments; got != 1 {
 		t.Errorf("reassignments = %d, want 1", got)
 	}
 	if reg.Gauge("cluster.lease_held").Value() != 0 || reg.Histogram("cluster.lease_hold").Count() != 1 {
@@ -308,8 +264,7 @@ func TestHeldLeaseReclaimsAtLeaseExpiry(t *testing.T) {
 	}
 
 	var waits int
-	spans, _ := coord.Timeline()
-	for _, sp := range spans {
+	for _, sp := range timeline(t, srv) {
 		if sp.Scope != "survivor" {
 			continue
 		}
@@ -334,11 +289,11 @@ func TestHeldLeaseReclaimsAtLeaseExpiry(t *testing.T) {
 // as its Context is cancelled, and leaves no goroutine behind.
 func TestInterruptReleasesParkedJoin(t *testing.T) {
 	reg := telemetry.New()
-	coord, srv, _ := oneUnitCoordinator(t, Options{Telemetry: reg})
+	srv, _ := oneUnitCoordinator(t, campaign.Config{Telemetry: reg}, 0)
 	// Counted from here: the service's runner of the campaign, which the
 	// holder below keeps running, is no worker's.
 	settled := leakcheck.Goroutines(t)
-	leaseAs(t, srv.URL, coord.Identity(), "holder")
+	leaseAs(t, srv.URL, srv.id, "holder")
 	http.DefaultClient.CloseIdleConnections()
 
 	client := &http.Client{Transport: &http.Transport{}}
@@ -372,17 +327,23 @@ func TestInterruptReleasesParkedJoin(t *testing.T) {
 
 // TestHandshakeJoinsNamedWorker: a worker has joined from its hello on —
 // between handshake and first lease it rebuilds the campaign, and a
-// drain that starts meanwhile must wait for it (WaitDrained) instead of
-// closing the door on it. A hello without a frame or without a name is
-// refused and joins nobody. The next hello is the worker's exit notice:
-// it is dismissed, and gone. A restarted worker saying hello under its
-// old name gets its stale lease back at once, not at lease expiry.
+// drain that starts meanwhile must wait for it instead of closing the
+// door on it: it counts in cluster.active_workers until it leaves. A
+// hello without a frame or without a name is refused and joins nobody.
+// The next hello is the worker's exit notice: it is dismissed, and gone.
+// A restarted worker saying hello under its old name gets its stale lease
+// back at once, not at lease expiry.
 func TestHandshakeJoinsNamedWorker(t *testing.T) {
-	coord, srv, outcomes := oneUnitCoordinator(t, Options{})
+	srv, outcomes := oneUnitCoordinator(t, campaign.Config{Telemetry: telemetry.New()}, 0)
+	tgt, _, fs := SmallCampaign(t, "hi")
+	spec, err := NewSpec(tgt, fs.Kind, campaign.Config{}, MaxGolden, uint64(len(fs.Classes)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, body := range map[string][]byte{
 		"empty":     nil,
 		"nameless":  EncodeHello(Hello{}),
-		"bare spec": coord.SpecFrame(),
+		"bare spec": EncodeSpec(spec),
 	} {
 		resp, err := http.Post(srv.URL+"/v1/handshake", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
@@ -393,36 +354,37 @@ func TestHandshakeJoinsNamedWorker(t *testing.T) {
 			t.Errorf("%s hello: HTTP %d, want 400", name, resp.StatusCode)
 		}
 	}
-	if !coord.WaitDrained(0) {
+	if joined(t, srv) != 0 {
 		t.Fatal("a refused handshake must not join a worker")
 	}
-	if h := helloAs(t, srv.URL, "late"); h.Status != HelloGranted || !bytes.Equal(h.Spec, coord.SpecFrame()) {
+	h := helloAs(t, srv.URL, "late")
+	if granted, err := DecodeSpec(h.Spec); h.Status != HelloGranted || err != nil || granted.Identity != srv.id {
 		t.Fatalf("hello of a running campaign: status %d, %d spec bytes; want granted with the spec", h.Status, len(h.Spec))
 	}
-	if ws := coord.Snapshot().Workers; len(ws) != 1 || ws[0].ID != "late" {
+	if ws := campaignStatus(t, srv).Workers; len(ws) != 1 || ws[0].ID != "late" {
 		t.Fatalf("workers after the named handshake: %+v, want late", ws)
 	}
 
 	// A peer takes the unit and dies; restarted under its name, its hello
 	// hands the unit back before the lease (10 s) runs out.
 	helloAs(t, srv.URL, "peer")
-	leaseAs(t, srv.URL, coord.Identity(), "peer")
-	if u := leaseAs(t, srv.URL, coord.Identity(), "late"); u.Status != UnitWait {
+	leaseAs(t, srv.URL, srv.id, "peer")
+	if u := leaseAs(t, srv.URL, srv.id, "late"); u.Status != UnitWait {
 		t.Fatalf("second asker: status %d, want wait while peer holds the unit", u.Status)
 	}
 	if h := helloAs(t, srv.URL, "peer"); h.Status != HelloGranted {
 		t.Fatalf("restarted peer's hello: status %d, want granted", h.Status)
 	}
-	if p := coord.Snapshot(); p.OutstandingLeases != 0 || p.Reassignments != 0 {
+	if p := campaignStatus(t, srv); p.Leases != 0 || p.Reassignments != 0 {
 		t.Fatalf("after the restarted peer's hello: %d leases outstanding, %d reassignments; want its lease returned, not expired",
-			p.OutstandingLeases, p.Reassignments)
+			p.Leases, p.Reassignments)
 	}
 
 	// The peer runs the whole campaign and leaves while "late" rebuilds;
 	// the service drains once the campaign is over, as ServeScan's does.
-	u := leaseAs(t, srv.URL, coord.Identity(), "peer")
-	submitAs(t, srv.URL, coord.Identity(), "peer", u, outcomes)
-	if _, err := coord.Wait(); err != nil {
+	u := leaseAs(t, srv.URL, srv.id, "peer")
+	submitAs(t, srv.URL, srv.id, "peer", u, outcomes)
+	if _, err := srv.wait(); err != nil {
 		t.Fatal(err)
 	}
 	drained := make(chan struct{})
@@ -441,17 +403,18 @@ func TestHandshakeJoinsNamedWorker(t *testing.T) {
 	if h := helloAs(t, srv.URL, "peer"); h.Status != HelloShutdown || h.Spec != nil {
 		t.Fatalf("hello of a finished campaign: %+v, want a bare shutdown", h)
 	}
-	if coord.WaitDrained(20 * time.Millisecond) {
-		t.Fatal("WaitDrained returned before the handshaken worker fetched its done notice")
+	if joined(t, srv) == 0 {
+		t.Fatal("the fleet drained before the handshaken worker fetched its done notice")
 	}
-	if u := leaseAs(t, srv.URL, coord.Identity(), "late"); u.Status != UnitDone {
+	if u := leaseAs(t, srv.URL, srv.id, "late"); u.Status != UnitDone {
 		t.Fatalf("late worker's lease: status %d, want UnitDone", u.Status)
 	}
+	left := time.Now()
 	helloAs(t, srv.URL, "late")
-	if !coord.WaitDrained(prompt) {
-		t.Error("WaitDrained must return once the handshaken worker has left")
+	if joined(t, srv) != 0 || time.Since(left) > prompt {
+		t.Error("the fleet must be drained once the handshaken worker has left")
 	}
-	if h := helloAs(t, srv.URL, "after"); h.Status != HelloShutdown || len(coord.Snapshot().Workers) != 2 {
-		t.Errorf("hello after the end: status %d, workers %+v; want dismissed without joining", h.Status, coord.Snapshot().Workers)
+	if h := helloAs(t, srv.URL, "after"); h.Status != HelloShutdown || len(campaignStatus(t, srv).Workers) != 2 {
+		t.Errorf("hello after the end: status %d, workers %+v; want dismissed without joining", h.Status, campaignStatus(t, srv).Workers)
 	}
 }

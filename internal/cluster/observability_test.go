@@ -16,15 +16,42 @@ import (
 	"faultspace/internal/campaign"
 	"faultspace/internal/checkpoint"
 	. "faultspace/internal/cluster"
+	"faultspace/internal/service"
 	"faultspace/internal/telemetry"
 	"faultspace/internal/telemetry/promtest"
 )
 
 // campaignURL is where the service serves the campaign: its status, and
 // its timeline under /trace.
-func campaignURL(srv server, coord *Coordinator) string {
-	id := coord.Identity()
-	return srv.URL + "/v1/campaigns/" + hex.EncodeToString(id[:])
+func campaignURL(srv server) string {
+	return srv.URL + "/v1/campaigns/" + hex.EncodeToString(srv.id[:])
+}
+
+// timeline fetches the campaign's timeline from /trace as a client does,
+// one span or mark per JSONL line.
+func timeline(t testing.TB, srv server) []telemetry.Span {
+	t.Helper()
+	resp, err := http.Get(campaignURL(srv) + "/trace?format=jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/trace: HTTP %d", resp.StatusCode)
+	}
+	var spans []telemetry.Span
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var sp telemetry.Span
+		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
+			t.Fatalf("jsonl line %d: %v", len(spans)+1, err)
+		}
+		spans = append(spans, sp)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return spans
 }
 
 // chromeDoc mirrors the Chrome trace-event JSON contract under test.
@@ -94,14 +121,12 @@ func submitAs(t *testing.T, url string, id [32]byte, workerID string, u WorkUnit
 // naming the unit when a worker dies holding one.
 func TestFleetTraceTimeline(t *testing.T) {
 	tgt, golden, fs := SmallCampaign(t, "bin_sem2")
-	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
-		UnitSize:        8,
-		MaxGoldenCycles: MaxGolden,
-	}, nil)
-	if coord.TraceID().IsZero() {
+	srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, service.Options{UnitSize: 8}, nil)
+	traceID := campaignStatus(t, srv).TraceID
+	if traceID == "" || traceID == (telemetry.TraceID{}).String() {
 		t.Fatal("NewSpec must mint a trace ID for every cluster campaign")
 	}
-	res, errs := runCluster(t, coord, srv, []WorkerOptions{
+	res, errs := runCluster(t, srv, []WorkerOptions{
 		{WorkerID: "wa"},
 		{WorkerID: "wb", Strategy: campaign.StrategyFork},
 	})
@@ -114,7 +139,7 @@ func TestFleetTraceTimeline(t *testing.T) {
 	// report must be byte-identical to an untraced local scan's.
 	assertPlacementEquivalent(t, tgt, golden, fs, res)
 
-	resp, err := http.Get(campaignURL(srv, coord) + "/trace")
+	resp, err := http.Get(campaignURL(srv) + "/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +151,8 @@ func TestFleetTraceTimeline(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatalf("/trace: decode: %v", err)
 	}
-	if got := doc.OtherData["traceId"]; got != coord.TraceID().String() {
-		t.Errorf("trace document id %q, want %q", got, coord.TraceID())
+	if got := doc.OtherData["traceId"]; got != traceID {
+		t.Errorf("trace document id %q, want %q", got, traceID)
 	}
 
 	// Thread metadata must name every scope that produced spans —
@@ -181,7 +206,7 @@ func TestFleetTraceTimeline(t *testing.T) {
 			t.Errorf("timeline has no %q span (have %v)", want, names)
 		}
 	}
-	assertOneGoldenPassPerWorker(t, coord)
+	assertOneGoldenPassPerWorker(t, timeline(t, srv))
 
 	// Interval-union coverage: the non-root spans, clipped to the
 	// campaign window, must explain at least 95% of the wall time — the
@@ -208,7 +233,7 @@ func TestFleetTraceTimeline(t *testing.T) {
 
 	// The JSONL stream must carry the same spans, one object per line,
 	// each stamped with the trace ID.
-	resp2, err := http.Get(campaignURL(srv, coord) + "/trace?format=jsonl")
+	resp2, err := http.Get(campaignURL(srv) + "/trace?format=jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +252,7 @@ func TestFleetTraceTimeline(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatalf("jsonl line %d: %v", lines+1, err)
 		}
-		if line.Trace != coord.TraceID().String() || line.Name == "" || line.Scope == "" || line.Dur == nil {
+		if line.Trace != traceID || line.Name == "" || line.Scope == "" || line.Dur == nil {
 			t.Fatalf("jsonl line %d malformed: %+v", lines+1, line)
 		}
 		lines++
@@ -260,8 +285,8 @@ func TestFleetTraceTimeline(t *testing.T) {
 
 	// The kill-a-worker drive at protocol level: the victim takes a unit
 	// and is never heard from again, the survivor's next ask reclaims it.
-	coord2, srv2, _ := oneUnitCoordinator(t, Options{LeaseTTL: 20 * time.Millisecond})
-	id := coord2.Identity()
+	srv2, _ := oneUnitCoordinator(t, campaign.Config{}, 20*time.Millisecond)
+	id := srv2.id
 	lost := leaseAs(t, srv2.URL, id, "victim")
 	if lost.Status != UnitGranted {
 		t.Fatalf("victim lease: status %d, want granted", lost.Status)
@@ -271,7 +296,7 @@ func TestFleetTraceTimeline(t *testing.T) {
 		t.Fatalf("survivor lease: %+v, want the victim's unit %d", u, lost.ID)
 	}
 	expired := 0
-	spans, _ := coord2.Timeline()
+	spans := timeline(t, srv2)
 	for _, sp := range spans {
 		if sp.Name == "lease.expired" {
 			expired++
@@ -293,12 +318,8 @@ func TestFleetTraceTimeline(t *testing.T) {
 func TestCoordinatorMetricsExposition(t *testing.T) {
 	tgt, golden, fs := SmallCampaign(t, "bin_sem2")
 	reg := telemetry.New()
-	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
-		UnitSize:        16,
-		MaxGoldenCycles: MaxGolden,
-		Telemetry:       reg,
-	}, nil)
-	res, errs := runCluster(t, coord, srv, []WorkerOptions{{WorkerID: "w1"}})
+	srv := serveCampaign(t, tgt, golden, fs, campaign.Config{Telemetry: reg}, service.Options{UnitSize: 16}, nil)
+	res, errs := runCluster(t, srv, []WorkerOptions{{WorkerID: "w1"}})
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
@@ -342,9 +363,7 @@ func TestCoordinatorMetricsExposition(t *testing.T) {
 
 	// Without a registry the endpoint still serves (per-worker series
 	// only) and still parses.
-	_, srv2 := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
-		MaxGoldenCycles: MaxGolden,
-	}, nil)
+	srv2 := serveCampaign(t, tgt, golden, fs, campaign.Config{}, service.Options{}, nil)
 	resp2, err := http.Get(srv2.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

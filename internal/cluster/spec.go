@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"time"
 
 	"faultspace/internal/campaign"
+	"faultspace/internal/cluster/lease"
 	"faultspace/internal/isa"
 	"faultspace/internal/machine"
 	"faultspace/internal/pruning"
@@ -11,16 +14,47 @@ import (
 	"faultspace/internal/trace"
 )
 
+// The campaign service's defaults for its hosts: classes per work unit,
+// and how long a leased unit may go without a heartbeat or submission
+// before it is reassigned.
+const (
+	DefaultUnitSize = 256
+	DefaultLeaseTTL = 10 * time.Second
+)
+
+// ErrLeaseTTL rejects a lease TTL below MinLeaseTTL.
+var ErrLeaseTTL = errors.New("cluster: lease TTL too short")
+
+// MinLeaseTTL is the shortest lease a service grants and a worker
+// accepts. A worker heartbeats every LeaseTTL/3: a ticker of zero
+// duration panics and one of a few nanoseconds spins, so the TTL a
+// handshake announces is checked at both ends.
+const MinLeaseTTL = time.Millisecond
+
+// CheckLeaseTTL returns an ErrLeaseTTL error for a TTL below MinLeaseTTL.
+func CheckLeaseTTL(ttl time.Duration) error {
+	if ttl < MinLeaseTTL {
+		return fmt.Errorf("%w: %v, minimum %v", ErrLeaseTTL, ttl, MinLeaseTTL)
+	}
+	return nil
+}
+
+// WorkerStat is one worker's slice of a cluster Progress event.
+type WorkerStat = lease.WorkerStat
+
+// Progress is one event of a distributed campaign's progress stream: the
+// regular campaign progress plus cluster-level statistics.
+type Progress = lease.Progress
+
 // NewSpec assembles the campaign spec: the complete, self-contained
 // campaign description shipped in coordinator handshakes and accepted as
 // the body of a service campaign submission. classes is the total
 // equivalence-class count of the prepared fault space (a sanity check
 // the receiving side re-verifies after rebuilding the campaign), or 0 for
 // none announced: a submission is made of the campaign's inputs alone,
-// with no golden run behind it, while a coordinator always announces the
-// space it built. Nothing here simulates. LeaseTTL defaults to
-// DefaultLeaseTTL; a serving coordinator stamps its own before answering
-// handshakes.
+// with no golden run behind it. Nothing here simulates. LeaseTTL defaults
+// to DefaultLeaseTTL; the service that hosts the campaign stamps the
+// class count it built and its own TTL before answering handshakes.
 func NewSpec(t campaign.Target, kind pruning.SpaceKind, cfg campaign.Config, maxGoldenCycles, classes uint64) (Spec, error) {
 	id, err := t.CampaignIdentity(kind, cfg)
 	if err != nil {

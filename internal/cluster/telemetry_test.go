@@ -7,6 +7,7 @@ import (
 
 	"faultspace/internal/campaign"
 	. "faultspace/internal/cluster"
+	"faultspace/internal/service"
 	"faultspace/internal/telemetry"
 )
 
@@ -51,18 +52,14 @@ func getJSON(t *testing.T, url string, into any) {
 func TestStatusAndTelemetryEndpoints(t *testing.T) {
 	tgt, golden, fs := SmallCampaign(t, "bin_sem2")
 	reg := telemetry.New()
-	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
-		UnitSize:        16,
-		MaxGoldenCycles: MaxGolden,
-		Telemetry:       reg,
-	}, nil)
+	srv := serveCampaign(t, tgt, golden, fs, campaign.Config{Telemetry: reg}, service.Options{UnitSize: 16}, nil)
 
 	wreg := telemetry.New()
 	werr := make(chan error, 1)
 	go func() {
 		werr <- Join(srv.URL, WorkerOptions{WorkerID: "w1", Workers: 2, Telemetry: wreg}, nil)
 	}()
-	if _, err := coord.Wait(); err != nil {
+	if _, err := srv.wait(); err != nil {
 		t.Fatal(err)
 	}
 	srv.svc.Shutdown()
@@ -71,7 +68,7 @@ func TestStatusAndTelemetryEndpoints(t *testing.T) {
 	}
 
 	var st statusDoc
-	getJSON(t, campaignURL(srv, coord), &st)
+	getJSON(t, campaignURL(srv), &st)
 	if st.Done != len(fs.Classes) || st.Total != len(fs.Classes) {
 		t.Errorf("status done/total = %d/%d, want %d/%d", st.Done, st.Total, len(fs.Classes), len(fs.Classes))
 	}
@@ -91,11 +88,13 @@ func TestStatusAndTelemetryEndpoints(t *testing.T) {
 		t.Error("cluster.submissions must be non-zero after a completed campaign")
 	}
 
-	spans, dropped := coord.Timeline()
-	if st.TraceID != coord.TraceID().String() || st.Spans != len(spans) || st.Spans == 0 ||
-		st.SpansDropped != nil || dropped != 0 || st.SpansCapacity != TimelineCapacity {
+	spans := timeline(t, srv)
+	var doc chromeDoc
+	getJSON(t, campaignURL(srv)+"/trace", &doc)
+	if st.TraceID != doc.OtherData["traceId"] || st.Spans != len(spans) || st.Spans == 0 ||
+		st.SpansDropped != nil || st.SpansCapacity != TimelineCapacity {
 		t.Errorf("status timeline figures: traceId %q, %d spans, dropped %v, capacity %d; want %s, %d, omitted, %d",
-			st.TraceID, st.Spans, st.SpansDropped, st.SpansCapacity, coord.TraceID(), len(spans), TimelineCapacity)
+			st.TraceID, st.Spans, st.SpansDropped, st.SpansCapacity, doc.OtherData["traceId"], len(spans), TimelineCapacity)
 	}
 
 	// The worker's own registry saw the campaign through the campaign
@@ -103,7 +102,7 @@ func TestStatusAndTelemetryEndpoints(t *testing.T) {
 	if got := wreg.Counter("scan.experiments").Value(); got != uint64(len(fs.Classes)) {
 		t.Errorf("worker scan.experiments = %d, want %d", got, len(fs.Classes))
 	}
-	if units := assertOneGoldenPassPerWorker(t, coord); units["w1"] < 4 {
+	if units := assertOneGoldenPassPerWorker(t, spans); units["w1"] < 4 {
 		t.Errorf("worker ran %d units, the golden-pass check needs at least 4", units["w1"])
 	}
 }
@@ -111,11 +110,10 @@ func TestStatusAndTelemetryEndpoints(t *testing.T) {
 // assertOneGoldenPassPerWorker checks the fleet timeline for one scan
 // session per worker and campaign: however many units a worker ran, it
 // replayed the golden run for them once. It returns the units by worker.
-func assertOneGoldenPassPerWorker(t *testing.T, coord *Coordinator) (units map[string]int) {
+func assertOneGoldenPassPerWorker(t *testing.T, spans []telemetry.Span) (units map[string]int) {
 	t.Helper()
 	units = map[string]int{}
 	passes := map[string]int{}
-	spans, _ := coord.Timeline()
 	for _, sp := range spans {
 		switch sp.Name {
 		case "unit.scan":
@@ -140,9 +138,7 @@ func assertOneGoldenPassPerWorker(t *testing.T, coord *Coordinator) (units map[s
 // registry the campaign's status carries no snapshot.
 func TestDebugEndpointsOffByDefault(t *testing.T) {
 	tgt, golden, fs := SmallCampaign(t, "bin_sem2")
-	coord, srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, Options{
-		MaxGoldenCycles: MaxGolden,
-	}, nil)
+	srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, service.Options{}, nil)
 	resp, err := http.Get(srv.URL + "/debug/pprof/cmdline")
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +148,7 @@ func TestDebugEndpointsOffByDefault(t *testing.T) {
 		t.Errorf("GET /debug/pprof/cmdline: HTTP %d, want 404", resp.StatusCode)
 	}
 	var st statusDoc
-	getJSON(t, campaignURL(srv, coord), &st)
+	getJSON(t, campaignURL(srv), &st)
 	if st.Telemetry != nil {
 		t.Error("status must omit the telemetry snapshot when no registry is configured")
 	}

@@ -1,11 +1,11 @@
 // Package cluster distributes a fault-injection campaign across machines:
-// a coordinator shards the pruned equivalence classes of a campaign into
-// leased work units, which the campaign service (internal/service) serves
-// over HTTP; workers pull leases, run the experiments through the regular
-// campaign machinery and stream the per-class outcomes back. The package
-// holds both halves of the protocol — the coordinator, the lease host
-// that takes decoded messages, and Join, the worker — and the wire codec
-// between them; it serves no HTTP itself.
+// the campaign service (internal/service) shards the pruned equivalence
+// classes of a campaign into leased work units and serves them over HTTP;
+// workers pull leases, run the experiments through the regular campaign
+// machinery and stream the per-class outcomes back. The package holds the
+// worker (Join), the campaign spec, the held-request loop both ends share
+// and the wire codec between them; it serves no HTTP itself, and the
+// lease protocol's state machine is internal/cluster/lease.
 //
 // The design leans entirely on two invariants established earlier:
 // experiments are deterministic and independent (so any worker computes

@@ -159,23 +159,23 @@ func TestServiceTraceAndMetrics(t *testing.T) {
 // liveCoordinator waits for the campaign to get its coordinator and
 // returns it, so a test can compare what the service serves once the
 // campaign is retired with what the coordinator itself says.
-func liveCoordinator(t *testing.T, svc *Service, id [32]byte) *cluster.Coordinator {
+func liveCoordinator(t *testing.T, svc *Service, id [32]byte) *host {
 	t.Helper()
-	var coord *cluster.Coordinator
+	var coord *host
 	waitFor(t, "the campaign's coordinator", func() bool {
 		svc.mu.Lock()
 		defer svc.mu.Unlock()
-		coord = svc.campaigns[id].coord
+		coord = svc.campaigns[id].host
 		return coord != nil
 	})
 	return coord
 }
 
 // retiredCoordinator reports what coordinator the entry still holds.
-func retiredCoordinator(svc *Service, id [32]byte) *cluster.Coordinator {
+func retiredCoordinator(svc *Service, id [32]byte) *host {
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
-	return svc.campaigns[id].coord
+	return svc.campaigns[id].host
 }
 
 // waitRetired waits for an ended campaign to leave its active slot: the

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -41,8 +42,9 @@ type Options struct {
 	// 16). Beyond it submissions are rejected with 429 and a Retry-After
 	// hint — the backpressure signal.
 	MaxQueued int
-	// UnitSize and LeaseTTL parameterize each campaign's coordinator
-	// (defaults cluster.DefaultUnitSize / cluster.DefaultLeaseTTL).
+	// UnitSize and LeaseTTL parameterize each campaign's host (defaults
+	// cluster.DefaultUnitSize / cluster.DefaultLeaseTTL); every worker is
+	// handed the LeaseTTL in its campaign's spec.
 	UnitSize int
 	LeaseTTL time.Duration
 	// Telemetry, when non-nil, receives service-level metrics (queue
@@ -99,25 +101,25 @@ type entry struct {
 	cached bool   // done without execution: served from the archive
 	errMsg string // for StateFailed
 
-	// reg is the campaign's own telemetry registry: its coordinator's
-	// cluster.* counters and — for in-process fleet workers — its
-	// engine's scan.*, fork.* and predecode counters land here,
-	// isolated from every other campaign in the process. A hosted
-	// campaign's is its host's (nil: none).
+	// reg is the campaign's own telemetry registry: its host's cluster.*
+	// counters and — for in-process fleet workers — its engine's scan.*,
+	// fork.* and predecode counters land here, isolated from every other
+	// campaign in the process. A hosted campaign's is its caller's
+	// cfg.Telemetry (nil: none).
 	reg *telemetry.Registry
-	// coord is set while the campaign runs and while its fleet drains,
+	// host is set while the campaign runs and while its fleet drains,
 	// and grants the campaign to handshaking workers while it has work to
-	// hand out (it ships the service's LeaseTTL in its spec). retire drops
-	// it — with its golden trace, fault space, outcome arrays and unit
-	// table — and keeps what the endpoints go on serving: progress, its
-	// last snapshot (every class done, for an archive hit), and spans, the
-	// timeline's recorder (nil when the campaign never ran).
-	coord    *cluster.Coordinator
+	// hand out. retire drops it — with its golden trace, fault space,
+	// outcome arrays and unit table — and keeps what the endpoints go on
+	// serving: progress, its last snapshot (every class done, for an
+	// archive hit), and spans, the timeline's recorder (nil when the
+	// campaign never ran).
+	host     *host
 	progress cluster.Progress
 	spans    *telemetry.SpanRecorder
-	// ctx is the running campaign's coordinator context; cancel
-	// interrupts the campaign (cancel endpoint or service drain) and lets
-	// go of a retired one.
+	// ctx is the running campaign's one context; cancel interrupts the
+	// campaign (cancel endpoint or service drain) and lets go of a
+	// retired one.
 	ctx    context.Context
 	cancel context.CancelFunc
 	report []byte        // archive.Encode bytes, set when done
@@ -162,7 +164,7 @@ type CampaignStatus struct {
 	Objective string `json:"objective,omitempty"`
 	Attacks   uint64 `json:"attacks,omitempty"`
 	Error     string `json:"error,omitempty"`
-	// The fleet as the coordinator sees it: experiments per second this
+	// The fleet as the campaign's host sees it: experiments per second this
 	// session, the units leased out, the leases that expired and moved,
 	// and each worker's session statistics, its windowed rate included.
 	Rate          float64              `json:"expPerSec,omitempty"`
@@ -196,7 +198,7 @@ func (c CampaignStatus) Terminal() bool {
 // http.Handler factory (Handler) speaking both the campaign lifecycle
 // API (/v1/campaigns...) and the worker protocol (/v1/handshake,
 // /v1/lease, /v1/submit, /v1/heartbeat), which it decodes once and
-// routes to the right campaign's coordinator by the identity every
+// routes to the right campaign's host by the identity every
 // post-handshake message carries.
 type Service struct {
 	opts  Options
@@ -596,7 +598,7 @@ func (s *Service) cancel(w http.ResponseWriter, e *entry) {
 		s.telQueueDepth.Set(int64(s.queued))
 		s.finishLocked(e, StateCancelled, "cancelled before start")
 	case StateRunning:
-		// The coordinator answers the fleet with UnitShutdown and Wait
+		// The host answers the fleet with UnitShutdown and its wait
 		// returns ErrInterrupted; finish retires the entry.
 		e.cancel()
 	}
@@ -605,11 +607,11 @@ func (s *Service) cancel(w http.ResponseWriter, e *entry) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// progressLocked returns the campaign's progress: live from its
-// coordinator while it has one, else what retire kept.
+// progressLocked returns the campaign's progress: live from its host
+// while it has one, else what retire kept.
 func (s *Service) progressLocked(e *entry) cluster.Progress {
-	if e.coord != nil {
-		return e.coord.Snapshot()
+	if e.host != nil {
+		return e.host.snapshot()
 	}
 	return e.progress
 }
@@ -678,8 +680,8 @@ func (s *Service) scheduleLocked() {
 	}
 }
 
-// startLocked moves a campaign into an active slot; the goroutine that
-// runs it calls s.wg.Done once it is retired.
+// startLocked moves a campaign into an active slot; its runner (launch)
+// calls s.wg.Done once it is retired, or whoever fails to launch it.
 func (s *Service) startLocked(e *entry) {
 	e.state = StateRunning
 	s.active = append(s.active, e)
@@ -689,94 +691,62 @@ func (s *Service) startLocked(e *entry) {
 
 // runCampaign rebuilds a submitted campaign from its spec (verifying the
 // identity — a spec whose content does not hash to its announced
-// identity fails here and can never poison the archive) and runs it.
+// identity fails here and can never poison the archive) and launches it.
 func (s *Service) runCampaign(e *entry) {
-	defer s.wg.Done()
-	t, g, fs, cfg, err := cluster.BuildCampaign(e.spec)
-	var coord *cluster.Coordinator
+	t, g, fs, _, err := cluster.BuildCampaign(e.spec)
 	if err == nil {
-		// The count is the service's own, announced or not.
-		s.mu.Lock()
-		e.spec.Classes = uint64(len(fs.Classes))
-		s.mu.Unlock()
-		coord, err = s.coordinate(e, t, g, fs, cfg, cluster.Options{MaxGoldenCycles: e.spec.MaxGoldenCycles}, nil)
+		_, err = s.launch(e, t, g, fs, campaign.Config{}, nil, nil)
 	}
 	if err != nil {
 		s.retire(e, nil, StateFailed, err.Error(), nil)
-		return
+		s.wg.Done()
 	}
-	s.finish(e, coord)
 }
 
 // Host runs a campaign its caller built — ServeScan's — on the service,
-// through the runner a submitted campaign takes once BuildCampaign has
-// rebuilt it. opts carries the caller's MaxGoldenCycles, OnResult,
-// OnProgress, ProgressInterval and Telemetry, which becomes the
-// campaign's registry, and prior its restored outcomes; the unit size
-// and lease TTL are the service's, and the coordinator's context is a
-// child of ctx that the cancel endpoint and Shutdown cancel as well.
-// The campaign takes an active slot at once, whatever the queue and
-// MaxActive say; it must be one the service does not know yet. Its
-// result is the returned coordinator's Wait; the drain and the seal
-// follow in the background, and Shutdown waits for them.
-func (s *Service) Host(ctx context.Context, t campaign.Target, g *trace.Golden, fs *pruning.FaultSpace, cfg campaign.Config, opts cluster.Options, prior map[int]campaign.Outcome) (*cluster.Coordinator, error) {
-	spec, err := cluster.NewSpec(t, fs.Kind, cfg, opts.MaxGoldenCycles, uint64(len(fs.Classes)))
+// as a submitted one runs once BuildCampaign has rebuilt it. Of cfg it
+// reads Context, whose end interrupts the campaign (nil is never
+// cancelled; the cancel endpoint and Shutdown interrupt it too),
+// Telemetry, the campaign's registry, OnResult, which hears every merged
+// outcome under the host's lock, and ProgressInterval, which throttles
+// onProgress. The campaign takes an active slot at once, whatever the
+// queue and MaxActive say; it must be one the service does not know yet.
+// wait returns its result once it is complete or interrupted; the drain
+// and the seal follow in the background, and Shutdown waits for them.
+func (s *Service) Host(t campaign.Target, g *trace.Golden, fs *pruning.FaultSpace, cfg campaign.Config, maxGoldenCycles uint64,
+	prior map[int]campaign.Outcome, onProgress func(cluster.Progress)) (wait func() (*campaign.Result, error), err error) {
+	if maxGoldenCycles == 0 {
+		return nil, errors.New("service: maxGoldenCycles must be set")
+	}
+	spec, err := cluster.NewSpec(t, fs.Kind, cfg, maxGoldenCycles, 0)
 	if err != nil {
 		return nil, err
 	}
-	e := newEntry(spec, "default", opts.Telemetry)
-	e.ctx, e.cancel = context.WithCancel(ctx)
+	e := newEntry(spec, "default", cfg.Telemetry)
+	e.ctx, e.cancel = context.WithCancel(cmp.Or(cfg.Context, context.Background()))
 	s.mu.Lock()
 	s.addLocked(e, nil)
 	s.startLocked(e)
 	s.mu.Unlock()
-	coord, err := s.coordinate(e, t, g, fs, cfg, opts, prior)
-	if err != nil {
+	if wait, err = s.launch(e, t, g, fs, cfg, prior, onProgress); err != nil {
 		s.retire(e, nil, StateFailed, err.Error(), nil)
 		s.wg.Done()
-		return nil, err
 	}
-	go func() {
-		defer s.wg.Done()
-		s.finish(e, coord)
-	}()
-	return coord, nil
+	return wait, err
 }
 
-// coordinate makes a running campaign's coordinator — the service's unit
-// size and lease TTL and the entry's context, registry and trace ID over
-// opts — and hands the campaign to the fleet.
-func (s *Service) coordinate(e *entry, t campaign.Target, g *trace.Golden, fs *pruning.FaultSpace, cfg campaign.Config, opts cluster.Options, prior map[int]campaign.Outcome) (*cluster.Coordinator, error) {
-	opts.UnitSize, opts.LeaseTTL = s.opts.UnitSize, s.opts.LeaseTTL
-	opts.Context, opts.Telemetry = e.ctx, e.reg
-	// The submission's trace ID flows through to the coordinator so every
-	// fleet span of this campaign correlates with it.
-	opts.TraceID = e.spec.TraceID
-	coord, err := cluster.NewCoordinator(t, g, fs, cfg, opts, prior)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	e.coord, e.spans = coord, coord.Spans()
-	s.wakeLocked() // the campaign is assignable: release the parked fleet
-	s.mu.Unlock()
-	s.opts.Logf("service: campaign %s (%s) started", e.spec.Name, e.idHex[:12])
-	return coord, nil
-}
-
-// finish waits for the campaign's end, archives a complete one's report
-// and retires it.
-func (s *Service) finish(e *entry, coord *cluster.Coordinator) {
-	res, err := coord.Wait()
+// finish archives the report of a campaign that ended complete and
+// retires it.
+func (s *Service) finish(e *entry, h *host, res *campaign.Result, err error) {
 	if err != nil {
 		// Interrupted: the cancel endpoint, the service drain or the host's
 		// context. Archive nothing.
-		s.retire(e, coord, StateCancelled, "interrupted", nil)
+		s.retire(e, h, StateCancelled, "interrupted", nil)
 		return
 	}
 	var buf bytes.Buffer
 	if err := archive.Encode(&buf, res); err != nil {
-		s.retire(e, coord, StateFailed, err.Error(), nil)
+		s.retire(e, h, StateFailed, err.Error(), nil)
 		return
 	}
 	if s.store != nil {
@@ -784,43 +754,43 @@ func (s *Service) finish(e *entry, coord *cluster.Coordinator) {
 		// until the next restart and then be gone: that is a failed
 		// campaign, not a done one.
 		if err := s.store.Put(e.id, buf.Bytes()); err != nil {
-			s.retire(e, coord, StateFailed, err.Error(), nil)
+			s.retire(e, h, StateFailed, err.Error(), nil)
 			return
 		}
 	}
-	s.retire(e, coord, StateDone, "", buf.Bytes())
+	s.retire(e, h, StateDone, "", buf.Bytes())
 }
 
 // retire ends a running campaign, on every path. It publishes the
 // terminal state first — with the report, for StateDone — so a client
 // waiting on the status is not held by what follows: the drain, the
 // grace period in which every worker that joined fetches its done or
-// shutdown answer from the live coordinator and says hello once more,
-// its exit notice, bounded by 2×LeaseTTL; then the seal, after which no
-// late submission reaches OnResult. Only then does it let go of the
-// coordinator and free the campaign's slot: worker traffic that still
-// arrives gets the phase answers of a campaign without a coordinator.
+// shutdown answer from the live host and says hello once more, its exit
+// notice, bounded by 2×LeaseTTL; then the seal, after which no late
+// submission reaches OnResult. Only then does it let go of the host and
+// free the campaign's slot: worker traffic that still arrives gets the
+// phase answers of a campaign without a host (route).
 //
 // The one bound is twice the lease TTL because the TTL is what the fleet
 // already promises: a live worker is never silent for longer — a unit in
 // progress heartbeats every TTL/3 — so twice it lets a unit in flight
 // finish and submit, and its worker say hello, before the campaign gives
 // up on a worker that died.
-func (s *Service) retire(e *entry, coord *cluster.Coordinator, state, detail string, report []byte) {
+func (s *Service) retire(e *entry, h *host, state, detail string, report []byte) {
 	e.cancel()
 	s.mu.Lock()
 	e.report = report
 	s.finishLocked(e, state, detail)
 	s.mu.Unlock()
-	if coord != nil {
-		coord.WaitDrained(2 * s.opts.LeaseTTL)
-		coord.Seal()
+	if h != nil {
+		h.drain(2 * s.opts.LeaseTTL)
+		h.step(lease.Event{Kind: lease.Seal})
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if coord != nil {
-		e.progress = coord.Snapshot()
-		e.coord = nil
+	if h != nil {
+		e.progress = h.snapshot()
+		e.host = nil
 	}
 	if i := slices.Index(s.active, e); i >= 0 {
 		s.active = slices.Delete(s.active, i, i+1)
@@ -849,13 +819,19 @@ func (s *Service) wakeLocked() {
 
 // handleHandshake answers a worker's hello. The hello is first the
 // worker's exit notice from the campaign it worked on before: every
-// coordinator still hosted hears it, so that a campaign's drain ends
-// with its last worker instead of a lease timeout. Then the worker is
-// granted a running campaign (chosen round-robin) and has joined it, or
-// told to shut down when the service drains, or to wait. With ?wait= a
-// would-be "wait" is parked until a campaign becomes assignable, the
-// service starts draining, the worker goes away or the hold runs out
-// (then "wait", as without a hold).
+// campaign still hosted hears it (lease.Leave), so that a campaign's
+// drain ends with its last worker instead of a lease timeout. Then the
+// worker is granted a running campaign (chosen round-robin) and has
+// joined it, or told to shut down when the service drains, or to wait.
+// With ?wait= a would-be "wait" is parked until a campaign becomes
+// assignable, the service starts draining, the worker goes away or the
+// hold runs out (then "wait", as without a hold).
+//
+// The leave is a step of the first look, which the hello's hold already
+// counts: the leave may end the last drain, and Shutdown's wait for idle
+// hellos must then still see this one, or the server closes before its
+// answer is out. A later look's leave is a no-op, the worker being
+// joined nowhere.
 func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 	hello, ok := decode(w, r, cluster.DecodeHello)
 	if !ok {
@@ -865,20 +841,16 @@ func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	deadline := time.Now().Add(hold)
-
-	s.mu.Lock()
-	for _, e := range s.active {
-		if e.coord != nil {
-			e.coord.Leave(hello.WorkerID)
-		}
-	}
-	s.mu.Unlock()
 	var spec []byte
 	var draining bool
-	answered := s.hellos.Park(r.Context(), deadline, func() <-chan struct{} {
+	answered := s.hellos.Park(r.Context(), time.Now().Add(hold), func() <-chan struct{} {
 		s.mu.Lock()
 		defer s.mu.Unlock()
+		for _, e := range s.active {
+			if e.host != nil {
+				e.host.step(lease.Event{Kind: lease.Leave, Worker: hello.WorkerID})
+			}
+		}
 		if spec, draining = s.grantLocked(hello.WorkerID); spec != nil || draining {
 			return nil
 		}
@@ -898,10 +870,12 @@ func (s *Service) handleHandshake(w http.ResponseWriter, r *http.Request) {
 }
 
 // grantLocked joins a handshaking worker to a running campaign, chosen
-// round-robin to spread the fleet across concurrent campaigns. A
+// round-robin to spread the fleet across concurrent campaigns, and
+// returns the campaign's handshake frame: its spec, stamped at launch. A
 // campaign whose last outcome is merged, or which was cancelled, grants
-// nothing (Coordinator.Hello), so a worker told done or shutdown parks
-// here instead of being handed that campaign again until it is retired.
+// nothing (its host's lease.Hello step answers Shutdown), so a worker
+// told done or shutdown parks here instead of being handed that campaign
+// again until it is retired.
 func (s *Service) grantLocked(workerID string) (spec []byte, draining bool) {
 	if s.draining {
 		return nil, true
@@ -909,10 +883,8 @@ func (s *Service) grantLocked(workerID string) (spec []byte, draining bool) {
 	for range s.active {
 		e := s.active[s.fleetPos%len(s.active)]
 		s.fleetPos++
-		if e.coord != nil {
-			if spec := e.coord.Hello(workerID); spec != nil {
-				return spec, false
-			}
+		if h := e.host; h != nil && h.step(lease.Event{Kind: lease.Hello, Worker: workerID}).Reply.Status == lease.Granted {
+			return h.spec, false
 		}
 	}
 	return nil, false
@@ -920,12 +892,13 @@ func (s *Service) grantLocked(workerID string) (spec []byte, draining bool) {
 
 // route finds the campaign a decoded worker message names by its
 // identity — the protocol's admission check, so an identity the service
-// does not know is answered 409 here. It returns the campaign's
-// coordinator while it has one, else the phase its state answers in
-// (lease.Phase.Answer): queued, archived, failed and retired campaigns
-// answer a lease ask as a state in that phase answers one it grants
-// nothing, and take a submission or heartbeat without a word.
-func (s *Service) route(w http.ResponseWriter, id [32]byte) (*cluster.Coordinator, lease.Phase, bool) {
+// does not know is answered 409 here. It returns the campaign's host
+// while it has one, for the handler to step without the service's lock,
+// else the phase its state answers in (lease.Phase.Answer): queued,
+// archived, failed and retired campaigns answer a lease ask as a state
+// in that phase answers one it grants nothing, and take a submission or
+// heartbeat without a word.
+func (s *Service) route(w http.ResponseWriter, id [32]byte) (*host, lease.Phase, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.campaigns[id]
@@ -940,17 +913,20 @@ func (s *Service) route(w http.ResponseWriter, id [32]byte) (*cluster.Coordinato
 	case StateDone:
 		phase = lease.Finished
 	}
-	return e.coord, phase, true
+	return e.host, phase, true
 }
 
-// handleLease grants the asking worker a unit of its campaign; with
-// ?wait= a would-be UnitWait is held at the coordinator (Ask).
+// handleLease grants the asking worker a unit of its campaign
+// (lease.Ask). With ?wait= an answer that would be UnitWait is held until
+// a step wakes it — a unit pending again, the campaign over — the hold
+// runs out or the worker goes away; each look is an ask of its own. The
+// ask counts as unanswered, for the drain, until the unit is written out.
 func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 	q, ok := decode(w, r, cluster.DecodeLeaseRequest)
 	if !ok {
 		return
 	}
-	coord, phase, ok := s.route(w, q.Identity)
+	h, phase, ok := s.route(w, q.Identity)
 	if !ok {
 		return
 	}
@@ -958,29 +934,36 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	u := cluster.WorkUnit{Status: uint8(phase.Answer())}
-	if coord != nil {
-		var answered func()
-		u, answered = coord.Ask(r.Context(), q, time.Now().Add(hold))
+	reply := lease.Reply{Status: phase.Answer()}
+	if h != nil {
+		answered := h.asks.Park(r.Context(), time.Now().Add(hold), func() <-chan struct{} {
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			if reply = h.stepLocked(lease.Event{Kind: lease.Ask, Worker: q.WorkerID}).Reply; reply.Status != lease.Wait {
+				return nil
+			}
+			return h.wake
+		})
 		defer answered()
 	}
-	writeWhole(w, cluster.EncodeWorkUnit(u))
+	writeWhole(w, cluster.EncodeWorkUnit(cluster.WorkUnit{Status: uint8(reply.Status), ID: reply.Unit, Token: reply.Token, Classes: reply.Classes}))
 }
 
-// handleSubmit merges a worker's results: 400 when they do not fit the
-// unit, 503 once the campaign is sealed, else a bare 200.
+// handleSubmit merges a worker's results and adds the spans it shipped to
+// the campaign's timeline: 400 when they do not fit the unit, 503 once
+// the campaign is sealed, else a bare 200.
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	sub, ok := decode(w, r, cluster.DecodeSubmission)
 	if !ok {
 		return
 	}
-	coord, _, ok := s.route(w, sub.Identity)
+	h, _, ok := s.route(w, sub.Identity)
 	if !ok {
 		return
 	}
 	var err error
-	if coord != nil {
-		err = coord.Submit(sub)
+	if h != nil {
+		err = h.step(lease.Event{Kind: lease.Submit, Worker: sub.WorkerID, Unit: sub.UnitID, Entries: sub.Entries}).Reply.Err
 	}
 	switch {
 	case errors.Is(err, lease.ErrSealed):
@@ -988,21 +971,31 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	default:
+		if h != nil {
+			// The scope is the submitting worker's ID, never the wire's: a
+			// worker cannot attribute spans to another.
+			for _, sp := range sub.Spans {
+				sp.Scope = sub.WorkerID
+				h.spans.Add(sp)
+			}
+		}
 		w.WriteHeader(http.StatusOK)
 	}
 }
 
+// handleHeartbeat extends the worker's leases on the units it lists
+// (lease.Heartbeat).
 func (s *Service) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	h, ok := decode(w, r, cluster.DecodeHeartbeat)
+	hb, ok := decode(w, r, cluster.DecodeHeartbeat)
 	if !ok {
 		return
 	}
-	coord, _, ok := s.route(w, h.Identity)
+	h, _, ok := s.route(w, hb.Identity)
 	if !ok {
 		return
 	}
-	if coord != nil {
-		coord.Heartbeat(h)
+	if h != nil {
+		h.step(lease.Event{Kind: lease.Heartbeat, Worker: hb.WorkerID, Units: hb.Units})
 	}
 	w.WriteHeader(http.StatusOK)
 }
@@ -1090,7 +1083,7 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // Shutdown drains the service: new submissions are rejected with 503,
 // queued campaigns are cancelled, running ones interrupted and retired —
-// their fleets drained on the live coordinators (retire) — and the
+// their fleets drained on the live hosts (retire) — and the
 // archive is flushed. It blocks until every campaign is retired and every
 // held hello and status has its answer out.
 func (s *Service) Shutdown() {

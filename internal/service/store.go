@@ -23,7 +23,7 @@
 // registry and one registry per campaign in /v1/status and /metrics,
 // each campaign's span timeline at /v1/campaigns/<id>/trace, and
 // life-cycle sentences through Options.Logf. A campaign holds its
-// coordinator only while it runs and its fleet drains; what status and
+// host only while it runs and its fleet drains; what status and
 // the trace endpoint serve afterwards — the last progress snapshot and
 // the span recorder — is kept when the campaign is retired.
 package service

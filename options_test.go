@@ -30,8 +30,7 @@ const (
 )
 
 // TestOptionCensus lists every exported field of every struct that
-// describes a campaign, a worker, a coordinator, a served scan or the
-// service, and
+// describes a campaign, a worker, a served scan or the service, and
 // classifies it as identity-bearing or not. A field added to one of them
 // fails the test until it is listed here — and so until someone has
 // decided whether it may change outcomes — and for each listed field the
@@ -43,7 +42,7 @@ const (
 func TestOptionCensus(t *testing.T) {
 	prog := hiProgram(t)
 	target := Target(prog)
-	golden, space, err := target.Prepare(DefaultMaxGoldenCycles)
+	_, space, err := target.Prepare(DefaultMaxGoldenCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +56,6 @@ func TestOptionCensus(t *testing.T) {
 		logf      = func(string, ...any) {}
 		onResult  = func(int, campaign.Outcome) {}
 		trace     = NewTraceID()
-		minted    = map[TraceID]bool{}
 		specFrame []byte // a submission for the service rows
 		stopRow   = make(chan struct{})
 	)
@@ -156,42 +154,6 @@ func TestOptionCensus(t *testing.T) {
 			},
 			identity: func(t *testing.T, opts reflect.Value) [32]byte {
 				return servedIdentity(t, prog, opts.Interface().(ServeOptions), JoinOptions{})
-			},
-		},
-		{
-			base: cluster.Options{MaxGoldenCycles: DefaultMaxGoldenCycles},
-			fields: map[string]field{
-				"UnitSize":         {invariant, 3},
-				"LeaseTTL":         {invariant, time.Minute},
-				"MaxGoldenCycles":  {invariant, 1 << 20},
-				"OnResult":         {invariant, onResult},
-				"OnProgress":       {invariant, func(ClusterProgress) {}},
-				"ProgressInterval": {invariant, time.Minute},
-				"Context":          {invariant, open},
-				"Telemetry":        {invariant, reg},
-				"TraceID":          {invariant, trace},
-			},
-			identity: func(t *testing.T, opts reflect.Value) [32]byte {
-				copts := opts.Interface().(cluster.Options)
-				coord, err := cluster.NewCoordinator(target, golden, space, campaign.Config{}, copts, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// The identity half of invariant 15: the trace ID is
-				// observability identity only. Every coordinator of one
-				// campaign gets a trace ID of its own — minted, or the one
-				// passed through — under one campaign identity, so a rerun
-				// under a new trace still hits the archive.
-				switch got := coord.TraceID(); {
-				case got.IsZero():
-					t.Error("coordinator has no trace ID")
-				case !copts.TraceID.IsZero() && got != copts.TraceID:
-					t.Error("Options.TraceID was not passed through")
-				case copts.TraceID.IsZero() && minted[got]:
-					t.Error("two coordinators share a trace ID; timelines would collide")
-				}
-				minted[coord.TraceID()] = true
-				return coord.Identity()
 			},
 		},
 		{
