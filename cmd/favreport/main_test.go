@@ -1,9 +1,14 @@
 package main
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/all.txt and testdata/all.csv from this tree's output")
 
 func runArtifact(t *testing.T, args ...string) string {
 	t.Helper()
@@ -140,5 +145,39 @@ func TestBadArguments(t *testing.T) {
 	}
 	if err := run([]string{"table1", "extra"}, &sb); err == nil {
 		t.Error("extra arguments must fail")
+	}
+}
+
+// TestAllArtifactsPinned pins every table of `favreport all`, aligned and
+// CSV, at the default sizes: a refactor of the experiments or the
+// rendering must leave the paper's tables byte-identical. Regenerate the
+// files with `go test ./cmd/favreport -run TestAllArtifactsPinned -update`
+// only when a change to the numbers is intended.
+func TestAllArtifactsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every artifact at full size")
+	}
+	for _, c := range []struct {
+		file string
+		args []string
+	}{
+		{"all.txt", []string{"all"}},
+		{"all.csv", []string{"-csv", "all"}},
+	} {
+		got := runArtifact(t, c.args...)
+		path := filepath.Join("testdata", c.file)
+		if *update {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("favreport %s differs from %s:\n%s", strings.Join(c.args, " "), path, got)
+		}
 	}
 }
