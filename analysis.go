@@ -44,12 +44,14 @@ type Analysis struct {
 	WeightedCounts [campaign.NumOutcomes]uint64 // per outcome, weighted (full space)
 }
 
-// Analyze computes the Analysis of a complete scan result; the partial
-// result of an interrupted scan is refused with ErrPartialResult.
+// Analyze computes the Analysis of a complete scan result from one pass
+// over its outcomes (campaign.Result.Count); the partial result of an
+// interrupted scan is refused with ErrPartialResult.
 func Analyze(r *ScanResult) (Analysis, error) {
 	if r.Pending > 0 {
 		return Analysis{}, fmt.Errorf("faultspace: analyze %s: %w (%d classes pending)", r.Target.Name, ErrPartialResult, r.Pending)
 	}
+	c := r.Count()
 	a := Analysis{
 		Name:           r.Target.Name,
 		Space:          r.Space.Kind,
@@ -58,13 +60,14 @@ func Analyze(r *ScanResult) (Analysis, error) {
 		SpaceSize:      r.Space.Size(),
 		Classes:        uint64(len(r.Space.Classes)),
 		KnownNoEffect:  r.Space.KnownNoEffect,
-		FailClasses:    r.FailureClasses(),
-		FailWeight:     r.FailureWeight(),
-		AttackClasses:  r.AttackClasses(),
-		AttackWeight:   r.AttackWeight(),
-		ClassCounts:    r.ClassCounts(),
-		WeightedCounts: r.FullSpaceCounts(),
+		FailClasses:    campaign.NonBenign(c.Classes),
+		FailWeight:     campaign.NonBenign(c.Weights),
+		AttackClasses:  c.AttackClasses,
+		AttackWeight:   c.AttackWeight,
+		ClassCounts:    c.Classes,
+		WeightedCounts: c.Weights,
 	}
+	a.WeightedCounts[campaign.OutcomeNoEffect] += a.KnownNoEffect
 	var err error
 	if a.CoverageWeighted, err = metrics.Coverage(a.FailWeight, a.SpaceSize); err != nil {
 		return a, err

@@ -27,10 +27,11 @@ import (
 
 // benchSizes keeps the per-iteration cost of the campaign benchmarks
 // moderate; favreport uses the full default sizes.
-var benchSizes = experiments.Figure2Config{
+var benchSizes = progs.Sizes{
 	BinSemRounds: 2,
 	SyncRounds:   2,
 	SyncBufBytes: 32,
+	SortElements: 6,
 }
 
 // BenchmarkTable1Poisson regenerates Table I: Poisson probabilities for
@@ -71,10 +72,10 @@ func BenchmarkFigure3Dilution(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := d.Verify(); err != nil {
+		if err := experiments.VerifyDilution(d); err != nil {
 			b.Fatal(err)
 		}
-		gain = d.CmpDFT.CoverageGainWeighted
+		gain = d[0].CoverageGainWeighted
 	}
 	b.ReportMetric(gain, "coverage-gain-pp")
 }
@@ -89,7 +90,7 @@ func BenchmarkFigure2Coverage(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ratio = f2.Sync2.Cmp.RatioWeighted
+		ratio = f2[1].RatioWeighted
 	}
 	b.ReportMetric(ratio, "sync2-failure-ratio")
 }
@@ -187,14 +188,13 @@ func BenchmarkPitfall3Extrapolation(b *testing.B) {
 // BenchmarkExtensionRegisterSpace regenerates the §VI-B extension: the
 // bin_sem2 pair under the register fault model.
 func BenchmarkExtensionRegisterSpace(b *testing.B) {
-	spec := progs.BinSem2(benchSizes.BinSemRounds)
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RegisterSpace(spec, faultspace.ScanOptions{})
+		r, err := experiments.RegisterSpace(benchSizes, faultspace.ScanOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ratio = r.Registers.RatioWeighted
+		ratio = r[1].RatioWeighted
 	}
 	b.ReportMetric(ratio, "register-failure-ratio")
 }
@@ -214,17 +214,16 @@ func BenchmarkExtensionMultiFault(b *testing.B) {
 }
 
 // BenchmarkExtensionMechanisms compares the two implemented hardening
-// mechanisms (SUM+DMR vs TMR) on one benchmark pair under the paper's
-// metric.
+// mechanisms (SUM+DMR vs TMR) on bin_sem2 and sort1 under the paper's
+// metric, and reports bin_sem2's TMR ratio.
 func BenchmarkExtensionMechanisms(b *testing.B) {
-	specs := []progs.Spec{progs.BinSem2(benchSizes.BinSemRounds)}
 	var tmrRatio float64
 	for i := 0; i < b.N; i++ {
-		m, err := experiments.Mechanisms(specs, faultspace.ScanOptions{})
+		m, err := experiments.Mechanisms(benchSizes, faultspace.ScanOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		tmrRatio = m.Rows[0].TMR.RatioWeighted
+		tmrRatio = m[1].RatioWeighted
 	}
 	b.ReportMetric(tmrRatio, "tmr-failure-ratio")
 }
@@ -235,7 +234,7 @@ func BenchmarkExtensionMechanisms(b *testing.B) {
 // benchmark needs golden traces long enough that per-experiment
 // simulation (not channel/classify overhead) dominates, as it does at
 // realistic campaign sizes.
-var scanBenchSizes = experiments.Figure2Config{
+var scanBenchSizes = progs.Sizes{
 	BinSemRounds: 8,
 	SyncRounds:   8,
 	SyncBufBytes: 64,

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"faultspace"
 	"faultspace/internal/experiments"
@@ -108,6 +109,44 @@ func renderTable(w io.Writer, t *report.Table, opts options) error {
 	return t.Render(w)
 }
 
+// verdictTable renders a comparison artifact's table: one row per
+// comparison, with the cells row derives from it.
+func verdictTable(w io.Writer, opts options, title string, headers []string,
+	cmps []faultspace.Comparison, row func(i int, c faultspace.Comparison) []any) error {
+	tbl := &report.Table{Title: title, Headers: headers}
+	for i, c := range cmps {
+		tbl.AddRow(row(i, c)...)
+	}
+	return renderTable(w, tbl, opts)
+}
+
+// failureHeaders head failureCells.
+var failureHeaders = []string{"F baseline", "F hardened", "ratio r", "coverage gain (pp)", "verdict"}
+
+// failureCells judge a comparison by the paper's metric: both weighted
+// failure counts, their ratio r and its verdict, next to the coverage
+// gain the unfit metric claims.
+func failureCells(c faultspace.Comparison) []any {
+	return []any{c.Baseline.FailWeight, c.Hardened.FailWeight,
+		fmt.Sprintf("%.3f", c.RatioWeighted),
+		fmt.Sprintf("%+.2f", c.CoverageGainWeighted), verdict(c)}
+}
+
+// verdict says whether hardening reduced the weighted failure count.
+func verdict(c faultspace.Comparison) string {
+	if c.FailuresSayImproved() {
+		return "helps"
+	}
+	return "HURTS"
+}
+
+// names splits a compared program's name, "bin_sem2/sum+dmr", into its
+// benchmark and its variant.
+func names(a faultspace.Analysis) (benchmark, variant string) {
+	benchmark, variant, _ = strings.Cut(a.Name, "/")
+	return benchmark, variant
+}
+
 func table1(w io.Writer, opts options) error {
 	t1, err := experiments.Table1(5)
 	if err != nil {
@@ -151,7 +190,7 @@ func dilution(w io.Writer, opts options) error {
 	if err != nil {
 		return err
 	}
-	if err := d.Verify(); err != nil {
+	if err := experiments.VerifyDilution(d); err != nil {
 		return fmt.Errorf("dilution invariants: %w", err)
 	}
 	tbl := &report.Table{
@@ -159,7 +198,7 @@ func dilution(w io.Writer, opts options) error {
 		Headers: []string{"variant", "Δt", "w", "F (failures)",
 			"coverage", "coverage (activated-only)"},
 	}
-	for _, v := range []experiments.VariantAnalysis{d.Baseline, d.DFT, d.DFTPrime} {
+	for _, v := range []faultspace.Analysis{d[0].Baseline, d[0].Hardened, d[1].Hardened} {
 		tbl.AddRow(v.Name, v.RuntimeCycles, v.SpaceSize, v.FailWeight,
 			fmt.Sprintf("%.1f%%", 100*v.CoverageWeighted),
 			fmt.Sprintf("%.1f%%", 100*v.CoverageActivatedOnly))
@@ -168,44 +207,39 @@ func dilution(w io.Writer, opts options) error {
 		return err
 	}
 	fmt.Fprintf(w, "\nCoverage climbs although the failure count F never moves: "+
-		"ratio r(DFT) = %.2f, r(DFT') = %.2f.\n", d.CmpDFT.RatioWeighted, d.CmpDFTPrime.RatioWeighted)
+		"ratio r(DFT) = %.2f, r(DFT') = %.2f.\n", d[0].RatioWeighted, d[1].RatioWeighted)
 	return nil
 }
 
 func figure2(w io.Writer, opts options) error {
-	f2, err := experiments.Figure2(experiments.Figure2Config{
-		BinSemRounds: opts.sizes.BinSemRounds,
-		SyncRounds:   opts.sizes.SyncRounds,
-		SyncBufBytes: opts.sizes.SyncBufBytes,
-	}, faultspace.ScanOptions{})
+	cmps, err := experiments.Figure2(opts.sizes, faultspace.ScanOptions{})
 	if err != nil {
 		return err
 	}
-	pairs := []experiments.Pair{f2.BinSem2, f2.Sync2}
 
 	panels := []struct {
 		title string
 		unit  string
-		value func(experiments.VariantAnalysis) float64
+		value func(faultspace.Analysis) float64
 	}{
 		{"Figure 2a: fault coverage WITHOUT weighting (Pitfall 1)", "%",
-			func(v experiments.VariantAnalysis) float64 { return 100 * v.CoverageUnweighted }},
+			func(v faultspace.Analysis) float64 { return 100 * v.CoverageUnweighted }},
 		{"Figure 2b: fault coverage WITH weighting", "%",
-			func(v experiments.VariantAnalysis) float64 { return 100 * v.CoverageWeighted }},
+			func(v faultspace.Analysis) float64 { return 100 * v.CoverageWeighted }},
 		{"Figure 2d: absolute failure counts WITHOUT weighting (Pitfall 1)", "",
-			func(v experiments.VariantAnalysis) float64 { return float64(v.FailClasses) }},
+			func(v faultspace.Analysis) float64 { return float64(v.FailClasses) }},
 		{"Figure 2e: absolute failure counts WITH weighting (the paper's metric)", "",
-			func(v experiments.VariantAnalysis) float64 { return float64(v.FailWeight) }},
+			func(v faultspace.Analysis) float64 { return float64(v.FailWeight) }},
 		{"Figure 2g-1: runtime (CPU cycles)", " cycles",
-			func(v experiments.VariantAnalysis) float64 { return float64(v.RuntimeCycles) }},
+			func(v faultspace.Analysis) float64 { return float64(v.RuntimeCycles) }},
 		{"Figure 2g-2: memory usage (bytes)", " B",
-			func(v experiments.VariantAnalysis) float64 { return float64(v.RAMBytes) }},
+			func(v faultspace.Analysis) float64 { return float64(v.MemoryBits / 8) }},
 	}
 	for _, panel := range panels {
 		chart := &report.BarChart{Title: panel.title, Unit: panel.unit}
-		for _, p := range pairs {
-			chart.Add(p.Baseline.Name, panel.value(p.Baseline))
-			chart.Add(p.Hardened.Name, panel.value(p.Hardened))
+		for _, c := range cmps {
+			chart.Add(c.Baseline.Name, panel.value(c.Baseline))
+			chart.Add(c.Hardened.Name, panel.value(c.Hardened))
 		}
 		if err := chart.Render(w); err != nil {
 			return err
@@ -213,27 +247,21 @@ func figure2(w io.Writer, opts options) error {
 		fmt.Fprintln(w)
 	}
 
-	tbl := &report.Table{
-		Title: "Comparison ratios r = F_hardened/F_baseline (r < 1 means real improvement)",
-		Headers: []string{"benchmark", "r (weighted)", "r (unweighted)",
-			"coverage gain (pp)", "MWTF gain", "verdict"},
-	}
-	for _, p := range pairs {
-		verdict := "hardening helps"
-		if !p.Cmp.FailuresSayImproved() {
-			verdict = "hardening HURTS"
-		}
-		if p.Cmp.Misleading() {
-			verdict += " (coverage metric says otherwise!)"
-		}
-		tbl.AddRow(p.Name,
-			fmt.Sprintf("%.3f", p.Cmp.RatioWeighted),
-			fmt.Sprintf("%.3f", p.Cmp.RatioUnweighted),
-			fmt.Sprintf("%+.2f", p.Cmp.CoverageGainWeighted),
-			fmt.Sprintf("%.2fx", p.Cmp.MWTFGain),
-			verdict)
-	}
-	return renderTable(w, tbl, opts)
+	return verdictTable(w, opts, "Comparison ratios r = F_hardened/F_baseline (r < 1 means real improvement)",
+		[]string{"benchmark", "r (weighted)", "r (unweighted)", "coverage gain (pp)", "MWTF gain", "verdict"},
+		cmps, func(_ int, c faultspace.Comparison) []any {
+			benchmark, _ := names(c.Hardened)
+			says := "hardening " + verdict(c)
+			if c.Misleading() {
+				says += " (coverage metric says otherwise!)"
+			}
+			return []any{benchmark,
+				fmt.Sprintf("%.3f", c.RatioWeighted),
+				fmt.Sprintf("%.3f", c.RatioUnweighted),
+				fmt.Sprintf("%+.2f", c.CoverageGainWeighted),
+				fmt.Sprintf("%.2fx", c.MWTFGain),
+				says}
+		})
 }
 
 func pruneStats(w io.Writer, opts options) error {
@@ -290,31 +318,16 @@ func sampling(w io.Writer, opts options) error {
 }
 
 func registerSpace(w io.Writer, opts options) error {
-	r, err := experiments.RegisterSpace(progs.BinSem2(opts.sizes.BinSemRounds), faultspace.ScanOptions{})
+	cmps, err := experiments.RegisterSpace(opts.sizes, faultspace.ScanOptions{})
 	if err != nil {
 		return err
 	}
-	tbl := &report.Table{
-		Title: fmt.Sprintf("§VI-B extension: %s under memory vs register fault models", r.Name),
-		Headers: []string{"fault space", "F baseline", "F hardened", "ratio r",
-			"coverage gain (pp)", "verdict"},
-	}
-	for _, row := range []struct {
-		name string
-		cmp  faultspace.Comparison
-	}{
-		{"memory (the paper's model)", r.Memory},
-		{"registers (§VI-B)", r.Registers},
-	} {
-		verdict := "helps"
-		if !row.cmp.FailuresSayImproved() {
-			verdict = "HURTS"
-		}
-		tbl.AddRow(row.name, row.cmp.Baseline.FailWeight, row.cmp.Hardened.FailWeight,
-			fmt.Sprintf("%.3f", row.cmp.RatioWeighted),
-			fmt.Sprintf("%+.2f", row.cmp.CoverageGainWeighted), verdict)
-	}
-	if err := renderTable(w, tbl, opts); err != nil {
+	benchmark, _ := names(cmps[0].Baseline)
+	spaces := []string{"memory (the paper's model)", "registers (§VI-B)"}
+	err = verdictTable(w, opts, fmt.Sprintf("§VI-B extension: %s under memory vs register fault models", benchmark),
+		append([]string{"fault space"}, failureHeaders...),
+		cmps, func(i int, c faultspace.Comparison) []any { return append([]any{spaces[i]}, failureCells(c)...) })
+	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\nSUM+DMR replicates memory only; under the register fault model its")
@@ -332,9 +345,9 @@ func multiFault(w io.Writer, opts options) error {
 		Title:   "§III-A extension: SUM+DMR under single vs double faults (one protected word)",
 		Headers: []string{"injection", "experiments", "failures", "failure rate"},
 	}
-	tbl.AddRow("single fault (any of 96 bits)", r.SingleTotal, r.SingleFailures,
+	tbl.AddRow(fmt.Sprintf("single fault (any of %d bits)", r.SingleTotal), r.SingleTotal, r.SingleFailures,
 		fmt.Sprintf("%.1f%%", 100*float64(r.SingleFailures)/float64(r.SingleTotal)))
-	tbl.AddRow("double fault (all 4560 pairs)", r.PairTotal, r.PairFailures,
+	tbl.AddRow(fmt.Sprintf("double fault (all %d pairs)", r.PairTotal), r.PairTotal, r.PairFailures,
 		fmt.Sprintf("%.1f%%", 100*r.FailureFraction()))
 	for _, key := range []string{"P+R", "C+R", "C+P", "P+P", "R+R", "C+C"} {
 		total := r.PairTotalByWords[key]
@@ -356,39 +369,29 @@ func multiFault(w io.Writer, opts options) error {
 }
 
 func sweep(w io.Writer, opts options) error {
-	s, err := experiments.SweepSync2Buffer(opts.sizes.SyncRounds, nil, faultspace.ScanOptions{})
+	bufs := []int{4, 8, 16, 32, 64, 128}
+	cmps, err := experiments.SweepSync2Buffer(opts.sizes, bufs, faultspace.ScanOptions{})
 	if err != nil {
 		return err
 	}
-	tbl := &report.Table{
-		Title: fmt.Sprintf("§V-B crossover: sync2(n=%d) verdict vs unprotected message-buffer size",
-			s.Rounds),
-		Headers: []string{"buffer (bytes)", "F baseline", "F hardened", "ratio r",
-			"coverage gain (pp)", "verdict"},
-	}
-	for _, p := range s.Points {
-		verdict := "helps"
-		if !p.Cmp.FailuresSayImproved() {
-			verdict = "HURTS"
-		}
-		tbl.AddRow(p.BufBytes, p.Cmp.Baseline.FailWeight, p.Cmp.Hardened.FailWeight,
-			fmt.Sprintf("%.3f", p.Cmp.RatioWeighted),
-			fmt.Sprintf("%+.2f", p.Cmp.CoverageGainWeighted), verdict)
-	}
-	if err := renderTable(w, tbl, opts); err != nil {
+	err = verdictTable(w, opts, fmt.Sprintf("§V-B crossover: sync2(n=%d) verdict vs unprotected message-buffer size",
+		opts.sizes.SyncRounds),
+		append([]string{"buffer (bytes)"}, failureHeaders...),
+		cmps, func(i int, c faultspace.Comparison) []any { return append([]any{bufs[i]}, failureCells(c)...) })
+	if err != nil {
 		return err
 	}
-	first, last := s.Points[0].Cmp.RatioWeighted, s.Points[len(s.Points)-1].Cmp.RatioWeighted
-	switch x := s.CrossoverBufBytes(); {
+	first, last := cmps[0].RatioWeighted, cmps[len(cmps)-1].RatioWeighted
+	switch x := experiments.Crossover(cmps); {
 	case x < 0:
 		fmt.Fprintln(w, "\nNo crossover within the swept sizes: hardening wins everywhere.")
-	case x == s.Points[0].BufBytes:
+	case x == 0:
 		fmt.Fprintf(w, "\nFor sync2 the mechanism loses even at the smallest swept buffer: its\n")
 		fmt.Fprintf(w, "runtime overhead stretches whatever unprotected long-lived data exists\n")
 		fmt.Fprintf(w, "(§V-B), and the damage scales with the buffer share (r: %.1f -> %.1f).\n", first, last)
 		fmt.Fprintln(w, "The coverage metric claims an improvement at every single point.")
 	default:
-		fmt.Fprintf(w, "\nCrossover at a %d-byte buffer: beyond it the unprotected long-lived\n", x)
+		fmt.Fprintf(w, "\nCrossover at a %d-byte buffer: beyond it the unprotected long-lived\n", bufs[x])
 		fmt.Fprintln(w, "data outweighs the protected kernel state and the mechanism's runtime")
 		fmt.Fprintln(w, "overhead turns net-negative (§V-B) — while the coverage metric keeps")
 		fmt.Fprintln(w, "claiming an improvement at every point.")
@@ -397,33 +400,22 @@ func sweep(w io.Writer, opts options) error {
 }
 
 func mechanisms(w io.Writer, opts options) error {
-	m, err := experiments.Mechanisms([]progs.Spec{
-		progs.BinSem2(opts.sizes.BinSemRounds),
-		progs.Sort1(12),
-	}, faultspace.ScanOptions{})
+	cmps, err := experiments.Mechanisms(opts.sizes, faultspace.ScanOptions{})
 	if err != nil {
 		return err
 	}
-	tbl := &report.Table{
-		Title: "Comparing mechanisms with the paper's metric: SUM+DMR vs TMR",
-		Headers: []string{"benchmark", "mechanism", "Δt overhead", "F baseline",
-			"F hardened", "ratio r", "MWTF gain"},
-	}
-	for _, row := range m.Rows {
-		for _, mech := range []struct {
-			name string
-			cmp  faultspace.Comparison
-		}{{"SUM+DMR", row.SumDMR}, {"TMR", row.TMR}} {
-			overhead := float64(mech.cmp.Hardened.RuntimeCycles) /
-				float64(mech.cmp.Baseline.RuntimeCycles)
-			tbl.AddRow(row.Name, mech.name,
+	err = verdictTable(w, opts, "Comparing mechanisms with the paper's metric: SUM+DMR vs TMR",
+		[]string{"benchmark", "mechanism", "Δt overhead", "F baseline", "F hardened", "ratio r", "MWTF gain"},
+		cmps, func(_ int, c faultspace.Comparison) []any {
+			benchmark, mechanism := names(c.Hardened)
+			overhead := float64(c.Hardened.RuntimeCycles) / float64(c.Baseline.RuntimeCycles)
+			return []any{benchmark, strings.ToUpper(mechanism),
 				fmt.Sprintf("%.1fx", overhead),
-				mech.cmp.Baseline.FailWeight, mech.cmp.Hardened.FailWeight,
-				fmt.Sprintf("%.3f", mech.cmp.RatioWeighted),
-				fmt.Sprintf("%.1fx", mech.cmp.MWTFGain))
-		}
-	}
-	if err := renderTable(w, tbl, opts); err != nil {
+				c.Baseline.FailWeight, c.Hardened.FailWeight,
+				fmt.Sprintf("%.3f", c.RatioWeighted),
+				fmt.Sprintf("%.1fx", c.MWTFGain)}
+		})
+	if err != nil {
 		return err
 	}
 
@@ -437,7 +429,7 @@ func mechanisms(w io.Writer, opts options) error {
 		return err
 	}
 	mf := &report.Table{
-		Title:   "Double-fault robustness (all 4560 pairs on one protected word)",
+		Title:   fmt.Sprintf("Double-fault robustness (all %d pairs on one protected word)", dmr.PairTotal),
 		Headers: []string{"mechanism", "single-fault failures", "pair failures", "pair failure rate"},
 	}
 	mf.AddRow("SUM+DMR", dmr.SingleFailures,

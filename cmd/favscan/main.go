@@ -40,6 +40,7 @@ import (
 
 	"faultspace"
 	"faultspace/internal/campaign"
+	"faultspace/internal/metrics"
 	"faultspace/internal/progs"
 	"faultspace/internal/pruning"
 	"faultspace/internal/report"
@@ -584,6 +585,10 @@ func printAnalysis(w io.Writer, a faultspace.Analysis, csv bool) error {
 }
 
 func printSample(w io.Writer, name string, sr *campaign.SampleResult, csv bool) error {
+	extrapolated, err := metrics.ExtrapolateFailures(sr.Population, sr.Failures(), uint64(sr.N))
+	if err != nil {
+		return err
+	}
 	tbl := &report.Table{
 		Title: fmt.Sprintf("Sampling campaign: %s (mode %s, N=%d, seed=%d)",
 			name, sr.Mode, sr.N, sr.Seed),
@@ -592,7 +597,7 @@ func printSample(w io.Writer, name string, sr *campaign.SampleResult, csv bool) 
 	tbl.AddRow("population", sr.Population)
 	tbl.AddRow("experiments executed", sr.Experiments)
 	tbl.AddRow("sampled failures", sr.Failures())
-	tbl.AddRow("extrapolated failures (Corollary 2)", fmt.Sprintf("%.1f", sr.ExtrapolatedFailures()))
+	tbl.AddRow("extrapolated failures (Corollary 2)", fmt.Sprintf("%.1f", extrapolated))
 	if sr.Attacks > 0 {
 		tbl.AddRow("sampled attack successes", sr.Attacks)
 	}

@@ -121,11 +121,11 @@ func TestStrategyEquivalenceAllBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			build := spec.Hardened
+			variant := "sum+dmr"
 			if row.tmr {
-				build = spec.HardenedTMR
+				variant = "tmr"
 			}
-			prog, err := build()
+			prog, err := spec.Variant(variant)
 			if err != nil {
 				t.Fatal(err)
 			}

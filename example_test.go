@@ -5,7 +5,7 @@ import (
 	"log"
 
 	"faultspace"
-	"faultspace/internal/harden"
+	"faultspace/internal/metrics"
 	"faultspace/internal/progs"
 )
 
@@ -50,7 +50,7 @@ func ExampleCompare() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	diluted, err := spec.WithVariant(harden.Dilution{NOPs: 4})
+	diluted, err := spec.Variant("dft:4")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,7 +87,11 @@ func ExampleSample() {
 		log.Fatal(err)
 	}
 	fmt.Printf("population %d, experiments executed %d\n", sr.Population, sr.Experiments)
-	fmt.Printf("extrapolated failures ~%.0f (truth: 48)\n", sr.ExtrapolatedFailures())
+	est, err := metrics.ExtrapolateFailures(sr.Population, sr.Failures(), uint64(sr.N))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("extrapolated failures ~%.0f (truth: 48)\n", est)
 	// Output:
 	// population 128, experiments executed 16
 	// extrapolated failures ~47 (truth: 48)

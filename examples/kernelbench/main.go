@@ -14,24 +14,25 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"faultspace"
 	"faultspace/internal/experiments"
+	"faultspace/internal/progs"
 	"faultspace/internal/report"
 )
 
 func main() {
-	f2, err := experiments.Figure2(experiments.Figure2Config{}, faultspace.ScanOptions{})
+	cmps, err := experiments.Figure2(progs.Sizes{}, faultspace.ScanOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	pairs := []experiments.Pair{f2.BinSem2, f2.Sync2}
 
 	coverage := &report.BarChart{Title: "fault coverage, weighted (Figure 2b)", Unit: "%"}
 	failures := &report.BarChart{Title: "absolute failure counts, weighted (Figure 2e)", Unit: ""}
 	runtime := &report.BarChart{Title: "runtime (Figure 2g)", Unit: " cycles"}
-	for _, p := range pairs {
-		for _, v := range []experiments.VariantAnalysis{p.Baseline, p.Hardened} {
+	for _, c := range cmps {
+		for _, v := range []faultspace.Analysis{c.Baseline, c.Hardened} {
 			coverage.Add(v.Name, 100*v.CoverageWeighted)
 			failures.Add(v.Name, float64(v.FailWeight))
 			runtime.Add(v.Name, float64(v.RuntimeCycles))
@@ -44,16 +45,17 @@ func main() {
 		fmt.Println()
 	}
 
-	for _, p := range pairs {
+	for _, c := range cmps {
 		verdict := "the mechanism helps"
-		if !p.Cmp.FailuresSayImproved() {
+		if !c.FailuresSayImproved() {
 			verdict = "the mechanism makes the program MORE susceptible"
 		}
-		fmt.Printf("%s:\n", p.Name)
+		benchmark, _, _ := strings.Cut(c.Baseline.Name, "/")
+		fmt.Printf("%s:\n", benchmark)
 		fmt.Printf("  coverage gain: %+.1f pp (the coverage metric %s an improvement)\n",
-			p.Cmp.CoverageGainWeighted, claims(p.Cmp.CoverageSaysImproved()))
-		fmt.Printf("  failure ratio: r = %.2f -> %s\n", p.Cmp.RatioWeighted, verdict)
-		if p.Cmp.Misleading() {
+			c.CoverageGainWeighted, claims(c.CoverageSaysImproved()))
+		fmt.Printf("  failure ratio: r = %.2f -> %s\n", c.RatioWeighted, verdict)
+		if c.Misleading() {
 			fmt.Println("  ** the two metrics disagree: trusting fault coverage here leads")
 			fmt.Println("     to a wrong design decision (the paper's sync2 result, §V-B) **")
 		}

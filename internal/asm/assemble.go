@@ -105,7 +105,7 @@ func (a *assembler) passOne(stmts []Stmt) error {
 		case StmtEmpty:
 			// label only
 		case StmtEqu:
-			v, err := st.Exprs[0].Eval(MapSymbols(syms))
+			v, err := st.Exprs[0].eval(MapSymbols(syms))
 			if err != nil {
 				errs = append(errs, errf(st.Pos, ".equ %s: %v", st.EquName, err))
 				continue
@@ -222,7 +222,7 @@ func (a *assembler) evalSize(st Stmt, syms SymbolTable) (int64, error) {
 	if len(st.Exprs) != 1 {
 		return 0, errf(st.Pos, "%s takes exactly one argument", st.Name)
 	}
-	n, err := st.Exprs[0].Eval(syms)
+	n, err := st.Exprs[0].eval(syms)
 	if err != nil {
 		return 0, errf(st.Pos, "%s: %v", st.Name, err)
 	}
@@ -284,7 +284,7 @@ func (a *assembler) emitDirective(st Stmt, syms SymbolTable) error {
 		a.sec = secData
 	case ".word":
 		for _, e := range st.Exprs {
-			v, err := e.Eval(syms)
+			v, err := e.eval(syms)
 			if err != nil {
 				return errf(st.Pos, ".word: %v", err)
 			}
@@ -300,7 +300,7 @@ func (a *assembler) emitDirective(st Stmt, syms SymbolTable) error {
 		}
 	case ".byte":
 		for _, e := range st.Exprs {
-			v, err := e.Eval(syms)
+			v, err := e.eval(syms)
 			if err != nil {
 				return errf(st.Pos, ".byte: %v", err)
 			}
@@ -324,11 +324,11 @@ func (a *assembler) emitDirective(st Stmt, syms SymbolTable) error {
 	case ".ram":
 		// handled in pass one
 	case ".timer":
-		period, err := st.Exprs[0].Eval(syms)
+		period, err := st.Exprs[0].eval(syms)
 		if err != nil {
 			return errf(st.Pos, ".timer: %v", err)
 		}
-		vector, err := st.Exprs[1].Eval(syms)
+		vector, err := st.Exprs[1].eval(syms)
 		if err != nil {
 			return errf(st.Pos, ".timer: %v", err)
 		}
@@ -354,7 +354,7 @@ func encodeStmt(st Stmt, syms SymbolTable, nInstr int) (isa.Instruction, error) 
 	ins := isa.Instruction{Op: op}
 
 	evalImm := func(e Expr) (int32, error) {
-		v, err := e.Eval(syms)
+		v, err := e.eval(syms)
 		if err != nil {
 			return 0, errf(st.Pos, "%s: %v", st.Name, err)
 		}
@@ -364,7 +364,7 @@ func encodeStmt(st Stmt, syms SymbolTable, nInstr int) (isa.Instruction, error) 
 		return int32(uint32(v)), nil
 	}
 	evalTarget := func(e Expr) (int32, error) {
-		v, err := e.Eval(syms)
+		v, err := e.eval(syms)
 		if err != nil {
 			return 0, errf(st.Pos, "%s: %v", st.Name, err)
 		}

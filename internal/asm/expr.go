@@ -4,8 +4,8 @@ import "fmt"
 
 // Expr is a constant expression evaluated during assembly.
 type Expr interface {
-	// Eval computes the expression value using syms for symbol lookup.
-	Eval(syms SymbolTable) (int64, error)
+	// eval computes the expression value using syms for symbol lookup.
+	eval(syms SymbolTable) (int64, error)
 	String() string
 }
 
@@ -26,16 +26,16 @@ func (m MapSymbols) Lookup(name string) (int64, bool) {
 // NumExpr is an integer literal.
 type NumExpr struct{ Value int64 }
 
-// Eval implements Expr.
-func (e NumExpr) Eval(SymbolTable) (int64, error) { return e.Value, nil }
+// eval implements Expr.
+func (e NumExpr) eval(SymbolTable) (int64, error) { return e.Value, nil }
 
 func (e NumExpr) String() string { return fmt.Sprintf("%d", e.Value) }
 
 // SymExpr is a symbol reference (label or .equ constant).
 type SymExpr struct{ Name string }
 
-// Eval implements Expr.
-func (e SymExpr) Eval(syms SymbolTable) (int64, error) {
+// eval implements Expr.
+func (e SymExpr) eval(syms SymbolTable) (int64, error) {
 	if syms == nil {
 		return 0, fmt.Errorf("undefined symbol %q", e.Name)
 	}
@@ -54,9 +54,9 @@ type UnExpr struct {
 	X  Expr
 }
 
-// Eval implements Expr.
-func (e UnExpr) Eval(syms SymbolTable) (int64, error) {
-	v, err := e.X.Eval(syms)
+// eval implements Expr.
+func (e UnExpr) eval(syms SymbolTable) (int64, error) {
+	v, err := e.X.eval(syms)
 	if err != nil {
 		return 0, err
 	}
@@ -79,13 +79,13 @@ type BinExpr struct {
 	Y  Expr
 }
 
-// Eval implements Expr.
-func (e BinExpr) Eval(syms SymbolTable) (int64, error) {
-	x, err := e.X.Eval(syms)
+// eval implements Expr.
+func (e BinExpr) eval(syms SymbolTable) (int64, error) {
+	x, err := e.X.eval(syms)
 	if err != nil {
 		return 0, err
 	}
-	y, err := e.Y.Eval(syms)
+	y, err := e.Y.eval(syms)
 	if err != nil {
 		return 0, err
 	}

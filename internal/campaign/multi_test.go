@@ -90,8 +90,15 @@ func TestBenignWeightComplementsFailureWeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BenignWeight()+res.FailureWeight() != fs.ExperimentWeight() {
+	c := res.Count()
+	var benign uint64
+	for o, w := range c.Weights {
+		if Outcome(o).Benign() {
+			benign += w
+		}
+	}
+	if failures := NonBenign(c.Weights); benign+failures != fs.ExperimentWeight() {
 		t.Errorf("benign %d + failures %d != class weight %d",
-			res.BenignWeight(), res.FailureWeight(), fs.ExperimentWeight())
+			benign, failures, fs.ExperimentWeight())
 	}
 }

@@ -33,15 +33,7 @@ type Progress struct {
 
 // Failures returns the running weighted-class failure count — the number
 // of classes (not weights) with a non-benign outcome so far.
-func (p Progress) Failures() uint64 {
-	var n uint64
-	for o := 0; o < NumOutcomes; o++ {
-		if !Outcome(o).Benign() {
-			n += p.Counts[o]
-		}
-	}
-	return n
-}
+func (p Progress) Failures() uint64 { return NonBenign(p.Counts) }
 
 // Tally is the running account of a campaign: how many classes have an
 // outcome and which, how many of them this run executed, and when the

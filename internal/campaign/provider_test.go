@@ -471,11 +471,12 @@ func TestForkIntervalAllPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		label, build := row.name+"/sum+dmr", spec.Hardened
+		variant := "sum+dmr"
 		if row.tmr {
-			label, build = row.name+"/tmr", spec.HardenedTMR
+			variant = "tmr"
 		}
-		p, err := build()
+		label := row.name + "/" + variant
+		p, err := spec.Variant(variant)
 		if err != nil {
 			t.Fatal(err)
 		}

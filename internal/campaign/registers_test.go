@@ -28,10 +28,11 @@ func TestRegisterFullScanHi(t *testing.T) {
 	// The serial port emits only the low byte of the stored register, so
 	// exactly the 8 low bits of r1 and r2 are failure classes (SDC); the
 	// 24 high bits of each are architecturally masked — No Effect.
-	if got := res.FailureWeight(); got != 16 {
+	c := res.Count()
+	if got := NonBenign(c.Weights); got != 16 {
 		t.Errorf("register failure weight = %d, want 16", got)
 	}
-	counts := res.ClassCounts()
+	counts := c.Classes
 	if counts[OutcomeSDC] != 16 {
 		t.Errorf("SDC classes = %d, want 16 (%v)", counts[OutcomeSDC], counts)
 	}
@@ -142,7 +143,7 @@ func TestRegisterSampling(t *testing.T) {
 	}
 	// The true register failure count is 16 (low bytes of r1/r2 during
 	// their one-cycle lifetimes); the estimate must land in the ballpark.
-	est := sr.ExtrapolatedFailures()
+	est := extrapolated(t, sr)
 	if est < 2 || est > 80 {
 		t.Errorf("extrapolated register failures = %v, want ~16", est)
 	}

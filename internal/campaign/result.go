@@ -1,98 +1,58 @@
 package campaign
 
-// ClassCounts returns the number of equivalence classes per outcome —
-// the "unweighted result accounting" that Pitfall 1 warns about when fed
-// into coverage formulas.
-func (r *Result) ClassCounts() [NumOutcomes]uint64 {
-	var counts [NumOutcomes]uint64
-	for _, o := range r.Outcomes {
-		counts[o.Base()]++
-	}
-	return counts
+// Counts is a result's outcomes tallied by base outcome (attack flag
+// stripped), unweighted and weighted, plus the outcomes that satisfied
+// the campaign's attacker objective.
+type Counts struct {
+	// Classes is the number of equivalence classes per outcome — the
+	// "unweighted result accounting" that Pitfall 1 warns about when fed
+	// into coverage formulas.
+	Classes [NumOutcomes]uint64
+	// Weights is, per outcome, the total fault-space weight of the
+	// classes with that outcome: every experiment result expanded to the
+	// size of its equivalence class (the correct accounting per Pitfall
+	// 1). Known-No-Effect coordinates are NOT included; add
+	// Space.KnownNoEffect to OutcomeNoEffect for the full-space view,
+	// whose counts sum to w = Δt·Δm.
+	Weights [NumOutcomes]uint64
+	// AttackClasses and AttackWeight count the classes whose outcome
+	// satisfied the attacker objective (0 when no objective was set).
+	// AttackWeight is the extrapolated count of raw (cycle, bit)
+	// coordinates at which the injected fault achieves the objective —
+	// the attack-surface analogue of the failure weight. Known-No-Effect
+	// coordinates never contribute: a fault without any effect cannot
+	// satisfy an objective (every builtin objective requires an
+	// observable deviation).
+	AttackClasses, AttackWeight uint64
 }
 
-// WeightedCounts returns, per outcome, the total fault-space weight of the
-// classes with that outcome: every experiment result expanded to the size
-// of its equivalence class (the correct accounting per Pitfall 1).
-// Known-No-Effect coordinates are NOT included; add SpaceKnownNoEffect for
-// the full-space view.
-func (r *Result) WeightedCounts() [NumOutcomes]uint64 {
-	var counts [NumOutcomes]uint64
+// Count tallies the result's outcomes in one pass over them. The failure
+// counts follow from it: NonBenign(c.Classes) is the raw "F" a naive
+// unweighted analysis would report, NonBenign(c.Weights) the extrapolated
+// absolute failure count F of §V — the paper's proposed comparison
+// metric, P(Failure) ∝ F (Equation 6).
+func (r *Result) Count() Counts {
+	var c Counts
 	for i, o := range r.Outcomes {
-		counts[o.Base()] += r.Space.Classes[i].Weight()
-	}
-	return counts
-}
-
-// FullSpaceCounts returns per-outcome weighted counts over the complete
-// raw fault space: class weights plus the a-priori-known "No Effect"
-// coordinates folded into OutcomeNoEffect. The counts sum to w = Δt·Δm.
-func (r *Result) FullSpaceCounts() [NumOutcomes]uint64 {
-	counts := r.WeightedCounts()
-	counts[OutcomeNoEffect] += r.Space.KnownNoEffect
-	return counts
-}
-
-// FailureClasses returns the number of classes with a non-benign outcome
-// (the raw "F" a naive unweighted analysis would report).
-func (r *Result) FailureClasses() uint64 {
-	var n uint64
-	for _, o := range r.Outcomes {
-		if !o.Benign() {
-			n++
-		}
-	}
-	return n
-}
-
-// FailureWeight returns the total fault-space weight of non-benign
-// outcomes: the extrapolated absolute failure count F of §V — the paper's
-// proposed comparison metric. P(Failure) ∝ FailureWeight (Equation 6).
-func (r *Result) FailureWeight() uint64 {
-	var n uint64
-	for i, o := range r.Outcomes {
-		if !o.Benign() {
-			n += r.Space.Classes[i].Weight()
-		}
-	}
-	return n
-}
-
-// BenignWeight returns the weighted count of benign outcomes among the
-// conducted experiments (excluding known-No-Effect coordinates).
-func (r *Result) BenignWeight() uint64 {
-	var n uint64
-	for i, o := range r.Outcomes {
-		if o.Benign() {
-			n += r.Space.Classes[i].Weight()
-		}
-	}
-	return n
-}
-
-// AttackClasses returns the number of classes whose outcome satisfied
-// the campaign's attacker objective (0 when no objective was set).
-func (r *Result) AttackClasses() uint64 {
-	var n uint64
-	for _, o := range r.Outcomes {
+		w := r.Space.Classes[i].Weight()
+		c.Classes[o.Base()]++
+		c.Weights[o.Base()] += w
 		if o.Attack() {
-			n++
+			c.AttackClasses++
+			c.AttackWeight += w
 		}
 	}
-	return n
+	return c
 }
 
-// AttackWeight returns the total fault-space weight of attack-success
-// outcomes: the extrapolated count of raw (cycle, bit) coordinates at
-// which the injected fault achieves the attacker objective — the
-// attack-surface analogue of FailureWeight. Known-No-Effect coordinates
-// never contribute: a fault without any effect cannot satisfy an
-// objective (every builtin objective requires an observable deviation).
-func (r *Result) AttackWeight() uint64 {
+// NonBenign sums per-outcome counts over the non-benign outcomes: the
+// failure count of a scan, a sample or a progress event, unweighted or
+// weighted as the counts are.
+func NonBenign(counts [NumOutcomes]uint64) uint64 {
 	var n uint64
-	for i, o := range r.Outcomes {
-		if o.Attack() {
-			n += r.Space.Classes[i].Weight()
+	for o, c := range counts {
+		if !Outcome(o).Benign() {
+			n += c
 		}
 	}
 	return n

@@ -330,7 +330,7 @@ func TestProgressEvents(t *testing.T) {
 	if sum != uint64(len(fs.Classes)) {
 		t.Errorf("final outcome counts sum to %d, want %d", sum, len(fs.Classes))
 	}
-	if want := res.FailureClasses(); last.Failures() != want {
+	if want := NonBenign(res.Count().Classes); last.Failures() != want {
 		t.Errorf("final failure count %d, want %d", last.Failures(), want)
 	}
 }

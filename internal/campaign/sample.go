@@ -64,7 +64,9 @@ type SampleResult struct {
 
 	// Population is the size of the population sampled from: w for
 	// SampleRaw, w′ for SampleEffective, the class count for SampleClasses.
-	// Extrapolated counts are Counts[o]/N × Population (§V-C, Corollary 2).
+	// Extrapolated counts are Counts[o]/N × Population (§V-C, Corollary 2);
+	// metrics.ExtrapolateFailures(Population, Failures(), N) is the
+	// extrapolated failure count.
 	Population uint64
 
 	// Experiments is the number of fault-injection runs actually executed
@@ -73,24 +75,7 @@ type SampleResult struct {
 }
 
 // Failures returns the number of non-benign draws.
-func (sr *SampleResult) Failures() uint64 {
-	var n uint64
-	for o := 0; o < NumOutcomes; o++ {
-		if !Outcome(o).Benign() {
-			n += sr.Counts[o]
-		}
-	}
-	return n
-}
-
-// ExtrapolatedFailures extrapolates the sampled failure count to the
-// population size (Pitfall 3, Corollary 2): F_extrapolated = pop·F_s/N_s.
-func (sr *SampleResult) ExtrapolatedFailures() float64 {
-	if sr.N == 0 {
-		return 0
-	}
-	return float64(sr.Population) * float64(sr.Failures()) / float64(sr.N)
-}
+func (sr *SampleResult) Failures() uint64 { return NonBenign(sr.Counts) }
 
 // SampleScan runs a sampling campaign of n draws with the given mode and
 // deterministic seed. The experiments run through RunClasses, so cfg's

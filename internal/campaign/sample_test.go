@@ -3,6 +3,8 @@ package campaign
 import (
 	"math"
 	"testing"
+
+	"faultspace/internal/metrics"
 )
 
 func TestSampleModeStrings(t *testing.T) {
@@ -60,7 +62,7 @@ func TestRawSamplingConverges(t *testing.T) {
 	if sr.Population != 128 {
 		t.Fatalf("population = %d, want 128", sr.Population)
 	}
-	est := sr.ExtrapolatedFailures()
+	est := extrapolated(t, sr)
 	if math.Abs(est-48) > 5 {
 		t.Errorf("extrapolated failures = %.1f, want ~48", est)
 	}
@@ -83,7 +85,7 @@ func TestEffectiveSamplingConverges(t *testing.T) {
 	if sr.Population != fs.ExperimentWeight() {
 		t.Fatalf("population = %d, want w' = %d", sr.Population, fs.ExperimentWeight())
 	}
-	est := sr.ExtrapolatedFailures()
+	est := extrapolated(t, sr)
 	if math.Abs(est-48) > 5 {
 		t.Errorf("extrapolated failures = %.1f, want ~48", est)
 	}
@@ -114,11 +116,22 @@ func TestSampleResultHelpers(t *testing.T) {
 	if sr.Failures() != 20 {
 		t.Errorf("failures = %d, want 20", sr.Failures())
 	}
-	if got := sr.ExtrapolatedFailures(); got != 200 {
+	if got := extrapolated(t, sr); got != 200 {
 		t.Errorf("extrapolated = %v, want 200", got)
 	}
 	empty := &SampleResult{}
-	if empty.ExtrapolatedFailures() != 0 {
-		t.Error("empty result must extrapolate to 0")
+	if _, err := metrics.ExtrapolateFailures(empty.Population, empty.Failures(), uint64(empty.N)); err == nil {
+		t.Error("an empty result must not extrapolate")
 	}
+}
+
+// extrapolated is the sample's failure count extrapolated to its
+// population (Corollary 2).
+func extrapolated(t *testing.T, sr *SampleResult) float64 {
+	t.Helper()
+	est, err := metrics.ExtrapolateFailures(sr.Population, sr.Failures(), uint64(sr.N))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
 }

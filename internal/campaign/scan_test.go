@@ -64,18 +64,20 @@ func TestFullScanHi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.FailureWeight(); got != 48 {
+	c := res.Count()
+	if got := NonBenign(c.Weights); got != 48 {
 		t.Errorf("failure weight = %d, want 48", got)
 	}
-	if got := res.FailureClasses(); got != 16 {
+	if got := NonBenign(c.Classes); got != 16 {
 		t.Errorf("failure classes = %d, want 16 (2 bytes x 8 bits)", got)
 	}
 	// All failures must be SDC: the corrupted letters still print.
-	counts := res.ClassCounts()
+	counts := c.Classes
 	if counts[OutcomeSDC] != 16 {
 		t.Errorf("SDC classes = %d, want 16 (%v)", counts[OutcomeSDC], counts)
 	}
-	full := res.FullSpaceCounts()
+	full := c.Weights
+	full[OutcomeNoEffect] += fs.KnownNoEffect
 	var sum uint64
 	for _, c := range full {
 		sum += c
@@ -248,7 +250,7 @@ func TestEmptyFaultSpaceScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FailureWeight() != 0 || len(res.Outcomes) != 0 {
+	if NonBenign(res.Count().Weights) != 0 || len(res.Outcomes) != 0 {
 		t.Error("empty scan must have no outcomes")
 	}
 }

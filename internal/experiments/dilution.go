@@ -4,87 +4,43 @@ import (
 	"fmt"
 
 	"faultspace"
-	"faultspace/internal/harden"
 	"faultspace/internal/progs"
 )
 
-// DilutionResult is the §IV Gedankenexperiment: the "Hi" benchmark under
-// the bogus DFT (NOP dilution) and DFT′ (dummy-load dilution)
-// "fault-tolerance" transformations.
-type DilutionResult struct {
-	Baseline VariantAnalysis
-	DFT      VariantAnalysis // + n NOPs
-	DFTPrime VariantAnalysis // + n dummy loads
-
-	// CmpDFT and CmpDFTPrime compare each cheat against the baseline.
-	CmpDFT      faultspace.Comparison
-	CmpDFTPrime faultspace.Comparison
+// Dilution runs the §IV Gedankenexperiment with n prepended instructions:
+// it compares the "Hi" benchmark with itself under the bogus DFT (n NOPs)
+// and DFT′ (n dummy loads) "fault-tolerance" transformations, in that
+// order. With n = 4 the numbers match the paper exactly: coverage climbs
+// from 62.5 % to 75.0 % while the absolute failure count stays at 48.
+func Dilution(n int, opts faultspace.ScanOptions) ([]faultspace.Comparison, error) {
+	return Compare(progs.Hi(), opts, fmt.Sprintf("dft:%d", n), fmt.Sprintf("dft2:%d", n))
 }
 
-// Dilution runs the Gedankenexperiment with n prepended instructions.
-// With n = 4 the numbers match the paper exactly: coverage climbs from
-// 62.5 % to 75.0 % while the absolute failure count stays at 48.
-func Dilution(n int, opts faultspace.ScanOptions) (*DilutionResult, error) {
-	spec := progs.Hi()
-
-	base, err := spec.Baseline()
-	if err != nil {
-		return nil, err
+// VerifyDilution checks the invariant of the Gedankenexperiment on
+// Dilution's two comparisons: neither cheat may change the absolute
+// failure count, yet both must raise full-space coverage. It returns an
+// error describing the first violated property.
+func VerifyDilution(cmps []faultspace.Comparison) error {
+	if len(cmps) != 2 {
+		return fmt.Errorf("%d dilution comparisons, want DFT's and DFT''s", len(cmps))
 	}
-	dft, err := spec.WithVariant(harden.Dilution{NOPs: n})
-	if err != nil {
-		return nil, err
-	}
-	dftPrime, err := spec.WithVariant(harden.DilutionLoads{Loads: n, Addrs: spec.DataAddrs})
-	if err != nil {
-		return nil, err
-	}
-
-	var r DilutionResult
-	if r.Baseline, err = scanVariant(base, opts); err != nil {
-		return nil, err
-	}
-	if r.DFT, err = scanVariant(dft, opts); err != nil {
-		return nil, err
-	}
-	if r.DFTPrime, err = scanVariant(dftPrime, opts); err != nil {
-		return nil, err
-	}
-	if r.CmpDFT, err = faultspace.Compare(r.Baseline.Analysis, r.DFT.Analysis); err != nil {
-		return nil, err
-	}
-	if r.CmpDFTPrime, err = faultspace.Compare(r.Baseline.Analysis, r.DFTPrime.Analysis); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// Verify checks the invariant of the Gedankenexperiment: neither cheat may
-// change the absolute failure count, yet both must raise full-space
-// coverage. It returns an error describing the first violated property.
-func (r *DilutionResult) Verify() error {
-	if r.DFT.FailWeight != r.Baseline.FailWeight {
-		return fmt.Errorf("DFT changed the failure count: %d -> %d",
-			r.Baseline.FailWeight, r.DFT.FailWeight)
-	}
-	if r.DFTPrime.FailWeight != r.Baseline.FailWeight {
-		return fmt.Errorf("DFT' changed the failure count: %d -> %d",
-			r.Baseline.FailWeight, r.DFTPrime.FailWeight)
-	}
-	if r.DFT.CoverageWeighted <= r.Baseline.CoverageWeighted {
-		return fmt.Errorf("DFT did not inflate coverage (%g <= %g)",
-			r.DFT.CoverageWeighted, r.Baseline.CoverageWeighted)
-	}
-	if r.DFTPrime.CoverageWeighted <= r.Baseline.CoverageWeighted {
-		return fmt.Errorf("DFT' did not inflate coverage (%g <= %g)",
-			r.DFTPrime.CoverageWeighted, r.Baseline.CoverageWeighted)
+	for i, c := range cmps {
+		cheat := [...]string{"DFT", "DFT'"}[i]
+		if c.Hardened.FailWeight != c.Baseline.FailWeight {
+			return fmt.Errorf("%s changed the failure count: %d -> %d",
+				cheat, c.Baseline.FailWeight, c.Hardened.FailWeight)
+		}
+		if c.Hardened.CoverageWeighted <= c.Baseline.CoverageWeighted {
+			return fmt.Errorf("%s did not inflate coverage (%g <= %g)",
+				cheat, c.Hardened.CoverageWeighted, c.Baseline.CoverageWeighted)
+		}
 	}
 	// DFT' additionally defeats "activated-faults-only" counting: its
 	// dummy loads activate the diluted coordinates, so coverage rises even
 	// when known-No-Effect coordinates are excluded (§IV-B).
-	if r.DFTPrime.CoverageActivatedOnly <= r.Baseline.CoverageActivatedOnly {
+	if prime := cmps[1]; prime.Hardened.CoverageActivatedOnly <= prime.Baseline.CoverageActivatedOnly {
 		return fmt.Errorf("DFT' did not inflate activated-only coverage (%g <= %g)",
-			r.DFTPrime.CoverageActivatedOnly, r.Baseline.CoverageActivatedOnly)
+			prime.Hardened.CoverageActivatedOnly, prime.Baseline.CoverageActivatedOnly)
 	}
 	return nil
 }

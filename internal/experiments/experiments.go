@@ -1,13 +1,15 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each function corresponds to one artifact (see DESIGN.md's
-// experiment index) and returns structured results; rendering lives in
-// internal/report and cmd/favreport.
+// experiment index) and returns structured results: the comparison
+// artifacts return the []faultspace.Comparison that Compare builds.
+// Rendering lives in internal/report and cmd/favreport.
 package experiments
 
 import (
 	"faultspace"
 	"faultspace/internal/machine"
 	"faultspace/internal/metrics"
+	"faultspace/internal/progs"
 	"faultspace/internal/pruning"
 	"faultspace/internal/trace"
 )
@@ -75,22 +77,55 @@ func Figure1() (*Figure1Result, error) {
 	return r, nil
 }
 
-// VariantAnalysis pairs a scan analysis with the variant's memory demand,
-// the two quantities of Figure 2g.
-type VariantAnalysis struct {
-	faultspace.Analysis
-	RAMBytes int
+// Compare scans spec's baseline once and each named variant (see
+// progs.Spec.Variant), all under opts, and compares each variant with the
+// baseline: one Comparison per variant, in order. It is the one
+// baseline-vs-variant loop behind every comparison artifact.
+func Compare(spec progs.Spec, opts faultspace.ScanOptions, variants ...string) ([]faultspace.Comparison, error) {
+	base, err := analyze(spec, "baseline", opts)
+	if err != nil {
+		return nil, err
+	}
+	cmps := make([]faultspace.Comparison, len(variants))
+	for i, v := range variants {
+		a, err := analyze(spec, v, opts)
+		if err != nil {
+			return nil, err
+		}
+		if cmps[i], err = faultspace.Compare(base, a); err != nil {
+			return nil, err
+		}
+	}
+	return cmps, nil
 }
 
-// scanVariant assembles, scans and analyzes one program.
-func scanVariant(p *faultspace.Program, opts faultspace.ScanOptions) (VariantAnalysis, error) {
+// compareEach runs Compare on each named bundled benchmark at the given
+// sizes: benchmark by benchmark, variant by variant.
+func compareEach(names []string, sizes progs.Sizes, opts faultspace.ScanOptions, variants ...string) ([]faultspace.Comparison, error) {
+	var cmps []faultspace.Comparison
+	for _, name := range names {
+		spec, err := progs.Resolve(name, sizes)
+		if err != nil {
+			return nil, err
+		}
+		c, err := Compare(spec, opts, variants...)
+		if err != nil {
+			return nil, err
+		}
+		cmps = append(cmps, c...)
+	}
+	return cmps, nil
+}
+
+// analyze assembles, scans and analyzes one variant of a benchmark.
+func analyze(spec progs.Spec, variant string, opts faultspace.ScanOptions) (faultspace.Analysis, error) {
+	p, err := spec.Variant(variant)
+	if err != nil {
+		return faultspace.Analysis{}, err
+	}
 	scan, err := faultspace.Scan(p, opts)
 	if err != nil {
-		return VariantAnalysis{}, err
+		return faultspace.Analysis{}, err
 	}
-	a, err := faultspace.Analyze(scan)
-	if err != nil {
-		return VariantAnalysis{}, err
-	}
-	return VariantAnalysis{Analysis: a, RAMBytes: p.RAMSize}, nil
+	return faultspace.Analyze(scan)
 }

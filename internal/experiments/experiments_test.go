@@ -60,30 +60,31 @@ func TestDilutionMatchesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Verify(); err != nil {
+	if err := VerifyDilution(d); err != nil {
 		t.Fatal(err)
 	}
-	if d.Baseline.CoverageWeighted != 0.625 {
-		t.Errorf("baseline coverage = %v, want 0.625", d.Baseline.CoverageWeighted)
+	base, dft, dftPrime := d[0].Baseline, d[0].Hardened, d[1].Hardened
+	if base.CoverageWeighted != 0.625 {
+		t.Errorf("baseline coverage = %v, want 0.625", base.CoverageWeighted)
 	}
-	if d.DFT.CoverageWeighted != 0.75 {
-		t.Errorf("DFT coverage = %v, want 0.75", d.DFT.CoverageWeighted)
+	if dft.CoverageWeighted != 0.75 {
+		t.Errorf("DFT coverage = %v, want 0.75", dft.CoverageWeighted)
 	}
-	if d.DFTPrime.CoverageWeighted != 0.75 {
-		t.Errorf("DFT' coverage = %v, want 0.75", d.DFTPrime.CoverageWeighted)
+	if dftPrime.CoverageWeighted != 0.75 {
+		t.Errorf("DFT' coverage = %v, want 0.75", dftPrime.CoverageWeighted)
 	}
-	if d.Baseline.FailWeight != 48 || d.DFT.FailWeight != 48 || d.DFTPrime.FailWeight != 48 {
+	if base.FailWeight != 48 || dft.FailWeight != 48 || dftPrime.FailWeight != 48 {
 		t.Errorf("failure counts = %d/%d/%d, want 48 each",
-			d.Baseline.FailWeight, d.DFT.FailWeight, d.DFTPrime.FailWeight)
+			base.FailWeight, dft.FailWeight, dftPrime.FailWeight)
 	}
 	// The baseline's activated-only coverage is 0 (every activated fault
 	// fails); DFT' inflates it — the metric is gameable under Barbosa's
 	// restriction too.
-	if d.Baseline.CoverageActivatedOnly != 0 {
-		t.Errorf("baseline activated-only = %v, want 0", d.Baseline.CoverageActivatedOnly)
+	if base.CoverageActivatedOnly != 0 {
+		t.Errorf("baseline activated-only = %v, want 0", base.CoverageActivatedOnly)
 	}
-	if d.DFTPrime.CoverageActivatedOnly <= 0.5 {
-		t.Errorf("DFT' activated-only = %v, want > 0.5", d.DFTPrime.CoverageActivatedOnly)
+	if dftPrime.CoverageActivatedOnly <= 0.5 {
+		t.Errorf("DFT' activated-only = %v, want > 0.5", dftPrime.CoverageActivatedOnly)
 	}
 }
 
@@ -97,13 +98,14 @@ func TestDilutionMoreNopsMoreCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.DFT.FailWeight != 48 {
-			t.Fatalf("n=%d: failures = %d, want 48", n, d.DFT.FailWeight)
+		dft := d[0].Hardened
+		if dft.FailWeight != 48 {
+			t.Fatalf("n=%d: failures = %d, want 48", n, dft.FailWeight)
 		}
-		if n > 0 && d.DFT.CoverageWeighted <= prev {
-			t.Errorf("n=%d: coverage %v did not grow past %v", n, d.DFT.CoverageWeighted, prev)
+		if n > 0 && dft.CoverageWeighted <= prev {
+			t.Errorf("n=%d: coverage %v did not grow past %v", n, dft.CoverageWeighted, prev)
 		}
-		prev = d.DFT.CoverageWeighted
+		prev = dft.CoverageWeighted
 	}
 	if prev < 0.9 {
 		t.Errorf("40 NOPs should push coverage past 90%%, got %v", prev)
@@ -114,29 +116,33 @@ func TestFigure2SmallConfig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scans are slow")
 	}
-	f2, err := Figure2(Figure2Config{BinSemRounds: 2, SyncRounds: 2, SyncBufBytes: 32},
+	f2, err := Figure2(progs.Sizes{BinSemRounds: 2, SyncRounds: 2, SyncBufBytes: 32},
 		faultspace.ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(f2) != 2 {
+		t.Fatalf("comparisons = %d, want bin_sem2's and sync2's", len(f2))
+	}
+	binSem2, sync2 := f2[0], f2[1]
 	// Shape assertions that must hold at any workload size.
-	if !f2.BinSem2.Cmp.FailuresSayImproved() {
+	if !binSem2.FailuresSayImproved() {
 		t.Error("bin_sem2 hardening must reduce weighted failures")
 	}
-	if f2.Sync2.Cmp.RatioWeighted <= 1 {
+	if sync2.RatioWeighted <= 1 {
 		t.Errorf("sync2 hardening must worsen weighted failures, ratio = %v",
-			f2.Sync2.Cmp.RatioWeighted)
+			sync2.RatioWeighted)
 	}
-	if !f2.Sync2.Cmp.Misleading() {
+	if !sync2.Misleading() {
 		t.Error("sync2 must expose the coverage-vs-failures disagreement")
 	}
-	for _, p := range []Pair{f2.BinSem2, f2.Sync2} {
-		if p.Hardened.RAMBytes <= p.Baseline.RAMBytes {
+	for _, p := range f2 {
+		if p.Hardened.MemoryBits <= p.Baseline.MemoryBits {
 			t.Errorf("%s: hardened RAM %d must exceed baseline %d",
-				p.Name, p.Hardened.RAMBytes, p.Baseline.RAMBytes)
+				p.Baseline.Name, p.Hardened.MemoryBits/8, p.Baseline.MemoryBits/8)
 		}
 		if p.Hardened.RuntimeCycles <= p.Baseline.RuntimeCycles {
-			t.Errorf("%s: hardened runtime must exceed baseline", p.Name)
+			t.Errorf("%s: hardened runtime must exceed baseline", p.Baseline.Name)
 		}
 	}
 }

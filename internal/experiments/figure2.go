@@ -5,87 +5,18 @@ import (
 	"faultspace/internal/progs"
 )
 
-// Pair is one benchmark's baseline/hardened scan pair with its comparison.
-type Pair struct {
-	Name     string
-	Baseline VariantAnalysis
-	Hardened VariantAnalysis
-	Cmp      faultspace.Comparison
-}
-
-// Figure2Result aggregates the Figure 2 reproduction: full fault-space
-// scans of bin_sem2 and sync2 in baseline and SUM+DMR-hardened variants.
-// From it every panel of the figure follows:
+// Figure2 runs the four full fault-space scans behind Figure 2 and
+// returns two comparisons, bin_sem2's and sync2's, each baseline vs
+// SUM+DMR. Every panel of the figure follows from their analyses (the
+// memory use of 2g is the memory fault space's size in bytes):
 //
 //	2a  unweighted fault coverage     (Analysis.CoverageUnweighted)
 //	2b  weighted fault coverage       (Analysis.CoverageWeighted)
 //	2d  unweighted failure counts     (Analysis.FailClasses)
 //	2e  weighted failure counts       (Analysis.FailWeight)
-//	2g  runtime and memory usage      (Analysis.RuntimeCycles, RAMBytes)
-type Figure2Result struct {
-	BinSem2 Pair
-	Sync2   Pair
-}
-
-// Figure2Config sizes the benchmark workloads.
-type Figure2Config struct {
-	// BinSemRounds is the number of bin_sem2 ping-pong rounds (default 4).
-	BinSemRounds int
-	// SyncRounds is the number of sync2 handshakes (default 3).
-	SyncRounds int
-	// SyncBufBytes is sync2's unprotected message-buffer size (default 64).
-	SyncBufBytes int
-}
-
-func (c Figure2Config) withDefaults() Figure2Config {
-	if c.BinSemRounds == 0 {
-		c.BinSemRounds = 4
-	}
-	if c.SyncRounds == 0 {
-		c.SyncRounds = 3
-	}
-	if c.SyncBufBytes == 0 {
-		c.SyncBufBytes = 64
-	}
-	return c
-}
-
-// Figure2 runs the four full fault-space scans behind Figure 2.
-func Figure2(cfg Figure2Config, opts faultspace.ScanOptions) (*Figure2Result, error) {
-	cfg = cfg.withDefaults()
-	var (
-		r   Figure2Result
-		err error
-	)
-	if r.BinSem2, err = runPair(progs.BinSem2(cfg.BinSemRounds), opts); err != nil {
-		return nil, err
-	}
-	if r.Sync2, err = runPair(progs.Sync2(cfg.SyncRounds, cfg.SyncBufBytes), opts); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-func runPair(spec progs.Spec, opts faultspace.ScanOptions) (Pair, error) {
-	p := Pair{Name: spec.Name}
-	base, err := spec.Baseline()
-	if err != nil {
-		return p, err
-	}
-	hard, err := spec.Hardened()
-	if err != nil {
-		return p, err
-	}
-	if p.Baseline, err = scanVariant(base, opts); err != nil {
-		return p, err
-	}
-	if p.Hardened, err = scanVariant(hard, opts); err != nil {
-		return p, err
-	}
-	if p.Cmp, err = faultspace.Compare(p.Baseline.Analysis, p.Hardened.Analysis); err != nil {
-		return p, err
-	}
-	return p, nil
+//	2g  runtime and memory usage      (Analysis.RuntimeCycles, MemoryBits/8)
+func Figure2(sizes progs.Sizes, opts faultspace.ScanOptions) ([]faultspace.Comparison, error) {
+	return compareEach([]string{"bin_sem2", "sync2"}, sizes, opts, "sum+dmr")
 }
 
 // PruneStats reports the §III-C experiment-reduction numbers for one

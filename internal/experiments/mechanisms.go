@@ -5,71 +5,17 @@ import (
 	"faultspace/internal/progs"
 )
 
-// MechanismRow is one benchmark compared under both hardening mechanisms.
-type MechanismRow struct {
-	Name   string
-	SumDMR faultspace.Comparison // baseline vs SUM+DMR
-	TMR    faultspace.Comparison // baseline vs TMR
-}
-
-// MechanismsResult compares the two implemented fault-tolerance mechanisms
-// — SUM+DMR (duplication + complement checksum) and TMR (bitwise-majority
+// Mechanisms compares the two implemented fault-tolerance mechanisms —
+// SUM+DMR (duplication + complement checksum) and TMR (bitwise-majority
 // triplication) — the way the paper demands mechanisms be compared: by
 // extrapolated absolute failure counts over each variant's own complete
 // fault space. This is the toolkit's "so what" demo: once the metric is
 // sound, mechanism trade-offs (runtime overhead vs double-fault
 // robustness vs load-path latency) become measurable instead of arguable.
-type MechanismsResult struct {
-	Rows []MechanismRow
-}
-
-// Mechanisms scans every benchmark pair under both mechanisms.
-func Mechanisms(specs []progs.Spec, opts faultspace.ScanOptions) (*MechanismsResult, error) {
-	if len(specs) == 0 {
-		specs = []progs.Spec{progs.BinSem2(4), progs.Sort1(12)}
-	}
-	res := &MechanismsResult{}
-	for _, spec := range specs {
-		base, err := spec.Baseline()
-		if err != nil {
-			return nil, err
-		}
-		baseScan, err := faultspace.Scan(base, opts)
-		if err != nil {
-			return nil, err
-		}
-		ab, err := faultspace.Analyze(baseScan)
-		if err != nil {
-			return nil, err
-		}
-
-		row := MechanismRow{Name: spec.Name}
-		for _, mech := range []struct {
-			build func() (*faultspace.Program, error)
-			dst   *faultspace.Comparison
-		}{
-			{spec.Hardened, &row.SumDMR},
-			{spec.HardenedTMR, &row.TMR},
-		} {
-			p, err := mech.build()
-			if err != nil {
-				return nil, err
-			}
-			scan, err := faultspace.Scan(p, opts)
-			if err != nil {
-				return nil, err
-			}
-			a, err := faultspace.Analyze(scan)
-			if err != nil {
-				return nil, err
-			}
-			cmp, err := faultspace.Compare(ab, a)
-			if err != nil {
-				return nil, err
-			}
-			*mech.dst = cmp
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+//
+// It returns four comparisons: bin_sem2 and then sort1 at the given
+// sizes, each against SUM+DMR and then TMR, the pair sharing one
+// baseline scan.
+func Mechanisms(sizes progs.Sizes, opts faultspace.ScanOptions) ([]faultspace.Comparison, error) {
+	return compareEach([]string{"bin_sem2", "sort1"}, sizes, opts, "sum+dmr", "tmr")
 }

@@ -70,7 +70,7 @@ const (
 
 // MultiFault runs the single- and double-fault enumeration for SUM+DMR.
 func MultiFault(opts faultspace.ScanOptions) (*MultiFaultResult, error) {
-	return MultiFaultWith(harden.SumDMR{
+	return multiFaultWith(harden.SumDMR{
 		ReplicaOffset: mfReplicaOffset,
 		CheckOffset:   mfCheckOffset,
 	}, opts)
@@ -81,15 +81,15 @@ func MultiFault(opts faultspace.ScanOptions) (*MultiFaultResult, error) {
 // comparable: TMR's bitwise majority survives every pair except same-bit
 // flips in two copies.
 func MultiFaultTMR(opts faultspace.ScanOptions) (*MultiFaultResult, error) {
-	return MultiFaultWith(harden.TMR{
+	return multiFaultWith(harden.TMR{
 		Copy2Offset: mfReplicaOffset,
 		Copy3Offset: mfCheckOffset,
 	}, opts)
 }
 
-// MultiFaultWith runs the enumeration under an arbitrary hardening
+// multiFaultWith runs the enumeration under an arbitrary hardening
 // variant that uses the shared three-region layout.
-func MultiFaultWith(v harden.Variant, opts faultspace.ScanOptions) (*MultiFaultResult, error) {
+func multiFaultWith(v harden.Variant, opts faultspace.ScanOptions) (*MultiFaultResult, error) {
 	stmts, err := asm.Parse(multiFaultProgram)
 	if err != nil {
 		return nil, err

@@ -86,20 +86,20 @@ func TestMechanismsComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six full scans")
 	}
-	m, err := Mechanisms([]progs.Spec{progs.BinSem2(2)}, faultspace.ScanOptions{})
+	m, err := Mechanisms(progs.Sizes{BinSemRounds: 2, SortElements: 6}, faultspace.ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Rows) != 1 {
-		t.Fatalf("rows = %d", len(m.Rows))
+	if len(m) != 4 {
+		t.Fatalf("comparisons = %d, want bin_sem2's and sort1's under each mechanism", len(m))
 	}
-	row := m.Rows[0]
-	if !row.SumDMR.FailuresSayImproved() || !row.TMR.FailuresSayImproved() {
+	sumDMR, tmr := m[0], m[1]
+	if !sumDMR.FailuresSayImproved() || !tmr.FailuresSayImproved() {
 		t.Errorf("both mechanisms must help on bin_sem2: dmr r=%.3f tmr r=%.3f",
-			row.SumDMR.RatioWeighted, row.TMR.RatioWeighted)
+			sumDMR.RatioWeighted, tmr.RatioWeighted)
 	}
 	// Identical baselines: the two comparisons share the denominator.
-	if row.SumDMR.Baseline.FailWeight != row.TMR.Baseline.FailWeight {
+	if sumDMR.Baseline.FailWeight != tmr.Baseline.FailWeight {
 		t.Error("mechanism comparisons must share the baseline")
 	}
 }

@@ -121,11 +121,11 @@ func TestOracleRandomCoordinatesFork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		build := spec.Hardened
+		variant := "sum+dmr"
 		if tc.tmr {
-			build = spec.HardenedTMR
+			variant = "tmr"
 		}
-		p, err := build()
+		p, err := spec.Variant(variant)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,60 +5,23 @@ import (
 	"faultspace/internal/progs"
 )
 
-// RegisterSpaceResult is the §VI-B extension experiment (beyond the
-// paper's evaluation): the same benchmark pair scanned under the register
-// fault model instead of the memory model. SUM+DMR protects memory only,
-// so the register fault space shows how much of the hardened variant's
-// apparent robustness is an artifact of where faults are injected —
-// and, because the mechanism stretches runtime, register-fault exposure
-// of live registers grows with hardening.
-type RegisterSpaceResult struct {
-	Name string
-	// Memory/Registers hold the comparison under each fault model.
-	Memory    faultspace.Comparison
-	Registers faultspace.Comparison
-}
-
-// RegisterSpace scans one benchmark pair under both fault models.
-func RegisterSpace(spec progs.Spec, opts faultspace.ScanOptions) (*RegisterSpaceResult, error) {
-	base, err := spec.Baseline()
-	if err != nil {
-		return nil, err
-	}
-	hard, err := spec.Hardened()
-	if err != nil {
-		return nil, err
-	}
-	r := &RegisterSpaceResult{Name: spec.Name}
-
+// RegisterSpace is the §VI-B extension experiment (beyond the paper's
+// evaluation): the bin_sem2 pair at the given sizes, baseline vs SUM+DMR,
+// compared under the memory fault model and then under the register
+// model. SUM+DMR protects memory only, so the register fault space shows
+// how much of the hardened variant's apparent robustness is an artifact
+// of where faults are injected — and, because the mechanism stretches
+// runtime, register-fault exposure of live registers grows with
+// hardening.
+func RegisterSpace(sizes progs.Sizes, opts faultspace.ScanOptions) ([]faultspace.Comparison, error) {
+	var cmps []faultspace.Comparison
 	for _, space := range []faultspace.SpaceKind{faultspace.SpaceMemory, faultspace.SpaceRegisters} {
-		o := opts
-		o.Space = space
-		baseScan, err := faultspace.Scan(base, o)
+		opts.Space = space
+		c, err := compareEach([]string{"bin_sem2"}, sizes, opts, "sum+dmr")
 		if err != nil {
 			return nil, err
 		}
-		hardScan, err := faultspace.Scan(hard, o)
-		if err != nil {
-			return nil, err
-		}
-		ab, err := faultspace.Analyze(baseScan)
-		if err != nil {
-			return nil, err
-		}
-		ah, err := faultspace.Analyze(hardScan)
-		if err != nil {
-			return nil, err
-		}
-		cmp, err := faultspace.Compare(ab, ah)
-		if err != nil {
-			return nil, err
-		}
-		if space == faultspace.SpaceMemory {
-			r.Memory = cmp
-		} else {
-			r.Registers = cmp
-		}
+		cmps = append(cmps, c...)
 	}
-	return r, nil
+	return cmps, nil
 }

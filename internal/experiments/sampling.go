@@ -91,7 +91,10 @@ func estimate(sr *campaign.SampleResult) (SampleEstimate, error) {
 		SampledFail: sr.Failures(),
 		Experiments: sr.Experiments,
 	}
-	est.FailEstimate = sr.ExtrapolatedFailures()
+	var err error
+	if est.FailEstimate, err = metrics.ExtrapolateFailures(sr.Population, est.SampledFail, uint64(sr.N)); err != nil {
+		return est, err
+	}
 	iv, err := metrics.WilsonInterval(est.SampledFail, uint64(sr.N), metrics.Z95)
 	if err != nil {
 		return est, err

@@ -5,52 +5,36 @@ import (
 	"faultspace/internal/progs"
 )
 
-// SweepPoint is one point of the buffer-size sweep: the sync2 benchmark
-// pair at a given unprotected-buffer size.
-type SweepPoint struct {
-	BufBytes int
-	Cmp      faultspace.Comparison
-}
-
-// SweepResult traces how the hardening verdict for sync2 depends on the
-// share of unprotected long-lived data. The paper explains sync2's
-// degradation by the runtime-stretched exposure of data the mechanism
-// does not cover (§V-B); sweeping the buffer size makes the mechanism's
-// break-even point directly visible: below the crossover the protected
-// kernel state dominates and SUM+DMR wins, above it the unprotected
-// buffer dominates and SUM+DMR loses ground to its own runtime overhead.
-type SweepResult struct {
-	Rounds int
-	Points []SweepPoint
-}
-
-// CrossoverBufBytes returns the first swept buffer size at which the
-// weighted failure ratio exceeds 1 (hardening starts hurting), or -1 if
-// the verdict never flips within the sweep.
-func (s *SweepResult) CrossoverBufBytes() int {
-	for _, p := range s.Points {
-		if p.Cmp.RatioWeighted > 1 {
-			return p.BufBytes
-		}
-	}
-	return -1
-}
-
-// SweepSync2Buffer scans the sync2 pair for every buffer size.
-func SweepSync2Buffer(rounds int, bufSizes []int, opts faultspace.ScanOptions) (*SweepResult, error) {
-	if rounds <= 0 {
-		rounds = 3
-	}
-	if len(bufSizes) == 0 {
-		bufSizes = []int{4, 8, 16, 32, 64, 128}
-	}
-	res := &SweepResult{Rounds: rounds}
-	for _, buf := range bufSizes {
-		pair, err := runPair(progs.Sync2(rounds, buf), opts)
+// SweepSync2Buffer traces how the hardening verdict for sync2 depends on
+// the share of unprotected long-lived data: it compares the sync2 pair,
+// baseline vs SUM+DMR, at the given sizes with each unprotected-buffer
+// size of bufBytes in turn. The paper explains sync2's degradation by the
+// runtime-stretched exposure of data the mechanism does not cover (§V-B);
+// sweeping the buffer size makes the mechanism's break-even point
+// directly visible: below the crossover the protected kernel state
+// dominates and SUM+DMR wins, above it the unprotected buffer dominates
+// and SUM+DMR loses ground to its own runtime overhead.
+func SweepSync2Buffer(sizes progs.Sizes, bufBytes []int, opts faultspace.ScanOptions) ([]faultspace.Comparison, error) {
+	var cmps []faultspace.Comparison
+	for _, buf := range bufBytes {
+		sizes.SyncBufBytes = buf
+		c, err := compareEach([]string{"sync2"}, sizes, opts, "sum+dmr")
 		if err != nil {
 			return nil, err
 		}
-		res.Points = append(res.Points, SweepPoint{BufBytes: buf, Cmp: pair.Cmp})
+		cmps = append(cmps, c...)
 	}
-	return res, nil
+	return cmps, nil
+}
+
+// Crossover returns the index of the first comparison whose weighted
+// failure ratio exceeds 1 (hardening starts hurting), or -1 if the
+// verdict never flips within the sweep.
+func Crossover(cmps []faultspace.Comparison) int {
+	for i, c := range cmps {
+		if c.RatioWeighted > 1 {
+			return i
+		}
+	}
+	return -1
 }

@@ -11,31 +11,31 @@ func TestSweepSync2Buffer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep runs several full scans")
 	}
-	s, err := SweepSync2Buffer(2, []int{4, 32, 96}, faultspace.ScanOptions{})
+	bufs := []int{4, 32, 96}
+	s, err := SweepSync2Buffer(progs.Sizes{SyncRounds: 2}, bufs, faultspace.ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Points) != 3 {
-		t.Fatalf("points = %d, want 3", len(s.Points))
+	if len(s) != 3 {
+		t.Fatalf("points = %d, want 3", len(s))
 	}
 	// The damage must scale monotonically with the unprotected buffer's
 	// share of the fault space.
-	for i := 1; i < len(s.Points); i++ {
-		if s.Points[i].Cmp.RatioWeighted <= s.Points[i-1].Cmp.RatioWeighted {
+	for i := 1; i < len(s); i++ {
+		if s[i].RatioWeighted <= s[i-1].RatioWeighted {
 			t.Errorf("ratio not increasing: buf %d -> %.3f, buf %d -> %.3f",
-				s.Points[i-1].BufBytes, s.Points[i-1].Cmp.RatioWeighted,
-				s.Points[i].BufBytes, s.Points[i].Cmp.RatioWeighted)
+				bufs[i-1], s[i-1].RatioWeighted, bufs[i], s[i].RatioWeighted)
 		}
 	}
 	// Coverage claims an improvement at every point (the §V-B trap).
-	for _, p := range s.Points {
-		if !p.Cmp.CoverageSaysImproved() {
+	for i, p := range s {
+		if !p.CoverageSaysImproved() {
 			t.Errorf("buf %d: coverage gain %.2f should be positive",
-				p.BufBytes, p.Cmp.CoverageGainWeighted)
+				bufs[i], p.CoverageGainWeighted)
 		}
 	}
-	if s.CrossoverBufBytes() != 4 {
-		t.Errorf("crossover = %d, want 4 (sync2 loses everywhere)", s.CrossoverBufBytes())
+	if x := Crossover(s); x != 0 {
+		t.Errorf("crossover at index %d, want 0: buffer 4 (sync2 loses everywhere)", x)
 	}
 }
 
@@ -43,18 +43,22 @@ func TestRegisterSpaceExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four full scans")
 	}
-	r, err := RegisterSpace(progs.BinSem2(2), faultspace.ScanOptions{})
+	r, err := RegisterSpace(progs.Sizes{BinSemRounds: 2}, faultspace.ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Memory.FailuresSayImproved() {
-		t.Errorf("memory model: bin_sem2 hardening must help (r = %.3f)", r.Memory.RatioWeighted)
+	if len(r) != 2 {
+		t.Fatalf("comparisons = %d, want memory's and registers'", len(r))
 	}
-	if r.Registers.FailuresSayImproved() {
-		t.Errorf("register model: hardening must hurt (r = %.3f)", r.Registers.RatioWeighted)
+	memory, registers := r[0], r[1]
+	if !memory.FailuresSayImproved() {
+		t.Errorf("memory model: bin_sem2 hardening must help (r = %.3f)", memory.RatioWeighted)
 	}
-	if r.Memory.Baseline.Space != faultspace.SpaceMemory ||
-		r.Registers.Baseline.Space != faultspace.SpaceRegisters {
+	if registers.FailuresSayImproved() {
+		t.Errorf("register model: hardening must hurt (r = %.3f)", registers.RatioWeighted)
+	}
+	if memory.Baseline.Space != faultspace.SpaceMemory ||
+		registers.Baseline.Space != faultspace.SpaceRegisters {
 		t.Error("space kinds not propagated into analyses")
 	}
 }

@@ -2,16 +2,14 @@ package progs
 
 import (
 	"flag"
-	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"faultspace/internal/asm"
-	"faultspace/internal/harden"
 )
 
-// VariantUsage is the help text of a tool's -variant flag.
+// VariantUsage is the help text of a tool's -variant flag: the names
+// Spec.Variant accepts.
 const VariantUsage = "baseline, sum+dmr, tmr, dft:N or dft2:N"
 
 // RegisterFlags declares the benchmark size flags on fs, bound to s —
@@ -74,26 +72,5 @@ func Load(arg, variant string, sizes Sizes) (*asm.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case variant == "baseline":
-		return spec.Baseline()
-	case variant == "sum+dmr" || variant == "sumdmr" || variant == "hardened":
-		return spec.Hardened()
-	case variant == "tmr":
-		return spec.HardenedTMR()
-	case strings.HasPrefix(variant, "dft:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(variant, "dft:"))
-		if err != nil {
-			return nil, fmt.Errorf("bad dft count: %w", err)
-		}
-		return spec.WithVariant(harden.Dilution{NOPs: n})
-	case strings.HasPrefix(variant, "dft2:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(variant, "dft2:"))
-		if err != nil {
-			return nil, fmt.Errorf("bad dft2 count: %w", err)
-		}
-		return spec.WithVariant(harden.DilutionLoads{Loads: n, Addrs: spec.DataAddrs})
-	default:
-		return nil, fmt.Errorf("unknown variant %q (baseline, sum+dmr, tmr, dft:N, dft2:N)", variant)
-	}
+	return spec.Variant(variant)
 }

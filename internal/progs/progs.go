@@ -14,6 +14,8 @@ package progs
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"faultspace/internal/asm"
 	"faultspace/internal/harden"
@@ -41,70 +43,90 @@ type Spec struct {
 	DataAddrs []int64
 }
 
-// BaselineStmts parses the baseline source and expands protected accesses
-// into plain loads/stores.
-func (s Spec) BaselineStmts() ([]asm.Stmt, error) {
-	return s.variantStmts(s.BaselineSrc, harden.Baseline{})
-}
-
-// HardenedStmts parses the hardened source and applies SUM+DMR. Specs
-// without protected data (zero DMR configuration) fall back to the
-// baseline expansion: there is nothing to harden.
-func (s Spec) HardenedStmts() ([]asm.Stmt, error) {
-	if s.DMR == (harden.SumDMR{}) {
-		return s.variantStmts(s.HardenedSrc, harden.Baseline{})
+// Variant assembles the benchmark in the named variant. It is the one
+// table of variant names: favscan's and favsim's -variant, progs.Load and
+// every experiment build their programs through it.
+//
+//	baseline                   protected accesses as plain loads/stores
+//	sum+dmr, sumdmr, hardened  SUM+DMR: duplication + complement checksum
+//	tmr                        TMR: bitwise-majority triplication
+//	dft:N                      the baseline behind N prepended NOPs (§IV, DFT)
+//	dft2:N                     the baseline behind N dummy loads (§IV, DFT′)
+func (s Spec) Variant(name string) (*asm.Program, error) {
+	switch {
+	case name == "baseline":
+		return s.Baseline()
+	case name == "sum+dmr" || name == "sumdmr" || name == "hardened":
+		return s.Hardened()
+	case name == "tmr":
+		return s.hardenedTMR()
+	case strings.HasPrefix(name, "dft:"):
+		n, err := strconv.Atoi(strings.TrimPrefix(name, "dft:"))
+		if err != nil {
+			return nil, fmt.Errorf("bad dft count: %w", err)
+		}
+		return s.withVariant(harden.Dilution{NOPs: n})
+	case strings.HasPrefix(name, "dft2:"):
+		n, err := strconv.Atoi(strings.TrimPrefix(name, "dft2:"))
+		if err != nil {
+			return nil, fmt.Errorf("bad dft2 count: %w", err)
+		}
+		return s.withVariant(harden.DilutionLoads{Loads: n, Addrs: s.DataAddrs})
+	default:
+		return nil, fmt.Errorf("unknown variant %q (baseline, sum+dmr, tmr, dft:N, dft2:N)", name)
 	}
-	return s.variantStmts(s.HardenedSrc, s.DMR)
 }
 
-// Baseline assembles the baseline variant.
+// Baseline assembles the baseline variant: the baseline source with
+// protected accesses expanded into plain loads/stores.
 func (s Spec) Baseline() (*asm.Program, error) {
-	stmts, err := s.BaselineStmts()
+	stmts, err := s.variantStmts(s.BaselineSrc, harden.Baseline{})
 	if err != nil {
 		return nil, err
 	}
 	return asm.AssembleStmts(s.Name+"/baseline", stmts)
 }
 
-// Hardened assembles the SUM+DMR variant.
+// Hardened assembles the SUM+DMR variant: the hardened source with
+// SUM+DMR applied. Specs without protected data (zero DMR configuration)
+// fall back to the baseline expansion: there is nothing to harden.
 func (s Spec) Hardened() (*asm.Program, error) {
-	stmts, err := s.HardenedStmts()
+	var v harden.Variant = s.DMR
+	if s.DMR == (harden.SumDMR{}) {
+		v = harden.Baseline{}
+	}
+	stmts, err := s.variantStmts(s.HardenedSrc, v)
 	if err != nil {
 		return nil, err
 	}
 	return asm.AssembleStmts(s.Name+"/sum+dmr", stmts)
 }
 
-// TMR returns the triple-modular-redundancy configuration sharing the
-// SUM+DMR layout: the second copy lives where SUM+DMR keeps its replica,
-// the third where SUM+DMR keeps its checksums.
-func (s Spec) TMR() harden.TMR {
-	return harden.TMR{
-		Copy2Offset: s.DMR.ReplicaOffset,
-		Copy3Offset: s.DMR.CheckOffset,
-		RegionBase:  s.DMR.RegionBase,
-		RegionWords: s.DMR.RegionWords,
-	}
-}
-
-// HardenedTMR assembles the TMR variant.
-func (s Spec) HardenedTMR() (*asm.Program, error) {
+// hardenedTMR assembles the TMR variant. Triple modular redundancy
+// shares the SUM+DMR layout: the second copy lives where SUM+DMR keeps
+// its replica, the third where SUM+DMR keeps its checksums.
+func (s Spec) hardenedTMR() (*asm.Program, error) {
 	if s.HardenedTMRSrc == "" {
 		return nil, fmt.Errorf("progs: %s has no TMR variant", s.Name)
 	}
 	if s.DMR == (harden.SumDMR{}) {
 		return nil, fmt.Errorf("progs: %s has no protected data to triplicate", s.Name)
 	}
-	stmts, err := s.variantStmts(s.HardenedTMRSrc, s.TMR())
+	stmts, err := s.variantStmts(s.HardenedTMRSrc, harden.TMR{
+		Copy2Offset: s.DMR.ReplicaOffset,
+		Copy3Offset: s.DMR.CheckOffset,
+		RegionBase:  s.DMR.RegionBase,
+		RegionWords: s.DMR.RegionWords,
+	})
 	if err != nil {
 		return nil, err
 	}
 	return asm.AssembleStmts(s.Name+"/tmr", stmts)
 }
 
-// WithVariant assembles the baseline program transformed by an additional
-// variant (e.g. the DFT dilution cheats applied on top of the baseline).
-func (s Spec) WithVariant(v harden.Variant) (*asm.Program, error) {
+// withVariant assembles the baseline program transformed by an additional
+// variant (the DFT dilution cheats applied on top of the baseline).
+func (s Spec) withVariant(v harden.Variant) (*asm.Program, error) {
 	stmts, err := s.variantStmts(s.BaselineSrc, harden.Chain(harden.Baseline{}, v))
 	if err != nil {
 		return nil, err

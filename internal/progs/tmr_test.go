@@ -12,7 +12,7 @@ func TestTMRGoldenOutputsMatchBaseline(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			base := buildVariant(t, spec, false)
-			tmr, err := spec.HardenedTMR()
+			tmr, err := spec.Variant("tmr")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,7 +44,7 @@ func TestMechanismCostIsWorkloadDependent(t *testing.T) {
 	cheaper := func(spec Spec) bool {
 		t.Helper()
 		dmr := buildVariant(t, spec, true)
-		tmr, err := spec.HardenedTMR()
+		tmr, err := spec.Variant("tmr")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestMechanismCostIsWorkloadDependent(t *testing.T) {
 }
 
 func TestTMRUnavailableForHi(t *testing.T) {
-	if _, err := Hi().HardenedTMR(); err == nil {
+	if _, err := Hi().Variant("tmr"); err == nil {
 		t.Error("hi has no protected data; TMR must be rejected")
 	}
 }

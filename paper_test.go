@@ -3,7 +3,6 @@ package faultspace
 import (
 	"testing"
 
-	"faultspace/internal/harden"
 	"faultspace/internal/progs"
 )
 
@@ -33,7 +32,7 @@ func TestHiFigure3Exact(t *testing.T) {
 		t.Errorf("baseline coverage = %v, want 0.625", a.CoverageWeighted)
 	}
 
-	dft, err := spec.WithVariant(harden.Dilution{NOPs: 4})
+	dft, err := spec.Variant("dft:4")
 	if err != nil {
 		t.Fatal(err)
 	}
