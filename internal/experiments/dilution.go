@@ -22,7 +22,7 @@ func Dilution(n int, opts faultspace.ScanOptions) ([]faultspace.Comparison, erro
 // error describing the first violated property.
 func VerifyDilution(cmps []faultspace.Comparison) error {
 	if len(cmps) != 2 {
-		return fmt.Errorf("%d dilution comparisons, want DFT's and DFT''s", len(cmps))
+		return fmt.Errorf("%d dilution comparisons, want two: DFT and DFT'", len(cmps))
 	}
 	for i, c := range cmps {
 		cheat := [...]string{"DFT", "DFT'"}[i]
