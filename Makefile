@@ -64,11 +64,12 @@ race-service:
 # The attack-style fault models (instruction skip, PC corruption,
 # multi-bit bursts) under the race detector: the objective-carrying
 # executor matrix and skip/burst interrupt+resume in the root package,
-# plus the attack-space fleet/archive paths of the campaign service —
-# -count=2 shakes out ordering-dependent races, exactly like
-# race-service.
+# the trajectory memo against the rerun oracle in all six spaces at one
+# and two workers, and with every memo state hashed alike, plus the
+# attack-space fleet/archive paths of the campaign service — -count=2
+# shakes out ordering-dependent races, exactly like race-service.
 race-spaces:
-	$(GO) test -race -count=2 -run='TestObjectiveStrategyEquivalence|TestInterruptResumeAttackSpaces|TestOracleRandomCoordinates' . ./internal/experiments
+	$(GO) test -race -count=2 -run='TestObjectiveStrategyEquivalence|TestInterruptResumeAttackSpaces|TestOracleRandomCoordinates|TestMemoMatchesRerunRandomPrograms|TestMemoHashCollisions' . ./internal/experiments ./internal/campaign
 	$(GO) test -race -count=2 -run='TestInvariant12ArchiveHitAttackSpaces' ./internal/service
 
 # The observability layer under the race detector: the fleet trace

@@ -120,22 +120,31 @@ func (o Outcome) Benign() bool {
 	return b == OutcomeNoEffect || b == OutcomeDetectedCorrected
 }
 
-// classify maps a finished experiment machine to an outcome, evaluating
-// the campaign's attacker objective (nil = none) on the way. Together
-// with classifyConverged it is the only status → outcome mapping, so
-// plain run-outs and composed reconvergences flag attack successes
-// identically.
-func classify(m *machine.Machine, golden *trace.Golden, obj *Objective) Outcome {
-	status, exc := m.Status(), m.Exception()
-	detects, corrects := m.DetectCount(), m.CorrectCount()
+// compose classifies a run from the state m is in and how it continues
+// from there (rem): it ends in rem's status and exception, with its own
+// output and event counts so far plus rem's. It is the one status →
+// outcome mapping, and it evaluates the campaign's attacker objective
+// (nil = none) on the way, so every way a run can end is classified and
+// flagged alike:
+//   - a run-out, whose remainder is empty (ended);
+//   - a golden match, whose remainder is the golden run's from the
+//     matched cycle (goldenRemainder);
+//   - a trajectory-memo hit, whose remainder is an earlier faulty run's
+//     from the same state at the same cycle (machine.TrajectoryMemo).
+//
+// The two serial parts are compared in place (classifyHaltedParts),
+// never concatenated, keeping the composed paths allocation-free — they
+// sit on the scan hot path (TestClassifyConvergedAllocFree).
+func compose(m *machine.Machine, rem machine.Remainder, golden *trace.Golden, obj *Objective) Outcome {
+	detects, corrects := m.DetectCount()+rem.Detects, m.CorrectCount()+rem.Corrects
 	var base Outcome
-	switch status {
+	switch rem.Status {
 	case machine.StatusRunning:
 		base = OutcomeTimeout
 	case machine.StatusAborted:
 		base = OutcomeDetectedUnrecoverable
 	case machine.StatusExcepted:
-		switch exc {
+		switch rem.Exc {
 		case machine.ExcIllegalOp, machine.ExcBadPC:
 			base = OutcomeIllegalInstruction
 		case machine.ExcSerialLimit:
@@ -146,12 +155,24 @@ func classify(m *machine.Machine, golden *trace.Golden, obj *Objective) Outcome 
 			base = OutcomeCPUException
 		}
 	case machine.StatusHalted:
-		base = classifyHaltedParts(m.SerialView(), nil, detects, corrects, golden)
+		base = classifyHaltedParts(m.SerialView(), rem.Serial, detects, corrects, golden)
 	default:
 		// Unreachable with a correct machine; classify conservatively.
 		base = OutcomeSDC
 	}
-	return obj.apply(base, status, exc, m.SerialLen(), detects, corrects, golden)
+	return obj.apply(base, rem.Status, rem.Exc, m.SerialLen()+len(rem.Serial), detects, corrects, golden)
+}
+
+// ended is the empty remainder of a run that stops where m is: halted,
+// excepted, aborted, or still running at the cycle budget or in a proven
+// loop (a Timeout either way).
+func ended(m *machine.Machine) machine.Remainder {
+	return machine.Remainder{Status: m.Status(), Exc: m.Exception()}
+}
+
+// classify maps a finished experiment machine to an outcome.
+func classify(m *machine.Machine, golden *trace.Golden, obj *Objective) Outcome {
+	return compose(m, ended(m), golden, obj)
 }
 
 // classifyHaltedParts classifies a run that halted normally with the
@@ -177,24 +198,20 @@ func classifyHaltedParts(prefix, suffix []byte, detects, corrects uint64, golden
 	return OutcomeSDC
 }
 
-// classifyConverged classifies an experiment whose machine state equals
+// goldenRemainder is the remainder of a run whose machine state equals
 // the golden run's at the matched cycle `at` (machine.Matcher): the
-// continuation is the golden run's from there, cycle for cycle, ending
-// in a normal halt, so the final serial output and event counters are
-// the current values plus the golden remainder — no further simulation
-// needed. The caller has checked that the remainder fits the cycle
-// budget and the serial cap (composable); within them the composed run
-// is exactly the one a run-out would produce. The two serial parts are
-// compared in place (classifyHaltedParts), never concatenated, keeping
-// the reconvergence path allocation-free — it sits on the scan hot path
-// (TestClassifyConvergedAllocFree).
-func classifyConverged(m *machine.Machine, at machine.GoldenPoint, golden *trace.Golden, obj *Objective) Outcome {
-	suffix := golden.Serial[at.SerialLen:]
-	detects := m.DetectCount() + (golden.Detects - at.Detects)
-	corrects := m.CorrectCount() + (golden.Corrects - at.Corrects)
-	base := classifyHaltedParts(m.SerialView(), suffix, detects, corrects, golden)
-	return obj.apply(base, machine.StatusHalted, machine.ExcNone,
-		m.SerialLen()+len(suffix), detects, corrects, golden)
+// continuation is the golden run's from there, cycle for cycle, ending in
+// a normal halt, with the golden output and events still to come. The
+// caller has checked that it fits the cycle budget and the serial cap
+// (composable); within them the composed run is exactly the one a run-out
+// would produce.
+func goldenRemainder(at machine.GoldenPoint, golden *trace.Golden) machine.Remainder {
+	return machine.Remainder{
+		Status:   machine.StatusHalted,
+		Serial:   golden.Serial[at.SerialLen:],
+		Detects:  golden.Detects - at.Detects,
+		Corrects: golden.Corrects - at.Corrects,
+	}
 }
 
 // composable reports whether a run matched to golden cycle `at` really
@@ -210,35 +227,83 @@ func composable(m *machine.Machine, at machine.GoldenPoint, golden *trace.Golden
 		m.SerialLen()+(len(golden.Serial)-at.SerialLen) <= m.MaxSerial()
 }
 
+// memoGrid is the cycle spacing of trajectory-memo probes: a run is
+// looked up, and recorded, at the absolute cycles that are multiples of
+// it, so that two runs passing through one state meet at the same cycle.
+// A policy constant, not an outcome input: a hit is confirmed exactly and
+// composed exactly, and a run that meets no earlier one runs out. Denser
+// grids find a run's earlier trajectory sooner but pay a state hash and,
+// on a miss, a RAM copy at every grid cycle. On the benchmark's
+// fleet_cold list at one worker, a 64-cycle grid saved 1 % more suffix
+// cycles than 128 for 78 % more probes, and a 256-cycle grid 10 % fewer
+// for 32 % fewer probes.
+const memoGrid = 128
+
+// noGrid is the grid cycle of a run whose memo probes have not begun.
+const noGrid = ^uint64(0)
+
 // runConverge finishes an injected experiment for the fork provider in
-// one probe loop: the machine advances on the loop detector's backed-off
-// schedule, and at every stop two shortcuts are tried, cheapest first.
-// The matcher asks whether the state equals the golden run's at ANY
-// cycle; if it does (and the remainder is composable) the outcome is
-// composed from the golden trace without simulating it — a masked fault
-// rejoins at its own cycle, a detected-and-corrected one a correction
-// path's worth of cycles late. Otherwise the loop detector asks whether
-// the state recurred, which proves a Timeout verdict as soon as the spin
-// loop closes instead of simulating the full budget (the objective layer
-// masks serial/counter observables for non-halted runs, so proof timing
-// is unobservable). Neither shortcut changes any outcome relative to
-// rerun: a match implies a golden continuation, and state recurrence
-// implies the budget is unreachable.
+// one probe loop, trying three shortcuts at the stops it makes:
+//   - At the loop detector's backed-off schedule, the matcher asks
+//     whether the state equals the golden run's at ANY cycle; if it does
+//     (and the remainder is composable) the outcome is composed from the
+//     golden trace without simulating it — a masked fault rejoins at its
+//     own cycle, a detected-and-corrected one a correction path's worth of
+//     cycles late.
+//   - At the same stops, the loop detector asks whether the state
+//     recurred, which proves a Timeout verdict as soon as the spin loop
+//     closes instead of simulating the full budget (the objective layer
+//     masks serial/counter observables for non-halted runs, so proof
+//     timing is unobservable).
+//   - At the absolute cycles of the memo grid, once the run has survived
+//     its first golden probe, the trajectory memo asks whether an earlier
+//     run of the session was in the same state at the same cycle; if one
+//     was, the outcome is composed from that run's remainder. Runs that
+//     rejoin the golden run at their first probe — nearly all of a
+//     hardened campaign's — never pay for a memo probe.
+//
+// None of them changes any outcome relative to rerun: a match implies a
+// golden continuation, a hit the earlier run's continuation, and state
+// recurrence implies the budget is unreachable. However the run ends, its
+// memo states are closed with the remainder it ended by.
 //
 // st counts which shortcut, if any, settled the outcome.
-func runConverge(m *machine.Machine, mt *machine.Matcher, golden *trace.Golden, budget uint64, obj *Objective, det *machine.LoopDetector, st *scanTel) Outcome {
+func runConverge(m *machine.Machine, mt *machine.Matcher, memo *machine.TrajectoryMemo, golden *trace.Golden, budget uint64, obj *Objective, det *machine.LoopDetector, st *scanTel) Outcome {
 	det.Reset()
-	for det.RunToProbe(m, budget) {
-		if at, ok := mt.Match(); ok && composable(m, at, golden, budget) {
-			st.converged(m.Cycles(), at.Cycle)
-			return classifyConverged(m, at, golden, obj)
-		}
-		if det.Probe(m) {
-			st.loopProofs.Inc()
+	grid := noGrid
+	rem, settled := machine.Remainder{}, false
+	for !settled {
+		due := det.Due(m)
+		stop := min(due, grid, budget)
+		if m.Run(stop) != machine.StatusRunning || stop == budget {
 			break
 		}
+		if stop == due {
+			if at, ok := mt.Match(); ok && composable(m, at, golden, budget) {
+				st.converged(m.Cycles(), at.Cycle)
+				rem, settled = goldenRemainder(at, golden), true
+				break
+			}
+			if det.Probe(m) {
+				st.loopProofs.Inc()
+				break
+			}
+			if grid == noGrid {
+				grid = (m.Cycles()/memoGrid + 1) * memoGrid
+			}
+		}
+		if stop == grid {
+			grid += memoGrid
+			rem, settled = memo.Recall(mt)
+		}
 	}
-	// A machine still running here either exhausted the budget or was
-	// proven to loop forever; classify calls both Timeout.
-	return classify(m, golden, obj)
+	// A machine still running here without a remainder either exhausted
+	// the budget or was proven to loop forever; compose calls both
+	// Timeout.
+	if !settled {
+		rem = ended(m)
+	}
+	o := compose(m, rem, golden, obj)
+	memo.Close(m, rem)
+	return o
 }

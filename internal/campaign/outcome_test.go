@@ -132,7 +132,7 @@ func TestClassifyConvergedAllocFree(t *testing.T) {
 		if !ok || at.Cycle != child.Cycles() || !composable(child, at, golden, budget) {
 			t.Fatalf("faultless child matched %+v (ok=%v), want its own cycle %d", at, ok, child.Cycles())
 		}
-		if o := classifyConverged(child, at, golden, nil); o != OutcomeNoEffect {
+		if o := compose(child, goldenRemainder(at, golden), golden, nil); o != OutcomeNoEffect {
 			t.Fatalf("faultless converged run classified %v, want No Effect", o)
 		}
 	}

@@ -23,7 +23,7 @@ type unit struct {
 // it must, and how the injected run is finished. The driver (Session.Run)
 // owns everything else. Calls come in the order
 //
-//	start(u); { position(slot); finish(m) }*; end(u)
+//	{ start(u); { position(slot); finish(m) }*; end(u) }*; release()
 //
 // with non-decreasing slots between start and end.
 type provider interface {
@@ -37,6 +37,8 @@ type provider interface {
 	finish(m *machine.Machine) Outcome
 	// end closes the unit (telemetry).
 	end(u unit)
+	// release hands back what the worker keeps for the session's length.
+	release()
 }
 
 // inject runs one experiment on a provider: position, flip, finish.
@@ -112,6 +114,8 @@ func (p *resetProvider) finish(m *machine.Machine) Outcome {
 
 func (p *resetProvider) end(unit) {}
 
+func (p *resetProvider) release() {}
+
 // forkBatchMax caps the classes per fork unit. Units are carved along
 // rung boundaries for injection locality, but a rung whose span holds
 // thousands of classes would serialize them all onto one worker;
@@ -150,9 +154,12 @@ func carveForkUnits(l *machine.Ladder, fs *pruning.FaultSpace, todo []int) []uni
 // cursor (parent) machine forward through the golden run, forking a
 // dirty-page-delta child (machine.Forker) at each injection cycle; only
 // the faulty suffix runs on the child, under runConverge, which matches
-// it against the golden-state index. The golden prefix between a unit's
-// injections is thus simulated exactly once per unit instead of once per
-// class, which is what the fork.prefix_cycles_saved counter accounts.
+// it against the golden-state index and the worker's trajectory memo.
+// The golden prefix between a unit's injections is thus simulated
+// exactly once per unit instead of once per class, which is what the
+// fork.prefix_cycles_saved counter accounts. The memo lives as long as
+// the provider — the session — so a fleet worker's later units rejoin
+// the trajectories of its earlier ones.
 //
 // Soundness (DESIGN.md §4c): the parent executes nothing but golden
 // cycles — every fault is injected into the child AFTER the fork — so
@@ -165,6 +172,7 @@ type forkProvider struct {
 	cur           *machine.Cursor
 	forker        *machine.Forker
 	matcher       *machine.Matcher
+	memo          *machine.TrajectoryMemo
 	det           *machine.LoopDetector
 	golden        *trace.Golden
 	budget        uint64
@@ -175,15 +183,21 @@ type forkProvider struct {
 	// rather than once per sub-microsecond experiment.
 	rungCycle       uint64
 	children, saved uint64
+	// memoBytes is the memo size last added to the ladder.memo_bytes
+	// gauge.
+	memoBytes int
 }
 
-func newForkProvider(parent, child *machine.Machine, ladder *machine.Ladder, index *machine.GoldenIndex, interval uint64, golden *trace.Golden, budget uint64, obj *Objective, st *scanTel) *forkProvider {
+// newForkProvider builds a worker's provider; memoHashMask is ANDed onto
+// the memo's state hashes (Config.memoCollide).
+func newForkProvider(parent, child *machine.Machine, ladder *machine.Ladder, index *machine.GoldenIndex, interval uint64, golden *trace.Golden, budget uint64, obj *Objective, st *scanTel, memoHashMask uint64) *forkProvider {
 	forker := machine.NewForker(parent, child)
 	return &forkProvider{
 		parent: parent, child: child, ladder: ladder,
 		cur:     ladder.NewCursor(parent),
 		forker:  forker,
 		matcher: index.NewMatcher(forker),
+		memo:    machine.NewTrajectoryMemo(child.RAMSize(), memoHashMask),
 		det:     machine.NewLoopDetector(min(interval, probeInterval)),
 		golden:  golden, budget: budget, obj: obj, st: st,
 	}
@@ -210,7 +224,7 @@ func (p *forkProvider) position(slot uint64) (*machine.Machine, error) {
 }
 
 func (p *forkProvider) finish(m *machine.Machine) Outcome {
-	return runConverge(m, p.matcher, p.golden, p.budget, p.obj, p.det, p.st)
+	return runConverge(m, p.matcher, p.memo, p.golden, p.budget, p.obj, p.det, p.st)
 }
 
 func (p *forkProvider) end(u unit) {
@@ -221,4 +235,13 @@ func (p *forkProvider) end(u unit) {
 	p.st.matchProbes.Add(p.matcher.Probes)
 	p.st.matchFalseHits.Add(p.matcher.FalseHits)
 	p.matcher.Probes, p.matcher.FalseHits = 0, 0
+	p.st.memoProbes.Add(p.memo.Probes)
+	p.st.memoHits.Add(p.memo.Hits)
+	p.memo.Probes, p.memo.Hits = 0, 0
+	if b := p.memo.Bytes(); b != p.memoBytes {
+		p.st.memoBytes.Add(int64(b - p.memoBytes))
+		p.memoBytes = b
+	}
 }
+
+func (p *forkProvider) release() { p.memo.Release() }

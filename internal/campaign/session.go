@@ -66,6 +66,9 @@ func OpenSession(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Con
 
 // Close releases the session's machines and golden pass. Idempotent.
 func (s *Session) Close() {
+	for _, p := range s.providers {
+		p.release()
+	}
 	s.closed = true
 	s.providers, s.recs, s.ladder = nil, nil, nil
 }
@@ -87,6 +90,10 @@ func (s *Session) build() error {
 		ms[i] = m
 	}
 	budget := s.cfg.timeoutBudget(s.golden.Cycles)
+	memoHashMask := ^uint64(0)
+	if s.cfg.memoCollide {
+		memoHashMask = 0
+	}
 	providers := make([]provider, s.cfg.Workers)
 	s.recs = make([][]record, s.cfg.Workers)
 	for w := range s.recs {
@@ -114,7 +121,7 @@ func (s *Session) build() error {
 	s.cfg.Telemetry.Gauge("ladder.rungs").Set(int64(ladder.Rungs()))
 	s.cfg.Telemetry.Gauge("ladder.index_bytes").Set(int64(index.Bytes()))
 	for w := range providers {
-		providers[w] = newForkProvider(ms[1+2*w], ms[2+2*w], ladder, index, interval, s.golden, budget, s.cfg.Objective, s.st)
+		providers[w] = newForkProvider(ms[1+2*w], ms[2+2*w], ladder, index, interval, s.golden, budget, s.cfg.Objective, s.st, memoHashMask)
 	}
 	s.providers, s.ladder = providers, ladder
 	return nil

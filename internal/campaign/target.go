@@ -73,6 +73,10 @@ type Config struct {
 	// ladderInterval, when non-zero, overrides forkInterval's policy: a
 	// test hook that reshapes the fork carving. Outcomes must not care.
 	ladderInterval uint64
+	// memoCollide, when set, makes every state in the fork workers'
+	// trajectory memos hash alike: a test hook that leaves only the full
+	// compare to tell states apart. Outcomes must not care.
+	memoCollide bool
 	// Telemetry, when non-nil, receives scan metrics: the experiment
 	// counter, per-outcome duration histograms and the strategy-specific
 	// shortcut counters (see DESIGN.md §4d for the metric names). Like

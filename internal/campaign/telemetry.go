@@ -51,6 +51,9 @@ type scanTel struct {
 	forkChildren       *telemetry.Counter
 	forkSaved          *telemetry.Counter
 	forkBatches        *telemetry.Histogram
+	memoProbes         *telemetry.Counter
+	memoHits           *telemetry.Counter
+	memoBytes          *telemetry.Gauge
 }
 
 // newScanTel resolves the scan instruments from the config's registry.
@@ -80,6 +83,9 @@ func newScanTel(cfg Config) *scanTel {
 		st.forkChildren = r.Counter("fork.children")
 		st.forkSaved = r.Counter("fork.prefix_cycles_saved")
 		st.forkBatches = r.Histogram("fork.batch_sizes")
+		st.memoProbes = r.Counter("ladder.memo_probes")
+		st.memoHits = r.Counter("ladder.memo_hits")
+		st.memoBytes = r.Gauge("ladder.memo_bytes")
 	}
 	return st
 }

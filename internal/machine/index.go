@@ -242,18 +242,19 @@ func (x *GoldenIndex) pageAt(p, i int) []byte {
 	return v[sort.Search(len(v), func(k int) bool { return v[k].from > i })-1].data
 }
 
-// equal is the full compare behind every reported match: the probe key
-// first (a diverged run almost always differs there), then every byte of
-// RAM.
-func (x *GoldenIndex) equal(i int, m *Machine) bool {
-	var k probeKey
-	k.load(m)
-	if x.states[i].probeKey != k {
+// sameState is the exact compare behind every match the golden index and
+// the trajectory memo report: the probe key first (a diverged run almost
+// always differs there), then RAM page by page, stored(p, lo, hi) giving
+// the stored content of page p, RAM bytes [lo, hi).
+func sameState(k *probeKey, m *Machine, stored func(p, lo, hi int) []byte) bool {
+	var cur probeKey
+	cur.load(m)
+	if *k != cur {
 		return false
 	}
-	for p := range x.pages {
+	for p := range numPages(len(m.ram)) {
 		lo, hi := m.pageBounds(p)
-		if !bytes.Equal(m.ram[lo:hi], x.pageAt(p, i)) {
+		if !bytes.Equal(m.ram[lo:hi], stored(p, lo, hi)) {
 			return false
 		}
 	}
@@ -323,9 +324,9 @@ type Matcher struct {
 	x *GoldenIndex
 	f *Forker
 	// pageHash[p] digests the parent's page p unless f.stale marks it;
-	// ramHash is their XOR.
-	pageHash []uint64
-	ramHash  uint64
+	// parentHash is their XOR.
+	pageHash   []uint64
+	parentHash uint64
 
 	// Probes counts Match calls, FalseHits candidates the full compare
 	// rejected.
@@ -339,6 +340,31 @@ func (x *GoldenIndex) NewMatcher(f *Forker) *Matcher {
 	}
 	fillPages(f.stale) // no page is hashed yet
 	return &Matcher{x: x, f: f, pageHash: make([]uint64, len(x.pages))}
+}
+
+// ramHash digests the child's RAM: the parent's page digests, brought up
+// to date for the pages the parent wrote since they were last hashed,
+// with the pages the child dirtied since the fork hashed afresh.
+func (mt *Matcher) ramHash() uint64 {
+	parent, m := mt.f.parent, mt.f.child
+	h := mt.parentHash
+	for p := range mt.pageHash {
+		if pageBit(mt.f.stale, p) {
+			lo, hi := parent.pageBounds(p)
+			ph := hashPage(p, parent.ram[lo:hi])
+			h ^= mt.pageHash[p] ^ ph
+			mt.pageHash[p] = ph
+		}
+	}
+	clear(mt.f.stale)
+	mt.parentHash = h
+	for p := range mt.pageHash {
+		if m.pageDirty(p) {
+			lo, hi := m.pageBounds(p)
+			h ^= mt.pageHash[p] ^ hashPage(p, m.ram[lo:hi])
+		}
+	}
+	return h
 }
 
 // Match reports the golden cycle whose execution-relevant state equals
@@ -357,33 +383,14 @@ func (mt *Matcher) Match() (GoldenPoint, bool) {
 		return GoldenPoint{}, false
 	}
 
-	parent := mt.f.parent
-	ramHash := mt.ramHash
-	for p := range mt.pageHash {
-		if pageBit(mt.f.stale, p) {
-			lo, hi := parent.pageBounds(p)
-			h := hashPage(p, parent.ram[lo:hi])
-			ramHash ^= mt.pageHash[p] ^ h
-			mt.pageHash[p] = h
-		}
-	}
-	clear(mt.f.stale)
-	mt.ramHash = ramHash
-	for p := range mt.pageHash {
-		if m.pageDirty(p) {
-			lo, hi := m.pageBounds(p)
-			ramHash ^= mt.pageHash[p] ^ hashPage(p, m.ram[lo:hi])
-		}
-	}
-
-	h := combineHash(keyHash, ramHash) & x.hashMask
+	h := combineHash(keyHash, mt.ramHash()) & x.hashMask
 	mask := uint64(len(x.table) - 1)
 	for s := h & mask; x.table[s] != 0; s = (s + 1) & mask {
 		if x.table[s]>>32 != h>>32 {
 			continue
 		}
 		i := int(uint32(x.table[s])) - 1
-		if x.equal(i, m) {
+		if sameState(&x.states[i].probeKey, m, func(p, _, _ int) []byte { return x.pageAt(p, i) }) {
 			st := &x.states[i]
 			return GoldenPoint{
 				Cycle:     uint64(i) * x.stride,

@@ -156,7 +156,7 @@ func (r *matchRig) verify(t testing.TB, at GoldenPoint) {
 // a golden cycle, the loop detector a loop, or the run ends.
 func (r *matchRig) probe(det *LoopDetector) (GoldenPoint, bool) {
 	det.Reset()
-	for det.RunToProbe(r.child, 4*r.golden.cycles+256) {
+	for runToProbe(det, r.child, 4*r.golden.cycles+256) {
 		if at, ok := r.matcher.Match(); ok {
 			return at, true
 		}
@@ -274,7 +274,7 @@ func TestMatchAfterSkipConsumed(t *testing.T) {
 		t.Fatalf("child with a pending skip matched golden cycle %d", at.Cycle)
 	}
 	det := NewLoopDetector(1)
-	if !det.RunToProbe(r.child, 1<<20) {
+	if !runToProbe(det, r.child, 1<<20) {
 		t.Fatal("no probe point reached")
 	}
 	if r.child.skipNext {

@@ -16,7 +16,7 @@ import (
 // the golden-state index, and most of its runs end at the first one.
 const LoopProbeInterval = 16
 
-// Probe back-off. RunToProbe doubles the probe spacing after every
+// Probe back-off. Due doubles the probe spacing after every
 // loopBackoffProbes probes, up to loopBackoffDoublings times (×64). Runs
 // that rejoin the golden run or spin forever mostly do so within a few
 // hundred cycles of the fault, where the dense early probes settle them
@@ -34,7 +34,7 @@ const (
 	loopBackoffDoublings = 6
 )
 
-// Probe dither. RunToProbe scales the n-th spacing by (48 + d(n))/64,
+// Probe dither. Due scales the n-th spacing by (48 + d(n))/64,
 // d(n) the bit-reversed low five bits of the probe count — 0, 16, 8, 24,
 // 4, 20, … — so successive spacings hop around between three and five
 // quarters of the nominal spacing s instead of repeating it. At a
@@ -118,7 +118,7 @@ func (e *ringEntry) record(k *probeKey, m *Machine) {
 // pc-keyed hash chain, and the current state is compared against every
 // retained probe that shares its pc. At a probe spacing s, a loop of
 // period L recurs at probe distance L/gcd(s, L), so the ring proves it
-// after at most s·L/gcd(s, L) cycles — sooner under RunToProbe's dither,
+// after at most s·L/gcd(s, L) cycles — sooner under Due's dither,
 // which breaks the gcd — several times earlier than an anchor-doubling
 // scheme settles. The fallback tier is Brent's algorithm (one anchored
 // reference, re-anchored when the probe count since the last anchor
@@ -141,6 +141,10 @@ type LoopDetector struct {
 	ringN int
 	ring  [loopRingSize]ringEntry
 	slots [loopSlotCount]int32
+
+	// due is the absolute cycle of the next probe; 0 until Due computes
+	// it after a Reset or a Probe.
+	due uint64
 
 	// Brent fallback state.
 	probes   uint64 // probes since the last anchor
@@ -174,6 +178,7 @@ func (d *LoopDetector) Reset() {
 		clear(d.slots[:])
 	}
 	d.ringN = 0
+	d.due = 0
 	d.probes = 0
 	d.window = 1
 	d.anchored = false
@@ -200,6 +205,7 @@ func pcSlot(pc uint32) uint32 {
 // infinite loop. Otherwise the state is added to the ring and the Brent
 // anchor advances. The machine must be running.
 func (d *LoopDetector) Probe(m *Machine) bool {
+	d.due = 0
 	var k probeKey
 	k.load(m)
 
@@ -240,19 +246,14 @@ func (d *LoopDetector) Probe(m *Machine) bool {
 	return false
 }
 
-// RunToProbe advances m by the current probe spacing, at most to the
-// absolute cycle target (like Run), and reports whether a probe is due:
-// the machine is still running and strictly below the target. It is the
-// one stepping primitive of a probe loop — the caller probes (Probe, and
-// whatever else it checks at the same points) and calls again; the
-// machine's states are those of a plain Run(target) throughout. The
-// back-off carries over successive calls until Reset.
-func (d *LoopDetector) RunToProbe(m *Machine, target uint64) bool {
-	if m.status != StatusRunning || m.cycles >= target {
-		return false
+// Due returns the absolute cycle of the next probe: the current spacing
+// on from the cycle of the last Probe, or of the first Due call after a
+// Reset. It stays put until the next Probe, so a caller may stop the
+// machine at other cycles in between without moving the schedule.
+func (d *LoopDetector) Due(m *Machine) uint64 {
+	if d.due == 0 {
+		s := d.spacing()
+		d.due = m.cycles + max(s*(48+d.dither())/64, 1)
 	}
-	s := d.spacing()
-	s = max(s*(48+d.dither())/64, 1)
-	next := min(m.cycles+s, target)
-	return m.Run(next) == StatusRunning && next < target
+	return d.due
 }

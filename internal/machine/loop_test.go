@@ -7,11 +7,23 @@ import (
 	"faultspace/internal/isa"
 )
 
-// runDetectLoop is the plain probe loop over RunToProbe and Probe: it
+// runToProbe advances m to the detector's next probe (Due), at most to
+// the absolute cycle target, and reports whether the probe is reached:
+// the machine is still running and strictly below the target. It is
+// runConverge's stepping without the memo grid.
+func runToProbe(d *LoopDetector, m *Machine, target uint64) bool {
+	if m.status != StatusRunning || m.cycles >= target {
+		return false
+	}
+	next := min(d.Due(m), target)
+	return m.Run(next) == StatusRunning && next < target
+}
+
+// runDetectLoop is the plain probe loop over runToProbe and Probe: it
 // advances m to the absolute cycle target and reports whether the
 // detector proved a loop on the way.
 func runDetectLoop(d *LoopDetector, m *Machine, target uint64) bool {
-	for d.RunToProbe(m, target) {
+	for runToProbe(d, m, target) {
 		if d.Probe(m) {
 			return true
 		}

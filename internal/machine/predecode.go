@@ -68,8 +68,8 @@ func (m *Machine) SetPredecode(on bool) {
 	}
 }
 
-// PredecodeEnabled reports whether the pre-decoded fast path is active.
-func (m *Machine) PredecodeEnabled() bool { return m.pre != nil }
+// predecodeEnabled reports whether the pre-decoded fast path is active.
+func (m *Machine) predecodeEnabled() bool { return m.pre != nil }
 
 // runPre is Run over the pre-decoded stream. It executes in chunks
 // bounded by the next timer event, so the chunk loop itself needs no

@@ -127,7 +127,7 @@ func TestPredecodeEquivalenceRandomPrograms(t *testing.T) {
 			t.Fatal(err)
 		}
 		fast.SetPredecode(true)
-		if !fast.PredecodeEnabled() || plain.PredecodeEnabled() {
+		if !fast.predecodeEnabled() || plain.predecodeEnabled() {
 			t.Fatal("SetPredecode state wrong")
 		}
 		runLockstep(t, rng, plain, fast, 4000)
@@ -157,11 +157,11 @@ func TestPredecodeToggleAndClone(t *testing.T) {
 		return c
 	}
 	c, ref := restored(), restored()
-	if !c.PredecodeEnabled() {
+	if !c.predecodeEnabled() {
 		t.Fatal("restore lost predecode")
 	}
 	ref.SetPredecode(false)
-	if ref.PredecodeEnabled() {
+	if ref.predecodeEnabled() {
 		t.Fatal("SetPredecode(false) did not disable")
 	}
 	c.Run(4000)

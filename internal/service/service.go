@@ -548,7 +548,10 @@ func (s *Service) handleCampaign(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "service: campaign not complete ("+state+")", http.StatusConflict)
 			return
 		}
+		// The length is known, so the report is sent in one piece, not
+		// chunked.
 		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(report)))
 		w.Write(report)
 	case "cancel":
 		if !requireMethod(w, r, http.MethodPost) {
@@ -1070,7 +1073,7 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 			Entries int    `json:"entries"`
 			Bytes   int64  `json:"bytes"`
 			Evicted uint64 `json:"evicted"`
-		}{Entries: s.store.Len(), Bytes: s.store.Size(), Evicted: s.store.Evicted()}
+		}{Entries: s.store.Len(), Bytes: s.store.Size(), Evicted: s.store.evicted()}
 	}
 	if s.opts.Telemetry != nil {
 		snap := s.opts.Telemetry.Snapshot()

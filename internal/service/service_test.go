@@ -179,6 +179,9 @@ func fetchReport(t testing.TB, url, id string) []byte {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("report: HTTP %d: %s", resp.StatusCode, body)
 	}
+	if resp.ContentLength != int64(len(body)) {
+		t.Errorf("report: Content-Length %d, want %d (the report's length, not chunked)", resp.ContentLength, len(body))
+	}
 	return body
 }
 

@@ -175,11 +175,11 @@ type Store struct {
 	dir string
 	max int64 // size cap in bytes; 0 = unbounded
 
-	mu      sync.Mutex
-	entries map[[32]byte]*storeEntry
-	size    int64
-	seq     uint64
-	evicted uint64
+	mu        sync.Mutex
+	entries   map[[32]byte]*storeEntry
+	size      int64
+	seq       uint64
+	evictions uint64
 }
 
 // OpenStore opens (creating if necessary) an archive directory and
@@ -373,7 +373,7 @@ func (s *Store) evictLocked(keep [32]byte) {
 		}
 		delete(s.entries, victim)
 		s.size -= ve.size
-		s.evicted++
+		s.evictions++
 		os.Remove(s.path(victim))
 	}
 }
@@ -392,12 +392,12 @@ func (s *Store) Size() int64 {
 	return s.size
 }
 
-// Evicted returns the number of entries evicted by the size cap since
+// evicted returns the number of entries evicted by the size cap since
 // the store was opened.
-func (s *Store) Evicted() uint64 {
+func (s *Store) evicted() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.evicted
+	return s.evictions
 }
 
 // Sync fsyncs the archive directory — the shutdown flush. Every Put is

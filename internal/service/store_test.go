@@ -249,8 +249,8 @@ func TestStoreLRUEviction(t *testing.T) {
 			t.Errorf("entry %d must survive eviction", b)
 		}
 	}
-	if got := st.Evicted(); got != 1 {
-		t.Errorf("Evicted() = %d, want 1", got)
+	if got := st.evicted(); got != 1 {
+		t.Errorf("evicted() = %d, want 1", got)
 	}
 	if st.Size() > int64(2*len(one)) {
 		t.Errorf("size %d exceeds cap %d after eviction", st.Size(), 2*len(one))

@@ -218,7 +218,7 @@ func TestSpanExportWriterErrors(t *testing.T) {
 // values are estimates, not exact order statistics).
 func TestHistogramQuantiles(t *testing.T) {
 	var empty HistogramSnapshot
-	if empty.Quantile(0.5) != 0 {
+	if empty.quantile(0.5) != 0 {
 		t.Error("empty histogram quantile must be 0")
 	}
 	r := New()
@@ -239,10 +239,10 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got := time.Duration(s.P50Ns); got < 32*time.Microsecond || got >= 64*time.Microsecond {
 		t.Errorf("p50 = %v, want within the [32us, 64us) bucket", got)
 	}
-	if q := s.Quantile(0); q != time.Duration(s.MinNs) {
-		t.Errorf("Quantile(0) = %v, want min", q)
+	if q := s.quantile(0); q != time.Duration(s.MinNs) {
+		t.Errorf("quantile(0) = %v, want min", q)
 	}
-	if q := s.Quantile(1); q != time.Duration(s.MaxNs) {
-		t.Errorf("Quantile(1) = %v, want max", q)
+	if q := s.quantile(1); q != time.Duration(s.MaxNs) {
+		t.Errorf("quantile(1) = %v, want max", q)
 	}
 }

@@ -248,7 +248,7 @@ type Snapshot struct {
 // HistogramSnapshot is the exported state of one Histogram. Bucket
 // upper bounds are in microseconds; only non-empty buckets appear.
 // P50Ns/P95Ns/P99Ns are quantile estimates interpolated from the
-// exponential buckets (see Quantile) — estimates, not exact order
+// exponential buckets (see quantile) — estimates, not exact order
 // statistics, but within one power-of-two bucket of the truth.
 type HistogramSnapshot struct {
 	Count   uint64   `json:"count"`
@@ -261,12 +261,12 @@ type HistogramSnapshot struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// Quantile estimates the q-quantile (0 < q < 1) in nanoseconds by
+// quantile estimates the q-quantile (0 < q < 1) in nanoseconds by
 // linear interpolation inside the exponential bucket holding the rank.
 // Bucket i spans [2^(i-1), 2^i) microseconds, so the estimate is off by
 // at most the bucket width; Min/Max clamp the first and last buckets to
 // the observed extremes. Returns 0 on an empty histogram.
-func (s HistogramSnapshot) Quantile(q float64) time.Duration {
+func (s HistogramSnapshot) quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
 	}
@@ -339,9 +339,9 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 		}
 		s.Buckets = append(s.Buckets, b)
 	}
-	s.P50Ns = int64(s.Quantile(0.50))
-	s.P95Ns = int64(s.Quantile(0.95))
-	s.P99Ns = int64(s.Quantile(0.99))
+	s.P50Ns = int64(s.quantile(0.50))
+	s.P95Ns = int64(s.quantile(0.95))
+	s.P99Ns = int64(s.quantile(0.99))
 	return s
 }
 
