@@ -51,15 +51,17 @@ race:
 # decode test decodes each input sequentially and with its class list
 # split into parts of one or two classes parsed concurrently, and the two
 # must agree, error texts included; -count=3 varies how the parts
-# interleave. Last, the two fleet tests whose workers race each other to
-# a campaign of a few milliseconds, ten times: their transports hold each
-# worker's first lease ask until the other has joined (placement) or the
-# victim holds a unit (kill-a-worker), so no schedule leaves one out.
+# interleave. Last, ten times, the two fleet tests whose workers race
+# each other to a campaign of a few milliseconds — their transports hold
+# each worker's first lease ask until the other has joined (placement) or
+# the victim holds a unit (kill-a-worker), so no schedule leaves one out —
+# and the worker pipeline's tests, whose transports hold a submission or
+# an ask ahead while the next unit scans.
 race-service:
 	$(GO) test -race -cpu 1,2,4 -count=3 -run='TestDecode|TestEncodeRandomResults' ./internal/archive
 	$(GO) test -race -count=2 ./internal/service
 	$(GO) test -race -count=20 -run='TestServeScanDismissesEveryWorker|TestServeCampaignsDismissesParkedWorkers|TestServeCampaignsAnswersHeldStatus|TestHitSimulatesNothing' .
-	$(GO) test -race -count=10 -run='TestClusterPlacementEquivalence|TestClusterKillWorkerMidScan' ./internal/cluster
+	$(GO) test -race -count=10 -run='TestClusterPlacementEquivalence|TestClusterKillWorkerMidScan|TestPipelineSubmitsBehindScan|TestPipelineHeartbeatNamesHeldUnits|TestPipelineInterrupt|TestPipelineRejectedSubmissionEndsScan' ./internal/cluster
 
 # The attack-style fault models (instruction skip, PC corruption,
 # multi-bit bursts) under the race detector: the objective-carrying

@@ -8,8 +8,10 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"faultspace/internal/campaign"
@@ -62,7 +64,9 @@ type WorkerOptions struct {
 	Telemetry *telemetry.Registry
 	// Client is the HTTP client (default http.DefaultClient).
 	Client *http.Client
-	// Logf, when non-nil, receives worker life-cycle log lines.
+	// Logf, when non-nil, receives worker life-cycle log lines — from
+	// the goroutine that made the request a line is about, so from more
+	// than one at a time.
 	Logf func(format string, args ...any)
 }
 
@@ -164,8 +168,8 @@ func Join(baseURL string, opts WorkerOptions, telemetryFor func(Spec) *telemetry
 		if telemetryFor != nil {
 			reg = telemetryFor(spec)
 		}
-		// Each campaign gets a worker of its own: the heartbeat of the last
-		// unit may still be reading the one before's.
+		// Each campaign gets a worker of its own: run gives it the
+		// campaign's context and requests in flight.
 		cw := w
 		if last = cw.run(spec, reg); last != nil && !errors.Is(last, ErrShutdown) {
 			return last
@@ -174,18 +178,24 @@ func Join(baseURL string, opts WorkerOptions, telemetryFor func(Spec) *telemetry
 }
 
 // run works on one granted campaign until it completes (nil) or is shut
-// down (ErrShutdown).
+// down (ErrShutdown). The campaign has a context of its own, cut when
+// it ends: its heartbeat and the requests it has in flight end with it,
+// and run waits for them, so no goroutine of a campaign outlives it.
 func (w *worker) run(spec Spec, reg *telemetry.Registry) error {
 	if spec.Proto != ProtoVersion {
 		return fmt.Errorf("%w: coordinator speaks protocol %d, this worker %d", ErrRejected, spec.Proto, ProtoVersion)
 	}
+	ctx, cancel := context.WithCancel(w.opts.Context)
+	defer cancel()
+	w.opts.Context = ctx
+	w.bg = &background{cancel: cancel}
 	if err := w.rebuild(spec, reg); err != nil {
 		return err
 	}
 	defer w.session.Close()
 	w.opts.Logf("worker %s: joined %s (%s, %d classes, %s space)",
 		w.opts.WorkerID, w.base, spec.Name, len(w.space.Classes), w.space.Kind)
-	return w.loop()
+	return w.bg.stop(w.loop())
 }
 
 type worker struct {
@@ -204,6 +214,80 @@ type worker struct {
 	// is drained into every submission, so spans ride the existing result
 	// path to the coordinator instead of needing their own endpoint.
 	spans *telemetry.SpanRecorder
+
+	// bg is what the scan thread shares with the campaign's goroutines.
+	bg *background
+}
+
+// background is what a campaign's scan thread shares with its
+// goroutines — the heartbeat, the ask for the next unit and the
+// submission of the last one: the error the campaign ended with and the
+// units held.
+type background struct {
+	wg     sync.WaitGroup
+	cancel context.CancelFunc
+
+	mu sync.Mutex
+	// err is the first error that ended the campaign: a request that
+	// failed in the background cuts the scan short, and what that scan
+	// then returns — ErrInterrupted — is not the error.
+	err error
+	// held lists the units leased and not scanned to the end, for the
+	// heartbeat: the one scanning and the one asked for ahead.
+	held []uint64
+}
+
+// fail ends the campaign with err, unless an error ended it before, and
+// cuts its scan and every request in flight.
+func (b *background) fail(err error) {
+	b.mu.Lock()
+	if b.err == nil {
+		b.err = err
+	}
+	b.mu.Unlock()
+	b.cancel()
+}
+
+// stop ends the campaign as the scan thread left it — with err, unless
+// an error ended it before — and returns the error it ended with once
+// every goroutine of the campaign has returned.
+func (b *background) stop(err error) error {
+	if err != nil {
+		b.fail(err)
+	}
+	b.cancel()
+	b.wg.Wait()
+	return b.err
+}
+
+// hold adds a unit to the held list.
+func (b *background) hold(id uint64) {
+	b.mu.Lock()
+	b.held = append(b.held, id)
+	b.mu.Unlock()
+}
+
+// release takes a unit off the held list.
+func (b *background) release(id uint64) {
+	b.mu.Lock()
+	b.held = slices.DeleteFunc(b.held, func(h uint64) bool { return h == id })
+	b.mu.Unlock()
+}
+
+// holding returns a copy of the held list.
+func (b *background) holding() []uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return slices.Clone(b.held)
+}
+
+// goRun runs f on a goroutine of the campaign, which stop waits for.
+func (b *background) goRun(f func()) {
+	b.wg.Add(1)
+	go func() {
+		defer b.wg.Done()
+		f()
+	}()
 }
 
 // rebuild reconstructs the campaign from the handshake spec via
@@ -238,42 +322,25 @@ func (w *worker) rebuild(spec Spec, reg *telemetry.Registry) error {
 	return nil
 }
 
+// loop works the campaign's units one deep. While a unit scans, the next
+// one is asked for without a hold and the one before is submitted, each
+// on a goroutine of its own, so the scan thread waits on the network only
+// for a campaign's first lease and its last submission. A worker so
+// holds at most one unit it has not started and one submission in
+// flight.
+//
+// The tail is the loop without the pipeline. Once an ask ahead is not
+// granted, the worker finishes its unit, waits for its submissions to
+// land and asks without a hold, then, told to wait, parks in a held ask:
+// it never parks holding a unit or with a submission in flight. A unit a
+// held ask grants is not asked ahead of: the campaign had nothing
+// pending when it parked, so that ask would be answered wait.
 func (w *worker) loop() error {
 	leaseReq := EncodeLeaseRequest(LeaseRequest{Identity: w.spec.Identity, WorkerID: w.opts.WorkerID})
-	held := "/v1/lease" + HoldQuery(w.opts.Client)
-	for {
-		if w.opts.Context.Err() != nil {
-			return campaign.ErrInterrupted
-		}
-		// Span the lease round trip: on a fleet whose units are small, the
-		// HTTP protocol overhead is where the wall time goes, and a timeline
-		// that leaves it dark would misattribute it to the scans. The ask
-		// carries no hold, so the span — and cluster.lease_rtt — is a round
-		// trip and nothing else.
-		sp := w.spans.Start("worker.lease")
-		u, err := w.lease("/v1/lease", leaseReq)
-		if err != nil {
-			return err
-		}
-		if sp.Live() {
-			sp.End("")
-		}
-		if u.Status == UnitWait {
-			// Every unit is leased out. Ask again, held: the coordinator
-			// parks the request until a unit is pending again or the campaign
-			// ends. One worker.wait span covers the whole idle stretch.
-			waitStart := time.Now()
-			for u.Status == UnitWait {
-				asked := time.Now()
-				if u, err = w.lease(held, leaseReq); err != nil {
-					return err
-				}
-				if u.Status == UnitWait && !Pace(w.opts.Context, asked, AskSpacing) {
-					return campaign.ErrInterrupted
-				}
-			}
-			w.spans.Record("worker.wait", "", waitStart, time.Since(waitStart))
-		}
+	w.bg.goRun(w.heartbeat)
+	var sent <-chan error // the submission in flight; nil when none
+	u, ahead, err := w.ask(leaseReq)
+	for err == nil {
 		switch u.Status {
 		case UnitDone:
 			w.opts.Logf("worker %s: campaign complete", w.opts.WorkerID)
@@ -281,29 +348,133 @@ func (w *worker) loop() error {
 		case UnitShutdown:
 			return ErrShutdown
 		}
-
 		for _, ci := range u.Classes {
 			if ci >= len(w.space.Classes) {
 				return fmt.Errorf("%w: leased class %d outside the fault space", ErrRejected, ci)
 			}
 		}
-		entries, err := w.runUnit(u)
-		if err != nil {
-			if errors.Is(err, campaign.ErrInterrupted) {
-				// Die abruptly, as a crashed worker would: the unit's lease
-				// expires and the coordinator reassigns it.
-				return campaign.ErrInterrupted
+		var next <-chan leased
+		if ahead {
+			next = w.askAhead(leaseReq)
+		}
+		entries, scanErr := w.runUnit(u)
+		if scanErr != nil {
+			// An interrupt dies abruptly, as a crashed worker would: the
+			// unit's lease expires and the coordinator reassigns it.
+			return scanErr
+		}
+		var n leased
+		if next != nil {
+			// Taken before the submission drains the spans, which then
+			// carry this ask's.
+			if n = <-next; n.err != nil {
+				return n.err
 			}
+		}
+		if err := landed(sent); err != nil {
 			return err
 		}
-		if err := w.submit(u, entries); err != nil {
-			return err
+		sent = w.submitBehind(u, entries)
+		if next != nil && n.u.Status == UnitGranted {
+			u = n.u
+		} else {
+			if err := landed(sent); err != nil {
+				return err
+			}
+			sent = nil
+			u, ahead, err = w.ask(leaseReq)
 		}
-		w.opts.Logf("worker %s: unit %d done (%d classes)", w.opts.WorkerID, u.ID, len(u.Classes))
 	}
+	return err
 }
 
-// lease asks for a unit at path (with or without a hold).
+// leased is the answer to an ask made ahead.
+type leased struct {
+	u   WorkUnit
+	err error
+}
+
+// ask asks for a unit as a worker between units does: without a hold,
+// then — answered wait, every unit being out — held, until the answer
+// is something else. One worker.wait span covers the held stretch. ahead
+// reports whether the unit came from the ask without a hold.
+func (w *worker) ask(leaseReq []byte) (u WorkUnit, ahead bool, err error) {
+	if w.opts.Context.Err() != nil {
+		return u, false, campaign.ErrInterrupted
+	}
+	if u, err = w.roundTrip(leaseReq); err != nil || u.Status != UnitWait {
+		return u, true, err
+	}
+	held := "/v1/lease" + HoldQuery(w.opts.Client)
+	waitStart := time.Now()
+	for u.Status == UnitWait {
+		asked := time.Now()
+		if u, err = w.lease(held, leaseReq); err != nil {
+			return u, false, err
+		}
+		if u.Status == UnitWait && !Pace(w.opts.Context, asked, AskSpacing) {
+			return u, false, campaign.ErrInterrupted
+		}
+	}
+	w.spans.Record("worker.wait", "", waitStart, time.Since(waitStart))
+	return u, false, nil
+}
+
+// roundTrip asks for a unit without a hold. Span the lease round trip: on
+// a fleet whose units are small, the HTTP protocol overhead is where the
+// wall time goes, and a timeline that leaves it dark would misattribute
+// it to the scans. The ask carries no hold, so the span — and
+// cluster.lease_rtt — is a round trip and nothing else.
+func (w *worker) roundTrip(leaseReq []byte) (WorkUnit, error) {
+	sp := w.spans.Start("worker.lease")
+	u, err := w.lease("/v1/lease", leaseReq)
+	if err == nil && sp.Live() {
+		sp.End("")
+	}
+	return u, err
+}
+
+// askAhead asks for the next unit without a hold, on a goroutine of the
+// campaign. A failure ends the campaign at once.
+func (w *worker) askAhead(leaseReq []byte) <-chan leased {
+	c := make(chan leased, 1)
+	w.bg.goRun(func() {
+		u, err := w.roundTrip(leaseReq)
+		if err != nil {
+			w.bg.fail(err)
+		}
+		c <- leased{u, err}
+	})
+	return c
+}
+
+// submitBehind submits a scanned unit's results on a goroutine of the
+// campaign and logs the unit done once they have landed. A failure ends
+// the campaign at once, the scan of the next unit included.
+func (w *worker) submitBehind(u WorkUnit, entries []checkpoint.Entry) <-chan error {
+	c := make(chan error, 1)
+	w.bg.goRun(func() {
+		err := w.submit(u, entries)
+		if err != nil {
+			w.bg.fail(err)
+		} else {
+			w.opts.Logf("worker %s: unit %d done (%d classes)", w.opts.WorkerID, u.ID, len(u.Classes))
+		}
+		c <- err
+	})
+	return c
+}
+
+// landed waits for the submission in flight, if any, to land.
+func landed(sent <-chan error) error {
+	if sent == nil {
+		return nil
+	}
+	return <-sent
+}
+
+// lease asks for a unit at path (with or without a hold); a granted one
+// is held until its scan ends.
 func (w *worker) lease(path string, leaseReq []byte) (WorkUnit, error) {
 	body, err := w.post(path, leaseReq, requestRetries)
 	if err != nil {
@@ -313,16 +484,16 @@ func (w *worker) lease(path string, leaseReq []byte) (WorkUnit, error) {
 	if err != nil {
 		return u, fmt.Errorf("cluster: lease: %w", err)
 	}
+	if u.Status == UnitGranted {
+		w.bg.hold(u.ID)
+	}
 	return u, nil
 }
 
-// runUnit executes one leased unit on the campaign's scan session,
-// heartbeating the lease while it runs, and returns the unit's results
-// in class order.
+// runUnit executes one leased unit on the campaign's scan session and
+// returns the unit's results in class order.
 func (w *worker) runUnit(u WorkUnit) ([]checkpoint.Entry, error) {
-	ctx, stop := context.WithCancel(w.opts.Context)
-	defer stop()
-	go w.heartbeat(ctx, u.ID)
+	defer w.bg.release(u.ID)
 	sp := w.spans.Start("unit.scan")
 	entries := make([]checkpoint.Entry, 0, len(u.Classes))
 	err := w.session.Run(u.Classes, func(ci int, o campaign.Outcome) {
@@ -335,20 +506,22 @@ func (w *worker) runUnit(u WorkUnit) ([]checkpoint.Entry, error) {
 	return entries, err
 }
 
-// heartbeat extends the lease of a unit every LeaseTTL/3 until ctx ends;
-// a heartbeat in flight then is let finish, unless Join returns first.
-// Failures are ignored: a missed heartbeat at worst costs a reassignment,
-// which the idempotent merge absorbs.
-func (w *worker) heartbeat(ctx context.Context, unitID uint64) {
-	frame := EncodeHeartbeat(Heartbeat{Identity: w.spec.Identity, WorkerID: w.opts.WorkerID, Units: []uint64{unitID}})
+// heartbeat extends the leases of the units the worker holds every
+// LeaseTTL/3 until the campaign ends, which cuts a heartbeat in flight.
+// Failures are ignored: a missed heartbeat at worst costs a
+// reassignment, which the idempotent merge absorbs.
+func (w *worker) heartbeat() {
 	t := time.NewTicker(w.spec.LeaseTTL / 3)
 	defer t.Stop()
 	for {
 		select {
-		case <-ctx.Done():
+		case <-w.opts.Context.Done():
 			return
 		case <-t.C:
-			postOnce(w.opts.Context, w.opts.Client, w.base+"/v1/heartbeat", frame)
+			if units := w.bg.holding(); len(units) > 0 {
+				frame := EncodeHeartbeat(Heartbeat{Identity: w.spec.Identity, WorkerID: w.opts.WorkerID, Units: units})
+				postOnce(w.opts.Context, w.opts.Client, w.base+"/v1/heartbeat", frame)
+			}
 		}
 	}
 }

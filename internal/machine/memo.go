@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"sync"
 	"unsafe"
 )
@@ -12,9 +13,15 @@ import (
 // on.
 const memoBudget = 8 << 20
 
-// memoSerialShare is the fraction of memoBudget the recorded output of
-// halted runs may take.
-const memoSerialShare = 8
+// The budget is split into fixed byte shares, one per slab kind, so that
+// a released store's slabs fit a store for any RAM size, whatever size
+// they were grown for: a sixteenth for the recorded output of halted
+// runs, seven for the entries' RAM copies and the rest for the entries,
+// their ends and the table (memoEntrySlots of them).
+const (
+	memoSerialBytes = memoBudget / 16
+	memoRAMBytes    = memoBudget / 16 * 7
+)
 
 // Remainder is how a run continues from the state it is in: the status
 // and exception it ends in, and the serial output and the detect and
@@ -54,10 +61,13 @@ type memoEnd struct {
 	corrects uint64
 }
 
-// Per-entry bytes the budget is divided by: the entry and its share of
-// the ends, and a table at most half full whose size doubles (under four
+// Per-entry bytes of the entries' share: the entry and its share of the
+// ends, and a table at most half full whose size doubles (under four
 // slots an entry).
 const memoEntryBytes = int(unsafe.Sizeof(memoEntry{})+unsafe.Sizeof(memoEnd{})) + 4*8
+
+// memoEntrySlots is the most entries any store holds.
+const memoEntrySlots = (memoBudget - memoSerialBytes - memoRAMBytes) / memoEntryBytes
 
 // TrajectoryMemo is one scan worker's store of faulty states: a state
 // that a faulty run passed through at some cycle, with how that run
@@ -79,10 +89,11 @@ const memoEntryBytes = int(unsafe.Sizeof(memoEntry{})+unsafe.Sizeof(memoEnd{})) 
 // (TestMemoHashCollisions degrades it to a constant).
 //
 // Each entry keeps a copy of RAM in a slab, indexed by an open-addressed
-// table. The slabs grow by doubling within memoBudget and are reused by
-// every run, and by the next store made once Release hands them back; a
-// probe allocates nothing unless a slab grows. When the store is full it
-// is emptied.
+// table. The slabs grow by doubling within their shares of memoBudget
+// and are reused by every run, and by the next store made once Release
+// hands them back, the table cleared; a probe allocates nothing unless a
+// slab grows past what any store before it held. When the store is full
+// it is emptied.
 //
 // Not safe for concurrent use; create one per worker.
 type TrajectoryMemo struct {
@@ -106,49 +117,56 @@ type TrajectoryMemo struct {
 	Probes, Hits uint64
 }
 
-// memoSlabs holds released stores. A scan session's workers start from
-// the slabs an earlier session grew instead of growing (allocating,
-// zeroing and copying) their own: for the benchmark's fleet campaigns
-// that growth took half the time the memo's probes did.
-var memoSlabs sync.Pool
+// memoFree holds released stores for the next ones made: a scan
+// session's workers start from the slabs and table that earlier
+// sessions grew instead of growing (allocating, zeroing and copying)
+// their own. It keeps at most GOMAXPROCS stores — as many as a session
+// has workers by default — so a process retains at most GOMAXPROCS ×
+// memoBudget bytes of them, and only as much as its sessions grew.
+// Unlike a sync.Pool, which garbage collections empty, it keeps them
+// for the life of the process.
+var memoFree struct {
+	sync.Mutex
+	stores []*TrajectoryMemo
+}
 
 // NewTrajectoryMemo creates an empty store for machines with ramSize
 // bytes of RAM. hashMask is ANDed onto every state hash: all ones, except
 // in tests that make every state a candidate of every probe.
 func NewTrajectoryMemo(ramSize int, hashMask uint64) *TrajectoryMemo {
-	tr, _ := memoSlabs.Get().(*TrajectoryMemo)
+	var tr *TrajectoryMemo
+	memoFree.Lock()
+	if n := len(memoFree.stores); n > 0 {
+		tr = memoFree.stores[n-1]
+		memoFree.stores = memoFree.stores[:n-1]
+	}
+	memoFree.Unlock()
 	if tr == nil {
 		tr = new(TrajectoryMemo)
 	}
-	maxEntries := max((memoBudget-memoBudget/memoSerialShare)/(memoEntryBytes+ramSize), 1)
+	clear(tr.table)
 	*tr = TrajectoryMemo{
 		ramSize:    ramSize,
-		maxEntries: maxEntries,
-		maxSerial:  memoBudget / memoSerialShare,
+		maxEntries: max(min(memoEntrySlots, memoRAMBytes/ramSize), 1),
+		maxSerial:  memoSerialBytes,
 		hashMask:   hashMask,
-		entries:    within(tr.entries, maxEntries),
-		ram:        within(tr.ram, maxEntries*ramSize),
-		ends:       within(tr.ends, maxEntries),
-		serial:     within(tr.serial, memoBudget/memoSerialShare),
+		table:      tr.table,
+		entries:    tr.entries[:0],
+		ram:        tr.ram[:0],
+		ends:       tr.ends[:0],
+		serial:     tr.serial[:0],
 	}
 	return tr
 }
 
-// within returns s emptied if its capacity is within limit, else nil: a
-// slab a store for a smaller RAM grew may hold more entries than this
-// store's budget allows.
-func within[T any](s []T, limit int) []T {
-	if cap(s) > limit {
-		return nil
-	}
-	return s[:0]
-}
-
-// Release hands the store's slabs to the next store made. The store must
-// not be used afterwards.
+// Release hands the store's slabs and table to the next store made. The
+// store must not be used afterwards.
 func (tr *TrajectoryMemo) Release() {
-	tr.table = nil
-	memoSlabs.Put(tr)
+	memoFree.Lock()
+	if len(memoFree.stores) < runtime.GOMAXPROCS(0) {
+		memoFree.stores = append(memoFree.stores, tr)
+	}
+	memoFree.Unlock()
 }
 
 // Bytes returns the memory the store's contents take: entries, their
@@ -225,13 +243,13 @@ func (tr *TrajectoryMemo) insert(m *Machine, h uint64) {
 		tr.rehash(max(2*len(tr.table), 256))
 	}
 	i := len(tr.entries)
-	tr.entries = grow(tr.entries, 1, tr.maxEntries)
+	tr.entries = grow(tr.entries, 1, memoEntrySlots)
 	tr.entries = append(tr.entries, memoEntry{
 		cycle: m.cycles, serialLen: len(m.serial), detects: m.detects, corrects: m.corrects,
 		hash: h, end: len(tr.ends),
 	})
 	tr.entries[i].load(m)
-	tr.ram = grow(tr.ram, tr.ramSize, tr.maxEntries*tr.ramSize)
+	tr.ram = grow(tr.ram, tr.ramSize, max(memoRAMBytes, tr.ramSize))
 	tr.ram = append(tr.ram, m.ram...)
 	tr.place(h, i)
 }
@@ -283,7 +301,7 @@ func (tr *TrajectoryMemo) Close(m *Machine, rem Remainder) {
 		tr.serial = append(append(tr.serial, m.serial[from:]...), rem.Serial...)
 		end.detects, end.corrects = m.detects+rem.Detects, m.corrects+rem.Corrects
 	}
-	tr.ends = grow(tr.ends, 1, tr.maxEntries)
+	tr.ends = grow(tr.ends, 1, memoEntrySlots)
 	tr.ends = append(tr.ends, end)
 	tr.open = len(tr.entries)
 }

@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -132,5 +133,67 @@ func TestMemoBudget(t *testing.T) {
 			t.Errorf("RAM %d B: store holds %d B (contents %d B), budget %d", ramSize, held, tr.Bytes(), memoBudget)
 		}
 		tr.Release()
+	}
+}
+
+// memoHeld is what a store holds: its slabs' capacities and its table.
+func memoHeld(tr *TrajectoryMemo) int {
+	return cap(tr.entries)*int(unsafe.Sizeof(memoEntry{})) + cap(tr.ram) + 8*len(tr.table) +
+		cap(tr.ends)*int(unsafe.Sizeof(memoEnd{})) + cap(tr.serial)
+}
+
+// TestMemoReuseAllocFree: a released store's slabs and table serve the
+// stores made after it, whatever their RAM size and across garbage
+// collections. A store at 624 B of RAM is filled to its entry bound,
+// with a halted end and output per entry, and released; stores at 2 B,
+// 624 B and 64 KiB, made in turn with a collection before each, are then
+// filled back to its high-water mark — as many entries, or as much RAM —
+// without allocating, and hold at most memoBudget bytes.
+func TestMemoReuseAllocFree(t *testing.T) {
+	memoFree.Lock()
+	memoFree.stores = nil
+	memoFree.Unlock()
+	halt := []isa.Instruction{{Op: isa.OpHalt}}
+	out := []byte("out\n")
+	fill := func(tr *TrajectoryMemo, m *Machine, n int) {
+		for i := 0; i < n; i++ {
+			m.cycles = uint64(i)
+			tr.insert(m, memoHash(m.keyHash(), 0, m.cycles, 0))
+			tr.Close(m, Remainder{Status: StatusHalted, Serial: out})
+		}
+	}
+	first := NewTrajectoryMemo(624, ^uint64(0))
+	mark := first.maxEntries
+	fill(first, mustNew(t, Config{RAMSize: 624}, halt), mark)
+	if len(first.entries) != mark {
+		t.Fatalf("the first store holds %d entries, want %d", len(first.entries), mark)
+	}
+	first.Release()
+	sizes := []int{2, 624, 1 << 16}
+	machines := make([]*Machine, len(sizes))
+	for i, ramSize := range sizes {
+		machines[i] = mustNew(t, Config{RAMSize: ramSize}, halt)
+	}
+	// Each run makes the three stores in turn, so that every store is made
+	// from one released at another RAM size; two collections before each,
+	// since a sync.Pool keeps what it held through one.
+	allocs := testing.AllocsPerRun(3, func() {
+		for i, ramSize := range sizes {
+			runtime.GC()
+			runtime.GC()
+			tr := NewTrajectoryMemo(ramSize, ^uint64(0))
+			n := min(mark, memoRAMBytes/ramSize)
+			fill(tr, machines[i], n)
+			if len(tr.entries) != n {
+				t.Fatalf("RAM %d B: %d entries after filling %d", ramSize, len(tr.entries), n)
+			}
+			if held := memoHeld(tr); held > memoBudget {
+				t.Errorf("RAM %d B: store holds %d B, budget %d", ramSize, held, memoBudget)
+			}
+			tr.Release()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("filling stores back to the high-water mark allocates %.1f times a round, want 0", allocs)
 	}
 }
