@@ -12,15 +12,17 @@ build:
 	$(GO) build ./...
 
 # The whole suite, the protocol explorer's bounded mode included (see
-# explore below): two models, one of them exhausted, ≥10⁵ states in a few
-# seconds.
+# explore below): two models, each with workers that work a unit at a
+# time (one of them exhausted) and with pipelined workers, ≥10⁵ states in
+# about ten seconds.
 test:
 	$(GO) test ./...
 
 # The campaign protocol explorer's deep mode (internal/cluster/lease,
-# ≈1.5 min, ≈300 MB): a depth-first search in virtual time over every
-# interleaving of 2–3 workers on a four-unit campaign — hellos, asks,
-# held asks, submissions, heartbeats, lease expiry, crashes, restarts
+# ≈2.5 min, ≈320 MB): a depth-first search in virtual time over every
+# interleaving of 2–3 workers on a four-unit campaign, working a unit at
+# a time or pipelined — hellos, asks, asks ahead, held asks, submissions
+# in flight, heartbeats, lease expiry, crashes, restarts
 # under the same name, duplicate and stale-token submissions in any
 # order, interrupt and seal. It asserts that every class is merged
 # exactly once with the local scan's outcome, that no lease outlives its

@@ -17,13 +17,15 @@ import (
 // The explorer drives a State through every interleaving of a small
 // fleet's events, in virtual time, by depth-first search over hashed
 // states to a bounded depth. The model is a campaign of a few units and
-// 2–3 workers that say hello, ask, park, submit and heartbeat as the
-// pipelined worker loop does — while a unit granted without a hold scans,
-// the worker asks for the next one without a hold, and its submission of
-// the unit stays in flight while it scans the next — plus an adversary
-// that crashes them (with or without a submission still in flight),
-// restarts them under the same name, delivers duplicate and stale-token
-// submissions in any order, lets leases expire, interrupts and seals.
+// 2–3 workers that say hello, ask, park, submit and heartbeat as a
+// worker loop does — either a unit at a time, each submission landing
+// before the next ask, or pipelined: while a unit granted without a hold
+// scans, the worker asks for the next one without a hold, and its
+// submission of the unit stays in flight while it scans the next — plus
+// an adversary that crashes them (with or without a submission still in
+// flight), restarts them under the same name, delivers duplicate and
+// stale-token submissions in any order, lets leases expire, interrupts
+// and seals.
 // Every step is checked:
 //
 //   - every class is merged at most once, with its own outcome, and a
@@ -52,6 +54,10 @@ type exploreConfig struct {
 	unitSize         int
 	depth            int
 	crashes, dups    int
+	// pipelined: the workers ask ahead and keep a submission in flight
+	// while they scan; otherwise each works one unit at a time, as a
+	// worker that does not ask ahead still may.
+	pipelined bool
 }
 
 // tick is the virtual clock's step; a lease lasts ttlTicks of them.
@@ -112,6 +118,8 @@ type world struct {
 	merges   []uint8
 	crashes  int // budgets left
 	dups     int
+	// pipelined: see exploreConfig.
+	pipelined bool
 }
 
 type moveKind uint8
@@ -157,12 +165,13 @@ func workerName(i int) string { return "w" + strconv.Itoa(i) }
 
 func newWorld(cfg exploreConfig) *world {
 	return &world{
-		s:       New(t0, ttlTicks*tick, cfg.classes, nil, split(cfg.classes, cfg.unitSize)),
-		now:     t0,
-		ws:      make([]mworker, cfg.workers),
-		merges:  make([]uint8, cfg.classes),
-		crashes: cfg.crashes,
-		dups:    cfg.dups,
+		s:         New(t0, ttlTicks*tick, cfg.classes, nil, split(cfg.classes, cfg.unitSize)),
+		now:       t0,
+		ws:        make([]mworker, cfg.workers),
+		merges:    make([]uint8, cfg.classes),
+		crashes:   cfg.crashes,
+		dups:      cfg.dups,
+		pipelined: cfg.pipelined,
 	}
 }
 
@@ -334,7 +343,7 @@ func (w *world) answer(i int, r Reply, held bool) {
 	switch r.Status {
 	case Granted:
 		mw.st, mw.unit, mw.classes = holding, r.Unit, r.Classes
-		mw.ahead, mw.asked, mw.next = !held, false, nil
+		mw.ahead, mw.asked, mw.next = w.pipelined && !held, false, nil
 	case Wait:
 		mw.st = parked
 	default:
@@ -386,19 +395,12 @@ func (w *world) apply(m move) error {
 		} else {
 			mw.st = landing
 		}
-	case mLand:
-		l := *mw.sent
-		mw.sent = nil
-		eff, err = w.step(w.submission(l))
-		switch {
-		case errors.Is(eff.Reply.Err, ErrSealed):
-			// Join ends, cutting whatever the worker scans.
-			mw.st = gone
-		case eff.Reply.Err != nil:
-			return fmt.Errorf("submission refused: %v", eff.Reply.Err)
-		case mw.st == landing:
-			mw.st = joined
+		if !w.pipelined {
+			// A worker that does not ask ahead waits for its submission.
+			err = w.land(mw)
 		}
+	case mLand:
+		err = w.land(mw)
 	case mHeartbeat:
 		units := []uint64{mw.unit}
 		if mw.next != nil {
@@ -439,6 +441,25 @@ func (w *world) apply(m move) error {
 		return err
 	}
 	return w.lostWakeUp()
+}
+
+// land delivers a worker's submission in flight.
+func (w *world) land(mw *mworker) error {
+	l := *mw.sent
+	mw.sent = nil
+	eff, err := w.step(w.submission(l))
+	switch {
+	case err != nil:
+		return err
+	case errors.Is(eff.Reply.Err, ErrSealed):
+		// Join ends, cutting whatever the worker scans.
+		mw.st = gone
+	case eff.Reply.Err != nil:
+		return fmt.Errorf("submission refused: %v", eff.Reply.Err)
+	case mw.st == landing:
+		mw.st = joined
+	}
+	return nil
 }
 
 // strayLease fails when a live worker holds a lease of a unit it neither
@@ -674,19 +695,25 @@ func explore(cfg exploreConfig) (states int, err error) {
 
 // TestExplore runs the explorer over its models: in `go test` to the
 // bounded depth, with -explore.deep (make explore) deeper and with a
-// third worker on a four-unit campaign.
+// third worker on a four-unit campaign. Each size is explored twice: with
+// workers that work one unit at a time — small enough to be exhausted at
+// the default depth, every reachable state visited — and with pipelined
+// workers, which hold up to three units at a time, so their bounds are
+// depths and the fair-schedule check runs each explored state on to its
+// end.
 func TestExplore(t *testing.T) {
-	// A pipelined worker holds up to three units at a time, so no model
-	// is small enough to be exhausted: the bounds are depths, and the
-	// fair-schedule check runs each explored state on to its end.
 	configs := []exploreConfig{
-		{name: "2 workers, 3 units", workers: 2, classes: 3, unitSize: 1, depth: 12, crashes: 1, dups: 1},
-		{name: "3 workers, 3 units of 2", workers: 3, classes: 6, unitSize: 2, depth: 8, crashes: 1, dups: 1},
+		{name: "2 workers, 3 units", workers: 2, classes: 3, unitSize: 1, depth: 30, crashes: 1, dups: 1},
+		{name: "3 workers, 3 units of 2", workers: 3, classes: 6, unitSize: 2, depth: 11, crashes: 1, dups: 1},
+		{name: "2 pipelined workers, 3 units", workers: 2, classes: 3, unitSize: 1, depth: 12, crashes: 1, dups: 1, pipelined: true},
+		{name: "3 pipelined workers, 3 units of 2", workers: 3, classes: 6, unitSize: 2, depth: 8, crashes: 1, dups: 1, pipelined: true},
 	}
 	if *deep {
 		configs = []exploreConfig{
-			{name: "2 workers, 4 units", workers: 2, classes: 4, unitSize: 1, depth: 13, crashes: 2, dups: 2},
-			{name: "3 workers, 4 units", workers: 3, classes: 4, unitSize: 1, depth: 10, crashes: 1, dups: 1},
+			{name: "2 workers, 4 units", workers: 2, classes: 4, unitSize: 1, depth: 40, crashes: 2, dups: 2},
+			{name: "3 workers, 4 units", workers: 3, classes: 4, unitSize: 1, depth: 15, crashes: 1, dups: 1},
+			{name: "2 pipelined workers, 4 units", workers: 2, classes: 4, unitSize: 1, depth: 13, crashes: 2, dups: 2, pipelined: true},
+			{name: "3 pipelined workers, 4 units", workers: 3, classes: 4, unitSize: 1, depth: 10, crashes: 1, dups: 1, pipelined: true},
 		}
 	}
 	if raceEnabled && !*deep {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -128,17 +129,9 @@ func TestPipelineHeartbeatNamesHeldUnits(t *testing.T) {
 	var frames [][]uint64
 	client := &http.Client{Transport: tripper(func(r *http.Request) (*http.Response, error) {
 		if r.URL.Path == "/v1/heartbeat" {
-			rc, err := r.GetBody()
-			if err != nil {
-				return nil, err
-			}
-			body, err := io.ReadAll(rc)
-			if err != nil {
-				return nil, err
-			}
-			if hb, err := DecodeHeartbeat(body); err == nil {
+			if units, err := heartbeatUnits(r); err == nil {
 				mu.Lock()
-				frames = append(frames, hb.Units)
+				frames = append(frames, units)
 				mu.Unlock()
 			}
 		}
@@ -160,6 +153,110 @@ func TestPipelineHeartbeatNamesHeldUnits(t *testing.T) {
 	}
 	if !both {
 		t.Errorf("no heartbeat of %d names two held units: %v", len(frames), frames)
+	}
+	base.CloseIdleConnections()
+	srv.Close()
+	settled()
+}
+
+// heartbeatUnits decodes the unit list of a heartbeat request.
+func heartbeatUnits(r *http.Request) ([]uint64, error) {
+	rc, err := r.GetBody()
+	if err != nil {
+		return nil, err
+	}
+	body, err := io.ReadAll(rc)
+	if err != nil {
+		return nil, err
+	}
+	hb, err := DecodeHeartbeat(body)
+	return hb.Units, err
+}
+
+// TestPipelineHeartbeatsRegrantedUnit: a unit whose lease expires while
+// it scans may be granted to the ask ahead again; the heartbeat names it
+// until the scan of that second lease ends, not only until the first
+// scan does. The campaign is one unit, sort1(20)'s memory space, about
+// 130 ms of rerun scan; the ask ahead is held, and the heartbeats are
+// dropped, until the first lease is three TTLs old.
+func TestPipelineHeartbeatsRegrantedUnit(t *testing.T) {
+	const ttl = 15 * time.Millisecond
+	tgt, golden, fs := sortCampaign(t, 20)
+	srv := serveCampaign(t, tgt, golden, fs, campaign.Config{}, service.Options{UnitSize: len(fs.Classes), LeaseTTL: ttl}, nil)
+	settled := leakcheck.Goroutines(t)
+	base := &http.Transport{}
+	var (
+		mu        sync.Mutex
+		grantedAt time.Time
+		units     []uint64   // the units granted, in order
+		asked     bool       // the ask ahead has been sent on
+		submitted bool       // the first scan's submission has been sent
+		late      [][]uint64 // the heartbeats sent after it
+	)
+	client := &http.Client{Transport: tripper(func(r *http.Request) (*http.Response, error) {
+		mu.Lock()
+		n, at, drop, record := len(units), grantedAt, !asked, submitted
+		mu.Unlock()
+		switch r.URL.Path {
+		case "/v1/heartbeat":
+			if drop {
+				return nil, errors.New("heartbeat dropped by the test")
+			}
+			if record {
+				hb, err := heartbeatUnits(r)
+				if err != nil {
+					return nil, err
+				}
+				mu.Lock()
+				late = append(late, hb)
+				mu.Unlock()
+			}
+		case "/v1/submit":
+			mu.Lock()
+			submitted = true
+			mu.Unlock()
+		case "/v1/lease":
+			if n == 1 {
+				time.Sleep(time.Until(at.Add(3 * ttl)))
+				mu.Lock()
+				asked = true
+				mu.Unlock()
+			}
+		}
+		resp, err := base.RoundTrip(r)
+		if err != nil || r.URL.Path != "/v1/lease" {
+			return resp, err
+		}
+		body, err := peek(resp)
+		if err != nil {
+			return nil, err
+		}
+		if u, err := DecodeWorkUnit(body); err == nil && u.Status == UnitGranted {
+			mu.Lock()
+			units, grantedAt = append(units, u.ID), time.Now()
+			mu.Unlock()
+		}
+		return resp, nil
+	})}
+	res, errs := runCluster(t, srv, []WorkerOptions{{WorkerID: "w", Strategy: campaign.StrategyRerun, Workers: 1, Client: client}})
+	if errs[0] != nil {
+		t.Fatalf("worker: %v", errs[0])
+	}
+	assertPlacementEquivalent(t, tgt, golden, fs, res)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(units) < 2 || units[1] != units[0] {
+		t.Fatalf("the units granted were %v: the ask ahead was not granted the expired unit again", units)
+	}
+	named := 0
+	for _, hb := range late {
+		if slices.Contains(hb, units[0]) {
+			named++
+		}
+	}
+	if named < 2 {
+		t.Errorf("%d of the %d heartbeats after the first scan's submission name unit %d, whose second lease was scanning: want at least 2",
+			named, len(late), units[0])
 	}
 	base.CloseIdleConnections()
 	srv.Close()

@@ -267,10 +267,14 @@ func (b *background) hold(id uint64) {
 	b.mu.Unlock()
 }
 
-// release takes a unit off the held list.
+// release takes one lease of a unit off the held list: a unit whose
+// lease expired while it scanned may have been granted to the ask ahead
+// again, and that lease is held on.
 func (b *background) release(id uint64) {
 	b.mu.Lock()
-	b.held = slices.DeleteFunc(b.held, func(h uint64) bool { return h == id })
+	if i := slices.Index(b.held, id); i >= 0 {
+		b.held = slices.Delete(b.held, i, i+1)
+	}
 	b.mu.Unlock()
 }
 

@@ -13,15 +13,9 @@ import (
 // on.
 const memoBudget = 8 << 20
 
-// The budget is split into fixed byte shares, one per slab kind, so that
-// a released store's slabs fit a store for any RAM size, whatever size
-// they were grown for: a sixteenth for the recorded output of halted
-// runs, seven for the entries' RAM copies and the rest for the entries,
-// their ends and the table (memoEntrySlots of them).
-const (
-	memoSerialBytes = memoBudget / 16
-	memoRAMBytes    = memoBudget / 16 * 7
-)
+// memoSerialShare is the fraction of memoBudget the recorded output of
+// halted runs may take.
+const memoSerialShare = 8
 
 // Remainder is how a run continues from the state it is in: the status
 // and exception it ends in, and the serial output and the detect and
@@ -61,13 +55,10 @@ type memoEnd struct {
 	corrects uint64
 }
 
-// Per-entry bytes of the entries' share: the entry and its share of the
-// ends, and a table at most half full whose size doubles (under four
+// Per-entry bytes the budget is divided by: the entry and its share of
+// the ends, and a table at most half full whose size doubles (under four
 // slots an entry).
 const memoEntryBytes = int(unsafe.Sizeof(memoEntry{})+unsafe.Sizeof(memoEnd{})) + 4*8
-
-// memoEntrySlots is the most entries any store holds.
-const memoEntrySlots = (memoBudget - memoSerialBytes - memoRAMBytes) / memoEntryBytes
 
 // TrajectoryMemo is one scan worker's store of faulty states: a state
 // that a faulty run passed through at some cycle, with how that run
@@ -89,11 +80,14 @@ const memoEntrySlots = (memoBudget - memoSerialBytes - memoRAMBytes) / memoEntry
 // (TestMemoHashCollisions degrades it to a constant).
 //
 // Each entry keeps a copy of RAM in a slab, indexed by an open-addressed
-// table. The slabs grow by doubling within their shares of memoBudget
-// and are reused by every run, and by the next store made once Release
-// hands them back, the table cleared; a probe allocates nothing unless a
-// slab grows past what any store before it held. When the store is full
-// it is emptied.
+// table. The slabs grow by doubling within memoBudget and are reused by
+// every run, and by the next store made once Release hands them back,
+// the table cleared; a probe allocates nothing unless a slab grows past
+// what the stores before it held. The entry bound depends on the RAM
+// size, so a store may take over slabs larger than its own bounds allow:
+// it keeps them while the budget has room and cuts them down to their
+// contents once a growing slab needs it (fit). When the store is full it
+// is emptied.
 //
 // Not safe for concurrent use; create one per worker.
 type TrajectoryMemo struct {
@@ -147,8 +141,8 @@ func NewTrajectoryMemo(ramSize int, hashMask uint64) *TrajectoryMemo {
 	clear(tr.table)
 	*tr = TrajectoryMemo{
 		ramSize:    ramSize,
-		maxEntries: max(min(memoEntrySlots, memoRAMBytes/ramSize), 1),
-		maxSerial:  memoSerialBytes,
+		maxEntries: max((memoBudget-memoBudget/memoSerialShare)/(memoEntryBytes+ramSize), 1),
+		maxSerial:  memoBudget / memoSerialShare,
 		hashMask:   hashMask,
 		table:      tr.table,
 		entries:    tr.entries[:0],
@@ -167,6 +161,45 @@ func (tr *TrajectoryMemo) Release() {
 		memoFree.stores = append(memoFree.stores, tr)
 	}
 	memoFree.Unlock()
+}
+
+// held returns the memory the store holds: its slabs' capacities and
+// its table. It stays within memoBudget.
+func (tr *TrajectoryMemo) held() int {
+	return cap(tr.entries)*int(unsafe.Sizeof(memoEntry{})) + cap(tr.ram) + 8*len(tr.table) +
+		cap(tr.ends)*int(unsafe.Sizeof(memoEnd{})) + cap(tr.serial)
+}
+
+// fit makes room within memoBudget for a slab or the table to grow by
+// extra bytes. If there is none, every slab and the table that a store
+// for another RAM size grew past this store's bounds is cut down to its
+// contents: then each is within its bound, and the bounds add up to at
+// most memoBudget.
+func (tr *TrajectoryMemo) fit(extra int) {
+	if tr.held()+extra <= memoBudget {
+		return
+	}
+	tr.entries = shrink(tr.entries, tr.maxEntries)
+	tr.ends = shrink(tr.ends, tr.maxEntries)
+	tr.ram = shrink(tr.ram, tr.maxEntries*tr.ramSize)
+	if len(tr.table) > max(4*tr.maxEntries, 256) {
+		slots := 256
+		for 2*(len(tr.entries)+1) > slots {
+			slots *= 2
+		}
+		tr.rehash(slots)
+	}
+}
+
+// shrink returns s cut down to its contents if its capacity is past
+// limit.
+func shrink[T any](s []T, limit int) []T {
+	if cap(s) <= limit {
+		return s
+	}
+	t := make([]T, len(s))
+	copy(t, s)
+	return t
 }
 
 // Bytes returns the memory the store's contents take: entries, their
@@ -243,13 +276,13 @@ func (tr *TrajectoryMemo) insert(m *Machine, h uint64) {
 		tr.rehash(max(2*len(tr.table), 256))
 	}
 	i := len(tr.entries)
-	tr.entries = grow(tr.entries, 1, memoEntrySlots)
+	tr.entries = grow(tr, tr.entries, 1, tr.maxEntries)
 	tr.entries = append(tr.entries, memoEntry{
 		cycle: m.cycles, serialLen: len(m.serial), detects: m.detects, corrects: m.corrects,
 		hash: h, end: len(tr.ends),
 	})
 	tr.entries[i].load(m)
-	tr.ram = grow(tr.ram, tr.ramSize, max(memoRAMBytes, tr.ramSize))
+	tr.ram = grow(tr, tr.ram, tr.ramSize, tr.maxEntries*tr.ramSize)
 	tr.ram = append(tr.ram, m.ram...)
 	tr.place(h, i)
 }
@@ -266,6 +299,7 @@ func (tr *TrajectoryMemo) place(h uint64, i int) {
 
 // rehash rebuilds the table at the given number of slots.
 func (tr *TrajectoryMemo) rehash(slots int) {
+	tr.fit(8 * (slots - len(tr.table)))
 	tr.table = make([]uint64, slots)
 	for i := range tr.entries {
 		tr.place(tr.entries[i].hash, i)
@@ -296,23 +330,26 @@ func (tr *TrajectoryMemo) Close(m *Machine, rem Remainder) {
 			tr.empty()
 			return
 		}
-		tr.serial = grow(tr.serial, n, tr.maxSerial)
+		tr.serial = grow(tr, tr.serial, n, tr.maxSerial)
 		end.from, end.off, end.n = from, len(tr.serial), n
 		tr.serial = append(append(tr.serial, m.serial[from:]...), rem.Serial...)
 		end.detects, end.corrects = m.detects+rem.Detects, m.corrects+rem.Corrects
 	}
-	tr.ends = grow(tr.ends, 1, memoEntrySlots)
+	tr.ends = grow(tr, tr.ends, 1, tr.maxEntries)
 	tr.ends = append(tr.ends, end)
 	tr.open = len(tr.entries)
 }
 
-// grow returns s with room for n more elements, its capacity doubled but
-// at most limit.
-func grow[T any](s []T, n, limit int) []T {
+// grow returns s, one of tr's slabs, with room for n more elements, its
+// capacity doubled but at most limit.
+func grow[T any](tr *TrajectoryMemo, s []T, n, limit int) []T {
 	if len(s)+n <= cap(s) {
 		return s
 	}
-	t := make([]T, len(s), max(min(2*cap(s), limit), len(s)+n, min(64, limit)))
+	var elem T
+	c := max(min(2*cap(s), limit), len(s)+n, min(64, limit))
+	tr.fit((c - cap(s)) * int(unsafe.Sizeof(elem)))
+	t := make([]T, len(s), c)
 	copy(t, s)
 	return t
 }

@@ -182,7 +182,7 @@ func TestMemoReuseAllocFree(t *testing.T) {
 			runtime.GC()
 			runtime.GC()
 			tr := NewTrajectoryMemo(ramSize, ^uint64(0))
-			n := min(mark, memoRAMBytes/ramSize)
+			n := min(mark, mark*624/ramSize)
 			fill(tr, machines[i], n)
 			if len(tr.entries) != n {
 				t.Fatalf("RAM %d B: %d entries after filling %d", ramSize, len(tr.entries), n)
@@ -195,5 +195,33 @@ func TestMemoReuseAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("filling stores back to the high-water mark allocates %.1f times a round, want 0", allocs)
+	}
+}
+
+// TestMemoBoundAcrossRAMSizes: a store made from one released at another
+// RAM size still holds as many entries as its own RAM size allows, and
+// at most memoBudget bytes. Each store is filled to its entry bound, with
+// a halted end and output per entry, then released for the next.
+func TestMemoBoundAcrossRAMSizes(t *testing.T) {
+	halt := []isa.Instruction{{Op: isa.OpHalt}}
+	out := []byte("out\n")
+	for _, ramSize := range []int{2, 624, 1 << 16, 2, 624, 2} {
+		tr := NewTrajectoryMemo(ramSize, ^uint64(0))
+		if want := (memoBudget - memoBudget/memoSerialShare) / (memoEntryBytes + ramSize); tr.maxEntries != want {
+			t.Errorf("RAM %d B: bound of %d entries, want %d", ramSize, tr.maxEntries, want)
+		}
+		m := mustNew(t, Config{RAMSize: ramSize}, halt)
+		for i := 0; i < tr.maxEntries; i++ {
+			m.cycles = uint64(i)
+			tr.insert(m, memoHash(m.keyHash(), 0, m.cycles, 0))
+			tr.Close(m, Remainder{Status: StatusHalted, Serial: out})
+			if held := memoHeld(tr); held > memoBudget {
+				t.Fatalf("RAM %d B: store holds %d B at %d entries, budget %d", ramSize, held, i+1, memoBudget)
+			}
+		}
+		if len(tr.entries) != tr.maxEntries {
+			t.Errorf("RAM %d B: %d entries after filling to the bound of %d", ramSize, len(tr.entries), tr.maxEntries)
+		}
+		tr.Release()
 	}
 }
