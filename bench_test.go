@@ -370,7 +370,7 @@ func BenchmarkAblationGranularity(b *testing.B) {
 		b.Fatal(err)
 	}
 	t := faultspace.Target(p)
-	golden, fs, err := t.Prepare(1 << 22)
+	golden, fs, err := t.PrepareSpace(pruning.SpaceMemory, 1<<22)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -578,7 +578,7 @@ func BenchmarkExperimentExecution(b *testing.B) {
 		b.Fatal(err)
 	}
 	t := faultspace.Target(p)
-	golden, fs, err := t.Prepare(1 << 22)
+	golden, fs, err := t.PrepareSpace(pruning.SpaceMemory, 1<<22)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -588,7 +588,7 @@ func BenchmarkExperimentExecution(b *testing.B) {
 	cls := fs.Classes[len(fs.Classes)/2]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := campaign.RunSingle(t, golden, campaign.Config{}, cls.Slot(), cls.Bit); err != nil {
+		if _, err := campaign.RunMulti(t, golden, campaign.Config{}, pruning.SpaceMemory, []campaign.Coord{{Slot: cls.Slot(), Bit: cls.Bit}}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -56,7 +56,7 @@ type ServeOptions struct {
 // archive, no workers of its own — and serves that on addr to workers
 // joining via JoinScan (or favscan -join) until every equivalence class
 // has an outcome. The final result — and therefore the report — is
-// byte-identical to a local FullScan of the same program (invariant 8,
+// byte-identical to a local Scan of the same program (invariant 8,
 // placement equivalence). The address answers what favserve's does: the
 // campaign's status and timeline under /v1/campaigns/<id>, /v1/status and
 // /metrics.

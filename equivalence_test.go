@@ -391,7 +391,7 @@ func TestCancelInsideProgress(t *testing.T) {
 // produced before it ran through the scan driver (values recorded at
 // commit 60a8084, where SampleScan was a serial rerun-from-reset loop
 // with its own outcome cache): draws never depend on outcomes, so
-// drawing first, running the unique classes once through RunClasses and
+// drawing first, running the unique classes once on a scan session and
 // tallying in draw order must change nothing — not the per-outcome
 // counts, not the attack count, not the number of experiments.
 func TestSampleResultsPinned(t *testing.T) {

@@ -402,7 +402,7 @@ func (ck *scanCheckpoint) close(res *ScanResult, scanErr error) (*ScanResult, er
 
 // openCheckpoint starts the campaign's checkpoint file, bound to its
 // identity hash: a fresh one, or with Resume the existing one, whose
-// completed outcomes are validated and returned.
+// completed outcomes are returned.
 func (o ScanOptions) openCheckpoint(t campaign.Target, fs *FaultSpace, cfg campaign.Config) (*scanCheckpoint, map[int]campaign.Outcome, error) {
 	id, err := t.CampaignIdentity(fs.Kind, cfg)
 	if err != nil {
@@ -419,12 +419,10 @@ func (o ScanOptions) openCheckpoint(t campaign.Target, fs *FaultSpace, cfg campa
 	} else if w, err = checkpoint.Create(o.Checkpoint, hdr); err != nil {
 		return nil, nil, fmt.Errorf("faultspace: %w (resume to continue an existing checkpoint)", err)
 	}
+	// The scan or the campaign host checks the restored outcomes
+	// (campaign.Remaining) before it runs anything.
 	prior := make(map[int]campaign.Outcome, len(raw))
 	for ci, out := range raw {
-		if !campaign.Outcome(out).Known() {
-			w.Close()
-			return nil, nil, fmt.Errorf("faultspace: checkpoint class %d has unknown outcome %d", ci, out)
-		}
 		prior[ci] = campaign.Outcome(out)
 	}
 	w.Instrument(o.Telemetry)

@@ -221,7 +221,7 @@ func scanSpec(t testing.TB, spec progs.Spec, kind pruning.SpaceKind) *campaign.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.FullScan(target, golden, fs, campaign.Config{Workers: 1})
+	res, err := campaign.ResumeScan(target, golden, fs, campaign.Config{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

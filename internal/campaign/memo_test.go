@@ -84,7 +84,7 @@ func memoScan(t *testing.T, label string, target Target, golden *goldenFS, rerun
 	t.Helper()
 	reg := telemetry.New()
 	cfg.Strategy, cfg.Telemetry = StrategyFork, reg
-	fork, err := FullScan(target, golden.g, golden.fs, cfg)
+	fork, err := ResumeScan(target, golden.g, golden.fs, cfg, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -113,7 +113,7 @@ func TestMemoMatchesRerunRandomPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			rerun, err := FullScan(target, g, fs, Config{Strategy: StrategyRerun})
+			rerun, err := ResumeScan(target, g, fs, Config{Strategy: StrategyRerun}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +147,7 @@ func TestMemoHashCollisions(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			rerun, err := FullScan(target, g, fs, Config{Strategy: StrategyRerun})
+			rerun, err := ResumeScan(target, g, fs, Config{Strategy: StrategyRerun}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func TestMemoSerialLengthKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rerun, err := FullScan(target, g, fs, Config{Strategy: StrategyRerun})
+	rerun, err := ResumeScan(target, g, fs, Config{Strategy: StrategyRerun}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"faultspace/internal/machine"
 	"faultspace/internal/pruning"
 	"faultspace/internal/trace"
 )
@@ -16,10 +15,12 @@ type Coord struct {
 	Bit  uint64
 }
 
-// RunMulti executes one experiment with several independent transient
-// faults, all within the same fault space. The paper's §III-A shows that
-// multi-fault runs are negligibly probable under realistic soft-error
-// rates — RunMulti exists to *verify* what that negligibility protects:
+// RunMulti executes one experiment with one or several independent
+// transient faults, all within the same fault space, from the reset
+// state: the brute-force path the validation tests and the oracle
+// compare scans to. The paper's §III-A shows that multi-fault runs are
+// negligibly probable under realistic soft-error rates — with several
+// coordinates RunMulti *verifies* what that negligibility protects:
 // e.g. that SUM+DMR's detect-and-correct guarantee collapses under double
 // faults (see internal/experiments.MultiFault).
 //
@@ -42,7 +43,7 @@ func RunMulti(t Target, golden *trace.Golden, cfg Config, kind pruning.SpaceKind
 		}
 	}
 
-	ops, err := opsFor(kind)
+	_, flip, err := pruning.Lookup(kind)
 	if err != nil {
 		return 0, err
 	}
@@ -50,20 +51,9 @@ func RunMulti(t Target, golden *trace.Golden, cfg Config, kind pruning.SpaceKind
 	if err != nil {
 		return 0, err
 	}
-	budget := cfg.timeoutBudget(golden.Cycles)
-	for _, c := range sorted {
-		if m.Cycles() < c.Slot-1 {
-			m.Run(c.Slot - 1)
-			// A fault injected earlier may have terminated the run before
-			// the next injection slot; remaining flips then cannot land.
-			if m.Status() != machine.StatusRunning {
-				return classify(m, golden, cfg.Objective), nil
-			}
-		}
-		if err := ops.flip(m, c.Bit); err != nil {
-			return 0, err
-		}
-	}
-	m.Run(budget)
-	return classify(m, golden, cfg.Objective), nil
+	// Deliberately plain (fresh machine, no predecode, the reset provider):
+	// this is the brute-force oracle the validation tests compare the
+	// optimized scan path to.
+	p := newResetProvider(m, golden, cfg.timeoutBudget(golden.Cycles), cfg.Objective)
+	return inject(p, flip, sorted)
 }

@@ -1,27 +1,31 @@
 package campaign
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"faultspace/internal/pruning"
 )
 
+// TestRunMultiSingleCoordMatchesRunSingle: a one-coordinate RunMulti —
+// the brute-force door — reproduces the fork scan's outcome of every
+// class of hi.
 func TestRunMultiSingleCoordMatchesRunSingle(t *testing.T) {
 	target := hiTarget(t)
 	golden, fs := prepare(t, target)
-	cfg := Config{}.withDefaults()
-	for _, c := range fs.Classes[:4] {
-		single, err := RunSingle(target, golden, cfg, c.Slot(), c.Bit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		multi, err := RunMulti(target, golden, cfg, pruning.SpaceMemory,
+	scan, err := ResumeScan(target, golden, fs, Config{Strategy: StrategyFork}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range fs.Classes {
+		multi, err := RunMulti(target, golden, Config{}, pruning.SpaceMemory,
 			[]Coord{{Slot: c.Slot(), Bit: c.Bit}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if single != multi {
-			t.Errorf("class %+v: single=%v multi=%v", c, single, multi)
+		if multi != scan.Outcomes[i] {
+			t.Errorf("class %d %+v: RunMulti=%v fork scan=%v", i, c, multi, scan.Outcomes[i])
 		}
 	}
 }
@@ -86,7 +90,7 @@ func TestRunMultiValidation(t *testing.T) {
 func TestBenignWeightComplementsFailureWeight(t *testing.T) {
 	target := hiTarget(t)
 	golden, fs := prepare(t, target)
-	res, err := FullScan(target, golden, fs, Config{})
+	res, err := ResumeScan(target, golden, fs, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,5 +104,56 @@ func TestBenignWeightComplementsFailureWeight(t *testing.T) {
 	if failures := NonBenign(c.Weights); benign+failures != fs.ExperimentWeight() {
 		t.Errorf("benign %d + failures %d != class weight %d",
 			benign, failures, fs.ExperimentWeight())
+	}
+}
+
+// TestKindTable: every fault-space kind of the one table builds a space
+// from hi's golden run, and a coordinate of it injects through both
+// experiment doors — a scan session and RunMulti — to the same outcome.
+// Kind 0 and the first kind past the table are rejected by every door
+// that looks a kind up.
+func TestKindTable(t *testing.T) {
+	target := hiTarget(t)
+	kind := pruning.SpaceKind(1)
+	for ; kind.Valid(); kind++ {
+		golden, fs, err := target.PrepareSpace(kind, 1<<16)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if fs.Kind != kind || len(fs.Classes) == 0 {
+			t.Fatalf("%s: built a %s space of %d classes", kind, fs.Kind, len(fs.Classes))
+		}
+		c := fs.Classes[len(fs.Classes)/2]
+		multi, err := RunMulti(target, golden, Config{}, kind, []Coord{{Slot: c.Slot(), Bit: c.Bit}})
+		if err != nil {
+			t.Fatalf("%s: RunMulti: %v", kind, err)
+		}
+		s, err := OpenSession(target, golden, fs, Config{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: OpenSession: %v", kind, err)
+		}
+		var scanned Outcome
+		if err := s.Run([]int{len(fs.Classes) / 2}, func(_ int, o Outcome) { scanned = o }); err != nil {
+			t.Fatalf("%s: Run: %v", kind, err)
+		}
+		s.Close()
+		if multi != scanned {
+			t.Errorf("%s: class %+v: RunMulti=%v session=%v", kind, c, multi, scanned)
+		}
+	}
+
+	golden, fs := prepare(t, target)
+	for _, bad := range []pruning.SpaceKind{0, kind} {
+		want := fmt.Sprintf("unknown fault-space kind %d", bad)
+		if _, _, err := target.PrepareSpace(bad, 1<<16); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("PrepareSpace(%d): %v, want %q", bad, err, want)
+		}
+		badFS := &pruning.FaultSpace{Kind: bad, Cycles: fs.Cycles, Bits: fs.Bits, Classes: fs.Classes, KnownNoEffect: fs.KnownNoEffect}
+		if _, err := OpenSession(target, golden, badFS, Config{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("OpenSession(kind %d): %v, want %q", bad, err, want)
+		}
+		if _, err := RunMulti(target, golden, Config{}, bad, []Coord{{Slot: 1, Bit: 0}}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("RunMulti(kind %d): %v, want %q", bad, err, want)
+		}
 	}
 }

@@ -31,7 +31,7 @@ func TestProgressEveryRecord(t *testing.T) {
 		ProgressInterval: -1,
 		OnProgress:       func(p Progress) { events = append(events, p) },
 	}
-	if _, err := FullScan(target, golden, fs, cfg); err != nil {
+	if _, err := ResumeScan(target, golden, fs, cfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	if want := len(fs.Classes) + 2; len(events) != want {
@@ -54,7 +54,7 @@ func TestProgressThrottled(t *testing.T) {
 		ProgressInterval: time.Hour,
 		OnProgress:       func(p Progress) { events = append(events, p) },
 	}
-	if _, err := FullScan(target, golden, fs, cfg); err != nil {
+	if _, err := ResumeScan(target, golden, fs, cfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 2 {
@@ -80,7 +80,7 @@ func TestProgressFinalOnErrorPath(t *testing.T) {
 		ProgressInterval: -1,
 		OnProgress:       func(p Progress) { events = append(events, p) },
 	}
-	if _, err := FullScan(target, golden, fs, cfg); err == nil {
+	if _, err := ResumeScan(target, golden, fs, cfg, nil); err == nil {
 		t.Fatal("failing flips must yield an error")
 	}
 	finals, last := countFinals(events)
@@ -103,7 +103,7 @@ func TestProgressFinalOnInterrupt(t *testing.T) {
 		OnProgress:       func(p Progress) { events = append(events, p) },
 		Context:          ctx,
 	}
-	_, err := FullScan(target, golden, fs, cfg)
+	_, err := ResumeScan(target, golden, fs, cfg, nil)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}

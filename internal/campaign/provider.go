@@ -41,14 +41,24 @@ type provider interface {
 	release()
 }
 
-// inject runs one experiment on a provider: position, flip, finish.
-func inject(p provider, flip flipFunc, slot, bit uint64) (Outcome, error) {
-	m, err := p.position(slot)
+// inject runs one experiment on a provider, and is the one code that
+// applies a flip: it positions the provider at the first coordinate and
+// flips; for each later coordinate it runs the faulty machine on to that
+// slot and flips, unless the run has already ended — a fault injected
+// earlier may have terminated it, and the remaining flips then cannot
+// land; then it finishes. Slots must not decrease.
+func inject(p provider, flip pruning.Injector, coords []Coord) (Outcome, error) {
+	m, err := p.position(coords[0].Slot)
 	if err != nil {
 		return 0, err
 	}
-	if err := flip(m, bit); err != nil {
-		return 0, err
+	for i, c := range coords {
+		if i > 0 && m.Cycles() < c.Slot-1 && m.Run(c.Slot-1) != machine.StatusRunning {
+			break
+		}
+		if err := flip(m, c.Bit); err != nil {
+			return 0, err
+		}
 	}
 	return p.finish(m), nil
 }
@@ -82,7 +92,7 @@ func carveResetUnits(todo []int) []unit {
 	return units
 }
 
-// resetProvider is the brute-force reference (StrategyRerun, RunSingle):
+// resetProvider is the brute-force reference (StrategyRerun, RunMulti):
 // every experiment restores the reset state, replays the golden prefix,
 // and runs the injected machine out to termination or the cycle budget.
 // No shortcut of any kind — this is what every optimization is checked

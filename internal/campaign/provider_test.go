@@ -48,7 +48,7 @@ func edgeTarget() Target {
 // rung positions are known.
 func TestForkEdgeCases(t *testing.T) {
 	target := edgeTarget()
-	golden, fs, err := target.Prepare(1 << 12)
+	golden, fs, err := target.PrepareSpace(pruning.SpaceMemory, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestForkEdgeCases(t *testing.T) {
 		t.Errorf("max slot = %d, want %d", maxSlot, golden.Cycles-2)
 	}
 
-	rerun, err := FullScan(target, golden, fs, Config{Strategy: StrategyRerun})
+	rerun, err := ResumeScan(target, golden, fs, Config{Strategy: StrategyRerun}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fork, err := FullScan(target, golden, fs, Config{Strategy: StrategyFork, ladderInterval: interval})
+	fork, err := ResumeScan(target, golden, fs, Config{Strategy: StrategyFork, ladderInterval: interval}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +134,11 @@ func TestForkConvergenceComposition(t *testing.T) {
 		Image: []byte{0xa5, 0x11, 0, 0},
 		Mach:  machine.Config{RAMSize: 4},
 	}
-	golden, fs, err := target.Prepare(1 << 12)
+	golden, fs, err := target.PrepareSpace(pruning.SpaceMemory, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rerun, err := FullScan(target, golden, fs, Config{Strategy: StrategyRerun})
+	rerun, err := ResumeScan(target, golden, fs, Config{Strategy: StrategyRerun}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestForkConvergenceComposition(t *testing.T) {
 	// slots 1 and 3 reconverge by cycle 9 and must take the composition
 	// fast path at a probe before the halt at cycle 15.
 	reg := telemetry.New()
-	fork, err := FullScan(target, golden, fs, Config{Strategy: StrategyFork, ladderInterval: 4, Telemetry: reg})
+	fork, err := ResumeScan(target, golden, fs, Config{Strategy: StrategyFork, ladderInterval: 4, Telemetry: reg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestForkConvergenceComposition(t *testing.T) {
 		t.Errorf("fork.children = %d, want one per class (%d)", got, len(fs.Classes))
 	}
 
-	wide, err := FullScan(target, golden, fs, Config{})
+	wide, err := ResumeScan(target, golden, fs, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,13 +237,13 @@ func scanPair(t *testing.T, target Target, kind pruning.SpaceKind, cfg Config) (
 		t.Fatal(err)
 	}
 	cfg.Strategy = StrategyRerun
-	r, err := FullScan(target, golden, fs, cfg)
+	r, err := ResumeScan(target, golden, fs, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg = telemetry.New()
 	cfg.Strategy, cfg.ladderInterval, cfg.Telemetry = StrategyFork, 2, reg
-	f, err := FullScan(target, golden, fs, cfg)
+	f, err := ResumeScan(target, golden, fs, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,16 +337,16 @@ func TestForkLoopProof(t *testing.T) {
 		{Op: isa.OpHalt},                          // cycle 4
 	}
 	target := Target{Name: "spin", Code: prog, Image: []byte{0, 0, 0, 0}, Mach: machine.Config{RAMSize: 4}}
-	golden, fs, err := target.Prepare(1 << 12)
+	golden, fs, err := target.PrepareSpace(pruning.SpaceMemory, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rerun, err := FullScan(target, golden, fs, Config{Strategy: StrategyRerun})
+	rerun, err := ResumeScan(target, golden, fs, Config{Strategy: StrategyRerun}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.New()
-	fork, err := FullScan(target, golden, fs, Config{Strategy: StrategyFork, ladderInterval: 2, Telemetry: reg})
+	fork, err := ResumeScan(target, golden, fs, Config{Strategy: StrategyFork, ladderInterval: 2, Telemetry: reg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,12 +377,12 @@ func TestForkShortProgram(t *testing.T) {
 	if golden.Cycles >= 100 {
 		t.Fatalf("hi golden run unexpectedly long: %d cycles", golden.Cycles)
 	}
-	rerun, err := FullScan(target, golden, fs, Config{Strategy: StrategyRerun})
+	rerun, err := ResumeScan(target, golden, fs, Config{Strategy: StrategyRerun}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.New()
-	fork, err := FullScan(target, golden, fs, Config{Strategy: StrategyFork, ladderInterval: 100, Telemetry: reg})
+	fork, err := ResumeScan(target, golden, fs, Config{Strategy: StrategyFork, ladderInterval: 100, Telemetry: reg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,16 +408,16 @@ func TestForkMatchesRerunRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
 		target := randomTarget(rng, 8+rng.Intn(12))
-		golden, fs, err := target.Prepare(1 << 12)
+		golden, fs, err := target.PrepareSpace(pruning.SpaceMemory, 1<<12)
 		if err != nil {
 			t.Fatalf("trial %d: prepare: %v", trial, err)
 		}
-		rerun, err := FullScan(target, golden, fs, Config{Strategy: StrategyRerun})
+		rerun, err := ResumeScan(target, golden, fs, Config{Strategy: StrategyRerun}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		interval := uint64(1 + rng.Intn(int(golden.Cycles)+4))
-		fork, err := FullScan(target, golden, fs, Config{Strategy: StrategyFork, ladderInterval: interval})
+		fork, err := ResumeScan(target, golden, fs, Config{Strategy: StrategyFork, ladderInterval: interval}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -498,12 +498,12 @@ func checkForkInterval(t *testing.T, label string, p *asm.Program, kind pruning.
 	if err != nil {
 		t.Fatal(err)
 	}
-	rerun, err := FullScan(target, golden, fs, Config{Strategy: StrategyRerun})
+	rerun, err := ResumeScan(target, golden, fs, Config{Strategy: StrategyRerun}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.New()
-	fork, err := FullScan(target, golden, fs, Config{Strategy: StrategyFork, ladderInterval: 7, Predecode: true, Telemetry: reg})
+	fork, err := ResumeScan(target, golden, fs, Config{Strategy: StrategyFork, ladderInterval: 7, Predecode: true, Telemetry: reg}, nil)
 	if err != nil {
 		t.Fatalf("%s %s: %v", label, kind, err)
 	}
@@ -544,7 +544,7 @@ func TestScanInterruptedUpFront(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, strat := range []Strategy{StrategyFork, StrategyRerun} {
-		_, err := FullScan(target, golden, fs, Config{Strategy: strat, Context: ctx})
+		_, err := ResumeScan(target, golden, fs, Config{Strategy: strat, Context: ctx}, nil)
 		if !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("%s: err = %v, want ErrInterrupted", strat, err)
 		}
@@ -562,10 +562,13 @@ func TestResetExperimentAllocFree(t *testing.T) {
 	}
 	budget := Config{}.withDefaults().timeoutBudget(golden.Cycles)
 	p := newResetProvider(m, golden, budget, nil)
-	flip := spaceOps[fs.Kind].flip
-	slot, bit := fs.Classes[0].Slot(), fs.Classes[0].Bit
+	_, flip, err := pruning.Lookup(fs.Kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coords := []Coord{{Slot: fs.Classes[0].Slot(), Bit: fs.Classes[0].Bit}}
 	run := func() {
-		if o, err := inject(p, flip, slot, bit); err != nil || int(o) >= NumOutcomes {
+		if o, err := inject(p, flip, coords); err != nil || int(o) >= NumOutcomes {
 			t.Fatalf("outcome %d, err %v", o, err)
 		}
 	}

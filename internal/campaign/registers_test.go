@@ -21,7 +21,7 @@ func TestRegisterFullScanHi(t *testing.T) {
 	if len(fs.Classes) != 64 {
 		t.Fatalf("classes = %d, want 64", len(fs.Classes))
 	}
-	res, err := FullScan(target, golden, fs, Config{})
+	res, err := ResumeScan(target, golden, fs, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +52,14 @@ func TestRegisterPrunedScanEqualsBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := FullScan(target, golden, fs, Config{})
+	res, err := ResumeScan(target, golden, fs, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{}.withDefaults()
 	for slot := uint64(1); slot <= golden.Cycles; slot++ {
 		for bit := uint64(0); bit < fs.Bits; bit++ {
-			got, err := RunSingleSpace(target, golden, cfg, pruning.SpaceRegisters, slot, bit)
+			got, err := RunMulti(target, golden, cfg, pruning.SpaceRegisters, []Coord{{Slot: slot, Bit: bit}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestRegisterBruteForceRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		res, err := FullScan(target, golden, fs, Config{})
+		res, err := ResumeScan(target, golden, fs, Config{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestRegisterBruteForceRandomPrograms(t *testing.T) {
 				}
 			}
 			for bit := range bits {
-				got, err := RunSingleSpace(target, golden, cfg, pruning.SpaceRegisters, slot, bit)
+				got, err := RunMulti(target, golden, cfg, pruning.SpaceRegisters, []Coord{{Slot: slot, Bit: bit}})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -19,7 +19,7 @@ import (
 func TestResumeScanMatchesFull(t *testing.T) {
 	target := hiTarget(t)
 	golden, fs := prepare(t, target)
-	full, err := FullScan(target, golden, fs, Config{})
+	full, err := ResumeScan(target, golden, fs, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestResumeTelemetrySessionCounters(t *testing.T) {
 	golden, fs := prepare(t, target)
 
 	reg := telemetry.New()
-	full, err := FullScan(target, golden, fs, Config{Telemetry: reg})
+	full, err := ResumeScan(target, golden, fs, Config{Telemetry: reg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestResumeScanValidation(t *testing.T) {
 		t.Error("unknown prior outcome must be rejected")
 	}
 	// A fully-completed prior set needs no execution at all.
-	full, err := FullScan(target, golden, fs, Config{})
+	full, err := ResumeScan(target, golden, fs, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestInterruptedScanResumes(t *testing.T) {
 	} {
 		strat, target := tc.strat, tc.target
 		golden, fs := prepare(t, target)
-		full, err := FullScan(target, golden, fs, Config{})
+		full, err := ResumeScan(target, golden, fs, Config{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +278,7 @@ func TestWorkerErrorNoDeadlock(t *testing.T) {
 	for _, strat := range []Strategy{StrategyFork, StrategyRerun} {
 		errCh := make(chan error, 1)
 		go func() {
-			_, err := FullScan(target, golden, fs, Config{Strategy: strat, Workers: 2})
+			_, err := ResumeScan(target, golden, fs, Config{Strategy: strat, Workers: 2}, nil)
 			errCh <- err
 		}()
 		select {
@@ -301,7 +301,7 @@ func TestProgressEvents(t *testing.T) {
 		ProgressInterval: -1, // every experiment
 		OnProgress:       func(p Progress) { events = append(events, p) },
 	}
-	res, err := FullScan(target, golden, fs, cfg)
+	res, err := ResumeScan(target, golden, fs, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestRandomCoordinateOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := FullScan(target, golden, fs, Config{})
+		res, err := ResumeScan(target, golden, fs, Config{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,7 +385,7 @@ func TestRandomCoordinateOracle(t *testing.T) {
 		for n := 0; n < 200; n++ {
 			slot := 1 + uint64(rng.Int63n(int64(fs.Cycles)))
 			bit := uint64(rng.Int63n(int64(fs.Bits)))
-			got, err := RunSingleSpace(target, golden, cfg, kind, slot, bit)
+			got, err := RunMulti(target, golden, cfg, kind, []Coord{{Slot: slot, Bit: bit}})
 			if err != nil {
 				t.Fatal(err)
 			}

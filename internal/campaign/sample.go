@@ -78,9 +78,10 @@ type SampleResult struct {
 func (sr *SampleResult) Failures() uint64 { return NonBenign(sr.Counts) }
 
 // SampleScan runs a sampling campaign of n draws with the given mode and
-// deterministic seed. The experiments run through RunClasses, so cfg's
+// deterministic seed. The experiments run on a scan session, so cfg's
 // execution knobs, progress stream, telemetry and Context apply to
-// them exactly as in a scan.
+// them exactly as in a scan, and each outcome is the one a scan records
+// for its class (invariant 8, placement equivalence).
 func SampleScan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config, mode SampleMode, n int, seed int64) (*SampleResult, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("campaign: sample size %d must be positive", n)
@@ -145,8 +146,18 @@ func SampleScan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Conf
 	for ci := range hit {
 		classes = append(classes, ci)
 	}
-	outcomes, err := RunClasses(t, golden, fs, cfg, classes)
+	s, err := OpenSession(t, golden, fs, cfg)
 	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	outcomes := make(map[int]Outcome, len(classes))
+	m := newMeter(s.cfg, len(classes), nil)
+	defer m.finish()
+	if err := s.run(classes, func(ci int, o Outcome) {
+		outcomes[ci] = o
+		m.record(ci, o)
+	}, m.delivered); err != nil {
 		return nil, err
 	}
 	for _, ci := range draws {

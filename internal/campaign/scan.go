@@ -34,19 +34,16 @@ var ErrInterrupted = errors.New("campaign: scan interrupted")
 // to something that needs every class's outcome.
 var ErrPartialResult = errors.New("campaign: partial scan result")
 
-// FullScan runs one fault-injection experiment per equivalence class of the
-// pruned fault space and classifies every outcome. The scan is exhaustive:
-// together with the a-priori-known "No Effect" coordinates the result
-// determines the outcome of every coordinate of the raw fault space.
-func FullScan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Config) (*Result, error) {
-	return ResumeScan(t, golden, fs, cfg, nil)
-}
-
-// ResumeScan is FullScan continuing a partially-completed campaign:
-// classes present in prior (keyed by class index) keep their recorded
-// outcome and are not re-executed; only the remaining classes run. The
-// caller is responsible for prior actually belonging to this campaign —
-// the checkpoint layer enforces that with the campaign identity hash.
+// ResumeScan runs one fault-injection experiment per equivalence class
+// of the pruned fault space and classifies every outcome. The scan is
+// exhaustive: together with the a-priori-known "No Effect" coordinates
+// the result determines the outcome of every coordinate of the raw fault
+// space. A nil prior runs a whole scan; otherwise prior continues a
+// partially-completed campaign: classes present in it (keyed by class
+// index) keep their recorded outcome and are not re-executed, so only
+// the remaining classes run. The caller is responsible for prior
+// actually belonging to this campaign — the checkpoint layer enforces
+// that with the campaign identity hash.
 //
 // Completed experiments stream through Config.OnResult and progress
 // events through Config.OnProgress; cancelling Config.Context stops the
@@ -69,20 +66,12 @@ func ResumeScan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Conf
 	}
 	res.Identity = id
 
-	for ci, o := range prior {
-		if ci < 0 || ci >= len(fs.Classes) {
-			return nil, fmt.Errorf("campaign: resume class index %d outside [0, %d)", ci, len(fs.Classes))
-		}
-		if !o.Known() {
-			return nil, fmt.Errorf("campaign: resume class %d has unknown outcome %d", ci, o)
-		}
-		res.Outcomes[ci] = o
+	todo, err := Remaining(len(fs.Classes), prior)
+	if err != nil {
+		return nil, err
 	}
-	todo := make([]int, 0, len(fs.Classes)-len(prior))
-	for i := range fs.Classes {
-		if _, ok := prior[i]; !ok {
-			todo = append(todo, i)
-		}
+	for ci, o := range prior {
+		res.Outcomes[ci] = o
 	}
 
 	m := newMeter(s.cfg, len(fs.Classes), prior)
@@ -103,33 +92,26 @@ func ResumeScan(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Conf
 	return res, nil
 }
 
-// RunSingle executes exactly one memory fault-injection experiment at the
-// raw fault-space coordinate (slot, bit), starting from the reset state.
-// It is the brute-force path used by validation tests.
-func RunSingle(t Target, golden *trace.Golden, cfg Config, slot, bit uint64) (Outcome, error) {
-	return RunSingleSpace(t, golden, cfg, pruning.SpaceMemory, slot, bit)
-}
-
-// RunSingleSpace is RunSingle for an arbitrary fault-space kind.
-func RunSingleSpace(t Target, golden *trace.Golden, cfg Config, kind pruning.SpaceKind, slot, bit uint64) (Outcome, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return 0, err
+// Remaining checks outcomes restored from a checkpoint or handed over
+// by a resuming caller, keyed by class index, against a fault space of
+// the given class count — every index must name a class and every
+// outcome must be known — and returns the classes still to run,
+// ascending. A resumed campaign, scanned locally or hosted by a service,
+// starts from it.
+func Remaining(classes int, prior map[int]Outcome) ([]int, error) {
+	for ci, o := range prior {
+		if ci < 0 || ci >= classes {
+			return nil, fmt.Errorf("campaign: restored class index %d outside [0, %d)", ci, classes)
+		}
+		if !o.Known() {
+			return nil, fmt.Errorf("campaign: restored class %d has unknown outcome %d", ci, o)
+		}
 	}
-	if slot == 0 || slot > golden.Cycles {
-		return 0, fmt.Errorf("campaign: slot %d outside [1, %d]", slot, golden.Cycles)
+	todo := make([]int, 0, classes-len(prior))
+	for ci := range classes {
+		if _, ok := prior[ci]; !ok {
+			todo = append(todo, ci)
+		}
 	}
-	ops, err := opsFor(kind)
-	if err != nil {
-		return 0, err
-	}
-	m, err := t.newMachine()
-	if err != nil {
-		return 0, err
-	}
-	// Deliberately plain (fresh machine, no predecode, the reset provider):
-	// this is the brute-force oracle the validation tests compare the
-	// optimized scan path to.
-	p := newResetProvider(m, golden, cfg.timeoutBudget(golden.Cycles), cfg.Objective)
-	return inject(p, ops.flip, slot, bit)
+	return todo, nil
 }

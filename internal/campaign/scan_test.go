@@ -47,7 +47,7 @@ func hiTarget(t *testing.T) Target {
 
 func prepare(t *testing.T, target Target) (*trace.Golden, *pruning.FaultSpace) {
 	t.Helper()
-	golden, fs, err := target.Prepare(1 << 16)
+	golden, fs, err := target.PrepareSpace(pruning.SpaceMemory, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFullScanHi(t *testing.T) {
 	if golden.Cycles != 8 || fs.Size() != 128 {
 		t.Fatalf("golden: cycles=%d w=%d, want 8/128", golden.Cycles, fs.Size())
 	}
-	res, err := FullScan(target, golden, fs, Config{})
+	res, err := ResumeScan(target, golden, fs, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestFullScanHi(t *testing.T) {
 func TestScanStrategiesAgree(t *testing.T) {
 	target := hiTarget(t)
 	golden, fs := prepare(t, target)
-	fork, err := FullScan(target, golden, fs, Config{Strategy: StrategyFork})
+	fork, err := ResumeScan(target, golden, fs, Config{Strategy: StrategyFork}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rerun, err := FullScan(target, golden, fs, Config{Strategy: StrategyRerun})
+	rerun, err := ResumeScan(target, golden, fs, Config{Strategy: StrategyRerun}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +108,11 @@ func TestScanStrategiesAgree(t *testing.T) {
 func TestFullScanDeterminism(t *testing.T) {
 	target := hiTarget(t)
 	golden, fs := prepare(t, target)
-	a, err := FullScan(target, golden, fs, Config{Workers: 4})
+	a, err := ResumeScan(target, golden, fs, Config{Workers: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FullScan(target, golden, fs, Config{Workers: 1})
+	b, err := ResumeScan(target, golden, fs, Config{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,21 +135,21 @@ func TestPrunedScanEqualsBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 12; trial++ {
 		target := randomTarget(rng, 8+rng.Intn(8))
-		golden, fs, err := target.Prepare(1 << 12)
+		golden, fs, err := target.PrepareSpace(pruning.SpaceMemory, 1<<12)
 		if err != nil {
 			// Random programs occasionally fail the golden run (e.g. run
 			// past ROM without halt is prevented by construction, so this
 			// is unexpected).
 			t.Fatalf("trial %d: prepare: %v", trial, err)
 		}
-		res, err := FullScan(target, golden, fs, Config{})
+		res, err := ResumeScan(target, golden, fs, Config{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := Config{}.withDefaults()
 		for slot := uint64(1); slot <= golden.Cycles; slot++ {
 			for bit := uint64(0); bit < golden.RAMBits; bit++ {
-				got, err := RunSingle(target, golden, cfg, slot, bit)
+				got, err := RunMulti(target, golden, cfg, pruning.SpaceMemory, []Coord{{Slot: slot, Bit: bit}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -210,13 +210,13 @@ func randomTarget(rng *rand.Rand, n int) Target {
 func TestRunSingleValidation(t *testing.T) {
 	target := hiTarget(t)
 	golden, _ := prepare(t, target)
-	if _, err := RunSingle(target, golden, Config{}, 0, 0); err == nil {
+	if _, err := RunMulti(target, golden, Config{}, pruning.SpaceMemory, []Coord{{Slot: 0, Bit: 0}}); err == nil {
 		t.Error("slot 0 must be rejected")
 	}
-	if _, err := RunSingle(target, golden, Config{}, golden.Cycles+1, 0); err == nil {
+	if _, err := RunMulti(target, golden, Config{}, pruning.SpaceMemory, []Coord{{Slot: golden.Cycles + 1, Bit: 0}}); err == nil {
 		t.Error("slot past golden runtime must be rejected")
 	}
-	if _, err := RunSingle(target, golden, Config{}, 1, 1<<20); err == nil {
+	if _, err := RunMulti(target, golden, Config{}, pruning.SpaceMemory, []Coord{{Slot: 1, Bit: 1 << 20}}); err == nil {
 		t.Error("bit outside RAM must be rejected")
 	}
 }
@@ -224,13 +224,13 @@ func TestRunSingleValidation(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	target := hiTarget(t)
 	golden, fs := prepare(t, target)
-	if _, err := FullScan(target, golden, fs, Config{TimeoutFactor: 0.5}); err == nil {
+	if _, err := ResumeScan(target, golden, fs, Config{TimeoutFactor: 0.5}, nil); err == nil {
 		t.Error("TimeoutFactor < 1 must be rejected")
 	}
-	if _, err := FullScan(target, golden, fs, Config{Workers: -1}); err == nil {
+	if _, err := ResumeScan(target, golden, fs, Config{Workers: -1}, nil); err == nil {
 		t.Error("negative Workers must be rejected")
 	}
-	if _, err := FullScan(target, golden, fs, Config{Strategy: Strategy(9)}); err == nil {
+	if _, err := ResumeScan(target, golden, fs, Config{Strategy: Strategy(9)}, nil); err == nil {
 		t.Error("unknown strategy must be rejected")
 	}
 }
@@ -246,7 +246,7 @@ func TestEmptyFaultSpaceScan(t *testing.T) {
 	if len(fs.Classes) != 0 {
 		t.Fatalf("classes = %d, want 0", len(fs.Classes))
 	}
-	res, err := FullScan(target, golden, fs, Config{})
+	res, err := ResumeScan(target, golden, fs, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ type Session struct {
 	golden *trace.Golden
 	fs     *pruning.FaultSpace
 	cfg    Config // defaults applied
-	flip   flipFunc
+	flip   pruning.Injector
 	st     *scanTel
 
 	// providers is one prefix provider per worker; nil until the first
@@ -57,11 +57,11 @@ func OpenSession(t Target, golden *trace.Golden, fs *pruning.FaultSpace, cfg Con
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	ops, err := opsFor(fs.Kind)
+	_, flip, err := pruning.Lookup(fs.Kind)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{target: t, golden: golden, fs: fs, cfg: cfg, flip: ops.flip, st: newScanTel(cfg)}, nil
+	return &Session{target: t, golden: golden, fs: fs, cfg: cfg, flip: flip, st: newScanTel(cfg)}, nil
 }
 
 // Close releases the session's machines and golden pass. Idempotent.
@@ -316,7 +316,7 @@ func (d *drive) work(w int) {
 				break
 			}
 			t0 := st.begin()
-			o, err := inject(p, s.flip, fs.Classes[ci].Slot(), fs.Classes[ci].Bit)
+			o, err := inject(p, s.flip, []Coord{{Slot: fs.Classes[ci].Slot(), Bit: fs.Classes[ci].Bit}})
 			if err != nil {
 				d.fail(err)
 				break

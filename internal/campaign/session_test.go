@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"faultspace/internal/leakcheck"
+	"faultspace/internal/pruning"
 	"faultspace/internal/telemetry"
 )
 
@@ -25,7 +26,7 @@ var sessionConfigs = []Config{
 func TestSessionUnorderedUnits(t *testing.T) {
 	target := hiTarget(t)
 	golden, fs := prepare(t, target)
-	full, err := FullScan(target, golden, fs, Config{Strategy: StrategyRerun})
+	full, err := ResumeScan(target, golden, fs, Config{Strategy: StrategyRerun}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestSessionUnorderedUnits(t *testing.T) {
 // index are immutable); a second session replays it again.
 func TestSessionOneGoldenPass(t *testing.T) {
 	target := edgeTarget()
-	golden, fs, err := target.Prepare(1 << 12)
+	golden, fs, err := target.PrepareSpace(pruning.SpaceMemory, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestSessionCallerIsWorkerZero(t *testing.T) {
 func TestSessionDeliverSerialised(t *testing.T) {
 	target := loopTarget(t, 150)
 	golden, fs := prepare(t, target)
-	full, err := FullScan(target, golden, fs, Config{Workers: 1})
+	full, err := ResumeScan(target, golden, fs, Config{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func TestSessionDeliverSerialised(t *testing.T) {
 func TestSessionInterruptInsideDeliver(t *testing.T) {
 	target := loopTarget(t, 150)
 	golden, fs := prepare(t, target)
-	full, err := FullScan(target, golden, fs, Config{Workers: 1})
+	full, err := ResumeScan(target, golden, fs, Config{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +325,7 @@ func TestSessionInterruptInsideDeliver(t *testing.T) {
 					interrupt()
 				}
 			}
-			res, err := FullScan(target, golden, fs, cfg)
+			res, err := ResumeScan(target, golden, fs, cfg, nil)
 			if !errors.Is(err, ErrInterrupted) || res == nil {
 				t.Fatalf("%s, %d workers: result %v, err = %v", cfg.Strategy, workers, res, err)
 			}

@@ -210,16 +210,21 @@ func (c Config) timeoutBudget(goldenCycles uint64) uint64 {
 	return uint64(c.TimeoutFactor*float64(goldenCycles)) + c.TimeoutSlack
 }
 
-// Prepare records the golden run of the target and builds its pruned
-// main-memory fault space. maxGoldenCycles bounds the golden run itself
-// (pass a generous value; the golden run must terminate).
-func (t Target) Prepare(maxGoldenCycles uint64) (*trace.Golden, *pruning.FaultSpace, error) {
-	return t.PrepareSpace(pruning.SpaceMemory, maxGoldenCycles)
+// EffectiveTimeout returns the outcome-relevant timeout parameters with
+// defaults applied — exactly the values CampaignIdentity hashes. The
+// cluster handshake ships them so a worker reproduces the coordinator's
+// timeout budget (and therefore its identity hash) bit for bit.
+func (c Config) EffectiveTimeout() (factor float64, slack uint64) {
+	c = c.withDefaults()
+	return c.TimeoutFactor, c.TimeoutSlack
 }
 
-// PrepareSpace is Prepare for an arbitrary fault-space kind.
+// PrepareSpace records the golden run of the target and builds its
+// pruned fault space of the given kind. maxGoldenCycles bounds the
+// golden run itself (pass a generous value; the golden run must
+// terminate).
 func (t Target) PrepareSpace(kind pruning.SpaceKind, maxGoldenCycles uint64) (*trace.Golden, *pruning.FaultSpace, error) {
-	ops, err := opsFor(kind)
+	build, _, err := pruning.Lookup(kind)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -227,64 +232,11 @@ func (t Target) PrepareSpace(kind pruning.SpaceKind, maxGoldenCycles uint64) (*t
 	if err != nil {
 		return nil, nil, err
 	}
-	fs, err := ops.build(t, golden)
+	fs, err := build(golden, t.Code)
 	if err != nil {
 		return nil, nil, err
 	}
 	return golden, fs, nil
-}
-
-// flipFunc injects one fault into a machine at a raw space coordinate
-// (the bit/position dimension; the slot dimension is when it is called).
-type flipFunc func(*machine.Machine, uint64) error
-
-// spaceOp is what a fault-space kind means to the engine: how its pruned
-// space is built from the golden run, and how one of its faults is
-// injected.
-type spaceOp struct {
-	build func(Target, *trace.Golden) (*pruning.FaultSpace, error)
-	flip  flipFunc
-}
-
-// spaceOps is the one table of them.
-var spaceOps = map[pruning.SpaceKind]spaceOp{
-	pruning.SpaceMemory: {
-		build: func(_ Target, g *trace.Golden) (*pruning.FaultSpace, error) { return pruning.Build(g) },
-		flip:  (*machine.Machine).FlipBit,
-	},
-	pruning.SpaceRegisters: {
-		build: func(_ Target, g *trace.Golden) (*pruning.FaultSpace, error) { return pruning.BuildRegisters(g) },
-		flip:  (*machine.Machine).FlipRegBit,
-	},
-	pruning.SpaceSkip: {
-		build: func(t Target, g *trace.Golden) (*pruning.FaultSpace, error) { return pruning.BuildSkip(g, t.Code) },
-		flip:  func(m *machine.Machine, _ uint64) error { m.FlipSkip(); return nil },
-	},
-	pruning.SpacePC: {
-		build: func(t Target, g *trace.Golden) (*pruning.FaultSpace, error) {
-			return pruning.BuildPC(g, uint32(len(t.Code)))
-		},
-		flip: (*machine.Machine).FlipPCBit,
-	},
-	pruning.SpaceBurst2: burstOp(pruning.SpaceBurst2.BurstWidth()),
-	pruning.SpaceBurst4: burstOp(pruning.SpaceBurst4.BurstWidth()),
-}
-
-func burstOp(k int) spaceOp {
-	return spaceOp{
-		build: func(_ Target, g *trace.Golden) (*pruning.FaultSpace, error) { return pruning.BuildBurst(g, k) },
-		flip:  func(m *machine.Machine, pos uint64) error { return m.FlipBurst(k, pos) },
-	}
-}
-
-// opsFor looks a kind up, rejecting unknown ones instead of defaulting
-// them: a typo'd kind must never quietly inject into the wrong space.
-func opsFor(kind pruning.SpaceKind) (spaceOp, error) {
-	op, ok := spaceOps[kind]
-	if !ok {
-		return op, fmt.Errorf("campaign: unknown fault-space kind %d", kind)
-	}
-	return op, nil
 }
 
 // newMachine builds a fresh reset-state machine for the target.

@@ -158,7 +158,7 @@ func runCluster(t testing.TB, srv server, workers []WorkerOptions) (*campaign.Re
 
 func assertPlacementEquivalent(t *testing.T, tgt campaign.Target, golden *trace.Golden, fs *pruning.FaultSpace, got *campaign.Result) {
 	t.Helper()
-	want, err := campaign.FullScan(tgt, golden, fs, campaign.Config{})
+	want, err := campaign.ResumeScan(tgt, golden, fs, campaign.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func assertPlacementEquivalent(t *testing.T, tgt campaign.Target, golden *trace.
 
 // TestClusterPlacementEquivalence: a coordinator plus two loopback
 // workers — one snapshot, one rerun — must produce the exact outcome
-// vector of a local FullScan. Neither worker asks for a unit before both
+// vector of a local scan. Neither worker asks for a unit before both
 // have joined, so both take part however fast the other is.
 func TestClusterPlacementEquivalence(t *testing.T) {
 	tgt, golden, fs := SmallCampaign(t, "bin_sem2")
@@ -223,7 +223,7 @@ func TestClusterPlacementEquivalence(t *testing.T) {
 // TestClusterKillWorkerMidScan kills one worker abruptly mid-unit (no
 // submit, no leave — exactly a crash) and proves the lease machinery
 // loses nothing: the survivor finishes, at least one unit is reassigned,
-// and the result still matches a local FullScan. The survivor asks for
+// and the result still matches a local scan. The survivor asks for
 // its first unit only once the victim holds one, so the kill always
 // lands however fast the survivor is.
 func TestClusterKillWorkerMidScan(t *testing.T) {
@@ -273,7 +273,7 @@ func TestClusterKillWorkerMidScan(t *testing.T) {
 // remainder is executed, with the merged result still bit-identical.
 func TestClusterResumeFromPrior(t *testing.T) {
 	tgt, golden, fs := SmallCampaign(t, "hi")
-	want, err := campaign.FullScan(tgt, golden, fs, campaign.Config{})
+	want, err := campaign.ResumeScan(tgt, golden, fs, campaign.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 func oneUnitCoordinator(t *testing.T, cfg campaign.Config, ttl time.Duration) (server, []campaign.Outcome) {
 	t.Helper()
 	tgt, golden, fs := SmallCampaign(t, "hi")
-	want, err := campaign.FullScan(tgt, golden, fs, campaign.Config{})
+	want, err := campaign.ResumeScan(tgt, golden, fs, campaign.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,9 +181,9 @@ type State struct {
 }
 
 // New returns the state of a campaign of total classes started at start:
-// prior holds restored outcomes by class index (checked by the caller),
-// units the remaining classes, each unit ascending, granted in the order
-// given; ttl is the lease TTL.
+// prior holds restored outcomes by class index (checked by the caller
+// with campaign.Remaining), units the remaining classes, each unit
+// ascending, granted in the order given; ttl is the lease TTL.
 func New(start time.Time, ttl time.Duration, total int, prior map[int]campaign.Outcome, units [][]int) *State {
 	s := &State{
 		ttl:         ttl,

@@ -174,11 +174,13 @@ func heartbeatUnits(r *http.Request) ([]uint64, error) {
 }
 
 // TestPipelineHeartbeatsRegrantedUnit: a unit whose lease expires while
-// it scans may be granted to the ask ahead again; the heartbeat names it
-// until the scan of that second lease ends, not only until the first
-// scan does. The campaign is one unit, sort1(20)'s memory space, about
-// 130 ms of rerun scan; the ask ahead is held, and the heartbeats are
-// dropped, until the first lease is three TTLs old.
+// it scans may be granted to the ask ahead again. The worker does not
+// scan it a second time — the first scan's submission closes it — but
+// the heartbeat names it until that submission has landed. The campaign
+// is one unit, sort1(20)'s memory space, about 130 ms of rerun scan; the
+// ask ahead is held, and the heartbeats are dropped, until the first
+// lease is three TTLs old, and the submission is held three TTLs, so
+// that heartbeats fall while the second lease is held.
 func TestPipelineHeartbeatsRegrantedUnit(t *testing.T) {
 	const ttl = 15 * time.Millisecond
 	tgt, golden, fs := sortCampaign(t, 20)
@@ -186,16 +188,18 @@ func TestPipelineHeartbeatsRegrantedUnit(t *testing.T) {
 	settled := leakcheck.Goroutines(t)
 	base := &http.Transport{}
 	var (
-		mu        sync.Mutex
-		grantedAt time.Time
-		units     []uint64   // the units granted, in order
-		asked     bool       // the ask ahead has been sent on
-		submitted bool       // the first scan's submission has been sent
-		late      [][]uint64 // the heartbeats sent after it
+		mu         sync.Mutex
+		grantedAt  time.Time
+		units      []uint64   // the units granted, in order
+		asked      bool       // the ask ahead has been sent on
+		submitting bool       // the first scan's submission has been sent
+		landed     bool       // and answered
+		held       [][]uint64 // the heartbeats sent while the second lease was held
+		landing    int        // how many of them while the submission was held
 	)
 	client := &http.Client{Transport: tripper(func(r *http.Request) (*http.Response, error) {
 		mu.Lock()
-		n, at, drop, record := len(units), grantedAt, !asked, submitted
+		n, at, drop, record, inFlight := len(units), grantedAt, !asked, len(units) == 2 && !landed, submitting
 		mu.Unlock()
 		switch r.URL.Path {
 		case "/v1/heartbeat":
@@ -208,13 +212,22 @@ func TestPipelineHeartbeatsRegrantedUnit(t *testing.T) {
 					return nil, err
 				}
 				mu.Lock()
-				late = append(late, hb)
+				held = append(held, hb)
+				if inFlight {
+					landing++
+				}
 				mu.Unlock()
 			}
 		case "/v1/submit":
 			mu.Lock()
-			submitted = true
+			submitting = true
 			mu.Unlock()
+			time.Sleep(3 * ttl)
+			resp, err := base.RoundTrip(r)
+			mu.Lock()
+			landed = true
+			mu.Unlock()
+			return resp, err
 		case "/v1/lease":
 			if n == 1 {
 				time.Sleep(time.Until(at.Add(3 * ttl)))
@@ -238,9 +251,19 @@ func TestPipelineHeartbeatsRegrantedUnit(t *testing.T) {
 		}
 		return resp, nil
 	})}
-	res, errs := runCluster(t, srv, []WorkerOptions{{WorkerID: "w", Strategy: campaign.StrategyRerun, Workers: 1, Client: client}})
-	if errs[0] != nil {
-		t.Fatalf("worker: %v", errs[0])
+	reg := telemetry.New()
+	joined := make(chan error, 1)
+	go func() {
+		joined <- Join(srv.URL, WorkerOptions{WorkerID: "w", Strategy: campaign.StrategyRerun, Workers: 1, Client: client},
+			func(Spec) *telemetry.Registry { return reg })
+	}()
+	res, err := srv.wait()
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	srv.svc.Shutdown()
+	if err := <-joined; err != nil {
+		t.Fatalf("worker: %v", err)
 	}
 	assertPlacementEquivalent(t, tgt, golden, fs, res)
 	mu.Lock()
@@ -248,15 +271,17 @@ func TestPipelineHeartbeatsRegrantedUnit(t *testing.T) {
 	if len(units) < 2 || units[1] != units[0] {
 		t.Fatalf("the units granted were %v: the ask ahead was not granted the expired unit again", units)
 	}
-	named := 0
-	for _, hb := range late {
-		if slices.Contains(hb, units[0]) {
-			named++
+	if got := reg.Counter("scan.experiments").Value(); got != uint64(len(fs.Classes)) {
+		t.Errorf("the worker ran %d experiments for the unit's %d classes: a re-granted unit it had scanned was scanned again",
+			got, len(fs.Classes))
+	}
+	for _, hb := range held {
+		if !slices.Contains(hb, units[0]) {
+			t.Errorf("a heartbeat sent while unit %d's second lease was held names %v", units[0], hb)
 		}
 	}
-	if named < 2 {
-		t.Errorf("%d of the %d heartbeats after the first scan's submission name unit %d, whose second lease was scanning: want at least 2",
-			named, len(late), units[0])
+	if landing < 2 {
+		t.Errorf("%d heartbeats were sent while the submission of unit %d was held with its second lease: want at least 2", landing, units[0])
 	}
 	base.CloseIdleConnections()
 	srv.Close()

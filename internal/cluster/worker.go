@@ -339,6 +339,12 @@ func (w *worker) rebuild(spec Spec, reg *telemetry.Registry) error {
 // it never parks holding a unit or with a submission in flight. A unit a
 // held ask grants is not asked ahead of: the campaign had nothing
 // pending when it parked, so that ask would be answered wait.
+//
+// An ask ahead granted the unit just scanned — its lease expired during
+// the scan and came back to this worker — ends the pipeline the same
+// way, without a second scan: the submission in flight closes the unit,
+// whichever lease it names. Until it has landed the heartbeat names the
+// unit, then the worker lets the lease go and asks as the tail does.
 func (w *worker) loop() error {
 	leaseReq := EncodeLeaseRequest(LeaseRequest{Identity: w.spec.Identity, WorkerID: w.opts.WorkerID})
 	w.bg.goRun(w.heartbeat)
@@ -379,15 +385,20 @@ func (w *worker) loop() error {
 			return err
 		}
 		sent = w.submitBehind(u, entries)
-		if next != nil && n.u.Status == UnitGranted {
+		granted := next != nil && n.u.Status == UnitGranted
+		if granted && n.u.ID != u.ID {
 			u = n.u
-		} else {
-			if err := landed(sent); err != nil {
-				return err
-			}
-			sent = nil
-			u, ahead, err = w.ask(leaseReq)
+			continue
 		}
+		if err := landed(sent); err != nil {
+			return err
+		}
+		sent = nil
+		if granted {
+			// The unit just scanned, granted again: not scanned twice.
+			w.bg.release(u.ID)
+		}
+		u, ahead, err = w.ask(leaseReq)
 	}
 	return err
 }

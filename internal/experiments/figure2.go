@@ -32,7 +32,7 @@ type PruneStats struct {
 // PruneStatsFor computes pruning statistics for a program.
 func PruneStatsFor(p *faultspace.Program) (PruneStats, error) {
 	t := faultspace.Target(p)
-	_, fs, err := t.Prepare(faultspace.DefaultMaxGoldenCycles)
+	_, fs, err := t.PrepareSpace(faultspace.SpaceMemory, faultspace.DefaultMaxGoldenCycles)
 	if err != nil {
 		return PruneStats{}, err
 	}

@@ -103,7 +103,7 @@ func multiFaultWith(v harden.Variant, opts faultspace.ScanOptions) (*MultiFaultR
 		return nil, err
 	}
 	target := faultspace.Target(prog)
-	golden, _, err := target.Prepare(1 << 16)
+	golden, _, err := target.PrepareSpace(faultspace.SpaceMemory, 1<<16)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +137,7 @@ func multiFaultWith(v harden.Variant, opts faultspace.ScanOptions) (*MultiFaultR
 	}
 
 	for _, b := range bits {
-		o, err := campaign.RunSingle(target, golden, cfg, mfSlot, b)
+		o, err := campaign.RunMulti(target, golden, cfg, faultspace.SpaceMemory, []campaign.Coord{{Slot: mfSlot, Bit: b}})
 		if err != nil {
 			return nil, err
 		}

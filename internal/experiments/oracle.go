@@ -108,7 +108,7 @@ func RandomCoordinateOracle(p *faultspace.Program, opts faultspace.ScanOptions, 
 			rep.Pruned++
 		}
 
-		got, err := campaign.RunSingleSpace(t, golden, plain, fs.Kind, slot, bit)
+		got, err := campaign.RunMulti(t, golden, plain, fs.Kind, []campaign.Coord{{Slot: slot, Bit: bit}})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: oracle: brute force (%d, %d): %w", slot, bit, err)
 		}

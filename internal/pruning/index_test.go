@@ -90,7 +90,7 @@ func TestScanNeverBuildsIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := campaign.FullScan(target, golden, fs, campaign.Config{Strategy: strategy}); err != nil {
+			if _, err := campaign.ResumeScan(target, golden, fs, campaign.Config{Strategy: strategy}, nil); err != nil {
 				t.Fatal(err)
 			}
 			if fs.Indexed() {

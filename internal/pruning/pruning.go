@@ -26,6 +26,7 @@ import (
 	"strings"
 	"sync"
 
+	"faultspace/internal/isa"
 	"faultspace/internal/machine"
 	"faultspace/internal/trace"
 )
@@ -78,19 +79,64 @@ const (
 	SpaceBurst4
 )
 
+// Builder builds a kind's pruned fault space from a golden run and the
+// program it ran.
+type Builder func(*trace.Golden, []isa.Instruction) (*FaultSpace, error)
+
+// Injector injects one fault of a kind into a machine at a raw space
+// coordinate (the bit/position dimension; the slot dimension is when it
+// is called).
+type Injector func(*machine.Machine, uint64) error
+
 // kinds is the one table of fault-space kinds, indexed by kind−1: the
 // name reports and archives spell, the alias the -space flag also takes,
-// and the burst width (0 for single-coordinate kinds).
-var kinds = [...]struct {
+// the burst width (0 for single-coordinate kinds), the builder and the
+// injector.
+var kinds = [...]kindRow{
+	SpaceMemory - 1: {name: "memory", alias: "mem",
+		build:  func(g *trace.Golden, _ []isa.Instruction) (*FaultSpace, error) { return Build(g) },
+		inject: (*machine.Machine).FlipBit},
+	SpaceRegisters - 1: {name: "registers", alias: "regs",
+		build:  func(g *trace.Golden, _ []isa.Instruction) (*FaultSpace, error) { return BuildRegisters(g) },
+		inject: (*machine.Machine).FlipRegBit},
+	SpaceSkip - 1: {name: "skip",
+		build:  BuildSkip,
+		inject: func(m *machine.Machine, _ uint64) error { m.FlipSkip(); return nil }},
+	SpacePC - 1: {name: "pc",
+		build: func(g *trace.Golden, code []isa.Instruction) (*FaultSpace, error) {
+			return BuildPC(g, uint32(len(code)))
+		},
+		inject: (*machine.Machine).FlipPCBit},
+	SpaceBurst2 - 1: burstRow("burst2", SpaceBurst2, 2),
+	SpaceBurst4 - 1: burstRow("burst4", SpaceBurst4, 4),
+}
+
+type kindRow struct {
 	name, alias string
 	burst       int
-}{
-	SpaceMemory - 1:    {name: "memory", alias: "mem"},
-	SpaceRegisters - 1: {name: "registers", alias: "regs"},
-	SpaceSkip - 1:      {name: "skip"},
-	SpacePC - 1:        {name: "pc"},
-	SpaceBurst2 - 1:    {name: "burst2", burst: 2},
-	SpaceBurst4 - 1:    {name: "burst4", burst: 4},
+	build       Builder
+	inject      Injector
+}
+
+// burstRow is the row of the k-adjacent-bit burst kind (see BuildBurst).
+func burstRow(name string, kind SpaceKind, k int) kindRow {
+	perByte := machine.BurstPositions(k)
+	return kindRow{name: name, burst: k,
+		build: func(g *trace.Golden, _ []isa.Instruction) (*FaultSpace, error) {
+			return buildSpace(kind, g.Cycles, g.RAMBits/8*perByte, g.Accesses, perByte)
+		},
+		inject: func(m *machine.Machine, pos uint64) error { return m.FlipBurst(k, pos) },
+	}
+}
+
+// Lookup returns a kind's builder and injector. An unknown kind is
+// rejected instead of defaulted: a typo'd kind must never quietly scan
+// the wrong space.
+func Lookup(k SpaceKind) (Builder, Injector, error) {
+	if !k.Valid() {
+		return nil, nil, fmt.Errorf("pruning: unknown fault-space kind %d", k)
+	}
+	return kinds[k-1].build, kinds[k-1].inject, nil
 }
 
 // Valid reports whether k is a known fault-space kind.
@@ -190,10 +236,9 @@ func BuildRegisters(g *trace.Golden) (*FaultSpace, error) {
 // partition therefore carries over with the per-byte coordinate count
 // widened from 8 bits to 9−k positions.
 func BuildBurst(g *trace.Golden, k int) (*FaultSpace, error) {
-	for i, e := range kinds {
+	for _, e := range kinds {
 		if e.burst == k && k != 0 {
-			perByte := machine.BurstPositions(k)
-			return buildSpace(SpaceKind(i+1), g.Cycles, g.RAMBits/8*perByte, g.Accesses, perByte)
+			return e.build(g, nil)
 		}
 	}
 	return nil, fmt.Errorf("pruning: unsupported burst width %d (want 2 or 4)", k)

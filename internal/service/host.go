@@ -81,19 +81,9 @@ type host struct {
 // OnResult and ProgressInterval.
 func (s *Service) launch(e *entry, t campaign.Target, g *trace.Golden, fs *pruning.FaultSpace, cfg campaign.Config,
 	prior map[int]campaign.Outcome, onProgress func(cluster.Progress)) (func() (*campaign.Result, error), error) {
-	for ci, o := range prior {
-		if ci < 0 || ci >= len(fs.Classes) {
-			return nil, fmt.Errorf("service: prior class index %d outside [0, %d)", ci, len(fs.Classes))
-		}
-		if !o.Known() {
-			return nil, fmt.Errorf("service: prior class %d has unknown outcome %d", ci, o)
-		}
-	}
-	var todo []int
-	for i := range fs.Classes {
-		if _, ok := prior[i]; !ok {
-			todo = append(todo, i)
-		}
+	todo, err := campaign.Remaining(len(fs.Classes), prior)
+	if err != nil {
+		return nil, err
 	}
 	// Carve units in injection order: class indices are (Slot, Bit)-sorted
 	// by construction, and this stable sort turns that into an explicit

@@ -49,7 +49,7 @@ func oneUnitHost(t *testing.T, reg *telemetry.Registry) (*httptest.Server, [32]b
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := campaign.FullScan(tgt, golden, fs, campaign.Config{})
+	want, err := campaign.ResumeScan(tgt, golden, fs, campaign.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestHeldLeaseWakeConditions(t *testing.T) {
 // shuffled and a fork-strategy worker draining it, the merged outcome
 // vector — and with it every archived report, which is a pure function
 // of target, space, identity and outcomes — stays byte-identical to a
-// local FullScan and to an unshuffled cluster run. The queue is shuffled
+// local scan and to an unshuffled cluster run. The queue is shuffled
 // through the protocol: one placeholder worker takes each unit, and they
 // give them back (leave) in a shuffled order — pending is a LIFO, so the
 // last unit returned is granted first.
@@ -183,7 +183,7 @@ func TestClusterUnitOrderInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := campaign.FullScan(tgt, golden, fs, campaign.Config{})
+	want, err := campaign.ResumeScan(tgt, golden, fs, campaign.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

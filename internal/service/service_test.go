@@ -194,7 +194,7 @@ func localReport(t testing.TB, name string, factor float64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.FullScan(tgt, golden, fs, campaign.Config{TimeoutFactor: factor})
+	res, err := campaign.ResumeScan(tgt, golden, fs, campaign.Config{TimeoutFactor: factor}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,7 +628,7 @@ func localReportSpace(t testing.TB, name string, kind pruning.SpaceKind, objecti
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.FullScan(tgt, golden, fs, campaign.Config{Objective: obj})
+	res, err := campaign.ResumeScan(tgt, golden, fs, campaign.Config{Objective: obj}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ const (
 func TestOptionCensus(t *testing.T) {
 	prog := hiProgram(t)
 	target := Target(prog)
-	_, space, err := target.Prepare(DefaultMaxGoldenCycles)
+	_, space, err := target.PrepareSpace(SpaceMemory, DefaultMaxGoldenCycles)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func serveAndJoin(t *testing.T, prog *Program, opts ServeOptions, nWorkers int) 
 // TestPlacementEquivalenceAllBenchmarks is the distributed differential
 // suite (invariant 8): for every bundled benchmark, a coordinator plus
 // two loopback workers must produce a bit-identical outcome vector and
-// an identical analysis to a local FullScan.
+// an identical analysis to a local scan.
 func TestPlacementEquivalenceAllBenchmarks(t *testing.T) {
 	for _, name := range progs.Names() {
 		t.Run(name, func(t *testing.T) {
