@@ -26,18 +26,7 @@ func (d Dilution) Apply(stmts []asm.Stmt) ([]asm.Stmt, error) {
 	if d.NOPs < 0 {
 		return nil, fmt.Errorf("harden: negative NOP count %d", d.NOPs)
 	}
-	at := firstCodeIndex(stmts)
-	out := make([]asm.Stmt, 0, len(stmts)+d.NOPs)
-	out = append(out, stmts[:at]...)
-	pos := asm.Pos{}
-	if at < len(stmts) {
-		pos = stmts[at].Pos
-	}
-	for i := 0; i < d.NOPs; i++ {
-		out = append(out, instr(pos, "nop"))
-	}
-	out = append(out, stmts[at:]...)
-	return out, nil
+	return prependCode(stmts, d.NOPs, func(pos asm.Pos, _ int) asm.Stmt { return instr(pos, "nop") }), nil
 }
 
 // DilutionLoads is DFT′ (§IV-B): instead of NOPs it prepends dummy load
@@ -63,19 +52,8 @@ func (d DilutionLoads) Apply(stmts []asm.Stmt) ([]asm.Stmt, error) {
 	if d.Loads > 0 && len(d.Addrs) == 0 {
 		return nil, fmt.Errorf("harden: DilutionLoads needs at least one address")
 	}
-	at := firstCodeIndex(stmts)
-	out := make([]asm.Stmt, 0, len(stmts)+d.Loads)
-	out = append(out, stmts[:at]...)
-	pos := asm.Pos{}
-	if at < len(stmts) {
-		pos = stmts[at].Pos
-	}
-	for i := 0; i < d.Loads; i++ {
+	return prependCode(stmts, d.Loads, func(pos asm.Pos, i int) asm.Stmt {
 		addr := d.Addrs[i%len(d.Addrs)]
-		out = append(out, instr(pos, "lb",
-			regOp(isa.RegScratch1),
-			memOp(isa.RegZero, asm.NumExpr{Value: addr})))
-	}
-	out = append(out, stmts[at:]...)
-	return out, nil
+		return instr(pos, "lb", regOp(s1), memOp(isa.RegZero, asm.NumExpr{Value: addr}))
+	}), nil
 }

@@ -162,13 +162,19 @@ func TestDMRCorrectionSignalled(t *testing.T) {
 	}
 }
 
-// TestPchkScrubsLatentFault verifies the region check: a corrupted replica
-// is repaired by pchk even if the word is never pld-loaded afterwards.
+// TestPchkScrubsLatentFault verifies the region check of both mechanisms:
+// a corrupted replica is repaired by pchk even if the word is never
+// pld-loaded afterwards.
 func TestPchkScrubsLatentFault(t *testing.T) {
-	v := SumDMR{ReplicaOffset: 16, CheckOffset: 32, RegionBase: 0, RegionWords: 4}
-	// The checksum words of never-stored (all-zero) region words must be
-	// pre-initialized to ~0 or pchk would scrub them as phantom errors.
-	src := `
+	for _, c := range []struct {
+		v      Variant
+		src    string
+		stored uint64 // cycles past li, the pst expansion and the nop
+	}{
+		// The checksum words of never-stored (all-zero) region words must
+		// be pre-initialized to ~0 or pchk would scrub them as phantom
+		// errors.
+		{SumDMR{ReplicaOffset: 16, CheckOffset: 32, RegionBase: 0, RegionWords: 4}, `
         .ram    48
         .data
         .org    32
@@ -179,35 +185,46 @@ func TestPchkScrubsLatentFault(t *testing.T) {
         nop
         pchk
         halt
-`
-	stmts, err := asm.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expanded, err := v.Apply(stmts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := asm.AssembleStmts("pchk", expanded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := machine.New(machine.Config{RAMSize: 48}, prog.Code, prog.Image)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Run(6)                                  // past li + pst expansion
-	if err := m.FlipBit(16 * 8); err != nil { // replica word, bit 0
-		t.Fatal(err)
-	}
-	if st := m.Run(1000); st != machine.StatusHalted {
-		t.Fatalf("status %v (exc %v)", st, m.Exception())
-	}
-	if m.CorrectCount() != 1 {
-		t.Errorf("correct count = %d, want 1", m.CorrectCount())
-	}
-	ram, _ := m.ReadRAM(16, 1)
-	if ram[0] != 0x77 {
-		t.Errorf("replica after scrub = %#x, want 0x77", ram[0])
+`, 6},
+		// TMR's third copies of never-stored words are plain zeros.
+		{TMR{Copy2Offset: 16, Copy3Offset: 32, RegionBase: 0, RegionWords: 4}, `
+        .ram    48
+        li      r1, 0x77
+        pst     r1, 0(r0)
+        nop
+        pchk
+        halt
+`, 5},
+	} {
+		stmts, err := asm.Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		expanded, err := c.v.Apply(stmts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := asm.AssembleStmts("pchk", expanded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := machine.New(machine.Config{RAMSize: 48}, prog.Code, prog.Image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Run(c.stored)
+		if err := m.FlipBit(16 * 8); err != nil { // replica word, bit 0
+			t.Fatal(err)
+		}
+		if st := m.Run(1000); st != machine.StatusHalted {
+			t.Fatalf("%s: status %v (exc %v)", c.v.Name(), st, m.Exception())
+		}
+		if m.CorrectCount() != 1 {
+			t.Errorf("%s: correct count = %d, want 1", c.v.Name(), m.CorrectCount())
+		}
+		ram, _ := m.ReadRAM(16, 1)
+		if ram[0] != 0x77 {
+			t.Errorf("%s: replica after scrub = %#x, want 0x77", c.v.Name(), ram[0])
+		}
 	}
 }

@@ -79,6 +79,19 @@ func TestSumDMRValidation(t *testing.T) {
 			t.Errorf("SumDMR%+v must be rejected", v)
 		}
 	}
+	for _, c := range []struct {
+		v    TMR
+		want string
+	}{
+		{TMR{}, "harden: TMR offsets must be non-zero"},
+		{TMR{Copy2Offset: 4, Copy3Offset: 4}, "harden: TMR offsets must differ"},
+		{TMR{Copy2Offset: 3, Copy3Offset: 8}, "harden: TMR offsets must be word-aligned"},
+		{TMR{Copy2Offset: 8, Copy3Offset: 0}, "harden: TMR offsets must be non-zero"},
+	} {
+		if _, err := c.v.Apply(parse(t, pseudoSrc)); err == nil || err.Error() != c.want {
+			t.Errorf("TMR%+v: error %v, want %q", c.v, err, c.want)
+		}
+	}
 }
 
 func TestSumDMRRejectsReservedRegisters(t *testing.T) {
@@ -94,12 +107,29 @@ func TestSumDMRRejectsReservedRegisters(t *testing.T) {
 			t.Errorf("source %q must be rejected", src)
 		}
 	}
+	tmr := TMR{Copy2Offset: 32, Copy3Offset: 64}
+	for _, c := range []struct{ src, want string }{
+		{"pld r11, 0(r2)\n halt", "harden: line 1: pld operand register r11 is reserved for hardening"},
+		{"pld r1, 0(r11)\n halt", "harden: line 1: pld base register r11 is reserved for hardening"},
+		{"pst r12, 0(r2)\n halt", "harden: line 1: pst operand register r12 is reserved for hardening"},
+		{"pst r1, 0(r12)\n halt", "harden: line 1: pst base register r12 is reserved for hardening"},
+		{"pld r2, 0(r2)\n halt", "harden: line 1: pld destination r2 must differ from base register"},
+	} {
+		if _, err := tmr.Apply(parse(t, c.src)); err == nil || err.Error() != c.want {
+			t.Errorf("TMR, source %q: error %v, want %q", c.src, err, c.want)
+		}
+	}
 }
 
 func TestSumDMRRejectsPchkWithoutRegion(t *testing.T) {
 	v := SumDMR{ReplicaOffset: 32, CheckOffset: 64}
 	if _, err := v.Apply(parse(t, "pchk\n halt")); err == nil {
 		t.Error("pchk without a configured region must be rejected")
+	}
+	tmr := TMR{Copy2Offset: 32, Copy3Offset: 64}
+	want := "harden: line 1: pchk used but TMR region is not configured"
+	if _, err := tmr.Apply(parse(t, "pchk\n halt")); err == nil || err.Error() != want {
+		t.Errorf("TMR pchk without a region: error %v, want %q", err, want)
 	}
 }
 
@@ -155,6 +185,15 @@ func TestSumDMRLabelsUniquePerSite(t *testing.T) {
 	if len(p.Code) != 2*13+1 {
 		t.Errorf("expansion length = %d, want 27", len(p.Code))
 	}
+	// TMR's pld: three loads and two branches, then the vote (four
+	// instructions), three repair stores and the signal.
+	tmr := TMR{Copy2Offset: 32, Copy3Offset: 64}
+	if _, err := tmr.Apply(parse(t, src)); err != nil {
+		t.Fatalf("two TMR pld sites must expand without label collisions: %v", err)
+	}
+	if p := assemble(t, tmr, src); len(p.Code) != 2*13+1 {
+		t.Errorf("TMR expansion length = %d, want 27", len(p.Code))
+	}
 }
 
 func TestSumDMRPreservesLabel(t *testing.T) {
@@ -167,6 +206,15 @@ entry:  pld  r1, 0(r2)
 `)
 	if p.Symbols["entry"] != 1 {
 		t.Errorf("entry = %d, want 1", p.Symbols["entry"])
+	}
+	p = assemble(t, TMR{Copy2Offset: 32, Copy3Offset: 64}, `
+        .ram 128
+        jmp  entry
+entry:  pld  r1, 0(r2)
+        halt
+`)
+	if p.Symbols["entry"] != 1 {
+		t.Errorf("TMR entry = %d, want 1", p.Symbols["entry"])
 	}
 }
 
@@ -221,6 +269,9 @@ func TestChainNames(t *testing.T) {
 	}
 	if (SumDMR{}).Name() != "sum+dmr" {
 		t.Error("SumDMR name wrong")
+	}
+	if (TMR{}).Name() != "tmr" {
+		t.Error("TMR name wrong")
 	}
 }
 

@@ -48,69 +48,25 @@ type SumDMR struct {
 // Name implements Variant.
 func (SumDMR) Name() string { return "sum+dmr" }
 
-func (v SumDMR) validate() error {
-	switch {
-	case v.ReplicaOffset == 0 || v.CheckOffset == 0:
-		return fmt.Errorf("harden: SumDMR offsets must be non-zero")
-	case v.ReplicaOffset == v.CheckOffset:
-		return fmt.Errorf("harden: SumDMR offsets must differ")
-	case v.ReplicaOffset%4 != 0 || v.CheckOffset%4 != 0:
-		return fmt.Errorf("harden: SumDMR offsets must be word-aligned")
-	}
-	return nil
-}
-
 // Apply implements Variant.
 func (v SumDMR) Apply(stmts []asm.Stmt) ([]asm.Stmt, error) {
-	if err := v.validate(); err != nil {
+	if err := checkOffsets("SumDMR", v.ReplicaOffset, v.CheckOffset); err != nil {
 		return nil, err
 	}
-	out := make([]asm.Stmt, 0, len(stmts)+16)
-	seq := 0
-	for _, st := range stmts {
-		if !st.IsPseudo() {
-			out = append(out, st)
-			continue
-		}
-		expanded, err := v.expand(st, seq)
-		if err != nil {
-			return nil, err
-		}
-		seq++
-		// Preserve a label attached to the pseudo instruction: it must
-		// name the first expanded instruction.
-		if st.Label != "" {
-			out = append(out, labelStmt(st.Pos, st.Label))
-		}
-		out = append(out, expanded...)
-	}
-	return out, nil
+	return expandPseudos(stmts, v.expand)
 }
 
 func (v SumDMR) expand(st asm.Stmt, seq int) ([]asm.Stmt, error) {
-	const (
-		s1 = isa.RegScratch1
-		s2 = isa.RegScratch2
-	)
 	pos := st.Pos
 
 	if st.Name == asm.PseudoPCheck {
 		return v.expandCheck(pos, seq)
 	}
-
-	val := st.Ops[0] // rd (pld) or rt (pst)
-	mem := st.Ops[1]
-	base := mem.Reg
-	off := mem.Expr
-
-	if base == s1 || base == s2 {
-		return nil, fmt.Errorf("harden: line %d: %s base register r%d is reserved for hardening",
-			pos.Line, st.Name, base)
+	val, mem, err := access(st)
+	if err != nil {
+		return nil, err
 	}
-	if val.Reg == s1 || val.Reg == s2 {
-		return nil, fmt.Errorf("harden: line %d: %s operand register r%d is reserved for hardening",
-			pos.Line, st.Name, val.Reg)
-	}
+	base, off := mem.Reg, mem.Expr
 
 	if st.Name == asm.PseudoPStore {
 		// sw rt, off(rs); sw rt, off+RO(rs); xori s1, rt, -1; sw s1, off+CO(rs)
@@ -122,32 +78,22 @@ func (v SumDMR) expand(st asm.Stmt, seq int) ([]asm.Stmt, error) {
 		}, nil
 	}
 
-	// pld rd, off(rs): rd must differ from the base so the repair stores
-	// still have a valid base address after rd is written.
-	if val.Reg == base {
-		return nil, fmt.Errorf("harden: line %d: pld destination r%d must differ from base register",
-			pos.Line, val.Reg)
-	}
 	lblOK := fmt.Sprintf("__dmr%d_ok", seq)
 	lblPrim := fmt.Sprintf("__dmr%d_prim", seq)
 	lblFix := fmt.Sprintf("__dmr%d_fix", seq)
-	okRef := exprOp(asm.SymExpr{Name: lblOK})
-	primRef := exprOp(asm.SymExpr{Name: lblPrim})
-	fixRef := exprOp(asm.SymExpr{Name: lblFix})
-
 	return []asm.Stmt{
 		// Fast path: three cycles when copies agree.
 		instr(pos, "lw", val, memOp(base, off)),
 		instr(pos, "lw", regOp(s1), memOp(base, addOff(off, v.ReplicaOffset))),
-		instr(pos, "beq", val, regOp(s1), okRef),
+		instr(pos, "beq", val, regOp(s1), symOp(lblOK)),
 		// Mismatch: vote via the complement checksum.
 		instr(pos, "lw", regOp(s2), memOp(base, addOff(off, v.CheckOffset))),
 		instr(pos, "xori", regOp(s2), regOp(s2), numOp(-1)), // expected primary
-		instr(pos, "beq", val, regOp(s2), primRef),
+		instr(pos, "beq", val, regOp(s2), symOp(lblPrim)),
 		// Primary corrupted: adopt the replica, repair the primary.
 		instr(pos, "mov", val, regOp(s1)),
 		instr(pos, "sw", val, memOp(base, off)),
-		instr(pos, "jmp", fixRef),
+		instr(pos, "jmp", symOp(lblFix)),
 		// Replica corrupted: repair it from the (verified) primary.
 		labelStmt(pos, lblPrim),
 		instr(pos, "sw", val, memOp(base, addOff(off, v.ReplicaOffset))),
@@ -162,39 +108,23 @@ func (v SumDMR) expand(st asm.Stmt, seq int) ([]asm.Stmt, error) {
 
 // expandCheck emits the pchk region verification: walk every protected
 // word, compare primary and replica (two loads and a branch on the fast
-// path), and vote/repair via the checksum on mismatch. Clobbers r1-r3 and
-// the two hardening scratch registers — pchk may only be placed where
-// those are free (kernel entry points).
+// path), and vote/repair via the checksum on mismatch.
 func (v SumDMR) expandCheck(pos asm.Pos, seq int) ([]asm.Stmt, error) {
-	if v.RegionWords <= 0 {
-		return nil, fmt.Errorf("harden: line %d: pchk used but SumDMR region is not configured", pos.Line)
-	}
-	const (
-		s1 = isa.RegScratch1
-		s2 = isa.RegScratch2
-	)
 	lbl := func(suffix string) string { return fmt.Sprintf("__chk%d_%s", seq, suffix) }
-	ref := func(suffix string) asm.Operand { return exprOp(asm.SymExpr{Name: lbl(suffix)}) }
+	ref := func(suffix string) asm.Operand { return symOp(lbl(suffix)) }
+	checkWord := memOp(1, asm.NumExpr{Value: v.CheckOffset})
 
-	return []asm.Stmt{
-		instr(pos, "li", regOp(1), numOp(v.RegionBase)),
-		instr(pos, "li", regOp(2), numOp(v.RegionBase+v.RegionWords*4)),
-		labelStmt(pos, lbl("loop")),
-		instr(pos, "lw", regOp(3), memOp(1, asm.NumExpr{})),
-		instr(pos, "lw", regOp(s1), memOp(1, asm.NumExpr{Value: v.ReplicaOffset})),
+	return regionCheck(pos, "SumDMR", v.RegionBase, v.RegionWords, v.ReplicaOffset, lbl, []asm.Stmt{
 		instr(pos, "bne", regOp(3), regOp(s1), ref("bad")),
 		// Copies agree; the SUM part verifies the checksum word as well
 		// and scrubs a stale one.
-		instr(pos, "lw", regOp(s2), memOp(1, asm.NumExpr{Value: v.CheckOffset})),
+		instr(pos, "lw", regOp(s2), checkWord),
 		instr(pos, "xori", regOp(s2), regOp(s2), numOp(-1)),
 		instr(pos, "bne", regOp(3), regOp(s2), ref("fixsum")),
-		labelStmt(pos, lbl("next")),
-		instr(pos, "addi", regOp(1), regOp(1), numOp(4)),
-		instr(pos, "blt", regOp(1), regOp(2), ref("loop")),
-		instr(pos, "jmp", ref("done")),
+	}, []asm.Stmt{
 		// Copy mismatch: vote via the complement checksum, repair, signal.
 		labelStmt(pos, lbl("bad")),
-		instr(pos, "lw", regOp(s2), memOp(1, asm.NumExpr{Value: v.CheckOffset})),
+		instr(pos, "lw", regOp(s2), checkWord),
 		instr(pos, "xori", regOp(s2), regOp(s2), numOp(-1)),
 		instr(pos, "beq", regOp(3), regOp(s2), ref("fixrep")),
 		instr(pos, "mov", regOp(3), regOp(s1)),
@@ -204,9 +134,7 @@ func (v SumDMR) expandCheck(pos asm.Pos, seq int) ([]asm.Stmt, error) {
 		instr(pos, "sw", regOp(3), memOp(1, asm.NumExpr{Value: v.ReplicaOffset})),
 		labelStmt(pos, lbl("fixsum")),
 		instr(pos, "xori", regOp(s2), regOp(3), numOp(-1)),
-		instr(pos, "sw", regOp(s2), memOp(1, asm.NumExpr{Value: v.CheckOffset})),
+		instr(pos, "sw", regOp(s2), checkWord),
 		instr(pos, "swi", numOp(1), memOp(isa.RegZero, asm.NumExpr{Value: int64(machine.PortCorrect)})),
-		instr(pos, "jmp", ref("next")),
-		labelStmt(pos, lbl("done")),
-	}, nil
+	})
 }

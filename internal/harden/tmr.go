@@ -41,67 +41,33 @@ type TMR struct {
 // Name implements Variant.
 func (TMR) Name() string { return "tmr" }
 
-func (v TMR) validate() error {
-	switch {
-	case v.Copy2Offset == 0 || v.Copy3Offset == 0:
-		return fmt.Errorf("harden: TMR offsets must be non-zero")
-	case v.Copy2Offset == v.Copy3Offset:
-		return fmt.Errorf("harden: TMR offsets must differ")
-	case v.Copy2Offset%4 != 0 || v.Copy3Offset%4 != 0:
-		return fmt.Errorf("harden: TMR offsets must be word-aligned")
-	}
-	return nil
-}
-
 // Apply implements Variant.
 func (v TMR) Apply(stmts []asm.Stmt) ([]asm.Stmt, error) {
-	if err := v.validate(); err != nil {
+	if err := checkOffsets("TMR", v.Copy2Offset, v.Copy3Offset); err != nil {
 		return nil, err
 	}
-	out := make([]asm.Stmt, 0, len(stmts)+16)
-	seq := 0
-	for _, st := range stmts {
-		if !st.IsPseudo() {
-			out = append(out, st)
-			continue
-		}
-		expanded, err := v.expand(st, seq)
-		if err != nil {
-			return nil, err
-		}
-		seq++
-		if st.Label != "" {
-			out = append(out, labelStmt(st.Pos, st.Label))
-		}
-		out = append(out, expanded...)
-	}
-	return out, nil
+	return expandPseudos(stmts, v.expand)
 }
 
 func (v TMR) expand(st asm.Stmt, seq int) ([]asm.Stmt, error) {
-	const (
-		s1 = isa.RegScratch1
-		s2 = isa.RegScratch2
-	)
 	pos := st.Pos
 
 	if st.Name == asm.PseudoPCheck {
-		return v.expandCheck(pos, seq)
+		// Compare the three copies of every region word; vote and repair
+		// on a disagreement.
+		lbl := func(suffix string) string { return fmt.Sprintf("__tchk%d_%s", seq, suffix) }
+		return regionCheck(pos, "TMR", v.RegionBase, v.RegionWords, v.Copy2Offset, lbl, []asm.Stmt{
+			instr(pos, "lw", regOp(s2), memOp(1, asm.NumExpr{Value: v.Copy3Offset})),
+			instr(pos, "bne", regOp(3), regOp(s1), symOp(lbl("fix"))),
+			instr(pos, "bne", regOp(3), regOp(s2), symOp(lbl("fix"))),
+		}, append([]asm.Stmt{labelStmt(pos, lbl("fix"))},
+			v.majorityAndRepair(pos, 3, 1, asm.NumExpr{})...))
 	}
-
-	val := st.Ops[0]
-	mem := st.Ops[1]
-	base := mem.Reg
-	off := mem.Expr
-
-	if base == s1 || base == s2 {
-		return nil, fmt.Errorf("harden: line %d: %s base register r%d is reserved for hardening",
-			pos.Line, st.Name, base)
+	val, mem, err := access(st)
+	if err != nil {
+		return nil, err
 	}
-	if val.Reg == s1 || val.Reg == s2 {
-		return nil, fmt.Errorf("harden: line %d: %s operand register r%d is reserved for hardening",
-			pos.Line, st.Name, val.Reg)
-	}
+	base, off := mem.Reg, mem.Expr
 
 	if st.Name == asm.PseudoPStore {
 		return []asm.Stmt{
@@ -111,12 +77,6 @@ func (v TMR) expand(st asm.Stmt, seq int) ([]asm.Stmt, error) {
 		}, nil
 	}
 
-	// pld rd, off(rs): rd must differ from the base so the repair stores
-	// still have a valid base after rd holds the majority value.
-	if val.Reg == base {
-		return nil, fmt.Errorf("harden: line %d: pld destination r%d must differ from base register",
-			pos.Line, val.Reg)
-	}
 	lblFix := fmt.Sprintf("__tmr%d_fix", seq)
 	lblOK := fmt.Sprintf("__tmr%d_ok", seq)
 	return append(
@@ -124,8 +84,8 @@ func (v TMR) expand(st asm.Stmt, seq int) ([]asm.Stmt, error) {
 			instr(pos, "lw", val, memOp(base, off)),
 			instr(pos, "lw", regOp(s1), memOp(base, addOff(off, v.Copy2Offset))),
 			instr(pos, "lw", regOp(s2), memOp(base, addOff(off, v.Copy3Offset))),
-			instr(pos, "bne", val, regOp(s1), exprOp(asm.SymExpr{Name: lblFix})),
-			instr(pos, "beq", val, regOp(s2), exprOp(asm.SymExpr{Name: lblOK})),
+			instr(pos, "bne", val, regOp(s1), symOp(lblFix)),
+			instr(pos, "beq", val, regOp(s2), symOp(lblOK)),
 			labelStmt(pos, lblFix),
 		},
 		append(v.majorityAndRepair(pos, val.Reg, base, off),
@@ -137,10 +97,6 @@ func (v TMR) expand(st asm.Stmt, seq int) ([]asm.Stmt, error) {
 // a = rd, b = s1, c = s2, followed by rewriting all three copies and the
 // correction signal. rd ends up holding the majority value.
 func (v TMR) majorityAndRepair(pos asm.Pos, rd, base uint8, off asm.Expr) []asm.Stmt {
-	const (
-		s1 = isa.RegScratch1
-		s2 = isa.RegScratch2
-	)
 	return []asm.Stmt{
 		instr(pos, "xor", regOp(rd), regOp(rd), regOp(s2)),
 		instr(pos, "xor", regOp(s1), regOp(s1), regOp(s2)),
@@ -151,41 +107,4 @@ func (v TMR) majorityAndRepair(pos asm.Pos, rd, base uint8, off asm.Expr) []asm.
 		instr(pos, "sw", regOp(rd), memOp(base, addOff(off, v.Copy3Offset))),
 		instr(pos, "swi", numOp(1), memOp(isa.RegZero, asm.NumExpr{Value: int64(machine.PortCorrect)})),
 	}
-}
-
-// expandCheck emits the pchk region verification under TMR: compare the
-// three copies of every region word, vote and repair on disagreement.
-// Clobbers r1-r3 and the hardening scratch registers.
-func (v TMR) expandCheck(pos asm.Pos, seq int) ([]asm.Stmt, error) {
-	if v.RegionWords <= 0 {
-		return nil, fmt.Errorf("harden: line %d: pchk used but TMR region is not configured", pos.Line)
-	}
-	const (
-		s1 = isa.RegScratch1
-		s2 = isa.RegScratch2
-	)
-	lbl := func(suffix string) string { return fmt.Sprintf("__tchk%d_%s", seq, suffix) }
-	ref := func(suffix string) asm.Operand { return exprOp(asm.SymExpr{Name: lbl(suffix)}) }
-
-	stmts := []asm.Stmt{
-		instr(pos, "li", regOp(1), numOp(v.RegionBase)),
-		instr(pos, "li", regOp(2), numOp(v.RegionBase+v.RegionWords*4)),
-		labelStmt(pos, lbl("loop")),
-		instr(pos, "lw", regOp(3), memOp(1, asm.NumExpr{})),
-		instr(pos, "lw", regOp(s1), memOp(1, asm.NumExpr{Value: v.Copy2Offset})),
-		instr(pos, "lw", regOp(s2), memOp(1, asm.NumExpr{Value: v.Copy3Offset})),
-		instr(pos, "bne", regOp(3), regOp(s1), ref("fix")),
-		instr(pos, "bne", regOp(3), regOp(s2), ref("fix")),
-		labelStmt(pos, lbl("next")),
-		instr(pos, "addi", regOp(1), regOp(1), numOp(4)),
-		instr(pos, "blt", regOp(1), regOp(2), ref("loop")),
-		instr(pos, "jmp", ref("done")),
-		labelStmt(pos, lbl("fix")),
-	}
-	stmts = append(stmts, v.majorityAndRepair(pos, 3, 1, asm.NumExpr{})...)
-	stmts = append(stmts,
-		instr(pos, "jmp", ref("next")),
-		labelStmt(pos, lbl("done")),
-	)
-	return stmts, nil
 }
