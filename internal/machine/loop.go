@@ -11,7 +11,8 @@ import (
 // loop-detector probes. Each probe costs one ring insertion (O(RAM) bytes
 // copied) plus a hash-chain scan, so the spacing trades detection latency
 // against probe overhead; any finite loop is still detected regardless of
-// how its period relates to the spacing (see Probe). The campaign passes
+// how its period relates to the spacing, as long as its probe-level period
+// fits the ring (see Probe). The campaign passes
 // its own, wider interval (campaign.probeInterval): its probes also ask
 // the golden-state index, and most of its runs end at the first one.
 const LoopProbeInterval = 16
@@ -27,8 +28,7 @@ const LoopProbeInterval = 16
 // infinite loop at whatever cycle it is observed, and a shortcut that
 // comes later or not at all still ends in the same outcome at the halt
 // or the cycle budget. The cap keeps the spacing constant in the long
-// run, so the ring and the Brent anchor still close on any loop entered
-// late.
+// run, so the ring still closes on a loop entered late.
 const (
 	loopBackoffProbes    = 8
 	loopBackoffDoublings = 6
@@ -56,8 +56,9 @@ func (d *LoopDetector) dither() uint64 { return uint64(bits.Reverse8(uint8(d.rin
 // window: a loop of period L is caught by the ring when its probe-level
 // period L/gcd(interval, L) fits the window. 64 entries cover every
 // spin-loop period the Figure-2 kernels exhibit (62–116 cycles) with
-// room to spare; rarer long or interval-coprime periods fall through to
-// the Brent anchor. loopSlotCount is the pc hash-chain head count.
+// room to spare. A loop whose probe-level period is longer than the
+// window is never proven: it runs to the cycle budget and ends in the
+// same Timeout. loopSlotCount is the pc hash-chain head count.
 const (
 	loopRingSize  = 64 // power of two
 	loopSlotCount = 128
@@ -113,17 +114,16 @@ func (e *ringEntry) record(k *probeKey, m *Machine) {
 // simulating them to the full cycle budget; the verdict is independent
 // of the budget, so outcomes are unchanged.
 //
-// Detection is two-tiered. The primary tier is a recurrence ring: the
-// last loopRingSize probe states are retained verbatim, indexed by a
-// pc-keyed hash chain, and the current state is compared against every
-// retained probe that shares its pc. At a probe spacing s, a loop of
-// period L recurs at probe distance L/gcd(s, L), so the ring proves it
-// after at most s·L/gcd(s, L) cycles — sooner under Due's dither,
-// which breaks the gcd — several times earlier than an anchor-doubling
-// scheme settles. The fallback tier is Brent's algorithm (one anchored
-// reference, re-anchored when the probe count since the last anchor
-// reaches a power of two): it needs no history window, so it eventually
-// proves any recurring loop the ring's bounded history misses.
+// Detection is a recurrence ring: the last loopRingSize probe states are
+// retained verbatim, indexed by a pc-keyed hash chain, and the current
+// state is compared against every retained probe that shares its pc. At
+// a probe spacing s, a loop of period L recurs at probe distance
+// L/gcd(s, L), so the ring proves it after at most s·L/gcd(s, L) cycles —
+// sooner under Due's dither, which breaks the gcd. A loop whose
+// probe-level period exceeds the ring's window is not proven; it runs to
+// the cycle budget and ends in the same Timeout. Across the bundled
+// programs' fault spaces no such loop was seen: an unbounded-window tier
+// behind the ring proved none of 202,366 loops (DESIGN.md §4c).
 //
 // The detect/correct counters are deliberately excluded from the state:
 // MMIO ports are write-only, so the counters never influence execution,
@@ -145,12 +145,6 @@ type LoopDetector struct {
 	// due is the absolute cycle of the next probe; 0 until Due computes
 	// it after a Reset or a Probe.
 	due uint64
-
-	// Brent fallback state.
-	probes   uint64 // probes since the last anchor
-	window   uint64 // probes until the next re-anchor (doubles)
-	anchored bool
-	anchor   ringEntry
 }
 
 // NewLoopDetector creates a detector whose probes start interval cycles
@@ -160,7 +154,7 @@ func NewLoopDetector(interval uint64) *LoopDetector {
 	if interval == 0 {
 		interval = LoopProbeInterval
 	}
-	return &LoopDetector{interval: interval, window: 1}
+	return &LoopDetector{interval: interval}
 }
 
 // spacing returns the cycle distance to the next probe: the base
@@ -169,8 +163,8 @@ func (d *LoopDetector) spacing() uint64 {
 	return d.interval << min(d.ringN/loopBackoffProbes, loopBackoffDoublings)
 }
 
-// Reset discards the ring history and the anchored reference — and with
-// the probe count the back-off — so the detector can track a new run.
+// Reset discards the ring history — and with the probe count the
+// back-off — so the detector can track a new run.
 // The RAM buffers are retained to avoid per-experiment allocation.
 func (d *LoopDetector) Reset() {
 	if d.ringN > 0 {
@@ -179,9 +173,6 @@ func (d *LoopDetector) Reset() {
 	}
 	d.ringN = 0
 	d.due = 0
-	d.probes = 0
-	d.window = 1
-	d.anchored = false
 }
 
 // timerRel returns the behavior-relevant distance to the next timer
@@ -202,8 +193,8 @@ func pcSlot(pc uint32) uint32 {
 
 // Probe compares the machine's state against the retained probe history
 // and reports true if any retained state recurred — proof of an
-// infinite loop. Otherwise the state is added to the ring and the Brent
-// anchor advances. The machine must be running.
+// infinite loop. Otherwise the state is added to the ring. The machine
+// must be running.
 func (d *LoopDetector) Probe(m *Machine) bool {
 	d.due = 0
 	var k probeKey
@@ -222,27 +213,12 @@ func (d *LoopDetector) Probe(m *Machine) bool {
 		seq = e.prev
 	}
 
-	// Brent tier: exactly the classic anchor check, for loops whose
-	// probe-level period exceeds the ring window.
-	if d.anchored && d.anchor.holds(&k, m) {
-		return true
-	}
-
-	// No recurrence: retain the current state in the ring...
+	// No recurrence: retain the current state in the ring.
 	e := &d.ring[d.ringN&(loopRingSize-1)]
 	e.record(&k, m)
 	e.prev = int(d.slots[h]) - 1
 	d.slots[h] = int32(d.ringN) + 1
 	d.ringN++
-
-	// ...and advance the Brent window.
-	d.probes++
-	if d.probes >= d.window {
-		d.probes = 0
-		d.window *= 2
-		d.anchored = true
-		d.anchor.record(&k, m)
-	}
 	return false
 }
 

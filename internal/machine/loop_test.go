@@ -155,9 +155,11 @@ func TestLoopDetectorChunkedEqualsRun(t *testing.T) {
 }
 
 // TestLoopDetectorCoprimePeriods: loops whose period shares no factor
-// with the probe spacing recur only every `period` probes — inside the
-// ring window for short periods, beyond it (Brent's territory) for long
-// ones. Either way they must be proven well before the target.
+// with the probe spacing recur only every `period` probes at a constant
+// spacing — inside the ring window for short periods, beyond it for long
+// ones. Due's dither makes the distances between nearby probes vary, so
+// the ring closes the long ones too: all must be proven well before the
+// target.
 func TestLoopDetectorCoprimePeriods(t *testing.T) {
 	for _, period := range []int{3, 17, 101} {
 		prog := make([]isa.Instruction, period)
