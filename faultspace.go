@@ -153,12 +153,6 @@ func WriteChromeTrace(w io.Writer, trace TraceID, spans []Span) error {
 	return telemetry.WriteChromeTrace(w, trace, spans)
 }
 
-// WriteSpansJSONL writes spans as one JSON object per line — the
-// streaming-friendly sibling of WriteChromeTrace.
-func WriteSpansJSONL(w io.Writer, trace TraceID, spans []Span) error {
-	return telemetry.WriteSpansJSONL(w, trace, spans)
-}
-
 // WritePrometheus renders a telemetry snapshot in the Prometheus text
 // exposition format (version 0.0.4), with the given constant labels on
 // every series (nil for none). The coordinator, service and favscan

@@ -6,7 +6,6 @@ import "fmt"
 type Expr interface {
 	// eval computes the expression value using syms for symbol lookup.
 	eval(syms SymbolTable) (int64, error)
-	String() string
 }
 
 // SymbolTable resolves symbol names during expression evaluation.
@@ -29,8 +28,6 @@ type NumExpr struct{ Value int64 }
 // eval implements Expr.
 func (e NumExpr) eval(SymbolTable) (int64, error) { return e.Value, nil }
 
-func (e NumExpr) String() string { return fmt.Sprintf("%d", e.Value) }
-
 // SymExpr is a symbol reference (label or .equ constant).
 type SymExpr struct{ Name string }
 
@@ -45,8 +42,6 @@ func (e SymExpr) eval(syms SymbolTable) (int64, error) {
 	}
 	return v, nil
 }
-
-func (e SymExpr) String() string { return e.Name }
 
 // UnExpr is a unary operation: - or ~.
 type UnExpr struct {
@@ -69,8 +64,6 @@ func (e UnExpr) eval(syms SymbolTable) (int64, error) {
 		return 0, fmt.Errorf("unknown unary operator %q", e.Op)
 	}
 }
-
-func (e UnExpr) String() string { return fmt.Sprintf("%c%s", e.Op, e.X) }
 
 // BinExpr is a binary operation.
 type BinExpr struct {
@@ -126,8 +119,6 @@ func (e BinExpr) eval(syms SymbolTable) (int64, error) {
 		return 0, fmt.Errorf("unknown operator %q", e.Op)
 	}
 }
-
-func (e BinExpr) String() string { return fmt.Sprintf("(%s %s %s)", e.X, e.Op, e.Y) }
 
 // exprParser parses constant expressions from a token stream with this
 // precedence ladder (loosest first): | ^ &, << >>, + -, * / %, unary.

@@ -69,9 +69,6 @@ type Span struct {
 	Dur    time.Duration `json:"dur_ns"`
 }
 
-// End returns the span's end time.
-func (s Span) End() time.Time { return s.Start.Add(s.Dur) }
-
 // SpanRecorder is a bounded, concurrency-safe store of completed spans.
 // It degrades by dropping rather than growing without bound: once
 // full, new spans are counted but not retained, keeping the campaign's
