@@ -48,8 +48,7 @@ const (
 // 66–72-cycle spins of bin_sem2 are proven at the sixth probe in the
 // median, a period after the spacing-16 schedule proved them with
 // seventeen). The offsets repeat every 32 probes, so probes 32 apart are
-// still a fixed distance apart and any loop is closed eventually, as
-// with a constant spacing.
+// still a fixed distance apart, as with a constant spacing.
 func (d *LoopDetector) dither() uint64 { return uint64(bits.Reverse8(uint8(d.ringN)) >> 3) }
 
 // Ring geometry. loopRingSize probes of history bound the recurrence
@@ -121,9 +120,8 @@ func (e *ringEntry) record(k *probeKey, m *Machine) {
 // L/gcd(s, L), so the ring proves it after at most s·L/gcd(s, L) cycles —
 // sooner under Due's dither, which breaks the gcd. A loop whose
 // probe-level period exceeds the ring's window is not proven; it runs to
-// the cycle budget and ends in the same Timeout. Across the bundled
-// programs' fault spaces no such loop was seen: an unbounded-window tier
-// behind the ring proved none of 202,366 loops (DESIGN.md §4c).
+// the cycle budget and ends in the same Timeout; across the bundled
+// programs' fault spaces no such loop was seen (DESIGN.md §4c).
 //
 // The detect/correct counters are deliberately excluded from the state:
 // MMIO ports are write-only, so the counters never influence execution,
